@@ -35,7 +35,7 @@ _ALLOWED_KEYS = {
                  "cone_length", "schedule", "z0"},
     "suite": set(),
 }
-_GLOBAL_KEYS = {"subcommand", "seed", "out_dir", "format", "jobs"}
+_GLOBAL_KEYS = {"subcommand", "seed", "out_dir", "format"}
 
 
 @dataclass
@@ -44,7 +44,6 @@ class RunConfig:
     seed: int = 42
     out_dir: str = "out"
     format: str = "both"
-    jobs: int = 1
     options: dict = dc_field(default_factory=dict)
 
 
@@ -70,8 +69,7 @@ def parse_config(raw: dict) -> RunConfig:
     if "schedule" in options:
         options["schedule"] = parse_schedule(options["schedule"])
     return RunConfig(subcommand=sub, seed=int(raw.get("seed", 42)),
-                     out_dir=str(raw.get("out_dir", "out")), format=fmt,
-                     jobs=int(raw.get("jobs", 1)), options=options)
+                     out_dir=str(raw.get("out_dir", "out")), format=fmt, options=options)
 
 
 def parse_schedule(spec) -> np.ndarray:
@@ -564,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out-dir", default=None)
-    parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--format", choices=["csv", "json", "both"], default=None)
     sub = parser.add_subparsers(dest="subcommand")
     for name in SUBCOMMANDS:
@@ -620,7 +617,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigInvalid(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     if args.subcommand:
         raw["subcommand"] = args.subcommand
-    for key in ("seed", "jobs", "format"):
+    for key in ("seed", "format"):
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val

@@ -26,10 +26,6 @@ class DistInterval:
     def width(self) -> float:
         return self.upper - self.lower
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
     def contains(self, value: float, slack: float = 1e-10) -> bool:
         return self.lower - slack <= value <= self.upper + slack
 
@@ -41,18 +37,5 @@ class DistInterval:
             return value - self.upper
         return 0.0
 
-    def intersect(self, other: "DistInterval") -> "DistInterval":
-        lo = max(self.lower, other.lower)
-        hi = min(self.upper, other.upper)
-        if lo > hi:  # inconsistent certificates; keep the tightest honest hull
-            mid = 0.5 * (lo + hi)
-            return DistInterval(mid, mid)
-        return DistInterval(lo, hi)
-
     def __add__(self, other: "DistInterval") -> "DistInterval":
         return DistInterval(self.lower + other.lower, self.upper + other.upper)
-
-    def scale(self, c: float) -> "DistInterval":
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return DistInterval(c * self.lower, c * self.upper)

@@ -2,7 +2,8 @@
 
 A metric lives on a single chart ``U subset R^n`` through a component oracle
 ``g_ij(x)`` with first and second derivative oracles (the model metrics are
-generated symbolically, so their derivatives are exact to double precision).
+one closed-form U(d)-invariant family, so their derivatives are exact to
+double precision).
 On top of it the module builds Christoffel symbols, the curvature tensor,
 geodesic / parallel-transport / Jacobi flows (fixed-step RK4), a shooting
 exponential-log map whose Newton iteration uses the exact variational
@@ -44,7 +45,6 @@ from .intervals import DistInterval
 DEFAULT_STEP = 1e-3
 SPEED_DRIFT_TOL = 1e-4
 MIN_EIGENVALUE = 1e-10
-DERIVATIVE_CHECK_TOL = 1e-5
 SHOOTING_TOL = 1e-9
 SHOOTING_MAX_NEWTON = 60
 
@@ -104,34 +104,59 @@ class TangentPoint:
         return cls(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
 
-def metric_from_sympy(name: str, coords, matrix, chart_contains,
-                      kappa_model=None, inj_model=None,
-                      closed_dist=None, closed_geodesic=None, closed_ray=None) -> MetricField:
-    """Build a metric field with exact derivative oracles from a sympy matrix."""
-    import sympy as sp
+def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
+    """The U(d)-invariant metric ``g(x) = a(s) I + b(s) (x x^T + Jx (Jx)^T)``.
 
-    n = len(coords)
-    gm = sp.Matrix(matrix)
-    dlist = [[[sp.diff(gm[i, j], coords[k]) for j in range(n)] for i in range(n)] for k in range(n)]
-    d2list = [[[[sp.diff(dlist[k][i][j], coords[l]) for j in range(n)] for i in range(n)]
-               for l in range(n)] for k in range(n)]
-    g_f = sp.lambdify(coords, gm, modules="numpy", cse=True)
-    dg_f = sp.lambdify(coords, dlist, modules="numpy", cse=True)
-    d2g_f = sp.lambdify(coords, d2list, modules="numpy", cse=True)
+    Here ``s = |x|^2`` and ``J`` is multiplication by ``i`` in interleaved
+    coordinates ``(Re z_1, Im z_1, ...)``.  ``a`` and ``b`` map ``s`` to the
+    triple ``(f, f', f'')``; ``b=None`` is the conformal case ``b == 0``,
+    whose oracles skip the rank-2 terms.  With ``P = x x^T + Jx (Jx)^T``::
+
+        d_k g     = 2 x_k (a' I + b' P) + b d_k P
+        d_k d_l g = 2 delta_kl (a' I + b' P) + 4 x_k x_l (a'' I + b'' P)
+                    + 2 b' (x_k d_l P + x_l d_k P) + b d_k d_l P
+    """
+    eye = np.eye(dim)
+    if b is not None:
+        rot = np.kron(np.eye(dim // 2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+        frame = np.vstack((eye, rot))    # frame @ x = (x, Jx)
+        # dp[k, i, j, m] x_m = d_k (x x^T + Jx (Jx)^T)_ij; d2p[k, l, i, j] = dp[k, i, j, l]
+        dp = (np.einsum("ik,jm->kijm", eye, eye) + np.einsum("im,jk->kijm", eye, eye)
+              + np.einsum("ik,jm->kijm", rot, rot) + np.einsum("im,jk->kijm", rot, rot))
+        d2p = dp.transpose(0, 3, 1, 2)
+
+    def rank2(x):
+        v = (frame @ x).reshape(2, dim)
+        return v.T @ v
 
     def g(x):
-        return np.asarray(g_f(*x), dtype=float)
+        s = float(x.dot(x))
+        if b is None:
+            return a(s)[0] * eye
+        return a(s)[0] * eye + b(s)[0] * rank2(x)
 
     def dg(x):
-        return np.asarray(dg_f(*x), dtype=float)
+        s = float(x.dot(x))
+        da = a(s)[1]
+        if b is None:
+            return (2.0 * da * x)[:, None, None] * eye
+        b0, db, _ = b(s)
+        return x[:, None, None] * (2.0 * (da * eye + db * rank2(x))) + b0 * (dp @ x)
 
     def d2g(x):
-        return np.asarray(d2g_f(*x), dtype=float)
+        s = float(x.dot(x))
+        _, da, dda = a(s)
+        xx = x[:, None] * x
+        if b is None:
+            return (2.0 * da * eye + 4.0 * dda * xx)[:, :, None, None] * eye
+        b0, db, ddb = b(s)
+        p = rank2(x)
+        out = (eye[:, :, None, None] * (2.0 * (da * eye + db * p))
+               + xx[:, :, None, None] * (4.0 * (dda * eye + ddb * p)))
+        cross = x[:, None, None, None] * (2.0 * db * (dp @ x))
+        return out + cross + cross.transpose(1, 0, 2, 3) + b0 * d2p
 
-    return MetricField(name=name, dim=n, g=g, dg=dg, d2g=d2g,
-                       chart_contains=chart_contains, kappa_model=kappa_model,
-                       inj_model=inj_model, closed_dist=closed_dist,
-                       closed_geodesic=closed_geodesic, closed_ray=closed_ray)
+    return MetricField(name=name, dim=dim, g=g, dg=dg, d2g=d2g, **fields)
 
 
 # -- model metrics -----------------------------------------------------------
@@ -178,12 +203,6 @@ def euclidean(n: int = 2) -> MetricField:
 
 @lru_cache(maxsize=None)
 def poincare_disk() -> MetricField:
-    import sympy as sp
-
-    x1, x2 = sp.symbols("x1 x2", real=True)
-    lam = 4 / (1 - x1**2 - x2**2) ** 2
-    gm = sp.Matrix([[lam, 0], [0, lam]])
-
     def dist(x, y):
         zx, zy = complex(x[0], x[1]), complex(y[0], y[1])
         m = abs((zx - zy) / (1 - np.conj(zx) * zy))
@@ -215,8 +234,12 @@ def poincare_disk() -> MetricField:
 
         return gamma
 
-    return metric_from_sympy(
-        "poincare", (x1, x2), gm,
+    def a(s):
+        u = 1.0 / (1.0 - s)
+        return 4.0 * u**2, 8.0 * u**3, 24.0 * u**4
+
+    return invariant_metric(
+        "poincare", 2, a,
         chart_contains=lambda x: float(x @ x) < 1.0 - 1e-12,
         kappa_model=-1.0, inj_model=math.inf,
         closed_dist=dist, closed_geodesic=geod, closed_ray=ray,
@@ -225,12 +248,6 @@ def poincare_disk() -> MetricField:
 
 @lru_cache(maxsize=None)
 def sphere_stereographic(chart_radius: float = 40.0) -> MetricField:
-    import sympy as sp
-
-    x1, x2 = sp.symbols("x1 x2", real=True)
-    lam = 4 / (1 + x1**2 + x2**2) ** 2
-    gm = sp.Matrix([[lam, 0], [0, lam]])
-
     def embed(x):
         s = float(x @ x)
         return np.array([2 * x[0], 2 * x[1], s - 1.0]) / (1.0 + s)
@@ -273,8 +290,12 @@ def sphere_stereographic(chart_radius: float = 40.0) -> MetricField:
 
         return gamma
 
-    return metric_from_sympy(
-        "sphere", (x1, x2), gm,
+    def a(s):
+        u = 1.0 / (1.0 + s)
+        return 4.0 * u**2, -8.0 * u**3, 24.0 * u**4
+
+    return invariant_metric(
+        "sphere", 2, a,
         chart_contains=lambda x: float(x @ x) < chart_radius**2,
         kappa_model=1.0, inj_model=math.pi,
         closed_dist=dist, closed_geodesic=geod, closed_ray=ray,
@@ -284,27 +305,8 @@ def sphere_stereographic(chart_radius: float = 40.0) -> MetricField:
 @lru_cache(maxsize=None)
 def bergman_ball(d: int = 2) -> MetricField:
     """Bergman metric of the unit ball: the real form of
-    ``(d+1) [(1-|z|^2) delta_jk + zbar_j z_k] / (1-|z|^2)^2``."""
-    import sympy as sp
-
-    xs = sp.symbols(f"x1:{2 * d + 1}", real=True)
-    zs = [xs[2 * j] + sp.I * xs[2 * j + 1] for j in range(d)]
-    u = 1 - sum(z * sp.conjugate(z) for z in zs)
-    h = [[(d + 1) * (u * (1 if j == k else 0) + sp.conjugate(zs[j]) * zs[k]) / u**2
-          for k in range(d)] for j in range(d)]
-
-    gm = sp.zeros(2 * d, 2 * d)
-    for j in range(d):
-        for k in range(d):
-            hre = sp.re(sp.expand(h[j][k]))
-            him = sp.im(sp.expand(h[j][k]))
-            # real metric of the Hermitian form, interleaved coordinates
-            gm[2 * j, 2 * k] += 2 * hre
-            gm[2 * j + 1, 2 * k + 1] += 2 * hre
-            gm[2 * j, 2 * k + 1] += 2 * him
-            gm[2 * j + 1, 2 * k] += -2 * him
-    gm = gm.applyfunc(sp.cancel)
-
+    ``(d+1) [(1-|z|^2) delta_jk + zbar_j z_k] / (1-|z|^2)^2``, i.e. the
+    invariant metric with ``a = 2(d+1)/(1-s)`` and ``b = 2(d+1)/(1-s)^2``."""
     from .cgeo import ball_involution
     from .kobayashi import ball_distance
 
@@ -357,20 +359,22 @@ def bergman_ball(d: int = 2) -> MetricField:
 
         return gamma
 
-    return metric_from_sympy(
-        f"bergman-ball-{d}", tuple(xs), gm,
+    c = 2.0 * (d + 1)
+
+    def a(s):
+        u = 1.0 / (1.0 - s)
+        return c * u, c * u**2, 2.0 * c * u**3
+
+    def b(s):
+        u = 1.0 / (1.0 - s)
+        return c * u**2, 2.0 * c * u**3, 6.0 * c * u**4
+
+    return invariant_metric(
+        f"bergman-ball-{d}", 2 * d, a, b,
         chart_contains=lambda x: float(x @ x) < 1.0 - 1e-12,
         kappa_model=None, inj_model=math.inf,
         closed_dist=dist, closed_geodesic=geod, closed_ray=ray,
     )
-
-
-MODEL_METRICS = {
-    "euclid": lambda: euclidean(2),
-    "poincare": poincare_disk,
-    "sphere": sphere_stereographic,
-    "bergman-ball": lambda: bergman_ball(2),
-}
 
 
 def scale_metric(m: MetricField, lam: float) -> MetricField:
@@ -673,18 +677,6 @@ def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
 # ---------------------------------------------------------------------------
 # exponential / logarithm by shooting
 # ---------------------------------------------------------------------------
-
-def exp_map(m: MetricField, x, X, step: float | None = None) -> np.ndarray:
-    """Endpoint of the geodesic with initial velocity ``X`` at time 1."""
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    size = m.norm(x, X)
-    if size < 1e-300:
-        return x.copy()
-    n_steps = _shooting_steps(size, step)
-    path = geodesic_flow(m, TangentPoint(x, X), 1.0, step=1.0 / n_steps, drift_tol=1.0)
-    return path.xs[-1]
-
 
 def _shooting_steps(arc: float, step: float | None) -> int:
     if step is not None:

@@ -129,6 +129,18 @@ class TestMain:
                                                "kappa": -0.99})])
         assert rc == 1
 
+    def test_jobs_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--jobs", "2", "--out-dir", str(tmp_path), "schwarz", "--map", "id"])
+        assert exc.value.code == 2
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"subcommand": "schwarz", "map": "id", "jobs": 2,
+                                        "out_dir": str(tmp_path / "out")}))
+        capsys.readouterr()
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        assert "unknown config keys for schwarz: ['jobs']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({

@@ -1,0 +1,114 @@
+"""The closed-form metric oracles against independent references.
+
+The reference metrics are built here with sympy from their textbook
+formulas and differentiated symbolically; sympy is a test-only dependency.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from rigidlab import riemann as rm
+
+REL_TOL = 1e-12
+
+
+def _conformal(xs, sign):
+    s = sum(x**2 for x in xs)
+    lam = 4 / (1 + sign * s) ** 2
+    return sp.diag(lam, lam)
+
+
+def _bergman(xs):
+    """Real form, interleaved coordinates, of the Hermitian form
+    ``(d+1) [(1-|z|^2) delta_jk + zbar_j z_k] / (1-|z|^2)^2``."""
+    d = len(xs) // 2
+    zs = [xs[2 * j] + sp.I * xs[2 * j + 1] for j in range(d)]
+    u = 1 - sum(z * sp.conjugate(z) for z in zs)
+    gm = sp.zeros(2 * d, 2 * d)
+    for j in range(d):
+        for k in range(d):
+            h = sp.expand((d + 1) * (u * (1 if j == k else 0) + sp.conjugate(zs[j]) * zs[k]) / u**2)
+            hre, him = sp.re(h), sp.im(h)
+            gm[2 * j, 2 * k] += 2 * hre
+            gm[2 * j + 1, 2 * k + 1] += 2 * hre
+            gm[2 * j, 2 * k + 1] += 2 * him
+            gm[2 * j + 1, 2 * k] += -2 * him
+    return gm.applyfunc(sp.cancel)
+
+
+@lru_cache(maxsize=None)
+def _reference(name: str):
+    """``(g, dg, d2g)`` lambdas of the symbolic metric ``name``."""
+    n = 2 if name in ("poincare", "sphere") else 2 * int(name.rsplit("-", 1)[1])
+    xs = sp.symbols(f"x1:{n + 1}", real=True)
+    if name == "poincare":
+        gm = _conformal(xs, -1)
+    elif name == "sphere":
+        gm = _conformal(xs, +1)
+    else:
+        gm = _bergman(xs)
+    dg = [[[sp.diff(gm[i, j], xs[k]) for j in range(n)] for i in range(n)] for k in range(n)]
+    d2g = [[[[sp.diff(dg[k][i][j], xs[l]) for j in range(n)] for i in range(n)]
+            for l in range(n)] for k in range(n)]
+    return tuple(sp.lambdify(xs, expr, modules="numpy", cse=True) for expr in (gm, dg, d2g))
+
+
+def _chart_points(dim: int, seed: int, count: int = 20) -> list[np.ndarray]:
+    """Seeded points with |x|^2 in [0, 0.95], plus the origin and three at |x|^2 = 0.95."""
+    rng = np.random.default_rng(seed)
+    radii2 = np.concatenate([rng.uniform(0.0, 0.95, count - 4), [0.0, 0.95, 0.95, 0.95]])
+    points = []
+    for r2 in radii2:
+        u = rng.standard_normal(dim)
+        points.append(np.sqrt(r2) * u / np.linalg.norm(u))
+    return points
+
+
+@pytest.mark.parametrize("metric", [rm.poincare_disk(), rm.sphere_stereographic(),
+                                    rm.bergman_ball(1), rm.bergman_ball(2)],
+                         ids=lambda m: m.name)
+def test_oracles_match_symbolic_reference(metric):
+    refs = _reference(metric.name)
+    for i, x in enumerate(_chart_points(metric.dim, seed=7)):
+        for oracle, ref in zip((metric.g, metric.dg, metric.d2g), refs):
+            want = np.asarray(ref(*x), dtype=float)
+            got = oracle(x)
+            assert got.shape == want.shape
+            err = np.max(np.abs(got - want))
+            assert err <= REL_TOL * np.max(np.abs(want)), f"{metric.name} point {i}: error {err:.2e}"
+
+
+def test_bergman_ball_3_derivatives_match_central_differences():
+    m = rm.bergman_ball(3)
+    h = 1e-5
+    for x in _chart_points(m.dim, seed=3, count=12):
+        steps = h * np.eye(m.dim)
+        fd_dg = np.stack([(m.g(x + e) - m.g(x - e)) / (2 * h) for e in steps])
+        fd_d2g = np.stack([(m.dg(x + e) - m.dg(x - e)) / (2 * h) for e in steps])
+        for fd, exact in ((fd_dg, m.dg(x)), (fd_d2g, m.d2g(x))):
+            assert np.max(np.abs(fd - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+
+def test_model_metrics_build_without_sympy():
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from rigidlab import cli, riemann as rm
+        for build in (rm.euclidean, rm.poincare_disk, rm.sphere_stereographic, rm.bergman_ball):
+            m = build()
+            rm.christoffel_curvature(m, [0.1] * m.dim).sectional(*np.eye(m.dim)[:2])
+        assert "sympy" not in sys.modules, "sympy was imported"
+    """)
+    src = str(Path(rm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
