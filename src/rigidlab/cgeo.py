@@ -72,7 +72,10 @@ def disk_automorphism(center: complex, phase: complex = 1.0) -> Callable[[comple
 
 
 def ball_involution(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The automorphism of the unit ball swapping ``a`` and the origin."""
+    """The automorphism of the unit ball swapping ``a`` and the origin.
+
+    The returned map takes one point ``(d,)`` or a stack of points ``(N, d)``.
+    """
     a = np.asarray(a, dtype=complex)
     a2 = float(np.sum(np.abs(a) ** 2))
     if a2 >= 1.0:
@@ -83,9 +86,10 @@ def ball_involution(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     def phi(z):
         z = np.asarray(z, dtype=complex)
-        pa = (herm(z, a) / a2) * a
+        za = np.sum(z * np.conj(a), axis=-1)[..., None]    # herm(z, a) per point
+        pa = (za / a2) * a
         qa = z - pa
-        return (a - pa - s * qa) / (1.0 - herm(z, a))
+        return (a - pa - s * qa) / (1.0 - za)
 
     return phi
 

@@ -12,6 +12,13 @@ and the three estimates the rigidity pipelines consume: unit-tangent vs
 tangent comparison, geodesic spread, and the backward initial-condition
 estimate.
 
+Shape contract: the ``g`` and ``dg`` oracles and :func:`christoffel` take
+one point ``(n,)`` or a stack of points ``(N, n)`` and return the matching
+leading axis, e.g. ``christoffel(m, xs)`` is ``(N, n, n, n)``; ``d2g`` and
+everything else take one point.  The ``closed_geodesic`` and ``closed_ray``
+samplers take a time ``t`` (returning ``(n,)``) or an array of times
+(returning ``(N, n)``).
+
 Index conventions::
 
     gamma[k, i, j]      Christoffel  Gamma^k_{ij}
@@ -59,15 +66,17 @@ class MetricField:
 
     name: str
     dim: int
-    g: Callable[[np.ndarray], np.ndarray]
-    dg: Callable[[np.ndarray], np.ndarray]      # dg[k, i, j] = d_k g_ij
-    d2g: Callable[[np.ndarray], np.ndarray]     # d2g[k, l, i, j] = d_k d_l g_ij
+    g: Callable[[np.ndarray], np.ndarray]       # (n,) -> (n, n); (N, n) -> (N, n, n)
+    dg: Callable[[np.ndarray], np.ndarray]      # dg[..., k, i, j] = d_k g_ij, stacks as g
+    d2g: Callable[[np.ndarray], np.ndarray]     # d2g[k, l, i, j] = d_k d_l g_ij, one point
     chart_contains: Callable[[np.ndarray], bool]
     kappa_model: float | None = None            # known constant sectional curvature
     inj_model: float | None = None              # known injectivity radius (None = unknown)
     closed_dist: Callable | None = None
-    closed_geodesic: Callable | None = None     # (x, y) -> (T, v0, sampler)
-    closed_ray: Callable | None = None          # (x, unit v) -> sampler t -> gamma(t)
+    closed_geodesic: Callable | None = None     # (x, y) -> (T, v0, sampler); sampler(t) is
+                                                # (n,), sampler(ts) of shape (N,) is (N, n)
+    closed_ray: Callable | None = None          # (x, unit v) -> sampler t -> gamma(t), shaped
+                                                # as closed_geodesic's sampler
 
     def require_chart(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -108,9 +117,10 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
     """The U(d)-invariant metric ``g(x) = a(s) I + b(s) (x x^T + Jx (Jx)^T)``.
 
     Here ``s = |x|^2`` and ``J`` is multiplication by ``i`` in interleaved
-    coordinates ``(Re z_1, Im z_1, ...)``.  ``a`` and ``b`` map ``s`` to the
-    triple ``(f, f', f'')``; ``b=None`` is the conformal case ``b == 0``,
-    whose oracles skip the rank-2 terms.  With ``P = x x^T + Jx (Jx)^T``::
+    coordinates ``(Re z_1, Im z_1, ...)``.  ``a`` and ``b`` map ``s`` (a float,
+    or an array for a stack of points) to the triple ``(f, f', f'')``;
+    ``b=None`` is the conformal case ``b == 0``, whose oracles skip the
+    rank-2 terms.  With ``P = x x^T + Jx (Jx)^T``::
 
         d_k g     = 2 x_k (a' I + b' P) + b d_k P
         d_k d_l g = 2 delta_kl (a' I + b' P) + 4 x_k x_l (a'' I + b'' P)
@@ -119,29 +129,39 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
     eye = np.eye(dim)
     if b is not None:
         rot = np.kron(np.eye(dim // 2), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        frame = np.vstack((eye, rot))    # frame @ x = (x, Jx)
+        frame_t = np.hstack((eye, rot.T))    # x @ frame_t = (x, Jx)
         # dp[k, i, j, m] x_m = d_k (x x^T + Jx (Jx)^T)_ij; d2p[k, l, i, j] = dp[k, i, j, l]
         dp = (np.einsum("ik,jm->kijm", eye, eye) + np.einsum("im,jk->kijm", eye, eye)
               + np.einsum("ik,jm->kijm", rot, rot) + np.einsum("im,jk->kijm", rot, rot))
         d2p = dp.transpose(0, 3, 1, 2)
+        dp_t = dp.reshape(dim**3, dim).T     # x @ dp_t = (dp @ x) flattened
+
+    def norm2(x):
+        """``s = |x|^2``: a float for one point, shape (N, 1, 1) for a stack."""
+        if x.ndim == 1:
+            return float(x.dot(x))
+        return np.einsum("ni,ni->n", x, x)[:, None, None]
 
     def rank2(x):
-        v = (frame @ x).reshape(2, dim)
-        return v.T @ v
+        v = (x @ frame_t).reshape(x.shape[:-1] + (2, dim))
+        return v.swapaxes(-1, -2) @ v
 
     def g(x):
-        s = float(x.dot(x))
+        s = norm2(x)
         if b is None:
             return a(s)[0] * eye
         return a(s)[0] * eye + b(s)[0] * rank2(x)
 
     def dg(x):
-        s = float(x.dot(x))
+        s = norm2(x)
         da = a(s)[1]
         if b is None:
-            return (2.0 * da * x)[:, None, None] * eye
+            return x[..., :, None, None] * (2.0 * da * eye)[..., None, :, :]
         b0, db, _ = b(s)
-        return x[:, None, None] * (2.0 * (da * eye + db * rank2(x))) + b0 * (dp @ x)
+        lead = x.shape[:-1]
+        bdp = b0 * (x @ dp_t).reshape(lead + (dim, dim * dim))
+        return (x[..., :, None, None] * (2.0 * (da * eye + db * rank2(x)))[..., None, :, :]
+                + bdp.reshape(lead + (dim,) * 3))
 
     def d2g(x):
         s = float(x.dot(x))
@@ -162,13 +182,13 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
 # -- model metrics -----------------------------------------------------------
 
 def _complex_of(x: np.ndarray) -> np.ndarray:
-    return x[0::2] + 1j * x[1::2]
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def _real_of(z: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(z))
-    out[0::2] = np.real(z)
-    out[1::2] = np.imag(z)
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = np.real(z)
+    out[..., 1::2] = np.imag(z)
     return out
 
 
@@ -178,26 +198,27 @@ def euclidean(n: int = 2) -> MetricField:
     zeros3 = np.zeros((n, n, n))
     zeros4 = np.zeros((n, n, n, n))
 
+    def constant(c):
+        return lambda x: c if x.ndim == 1 else np.broadcast_to(c, x.shape[:-1] + c.shape)
+
+    def line(x, v):
+        return lambda t: x + np.multiply.outer(t, v)
+
     def sampler_factory(x, y):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         T = float(np.linalg.norm(y - x))
         v0 = (y - x) / T if T > 0 else np.zeros(n)
-        return T, v0, lambda t: x + t * v0
-
-    def ray(x, v):
-        x = np.asarray(x, float)
-        v = np.asarray(v, float)
-        return lambda t: x + t * v
+        return T, v0, line(x, v0)
 
     return MetricField(
         name="euclid", dim=n,
-        g=lambda x: eye, dg=lambda x: zeros3, d2g=lambda x: zeros4,
+        g=constant(eye), dg=constant(zeros3), d2g=lambda x: zeros4,
         chart_contains=lambda x: bool(np.all(np.abs(x) < 1e6)),
         kappa_model=0.0, inj_model=math.inf,
         closed_dist=lambda x, y: float(np.linalg.norm(np.asarray(y) - np.asarray(x))),
         closed_geodesic=sampler_factory,
-        closed_ray=ray,
+        closed_ray=lambda x, v: line(np.asarray(x, float), np.asarray(v, float)),
     )
 
 
@@ -208,31 +229,27 @@ def poincare_disk() -> MetricField:
         m = abs((zx - zy) / (1 - np.conj(zx) * zy))
         return 2.0 * math.atanh(min(m, 1 - 1e-16))
 
+    def curve(zx, e):
+        """Unit-speed geodesic from ``zx`` leaving in the unit direction ``e``."""
+        def gamma(t):
+            w = e * np.tanh(t / 2.0)
+            z = (zx + w) / (1 + np.conj(zx) * w)
+            return np.stack((z.real, z.imag), axis=-1)
+
+        return gamma
+
     def geod(x, y):
         zx, zy = complex(x[0], x[1]), complex(y[0], y[1])
         t = (zy - zx) / (1 - np.conj(zx) * zy)
         T = 2.0 * math.atanh(abs(t))
         e = t / abs(t)
-
-        def gamma(s):
-            w = e * math.tanh(s / 2.0)
-            z = (zx + w) / (1 + np.conj(zx) * w)
-            return np.array([z.real, z.imag])
-
         v0c = (1 - abs(zx) ** 2) * e / 2.0
-        return T, np.array([v0c.real, v0c.imag]), gamma
+        return T, np.array([v0c.real, v0c.imag]), curve(zx, e)
 
     def ray(x, v):
         zx = complex(x[0], x[1])
         e = 2.0 * complex(v[0], v[1]) / (1 - abs(zx) ** 2)
-        e = e / abs(e)
-
-        def gamma(t):
-            w = e * math.tanh(t / 2.0)
-            z = (zx + w) / (1 + np.conj(zx) * w)
-            return np.array([z.real, z.imag])
-
-        return gamma
+        return curve(zx, e / abs(e))
 
     def a(s):
         u = 1.0 / (1.0 - s)
@@ -256,6 +273,14 @@ def sphere_stereographic(chart_radius: float = 40.0) -> MetricField:
         c = float(np.clip(embed(np.asarray(x, float)) @ embed(np.asarray(y, float)), -1.0, 1.0))
         return math.acos(c)
 
+    def curve(p, q):
+        """Great circle through ``p`` with unit tangent ``q``, in the chart."""
+        def gamma(t):
+            pt = np.multiply.outer(np.cos(t), p) + np.multiply.outer(np.sin(t), q)
+            return pt[..., :2] / (1.0 - pt[..., 2:])
+
+        return gamma
+
     def geod(x, y):
         p, q = embed(np.asarray(x, float)), embed(np.asarray(y, float))
         T = dist(x, y)
@@ -263,12 +288,7 @@ def sphere_stereographic(chart_radius: float = 40.0) -> MetricField:
         norm = np.linalg.norm(axis)
         if norm < 1e-14:
             raise ShootingDiverged("antipodal or coincident points on the sphere")
-        axis = axis / norm
-
-        def gamma(s):
-            pt = math.cos(s) * p + math.sin(s) * axis
-            return np.array([pt[0], pt[1]]) / (1.0 - pt[2])
-
+        gamma = curve(p, axis / norm)
         h = 1e-6
         v0 = (gamma(h) - gamma(0.0)) / h
         return T, v0, gamma
@@ -282,13 +302,7 @@ def sphere_stereographic(chart_radius: float = 40.0) -> MetricField:
         xv = float(x @ v)
         dp = np.array([2 * v[0] * u - 4 * x[0] * xv, 2 * v[1] * u - 4 * x[1] * xv,
                        4 * xv]) / u**2
-        q = dp / np.linalg.norm(dp)
-
-        def gamma(t):
-            pt = math.cos(t) * p + math.sin(t) * q
-            return np.array([pt[0], pt[1]]) / (1.0 - pt[2])
-
-        return gamma
+        return curve(p, dp / np.linalg.norm(dp))
 
     def a(s):
         u = 1.0 / (1.0 + s)
@@ -312,6 +326,10 @@ def bergman_ball(d: int = 2) -> MetricField:
 
     radial = math.sqrt(2.0 * (d + 1))  # metric length of the unit radial speed
 
+    def curve(phi, e):
+        """Geodesic ``phi(e tanh(t / radial))``: the image of a diameter."""
+        return lambda t: _real_of(phi(np.multiply.outer(np.tanh(t / radial), e)))
+
     def dist(x, y):
         m = math.tanh(ball_distance(_complex_of(np.asarray(x, float)), _complex_of(np.asarray(y, float))))
         return radial * math.atanh(min(m, 1 - 1e-16))
@@ -326,10 +344,6 @@ def bergman_ball(d: int = 2) -> MetricField:
             raise ShootingDiverged("coincident points")
         e = w / wn
         T = radial * math.atanh(min(wn, 1 - 1e-16))
-
-        def gamma(s):
-            return _real_of(phi(e * math.tanh(s / radial)))
-
         a2 = float(np.sum(np.abs(zx) ** 2))
         s_a = math.sqrt(1.0 - a2)
         if a2 > 0:
@@ -338,7 +352,7 @@ def bergman_ball(d: int = 2) -> MetricField:
             pa = np.zeros_like(e)
         dphi_e = -(s_a**2 * pa + s_a * (e - pa))
         v0 = _real_of(dphi_e / radial)
-        return T, v0, gamma
+        return T, v0, curve(phi, e)
 
     def ray(x, v):
         a = _complex_of(np.asarray(x, float))
@@ -351,13 +365,7 @@ def bergman_ball(d: int = 2) -> MetricField:
             pv = np.zeros_like(vc)
         # invert dphi_a|_0 = -(s^2 P + s Q) and rescale to the radial speed
         e = -(pv / s_a**2 + (vc - pv) / s_a)
-        e = e / np.linalg.norm(e)
-        phi = ball_involution(a)
-
-        def gamma(t):
-            return _real_of(phi(e * math.tanh(t / radial)))
-
-        return gamma
+        return curve(ball_involution(a), e / np.linalg.norm(e))
 
     c = 2.0 * (d + 1)
 
@@ -442,13 +450,14 @@ class CurvatureData:
 
 
 def christoffel(m: MetricField, x) -> np.ndarray:
+    """``gamma[..., k, i, j]`` at one point ``(n,)`` or at each of ``(N, n)``."""
     x = np.asarray(x, dtype=float)
     gx = m.g(x)
     dg = m.dg(x)
     ginv = np.linalg.inv(gx)
-    # term[m, i, j] = d_i g_jm + d_j g_im - d_m g_ij
-    term = np.einsum("ijm->mij", dg) + np.einsum("jim->mij", dg) - dg
-    return 0.5 * np.einsum("km,mij->kij", ginv, term)
+    # term[..., m, i, j] = d_i g_jm + d_j g_im - d_m g_ij
+    term = np.einsum("...ijm->...mij", dg) + np.einsum("...jim->...mij", dg) - dg
+    return 0.5 * (ginv @ term.reshape(term.shape[:-2] + (-1,))).reshape(term.shape)
 
 
 def christoffel_curvature(m: MetricField, x) -> CurvatureData:
@@ -833,19 +842,9 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
         transported = X.vec.copy()
     else:
         if m.closed_geodesic is not None:
-            T, v0, sampler = m.closed_geodesic(X.x, Y.x)
-            base = T
-            n_steps = max(16, int(T / step))
-            path = GeodesicPath(
-                metric=m,
-                ts=np.linspace(0, T, n_steps + 1),
-                xs=np.array([sampler(t) for t in np.linspace(0, T, n_steps + 1)]),
-                vs=np.zeros((n_steps + 1, m.dim)),
-                step=T / n_steps, speed_drift=0.0,
-            )
-            # transport needs velocities; rebuild them by finite differences
-            path.vs[:] = np.gradient(path.xs, path.ts, axis=0)
-            transported = _transport_along_samples(m, path.xs, path.ts, X.vec)
+            base, _, sampler = m.closed_geodesic(X.x, Y.x)
+            ts = np.linspace(0, base, max(16, int(base / step)) + 1)
+            transported = _transport_along_samples(m, sampler(ts), ts, X.vec)
         else:
             tp = exp_log(m, X.x, Y.x)
             base = m.norm(tp.x, tp.vec)
@@ -865,17 +864,30 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
                                  base_distance=base, transported=transported, fiber_term=fiber)
 
 
+# points per stacked christoffel call: 128 KB of dg at n = 4, so the transport
+# adds no peak memory over the one-point loop (1024 added ~1 MB, 4096 ~11 MB)
+_TRANSPORT_BLOCK = 256
+
+
 def _transport_along_samples(m: MetricField, xs: np.ndarray, ts: np.ndarray, X0) -> np.ndarray:
-    """Parallel transport along a sampled curve (RK2 on the samples)."""
-    w = np.asarray(X0, dtype=float).copy()
-    for i in range(len(ts) - 1):
-        h = ts[i + 1] - ts[i]
-        xdot = (xs[i + 1] - xs[i]) / h
-        g1 = christoffel(m, xs[i])
-        k1 = -np.einsum("kij,i,j->k", g1, xdot, w)
-        gm = christoffel(m, 0.5 * (xs[i] + xs[i + 1]))
-        k2 = -np.einsum("kij,i,j->k", gm, xdot, w + 0.5 * h * k1)
-        w = w + h * k2
+    """Parallel transport along a sampled curve, one RK2 step per interval.
+
+    With ``A = Gamma(x_i)(xdot_i, .)`` and ``A_mid`` the same at the
+    interval's midpoint, the step is ``w <- w - h A_mid (w - h/2 A w)``.  The
+    Christoffels come from stacked calls of ``_TRANSPORT_BLOCK`` points.
+    """
+    h = np.diff(ts)
+    xdot = np.diff(xs, axis=0) / h[:, None]
+    starts, mids = xs[:-1], 0.5 * (xs[:-1] + xs[1:])
+    w = np.asarray(X0, dtype=float)
+    eye = np.eye(len(w))
+    for lo in range(0, len(h), _TRANSPORT_BLOCK):
+        blk = slice(lo, lo + _TRANSPORT_BLOCK)
+        hb = h[blk, None, None]
+        a = np.einsum("nkij,ni->nkj", christoffel(m, starts[blk]), xdot[blk])
+        a_mid = np.einsum("nkij,ni->nkj", christoffel(m, mids[blk]), xdot[blk])
+        for step in eye - hb * (a_mid - 0.5 * hb * (a_mid @ a)):
+            w = step @ w
     return w
 
 

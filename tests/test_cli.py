@@ -141,6 +141,14 @@ class TestMain:
         assert "unknown config keys for schwarz: ['jobs']" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_readme_convex_ball_example_parses(self, tmp_path):
+        # the README's example, argument for argument; exit 2 would mean it
+        # was rejected as bad input
+        rc = cli.main(["--out-dir", str(tmp_path), "rigidity", "--pipeline", "convex",
+                       "--domain", '{"kind":"ball","dimension":2}',
+                       "--map", '{"name":"ball_contact","c":1e-9,"m":4}', "--xi", "[1.0,0.0]"])
+        assert rc != 2
+
     def test_config_file_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({

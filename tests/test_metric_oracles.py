@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -112,3 +112,19 @@ def test_model_metrics_build_without_sympy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+STACK_MODELS = [rm.euclidean(2), rm.poincare_disk(), rm.sphere_stereographic(),
+                rm.bergman_ball(1), rm.bergman_ball(2), rm.bergman_ball(3),
+                rm.scale_metric(rm.bergman_ball(2), 2.0 / 3.0)]
+
+
+@pytest.mark.parametrize("metric", STACK_MODELS, ids=lambda m: m.name)
+def test_stacked_oracles_match_single_point_calls(metric):
+    xs = np.array(_chart_points(metric.dim, seed=11, count=25))
+    for oracle in (metric.g, metric.dg, partial(rm.christoffel, metric)):
+        want = np.stack([oracle(x) for x in xs])
+        got = oracle(xs)
+        assert got.shape == want.shape
+        err = np.max(np.abs(got - want))
+        assert err <= 1e-13 * np.max(np.abs(want)), f"{metric.name}: error {err:.2e}"

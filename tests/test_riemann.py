@@ -398,3 +398,82 @@ class TestScaling:
         T, v0, sampler = P4.closed_geodesic(x, y)
         assert P4.norm(x, v0) == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(sampler(T), y, atol=1e-9)
+
+
+def _transport_one_point_at_a_time(m, xs, ts, X0):
+    """The per-sample RK2 transport that the stacked one replaced (reference)."""
+    w = np.asarray(X0, dtype=float).copy()
+    for i in range(len(ts) - 1):
+        h = ts[i + 1] - ts[i]
+        xdot = (xs[i + 1] - xs[i]) / h
+        g1 = rm.christoffel(m, xs[i])
+        k1 = -np.einsum("kij,i,j->k", g1, xdot, w)
+        gm = rm.christoffel(m, 0.5 * (xs[i] + xs[i + 1]))
+        k2 = -np.einsum("kij,i,j->k", gm, xdot, w + 0.5 * h * k1)
+        w = w + h * k2
+    return w
+
+
+def _closed_samples(m, x, y, step=1e-3):
+    """The samples ``tangent_distances`` transports along."""
+    T, _, sampler = m.closed_geodesic(np.asarray(x, float), np.asarray(y, float))
+    ts = np.linspace(0, T, max(16, int(T / step)) + 1)
+    return sampler(ts), ts
+
+
+# the Bergman metric scaled to curvature bound 1, as biholo_pipeline scales it
+# by its measured bound 2/3
+BE_SCALED = rm.scale_metric(BE, 2.0 / 3.0)
+
+
+class TestStackedTransport:
+    @pytest.mark.parametrize("m, x, y, w, min_samples", [
+        (BE_SCALED, [0.9921875, 0.0, 0.0, 0.0], [-0.2, 0.1, 0.3, 0.0], [0.3, 1.0, -0.2, 0.4], 5000),
+        (PO, [0.9, 0.1], [-0.3, 0.2], [0.5, -1.0], 3000),
+        (SP, [2.0, -0.5], [-0.4, 0.3], [1.0, 0.7], 1000),
+        (EU, [1.0, 2.0], [-3.0, 0.5], [0.2, -0.6], 1000),
+    ], ids=["bergman-ball-2-scaled", "poincare", "sphere", "euclid"])
+    def test_matches_the_per_sample_loop(self, m, x, y, w, min_samples):
+        xs, ts = _closed_samples(m, x, y)
+        assert len(ts) - 1 >= min_samples
+        want = _transport_one_point_at_a_time(m, xs, ts, w)
+        got = rm._transport_along_samples(m, xs, ts, w)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_christoffel_is_called_once_per_block_of_samples(self, monkeypatch):
+        calls = []
+        original = rm.christoffel
+
+        def counted(m, x):
+            calls.append(np.shape(x))
+            return original(m, x)
+
+        monkeypatch.setattr(rm, "christoffel", counted)
+        ts = np.linspace(0.0, 1.0, 10_001)
+        xs = 0.8 * np.stack((np.cos(ts), np.sin(ts), ts - 0.5, 0.1 * ts), axis=-1) / 1.5
+        rm._transport_along_samples(BE, xs, ts, [1.0, 0.0, 0.0, 0.0])
+        assert len(calls) <= 2 * math.ceil(10_000 / rm._TRANSPORT_BLOCK)
+        assert len(calls) <= 200     # not 2 per sample: at least 100 points a call
+        assert sum(shape[0] for shape in calls) == 2 * 10_000
+
+
+class TestClosedGeodesicSamplers:
+    @pytest.mark.parametrize("m, x, y", [
+        (EU, [0.2, -0.1], [1.0, 0.7]),
+        (PO, [0.3, -0.2], [-0.5, 0.4]),
+        (SP, [1.5, -0.3], [-0.2, 0.6]),
+        (BE, [0.2, 0.1, -0.1, 0.3], [-0.4, 0.2, 0.3, -0.1]),
+        (BE_SCALED, [0.6, 0.0, 0.1, 0.0], [0.0, 0.0, 0.0, 0.0]),
+    ], ids=["euclid", "poincare", "sphere", "bergman-ball-2", "bergman-ball-2-scaled"])
+    def test_array_of_times_gives_the_rows_of_scalar_calls(self, m, x, y):
+        x = np.asarray(x, float)
+        T, v0, sampler = m.closed_geodesic(x, np.asarray(y, float))
+        assert np.allclose(sampler(T), y, atol=1e-9)
+        ts = np.linspace(-0.1 * T, 1.1 * T, 57)
+        for curve in (sampler, m.closed_ray(x, m.unit(x, v0))):
+            rows = curve(ts)
+            assert rows.shape == (len(ts), m.dim)
+            for t, row in zip(ts, rows):
+                one = curve(float(t))
+                assert one.shape == (m.dim,)
+                assert np.max(np.abs(row - one)) <= 1e-15
