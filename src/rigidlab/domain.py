@@ -221,6 +221,9 @@ class DiskDomain(Domain):
         z = as_point(z, 1)
         return float(np.abs(z[0]) ** 2 - 1.0)
 
+    def defining_many(self, zs):
+        return np.abs(np.asarray(zs, dtype=complex)[:, 0]) ** 2 - 1.0
+
     def grad_c(self, z):
         return 2.0 * as_point(z, 1)
 
@@ -287,6 +290,9 @@ class PolydiskDomain(Domain):
     def defining(self, z):
         z = as_point(z, self.dimension)
         return float(np.max(np.abs(z)) ** 2 - 1.0)
+
+    def defining_many(self, zs):
+        return np.max(np.abs(np.asarray(zs, dtype=complex)), axis=1) ** 2 - 1.0
 
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension).copy()
@@ -576,9 +582,10 @@ def boundary_distance(dom: Domain, z) -> float:
 def boundary_data(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> BoundaryData:
     """Normal, complex tangent hyperplane and convexity type at a boundary point."""
     xi = as_point(xi, dom.dimension)
-    if abs(dom.defining(xi)) > tol * max(1.0, np.linalg.norm(c2r(dom.grad_c(xi)))):
-        raise ApexNotOnBoundary(f"defining function is {dom.defining(xi):.3e} at {xi}")
+    value = dom.defining(xi)
     grad = dom.grad_c(xi)
+    if abs(value) > tol * max(1.0, np.linalg.norm(c2r(grad))):
+        raise ApexNotOnBoundary(f"defining function is {value:.3e} at {xi}")
     gnorm = float(np.linalg.norm(grad))
     if gnorm < GRADIENT_TOL:
         raise DegenerateGradient("vanishing gradient on the boundary")

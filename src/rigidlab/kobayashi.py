@@ -15,6 +15,12 @@ produces certified two-sided estimates:
 The half-plane family is searched near the base point and along tangent
 offsets, which is what makes the bounds scale correctly near low-type
 boundary points.
+
+Points are complex arrays of shape ``(d,)``.  ``line_boundary_distance`` also
+takes a stack of shape ``(N, d)`` with one shared direction and returns the
+``N`` radii; a ``(d,)`` point gives a float.  The segment integral of the
+upper bound uses this to evaluate each depth of its adaptive Simpson rule in
+one call.
 """
 
 from __future__ import annotations
@@ -36,10 +42,11 @@ from .domain import (
     c2r,
     herm,
 )
-from .errors import NotConvex, PointOutsideDomain, RadiusTooLarge
+from .errors import ConfigInvalid, NotConvex, PointOutsideDomain, RadiusTooLarge, ZeroVector
 from .intervals import DistInterval
 
 SIMPSON_TOL = 1e-8        # adaptive Simpson tolerance for distance upper bounds
+SIMPSON_DEPTH = 28        # bisections after which an interval closes regardless
 LINE_BISECTIONS = 60      # root bracketing steps along complex lines
 LINE_PHASES = 32          # phase grid certifying a round disc inside a slice
 LINE_SAFETY = 1.0 - 1e-9  # shrink factor applied to sampled slice radii
@@ -114,37 +121,65 @@ def has_model_formulas(dom: Domain) -> bool:
 # distance to the boundary along a complex line
 # ---------------------------------------------------------------------------
 
-def line_boundary_distance(dom: Domain, z, v) -> float:
-    """Radius of the largest round disc centered at ``z`` in the slice
-    ``Omega  intersect  (z + C v)``."""
-    z = dom.require_inside(z)
+def _direction(dom: Domain, v) -> np.ndarray:
     v = as_point(v, dom.dimension)
+    if not np.all(np.isfinite(v)):
+        raise ConfigInvalid(f"direction must be finite, got {v}")
+    return v
+
+
+def _modulus(w: np.ndarray) -> np.ndarray:
+    # libm hypot, as the scalar abs(); np.abs of a complex array can differ by
+    # an ulp, which 1 / (1 - |z|) magnifies near the boundary
+    return np.hypot(w.real, w.imag)
+
+
+def line_boundary_distance(dom: Domain, z, v):
+    """Radius of the largest round disc centered at ``z`` in the slice
+    ``Omega  intersect  (z + C v)``.
+
+    ``z`` is one point of shape ``(d,)``, which returns a float, or a stack of
+    shape ``(N, d)`` sharing the direction ``v``, which returns an array of
+    shape ``(N,)`` holding the radius of each row's one-point call.
+    """
+    zs = np.asarray(z, dtype=complex)
+    single = zs.ndim < 2
+    if single:
+        zs = dom.require_inside(zs)[None, :]
+    elif zs.shape[1:] != (dom.dimension,):
+        raise ValueError(f"expected points of C^{dom.dimension}, got shape {zs.shape}")
+    elif not dom.contains_all(zs):
+        raise PointOutsideDomain(f"a point of the stack is not in the domain ({dom.kind})")
+    v = _direction(dom, v)
     vn = float(np.linalg.norm(v))
     if vn == 0:
-        raise ValueError("direction must be nonzero")
+        raise ZeroVector("direction must be nonzero")
     u = v / vn
     if isinstance(dom, DiskDomain):
-        return 1.0 - abs(z[0])
-    if isinstance(dom, BallDomain):
-        off = herm(z, u)
-        a = z - off * u
-        rho = math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(a) ** 2))))
-        return rho - abs(off)
-    if isinstance(dom, PolydiskDomain):
-        vals = [(1.0 - abs(zj)) / abs(uj) for zj, uj in zip(z, u) if abs(uj) > 1e-15]
-        return min(vals)
-    # generic convex slice: bisection on the disc radius, certified on a phase grid
-    phases = np.exp(2j * math.pi * np.arange(LINE_PHASES) / LINE_PHASES)
-    hi = 2.0 * dom.bounding_radius
-    lo = 0.0
-    for _ in range(LINE_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        pts = z[None, :] + mid * phases[:, None] * u[None, :]
-        if dom.contains_all(pts):
-            lo = mid
-        else:
-            hi = mid
-    return lo * LINE_SAFETY
+        radii = 1.0 - _modulus(zs[:, 0])
+    elif isinstance(dom, BallDomain):
+        off = np.sum(zs * np.conj(u), axis=1)
+        a = zs - off[:, None] * u[None, :]
+        rho = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(a) ** 2, axis=1)))
+        radii = rho - _modulus(off)
+    elif isinstance(dom, PolydiskDomain):
+        moving = _modulus(u) > 1e-15
+        radii = np.min((1.0 - _modulus(zs[:, moving])) / _modulus(u[moving]), axis=1)
+    else:
+        # generic convex slice: bisection on each disc radius, certified on a phase grid
+        n = len(zs)
+        phases = np.exp(2j * math.pi * np.arange(LINE_PHASES) / LINE_PHASES)[None, :, None]
+        base, u = zs[:, None, :], u[None, None, :]
+        hi = np.full(n, 2.0 * dom.bounding_radius)
+        lo = np.zeros(n)
+        for _ in range(LINE_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            pts = base + mid[:, None, None] * phases * u
+            inside = dom.defining_many(pts.reshape(-1, dom.dimension)).reshape(n, -1).max(axis=1) < 0
+            np.copyto(lo, mid, where=inside)
+            np.copyto(hi, mid, where=~inside)
+        radii = lo * LINE_SAFETY
+    return float(radii[0]) if single else radii
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +293,7 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True,
     if not dom.convex:
         raise NotConvex("metric bounds require a convex domain")
     z = dom.require_inside(z)
-    v = as_point(v, dom.dimension)
+    v = _direction(dom, v)
     vn = float(np.linalg.norm(v))
     if vn == 0:
         return DistInterval.exact(0.0)
@@ -275,21 +310,42 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True,
     return DistInterval(min(lower, upper), upper)
 
 
-def _adaptive_simpson(f, a, b, tol):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson rule on ``[a, b]``, one bisection depth at a time.
 
-    def rec(a, b, fa, fm, fb, whole, depth):
+    ``f`` maps an array of abscissae to an array of values.  Each depth
+    evaluates the two new midpoints of every open interval in one call.  An
+    interval closes when ``|left + right - whole| <= 15 tol`` or after
+    ``SIMPSON_DEPTH`` bisections, and contributes ``left + right`` plus the
+    Richardson term.  The closed values are summed pairwise up the bisection
+    tree, so the result is the depth-first recursion's float, bit for bit.
+    """
+    fa, fm, fb = f(np.array([a, 0.5 * (a + b), b]))[:, None]
+    a, b = np.array([a]), np.array([b])
+    whole = (b - a) / 6 * (fa + 4 * fm + fb)
+    levels = []  # per depth: (value of each interval, mask of the intervals that split)
+    for depth in range(SIMPSON_DEPTH, -1, -1):
         m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
+        flm, frm = np.split(f(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)
         left = (m - a) / 6 * (fa + 4 * flm + fm)
         right = (b - m) / 6 * (fm + 4 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15 * tol:
-            return left + right + (left + right - whole) / 15
-        return rec(a, m, fa, flm, fm, left, depth - 1) + rec(m, b, fm, frm, fb, right, depth - 1)
+        split = ~(np.abs(left + right - whole) <= 15 * tol) & (depth > 0)
+        levels.append((left + right + (left + right - whole) / 15, split))
+        if not split.any():
+            break
+        # the two halves of each splitting interval, in left-to-right order
+        a, b = _halves(split, a, m), _halves(split, m, b)
+        fa, fm, fb = _halves(split, fa, fm), _halves(split, flm, frm), _halves(split, fm, fb)
+        whole = _halves(split, left, right)
+    total = levels.pop()[0]
+    for value, split in reversed(levels):
+        value[split] = total[0::2] + total[1::2]
+        total = value
+    return float(total[0])
 
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    return rec(a, b, fa, fm, fb, whole, 28)
+
+def _halves(split: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    return np.stack([first[split], second[split]], axis=1).ravel()
 
 
 def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
@@ -300,8 +356,8 @@ def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
         return 0.0
 
     def integrand(s):
-        p = z + s * chord
-        if not dom.contains(p):
+        p = z[None, :] + s[:, None] * chord[None, :]
+        if not dom.contains_all(p):
             raise NotConvex("straight chord exits the domain")
         return chord_len / line_boundary_distance(dom, p, chord)
 

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidlab import domain as dm
 from rigidlab import kobayashi as kb
-from rigidlab.errors import RadiusTooLarge
+from rigidlab.errors import ConfigInvalid, NotConvex, PointOutsideDomain, RadiusTooLarge, ZeroVector
 
 DISK = dm.disk()
 BALL2 = dm.ball(2)
 POLY2 = dm.polydisk(2)
 ELL12 = dm.ellipsoid((1, 2))
+MODPOLY = dm.modulus_polynomial([(1.0, (1, 0)), (1.0, (0, 2))], 2)
 
 
 def sample_disk_points(rng, n, rmax=0.97):
@@ -126,6 +129,144 @@ class TestIntervals:
         expect = math.sqrt(1 - abs(z[1]) ** 2) - 0.3
         assert d_line == pytest.approx(expect, abs=1e-12)
         assert kb.line_boundary_distance(POLY2, [0.5, 0.2], [1.0, 0.0]) == pytest.approx(0.5)
+
+
+def _recursive_simpson(f, a, b, tol):
+    """The depth-first adaptive Simpson rule, one point per call: the reference
+    for the level-at-a-time version."""
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+
+    def rec(a, b, fa, fm, fb, whole, depth):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = (m - a) / 6 * (fa + 4 * flm + fm)
+        right = (b - m) / 6 * (fm + 4 * frm + fb)
+        if depth <= 0 or abs(left + right - whole) <= 15 * tol:
+            return left + right + (left + right - whole) / 15
+        return rec(a, m, fa, flm, fm, left, depth - 1) + rec(m, b, fm, frm, fb, right, depth - 1)
+
+    whole = (b - a) / 6 * (fa + 4 * fm + fb)
+    return rec(a, b, fa, fm, fb, whole, 28)
+
+
+def _recursive_segment_upper(dom, z, w):
+    chord = w - z
+    chord_len = float(np.linalg.norm(chord))
+
+    def integrand(s):
+        p = z + s * chord
+        if not dom.contains(p):
+            raise NotConvex("straight chord exits the domain")
+        return chord_len / kb.line_boundary_distance(dom, p, chord)
+
+    return _recursive_simpson(integrand, 0.0, 1.0, kb.SIMPSON_TOL)
+
+
+def _inside_points(dom, rng, n, rmax):
+    pts = []
+    while len(pts) < n:
+        p = rng.standard_normal(dom.dimension) + 1j * rng.standard_normal(dom.dimension)
+        p *= rmax * rng.uniform(0.1, 1.0) / np.linalg.norm(p)
+        if dom.contains(p):
+            pts.append(p)
+    return np.array(pts)
+
+
+class TestStackedEvaluation:
+    def test_segment_matches_recursion_on_ellipsoid(self):
+        rng = np.random.default_rng(21)
+        chords = [_inside_points(ELL12, rng, 2, 0.97) for _ in range(3)]
+        chords.append((np.array([0.99, 0.05j]), np.array([-0.2, 0.9])))  # deep near the boundary
+        for z, w in chords:
+            assert kb._segment_upper(ELL12, z, w) == _recursive_segment_upper(ELL12, z, w)
+
+    def test_segment_matches_recursion_on_modulus_polynomial(self):
+        z, w = np.array([0.1, 0.05j]), np.array([0.12 + 0.04j, 0.1j])
+        assert kb._segment_upper(MODPOLY, z, w) == _recursive_segment_upper(MODPOLY, z, w)
+
+    def test_chord_leaving_the_domain_raises(self):
+        # both ends lie inside the domain, the midpoint does not
+        nonconvex = dm.implicit_convex(lambda z: min(abs(z[0] - 0.5), abs(z[0] + 0.5)) - 0.3, 1, 1.0)
+        with pytest.raises(NotConvex):
+            kb._segment_upper(nonconvex, np.array([0.5]), np.array([-0.5]))
+
+    @pytest.mark.parametrize("dom", [ELL12, MODPOLY], ids=["ellipsoid", "modulus-polynomial"])
+    def test_stacked_line_distance_generic_is_bit_identical(self, dom):
+        rng = np.random.default_rng(22)
+        zs = _inside_points(dom, rng, 12, 0.9)
+        v = np.array([0.6 - 0.2j, 0.3j])
+        stacked = kb.line_boundary_distance(dom, zs, v)
+        assert stacked.shape == (12,)
+        assert list(stacked) == [kb.line_boundary_distance(dom, z, v) for z in zs]
+
+    @pytest.mark.parametrize("dom", [DISK, BALL2, POLY2], ids=["disk", "ball", "polydisk"])
+    def test_stacked_line_distance_closed_forms(self, dom):
+        rng = np.random.default_rng(23)
+        zs = _inside_points(dom, rng, 40, 0.97)
+        for v in (np.ones(dom.dimension), rng.standard_normal(dom.dimension) + 1j * rng.standard_normal(dom.dimension)):
+            stacked = kb.line_boundary_distance(dom, zs, v)
+            single = np.array([kb.line_boundary_distance(dom, z, v) for z in zs])
+            assert isinstance(kb.line_boundary_distance(dom, zs[0], v), float)
+            assert np.allclose(stacked, single, rtol=1e-14, atol=0)
+
+    def test_stack_with_an_outside_point_raises(self):
+        with pytest.raises(PointOutsideDomain):
+            kb.line_boundary_distance(ELL12, np.array([[0.1, 0.2], [1.1, 0.0]]), [1, 0])
+
+    def test_segment_makes_one_line_distance_call_per_depth(self, monkeypatch):
+        calls = []
+        original = kb.line_boundary_distance
+
+        def counting(dom, z, v):
+            calls.append(len(np.atleast_2d(z)))
+            return original(dom, z, v)
+
+        monkeypatch.setattr(kb, "line_boundary_distance", counting)
+        kb._segment_upper(ELL12, np.array([0.99, 0.05j]), np.array([-0.2, 0.9]))
+        assert 1 < len(calls) <= 30
+        assert sum(calls) > len(calls)  # the levels are stacked
+
+
+class TestBadDirections:
+    def test_zero_direction_line_distance(self):
+        with pytest.raises(ZeroVector):
+            kb.line_boundary_distance(ELL12, [0.3, 0.2], [0, 0])
+
+    @pytest.mark.parametrize("dom", [ELL12, BALL2], ids=["ellipsoid", "ball"])
+    def test_nonfinite_direction_line_distance(self, dom):
+        with pytest.raises(ConfigInvalid):
+            kb.line_boundary_distance(dom, [0.3, 0.2], [math.nan, 0])
+
+    @pytest.mark.parametrize("dom", [ELL12, BALL2], ids=["ellipsoid", "ball"])
+    def test_nonfinite_direction_metric_bounds(self, dom):
+        with pytest.raises(ConfigInvalid):
+            kb.metric_bounds(dom, [0.3, 0.2], [math.nan, 0], tighten_with_model=False)
+        with pytest.raises(ConfigInvalid):
+            kb.metric_bounds(dom, [0.3, 0.2], [math.inf, 0])
+
+
+def _point_from(coords, radius, dom):
+    p = np.array(coords[0::2]) + 1j * np.array(coords[1::2])
+    n = np.linalg.norm(p, np.inf if dom is POLY2 else 2)
+    return radius * p / n if n > 1e-3 else np.zeros(2, dtype=complex)
+
+
+_COORDS = st.lists(st.floats(-1, 1), min_size=4, max_size=4)
+
+
+@pytest.mark.parametrize("dom", [BALL2, POLY2], ids=["ball", "polydisk"])
+@settings(max_examples=15, deadline=None)
+@given(_COORDS, st.floats(0.0, 0.95), _COORDS, st.floats(0.0, 0.95), _COORDS)
+def test_generic_bounds_bracket_closed_forms(dom, cz, rz, cw, rw, cv):
+    z, w = _point_from(cz, rz, dom), _point_from(cw, rw, dom)
+    iv = kb.dist_bounds(dom, z, w, tighten_with_model=False)
+    assert iv.lower <= iv.upper
+    assert iv.contains(kb.model_dist(dom, z, w), slack=1e-9)
+    v = _point_from(cv, 1.0, dom)
+    im = kb.metric_bounds(dom, z, v, tighten_with_model=False)
+    assert im.lower <= im.upper
+    assert im.contains(kb.model_metric(dom, z, v), slack=1e-9)
 
 
 class TestEq51:
