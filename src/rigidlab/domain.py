@@ -298,6 +298,8 @@ class PolydiskDomain(Domain):
         z = as_point(z, self.dimension).copy()
         j = int(np.argmax(np.abs(z)))
         zj = z[j]
+        if abs(zj) < 2.0**-600:   # a subnormal |zj| overflows zj / |zj|: rescale exactly
+            zj = zj * 2.0**600
         z[j] = zj / abs(zj) if abs(zj) > 0 else 1.0
         return z
 

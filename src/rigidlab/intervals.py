@@ -36,6 +36,3 @@ class DistInterval:
         if value > self.upper:
             return value - self.upper
         return 0.0
-
-    def __add__(self, other: "DistInterval") -> "DistInterval":
-        return DistInterval(self.lower + other.lower, self.upper + other.upper)

@@ -71,12 +71,16 @@ def disk_metric(z: complex, v: complex) -> float:
 
 
 def ball_distance(z: np.ndarray, w: np.ndarray) -> float:
+    """``atanh |phi_z(w)|``.  ``|phi_z(w)|^2 |1-<z,w>|^2 = |d|^2 - sum_{i<j}
+    |z_i d_j - z_j d_i|^2`` with ``d = w - z`` (Lagrange identity), so nearby
+    points keep their digits instead of cancelling against 1."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    denom = abs(1.0 - herm(z, w)) ** 2
-    ratio = (1.0 - float(np.sum(np.abs(z) ** 2))) * (1.0 - float(np.sum(np.abs(w) ** 2))) / denom
-    m2 = max(0.0, 1.0 - ratio)
-    return _atanh(math.sqrt(m2))
+    d = w - z
+    wedge = np.outer(z, d) - np.outer(d, z)   # z_i d_j - z_j d_i, each pair twice
+    num = float(np.sum(np.abs(d) ** 2)) - 0.5 * float(np.sum(np.abs(wedge) ** 2))
+    m2 = max(0.0, num / abs(1.0 - herm(z, w)) ** 2)
+    return math.atanh(min(math.sqrt(m2), 1.0 - 1e-16))
 
 
 def ball_metric(z: np.ndarray, v: np.ndarray) -> float:

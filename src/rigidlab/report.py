@@ -7,6 +7,7 @@ headers against this registry so reports stay self-describing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 FORCES_IDENTITY = "forces-identity"
@@ -67,11 +68,17 @@ class PipelineReport:
     def all_checks_pass(self) -> bool:
         return all(ok for _, ok in self.checks)
 
+    def decide(self, column: str, threshold: float, consistent: bool = True) -> str:
+        """The one verdict rule: ``forces-identity`` needs every check and
+        ``consistent`` to hold, and the column's last value to be finite,
+        below ``threshold`` and not above its first value."""
+        first, last = self.rows[0][column], self.rows[-1][column]
+        decays = math.isfinite(last) and last < threshold and last <= first + 1e-15
+        ok = decays and consistent and self.all_checks_pass
+        self.verdict = FORCES_IDENTITY if ok else INCONCLUSIVE
+        return self.verdict
+
     def validate_columns(self) -> None:
         missing = [c for c in self.columns if c not in COLUMN_REGISTRY]
         if missing:
             raise KeyError(f"columns missing from the anchor registry: {missing}")
-
-    def header_with_anchors(self) -> list[str]:
-        self.validate_columns()
-        return [f"{c} [{COLUMN_REGISTRY[c]}]" for c in self.columns]

@@ -5,12 +5,12 @@ A metric lives on a single chart ``U subset R^n`` through a component oracle
 one closed-form U(d)-invariant family, so their derivatives are exact to
 double precision).
 On top of it the module builds Christoffel symbols, the curvature tensor,
-geodesic / parallel-transport / Jacobi flows (fixed-step RK4), a shooting
-exponential-log map whose Newton iteration uses the exact variational
-system, the tangent-bundle metric with its horizontal/vertical splitting,
-and the three estimates the rigidity pipelines consume: unit-tangent vs
-tangent comparison, geodesic spread, and the backward initial-condition
-estimate.
+geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map
+whose Newton iteration uses the exact variational system (all four flows run
+on the one fixed-step RK4 integrator :func:`_rk4`), the tangent-bundle
+metric with its horizontal/vertical splitting, and the three estimates the
+rigidity pipelines consume: unit-tangent vs tangent comparison, geodesic
+spread, and the backward initial-condition estimate.
 
 Shape contract: the ``g`` and ``dg`` oracles and :func:`christoffel` take
 one point ``(n,)`` or a stack of points ``(N, n)`` and return the matching
@@ -40,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     EpsilonTooLarge,
     LeftChart,
     NotUnit,
@@ -94,7 +95,11 @@ class MetricField:
         return float(np.asarray(u) @ self.g(np.asarray(x, dtype=float)) @ np.asarray(v))
 
     def norm(self, x, v) -> float:
-        return math.sqrt(max(0.0, self.inner(x, v, v)))
+        """``|v|_g`` at ``x``; a non-finite result raises ``ConfigInvalid``."""
+        q = self.inner(x, v, v)
+        if not math.isfinite(q):
+            raise ConfigInvalid(f"{self.name}: non-finite norm of {v} at {x}")
+        return math.sqrt(max(0.0, q))
 
     def unit(self, x, v) -> np.ndarray:
         n = self.norm(x, v)
@@ -513,6 +518,49 @@ def measured_curvature_bound(m: MetricField, points, rng=None, planes: int = 4) 
 # flows
 # ---------------------------------------------------------------------------
 
+def _rk4(rhs, state, h: float, n_steps: int, check=None) -> list[np.ndarray]:
+    """Classical fixed-step RK4 for ``s' = rhs(*s)``, ``s`` a tuple of arrays.
+
+    The components travel as one flat vector, so each stage is one array
+    update; ``rhs`` takes them in their own shapes and returns them in any
+    shape of the same size.  After step ``i`` (counted from 0),
+    ``check(i, s)`` sees the new state and may raise.  Returns one
+    trajectory ``(n_steps + 1,) + shape`` per component.
+    """
+    state = [np.asarray(c, dtype=float) for c in state]
+    if not all(np.isfinite(c).all() for c in state):
+        raise ConfigInvalid("non-finite initial state for the flow")
+    ends = np.cumsum([c.size for c in state])
+    parts = [(slice(e - c.size, e), c.shape if c.ndim > 1 else None) for c, e in zip(state, ends)]
+
+    def split(y):
+        return [y[sl] if shape is None else y[sl].reshape(shape) for sl, shape in parts]
+
+    half, sixth = 0.5 * h, h / 6
+    traj = np.empty((n_steps + 1, ends[-1]))
+    y = traj[0] = np.concatenate(state, axis=None)
+    s = split(y)
+    for i in range(n_steps):
+        k1 = np.concatenate(rhs(*s), axis=None)
+        k2 = np.concatenate(rhs(*split(y + half * k1)), axis=None)
+        k3 = np.concatenate(rhs(*split(y + half * k2)), axis=None)
+        k4 = np.concatenate(rhs(*split(y + h * k3)), axis=None)
+        y = traj[i + 1] = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = split(y)
+        if check is not None:
+            check(i, s)
+    return [np.ascontiguousarray(traj[:, sl]).reshape((n_steps + 1,) + c.shape)
+            for (sl, _), c in zip(parts, state)]
+
+
+def _chart_guard(m: MetricField, flow: str, h: float):
+    """The ``_rk4`` check that raises ``LeftChart`` once the position leaves."""
+    def check(i, s):
+        if not m.chart_contains(s[0]):
+            raise LeftChart(f"{m.name}: {flow} left the chart at t={h * (i + 1):.4f}")
+    return check
+
+
 @dataclass
 class GeodesicPath:
     metric: MetricField
@@ -522,17 +570,10 @@ class GeodesicPath:
     step: float
     speed_drift: float
 
-    @property
-    def horizon(self) -> float:
-        return float(self.ts[-1])
-
     def state(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Nearest stored state (the grids are fine enough for the checks)."""
         idx = int(np.clip(round(t / self.step), 0, len(self.ts) - 1))
         return self.xs[idx], self.vs[idx]
-
-    def initial(self) -> TangentPoint:
-        return TangentPoint(self.xs[0], self.vs[0])
 
 
 def _geodesic_rhs(m: MetricField, x, v):
@@ -553,21 +594,9 @@ def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
     n_steps = max(1, int(round(horizon / step)))
     h = horizon / n_steps
 
-    xs = np.empty((n_steps + 1, m.dim))
-    vs = np.empty((n_steps + 1, m.dim))
-    xs[0], vs[0] = x, v
+    xs, vs = _rk4(lambda x, v: _geodesic_rhs(m, x, v), (x, v), h, n_steps,
+                  _chart_guard(m, "geodesic", h))
     speed0 = m.norm(x, v)
-    for i in range(n_steps):
-        k1x, k1v = _geodesic_rhs(m, x, v)
-        k2x, k2v = _geodesic_rhs(m, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = _geodesic_rhs(m, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = _geodesic_rhs(m, x + h * k3x, v + h * k3v)
-        x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not m.chart_contains(x):
-            raise LeftChart(f"{m.name}: geodesic left the chart at t={h * (i + 1):.4f}")
-        xs[i + 1], vs[i + 1] = x, v
-
     speeds = np.array([m.norm(xs[i], vs[i]) for i in range(0, n_steps + 1, max(1, n_steps // 32))])
     drift = float(np.max(np.abs(speeds - speed0)) / max(speed0, 1e-300))
     if drift > drift_tol:
@@ -578,28 +607,14 @@ def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
 
 def parallel_transport(m: MetricField, path: GeodesicPath, X0) -> np.ndarray:
     """Transport ``X0`` along the path; returns the field samples (N+1, n)."""
-    x, v = path.xs[0].copy(), path.vs[0].copy()
-    w = np.asarray(X0, dtype=float).copy()
-    h = path.step
-    out = np.empty_like(path.xs)
-    out[0] = w
-
     def rhs(x, v, w):
         gamma = christoffel(m, x)
         dx, dv = v, -np.einsum("kij,i,j->k", gamma, v, v)
         dw = -np.einsum("kij,i,j->k", gamma, v, w)
         return dx, dv, dw
 
-    for i in range(len(path.ts) - 1):
-        k1 = rhs(x, v, w)
-        k2 = rhs(x + 0.5 * h * k1[0], v + 0.5 * h * k1[1], w + 0.5 * h * k1[2])
-        k3 = rhs(x + 0.5 * h * k2[0], v + 0.5 * h * k2[1], w + 0.5 * h * k2[2])
-        k4 = rhs(x + h * k3[0], v + h * k3[1], w + h * k3[2])
-        x = x + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        v = v + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        w = w + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        out[i + 1] = w
-    return out
+    state = (path.xs[0], path.vs[0], X0)
+    return _rk4(rhs, state, path.step, len(path.ts) - 1)[2]
 
 
 @dataclass
@@ -638,39 +653,21 @@ def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
         dW = -rv - np.einsum("kij,i,bj->bk", cd.gamma, v, W)
         return dx, dv, dJ, dW
 
-    ts = np.linspace(0.0, horizon, n_steps + 1)
-    Js = np.empty((n_steps + 1, B, m.dim))
-    Ws = np.empty_like(Js)
-    Js[0], Ws[0] = J0, W0
-    J, W = J0.copy(), W0.copy()
+    pos, vel, Js, Ws = _rk4(rhs, (x, v, J0, W0), h, n_steps, _chart_guard(m, "jacobi flow", h))
+
     kappa_meas = 0.0
-    sample_every = max(1, n_steps // 16)
-    for i in range(n_steps):
-        if i % sample_every == 0:
-            cd = christoffel_curvature(m, x)
-            for b in range(min(B, 4)):
-                try:
-                    kappa_meas = max(kappa_meas, abs(cd.sectional(v, J[b] if np.linalg.norm(J[b]) > 1e-12 else np.eye(m.dim)[0])))
-                except ValueError:
-                    pass
-            for j in range(m.dim):
-                try:
-                    kappa_meas = max(kappa_meas, abs(cd.sectional(v, np.eye(m.dim)[j])))
-                except ValueError:
-                    pass
-        k1 = rhs(x, v, J, W)
-        k2 = rhs(x + 0.5 * h * k1[0], v + 0.5 * h * k1[1], J + 0.5 * h * k1[2], W + 0.5 * h * k1[3])
-        k3 = rhs(x + 0.5 * h * k2[0], v + 0.5 * h * k2[1], J + 0.5 * h * k2[2], W + 0.5 * h * k2[3])
-        k4 = rhs(x + h * k3[0], v + h * k3[1], J + h * k3[2], W + h * k3[3])
-        x = x + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        v = v + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        J = J + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        W = W + h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        if not m.chart_contains(x):
-            raise LeftChart(f"{m.name}: jacobi flow left the chart")
-        Js[i + 1], Ws[i + 1] = J, W
+    eye = np.eye(m.dim)
+    for i in range(0, n_steps, max(1, n_steps // 16)):
+        cd = christoffel_curvature(m, pos[i])
+        fields = [J if np.linalg.norm(J) > 1e-12 else eye[0] for J in Js[i][:4]]
+        for Y in fields + list(eye):
+            try:
+                kappa_meas = max(kappa_meas, abs(cd.sectional(vel[i], Y)))
+            except ValueError:
+                pass
 
     kap = kappa_meas if kappa is None else float(kappa)
+    ts = np.linspace(0.0, horizon, n_steps + 1)
     # g-norms along the path
     xs = geodesic_flow(m, init, horizon, step=step).xs
     f = np.empty((n_steps + 1, B))
@@ -695,12 +692,6 @@ def _shooting_steps(arc: float, step: float | None) -> int:
 
 def _endpoint_and_jacobian(m: MetricField, x, X, n_steps: int):
     """Endpoint of exp_x(X) plus its Jacobian in X (variational system)."""
-    n = m.dim
-    h = 1.0 / n_steps
-    pos, vel = x.copy(), X.copy()
-    dxdX = np.zeros((n, n))
-    dvdX = np.eye(n)
-
     def rhs(pos, vel, dx, dv):
         cd = christoffel_curvature(m, pos)
         acc = -np.einsum("kij,i,j->k", cd.gamma, vel, vel)
@@ -708,18 +699,10 @@ def _endpoint_and_jacobian(m: MetricField, x, X, n_steps: int):
                 - 2.0 * np.einsum("kij,i,jm->km", cd.gamma, vel, dv))
         return vel, acc, dv, dacc
 
-    for _ in range(n_steps):
-        k1 = rhs(pos, vel, dxdX, dvdX)
-        k2 = rhs(pos + 0.5 * h * k1[0], vel + 0.5 * h * k1[1], dxdX + 0.5 * h * k1[2], dvdX + 0.5 * h * k1[3])
-        k3 = rhs(pos + 0.5 * h * k2[0], vel + 0.5 * h * k2[1], dxdX + 0.5 * h * k2[2], dvdX + 0.5 * h * k2[3])
-        k4 = rhs(pos + h * k3[0], vel + h * k3[1], dxdX + h * k3[2], dvdX + h * k3[3])
-        pos = pos + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        vel = vel + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        dxdX = dxdX + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        dvdX = dvdX + h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        if not m.chart_contains(pos):
-            raise LeftChart(f"{m.name}: shooting left the chart")
-    return pos, dxdX
+    n, h = m.dim, 1.0 / n_steps
+    pos, _, dxdX, _ = _rk4(rhs, (x, X, np.zeros((n, n)), np.eye(n)), h, n_steps,
+                           _chart_guard(m, "shooting", h))
+    return pos[-1], dxdX[-1]
 
 
 def exp_log(m: MetricField, x, y, tol: float = SHOOTING_TOL) -> TangentPoint:

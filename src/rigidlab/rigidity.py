@@ -11,10 +11,10 @@ displacement along geodesics, initial-condition bounds on the unit tangent
 bundle, and the exponential spread product.
 
 Both emit a :class:`~rigidlab.report.PipelineReport` whose rows are
-inequality checks; the verdict is ``forces-identity`` only when the decisive
-term sinks below the identification threshold.  ``counterexample_suite``
-replays both pipelines over the map zoo and aborts on any unsound
-identification.
+inequality checks; its one verdict rule (``PipelineReport.decide``) gives
+``forces-identity`` only when every check passes and the decisive term sinks
+below the identification threshold.  ``counterexample_suite`` replays both
+pipelines over the map zoo and aborts on any unsound identification.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .kobayashi import (
     dist_bounds,
     kob_ball_inclusion,
 )
-from .report import FORCES_IDENTITY, INCONCLUSIVE, PipelineReport
+from .report import FORCES_IDENTITY, PipelineReport
 from .riemann import MetricField, TangentPoint, scale_metric, tangent_distances
 from .schwarz import (
     HoloMap,
@@ -160,9 +160,7 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
     rep.fitted["composite_exponent"] = fit_decay_exponent(schedule, rep.column("composite"))
     rep.fitted["eps_exponent"] = fit_decay_exponent(schedule, rep.column("eps_n"), window=len(schedule))
 
-    comp = rep.column("composite")
-    decays = math.isfinite(comp[-1]) and comp[-1] < threshold and comp[-1] <= comp[0] + 1e-15
-    rep.verdict = FORCES_IDENTITY if decays else INCONCLUSIVE
+    rep.decide("composite", threshold)
     return rep
 
 
@@ -307,9 +305,7 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
                 decay_ok = False
 
     rep.fitted["product_exponent"] = fit_decay_exponent(schedule, rep.column("spread_product"))
-    prod = rep.column("spread_product")
-    decays = prod[-1] < threshold and prod[-1] <= prod[0] + 1e-15
-    rep.verdict = FORCES_IDENTITY if (decays and decay_ok and rep.all_checks_pass) else INCONCLUSIVE
+    rep.decide("spread_product", threshold, consistent=decay_ok)
     rep.notes.append(f"decay_fit_consistent={decay_ok}")
     return rep
 

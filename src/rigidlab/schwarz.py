@@ -28,7 +28,7 @@ from .kobayashi import (
     disk_distance,
     kob_ball_inclusion,
 )
-from .report import FORCES_IDENTITY, INCONCLUSIVE, PipelineReport
+from .report import PipelineReport
 from .cgeo import disk_automorphism, ball_involution
 
 CERT_SAMPLES = 4096
@@ -396,8 +396,9 @@ def disk_rigidity_pipeline(f: HoloMap, schedule=None, xi0: complex = 1.0,
     Per step: the distance growth ``K(0, p_n)`` against ``0.5 log(2/r_n)``,
     the displacement bound ``(2/r_n) E(5 r_n/4)``, the certified invariant
     radius ``eps_n`` (uniformly bounded below in d = 1), and the composite
-    identity term.  The verdict is forced-identity only when the composite
-    tail sinks below the identification threshold.
+    identity term.  The verdict (:meth:`PipelineReport.decide`) is
+    forced-identity only when every row check passes and the composite tail
+    sinks below the identification threshold.
     """
     require_self_map(f)
     schedule = geometric_schedule() if schedule is None else np.asarray(schedule, dtype=float)
@@ -443,7 +444,5 @@ def disk_rigidity_pipeline(f: HoloMap, schedule=None, xi0: complex = 1.0,
     rep.fitted["composite_exponent"] = fit_decay_exponent(schedule, rep.column("composite"))
     rep.fitted["error_modulus_slope"] = emod.slope
 
-    comp = rep.column("composite")
-    decays = comp[-1] < threshold and (comp[-1] <= comp[0] + 1e-15)
-    rep.verdict = FORCES_IDENTITY if decays else INCONCLUSIVE
+    rep.decide("composite", threshold)
     return rep

@@ -38,6 +38,13 @@ class TestBoundaryDistance:
     def test_polydisk(self):
         assert dm.boundary_distance(POLY2, [0.5, 0.25j]) == pytest.approx(0.5, abs=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [[5e-324, 0], [1e-320 + 1e-320j, 0], [0, -5e-324j]])
+    def test_polydisk_projection_of_subnormal_coordinates(self, z):
+        p = POLY2.project_to_boundary(z)
+        assert np.all(np.isfinite(p))
+        assert np.max(np.abs(p)) == pytest.approx(1.0, abs=1e-15)
+
     def test_ellipsoid_against_dense_sampling(self):
         # frozen from the densely sampled oracle: the flat |z2|^4 direction
         # puts the nearest boundary point straight above (0, 0.5)

@@ -44,6 +44,20 @@ class TestModelFormulas:
         assert val == pytest.approx(4.0 / 3.0, abs=1e-14)
         assert 1.0 / (2 * 0.5) <= val <= 1.0 / 0.5
 
+    @pytest.mark.parametrize("z", [[0.0, 0.0], [0.3 + 0.2j, -0.1 + 0.4j], [0.6 - 0.3j, 0.5j]],
+                             ids=["origin", "inner", "near-boundary"])
+    def test_ball_distance_of_nearby_points(self, z):
+        # K(z, z + d) = k(z, d) (1 + O(|d|)); the closed form must not cancel
+        # its digits away for |d| down to 1e-12
+        z = np.asarray(z, dtype=complex)
+        rng = np.random.default_rng(7)
+        for size in 10.0 ** -np.arange(12.0, 5.5, -0.5):
+            w = z + size * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            d = w - z    # the step the two floats actually differ by
+            first_order = kb.ball_metric(z, d)
+            assert kb.ball_distance(z, w) == pytest.approx(
+                first_order, rel=1e-9 + 100 * np.linalg.norm(d))
+
     def test_polydisk_max(self):
         d1 = kb.model_dist(DISK, [0.1], [0.6])
         d2 = kb.model_dist(DISK, [0.0], [0.2])

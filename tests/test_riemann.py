@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rigidlab import riemann as rm
-from rigidlab.errors import EpsilonTooLarge, NotUnit, ShootingDiverged, StepTooLarge
+from rigidlab.errors import ConfigInvalid, EpsilonTooLarge, NotUnit, ShootingDiverged, StepTooLarge
 
 EU = rm.euclidean(2)
 PO = rm.poincare_disk()
@@ -477,3 +477,185 @@ class TestClosedGeodesicSamplers:
                 one = curve(float(t))
                 assert one.shape == (m.dim,)
                 assert np.max(np.abs(row - one)) <= 1e-15
+
+
+# -- the hand-written RK4 loops that the one integrator replaced (reference) --
+
+def _reference_geodesic(m, x, v, horizon, step):
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    n_steps = max(1, int(round(horizon / step)))
+    h = horizon / n_steps
+    xs = np.empty((n_steps + 1, m.dim))
+    vs = np.empty((n_steps + 1, m.dim))
+    xs[0], vs[0] = x, v
+    for i in range(n_steps):
+        k1x, k1v = rm._geodesic_rhs(m, x, v)
+        k2x, k2v = rm._geodesic_rhs(m, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+        k3x, k3v = rm._geodesic_rhs(m, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+        k4x, k4v = rm._geodesic_rhs(m, x + h * k3x, v + h * k3v)
+        x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        xs[i + 1], vs[i + 1] = x, v
+    return xs, vs
+
+
+def _reference_transport(m, xs, vs, h, X0):
+    x, v = xs[0].copy(), vs[0].copy()
+    w = np.asarray(X0, dtype=float).copy()
+    out = np.empty_like(xs)
+    out[0] = w
+
+    def rhs(x, v, w):
+        gamma = rm.christoffel(m, x)
+        return (v, -np.einsum("kij,i,j->k", gamma, v, v),
+                -np.einsum("kij,i,j->k", gamma, v, w))
+
+    for i in range(len(xs) - 1):
+        k1 = rhs(x, v, w)
+        k2 = rhs(x + 0.5 * h * k1[0], v + 0.5 * h * k1[1], w + 0.5 * h * k1[2])
+        k3 = rhs(x + 0.5 * h * k2[0], v + 0.5 * h * k2[1], w + 0.5 * h * k2[2])
+        k4 = rhs(x + h * k3[0], v + h * k3[1], w + h * k3[2])
+        x = x + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        v = v + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        w = w + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        out[i + 1] = w
+    return out
+
+
+def _reference_jacobi(m, x, v, horizon, J0, W0, step):
+    """The Jacobi loop with its kappa probe; returns (J, W, kappa_measured)."""
+    J, W = np.atleast_2d(np.asarray(J0, float)), np.atleast_2d(np.asarray(W0, float))
+    B = J.shape[0]
+    x, v = np.asarray(x, float), np.asarray(v, float)
+    n_steps = max(1, int(round(horizon / step)))
+    h = horizon / n_steps
+
+    def rhs(x, v, J, W):
+        cd = rm.christoffel_curvature(m, x)
+        dx, dv = v, -np.einsum("kij,i,j->k", cd.gamma, v, v)
+        dJ = W - np.einsum("kij,i,bj->bk", cd.gamma, v, J)
+        rv = np.einsum("lijk,bi,j,k->bl", cd.riem, J, v, v)
+        dW = -rv - np.einsum("kij,i,bj->bk", cd.gamma, v, W)
+        return dx, dv, dJ, dW
+
+    Js = np.empty((n_steps + 1, B, m.dim))
+    Ws = np.empty_like(Js)
+    Js[0], Ws[0] = J, W
+    kappa_meas = 0.0
+    for i in range(n_steps):
+        if i % max(1, n_steps // 16) == 0:
+            cd = rm.christoffel_curvature(m, x)
+            for b in range(min(B, 4)):
+                try:
+                    kappa_meas = max(kappa_meas, abs(cd.sectional(v, J[b] if np.linalg.norm(J[b]) > 1e-12 else np.eye(m.dim)[0])))
+                except ValueError:
+                    pass
+            for j in range(m.dim):
+                try:
+                    kappa_meas = max(kappa_meas, abs(cd.sectional(v, np.eye(m.dim)[j])))
+                except ValueError:
+                    pass
+        k1 = rhs(x, v, J, W)
+        k2 = rhs(x + 0.5 * h * k1[0], v + 0.5 * h * k1[1], J + 0.5 * h * k1[2], W + 0.5 * h * k1[3])
+        k3 = rhs(x + 0.5 * h * k2[0], v + 0.5 * h * k2[1], J + 0.5 * h * k2[2], W + 0.5 * h * k2[3])
+        k4 = rhs(x + h * k3[0], v + h * k3[1], J + h * k3[2], W + h * k3[3])
+        x = x + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        v = v + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        J = J + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        W = W + h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+        Js[i + 1], Ws[i + 1] = J, W
+    return Js, Ws, kappa_meas
+
+
+def _reference_endpoint_and_jacobian(m, x, X, n_steps):
+    n = m.dim
+    h = 1.0 / n_steps
+    pos, vel = x.copy(), X.copy()
+    dxdX = np.zeros((n, n))
+    dvdX = np.eye(n)
+
+    def rhs(pos, vel, dx, dv):
+        cd = rm.christoffel_curvature(m, pos)
+        acc = -np.einsum("kij,i,j->k", cd.gamma, vel, vel)
+        dacc = (-np.einsum("akij,i,j,am->km", cd.dgamma, vel, vel, dx)
+                - 2.0 * np.einsum("kij,i,jm->km", cd.gamma, vel, dv))
+        return vel, acc, dv, dacc
+
+    for _ in range(n_steps):
+        k1 = rhs(pos, vel, dxdX, dvdX)
+        k2 = rhs(pos + 0.5 * h * k1[0], vel + 0.5 * h * k1[1], dxdX + 0.5 * h * k1[2], dvdX + 0.5 * h * k1[3])
+        k3 = rhs(pos + 0.5 * h * k2[0], vel + 0.5 * h * k2[1], dxdX + 0.5 * h * k2[2], dvdX + 0.5 * h * k2[3])
+        k4 = rhs(pos + h * k3[0], vel + h * k3[1], dxdX + h * k3[2], dvdX + h * k3[3])
+        pos = pos + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        vel = vel + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        dxdX = dxdX + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        dvdX = dvdX + h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    return pos, dxdX
+
+
+_FLOW_STARTS = [
+    (EU, [0.2, -0.1], [1.0, 0.4], [0.8, -0.1]),
+    (PO, [0.3, -0.2], [0.4, 0.7], [0.1, 0.6]),
+    (SP, [1.2, 0.4], [-0.3, 1.0], [-0.9, 0.2]),
+    (BE, [0.1, -0.05, 0.2, 0.0], [1.0, 0.3, -0.2, 0.5], [-0.3, 0.2, 0.1, 0.4]),
+]
+_FLOW_IDS = [m.name for m, *_ in _FLOW_STARTS]
+
+
+class TestOneIntegrator:
+    """Every flow on ``_rk4`` gives the hand-written loops' floats bit for bit."""
+
+    @pytest.mark.parametrize("m, x, v, y", _FLOW_STARTS, ids=_FLOW_IDS)
+    def test_geodesic_and_transport(self, m, x, v, y):
+        start = unit_at(m, x, v)
+        path = rm.geodesic_flow(m, start, 1.3, step=1.3 / 60)
+        xs, vs = _reference_geodesic(m, start.x, start.vec, 1.3, 1.3 / 60)
+        assert np.array_equal(path.xs, xs) and np.array_equal(path.vs, vs)
+        w = rm.parallel_transport(m, path, y)
+        assert np.array_equal(w, _reference_transport(m, xs, vs, path.step, y))
+
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("m, x, v, y", _FLOW_STARTS, ids=_FLOW_IDS)
+    def test_jacobi(self, m, x, v, y, batch):
+        start = unit_at(m, x, v)
+        J0, W0 = np.random.default_rng(batch).standard_normal((2, batch, m.dim))
+        rep = rm.jacobi_flow(m, start, 1.0, J0, W0, step=1.0 / 40)
+        Js, Ws, kappa = _reference_jacobi(m, start.x, start.vec, 1.0, J0, W0, 1.0 / 40)
+        assert np.array_equal(rep.J, Js) and np.array_equal(rep.W, Ws)
+        assert rep.kappa_measured == kappa
+
+    @pytest.mark.parametrize("m, x, v, y", _FLOW_STARTS, ids=_FLOW_IDS)
+    def test_exp_log(self, m, x, v, y, monkeypatch):
+        x, y = 0.5 * np.asarray(x, float), 0.5 * np.asarray(y, float)
+        got = rm.exp_log(m, x, y)
+        monkeypatch.setattr(rm, "_endpoint_and_jacobian", _reference_endpoint_and_jacobian)
+        want = rm.exp_log(m, x, y)
+        assert np.array_equal(got.vec, want.vec)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("vec", [[math.inf, 0.0], [math.nan, 0.0]])
+    def test_geodesic_velocity(self, vec):
+        with pytest.raises(ConfigInvalid):
+            rm.geodesic_flow(PO, rm.TangentPoint.of([0.1, 0.0], vec), 0.5, step=0.1)
+
+    def test_transport_field(self):
+        path = rm.geodesic_flow(PO, rm.TangentPoint.of([0.1, 0.0], [0.3, 0.2]), 0.5, step=0.1)
+        with pytest.raises(ConfigInvalid):
+            rm.parallel_transport(PO, path, [math.nan, 1.0])
+
+    def test_jacobi_field(self):
+        with pytest.raises(ConfigInvalid):
+            rm.jacobi_flow(PO, rm.TangentPoint.of([0.1, 0.0], [0.3, 0.2]), 0.5,
+                           [[math.inf, 0.0]], [[0.0, 1.0]], step=0.1)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in g(v, v)
+    @pytest.mark.parametrize("vec", [[math.nan, 0.0], [math.inf, 1.0]])
+    def test_norm_and_tangent_distances(self, vec):
+        with pytest.raises(ConfigInvalid):
+            PO.norm([0.1, 0.0], vec)
+        X = rm.TangentPoint.of([0.1, 0.0], vec)
+        Y = rm.TangentPoint.of([-0.2, 0.3], [0.5, 0.5])
+        with pytest.raises(ConfigInvalid):
+            rm.tangent_distances(PO, X, Y, mode="TM")

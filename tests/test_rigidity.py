@@ -9,7 +9,7 @@ from rigidlab import schwarz as sw
 from rigidlab.domain import Cone
 from rigidlab.errors import ConeUncertified, NotIsometry, SuiteSoundnessViolation
 from rigidlab.kahler import bergman_kahler, poincare_kahler
-from rigidlab.report import FORCES_IDENTITY, INCONCLUSIVE
+from rigidlab.report import FORCES_IDENTITY, INCONCLUSIVE, PipelineReport
 
 DISK = dm.disk()
 BALL2 = dm.ball(2)
@@ -140,3 +140,44 @@ class TestSuite:
                 assert rep.verdict == FORCES_IDENTITY and disp == 0.0
             else:
                 assert rep.verdict == INCONCLUSIVE and disp > 1e-4
+
+
+def _report(values, failing_check=False):
+    rep = PipelineReport(name="hand-built", columns=["n", "composite"])
+    rep.rows = [{"n": i, "composite": v} for i, v in enumerate(values)]
+    rep.add_check("row 0 holds", True)
+    rep.add_check("row 1 holds", not failing_check)
+    return rep
+
+
+class TestVerdictRule:
+    def test_decaying_tail_with_passing_checks_identifies(self):
+        rep = _report([1.0, 0.1, 1e-6])
+        assert rep.decide("composite", 1e-3) == FORCES_IDENTITY
+        assert rep.verdict == FORCES_IDENTITY
+
+    @pytest.mark.parametrize("values, failing_check, consistent", [
+        ([1.0, 0.1, 1e-6], True, True),          # a row check failed
+        ([1.0, 0.1, math.nan], False, True),     # non-finite tail
+        ([1e-6, 1e-5, 2e-6], False, True),       # tail above the first row
+        ([1.0, 0.1, 1e-3], False, True),         # tail at the threshold
+        ([1.0, 0.1, math.inf], False, True),     # infinite tail
+        ([1.0, 0.1, 1e-6], False, False),        # the pipeline's extra evidence failed
+    ], ids=["failing-check", "nan-tail", "tail-above-first", "tail-at-threshold",
+            "inf-tail", "inconsistent"])
+    def test_inconclusive(self, values, failing_check, consistent):
+        rep = _report(values, failing_check)
+        assert rep.decide("composite", 1e-3, consistent=consistent) == INCONCLUSIVE
+        assert rep.verdict == INCONCLUSIVE
+
+    def test_every_convex_ball_identification_passes_its_checks(self):
+        # the convex-ball slice of counterexample_suite: a failing row check
+        # must never sit under forces-identity
+        verdicts = []
+        for f in rg.ball_zoo(2):
+            rep = rg.convex_pipeline(BALL2, f, xi0=np.array([1.0, 0.0]),
+                                     schedule=sw.geometric_schedule(3, 11))
+            verdicts.append(rep.verdict)
+            if rep.verdict == FORCES_IDENTITY:
+                assert rep.all_checks_pass, (f.name, [c for c, ok in rep.checks if not ok])
+        assert FORCES_IDENTITY in verdicts
