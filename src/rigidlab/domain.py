@@ -22,6 +22,7 @@ from scipy.optimize import minimize
 
 from .errors import (
     ApexNotOnBoundary,
+    BoundaryDataUnavailable,
     ConfigInvalid,
     DegenerateGradient,
     PointOutsideDomain,
@@ -359,7 +360,8 @@ class EllipsoidDomain(Domain):
         z = as_point(z, self.dimension)
         mods = np.abs(z)
         best = _project_moduli(np.asarray(self.exponents, dtype=float), mods)
-        phases = np.where(mods > 0, z / np.where(mods > 0, mods, 1.0), 1.0)
+        z = np.where(mods < 2.0**-600, z * 2.0**600, z)   # a subnormal |z_j| overflows z_j / |z_j|
+        phases = np.where(mods > 0, z / np.where(mods > 0, np.abs(z), 1.0), 1.0)
         return best * phases
 
 
@@ -434,6 +436,13 @@ class ImplicitConvexDomain(Domain):
         w = res.x
         w = _kkt_polish(self, x0, w)
         return r2c(w)
+
+
+class _ModulusPolynomialDomain(ImplicitConvexDomain):
+    """An implicit domain whose ``func`` also takes a stack of points."""
+
+    def defining_many(self, zs):
+        return self._func(np.asarray(zs, dtype=complex))
 
 
 def _project_moduli(exponents: np.ndarray, m0: np.ndarray) -> np.ndarray:
@@ -555,16 +564,20 @@ def modulus_polynomial(terms: Sequence[tuple[float, Sequence[int]]], dimension: 
         if len(alpha) != dimension:
             raise ConfigInvalid("exponent tuple length must equal the dimension")
 
+    coef = np.array([c for c, _ in terms])
+    powers = np.array([alpha for _, alpha in terms])   # (terms, d)
+
     def func(z):
-        mod2 = np.abs(z) ** 2
-        return sum(c * np.prod(mod2**np.asarray(alpha)) for c, alpha in terms) - 1.0
+        # one point (d,) or a stack (k, d): each term is a product over the last axis
+        mod2 = np.abs(z)[..., None, :] ** 2
+        return np.sum(coef * np.prod(mod2**powers, axis=-1), axis=-1) - 1.0
 
     if bounding_radius is None:
         # each coordinate axis is bounded by the smallest single-variable term
         bounding_radius = math.sqrt(dimension) * max(
             (1.0 / c) ** (1.0 / (2 * max(sum(alpha), 1))) for c, alpha in terms
         ) + 1.0
-    return ImplicitConvexDomain(func, dimension, bounding_radius)
+    return _ModulusPolynomialDomain(func, dimension, bounding_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -581,17 +594,24 @@ def boundary_distance(dom: Domain, z) -> float:
     return float(np.linalg.norm(w - z))
 
 
-def boundary_data(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> BoundaryData:
-    """Normal, complex tangent hyperplane and convexity type at a boundary point."""
+def boundary_normal(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> tuple[np.ndarray, float]:
+    """Unit outward normal at a boundary point and ``|grad r|``, after the
+    on-boundary and gradient checks (a non-finite value fails them too)."""
     xi = as_point(xi, dom.dimension)
     value = dom.defining(xi)
     grad = dom.grad_c(xi)
-    if abs(value) > tol * max(1.0, np.linalg.norm(c2r(grad))):
-        raise ApexNotOnBoundary(f"defining function is {value:.3e} at {xi}")
     gnorm = float(np.linalg.norm(grad))
-    if gnorm < GRADIENT_TOL:
+    if not abs(value) <= tol * max(1.0, gnorm):
+        raise ApexNotOnBoundary(f"defining function is {value:.3e} at {xi}")
+    if not gnorm >= GRADIENT_TOL:
         raise DegenerateGradient("vanishing gradient on the boundary")
-    normal_out = grad / gnorm
+    return grad / gnorm, gnorm
+
+
+def boundary_data(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> BoundaryData:
+    """Normal, complex tangent hyperplane and convexity type at a boundary point."""
+    xi = as_point(xi, dom.dimension)
+    normal_out, gnorm = boundary_normal(dom, xi, tol)
     hyperplane = Hyperplane(anchor=xi.copy(), normal=normal_out)
 
     # restricted real Hessian on the real tangent space
@@ -620,7 +640,7 @@ def _orthonormal_complement(v: np.ndarray) -> np.ndarray:
     keep = [j for j in range(n) if abs(q[:, j] @ v) < 0.9]
     cols = q[:, keep][:, : n - 1]
     if cols.shape[1] != n - 1:
-        raise RuntimeError("failed to build tangent basis")
+        raise BoundaryDataUnavailable("failed to build tangent basis")
     return cols
 
 

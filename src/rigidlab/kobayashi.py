@@ -7,20 +7,23 @@ produces certified two-sided estimates:
 * upper bounds come from round holomorphic discs inside the domain (the
   metric is dominated by ``|v| / delta`` with ``delta`` measured along the
   complex line of the direction) and from integrating that bound along the
-  straight segment between two points;
+  straight segment between two points.  Along a segment the disc radius is
+  concave, so the integral of the reciprocal of its piecewise-linear
+  interpolant (the chord rule) is an upper bound on every grid;
 * lower bounds come from supporting hyperplanes: each supporting functional
   maps the domain into a half-plane, whose invariant metric and distance are
   explicit, and holomorphic maps contract the metric.
 
-The half-plane family is searched near the base point and along tangent
-offsets, which is what makes the bounds scale correctly near low-type
-boundary points.
+The half-plane family holds the tangent plane at the nearest boundary point
+and the tangent planes where the rays from the domain's center through
+tangent offsets of the base point meet the boundary, which is what makes the
+bounds scale correctly near low-type boundary points.
 
-Points are complex arrays of shape ``(d,)``.  ``line_boundary_distance`` also
-takes a stack of shape ``(N, d)`` with one shared direction and returns the
-``N`` radii; a ``(d,)`` point gives a float.  The segment integral of the
-upper bound uses this to evaluate each depth of its adaptive Simpson rule in
-one call.
+Points are complex arrays of shape ``(d,)``; a non-finite point or direction
+raises ``ConfigInvalid``.  ``line_boundary_distance`` also takes a stack of
+shape ``(N, d)`` with one shared direction and returns the ``N`` radii; a
+``(d,)`` point gives a float.  The chord rule evaluates each grid in one such
+call.
 """
 
 from __future__ import annotations
@@ -37,24 +40,30 @@ from .domain import (
     EllipsoidDomain,
     PolydiskDomain,
     as_point,
-    boundary_distance,
     boundary_data,
-    c2r,
+    boundary_distance,
+    boundary_normal,
     herm,
 )
-from .errors import ConfigInvalid, NotConvex, PointOutsideDomain, RadiusTooLarge, ZeroVector
+from .errors import ConfigInvalid, NotConvex, PointOutsideDomain, RadiusTooLarge, RigidLabError, ZeroVector
 from .intervals import DistInterval
 
-SIMPSON_TOL = 1e-8        # adaptive Simpson tolerance for distance upper bounds
-SIMPSON_DEPTH = 28        # bisections after which an interval closes regardless
-LINE_BISECTIONS = 60      # root bracketing steps along complex lines
+CHORD_RTOL = 1e-4         # the chord rule doubles its grid from 17 nodes until the bound moves less
+LINE_BISECTIONS = 60      # root bracketing steps along complex lines and rays
 LINE_PHASES = 32          # phase grid certifying a round disc inside a slice
 LINE_SAFETY = 1.0 - 1e-9  # shrink factor applied to sampled slice radii
 
 
 def _atanh(m: float) -> float:
-    m = min(max(m, 0.0), 1.0 - 1e-16)
-    return 0.5 * math.log((1.0 + m) / (1.0 - m))
+    return math.atanh(min(max(m, 0.0), 1.0 - 1e-16))
+
+
+def _finite(dom: Domain, p, name: str) -> np.ndarray:
+    """``p`` as a point of ``C^d``; a non-finite entry raises ``ConfigInvalid``."""
+    p = as_point(p, dom.dimension)
+    if not np.all(np.isfinite(p)):
+        raise ConfigInvalid(f"{name} must be finite, got {p}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +88,7 @@ def ball_distance(z: np.ndarray, w: np.ndarray) -> float:
     d = w - z
     wedge = np.outer(z, d) - np.outer(d, z)   # z_i d_j - z_j d_i, each pair twice
     num = float(np.sum(np.abs(d) ** 2)) - 0.5 * float(np.sum(np.abs(wedge) ** 2))
-    m2 = max(0.0, num / abs(1.0 - herm(z, w)) ** 2)
-    return math.atanh(min(math.sqrt(m2), 1.0 - 1e-16))
+    return _atanh(math.sqrt(max(0.0, num / abs(1.0 - herm(z, w)) ** 2)))
 
 
 def ball_metric(z: np.ndarray, v: np.ndarray) -> float:
@@ -125,13 +133,6 @@ def has_model_formulas(dom: Domain) -> bool:
 # distance to the boundary along a complex line
 # ---------------------------------------------------------------------------
 
-def _direction(dom: Domain, v) -> np.ndarray:
-    v = as_point(v, dom.dimension)
-    if not np.all(np.isfinite(v)):
-        raise ConfigInvalid(f"direction must be finite, got {v}")
-    return v
-
-
 def _modulus(w: np.ndarray) -> np.ndarray:
     # libm hypot, as the scalar abs(); np.abs of a complex array can differ by
     # an ulp, which 1 / (1 - |z|) magnifies near the boundary
@@ -149,12 +150,12 @@ def line_boundary_distance(dom: Domain, z, v):
     zs = np.asarray(z, dtype=complex)
     single = zs.ndim < 2
     if single:
-        zs = dom.require_inside(zs)[None, :]
+        zs = dom.require_inside(_finite(dom, zs, "point"))[None, :]
     elif zs.shape[1:] != (dom.dimension,):
         raise ValueError(f"expected points of C^{dom.dimension}, got shape {zs.shape}")
     elif not dom.contains_all(zs):
         raise PointOutsideDomain(f"a point of the stack is not in the domain ({dom.kind})")
-    v = _direction(dom, v)
+    v = _finite(dom, v, "direction")
     vn = float(np.linalg.norm(v))
     if vn == 0:
         raise ZeroVector("direction must be nonzero")
@@ -171,19 +172,30 @@ def line_boundary_distance(dom: Domain, z, v):
         radii = np.min((1.0 - _modulus(zs[:, moving])) / _modulus(u[moving]), axis=1)
     else:
         # generic convex slice: bisection on each disc radius, certified on a phase grid
-        n = len(zs)
-        phases = np.exp(2j * math.pi * np.arange(LINE_PHASES) / LINE_PHASES)[None, :, None]
-        base, u = zs[:, None, :], u[None, None, :]
-        hi = np.full(n, 2.0 * dom.bounding_radius)
-        lo = np.zeros(n)
-        for _ in range(LINE_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            pts = base + mid[:, None, None] * phases * u
-            inside = dom.defining_many(pts.reshape(-1, dom.dimension)).reshape(n, -1).max(axis=1) < 0
-            np.copyto(lo, mid, where=inside)
-            np.copyto(hi, mid, where=~inside)
+        phases = np.exp(2j * math.pi * np.arange(LINE_PHASES) / LINE_PHASES)
+        lo, _ = _bisect(dom, zs[:, None, :], phases[:, None] * u)
         radii = lo * LINE_SAFETY
     return float(radii[0]) if single else radii
+
+
+def _bisect(dom: Domain, base: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket ``[lo, hi]``, per row ``i`` of ``base`` (shape ``(n, 1, d)``), of
+    the largest ``t`` with every ``base[i] + t * steps[i, k]`` inside.
+
+    ``steps`` has shape ``(n, K, d)`` or ``(K, d)``, with unit rows.  The
+    bracket starts at ``[0, 2R]`` and is halved ``LINE_BISECTIONS`` times, one
+    ``defining_many`` call per halving; ``lo`` is always inside and ``hi``
+    never is.
+    """
+    n, (k, d) = len(base), steps.shape[-2:]
+    lo, hi = np.zeros(n), np.full(n, 2.0 * dom.bounding_radius)
+    for _ in range(LINE_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        pts = base + mid[:, None, None] * steps
+        inside = dom.defining_many(pts.reshape(-1, d)).reshape(n, k).max(axis=1) < 0
+        np.copyto(lo, mid, where=inside)
+        np.copyto(hi, mid, where=~inside)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -220,53 +232,42 @@ class SupportingHalfplane:
 def supporting_halfplanes(dom: Domain, z, extra_points=(), t_schedule=None) -> list[SupportingHalfplane]:
     """Supporting hyperplanes at boundary points near ``z``.
 
-    The family contains the nearest boundary point, the projections of
-    tangential offsets of ``z`` over a geometric schedule (these capture the
-    flat directions of low-type boundary points), and projections of any
-    ``extra_points``.
+    The family holds the tangent plane at the nearest boundary point and those
+    where the rays from ``dom.center()`` through tangential offsets of ``z``
+    over a geometric schedule (these capture the flat directions of low-type
+    boundary points) and through any ``extra_points`` leave the domain.  Any
+    tangent plane supports a convex domain, so only the base point needs the
+    nearest-point solve; the rays are bisected together.
     """
-    z = dom.require_inside(z)
-    seeds = [np.asarray(z, dtype=complex)]
-    seeds += [as_point(p, dom.dimension) for p in extra_points]
+    z = dom.require_inside(_finite(dom, z, "point"))
+    rays = [_finite(dom, p, "extra point") for p in extra_points]
+    planes = [_tangent_halfplane(dom, dom.project_to_boundary(z))]
+    if planes[0] is not None:
+        if t_schedule is None:
+            delta = float(np.linalg.norm(planes[0].anchor - z))
+            top = max(4.0 * delta, 0.5 * dom.bounding_radius)
+            t_schedule = np.geomspace(max(delta, 1e-8) * 0.5, top, 12)
+        frame = np.array(_tangent_frame(planes[0].inward))
+        offsets = z + np.asarray(t_schedule)[None, :, None] * frame[:, None, :]
+        rays = list(offsets.reshape(-1, dom.dimension)) + rays
+    # anchors at the outer ends of the brackets; a point at the center gives no ray
+    c = dom.center()
+    dirs = np.reshape(rays, (-1, dom.dimension)) - c
+    norms = np.linalg.norm(dirs, axis=1)
+    dirs = dirs[norms > 0] / norms[norms > 0, None]
+    _, hi = _bisect(dom, np.broadcast_to(c, (len(dirs), 1, dom.dimension)), dirs[:, None, :])
+    planes += [_tangent_halfplane(dom, xi) for xi in c + hi[:, None] * dirs]
+    return [p for p in planes if p is not None]
 
-    candidates = []
-    base_proj = dom.project_to_boundary(z)
-    candidates.append(base_proj)
+
+def _tangent_halfplane(dom: Domain, xi: np.ndarray) -> SupportingHalfplane | None:
+    """The tangent half-plane at ``xi``, or None where ``xi`` fails the
+    checks of ``boundary_normal``."""
     try:
-        bd = boundary_data(dom, base_proj, tol=1e-6)
-        normal = bd.inward_normal
-    except Exception:
-        normal = None
-
-    if t_schedule is None:
-        delta = float(np.linalg.norm(base_proj - z))
-        top = max(4.0 * delta, 0.5 * dom.bounding_radius)
-        t_schedule = np.geomspace(max(delta, 1e-8) * 0.5, top, 12)
-
-    if normal is not None and dom.dimension >= 1:
-        # offset z along tangent frame directions and project back
-        frame = _tangent_frame(normal)
-        for w in frame:
-            for t in t_schedule:
-                p = z + t * w
-                try:
-                    candidates.append(dom.project_to_boundary(p))
-                except Exception:
-                    continue
-    for p in seeds[1:]:
-        try:
-            candidates.append(dom.project_to_boundary(p))
-        except Exception:
-            continue
-
-    planes = []
-    for xi in candidates:
-        try:
-            bd = boundary_data(dom, xi, tol=1e-6)
-        except Exception:
-            continue
-        planes.append(SupportingHalfplane(anchor=bd.point, inward=bd.inward_normal))
-    return planes
+        normal, _ = boundary_normal(dom, xi, tol=1e-6)
+    except RigidLabError:
+        return None
+    return SupportingHalfplane(anchor=xi, inward=-normal)
 
 
 def _tangent_frame(normal: np.ndarray) -> list[np.ndarray]:
@@ -296,8 +297,8 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True,
     """Certified interval for the infinitesimal metric ``k(z; v)``."""
     if not dom.convex:
         raise NotConvex("metric bounds require a convex domain")
-    z = dom.require_inside(z)
-    v = _direction(dom, v)
+    z = dom.require_inside(_finite(dom, z, "point"))
+    v = _finite(dom, v, "direction")
     vn = float(np.linalg.norm(v))
     if vn == 0:
         return DistInterval.exact(0.0)
@@ -314,58 +315,50 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True,
     return DistInterval(min(lower, upper), upper)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson rule on ``[a, b]``, one bisection depth at a time.
-
-    ``f`` maps an array of abscissae to an array of values.  Each depth
-    evaluates the two new midpoints of every open interval in one call.  An
-    interval closes when ``|left + right - whole| <= 15 tol`` or after
-    ``SIMPSON_DEPTH`` bisections, and contributes ``left + right`` plus the
-    Richardson term.  The closed values are summed pairwise up the bisection
-    tree, so the result is the depth-first recursion's float, bit for bit.
-    """
-    fa, fm, fb = f(np.array([a, 0.5 * (a + b), b]))[:, None]
-    a, b = np.array([a]), np.array([b])
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    levels = []  # per depth: (value of each interval, mask of the intervals that split)
-    for depth in range(SIMPSON_DEPTH, -1, -1):
-        m = 0.5 * (a + b)
-        flm, frm = np.split(f(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)
-        left = (m - a) / 6 * (fa + 4 * flm + fm)
-        right = (b - m) / 6 * (fm + 4 * frm + fb)
-        split = ~(np.abs(left + right - whole) <= 15 * tol) & (depth > 0)
-        levels.append((left + right + (left + right - whole) / 15, split))
-        if not split.any():
-            break
-        # the two halves of each splitting interval, in left-to-right order
-        a, b = _halves(split, a, m), _halves(split, m, b)
-        fa, fm, fb = _halves(split, fa, fm), _halves(split, flm, frm), _halves(split, fm, fb)
-        whole = _halves(split, left, right)
-    total = levels.pop()[0]
-    for value, split in reversed(levels):
-        value[split] = total[0::2] + total[1::2]
-        total = value
-    return float(total[0])
-
-
-def _halves(split: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    return np.stack([first[split], second[split]], axis=1).ravel()
-
-
 def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
-    """Integral of the metric upper bound along the straight segment."""
+    """Upper bound on the integral of ``|w - z| / delta`` along the segment.
+
+    ``delta(s)``, the disc radius at ``z + s (w - z)`` along the fixed chord
+    direction, is concave in ``s`` on a convex domain (so is its phase-grid
+    value, a min of concave ray radii).  The piecewise-linear ``l`` through the
+    node radii therefore lies below it, and the chord rule ``int 1/l``, which
+    on a piece of width ``h`` is ``h log(r1/r0) / (r1 - r0)``, is an upper
+    bound on every grid.  The grid doubles from 17 nodes, with one stacked
+    ``line_boundary_distance`` call for each grid's new nodes, until the bound
+    moves by at most ``CHORD_RTOL`` relative.
+    """
     chord = w - z
     chord_len = float(np.linalg.norm(chord))
     if chord_len == 0:
         return 0.0
 
-    def integrand(s):
+    def radii_at(s):
         p = z[None, :] + s[:, None] * chord[None, :]
         if not dom.contains_all(p):
             raise NotConvex("straight chord exits the domain")
-        return chord_len / line_boundary_distance(dom, p, chord)
+        return line_boundary_distance(dom, p, chord)
 
-    return _adaptive_simpson(integrand, 0.0, 1.0, SIMPSON_TOL)
+    pieces = 16
+    radii = radii_at(np.arange(pieces + 1) / pieces)
+    bound = _chord_rule(radii) * chord_len
+    for _ in range(8):   # at most 4097 nodes; every grid's value is an upper bound
+        refined = np.empty(2 * pieces + 1)
+        refined[0::2] = radii
+        refined[1::2] = radii_at((np.arange(pieces) + 0.5) / pieces)
+        pieces, radii, previous = 2 * pieces, refined, bound
+        bound = _chord_rule(radii) * chord_len
+        if abs(previous - bound) <= CHORD_RTOL * bound:
+            break
+    return bound
+
+
+def _chord_rule(radii: np.ndarray) -> float:
+    """``int_0^1 ds / l(s)`` for the piecewise-linear ``l`` through radii on a
+    uniform grid: ``h/r0 log1p(x)/x`` per piece, ``x = r1/r0 - 1``."""
+    r0 = radii[:-1]
+    x = radii[1:] / r0 - 1.0
+    ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0)
+    return float(np.sum(ratio / r0)) / len(r0)
 
 
 def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True,
@@ -379,8 +372,9 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True,
     """
     if not dom.convex:
         raise NotConvex("distance bounds require a convex domain")
-    z = dom.require_inside(z)
-    w = dom.require_inside(w)
+    z = dom.require_inside(_finite(dom, z, "point"))
+    w = dom.require_inside(_finite(dom, w, "point"))
+    waypoints = [dom.center()] + [_finite(dom, p, "waypoint") for p in via]
     if np.allclose(z, w, atol=0, rtol=0):
         return DistInterval.exact(0.0)
 
@@ -388,7 +382,6 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True,
         return DistInterval.exact(model_dist(dom, z, w))
 
     upper = _segment_upper(dom, z, w)
-    waypoints = [dom.center()] + [as_point(p, dom.dimension) for p in via]
     for y in waypoints:
         if not dom.contains(y) or np.allclose(y, z) or np.allclose(y, w):
             continue
@@ -405,24 +398,6 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True,
 # ---------------------------------------------------------------------------
 # Kobayashi balls
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KobBall:
-    """Invariant-metric ball; membership is decided through certified bounds."""
-
-    dom: Domain
-    center: np.ndarray
-    radius: float
-
-    def side(self, z) -> int:
-        """+1 certified inside, -1 certified outside, 0 undecided."""
-        iv = dist_bounds(self.dom, self.center, z)
-        if iv.upper < self.radius:
-            return 1
-        if iv.lower > self.radius:
-            return -1
-        return 0
-
 
 @dataclass(frozen=True)
 class FiniteTypeCalibration:
@@ -456,8 +431,10 @@ def kob_ball_inclusion(dom: Domain, p, euclidean_radius: float,
     the local bound integrates to ``alpha0 |z - w| / (delta + rho)^{1/ell}``,
     or must already have crossed the sphere.
     """
-    p = dom.require_inside(p)
+    p = dom.require_inside(_finite(dom, p, "point"))
     rho = float(euclidean_radius)
+    if not math.isfinite(rho):
+        raise ConfigInvalid(f"euclidean radius must be finite, got {rho}")
     delta = boundary_distance(dom, p)
     if rho >= delta:
         raise RadiusTooLarge(f"euclidean radius {rho} exceeds the boundary distance {delta}")
@@ -473,7 +450,7 @@ def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None, directions: int = 
     Uses certified metric lower bounds only, so the returned calibration is a
     genuine lower-bound coefficient on the sampled grid.
     """
-    xi = as_point(xi, dom.dimension)
+    xi = _finite(dom, xi, "boundary point")
     bd = boundary_data(dom, xi, tol=1e-9)
     radii = np.geomspace(1e-3, 0.2, 8) if radii is None else np.asarray(radii)
     rng = np.random.default_rng(3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab import domain as dm
-from rigidlab.errors import ApexNotOnBoundary, PointOutsideDomain
+from rigidlab.errors import ApexNotOnBoundary, BoundaryDataUnavailable, PointOutsideDomain
 
 
 DISK = dm.disk()
@@ -44,6 +44,13 @@ class TestBoundaryDistance:
         p = POLY2.project_to_boundary(z)
         assert np.all(np.isfinite(p))
         assert np.max(np.abs(p)) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [[5e-324, 0], [1e-320 + 1e-320j, 0], [0, -5e-324j]])
+    def test_ellipsoid_projection_of_subnormal_coordinates(self, z):
+        p = ELL12.project_to_boundary(z)
+        assert np.all(np.isfinite(p))
+        assert abs(ELL12.defining(p)) < 1e-12
 
     def test_ellipsoid_against_dense_sampling(self):
         # frozen from the densely sampled oracle: the flat |z2|^4 direction
@@ -108,6 +115,22 @@ class TestBoundaryData:
     def test_off_boundary_raises(self):
         with pytest.raises(ApexNotOnBoundary):
             dm.boundary_data(BALL2, [0.5, 0])
+
+    @pytest.mark.parametrize("dom", [BALL2, ELL12, POLY2], ids=["ball", "ellipsoid", "polydisk"])
+    def test_nonfinite_point_is_not_on_the_boundary(self, dom):
+        with pytest.raises(ApexNotOnBoundary):
+            dm.boundary_data(dom, [math.nan, 0])
+
+    def test_boundary_data_shares_the_normal(self):
+        xi = np.array([0.6, (1 - 0.36) ** 0.25 * 1j])
+        normal, gnorm = dm.boundary_normal(ELL12, xi)
+        bd = dm.boundary_data(ELL12, xi)
+        assert np.array_equal(bd.inward_normal, -normal)
+        assert gnorm == pytest.approx(np.linalg.norm(ELL12.grad_c(xi)), rel=1e-15)
+
+    def test_tangent_basis_failure_is_typed(self):
+        with pytest.raises(BoundaryDataUnavailable):
+            dm._orthonormal_complement(np.array([math.nan, 0.0, 0.0, 0.0]))
 
 
 class TestConeCertificate:
@@ -198,6 +221,15 @@ class TestConfig:
             z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             z *= rng.uniform(0, 0.8) / np.linalg.norm(dm.c2r(z))
             assert imp.contains(z) == ELL12.contains(z)
+
+    def test_modulus_polynomial_stack_equals_points(self):
+        # a three-term polynomial, so products over several coordinates are covered
+        imp = dm.modulus_polynomial([(1.0, (1, 0)), (1.0, (0, 2)), (0.5, (1, 1))], 2)
+        rng = np.random.default_rng(4)
+        zs = rng.uniform(0, 1.2, (40, 1)) * (rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)))
+        stacked = imp.defining_many(zs)
+        assert stacked.shape == (40,)
+        assert list(stacked) == [imp.defining(z) for z in zs]
 
 
 @settings(max_examples=40, deadline=None)

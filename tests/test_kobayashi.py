@@ -145,38 +145,6 @@ class TestIntervals:
         assert kb.line_boundary_distance(POLY2, [0.5, 0.2], [1.0, 0.0]) == pytest.approx(0.5)
 
 
-def _recursive_simpson(f, a, b, tol):
-    """The depth-first adaptive Simpson rule, one point per call: the reference
-    for the level-at-a-time version."""
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-
-    def rec(a, b, fa, fm, fb, whole, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6 * (fa + 4 * flm + fm)
-        right = (b - m) / 6 * (fm + 4 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15 * tol:
-            return left + right + (left + right - whole) / 15
-        return rec(a, m, fa, flm, fm, left, depth - 1) + rec(m, b, fm, frm, fb, right, depth - 1)
-
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    return rec(a, b, fa, fm, fb, whole, 28)
-
-
-def _recursive_segment_upper(dom, z, w):
-    chord = w - z
-    chord_len = float(np.linalg.norm(chord))
-
-    def integrand(s):
-        p = z + s * chord
-        if not dom.contains(p):
-            raise NotConvex("straight chord exits the domain")
-        return chord_len / kb.line_boundary_distance(dom, p, chord)
-
-    return _recursive_simpson(integrand, 0.0, 1.0, kb.SIMPSON_TOL)
-
-
 def _inside_points(dom, rng, n, rmax):
     pts = []
     while len(pts) < n:
@@ -188,17 +156,6 @@ def _inside_points(dom, rng, n, rmax):
 
 
 class TestStackedEvaluation:
-    def test_segment_matches_recursion_on_ellipsoid(self):
-        rng = np.random.default_rng(21)
-        chords = [_inside_points(ELL12, rng, 2, 0.97) for _ in range(3)]
-        chords.append((np.array([0.99, 0.05j]), np.array([-0.2, 0.9])))  # deep near the boundary
-        for z, w in chords:
-            assert kb._segment_upper(ELL12, z, w) == _recursive_segment_upper(ELL12, z, w)
-
-    def test_segment_matches_recursion_on_modulus_polynomial(self):
-        z, w = np.array([0.1, 0.05j]), np.array([0.12 + 0.04j, 0.1j])
-        assert kb._segment_upper(MODPOLY, z, w) == _recursive_segment_upper(MODPOLY, z, w)
-
     def test_chord_leaving_the_domain_raises(self):
         # both ends lie inside the domain, the midpoint does not
         nonconvex = dm.implicit_convex(lambda z: min(abs(z[0] - 0.5), abs(z[0] + 0.5)) - 0.3, 1, 1.0)
@@ -228,7 +185,12 @@ class TestStackedEvaluation:
         with pytest.raises(PointOutsideDomain):
             kb.line_boundary_distance(ELL12, np.array([[0.1, 0.2], [1.1, 0.0]]), [1, 0])
 
-    def test_segment_makes_one_line_distance_call_per_depth(self, monkeypatch):
+
+class TestWorkCounts:
+    """Deterministic call counts: a regression to one solve or one line
+    distance per point fails here without a benchmark run."""
+
+    def test_segment_makes_one_line_distance_call_per_grid(self, monkeypatch):
         calls = []
         original = kb.line_boundary_distance
 
@@ -238,8 +200,23 @@ class TestStackedEvaluation:
 
         monkeypatch.setattr(kb, "line_boundary_distance", counting)
         kb._segment_upper(ELL12, np.array([0.99, 0.05j]), np.array([-0.2, 0.9]))
-        assert 1 < len(calls) <= 30
-        assert sum(calls) > len(calls)  # the levels are stacked
+        # 17 nodes, then the 16, 32, ... midpoints of each doubling
+        assert len(calls) >= 2
+        assert calls == [17] + [16 * 2**k for k in range(len(calls) - 1)]
+
+    def test_halfplanes_make_one_projection(self, monkeypatch):
+        dom = dm.ellipsoid((1, 2))
+        calls = []
+        original = dom.project_to_boundary
+
+        def counting(z):
+            calls.append(z)
+            return original(z)
+
+        monkeypatch.setattr(dom, "project_to_boundary", counting)
+        planes = kb.supporting_halfplanes(dom, np.array([0.5, 0.3]), extra_points=([0.1, 0.2j],))
+        assert len(calls) == 1
+        assert len(planes) == 1 + 2 * 12 + 1   # base, 2(d-1) x 12 tangent offsets, one extra point
 
 
 class TestBadDirections:
@@ -281,6 +258,100 @@ def test_generic_bounds_bracket_closed_forms(dom, cz, rz, cw, rw, cv):
     im = kb.metric_bounds(dom, z, v, tighten_with_model=False)
     assert im.lower <= im.upper
     assert im.contains(kb.model_metric(dom, z, v), slack=1e-9)
+
+
+@pytest.mark.parametrize("dom", [BALL2, POLY2], ids=["ball", "polydisk"])
+@settings(max_examples=25, deadline=None)
+@given(_COORDS, st.floats(0.0, 0.97), _COORDS, st.floats(0.0, 0.97))
+def test_segment_upper_dominates_the_distance(dom, cz, rz, cw, rw):
+    # the chord rule bounds the segment's length from above on every grid; the
+    # slack covers the last-digit rounding of the closed-form radii
+    z, w = _point_from(cz, rz, dom), _point_from(cw, rw, dom)
+    assert kb._segment_upper(dom, z, w) >= kb.model_dist(dom, z, w) * (1 - 1e-12)
+
+
+def _midpoint_segment(dom, z, w, nodes=4096):
+    """Midpoint rule for the integral of ``|w - z| / delta`` along the segment.
+    ``1 / delta`` is convex along the chord, so this lies below the integral."""
+    chord = w - z
+    s = (np.arange(nodes) + 0.5) / nodes
+    radii = kb.line_boundary_distance(dom, z[None, :] + s[:, None] * chord[None, :], chord)
+    return float(np.linalg.norm(chord) * np.mean(1.0 / radii))
+
+
+@pytest.mark.parametrize("dom", [ELL12, MODPOLY], ids=["ellipsoid", "modulus-polynomial"])
+@settings(max_examples=6, deadline=None)
+@given(_COORDS, st.floats(0.05, 0.99), _COORDS, st.floats(0.05, 0.99))
+def test_segment_upper_dominates_the_midpoint_rule(dom, cz, rz, cw, rw):
+    # |z| < 1 lies in |z1|^2 + |z2|^4 < 1
+    z, w = _point_from(cz, rz, BALL2), _point_from(cw, rw, BALL2)
+    if np.linalg.norm(w - z) < 1e-6:
+        return
+    upper, reference = kb._segment_upper(dom, z, w), _midpoint_segment(dom, z, w)
+    assert reference <= upper <= reference * (1 + 1e-3)
+
+
+def _ellipsoid_boundary_point(u):
+    """The point ``s u`` with ``|s u1|^2 + |s u2|^4 = 1``, in closed form."""
+    a, b = abs(u[0]) ** 2, abs(u[1]) ** 4
+    s2 = 1.0 / a if b == 0 else (math.sqrt(a * a + 4 * b) - a) / (2 * b)
+    return math.sqrt(s2) * u
+
+
+_INTERIOR = np.array([  # depth >= 1 - t: the unit ball lies inside, so t xi + (1 - t) B does
+    t * _ellipsoid_boundary_point(np.exp(1j * th) * np.array([math.cos(ph), math.sin(ph)]))
+    for t in (0.0, 0.5, 0.9, 0.99, 0.999) for th in np.linspace(0, 2, 3)
+    for ph in np.linspace(0, 2 * math.pi, 24, endpoint=False)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(_COORDS, st.floats(0.0, 0.999), st.lists(_COORDS, max_size=2), st.floats(0.0, 0.999))
+def test_halfplanes_support_the_ellipsoid(cz, rz, extra, rx):
+    z = _point_from(cz, rz, BALL2)
+    extra = [_point_from(c, rx, BALL2) for c in extra]
+    planes = kb.supporting_halfplanes(ELL12, z, extra_points=extra)
+    assert planes
+    for hp in planes:
+        dm.boundary_normal(ELL12, hp.anchor, tol=1e-6)   # the on-boundary check
+        values = [hp.functional(p).real for p in _INTERIOR]
+        assert min(values) > 0
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3 + 0.2j, 0.9 - 0.3j], ids=["origin", "inner", "near-boundary"])
+def test_disk_distance_of_nearby_points(z):
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        w = z + 1e-12 * np.exp(2j * math.pi * rng.uniform())
+        assert kb.disk_distance(z, w) == pytest.approx(kb.disk_metric(z, w - z), rel=1e-9)
+
+
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+_GOOD = np.array([0.3, 0.2j])
+
+
+def _nonfinite_calls(dom, bad, value):
+    yield lambda: kb.dist_bounds(dom, bad, _GOOD, tighten_with_model=False)
+    yield lambda: kb.dist_bounds(dom, _GOOD, bad)
+    yield lambda: kb.dist_bounds(dom, _GOOD, -_GOOD, tighten_with_model=False, via=(bad,))
+    yield lambda: kb.metric_bounds(dom, bad, _GOOD)
+    yield lambda: kb.metric_bounds(dom, _GOOD, bad, tighten_with_model=False)
+    yield lambda: kb.kob_ball_inclusion(dom, bad, 0.01)
+    yield lambda: kb.kob_ball_inclusion(dom, _GOOD, abs(value))
+    yield lambda: kb.calibrate_alpha0(dom, bad, ell=4)
+    yield lambda: kb.line_boundary_distance(dom, bad, _GOOD)
+    yield lambda: kb.line_boundary_distance(dom, _GOOD, bad)
+    yield lambda: kb.supporting_halfplanes(dom, _GOOD, extra_points=(bad,))
+
+
+@pytest.mark.parametrize("dom", [ELL12, BALL2], ids=["ellipsoid", "ball"])
+@settings(max_examples=80, deadline=None)
+@given(_NONFINITE, st.integers(0, 1), st.integers(0, 10))
+def test_nonfinite_inputs_raise_config_invalid(dom, value, slot, case):
+    bad = _GOOD.copy()
+    bad[slot] = value
+    call = list(_nonfinite_calls(dom, bad, value))[case]
+    with pytest.raises(ConfigInvalid):
+        call()
 
 
 class TestEq51:
