@@ -66,6 +66,14 @@ def _finite(dom: Domain, p, name: str) -> np.ndarray:
     return p
 
 
+def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(v 2^-e, e)`` with the largest entry modulus of ``v 2^-e`` in
+    ``[1/2, 1)`` (``e = 0`` for ``v = 0``).  The scaling is exact, so the
+    squares of entries below ``1e-154`` no longer underflow."""
+    exponent = math.frexp(float(np.max(np.abs(v))))[1]
+    return np.ldexp(v.real, -exponent) + 1j * np.ldexp(v.imag, -exponent), exponent
+
+
 # ---------------------------------------------------------------------------
 # exact model formulas
 # ---------------------------------------------------------------------------
@@ -85,10 +93,10 @@ def ball_distance(z: np.ndarray, w: np.ndarray) -> float:
     points keep their digits instead of cancelling against 1."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    d = w - z
+    d, exponent = _pow2_scaled(w - z)   # num is quadratic in d: scale it back below
     wedge = np.outer(z, d) - np.outer(d, z)   # z_i d_j - z_j d_i, each pair twice
     num = float(np.sum(np.abs(d) ** 2)) - 0.5 * float(np.sum(np.abs(wedge) ** 2))
-    return _atanh(math.sqrt(max(0.0, num / abs(1.0 - herm(z, w)) ** 2)))
+    return _atanh(math.ldexp(math.sqrt(max(0.0, num / abs(1.0 - herm(z, w)) ** 2)), exponent))
 
 
 def ball_metric(z: np.ndarray, v: np.ndarray) -> float:
@@ -326,17 +334,22 @@ def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
     bound on every grid.  The grid doubles from 17 nodes, with one stacked
     ``line_boundary_distance`` call for each grid's new nodes, until the bound
     moves by at most ``CHORD_RTOL`` relative.
+
+    The bound is summed for the chord scaled by ``_pow2_scaled`` and scaled
+    back at the end, so distinct points closer than ``1e-154`` keep their
+    digits instead of returning 0.
     """
     chord = w - z
-    chord_len = float(np.linalg.norm(chord))
-    if chord_len == 0:
+    if not np.any(chord):
         return 0.0
+    direction, exponent = _pow2_scaled(chord)
+    chord_len = float(np.linalg.norm(direction))
 
     def radii_at(s):
         p = z[None, :] + s[:, None] * chord[None, :]
         if not dom.contains_all(p):
             raise NotConvex("straight chord exits the domain")
-        return line_boundary_distance(dom, p, chord)
+        return line_boundary_distance(dom, p, direction)
 
     pieces = 16
     radii = radii_at(np.arange(pieces + 1) / pieces)
@@ -349,7 +362,7 @@ def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
         bound = _chord_rule(radii) * chord_len
         if abs(previous - bound) <= CHORD_RTOL * bound:
             break
-    return bound
+    return math.ldexp(bound, exponent)
 
 
 def _chord_rule(radii: np.ndarray) -> float:

@@ -270,6 +270,20 @@ def test_segment_upper_dominates_the_distance(dom, cz, rz, cw, rw):
     assert kb._segment_upper(dom, z, w) >= kb.model_dist(dom, z, w) * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("w", [[0, 2.2250738585e-313j], [1e-170, -3e-171j], [5e-324, 0]])
+def test_segment_upper_of_a_tiny_chord(w):
+    # squaring these entries underflows; the bound must stay the distance max |w_j|
+    w = np.array(w, dtype=complex)
+    upper = kb._segment_upper(POLY2, np.zeros(2, dtype=complex), w)
+    assert upper == pytest.approx(np.max(np.abs(w)), rel=1e-12, abs=0)
+
+
+def test_ball_distance_of_tiny_points():
+    # |d|^2 is subnormal here; the distance is |w - z| to all printed digits
+    z = np.array([1.1070498e-160 - 3.74632673e-160j, 3.6737444e-160 - 5.52147542e-160j])
+    assert kb.ball_distance(z, np.zeros(2)) == pytest.approx(np.linalg.norm(z * 1e160) * 1e-160, rel=1e-14, abs=0)
+
+
 def _midpoint_segment(dom, z, w, nodes=4096):
     """Midpoint rule for the integral of ``|w - z| / delta`` along the segment.
     ``1 / delta`` is convex along the chord, so this lies below the integral."""
