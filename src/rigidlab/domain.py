@@ -47,6 +47,14 @@ def as_point(z, d: int) -> np.ndarray:
     return arr
 
 
+def finite_point(z, d: int, name: str) -> np.ndarray:
+    """``as_point(z, d)``; a non-finite entry raises ``ConfigInvalid`` naming ``name``."""
+    arr = as_point(z, d)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigInvalid(f"{name} must be finite, got {arr}")
+    return arr
+
+
 def c2r(z: np.ndarray) -> np.ndarray:
     """C^d -> R^{2d}, interleaved (x1, y1, ..., xd, yd)."""
     out = np.empty(2 * len(z))

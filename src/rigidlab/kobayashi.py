@@ -43,6 +43,7 @@ from .domain import (
     boundary_data,
     boundary_distance,
     boundary_normal,
+    finite_point,
     herm,
 )
 from .errors import ConfigInvalid, NotConvex, PointOutsideDomain, RadiusTooLarge, RigidLabError, ZeroVector
@@ -56,14 +57,6 @@ LINE_SAFETY = 1.0 - 1e-9  # shrink factor applied to sampled slice radii
 
 def _atanh(m: float) -> float:
     return math.atanh(min(max(m, 0.0), 1.0 - 1e-16))
-
-
-def _finite(dom: Domain, p, name: str) -> np.ndarray:
-    """``p`` as a point of ``C^d``; a non-finite entry raises ``ConfigInvalid``."""
-    p = as_point(p, dom.dimension)
-    if not np.all(np.isfinite(p)):
-        raise ConfigInvalid(f"{name} must be finite, got {p}")
-    return p
 
 
 def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -158,12 +151,12 @@ def line_boundary_distance(dom: Domain, z, v):
     zs = np.asarray(z, dtype=complex)
     single = zs.ndim < 2
     if single:
-        zs = dom.require_inside(_finite(dom, zs, "point"))[None, :]
+        zs = dom.require_inside(finite_point(zs, dom.dimension, "point"))[None, :]
     elif zs.shape[1:] != (dom.dimension,):
         raise ValueError(f"expected points of C^{dom.dimension}, got shape {zs.shape}")
     elif not dom.contains_all(zs):
         raise PointOutsideDomain(f"a point of the stack is not in the domain ({dom.kind})")
-    v = _finite(dom, v, "direction")
+    v, _ = _pow2_scaled(finite_point(v, dom.dimension, "direction"))   # exact, so a tiny v keeps its digits
     vn = float(np.linalg.norm(v))
     if vn == 0:
         raise ZeroVector("direction must be nonzero")
@@ -247,8 +240,8 @@ def supporting_halfplanes(dom: Domain, z, extra_points=(), t_schedule=None) -> l
     tangent plane supports a convex domain, so only the base point needs the
     nearest-point solve; the rays are bisected together.
     """
-    z = dom.require_inside(_finite(dom, z, "point"))
-    rays = [_finite(dom, p, "extra point") for p in extra_points]
+    z = dom.require_inside(finite_point(z, dom.dimension, "point"))
+    rays = [finite_point(p, dom.dimension, "extra point") for p in extra_points]
     planes = [_tangent_halfplane(dom, dom.project_to_boundary(z))]
     if planes[0] is not None:
         if t_schedule is None:
@@ -302,17 +295,22 @@ def _tangent_frame(normal: np.ndarray) -> list[np.ndarray]:
 
 def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True,
                   halfplanes: list[SupportingHalfplane] | None = None) -> DistInterval:
-    """Certified interval for the infinitesimal metric ``k(z; v)``."""
+    """Certified interval for the infinitesimal metric ``k(z; v)``.
+
+    Since ``k(z; t v) = |t| k(z; v)``, the interval is found for ``v`` scaled
+    by ``_pow2_scaled`` and scaled back, so a direction below ``1e-154`` keeps
+    its digits.
+    """
     if not dom.convex:
         raise NotConvex("metric bounds require a convex domain")
-    z = dom.require_inside(_finite(dom, z, "point"))
-    v = _finite(dom, v, "direction")
+    z = dom.require_inside(finite_point(z, dom.dimension, "point"))
+    v, exponent = _pow2_scaled(finite_point(v, dom.dimension, "direction"))
     vn = float(np.linalg.norm(v))
     if vn == 0:
         return DistInterval.exact(0.0)
 
     if tighten_with_model and has_model_formulas(dom):
-        return DistInterval.exact(model_metric(dom, z, v))
+        return DistInterval.exact(math.ldexp(model_metric(dom, z, v), exponent))
 
     upper = vn / line_boundary_distance(dom, z, v)
     lower = vn / dom.bounding_radius  # ball-of-radius-R comparison
@@ -320,7 +318,7 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True,
         halfplanes = supporting_halfplanes(dom, z)
     for hp in halfplanes:
         lower = max(lower, hp.metric_lower(z, v))
-    return DistInterval(min(lower, upper), upper)
+    return DistInterval(math.ldexp(min(lower, upper), exponent), math.ldexp(upper, exponent))
 
 
 def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
@@ -385,9 +383,9 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True,
     """
     if not dom.convex:
         raise NotConvex("distance bounds require a convex domain")
-    z = dom.require_inside(_finite(dom, z, "point"))
-    w = dom.require_inside(_finite(dom, w, "point"))
-    waypoints = [dom.center()] + [_finite(dom, p, "waypoint") for p in via]
+    z = dom.require_inside(finite_point(z, dom.dimension, "point"))
+    w = dom.require_inside(finite_point(w, dom.dimension, "point"))
+    waypoints = [dom.center()] + [finite_point(p, dom.dimension, "waypoint") for p in via]
     if np.allclose(z, w, atol=0, rtol=0):
         return DistInterval.exact(0.0)
 
@@ -444,7 +442,7 @@ def kob_ball_inclusion(dom: Domain, p, euclidean_radius: float,
     the local bound integrates to ``alpha0 |z - w| / (delta + rho)^{1/ell}``,
     or must already have crossed the sphere.
     """
-    p = dom.require_inside(_finite(dom, p, "point"))
+    p = dom.require_inside(finite_point(p, dom.dimension, "point"))
     rho = float(euclidean_radius)
     if not math.isfinite(rho):
         raise ConfigInvalid(f"euclidean radius must be finite, got {rho}")
@@ -463,7 +461,7 @@ def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None, directions: int = 
     Uses certified metric lower bounds only, so the returned calibration is a
     genuine lower-bound coefficient on the sampled grid.
     """
-    xi = _finite(dom, xi, "boundary point")
+    xi = finite_point(xi, dom.dimension, "boundary point")
     bd = boundary_data(dom, xi, tol=1e-9)
     radii = np.geomspace(1e-3, 0.2, 8) if radii is None else np.asarray(radii)
     rng = np.random.default_rng(3)

@@ -12,12 +12,13 @@ metric with its horizontal/vertical splitting, and the three estimates the
 rigidity pipelines consume: unit-tangent vs tangent comparison, geodesic
 spread, and the backward initial-condition estimate.
 
-Shape contract: the ``g`` and ``dg`` oracles and :func:`christoffel` take
-one point ``(n,)`` or a stack of points ``(N, n)`` and return the matching
-leading axis, e.g. ``christoffel(m, xs)`` is ``(N, n, n, n)``; ``d2g`` and
-everything else take one point.  The ``closed_geodesic`` and ``closed_ray``
-samplers take a time ``t`` (returning ``(n,)``) or an array of times
-(returning ``(N, n)``).
+Shape contract: the ``g``, ``ginv`` and ``dg`` oracles and
+:func:`christoffel` take one point ``(n,)`` or a stack of points ``(N, n)``
+and return the matching leading axis, e.g. ``christoffel(m, xs)`` is
+``(N, n, n, n)``; ``d2g`` and everything else take one point.  ``ginv`` is
+the closed-form inverse of ``g``, so no step inverts a matrix numerically.
+The ``closed_geodesic`` and ``closed_ray`` samplers take a time ``t``
+(returning ``(n,)``) or an array of times (returning ``(N, n)``).
 
 Index conventions::
 
@@ -68,6 +69,7 @@ class MetricField:
     name: str
     dim: int
     g: Callable[[np.ndarray], np.ndarray]       # (n,) -> (n, n); (N, n) -> (N, n, n)
+    ginv: Callable[[np.ndarray], np.ndarray]    # inverse of g, stacks as g
     dg: Callable[[np.ndarray], np.ndarray]      # dg[..., k, i, j] = d_k g_ij, stacks as g
     d2g: Callable[[np.ndarray], np.ndarray]     # d2g[k, l, i, j] = d_k d_l g_ij, one point
     chart_contains: Callable[[np.ndarray], bool]
@@ -125,8 +127,9 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
     coordinates ``(Re z_1, Im z_1, ...)``.  ``a`` and ``b`` map ``s`` (a float,
     or an array for a stack of points) to the triple ``(f, f', f'')``;
     ``b=None`` is the conformal case ``b == 0``, whose oracles skip the
-    rank-2 terms.  With ``P = x x^T + Jx (Jx)^T``::
+    rank-2 terms.  With ``P = x x^T + Jx (Jx)^T``, which has ``P^2 = s P``::
 
+        g^{-1}    = (I - b / (a + b s) P) / a
         d_k g     = 2 x_k (a' I + b' P) + b d_k P
         d_k d_l g = 2 delta_kl (a' I + b' P) + 4 x_k x_l (a'' I + b'' P)
                     + 2 b' (x_k d_l P + x_l d_k P) + b d_k d_l P
@@ -157,6 +160,14 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
             return a(s)[0] * eye
         return a(s)[0] * eye + b(s)[0] * rank2(x)
 
+    def ginv(x):
+        s = norm2(x)
+        a0 = a(s)[0]
+        if b is None:
+            return eye / a0
+        b0 = b(s)[0]
+        return (eye - b0 / (a0 + b0 * s) * rank2(x)) / a0
+
     def dg(x):
         s = norm2(x)
         da = a(s)[1]
@@ -181,7 +192,7 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
         cross = x[:, None, None, None] * (2.0 * db * (dp @ x))
         return out + cross + cross.transpose(1, 0, 2, 3) + b0 * d2p
 
-    return MetricField(name=name, dim=dim, g=g, dg=dg, d2g=d2g, **fields)
+    return MetricField(name=name, dim=dim, g=g, ginv=ginv, dg=dg, d2g=d2g, **fields)
 
 
 # -- model metrics -----------------------------------------------------------
@@ -218,7 +229,7 @@ def euclidean(n: int = 2) -> MetricField:
 
     return MetricField(
         name="euclid", dim=n,
-        g=constant(eye), dg=constant(zeros3), d2g=lambda x: zeros4,
+        g=constant(eye), ginv=constant(eye), dg=constant(zeros3), d2g=lambda x: zeros4,
         chart_contains=lambda x: bool(np.all(np.abs(x) < 1e6)),
         kappa_model=0.0, inj_model=math.inf,
         closed_dist=lambda x, y: float(np.linalg.norm(np.asarray(y) - np.asarray(x))),
@@ -415,7 +426,8 @@ def scale_metric(m: MetricField, lam: float) -> MetricField:
 
     return MetricField(
         name=f"{m.name}*{lam:g}", dim=m.dim,
-        g=lambda x: lam * m.g(x), dg=lambda x: lam * m.dg(x), d2g=lambda x: lam * m.d2g(x),
+        g=lambda x: lam * m.g(x), ginv=lambda x: m.ginv(x) / lam,
+        dg=lambda x: lam * m.dg(x), d2g=lambda x: lam * m.d2g(x),
         chart_contains=m.chart_contains,
         kappa_model=(m.kappa_model / lam if m.kappa_model is not None else None),
         inj_model=(m.inj_model * s if m.inj_model is not None else None),
@@ -454,38 +466,38 @@ class CurvatureData:
         return num / den
 
 
+def _term(dg: np.ndarray) -> np.ndarray:
+    """``term[..., m, i, j] = d_i g_jm + d_j g_im - d_m g_ij`` from ``dg[..., k, i, j]``."""
+    t = dg.swapaxes(-3, -1)  # t[..., m, i, j] = d_j g_im
+    return t.swapaxes(-2, -1) + t - dg
+
+
 def christoffel(m: MetricField, x) -> np.ndarray:
     """``gamma[..., k, i, j]`` at one point ``(n,)`` or at each of ``(N, n)``."""
     x = np.asarray(x, dtype=float)
-    gx = m.g(x)
-    dg = m.dg(x)
-    ginv = np.linalg.inv(gx)
-    # term[..., m, i, j] = d_i g_jm + d_j g_im - d_m g_ij
-    term = np.einsum("...ijm->...mij", dg) + np.einsum("...jim->...mij", dg) - dg
-    return 0.5 * (ginv @ term.reshape(term.shape[:-2] + (-1,))).reshape(term.shape)
+    term = _term(m.dg(x))
+    return 0.5 * (m.ginv(x) @ term.reshape(term.shape[:-2] + (-1,))).reshape(term.shape)
 
 
 def christoffel_curvature(m: MetricField, x) -> CurvatureData:
-    """Christoffels, their derivatives, and the curvature tensor at ``x``."""
+    """Christoffels, their derivatives, and the curvature tensor at ``x``,
+    contracted as matmuls on ``(n, n^2)`` blocks."""
     x = np.asarray(x, dtype=float)
     gx = m.metric_at(x)
     dg = m.dg(x)
     d2g = m.d2g(x)
-    ginv = np.linalg.inv(gx)
+    ginv = m.ginv(x)
+    n = m.dim
 
-    # term[m, i, j] = d_i g_jm + d_j g_im - d_m g_ij  and its x-derivative
-    term = np.einsum("ijm->mij", dg) + np.einsum("jim->mij", dg) - dg
-    dterm = np.einsum("aijm->amij", d2g) + np.einsum("ajim->amij", d2g) - d2g
-
-    gamma = 0.5 * np.einsum("km,mij->kij", ginv, term)
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)  # dginv[m, k, l] = d_m g^{kl}
-    dgamma = 0.5 * (np.einsum("akm,mij->akij", dginv, term)
-                    + np.einsum("km,amij->akij", ginv, dterm))
-
-    riem = (np.einsum("iljk->lijk", dgamma)
-            - np.einsum("jlik->lijk", dgamma)
-            + np.einsum("lim,mjk->lijk", gamma, gamma)
-            - np.einsum("ljm,mik->lijk", gamma, gamma))
+    term = _term(dg).reshape(n, n * n)
+    dterm = _term(d2g).reshape(n, n, n * n)  # dterm[a] = d_a term
+    gamma = 0.5 * (ginv @ term)
+    dginv = -(ginv @ dg @ ginv)  # dginv[m, k, l] = d_m g^{kl}
+    dgamma = (0.5 * (dginv @ term + ginv @ dterm)).reshape(n, n, n, n)
+    # r[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk;  riem = r - (i <-> j)
+    r = dgamma.transpose(1, 0, 2, 3) + (gamma.reshape(n * n, n) @ gamma).reshape(n, n, n, n)
+    gamma = gamma.reshape(n, n, n)
+    riem = r - r.transpose(0, 2, 1, 3)
     return CurvatureData(x=x, gx=gx, ginv=ginv, gamma=gamma, dgamma=dgamma, riem=riem)
 
 
@@ -577,9 +589,7 @@ class GeodesicPath:
 
 
 def _geodesic_rhs(m: MetricField, x, v):
-    gamma = christoffel(m, x)
-    acc = -np.einsum("kij,i,j->k", gamma, v, v)
-    return v, acc
+    return v, -((christoffel(m, x) @ v) @ v)
 
 
 def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
@@ -714,12 +724,15 @@ def exp_log(m: MetricField, x, y, tol: float = SHOOTING_TOL) -> TangentPoint:
         return TangentPoint(x, np.zeros(m.dim))
 
     best_res = math.inf
+    accepted = None  # (n_steps, endpoint, jac) at the current X
     for _ in range(SHOOTING_MAX_NEWTON):
         n_steps = _shooting_steps(m.norm(x, X), None)
-        try:
-            endpoint, jac = _endpoint_and_jacobian(m, x, X, n_steps)
-        except LeftChart as exc:
-            raise ShootingDiverged(str(exc)) from exc
+        if accepted is None or accepted[0] != n_steps:
+            try:
+                accepted = (n_steps, *_endpoint_and_jacobian(m, x, X, n_steps))
+            except LeftChart as exc:
+                raise ShootingDiverged(str(exc)) from exc
+        _, endpoint, jac = accepted
         res = endpoint - y
         rnorm = float(np.linalg.norm(res))
         if rnorm < tol:
@@ -736,12 +749,12 @@ def exp_log(m: MetricField, x, y, tol: float = SHOOTING_TOL) -> TangentPoint:
         for _ in range(30):
             Xn = X + lam * delta
             try:
-                endn, _ = _endpoint_and_jacobian(m, x, Xn, n_steps)
+                endn, jacn = _endpoint_and_jacobian(m, x, Xn, n_steps)
             except LeftChart:
                 lam *= 0.5
                 continue
             if np.linalg.norm(endn - y) < rnorm:
-                X = Xn
+                X, accepted = Xn, (n_steps, endn, jacn)
                 break
             lam *= 0.5
         else:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Cone, Domain, as_point, boundary_data, c2r, cone_certificate, disk, r2c
+from .domain import Cone, Domain, as_point, boundary_data, c2r, cone_certificate, disk, finite_point, r2c
 from .errors import (
     BoundaryDataUnavailable,
     ConeUncertified,
@@ -93,13 +93,14 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
     ``(2/r_n) E(5 r_n/4)`` over the Euclidean ball, the certified invariant
     radius ``eps_n``, and the composite term ``e^{4K}/eps_n * sup K(w, f(w))``.
     """
+    xi0 = finite_point(xi0, dom.dimension, "xi0")
+    z0 = dom.center() if z0 is None else finite_point(z0, dom.dimension, "z0")
     require_self_map(f, dom)
     try:
         bd = boundary_data(dom, xi0, tol=1e-9)
     except Exception as exc:
         raise BoundaryDataUnavailable(str(exc)) from exc
     schedule = geometric_schedule() if schedule is None else np.asarray(schedule, dtype=float)
-    z0 = dom.center() if z0 is None else as_point(z0, dom.dimension)
     if calibration is None and dom.kind == "disk":
         calibration = DISK_CALIBRATION
 
@@ -198,6 +199,8 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
     horizon bound, Euclidean exit time, displacement along the geodesic,
     initial-condition bound on the unit tangent bundle, spread product.
     """
+    xi0 = finite_point(xi0, dom.dimension, "xi0")
+    z0 = dom.center() if z0 is None else finite_point(z0, dom.dimension, "z0")
     cert = cone_certificate(dom, cone, grid=16)
     if not cert.ok:
         raise ConeUncertified("the interior cone condition failed on samples")
@@ -205,7 +208,6 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
     if schedule[0] * 1.0001 > cone.length:
         raise ConeUncertified("schedule exceeds the certified cone length")
 
-    xi0 = as_point(xi0, dom.dimension)
     v = as_point(cone.direction, dom.dimension)
     v = v / np.linalg.norm(c2r(v))
     ray_points = [xi0 + r * v for r in schedule]
@@ -227,7 +229,6 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
         L = rigidity_threshold(d, 1.0, A_eff, cone.aperture, positive_injectivity=False) + 0.5
 
     action = _chart_map(phi)
-    z0 = (dom.center() if z0 is None else as_point(z0, dom.dimension))
     z0r = c2r(z0)
     rng = np.random.default_rng(41)
     iso_samples = []

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import BallDomain, DiskDomain, Domain, as_point, disk
+from .domain import BallDomain, DiskDomain, Domain, as_point, disk, finite_point
 from .errors import (
     CoincidentAnchors,
     NotSelfMap,
@@ -400,9 +400,10 @@ def disk_rigidity_pipeline(f: HoloMap, schedule=None, xi0: complex = 1.0,
     forced-identity only when every row check passes and the composite tail
     sinks below the identification threshold.
     """
+    xi0 = complex(finite_point(xi0, 1, "xi0")[0])
     require_self_map(f)
     schedule = geometric_schedule() if schedule is None else np.asarray(schedule, dtype=float)
-    xi0 = complex(xi0) / abs(complex(xi0))
+    xi0 = xi0 / abs(xi0)
 
     emod = error_modulus(f, xi0, 1.25 * schedule[::-1])
 

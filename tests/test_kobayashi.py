@@ -284,6 +284,20 @@ def test_ball_distance_of_tiny_points():
     assert kb.ball_distance(z, np.zeros(2)) == pytest.approx(np.linalg.norm(z * 1e160) * 1e-160, rel=1e-14, abs=0)
 
 
+def test_line_boundary_distance_of_a_tiny_direction():
+    # the slice radius ignores |v|; |v|^2 underflows to 0 unless v is scaled first
+    got = kb.line_boundary_distance(POLY2, [0.1, 0], [1e-170, 0])
+    assert got == pytest.approx(kb.line_boundary_distance(POLY2, [0.1, 0], [1, 0]), rel=1e-15, abs=0)
+
+
+def test_metric_bounds_of_a_tiny_direction():
+    # k(z; v) is linear in |v|, so the interval is 1e-160 times the one for [1, 3j]
+    got = kb.metric_bounds(BALL2, [0.1, 0], [1e-160, 3e-160j])
+    unit = kb.metric_bounds(BALL2, [0.1, 0], [1, 3j])
+    assert got.lower == pytest.approx(1e-160 * unit.lower, rel=1e-15, abs=0)
+    assert got.upper == pytest.approx(1e-160 * unit.upper, rel=1e-15, abs=0)
+
+
 def _midpoint_segment(dom, z, w, nodes=4096):
     """Midpoint rule for the integral of ``|w - z| / delta`` along the segment.
     ``1 / delta`` is convex along the chord, so this lies below the integral."""

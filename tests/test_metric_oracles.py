@@ -2,6 +2,8 @@
 
 The reference metrics are built here with sympy from their textbook
 formulas and differentiated symbolically; sympy is a test-only dependency.
+The closed-form inverse is checked against ``g`` itself, and the matmul
+curvature kernel against the ``einsum`` formulas with a numerical inverse.
 """
 
 import os
@@ -128,3 +130,48 @@ def test_stacked_oracles_match_single_point_calls(metric):
         assert got.shape == want.shape
         err = np.max(np.abs(got - want))
         assert err <= 1e-13 * np.max(np.abs(want)), f"{metric.name}: error {err:.2e}"
+
+
+INVERSE_MODELS = [rm.euclidean(2), rm.poincare_disk(), rm.sphere_stereographic(),
+                  rm.bergman_ball(1), rm.bergman_ball(2), rm.bergman_ball(3),
+                  rm.scale_metric(rm.poincare_disk(), 2.5)]
+
+
+@pytest.mark.parametrize("metric", INVERSE_MODELS, ids=lambda m: m.name)
+def test_closed_form_inverse(metric):
+    xs = np.array(_chart_points(metric.dim, seed=5))
+    eye = np.eye(metric.dim)
+    for x in xs:
+        assert np.max(np.abs(metric.ginv(x) @ metric.g(x) - eye)) <= 1e-13
+    stacked = metric.ginv(xs)
+    assert stacked.shape == (len(xs), metric.dim, metric.dim)
+    assert np.max(np.abs(stacked @ metric.g(xs) - eye)) <= 1e-13
+
+
+def _einsum_curvature(m, x):
+    """``(gamma, dgamma, riem)`` by the per-index ``einsum`` formulas and
+    ``np.linalg.inv``: the reference for ``christoffel_curvature``."""
+    gx, dg, d2g = m.g(x), m.dg(x), m.d2g(x)
+    ginv = np.linalg.inv(gx)
+    term = np.einsum("ijm->mij", dg) + np.einsum("jim->mij", dg) - dg
+    dterm = np.einsum("aijm->amij", d2g) + np.einsum("ajim->amij", d2g) - d2g
+    gamma = 0.5 * np.einsum("km,mij->kij", ginv, term)
+    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("akm,mij->akij", dginv, term)
+                    + np.einsum("km,amij->akij", ginv, dterm))
+    riem = (np.einsum("iljk->lijk", dgamma)
+            - np.einsum("jlik->lijk", dgamma)
+            + np.einsum("lim,mjk->lijk", gamma, gamma)
+            - np.einsum("ljm,mik->lijk", gamma, gamma))
+    return gamma, dgamma, riem
+
+
+@pytest.mark.parametrize("metric", INVERSE_MODELS, ids=lambda m: m.name)
+def test_curvature_kernel_matches_einsum_reference(metric):
+    for i, x in enumerate(_chart_points(metric.dim, seed=17)):
+        cd = rm.christoffel_curvature(metric, x)
+        for name, got, want in zip(("gamma", "dgamma", "riem"),
+                                   (cd.gamma, cd.dgamma, cd.riem), _einsum_curvature(metric, x)):
+            assert got.shape == want.shape
+            err = np.max(np.abs(got - want))
+            assert err <= 1e-12 * np.max(np.abs(want)), f"{metric.name} {name} point {i}: {err:.2e}"

@@ -634,6 +634,21 @@ class TestOneIntegrator:
         assert np.array_equal(got.vec, want.vec)
 
 
+def test_exp_log_reuses_the_accepted_trial(monkeypatch):
+    # one Newton step: the first solve, the accepted line-search trial, and the
+    # converged check, which reads the trial instead of integrating again
+    calls = []
+    solve = rm._endpoint_and_jacobian
+
+    def counting(*args):
+        calls.append(args[3])
+        return solve(*args)
+
+    monkeypatch.setattr(rm, "_endpoint_and_jacobian", counting)
+    rm.exp_log(PO, [0.1, 0.0], [0.11, 0.01])
+    assert calls == [48, 48]
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("vec", [[math.inf, 0.0], [math.nan, 0.0]])
     def test_geodesic_velocity(self, vec):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidlab import domain as dm
 from rigidlab import rigidity as rg
 from rigidlab import schwarz as sw
 from rigidlab.domain import Cone
-from rigidlab.errors import ConeUncertified, NotIsometry, SuiteSoundnessViolation
+from rigidlab.errors import ConeUncertified, ConfigInvalid, NotIsometry, SuiteSoundnessViolation
 from rigidlab.kahler import bergman_kahler, poincare_kahler
 from rigidlab.report import FORCES_IDENTITY, INCONCLUSIVE, PipelineReport
 
@@ -20,6 +22,7 @@ CONE_B = Cone(apex=np.array([1.0, 0.0], dtype=complex),
               direction=np.array([-1.0, 0.0], dtype=complex),
               aperture=math.pi / 3, length=0.5)
 SHORT = 0.5 ** np.arange(2, 8, dtype=float)
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 class TestConvexPipeline:
@@ -181,3 +184,26 @@ class TestVerdictRule:
             if rep.verdict == FORCES_IDENTITY:
                 assert rep.all_checks_pass, (f.name, [c for c, ok in rep.checks if not ok])
         assert FORCES_IDENTITY in verdicts
+
+
+class TestNonFiniteEntryPoints:
+    """A non-finite ``xi0`` or ``z0`` fails at entry with ``ConfigInvalid``, not
+    later as a misleading sampling or boundary-data error."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(NONFINITE, st.booleans())
+    def test_disk_pipeline(self, bad, imag):
+        xi0 = complex(1.0, bad) if imag else complex(bad, 0.0)
+        with pytest.raises(ConfigInvalid):
+            sw.disk_rigidity_pipeline(sw.identity_map(), xi0=xi0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(NONFINITE, st.sampled_from(["xi0", "z0"]), st.integers(0, 3))
+    def test_convex_and_biholo_pipelines(self, bad, name, slot):
+        point = np.array([1.0, 0.0], dtype=complex) if name == "xi0" else np.zeros(2, dtype=complex)
+        point.view(float)[slot] = bad
+        kwargs = {"xi0": [1.0, 0.0], name: point}
+        with pytest.raises(ConfigInvalid):
+            rg.convex_pipeline(BALL2, sw.identity_map(2), **kwargs)
+        with pytest.raises(ConfigInvalid):
+            rg.biholo_pipeline(BALL2, sw.identity_map(2), bergman_kahler(2), cone=CONE_B, **kwargs)
