@@ -26,6 +26,7 @@ from .errors import (
     ConfigInvalid,
     DegenerateGradient,
     PointOutsideDomain,
+    SamplingEmpty,
     TypeEstimateUnstable,
 )
 
@@ -33,6 +34,7 @@ BOUNDARY_TOL = 1e-12          # |r(xi)| tolerance for "on the boundary"
 GRADIENT_TOL = 1e-12          # degenerate-gradient threshold
 STRONG_CONVEXITY_MARGIN = 1e-8  # min eigenvalue separating flat directions from roundoff
 FD_STEP = 1e-5                # central-difference step for implicit fallbacks
+SAMPLE_BLOCKS = 50            # candidate blocks sample_ball draws before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +602,30 @@ def boundary_distance(dom: Domain, z) -> float:
         return exact
     w = dom.project_to_boundary(z)
     return float(np.linalg.norm(w - z))
+
+
+def sample_ball(dom: Domain, center, radius: float, count: int, rng) -> np.ndarray:
+    """``count`` points of ``dom`` drawn uniformly from the Euclidean ball
+    ``B(center, radius)``, as a ``(count, d)`` array.
+
+    Candidates come in blocks of ``count``; those with ``r < 0`` are kept in
+    draw order.  Fewer than ``count`` points of the domain among
+    ``SAMPLE_BLOCKS`` blocks raise ``SamplingEmpty``.
+    """
+    d = dom.dimension
+    center = as_point(center, d)
+    if count <= 0:
+        return np.empty((0, d), dtype=complex)
+    kept = np.empty((0, d), dtype=complex)
+    for _ in range(SAMPLE_BLOCKS):
+        w = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+        scale = radius * rng.uniform(size=count) ** (1.0 / (2 * d)) / np.linalg.norm(w, axis=1)
+        block = center + scale[:, None] * w
+        kept = np.concatenate([kept, block[dom.defining_many(block) < 0]])
+        if len(kept) >= count:
+            return kept[:count]
+    raise SamplingEmpty(f"{len(kept)} of {count} points of the {dom.kind} domain in "
+                        f"B({center}, {radius:g}) after {SAMPLE_BLOCKS * count} candidates")
 
 
 def boundary_normal(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> tuple[np.ndarray, float]:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from .domain import Domain, as_point, boundary_distance, c2r
+from .domain import Domain, as_point, boundary_distance, c2r, sample_ball
 from .errors import (
     ChartIncomplete,
     PositiveCurvatureUnsupported,
@@ -123,6 +123,8 @@ def property_bg_estimate(k: KahlerField, dom: Domain, n_points: int = 40,
                          extra_points=()) -> BGReport:
     """Sampled bounded-geometry constants of an invariant metric.
 
+    The sample points are the origin, ``extra_points`` and seeded uniform
+    points of the domain in ``B(0, 0.995)``, ``n_points`` in all.
     PASS means: curvature and upper constant finite, lower constant positive.
     Completeness is a separate flag (rays toward the boundary accumulate at
     least ``COMPLETENESS_LENGTH`` of metric length).
@@ -131,14 +133,8 @@ def property_bg_estimate(k: KahlerField, dom: Domain, n_points: int = 40,
     d = k.complex_dim
     m = k.metric
 
-    pts = [np.zeros(2 * d)]
-    for p in extra_points:
-        pts.append(c2r(as_point(p, d)))
-    while len(pts) < n_points:
-        w = rng.standard_normal(2 * d)
-        x = rng.uniform(0.05, 0.995) * w / np.linalg.norm(w)
-        if dom.contains(x[0::2] + 1j * x[1::2]):
-            pts.append(x)
+    pts = [np.zeros(2 * d)] + [c2r(as_point(p, d)) for p in extra_points]
+    pts += [c2r(z) for z in sample_ball(dom, np.zeros(d), 0.995, n_points - len(pts), rng)]
 
     kappa = 0.0
     A_est = 0.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Cone, Domain, as_point, boundary_data, c2r, cone_certificate, disk, finite_point, r2c
+from .domain import Cone, Domain, as_point, boundary_data, c2r, cone_certificate, disk, finite_point, r2c, sample_ball
 from .errors import (
     BoundaryDataUnavailable,
     ConeUncertified,
@@ -68,20 +68,6 @@ CALIBRATION_PREFIX = 3      # rows used to fit the existential constants
 # convex pipeline
 # ---------------------------------------------------------------------------
 
-def _ball_samples(dom: Domain, center: np.ndarray, radius: float, count: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    d = dom.dimension
-    pts = [center]
-    trials = 0
-    while len(pts) < count and trials < 50 * count:
-        trials += 1
-        w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        p = center + radius * rng.uniform() ** (1.0 / (2 * d)) * w / np.linalg.norm(w)
-        if dom.contains(p):
-            pts.append(p)
-    return pts
-
-
 def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
                     calibration: FiniteTypeCalibration | None = None,
                     threshold: float = IDENTIFICATION_THRESHOLD,
@@ -92,6 +78,8 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
     (C0 fitted as the worst residual), the displacement bound
     ``(2/r_n) E(5 r_n/4)`` over the Euclidean ball, the certified invariant
     radius ``eps_n``, and the composite term ``e^{4K}/eps_n * sup K(w, f(w))``.
+    That sup is sampled: ``p_n`` and ``ball_samples - 1`` seeded uniform points
+    of ``B(p_n, r_n/4)``.
     """
     xi0 = finite_point(xi0, dom.dimension, "xi0")
     z0 = dom.center() if z0 is None else finite_point(z0, dom.dimension, "z0")
@@ -131,14 +119,14 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
         in_regime = e_val <= r_n / 4.0
         disp_bound = CONVEX_LEMMA_C1 / r_n * e_val
 
-        disp_sup = 0.0
-        for w in _ball_samples(dom, p_n, r_n / 4.0, ball_samples, seed=1000 + i):
-            fw = f(w)
-            if not dom.contains(fw):
-                disp_sup = math.inf
-                break
-            if np.linalg.norm(fw - w) > 0:
-                disp_sup = max(disp_sup, dist_bounds(dom, w, fw).upper)
+        ws = np.vstack([p_n, sample_ball(dom, p_n, r_n / 4.0, ball_samples - 1,
+                                         np.random.default_rng(1000 + i))])
+        fws = f.many(ws)
+        if dom.contains_all(fws):
+            disp_sup = max((dist_bounds(dom, w, fw).upper for w, fw in zip(ws, fws)
+                            if np.linalg.norm(fw - w) > 0), default=0.0)
+        else:
+            disp_sup = math.inf
 
         e4k = math.exp(4.0 * k_uppers[i])
         composite = e4k / eps_n * disp_sup
@@ -230,12 +218,8 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
 
     action = _chart_map(phi)
     z0r = c2r(z0)
-    rng = np.random.default_rng(41)
-    iso_samples = []
-    while len(iso_samples) < 8:
-        a, b = rng.standard_normal((2, 2 * d)) * 0.4
-        if dom.contains(r2c(a)) and dom.contains(r2c(b)):
-            iso_samples.append((a, b))
+    iso_pts = [c2r(z) for z in sample_ball(dom, dom.center(), 0.8, 16, np.random.default_rng(41))]
+    iso_samples = list(zip(iso_pts[0::2], iso_pts[1::2]))
     iso_defect = _check_isometry(metric, action, iso_samples, ISOMETRY_TOL * math.sqrt(kappa0) * 2)
 
     columns = ["n", "r_n", "d_pn_p0", "d_pn_p0_bound", "T_n", "T_n_bound",

@@ -16,12 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import BallDomain, DiskDomain, Domain, as_point, disk, finite_point
+from .domain import BallDomain, DiskDomain, Domain, as_point, disk, finite_point, sample_ball
 from .errors import (
     CoincidentAnchors,
     NotSelfMap,
     PointOutsideDomain,
-    SamplingEmpty,
 )
 from .kobayashi import (
     DISK_CALIBRATION,
@@ -57,7 +56,11 @@ class ContactSpec:
 
 @dataclass
 class HoloMap:
-    """Evaluation oracle for a holomorphic map of a domain."""
+    """Evaluation oracle for a holomorphic map of a domain.
+
+    ``func`` broadcasts over a stack of points: a map of ``C^d`` takes
+    ``(N, d)``, a one-dimensional map takes ``(N,)``.
+    """
 
     func: Callable
     dimension: int
@@ -68,11 +71,21 @@ class HoloMap:
     _certification: "Certification | None" = field(default=None, repr=False)
 
     def __call__(self, z):
+        if self.dimension == 1 and np.ndim(z) == 0:
+            return self.func(complex(z))
+        return self.many(as_point(z, self.dimension)[None])[0]
+
+    def many(self, zs) -> np.ndarray:
+        """The map on a stack of points: ``(N, d)`` in, ``(N, d)`` out."""
+        zs = np.asarray(zs, dtype=complex)
+        if zs.ndim != 2 or zs.shape[1] != self.dimension:
+            raise ValueError(f"expected a stack of points of C^{self.dimension}, got shape {zs.shape}")
+        out = np.empty_like(zs)
         if self.dimension == 1:
-            if np.isscalar(z) or np.asarray(z).shape == ():
-                return self.func(complex(z))
-            return np.array([self.func(complex(np.asarray(z).reshape(-1)[0]))])
-        return np.asarray(self.func(as_point(z, self.dimension)), dtype=complex)
+            out[:, 0] = self.func(zs[:, 0])
+        else:
+            out[...] = self.func(zs)
+        return out
 
     def scalar(self, z: complex) -> complex:
         if self.dimension != 1:
@@ -89,31 +102,25 @@ class Certification:
 
 def certify_self_map(f: HoloMap, dom: Domain | None = None,
                      samples: int = CERT_SAMPLES, margin: float = CERT_MARGIN) -> Certification:
-    """Boundary-grid maximum-modulus certificate that ``f`` maps the domain
-    into itself.  Samples sit at Euclidean depth ``1e-6`` inside the boundary."""
+    """Sampled check that ``f`` maps the domain into itself: the largest excess
+    (``|f(z)| - 1``, or ``r(f(z))`` off the disk and ball) over ``samples``
+    boundary points scaled by ``1 - 1e-6``, equispaced on the disk and along
+    seeded random directions elsewhere.  A pass is evidence, not a proof."""
     dom = disk() if dom is None else dom
     radius = 1.0 - CERT_RADIUS_OFFSET
     if isinstance(dom, DiskDomain):
         theta = 2 * math.pi * np.arange(samples) / samples
-        pts = radius * np.exp(1j * theta)
-        excess = max(abs(f.scalar(z)) - 1.0 for z in pts)
-    elif isinstance(dom, BallDomain):
-        rng = np.random.default_rng(2)
-        d = dom.dimension
-        excess = -math.inf
-        for _ in range(samples):
-            w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            z = radius * w / np.linalg.norm(w)
-            excess = max(excess, float(np.linalg.norm(f(z))) - 1.0)
+        excess = float(np.max(np.abs(f.many(radius * np.exp(1j * theta)[:, None])))) - 1.0
     else:
-        rng = np.random.default_rng(2)
-        excess = -math.inf
-        for _ in range(samples):
-            w = rng.standard_normal(dom.dimension) + 1j * rng.standard_normal(dom.dimension)
-            z = dom.project_to_boundary(w * (0.1 / np.linalg.norm(w)))
-            z = z * radius
-            excess = max(excess, dom.defining(f(z)))
-    cert = Certification(passed=bool(excess <= margin), max_excess=float(excess), samples=samples)
+        w = np.random.default_rng(2).standard_normal((samples, 2, dom.dimension))
+        w = w[:, 0] + 1j * w[:, 1]
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        if isinstance(dom, BallDomain):
+            excess = float(np.max(np.linalg.norm(f.many(radius * w), axis=1))) - 1.0
+        else:
+            zs = radius * np.array([dom.project_to_boundary(0.1 * p) for p in w])
+            excess = float(np.max(dom.defining_many(f.many(zs))))
+    cert = Certification(passed=bool(excess <= margin), max_excess=excess, samples=samples)
     f._certification = cert
     return cert
 
@@ -123,25 +130,17 @@ def require_self_map(f: HoloMap, dom: Domain | None = None) -> None:
         return
     cert = f._certification or certify_self_map(f, dom)
     if not cert.passed:
-        raise NotSelfMap(f"{f.name}: boundary grid excess {cert.max_excess:.2e}")
+        raise NotSelfMap(f"{f.name}: sampled boundary excess {cert.max_excess:.2e} "
+                         f"over {cert.samples} samples")
 
 
 def interior_displacement(f: HoloMap, dom: Domain | None = None,
                           samples: int = DISPLACEMENT_GRID, seed: int = 9) -> float:
-    """Max of ``|f(z) - z|`` over an interior sample grid."""
+    """Sampled max of ``|f(z) - z|`` over up to ``samples`` seeded uniform
+    points of the domain inside the Euclidean ball ``B(0, 0.95)``."""
     dom = disk() if dom is None else dom
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    d = dom.dimension
-    count = 0
-    while count < samples:
-        w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        z = rng.uniform(0, 0.95) * w / np.linalg.norm(w)
-        if not dom.contains(z):
-            continue
-        count += 1
-        worst = max(worst, float(np.linalg.norm(f(z) - as_point(z, d))))
-    return worst
+    zs = sample_ball(dom, np.zeros(dom.dimension), 0.95, samples, np.random.default_rng(seed))
+    return float(np.max(np.linalg.norm(f.many(zs) - zs, axis=1), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ def poly_contact(c: complex, m: int, xi0: complex = 1.0) -> HoloMap:
 
 def unitary_map(u: np.ndarray) -> HoloMap:
     u = np.asarray(u, dtype=complex)
-    return HoloMap(lambda z: u @ z, u.shape[0], "unitary")
+    return HoloMap(lambda z: z @ u.T, u.shape[0], "unitary")
 
 
 def ball_automorphism(a: np.ndarray) -> HoloMap:
@@ -229,7 +228,7 @@ def ball_automorphism(a: np.ndarray) -> HoloMap:
 def ball_coordinate_contact(c: complex, m: int, d: int = 2) -> HoloMap:
     def f(z):
         out = np.array(z, dtype=complex)
-        out[0] = out[0] + c * (z[0] - 1.0) ** m
+        out[..., 0] = out[..., 0] + c * (out[..., 0] - 1.0) ** m
         return out
     return HoloMap(f, d, f"ball_contact({c:g},{m})",
                    contact=ContactSpec(np.eye(d, dtype=complex)[0], float(m), c))
@@ -303,31 +302,22 @@ class ErrorModulus:
 def error_modulus(f: HoloMap, xi0, radii, dom: Domain | None = None,
                   samples_per_radius: int = 160, seed: int = 21,
                   configured_order: float | None = None) -> ErrorModulus:
-    """Envelope of ``sup { |f(z) - z| : z in Omega, |z - xi0| <= r }``."""
+    """Envelope of sampled ``sup { |f(z) - z| : z in Omega, |z - xi0| <= r }``:
+    per radius, the interior ones of three radial points, filled up to
+    ``samples_per_radius`` with seeded uniform points of ``B(xi0, r)``."""
     dom = disk() if dom is None else dom
     d = dom.dimension
     xi0 = as_point(xi0, d)
     radii = np.sort(np.asarray(radii, dtype=float))
     rng = np.random.default_rng(seed)
+    inward = -xi0 / np.linalg.norm(xi0)
 
     values = []
     for r in radii:
-        pts = []
-        # radial point plus random fills of the ball around xi0
-        for s in (1.0, 0.5, 0.25):
-            p = xi0 * (1.0 - s * r) if d == 1 else xi0 + s * r * (-xi0 / np.linalg.norm(xi0))
-            if dom.contains(p):
-                pts.append(p)
-        trials = 0
-        while len(pts) < samples_per_radius and trials < 40 * samples_per_radius:
-            trials += 1
-            w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            p = xi0 + r * rng.uniform() ** (1.0 / (2 * d)) * w / np.linalg.norm(w)
-            if dom.contains(p):
-                pts.append(p)
-        if not pts:
-            raise SamplingEmpty(f"no interior samples at radius {r}")
-        values.append(max(float(np.linalg.norm(f(p) - as_point(p, d))) for p in pts))
+        radial = xi0 + np.outer(r * np.array([1.0, 0.5, 0.25]), inward)
+        radial = radial[dom.defining_many(radial) < 0]
+        pts = np.concatenate([radial, sample_ball(dom, xi0, r, samples_per_radius - len(radial), rng)])
+        values.append(float(np.max(np.linalg.norm(f.many(pts) - pts, axis=1))))
 
     env = np.maximum.accumulate(values)
     pos = env > 0

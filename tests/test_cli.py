@@ -159,3 +159,28 @@ class TestMain:
         assert cli.main(["--config", str(cfg_path)]) == 0
         verdicts = json.load(open(tmp_path / "out" / "rigidity_convex_id.json"))
         assert verdicts["verdict"] == "forces-identity"
+
+    def test_kahler_bg_on_a_domain_the_sample_ball_misses_exits_2(self, tmp_path, capsys):
+        # the domain |z| < 1e-1.5 holds about 1 in 1000 points of B(0, 0.995);
+        # the bounded-geometry sampler gives up instead of spinning
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "subcommand": "kahler", "check": "bg", "metric": "poincare", "out_dir": str(tmp_path / "out"),
+            "domain": {"kind": "implicit", "dimension": 1, "terms": [[1e6, [2]]], "bounding_radius": 0.01}}))
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        assert "SamplingEmpty" in capsys.readouterr().err
+
+    def test_suite_and_readme_example_are_byte_identical(self, tmp_path):
+        runs = {
+            "suite": ["suite"],
+            "convex": ["rigidity", "--pipeline", "convex", "--domain", '{"kind":"ball","dimension":2}',
+                       "--map", '{"name":"ball_contact","c":1e-9,"m":4}', "--xi", "[1.0,0.0]"],
+        }
+        for name, argv in runs.items():
+            outs = [tmp_path / f"{name}-{k}" for k in range(2)]
+            for out in outs:
+                assert cli.main(["--out-dir", str(out)] + argv) == 0
+            files = sorted(p.name for p in outs[0].iterdir())
+            assert files and files == sorted(p.name for p in outs[1].iterdir())
+            for f in files:
+                assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f

@@ -240,3 +240,36 @@ def test_convexity_of_models(a1, r1, a2, r2, t):
     w = np.array([r2 * np.exp(1j * a2)])
     p = (1 - t) * z + t * w
     assert DISK.contains(p) or not (DISK.contains(z) and DISK.contains(w))
+
+
+SAMPLED_DOMAINS = {
+    "disk": DISK,
+    "ball2": BALL2,
+    "polydisk2": POLY2,
+    "ellipsoid12": ELL12,
+    "modulus-polynomial": dm.modulus_polynomial([(1.0, (1, 0)), (1.0, (0, 2)), (0.5, (1, 1))], 2),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SAMPLED_DOMAINS)), st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       st.floats(0.01, 1.0), st.integers(0, 20), st.integers(0, 2**32 - 1))
+def test_sample_ball_points_lie_in_domain_and_ball(name, coords, radius, count, seed):
+    dom = SAMPLED_DOMAINS[name]
+    d = dom.dimension
+    # |center| <= 0.5 and radius <= 1: more than half of every such ball lies
+    # in each listed domain, so 50 blocks do not come up short in practice
+    center = np.array(coords[0:2 * d:2]) + 1j * np.array(coords[1:2 * d:2])
+    center *= 0.5 / max(1.0, float(np.linalg.norm(center)))
+    pts = dm.sample_ball(dom, center, radius, count, np.random.default_rng(seed))
+    assert pts.shape == (count, d)
+    assert np.all(dom.defining_many(pts) < 0)
+    assert np.all(np.linalg.norm(pts - center, axis=1) <= radius * (1 + 1e-12))
+    again = dm.sample_ball(dom, center, radius, count, np.random.default_rng(seed))
+    assert np.array_equal(pts, again)
+
+
+def test_sample_ball_gives_up_on_a_ball_that_misses_the_domain():
+    from rigidlab.errors import SamplingEmpty
+    with pytest.raises(SamplingEmpty, match="0 of 5 points"):
+        dm.sample_ball(DISK, [3.0], 0.5, 5, np.random.default_rng(0))

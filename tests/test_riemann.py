@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rigidlab import riemann as rm
 from rigidlab.errors import ConfigInvalid, EpsilonTooLarge, NotUnit, ShootingDiverged, StepTooLarge
@@ -239,6 +241,27 @@ class TestSasaki:
             x1, v1 = curve(1.0)
             gap = abs(m.norm(x0, v0) - m.norm(x1, v1))
             assert gap <= length + 1e-6
+
+
+_COORD = st.floats(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("mode", ["TM", "T1M"])
+@pytest.mark.parametrize("m", [PO, BE], ids=lambda m: m.name)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_tangent_distance_sides_are_ordered(m, mode, data):
+    n = m.dim
+    x, v, y, w = (np.array(data.draw(st.lists(_COORD, min_size=n, max_size=n))) for _ in range(4))
+    x, y = (0.9 * p / max(1.0, float(np.linalg.norm(p))) for p in (x, y))
+    assume(np.linalg.norm(v) > 1e-3 and np.linalg.norm(w) > 1e-3)
+    if mode == "T1M":
+        v, w = m.unit(x, v), m.unit(y, w)
+    res = rm.tangent_distances(m, rm.TangentPoint.of(x, v), rm.TangentPoint.of(y, w), mode)
+    # the lower side before it is clipped to the upper one: base distance and norm gap
+    lower = max(res.base_distance, abs(m.norm(x, v) - m.norm(y, w)))
+    assert res.interval.lower <= res.interval.upper
+    assert lower <= res.interval.upper * (1 + 1e-6) + 1e-9
 
 
 class TestTangentDistances:

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab import schwarz as sw
-from rigidlab.errors import CoincidentAnchors, NotSelfMap
+from rigidlab import cli, domain as dm
+from rigidlab.errors import CoincidentAnchors, NotSelfMap, SamplingEmpty
 from rigidlab.kobayashi import disk_distance
 from rigidlab.report import FORCES_IDENTITY, INCONCLUSIVE
+from rigidlab.rigidity import ball_zoo
 
 
 @pytest.fixture(scope="module")
@@ -167,10 +169,54 @@ class TestDiskPipeline:
         assert rep.verdict == FORCES_IDENTITY
 
     def test_zoo_displacements(self, zoo):
-        # every non-identity zoo map moves some interior grid point visibly
+        # every non-identity zoo map moves some sampled interior point visibly
         for f in zoo:
             disp = sw.interior_displacement(f, samples=200)
             if f.name in ("id", "poly_contact(1e-09,4)"):
                 assert disp <= 1e-4
             else:
                 assert disp > 1e-4
+
+    def test_displacement_of_a_domain_that_misses_its_sample_ball_raises(self):
+        # the disk of radius 1 about 3 meets no point of B(0, 0.95)
+        far = dm.implicit_convex(lambda z: abs(z[0] - 3.0) ** 2 - 1.0, 1, 4.0, center=[3.0])
+        with pytest.raises(SamplingEmpty):
+            sw.interior_displacement(sw.identity_map(), far)
+
+
+# every name cli.map_from_config accepts, in the dimension it is used in
+CONFIG_MAPS = [
+    ({"name": "id"}, 1), ({"name": "id"}, 2),
+    ({"name": "rotation", "theta": 0.3}, 1),
+    ({"name": "mobius", "a": [0.2, -0.1]}, 1),
+    ({"name": "power", "p": 3}, 1),
+    ({"name": "blaschke", "zeros": [0.4, [-0.3, 0.2]]}, 1),
+    ({"name": "cubic_contact", "c": 0.1}, 1),
+    ({"name": "bk_extremal"}, 1),
+    ({"name": "halfplane_contact", "c": 0.1, "beta": 0.5}, 1),
+    ({"name": "poly_contact", "c": 1e-3, "m": 4}, 1),
+    ({"name": "unitary_rotation", "theta": 0.3}, 2),
+    ({"name": "ball_automorphism", "a": [0.2, 0.1]}, 2),
+    ({"name": "ball_contact", "c": 1e-3, "m": 4}, 2),
+]
+
+
+def _all_maps():
+    maps = sw.disk_zoo() + ball_zoo(2)
+    return maps + [cli.map_from_config(cfg, d) for cfg, d in CONFIG_MAPS]
+
+
+@pytest.mark.parametrize("f", _all_maps(), ids=lambda f: f"{f.name}-C{f.dimension}")
+def test_stacked_evaluation_matches_pointwise(f):
+    zs = dm.sample_ball(dm.ball(f.dimension), np.zeros(f.dimension), 0.95, 64, np.random.default_rng(5))
+    stacked = f.many(zs)
+    assert stacked.shape == zs.shape
+    rows = np.array([[f(z[0])] if f.dimension == 1 else f(z) for z in zs])
+    assert np.all(np.linalg.norm(stacked - rows, axis=1) <= 1e-14 * np.linalg.norm(rows, axis=1))
+
+
+def test_call_rejects_a_point_of_the_wrong_shape():
+    with pytest.raises(ValueError):
+        sw.power_map(2)(np.array([0.5, 0.9]))
+    with pytest.raises(ValueError):
+        sw.unitary_map(np.eye(2))(np.zeros(3))
