@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cgeo, kahler, kobayashi, rigidity, riemann, schwarz
-from .domain import Cone, domain_from_config
+from .domain import Cone, boundary_data, disk, domain_from_config
 from .errors import ConfigInvalid, IoFailure, RigidLabError
 from .report import COLUMN_REGISTRY, PipelineReport
 
@@ -442,8 +442,6 @@ def _run_rigidity(cfg: RunConfig) -> int:
     elif pipeline == "biholo":
         theta = float(opts.get("theta", math.pi / 3))
         length = float(opts.get("cone_length", 0.5))
-        bd = None
-        from .domain import boundary_data
         bd = boundary_data(dom, xi, tol=1e-9)
         cone = Cone(apex=bd.point, direction=bd.inward_normal, aperture=theta, length=length)
         name = opts.get("metric", "poincare" if dom.dimension == 1 else "bergman-ball")
@@ -462,11 +460,6 @@ def _run_rigidity(cfg: RunConfig) -> int:
 def _quick_checks(seed: int) -> list[tuple[str, bool]]:
     """Fast closed-form acceptance-style checks (the slow Riemannian and
     pipeline criteria live in the pytest acceptance module)."""
-    import numpy as np
-
-    from .domain import disk
-    from .kobayashi import dist_bounds, model_dist
-
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -475,7 +468,7 @@ def _quick_checks(seed: int) -> list[tuple[str, bool]]:
     for _ in range(200):
         z, w = (np.array([0.97 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())])
                 for _ in range(2))
-        if not dist_bounds(dom, z, w).contains(model_dist(dom, z, w), slack=1e-9):
+        if not kobayashi.dist_bounds(dom, z, w).contains(kobayashi.model_dist(dom, z, w), slack=1e-9):
             ok = False
     checks.append(("disk distance intervals contain the closed form", ok))
 
@@ -640,9 +633,6 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if not args.subcommand and "subcommand" not in (cfg.__dict__ or {}):
-        build_parser().print_help()
         return 2
     try:
         return run(cfg)

@@ -35,6 +35,7 @@ GRADIENT_TOL = 1e-12          # degenerate-gradient threshold
 STRONG_CONVEXITY_MARGIN = 1e-8  # min eigenvalue separating flat directions from roundoff
 FD_STEP = 1e-5                # central-difference step for implicit fallbacks
 SAMPLE_BLOCKS = 50            # candidate blocks sample_ball draws before it gives up
+RAY_BISECTIONS = 60           # halvings of every ray-exit bracket
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +423,12 @@ class ImplicitConvexDomain(Domain):
         z = as_point(z, self.dimension)
         x0 = c2r(z)
 
-        # scale outward from the center until the ray crosses the boundary
-        c = c2r(self.center())
-        direction = x0 - c
-        if np.linalg.norm(direction) < 1e-14:
-            direction = np.zeros_like(x0)
-            direction[0] = 1.0
-        t_hi = 1.0
-        while self._def_real(c + t_hi * direction) < 0:
-            t_hi *= 2.0
-            if t_hi > 1e6:
-                raise PointOutsideDomain("could not bracket the boundary")
-        start = c + t_hi * direction
+        # start just outside the boundary, on the ray from the center through z
+        c = self.center()
+        norm = float(np.linalg.norm(z - c))
+        u = (z - c) / norm if norm >= 1e-14 else np.eye(self.dimension, dtype=complex)[0]
+        _, hi = ray_exit(self, c, u[None, None, :])
+        start = c2r(c + hi[0] * u)
 
         res = minimize(
             lambda x: np.sum((x - x0) ** 2),
@@ -565,7 +560,9 @@ def modulus_polynomial(terms: Sequence[tuple[float, Sequence[int]]], dimension: 
     """Convex domain ``sum_k c_k prod_j |z_j|^{2 a_kj} < 1`` with c_k > 0.
 
     This is the config-file form of an implicit domain: each term is a
-    coefficient plus one exponent per coordinate.
+    coefficient plus one exponent per coordinate.  Every coordinate needs a
+    pure-power term ``c |z_j|^{2a}``; without one the domain is unbounded and
+    ``ConfigInvalid`` is raised.
     """
     terms = [(float(c), tuple(int(a) for a in alpha)) for c, alpha in terms]
     for c, alpha in terms:
@@ -575,7 +572,12 @@ def modulus_polynomial(terms: Sequence[tuple[float, Sequence[int]]], dimension: 
             raise ConfigInvalid("exponent tuple length must equal the dimension")
 
     coef = np.array([c for c, _ in terms])
-    powers = np.array([alpha for _, alpha in terms])   # (terms, d)
+    powers = np.array([alpha for _, alpha in terms], dtype=int).reshape(-1, dimension)
+    # the function is constant along an axis without a pure power: that axis stays inside
+    alone = powers[np.count_nonzero(powers, axis=1) == 1]
+    free = np.flatnonzero(~np.any(alone > 0, axis=0))
+    if len(free):
+        raise ConfigInvalid(f"coordinates {free.tolist()} have no pure-power term, so the domain is unbounded")
 
     def func(z):
         # one point (d,) or a stack (k, d): each term is a product over the last axis
@@ -626,6 +628,38 @@ def sample_ball(dom: Domain, center, radius: float, count: int, rng) -> np.ndarr
             return kept[:count]
     raise SamplingEmpty(f"{len(kept)} of {count} points of the {dom.kind} domain in "
                         f"B({center}, {radius:g}) after {SAMPLE_BLOCKS * count} candidates")
+
+
+def ray_exit(dom: Domain, base, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket ``[lo, hi]``, per row ``i``, of the largest ``t`` with every
+    ``base[i] + t * steps[i, k]`` inside the domain.
+
+    ``base + t * steps`` broadcasts to shape ``(n, K, d)``: a shared ``(d,)``
+    base with ``(n, 1, d)`` steps, or ``(n, 1, d)`` bases with shared ``(K, d)``
+    steps; the steps are unit vectors.  The bracket starts at ``[0, 2R]`` with
+    ``R`` the bounding radius and is halved ``RAY_BISECTIONS`` times, one
+    ``defining_many`` call per halving (it stops shrinking once ``lo`` and
+    ``hi`` are adjacent floats).  ``lo`` is inside whenever the base is,
+    and ``hi`` never is: a row whose ``hi`` stayed at ``2R`` has its far end
+    checked, and an inside far end raises ``ConfigInvalid`` (the bounding
+    radius is too small).
+    """
+    n, k, d = np.broadcast_shapes(np.shape(base), np.shape(steps))
+    top = 2.0 * dom.bounding_radius
+    lo, hi = np.zeros(n), np.full(n, top)
+    for _ in range(RAY_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        pts = base + mid[:, None, None] * steps
+        inside = dom.defining_many(pts.reshape(-1, d)).reshape(n, k).max(axis=1) < 0
+        np.copyto(lo, mid, where=inside)
+        np.copyto(hi, mid, where=~inside)
+    far = hi == top
+    if np.any(far):
+        ends = np.broadcast_to(base + top * steps, (n, k, d))[far]
+        if np.any(dom.defining_many(ends.reshape(-1, d)).reshape(-1, k).max(axis=1) < 0):
+            raise ConfigInvalid(f"a ray is still inside the {dom.kind} domain at twice "
+                                f"its bounding radius {dom.bounding_radius:g}")
+    return lo, hi
 
 
 def boundary_normal(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> tuple[np.ndarray, float]:

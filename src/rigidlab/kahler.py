@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from .domain import Domain, as_point, boundary_distance, c2r, sample_ball
+from .domain import Domain, as_point, boundary_distance, c2r, ray_exit, sample_ball
 from .errors import (
     ChartIncomplete,
     PositiveCurvatureUnsupported,
@@ -171,17 +171,11 @@ def _rays_diverge(k: KahlerField, dom: Domain, rng, n_rays: int = 4) -> bool:
     """Metric length of straight rays from the center toward the boundary."""
     d = k.complex_dim
     m = k.metric
-    for _ in range(n_rays):
-        w = rng.standard_normal(2 * d)
-        u = w / np.linalg.norm(w)
-        # ray hit of the boundary
-        lo, hi = 0.0, 2.0 * dom.bounding_radius
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if dom.contains(mid * u[0::2] + 1j * mid * u[1::2]):
-                lo = mid
-            else:
-                hi = mid
+    us = rng.standard_normal((n_rays, 2 * d))
+    us /= np.linalg.norm(us, axis=1)[:, None]
+    # where each ray from the origin leaves the domain
+    exits, _ = ray_exit(dom, np.zeros(d), (us[:, 0::2] + 1j * us[:, 1::2])[:, None, :])
+    for u, lo in zip(us, exits):
         t_max = lo * (1.0 - COMPLETENESS_DEPTH)
         ts = t_max * (1.0 - np.geomspace(1.0, 1e-7, 400))
         length = 0.0
@@ -203,7 +197,13 @@ def _rays_diverge(k: KahlerField, dom: Domain, rng, n_rays: int = 4) -> bool:
 # ---------------------------------------------------------------------------
 
 def circumradius(dom: Domain, z, samples: int = 4096, seed: int = 37) -> float:
-    """Max distance from ``z`` to the boundary (attained at an extreme point)."""
+    """Max distance from ``z`` to the boundary (attained at an extreme point).
+
+    Closed form on the disk, ball and polydisk, an SLSQP maximum over the
+    moduli on the ellipsoid.  On implicit domains it is a sampled max: the
+    farthest of the boundary points where ``samples`` seeded rays from the
+    center leave the domain (``ray_exit``), which can only underestimate.
+    """
     z = dom.require_inside(z)
     kind = dom.kind
     if kind in ("disk", "ball"):
@@ -212,14 +212,12 @@ def circumradius(dom: Domain, z, samples: int = 4096, seed: int = 37) -> float:
         return float(np.sqrt(np.sum((1.0 + np.abs(z)) ** 2)))
     if kind == "ellipsoid":
         return _ellipsoid_circumradius(dom, z)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    d = dom.dimension
-    for _ in range(samples):
-        w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        xi = _scaled(dom, w)
-        best = max(best, float(np.linalg.norm(xi - z)))
-    return best
+    w = np.random.default_rng(seed).standard_normal((samples, 2, dom.dimension))
+    w = w[:, 0] + 1j * w[:, 1]
+    u = w / np.linalg.norm(w, axis=1)[:, None]
+    c = dom.center()
+    lo, hi = ray_exit(dom, c, u[:, None, :])
+    return float(np.max(np.linalg.norm(c + 0.5 * (lo + hi)[:, None] * u - z, axis=1)))
 
 
 def _ellipsoid_circumradius(dom, z) -> float:
@@ -249,22 +247,11 @@ def _ellipsoid_circumradius(dom, z) -> float:
     return best
 
 
-def _scaled(dom: Domain, w: np.ndarray) -> np.ndarray:
-    """Point of the boundary on the ray through ``w`` (for sampling)."""
-    u = w / np.linalg.norm(c2r(w))
-    lo, hi = 0.0, 2.0 * dom.bounding_radius
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dom.contains(mid * u):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) * u
-
-
 def squeezing_lower_bound(dom: Domain, z) -> float:
-    """Inradius over circumradius: a valid lower bound for the squeezing
-    function via the affine map scaling ``Omega - z`` into the unit ball."""
+    """Inradius over circumradius: a lower bound for the squeezing function
+    via the affine map scaling ``Omega - z`` into the unit ball.  On implicit
+    domains the circumradius is a sampled max, so the value there is an
+    estimate that can exceed the bound, not a certified lower bound."""
     z = dom.require_inside(z)
     rho_in = boundary_distance(dom, z)
     rho_out = circumradius(dom, z)

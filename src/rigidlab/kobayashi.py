@@ -17,7 +17,8 @@ produces certified two-sided estimates:
 The half-plane family holds the tangent plane at the nearest boundary point
 and the tangent planes where the rays from the domain's center through
 tangent offsets of the base point meet the boundary, which is what makes the
-bounds scale correctly near low-type boundary points.
+bounds scale correctly near low-type boundary points.  Both the disc radii
+and those boundary points are ``domain.ray_exit`` brackets.
 
 Points are complex arrays of shape ``(d,)``; a non-finite point or direction
 raises ``ConfigInvalid``.  ``line_boundary_distance`` also takes a stack of
@@ -45,12 +46,12 @@ from .domain import (
     boundary_normal,
     finite_point,
     herm,
+    ray_exit,
 )
 from .errors import ConfigInvalid, NotConvex, PointOutsideDomain, RadiusTooLarge, RigidLabError, ZeroVector
 from .intervals import DistInterval
 
 CHORD_RTOL = 1e-4         # the chord rule doubles its grid from 17 nodes until the bound moves less
-LINE_BISECTIONS = 60      # root bracketing steps along complex lines and rays
 LINE_PHASES = 32          # phase grid certifying a round disc inside a slice
 LINE_SAFETY = 1.0 - 1e-9  # shrink factor applied to sampled slice radii
 
@@ -174,29 +175,9 @@ def line_boundary_distance(dom: Domain, z, v):
     else:
         # generic convex slice: bisection on each disc radius, certified on a phase grid
         phases = np.exp(2j * math.pi * np.arange(LINE_PHASES) / LINE_PHASES)
-        lo, _ = _bisect(dom, zs[:, None, :], phases[:, None] * u)
+        lo, _ = ray_exit(dom, zs[:, None, :], phases[:, None] * u)
         radii = lo * LINE_SAFETY
     return float(radii[0]) if single else radii
-
-
-def _bisect(dom: Domain, base: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket ``[lo, hi]``, per row ``i`` of ``base`` (shape ``(n, 1, d)``), of
-    the largest ``t`` with every ``base[i] + t * steps[i, k]`` inside.
-
-    ``steps`` has shape ``(n, K, d)`` or ``(K, d)``, with unit rows.  The
-    bracket starts at ``[0, 2R]`` and is halved ``LINE_BISECTIONS`` times, one
-    ``defining_many`` call per halving; ``lo`` is always inside and ``hi``
-    never is.
-    """
-    n, (k, d) = len(base), steps.shape[-2:]
-    lo, hi = np.zeros(n), np.full(n, 2.0 * dom.bounding_radius)
-    for _ in range(LINE_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        pts = base + mid[:, None, None] * steps
-        inside = dom.defining_many(pts.reshape(-1, d)).reshape(n, k).max(axis=1) < 0
-        np.copyto(lo, mid, where=inside)
-        np.copyto(hi, mid, where=~inside)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +237,7 @@ def supporting_halfplanes(dom: Domain, z, extra_points=(), t_schedule=None) -> l
     dirs = np.reshape(rays, (-1, dom.dimension)) - c
     norms = np.linalg.norm(dirs, axis=1)
     dirs = dirs[norms > 0] / norms[norms > 0, None]
-    _, hi = _bisect(dom, np.broadcast_to(c, (len(dirs), 1, dom.dimension)), dirs[:, None, :])
+    _, hi = ray_exit(dom, c, dirs[:, None, :])
     planes += [_tangent_halfplane(dom, xi) for xi in c + hi[:, None] * dirs]
     return [p for p in planes if p is not None]
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .domain import Cone, Domain, as_point, boundary_data, c2r, cone_certificate, disk, finite_point, r2c, sample_ball
 from .errors import (
-    BoundaryDataUnavailable,
     ConeUncertified,
     NotIsometry,
     PropertyBGFail,
@@ -84,10 +83,7 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
     xi0 = finite_point(xi0, dom.dimension, "xi0")
     z0 = dom.center() if z0 is None else finite_point(z0, dom.dimension, "z0")
     require_self_map(f, dom)
-    try:
-        bd = boundary_data(dom, xi0, tol=1e-9)
-    except Exception as exc:
-        raise BoundaryDataUnavailable(str(exc)) from exc
+    bd = boundary_data(dom, xi0, tol=1e-9)
     schedule = geometric_schedule() if schedule is None else np.asarray(schedule, dtype=float)
     if calibration is None and dom.kind == "disk":
         calibration = DISK_CALIBRATION

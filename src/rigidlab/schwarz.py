@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import BallDomain, DiskDomain, Domain, as_point, disk, finite_point, sample_ball
+from .domain import BallDomain, DiskDomain, Domain, as_point, disk, finite_point, ray_exit, sample_ball
 from .errors import (
     CoincidentAnchors,
     NotSelfMap,
@@ -104,8 +104,10 @@ def certify_self_map(f: HoloMap, dom: Domain | None = None,
                      samples: int = CERT_SAMPLES, margin: float = CERT_MARGIN) -> Certification:
     """Sampled check that ``f`` maps the domain into itself: the largest excess
     (``|f(z)| - 1``, or ``r(f(z))`` off the disk and ball) over ``samples``
-    boundary points scaled by ``1 - 1e-6``, equispaced on the disk and along
-    seeded random directions elsewhere.  A pass is evidence, not a proof."""
+    boundary points scaled by ``1 - 1e-6`` toward the center, equispaced on
+    the disk and along seeded random directions elsewhere (there, off the
+    ball, the boundary point is the ``ray_exit`` of the ray from the center).
+    A pass is evidence, not a proof."""
     dom = disk() if dom is None else dom
     radius = 1.0 - CERT_RADIUS_OFFSET
     if isinstance(dom, DiskDomain):
@@ -118,8 +120,9 @@ def certify_self_map(f: HoloMap, dom: Domain | None = None,
         if isinstance(dom, BallDomain):
             excess = float(np.max(np.linalg.norm(f.many(radius * w), axis=1))) - 1.0
         else:
-            zs = radius * np.array([dom.project_to_boundary(0.1 * p) for p in w])
-            excess = float(np.max(dom.defining_many(f.many(zs))))
+            c = dom.center()
+            lo, _ = ray_exit(dom, c, w[:, None, :])
+            excess = float(np.max(dom.defining_many(f.many(c + radius * lo[:, None] * w))))
     cert = Certification(passed=bool(excess <= margin), max_excess=excess, samples=samples)
     f._certification = cert
     return cert

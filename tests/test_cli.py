@@ -170,6 +170,26 @@ class TestMain:
         assert cli.main(["--config", str(cfg_path)]) == 2
         assert "SamplingEmpty" in capsys.readouterr().err
 
+    def test_unbounded_implicit_domain_exits_2(self, tmp_path, capsys):
+        # D x C: the metric along the free axis is 0, so no certified interval exists
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "subcommand": "kob", "domain": {"kind": "implicit", "dimension": 2, "terms": [[1.0, [1, 0]]]},
+            "op": "metric", "points": [[0.5, 0]], "vectors": [[0, 1]], "out_dir": str(tmp_path / "out")}))
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        assert "no pure-power term" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_off_boundary_apex_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["--out-dir", str(tmp_path), "rigidity", "--pipeline", "convex",
+                       "--domain", '{"kind":"ball","dimension":2}', "--map", "id", "--xi", "[0.5,0.0]"])
+        assert rc == 2
+        assert "error [ApexNotOnBoundary]" in capsys.readouterr().err
+
+    def test_no_subcommand_is_a_config_error(self, capsys):
+        assert cli.main([]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_suite_and_readme_example_are_byte_identical(self, tmp_path):
         runs = {
             "suite": ["suite"],

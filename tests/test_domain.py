@@ -273,3 +273,57 @@ def test_sample_ball_gives_up_on_a_ball_that_misses_the_domain():
     from rigidlab.errors import SamplingEmpty
     with pytest.raises(SamplingEmpty, match="0 of 5 points"):
         dm.sample_ball(DISK, [3.0], 0.5, 5, np.random.default_rng(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SAMPLED_DOMAINS)), st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_ray_exit_brackets_the_boundary(name, coords, rays, seed):
+    dom = SAMPLED_DOMAINS[name]
+    d = dom.dimension
+    base = np.array(coords[0:2 * d:2]) + 1j * np.array(coords[1:2 * d:2])
+    base *= 0.5 / max(1.0, float(np.linalg.norm(base)))
+    w = np.random.default_rng(seed).standard_normal((rays, 2, d))
+    u = w[:, 0] + 1j * w[:, 1]
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    lo, hi = dm.ray_exit(dom, base, u[:, None, :])
+    assert lo.shape == hi.shape == (rays,)
+    assert np.all(dom.defining_many(base + lo[:, None] * u) < 0)
+    assert np.all(dom.defining_many(base + hi[:, None] * u) >= 0)
+    # 60 halvings of [0, 2R], until lo and hi are adjacent floats
+    assert np.all(hi - lo <= np.maximum(2 * dom.bounding_radius * 2.0**-59, np.spacing(hi)))
+
+
+def test_ray_exit_shares_steps_across_bases():
+    # a row is inside only while every one of its K steps is
+    base = np.array([[[0.0, 0.0]], [[0.5, 0.0]]], dtype=complex)
+    steps = np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=complex)
+    lo, hi = dm.ray_exit(BALL2, base, steps)
+    assert np.allclose(lo, [1.0, 0.5]) and np.allclose(hi, [1.0, 0.5])
+
+
+def test_ray_exit_rejects_a_bounding_radius_that_is_too_small():
+    from rigidlab.errors import ConfigInvalid
+    from rigidlab.kobayashi import line_boundary_distance
+    dom = dm.implicit_convex(BALL2.defining, 2, 0.4)
+    with pytest.raises(ConfigInvalid, match="bounding radius"):
+        dm.ray_exit(dom, np.zeros(2), np.array([[[1.0, 0.0]]], dtype=complex))
+    with pytest.raises(ConfigInvalid, match="bounding radius"):
+        line_boundary_distance(dom, [0.1, 0.0], [1.0, 0.0])
+
+
+def test_modulus_polynomial_without_a_pure_power_is_rejected():
+    from rigidlab.errors import ConfigInvalid
+    with pytest.raises(ConfigInvalid, match=r"coordinates \[1\] have no pure-power term"):
+        dm.modulus_polynomial([(1.0, (1, 0))], 2)
+    with pytest.raises(ConfigInvalid, match=r"coordinates \[0, 1\]"):
+        dm.modulus_polynomial([(1.0, (1, 1))], 2)
+    # a mixed term is fine once every coordinate has its own power
+    assert dm.modulus_polynomial([(1.0, (1, 0)), (1.0, (0, 2)), (0.5, (1, 1))], 2).dimension == 2
+
+
+def test_implicit_projection_lands_on_the_boundary_also_from_the_center():
+    imp = SAMPLED_DOMAINS["modulus-polynomial"]
+    for z in ([0.0, 0.0], [0.3, 0.2j], [1e-15, 0.0]):
+        p = imp.project_to_boundary(np.array(z, dtype=complex))
+        assert abs(imp.defining(p)) < 1e-12

@@ -9,7 +9,7 @@ from rigidlab import domain as dm
 from rigidlab import rigidity as rg
 from rigidlab import schwarz as sw
 from rigidlab.domain import Cone
-from rigidlab.errors import ConeUncertified, ConfigInvalid, NotIsometry, SuiteSoundnessViolation
+from rigidlab.errors import ApexNotOnBoundary, ConeUncertified, ConfigInvalid, NotIsometry, SuiteSoundnessViolation
 from rigidlab.kahler import bergman_kahler, poincare_kahler
 from rigidlab.report import FORCES_IDENTITY, INCONCLUSIVE, PipelineReport
 
@@ -57,6 +57,10 @@ class TestConvexPipeline:
         rep = rg.convex_pipeline(DISK, sw.cubic_contact(0.05), xi0=[1.0],
                                  schedule=sw.geometric_schedule(3, 9))
         assert rep.all_checks_pass
+
+    def test_off_boundary_apex_keeps_its_error_type(self):
+        with pytest.raises(ApexNotOnBoundary):
+            rg.convex_pipeline(BALL2, sw.identity_map(2), xi0=[0.5, 0.0], schedule=SHORT)
 
     def test_eps_rate_reported(self):
         rep = rg.convex_pipeline(BALL2, sw.identity_map(2), xi0=[1.0, 0.0],

@@ -44,6 +44,21 @@ class TestCertification:
         f.trusted = True
         sw.require_self_map(f)  # does not raise
 
+    @pytest.mark.parametrize("dom", [dm.ellipsoid((1, 2)),
+                                     dm.modulus_polynomial([(1.0, (1, 0)), (1.0, (0, 2)), (0.5, (1, 1))], 2)],
+                             ids=["ellipsoid", "modulus-polynomial"])
+    def test_generic_domains_certify_without_projections(self, dom, monkeypatch):
+        # the boundary samples are ray exits from the center, not nearest points
+        calls = []
+        original = dom.project_to_boundary
+        monkeypatch.setattr(dom, "project_to_boundary", lambda z: calls.append(z) or original(z))
+        cert = sw.certify_self_map(sw.identity_map(2), dom)
+        assert cert.passed and cert.samples == sw.CERT_SAMPLES
+        assert -2.1e-6 < cert.max_excess < -1.9e-6
+        scaled = sw.certify_self_map(sw.HoloMap(lambda z: 1.01 * z, 2, "scale"), dom)
+        assert not scaled.passed and scaled.max_excess > 0.04
+        assert calls == []
+
     def test_cubic_contact_is_exact_self_map(self):
         # |z - c (z-1)^3| <= 1 on the circle for c <= 1/4 (explicit algebra)
         f = sw.cubic_contact(0.25)
