@@ -1,6 +1,8 @@
 """Command-line front end: configuration, dispatch, and report emission.
 
 Runs are described either by flags or by a JSON config file (flags win).
+Every config key of a subcommand is also its ``--key`` flag (``cone_length``
+is ``--cone-length``), and both are checked against one table.
 Sampling is seeded, nothing reads the clock, and CSV/JSON emission uses
 stable formatting, so identical configs produce byte-identical artifacts.
 
@@ -19,21 +21,27 @@ from pathlib import Path
 import numpy as np
 
 from . import cgeo, kahler, kobayashi, rigidity, riemann, schwarz
-from .domain import Cone, boundary_data, disk, domain_from_config
+from .domain import Cone, ball, boundary_data, disk, domain_from_config
 from .errors import ConfigInvalid, IoFailure, RigidLabError
 from .report import COLUMN_REGISTRY, PipelineReport
 
-SUBCOMMANDS = ("kob", "cgeo", "schwarz", "riemann", "kahler", "rigidity", "suite")
+#: the value kind of a key whose runner reads it further (a domain, map,
+#: point list, ...); a flag's token is parsed as JSON, else kept as a name
+JSON = "a JSON value or a name"
 
-_ALLOWED_KEYS = {
-    "kob": {"domain", "op", "points", "vectors", "radius"},
-    "cgeo": {"domain", "points", "zeta", "k_max"},
-    "schwarz": {"map", "xi", "schedule"},
-    "riemann": {"metric", "op", "params"},
-    "kahler": {"metric", "check", "domain", "params"},
-    "rigidity": {"pipeline", "domain", "map", "metric", "xi", "theta",
-                 "cone_length", "schedule", "z0"},
-    "suite": set(),
+#: subcommand -> {config key: value kind}; a kind is JSON, float, int, list,
+#: dict, or the tuple of allowed values
+SUBCOMMAND_KEYS = {
+    "kob": {"domain": JSON, "op": ("metric", "dist", "ball"), "points": list,
+            "vectors": list, "radius": float},
+    "cgeo": {"domain": JSON, "points": list, "zeta": JSON, "k_max": int},
+    "schwarz": {"map": JSON, "xi": JSON, "schedule": JSON},
+    "riemann": {"metric": JSON, "op": ("flow", "jacobi", "spread", "backward"), "params": dict},
+    "kahler": {"metric": JSON, "check": ("bg", "squeeze", "inj", "threshold"), "domain": JSON,
+               "params": dict},
+    "rigidity": {"pipeline": ("convex", "biholo"), "domain": JSON, "map": JSON, "metric": JSON,
+                 "xi": JSON, "theta": float, "cone_length": float, "schedule": JSON, "z0": JSON},
+    "suite": {},
 }
 _GLOBAL_KEYS = {"subcommand", "seed", "out_dir", "format"}
 
@@ -51,25 +59,76 @@ class RunConfig:
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _read(kind, value, key: str):
+    """``value`` checked against ``kind``: a JSON value, a choice, a list or a
+    dict comes back as is, a finite number as ``kind``; a mismatch raises
+    ``ConfigInvalid``."""
+    if (kind is JSON or (isinstance(kind, tuple) and value in kind)
+            or (kind in (list, dict) and isinstance(value, kind))):
+        return value
+    if kind in (float, int) and type(value) in (int, float):
+        try:
+            number = kind(value)
+        except (OverflowError, ValueError):  # int(inf), int(nan), float(10**400)
+            number = math.nan
+        if number == value if kind is int else math.isfinite(number):
+            return number
+    want = f"one of {', '.join(map(str, kind))}" if isinstance(kind, tuple) else kind.__name__
+    raise ConfigInvalid(f"{key} must be {want}, got {value!r}")
+
+
+def _param(opts: dict, key: str, kind, default):
+    """``params[key]`` checked against ``kind`` (see ``_read``), or ``default``."""
+    params = opts.get("params", {})
+    return _read(kind, params[key], f"params.{key}") if key in params else default
+
+
+def _vector(value, key: str, dim: int | None = None, dtype=complex) -> np.ndarray:
+    """``value`` as a flat vector of finite numbers, of length ``dim`` if given."""
+    try:
+        vec = np.asarray(value, dtype=dtype).reshape(-1)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or not np.all(np.isfinite(vec)) or (dim is not None and vec.shape != (dim,)):
+        count = f"{dim} " if dim else ""
+        raise ConfigInvalid(f"{key} must be a vector of {count}finite numbers, got {value!r}")
+    return vec
+
+
+def _complex(value, key: str) -> complex:
+    """A complex number given as a real number or as ``[re, im]``."""
+    parts = value if isinstance(value, list) else [value]
+    if len(parts) not in (1, 2):
+        raise ConfigInvalid(f"{key} must be a number or [re, im], got {value!r}")
+    return complex(*(_read(float, p, key) for p in parts))
+
+
+def _named(spec, what: str) -> dict:
+    """A spec given as a name or as an object with a 'name' field."""
+    if isinstance(spec, str):
+        return {"name": spec}
+    if not isinstance(spec, dict) or "name" not in spec:
+        raise ConfigInvalid(f"{what} config must be a name or an object with 'name'")
+    return spec
+
+
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw config mapping; unknown keys are rejected."""
+    """Validate a raw config mapping; unknown keys and values of the wrong
+    kind are rejected."""
     if "subcommand" not in raw:
         raise ConfigInvalid("config needs a 'subcommand' field")
-    sub = raw["subcommand"]
-    if sub not in SUBCOMMANDS:
-        raise ConfigInvalid(f"unknown subcommand {sub!r}; expected one of {SUBCOMMANDS}")
-    allowed = _ALLOWED_KEYS[sub] | _GLOBAL_KEYS
-    unknown = set(raw) - allowed
+    sub = _read(tuple(SUBCOMMAND_KEYS), raw["subcommand"], "subcommand")
+    kinds = SUBCOMMAND_KEYS[sub]
+    unknown = set(raw) - set(kinds) - _GLOBAL_KEYS
     if unknown:
         raise ConfigInvalid(f"unknown config keys for {sub}: {sorted(unknown)}")
-    fmt = raw.get("format", "both")
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigInvalid(f"format must be csv, json or both, got {fmt!r}")
-    options = {k: v for k, v in raw.items() if k not in _GLOBAL_KEYS}
+    options = {k: _read(kinds[k], v, k) for k, v in raw.items() if k in kinds}
     if "schedule" in options:
         options["schedule"] = parse_schedule(options["schedule"])
-    return RunConfig(subcommand=sub, seed=int(raw.get("seed", 42)),
-                     out_dir=str(raw.get("out_dir", "out")), format=fmt, options=options)
+    return RunConfig(subcommand=sub, seed=_read(int, raw.get("seed", 42), "seed"),
+                     out_dir=str(raw.get("out_dir", "out")),
+                     format=_read(("csv", "json", "both"), raw.get("format", "both"), "format"),
+                     options=options)
 
 
 def parse_schedule(spec) -> np.ndarray:
@@ -80,18 +139,18 @@ def parse_schedule(spec) -> np.ndarray:
             extra = set(spec) - {"kind", "ratio", "n_lo", "n_hi"}
             if extra:
                 raise ConfigInvalid(f"unknown schedule keys {sorted(extra)}")
-            ratio = float(spec.get("ratio", 0.5))
-            n_lo = int(spec.get("n_lo", 3))
-            n_hi = int(spec.get("n_hi", 14))
+            ratio = _read(float, spec.get("ratio", 0.5), "schedule.ratio")
+            n_lo = _read(int, spec.get("n_lo", 3), "schedule.n_lo")
+            n_hi = _read(int, spec.get("n_hi", 14), "schedule.n_hi")
             if not (0 < ratio < 1 and n_lo <= n_hi):
                 raise ConfigInvalid("need 0 < ratio < 1 and n_lo <= n_hi")
             values = ratio ** np.arange(n_lo, n_hi + 1, dtype=float)
         elif kind == "list":
-            values = np.asarray(spec.get("values", []), dtype=float)
+            values = _vector(spec.get("values", []), "schedule.values", dtype=float)
         else:
             raise ConfigInvalid(f"unknown schedule kind {kind!r}")
     else:
-        values = np.asarray(spec, dtype=float)
+        values = _vector(spec, "schedule", dtype=float)
     if len(values) == 0:
         return values
     if np.any(values <= 0) or np.any(values >= 1):
@@ -102,61 +161,72 @@ def parse_schedule(spec) -> np.ndarray:
 
 
 def map_from_config(cfg: dict, dimension: int = 1) -> schwarz.HoloMap:
-    if isinstance(cfg, str):
-        cfg = {"name": cfg}
-    if not isinstance(cfg, dict) or "name" not in cfg:
-        raise ConfigInvalid("map config must be a name or an object with 'name'")
+    cfg = _named(cfg, "map")
     name = cfg["name"]
-    args = {k: v for k, v in cfg.items() if k != "name"}
 
-    def c(v):
-        return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+    def arg(key: str, kind=float):
+        if key not in cfg:
+            raise ConfigInvalid(f"map {name!r} is missing parameter {key!r}")
+        return _complex(cfg[key], f"map.{key}") if kind is complex else _read(kind, cfg[key], f"map.{key}")
 
-    try:
-        if name == "id":
-            return schwarz.identity_map(dimension)
-        if name == "rotation":
-            return schwarz.rotation(float(args["theta"]))
-        if name == "mobius":
-            return schwarz.mobius_map(c(args["a"]))
-        if name == "power":
-            return schwarz.power_map(int(args["p"]))
-        if name == "blaschke":
-            return schwarz.blaschke_product([c(a) for a in args["zeros"]])
-        if name == "cubic_contact":
-            return schwarz.cubic_contact(float(args["c"]))
-        if name == "bk_extremal":
-            return schwarz.bk_extremal()
-        if name == "halfplane_contact":
-            return schwarz.halfplane_contact(float(args["c"]), float(args["beta"]))
-        if name == "poly_contact":
-            return schwarz.poly_contact(c(args["c"]), int(args["m"]))
-        if name == "unitary_rotation":
-            u = np.eye(dimension, dtype=complex)
-            u[0, 0] = np.exp(1j * float(args["theta"]))
-            return schwarz.unitary_map(u)
-        if name == "ball_automorphism":
-            return schwarz.ball_automorphism(np.asarray(args["a"], dtype=complex))
-        if name == "ball_contact":
-            return schwarz.ball_coordinate_contact(c(args["c"]), int(args["m"]), dimension)
-    except KeyError as exc:
-        raise ConfigInvalid(f"map {name!r} is missing parameter {exc}") from exc
+    if name == "id":
+        return schwarz.identity_map(dimension)
+    if name == "rotation":
+        return schwarz.rotation(arg("theta"))
+    if name == "mobius":
+        return schwarz.mobius_map(arg("a", complex))
+    if name == "power":
+        return schwarz.power_map(arg("p", int))
+    if name == "blaschke":
+        return schwarz.blaschke_product([_complex(a, "map.zeros") for a in arg("zeros", list)])
+    if name == "cubic_contact":
+        return schwarz.cubic_contact(arg("c"))
+    if name == "bk_extremal":
+        return schwarz.bk_extremal()
+    if name == "halfplane_contact":
+        return schwarz.halfplane_contact(arg("c"), arg("beta"))
+    if name == "poly_contact":
+        return schwarz.poly_contact(arg("c", complex), arg("m", int))
+    if name == "unitary_rotation":
+        u = np.eye(dimension, dtype=complex)
+        u[0, 0] = np.exp(1j * arg("theta"))
+        return schwarz.unitary_map(u)
+    if name == "ball_automorphism":
+        return schwarz.ball_automorphism(_vector(arg("a", JSON), "map.a", dimension))
+    if name == "ball_contact":
+        return schwarz.ball_coordinate_contact(arg("c", complex), arg("m", int), dimension)
     raise ConfigInvalid(f"unknown map {name!r}")
 
 
 def metric_from_config(cfg) -> riemann.MetricField:
-    if isinstance(cfg, str):
-        cfg = {"name": cfg}
-    name = cfg.get("name")
+    cfg = _named(cfg, "metric")
+    name = cfg["name"]
     if name == "euclid":
-        return riemann.euclidean(int(cfg.get("dimension", 2)))
+        return riemann.euclidean(_read(int, cfg.get("dimension", 2), "metric.dimension"))
     if name == "poincare":
         return riemann.poincare_disk()
     if name == "sphere":
         return riemann.sphere_stereographic()
     if name == "bergman-ball":
-        return riemann.bergman_ball(int(cfg.get("dimension", 2)))
+        return riemann.bergman_ball(_read(int, cfg.get("dimension", 2), "metric.dimension"))
     raise ConfigInvalid(f"unknown metric {name!r}")
+
+
+def kahler_from_config(cfg, dimension: int | None = None) -> kahler.KahlerField:
+    """The Kähler model ``cfg`` names, in its own dimension, else the domain's
+    ``dimension``, else 2 for the Bergman ball and 1 otherwise."""
+    cfg = _named(cfg, "Kahler model")
+    name = cfg["name"]
+    if name not in ("poincare", "flat", "bergman-ball"):
+        raise ConfigInvalid(f"unknown Kahler model {name!r}")
+    d = _read(int, cfg.get("dimension", dimension or (2 if name == "bergman-ball" else 1)),
+              "metric.dimension")
+    if d < 1 or d != (dimension or d) or (name == "poincare" and d != 1):
+        raise ConfigInvalid(f"no Kahler model {name!r} of dimension {d} for a domain "
+                            f"of dimension {dimension or d}")
+    if name == "poincare":
+        return kahler.poincare_kahler()
+    return kahler.flat_kahler(d) if name == "flat" else kahler.bergman_kahler(d)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +290,18 @@ def write_json(path: Path, payload: dict) -> None:
         raise IoFailure(str(exc)) from exc
 
 
-def emit_report(report: PipelineReport, cfg: RunConfig, basename: str) -> list[Path]:
+def _out(cfg: RunConfig) -> Path:
+    """The output directory, made when the first artifact is written."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    return out
+
+
+def emit_report(report: PipelineReport, cfg: RunConfig, basename: str) -> list[Path]:
+    out = _out(cfg)
     written = []
     report.validate_columns()
     if cfg.format in ("csv", "both"):
@@ -238,17 +317,10 @@ def emit_report(report: PipelineReport, cfg: RunConfig, basename: str) -> list[P
             "checks": [{"check": c, "ok": ok} for c, ok in report.checks],
             "notes": report.notes,
             "config": {"seed": cfg.seed, "subcommand": cfg.subcommand,
-                       "options": _echo_options(cfg.options)},
+                       "options": cfg.options},
         })
         written.append(p)
     return written
-
-
-def _echo_options(options: dict) -> dict:
-    echo = dict(options)
-    if "schedule" in echo and isinstance(echo["schedule"], np.ndarray):
-        echo["schedule"] = echo["schedule"].tolist()
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -259,49 +331,48 @@ def _run_kob(cfg: RunConfig) -> int:
     opts = cfg.options
     dom = domain_from_config(opts.get("domain", {"kind": "disk"}))
     op = opts.get("op", "dist")
-    points = [np.asarray(p, dtype=complex).reshape(-1) for p in opts.get("points", [])]
+    points = [_vector(p, "points", dom.dimension) for p in opts.get("points", [])]
     rows = []
     if op == "metric":
-        vectors = [np.asarray(v, dtype=complex).reshape(-1) for v in opts.get("vectors", [])]
+        vectors = [_vector(v, "vectors", dom.dimension) for v in opts.get("vectors", [])]
+        if len(vectors) != len(points):
+            raise ConfigInvalid(f"kob metric needs one vector per point, got {len(points)} "
+                                f"points and {len(vectors)} vectors")
         for z, v in zip(points, vectors):
             iv = kobayashi.metric_bounds(dom, z, v, tighten_with_model=False)
             exact = kobayashi.model_metric(dom, z, v) if kobayashi.has_model_formulas(dom) else ""
             rows.append({"input": f"{z};{v}", "lower": iv.lower, "upper": iv.upper, "exact": exact})
     elif op == "dist":
+        if len(points) % 2:
+            raise ConfigInvalid(f"kob dist needs pairs of points, got {len(points)} points")
         for z, w in zip(points[0::2], points[1::2]):
             iv = kobayashi.dist_bounds(dom, z, w, tighten_with_model=False)
             exact = kobayashi.model_dist(dom, z, w) if kobayashi.has_model_formulas(dom) else ""
             rows.append({"input": f"{z};{w}", "lower": iv.lower, "upper": iv.upper, "exact": exact})
-    elif op == "ball":
-        rho = float(opts.get("radius", 0.1))
+    else:
+        rho = opts.get("radius", 0.1)
         for z in points:
             eps = kobayashi.kob_ball_inclusion(dom, z, rho)
             rows.append({"input": f"{z};rho={rho}", "lower": eps, "upper": eps, "exact": ""})
-    else:
-        raise ConfigInvalid(f"unknown kob op {op!r}")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "kob.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
-    print(f"wrote {out / 'kob.csv'} ({len(rows)} rows)")
+    path = _out(cfg) / "kob.csv"
+    write_csv(path, ["input", "lower", "upper", "exact"], rows, anchors=False)
+    print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 def _run_cgeo(cfg: RunConfig) -> int:
     opts = cfg.options
     dom = domain_from_config(opts.get("domain", {"kind": "ball", "dimension": 2}))
-    pts = opts.get("points")
-    if not pts or len(pts) != 2:
+    pts = opts.get("points", [])
+    if len(pts) != 2:
         raise ConfigInvalid("cgeo needs 'points': [z, w]")
-    z, w = (np.asarray(p, dtype=complex).reshape(-1) for p in pts)
+    z, w = (_vector(p, "points", dom.dimension) for p in pts)
     geo = cgeo.complex_geodesic(dom, z, w)
-    zeta = complex(*opts.get("zeta", [1.0, 0.0])) if isinstance(opts.get("zeta", 1.0), list) else complex(opts.get("zeta", 1.0))
-    probe = cgeo.boundary_hyperplane_probe(geo, zeta=zeta,
-                                           radii=cgeo.default_radii_schedule(int(opts.get("k_max", 16))))
+    probe = cgeo.boundary_hyperplane_probe(geo, zeta=_complex(opts.get("zeta", 1.0), "zeta"),
+                                           radii=cgeo.default_radii_schedule(opts.get("k_max", 16)))
     rows = [{"input": f"r={r!r}", "lower": res, "upper": ang, "exact": geo.defect}
             for r, res, ang in zip(probe.radii, probe.residuals, probe.normal_angles)]
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "cgeo_probe.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
+    write_csv(_out(cfg) / "cgeo_probe.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
     print(f"geodesic tag={geo.tag} defect={geo.defect:.3e}; residual tail {probe.residuals[-1]:.3e}")
     return 0 if probe.decay_ok else 1
 
@@ -309,9 +380,8 @@ def _run_cgeo(cfg: RunConfig) -> int:
 def _run_schwarz(cfg: RunConfig) -> int:
     opts = cfg.options
     f = map_from_config(opts.get("map", "id"))
-    schedule = opts.get("schedule")
-    xi = complex(*opts["xi"]) if isinstance(opts.get("xi"), list) else complex(opts.get("xi", 1.0))
-    rep = schwarz.disk_rigidity_pipeline(f, schedule=schedule, xi0=xi)
+    rep = schwarz.disk_rigidity_pipeline(f, schedule=opts.get("schedule"),
+                                         xi0=_complex(opts.get("xi", 1.0), "xi"))
     emit_report(rep, cfg, f"schwarz_{f.name}")
     print(f"{rep.name}: verdict={rep.verdict}")
     return 0 if rep.all_checks_pass else 1
@@ -321,20 +391,17 @@ def _run_riemann(cfg: RunConfig) -> int:
     opts = cfg.options
     m = metric_from_config(opts.get("metric", "poincare"))
     op = opts.get("op", "flow")
-    params = opts.get("params", {})
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    x0 = np.asarray(params.get("x0", [0.0] * m.dim), dtype=float)
-    v0 = np.asarray(params.get("v0", [1.0] + [0.0] * (m.dim - 1)), dtype=float)
-    horizon = float(params.get("horizon", 1.0))
-    step = float(params.get("step", riemann.DEFAULT_STEP))
+    x0 = _vector(_param(opts, "x0", JSON, [0.0] * m.dim), "params.x0", m.dim, float)
+    v0 = _vector(_param(opts, "v0", JSON, [1.0] + [0.0] * (m.dim - 1)), "params.v0", m.dim, float)
+    horizon = _param(opts, "horizon", float, 1.0)
+    step = _param(opts, "step", float, riemann.DEFAULT_STEP)
 
     if op == "flow":
         path = riemann.geodesic_flow(m, riemann.TangentPoint.of(x0, v0), horizon, step=step)
         rows = [{"input": repr(float(t)), "lower": float(np.linalg.norm(x)),
                  "upper": m.norm(x, v), "exact": path.speed_drift}
                 for t, x, v in zip(path.ts[::50], path.xs[::50], path.vs[::50])]
-        write_csv(out / "riemann_flow.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
+        write_csv(_out(cfg) / "riemann_flow.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
         print(f"speed drift {path.speed_drift:.3e}")
         return 0 if path.speed_drift < 1e-6 else 1
     if op == "jacobi":
@@ -342,37 +409,35 @@ def _run_riemann(cfg: RunConfig) -> int:
                                   J0=[np.zeros(m.dim)], W0=[m.unit(x0, v0)], step=step)
         rows = [{"input": repr(float(t)), "lower": float(fv[0]), "upper": float(fv[0]),
                  "exact": rep.kappa_measured} for t, fv in zip(rep.ts[::50], rep.f[::50])]
-        write_csv(out / "riemann_jacobi.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
+        write_csv(_out(cfg) / "riemann_jacobi.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
         print(f"growth ok={rep.growth_ok} kappa={rep.kappa_measured:.4f}")
         return 0 if rep.growth_ok else 1
     if op == "spread":
-        theta = float(params.get("angle", 0.01))
+        theta = _param(opts, "angle", float, 0.01)
         u1 = m.unit(x0, v0)
-        rot = np.asarray(params.get("v1", _rotate_first_plane(v0, theta)), dtype=float)
+        rot = _vector(_param(opts, "v1", JSON, _rotate_first_plane(v0, theta)), "params.v1", m.dim, float)
         u2 = m.unit(x0, rot)
-        kappa = float(params.get("kappa", abs(m.kappa_model) if m.kappa_model else 1.0))
+        kappa = _param(opts, "kappa", float, abs(m.kappa_model) if m.kappa_model else 1.0)
         rows_s = riemann.spread_check(m, riemann.TangentPoint.of(x0, u1),
                                       riemann.TangentPoint.of(x0, u2), kappa,
-                                      horizon, grid=int(params.get("grid", 6)), step=step)
+                                      horizon, grid=_param(opts, "grid", int, 6), step=step)
         rows = [{"input": repr(r.t), "lower": r.lhs, "upper": r.rhs, "exact": r.ok} for r in rows_s]
-        write_csv(out / "riemann_spread.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
+        write_csv(_out(cfg) / "riemann_spread.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
         ok = all(r.ok for r in rows_s)
         print(f"spread ok={ok}")
         return 0 if ok else 1
-    if op == "backward":
-        theta = float(params.get("angle", 1e-3))
-        eps = float(params.get("eps", 0.1))
-        u1 = m.unit(x0, v0)
-        u2 = m.unit(x0, _rotate_first_plane(v0, theta))
-        ratio = riemann.backward_estimate(m, riemann.TangentPoint.of(x0, u1),
-                                          riemann.TangentPoint.of(x0, u2), eps)
-        ratio_half = riemann.backward_estimate(m, riemann.TangentPoint.of(x0, u1),
-                                               riemann.TangentPoint.of(x0, u2), eps / 2)
-        write_json(out / "riemann_backward.json",
-                   {"ratio": ratio, "ratio_half_eps": ratio_half, "eps": eps})
-        print(f"backward ratio {ratio:.4f} (eps/2: {ratio_half:.4f})")
-        return 0
-    raise ConfigInvalid(f"unknown riemann op {op!r}")
+    theta = _param(opts, "angle", float, 1e-3)
+    eps = _param(opts, "eps", float, 0.1)
+    u1 = m.unit(x0, v0)
+    u2 = m.unit(x0, _rotate_first_plane(v0, theta))
+    ratio = riemann.backward_estimate(m, riemann.TangentPoint.of(x0, u1),
+                                      riemann.TangentPoint.of(x0, u2), eps)
+    ratio_half = riemann.backward_estimate(m, riemann.TangentPoint.of(x0, u1),
+                                           riemann.TangentPoint.of(x0, u2), eps / 2)
+    write_json(_out(cfg) / "riemann_backward.json",
+               {"ratio": ratio, "ratio_half_eps": ratio_half, "eps": eps})
+    print(f"backward ratio {ratio:.4f} (eps/2: {ratio_half:.4f})")
+    return 0
 
 
 def _rotate_first_plane(v: np.ndarray, theta: float) -> np.ndarray:
@@ -386,48 +451,42 @@ def _rotate_first_plane(v: np.ndarray, theta: float) -> np.ndarray:
 def _run_kahler(cfg: RunConfig) -> int:
     opts = cfg.options
     check = opts.get("check", "bg")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    params = opts.get("params", {})
     if check == "bg":
-        name = opts.get("metric", "poincare")
-        name = name.get("name") if isinstance(name, dict) else name
-        kf = kahler.KAHLER_MODELS[name]() if name in kahler.KAHLER_MODELS else None
-        if kf is None:
-            raise ConfigInvalid(f"unknown Kahler model {name!r}")
-        dom = domain_from_config(opts.get("domain", {"kind": "disk" if kf.complex_dim == 1 else "ball",
-                                                     **({} if kf.complex_dim == 1 else {"dimension": kf.complex_dim})}))
+        metric = opts.get("metric", "poincare")
+        if "domain" in opts:
+            dom = domain_from_config(opts["domain"])
+            kf = kahler_from_config(metric, dom.dimension)
+        else:
+            kf = kahler_from_config(metric)
+            dom = disk() if kf.complex_dim == 1 else ball(kf.complex_dim)
         rep = kahler.property_bg_estimate(kf, dom)
-        write_json(out / "kahler_bg.json", {"kappa_est": rep.kappa_est, "A_est": rep.A_est,
-                                            "a_est": rep.a_est, "complete": rep.complete,
-                                            "passed": rep.passed})
+        write_json(_out(cfg) / "kahler_bg.json", {"kappa_est": rep.kappa_est, "A_est": rep.A_est,
+                                                  "a_est": rep.a_est, "complete": rep.complete,
+                                                  "passed": rep.passed})
         print(f"BG: kappa={rep.kappa_est:.4f} A={rep.A_est:.4f} a={rep.a_est:.4f} "
               f"complete={rep.complete} passed={rep.passed}")
         return 0 if rep.passed else 1
     if check == "squeeze":
         dom = domain_from_config(opts.get("domain", {"kind": "disk"}))
-        z = np.asarray(params.get("z", [0.0] * dom.dimension), dtype=complex)
+        z = _vector(_param(opts, "z", JSON, [0.0] * dom.dimension), "params.z", dom.dimension)
         s = kahler.squeezing_lower_bound(dom, z)
-        write_json(out / "kahler_squeeze.json", {"z": z, "squeezing_lower_bound": s})
+        write_json(_out(cfg) / "kahler_squeeze.json", {"z": z, "squeezing_lower_bound": s})
         print(f"squeezing lower bound {s:.6f}")
         return 0
+    d = _param(opts, "d", int, 1)
+    kappa = _param(opts, "kappa", float, 1.0)
     if check == "inj":
-        v = float(params.get("volume", 1.0))
-        kap = float(params.get("kappa", 1.0))
-        r = float(params.get("r", 0.5))
-        d = int(params.get("d", 1))
-        val = kahler.cgt_inj_lower(v, kap, r, d)
-        write_json(out / "kahler_inj.json", {"inj_lower": val})
+        val = kahler.cgt_inj_lower(_param(opts, "volume", float, 1.0), kappa,
+                                   _param(opts, "r", float, 0.5), d)
+        write_json(_out(cfg) / "kahler_inj.json", {"inj_lower": val})
         print(f"injectivity lower bound {val:.6f}")
         return 0
-    if check == "threshold":
-        val = kahler.rigidity_threshold(int(params.get("d", 1)), float(params.get("kappa", 1.0)),
-                                        float(params.get("A", 1.0)), float(params.get("theta", math.pi / 2)),
-                                        bool(params.get("positive_injectivity", False)))
-        write_json(out / "kahler_threshold.json", {"L_threshold": val})
-        print(f"rigidity threshold L > {val:.6f}")
-        return 0
-    raise ConfigInvalid(f"unknown kahler check {check!r}")
+    val = kahler.rigidity_threshold(d, kappa, _param(opts, "A", float, 1.0),
+                                    _param(opts, "theta", float, math.pi / 2),
+                                    _param(opts, "positive_injectivity", (False, True), False))
+    write_json(_out(cfg) / "kahler_threshold.json", {"L_threshold": val})
+    print(f"rigidity threshold L > {val:.6f}")
+    return 0
 
 
 def _run_rigidity(cfg: RunConfig) -> int:
@@ -436,22 +495,21 @@ def _run_rigidity(cfg: RunConfig) -> int:
     dom = domain_from_config(opts.get("domain", {"kind": "disk"}))
     f = map_from_config(opts.get("map", "id"), dom.dimension)
     schedule = opts.get("schedule")
-    xi = np.asarray(opts.get("xi", [1.0] + [0.0] * (dom.dimension - 1)), dtype=complex)
+    xi = _vector(opts.get("xi", [1.0] + [0.0] * (dom.dimension - 1)), "xi", dom.dimension)
     if pipeline == "convex":
         rep = rigidity.convex_pipeline(dom, f, xi0=xi, schedule=schedule)
-    elif pipeline == "biholo":
-        theta = float(opts.get("theta", math.pi / 3))
-        length = float(opts.get("cone_length", 0.5))
+    else:
+        kf = kahler_from_config(opts.get("metric", "poincare" if dom.dimension == 1 else "bergman-ball"),
+                                dom.dimension)
+        z0 = _vector(opts["z0"], "z0", dom.dimension) if "z0" in opts else None
         bd = boundary_data(dom, xi, tol=1e-9)
-        cone = Cone(apex=bd.point, direction=bd.inward_normal, aperture=theta, length=length)
-        name = opts.get("metric", "poincare" if dom.dimension == 1 else "bergman-ball")
-        name = name.get("name") if isinstance(name, dict) else name
-        kf = kahler.KAHLER_MODELS[name]() if name in ("poincare", "flat") else kahler.bergman_kahler(dom.dimension)
-        z0 = np.asarray(opts["z0"], dtype=complex) if "z0" in opts else None
+        try:
+            cone = Cone(apex=bd.point, direction=bd.inward_normal,
+                        aperture=opts.get("theta", math.pi / 3), length=opts.get("cone_length", 0.5))
+        except ValueError as exc:  # theta outside (0, pi/2] or cone_length <= 0
+            raise ConfigInvalid(str(exc)) from exc
         rep = rigidity.biholo_pipeline(dom, f, kf, xi0=xi, cone=cone,
                                        schedule=schedule, z0=z0)
-    else:
-        raise ConfigInvalid(f"unknown pipeline {pipeline!r}")
     emit_report(rep, cfg, f"rigidity_{pipeline}_{f.name}")
     print(f"{rep.name}: verdict={rep.verdict} (checks pass: {rep.all_checks_pass})")
     return 0 if rep.all_checks_pass else 1
@@ -512,9 +570,7 @@ def _quick_checks(seed: int) -> list[tuple[str, bool]]:
 def _run_suite(cfg: RunConfig) -> int:
     checks = _quick_checks(cfg.seed)
     summary = rigidity.counterexample_suite()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "suite.json", {
+    write_json(_out(cfg) / "suite.json", {
         "passed": summary.passed and all(ok for _, ok in checks),
         "quick_checks": [{"check": c, "ok": ok} for c, ok in checks],
         "entries": [{"pipeline": e.pipeline, "map": e.map_name,
@@ -557,41 +613,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default=None)
     parser.add_argument("--format", choices=["csv", "json", "both"], default=None)
     sub = parser.add_subparsers(dest="subcommand")
-    for name in SUBCOMMANDS:
+    for name, kinds in SUBCOMMAND_KEYS.items():
         p = sub.add_parser(name)
-        if name == "kob":
-            p.add_argument("--domain", help="JSON domain spec")
-            p.add_argument("--op", choices=["metric", "dist", "ball"], default=None)
-            p.add_argument("--points", help="JSON list of points")
-        elif name == "cgeo":
-            p.add_argument("--domain")
-            p.add_argument("--points")
-        elif name == "schwarz":
-            p.add_argument("--map", help="map name or JSON spec")
-            p.add_argument("--xi", default=None)
-            p.add_argument("--schedule", help="JSON schedule spec")
-        elif name == "riemann":
-            p.add_argument("--metric")
-            p.add_argument("--op", choices=["flow", "jacobi", "spread", "backward"], default=None)
-            p.add_argument("--params", help="JSON op parameters")
-        elif name == "kahler":
-            p.add_argument("--metric")
-            p.add_argument("--check", choices=["bg", "squeeze", "inj", "threshold"], default=None)
-            p.add_argument("--params")
-        elif name == "rigidity":
-            p.add_argument("--pipeline", choices=["convex", "biholo"], default=None)
-            p.add_argument("--domain")
-            p.add_argument("--map")
-            p.add_argument("--metric")
-            p.add_argument("--xi")
-            p.add_argument("--theta", type=float, default=None)
-            p.add_argument("--schedule")
+        for key, kind in kinds.items():
+            choices = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+            p.add_argument("--" + key.replace("_", "-"), type=_maybe_json, metavar=choices)
     return parser
 
 
 def _maybe_json(value: str):
-    if value is None:
-        return None
     try:
         return json.loads(value)
     except json.JSONDecodeError:
@@ -608,20 +638,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigInvalid(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigInvalid("config must be a JSON object")
     if args.subcommand:
         raw["subcommand"] = args.subcommand
-    for key in ("seed", "format"):
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
-    if getattr(args, "out_dir", None) is not None:
-        raw["out_dir"] = args.out_dir
-    for key in ("domain", "map", "metric", "points", "params", "schedule", "xi"):
-        val = _maybe_json(getattr(args, key, None))
-        if val is not None:
-            raw[key] = val
-    for key in ("op", "check", "pipeline", "theta"):
-        val = getattr(args, key, None)
+    for key in ("seed", "out_dir", "format", *SUBCOMMAND_KEYS.get(args.subcommand, ())):
+        val = getattr(args, key)
         if val is not None:
             raw[key] = val
     return parse_config(raw)

@@ -82,13 +82,6 @@ def bergman_kahler(d: int = 2) -> KahlerField:
     return KahlerField(metric=bergman_ball(d), complex_dim=d, name=f"bergman-ball-{d}")
 
 
-KAHLER_MODELS = {
-    "poincare": poincare_kahler,
-    "flat": flat_kahler,
-    "bergman-ball": bergman_kahler,
-}
-
-
 # ---------------------------------------------------------------------------
 # holomorphic sectional curvature
 # ---------------------------------------------------------------------------

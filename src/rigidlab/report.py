@@ -25,7 +25,6 @@ COLUMN_REGISTRY: dict[str, str] = {
     "disp_bound": "(C1/r_n) * E(5 r_n/4)",
     "disp_sup": "sup over B_K(p_n;eps_n) of K(w, f(w))",
     "eps_n": "certified radius with B_K(p_n;eps_n) inside B(p_n;r_n/4)",
-    "eps_bound": "a * r_n^(1 - 1/ell) certified floor",
     "e4K": "exp(4 K(z0, p_n))",
     "e4K_bound": "A * r_n^(-2)",
     "composite": "exp(4K)/eps_n * disp_sup quantitative-identity term",
@@ -55,7 +54,6 @@ class PipelineReport:
     verdict: str = INCONCLUSIVE
     fitted: dict = field(default_factory=dict)
     checks: list[tuple[str, bool]] = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
     def column(self, name: str) -> list:

@@ -93,13 +93,6 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
     columns = ["n", "r_n", "K_z0_pn", "K_z0_pn_bound", "E_5r4", "disp_bound",
                "eps_n", "disp_sup", "e4K", "e4K_bound", "composite", "in_regime"]
     rep = PipelineReport(name=f"convex[{dom.kind},{f.name}]", columns=columns)
-    rep.provenance = {
-        "K_z0_pn": "kobayashi.dist_bounds.upper",
-        "eps_n": "kobayashi.kob_ball_inclusion",
-        "E_5r4": "schwarz.error_modulus",
-        "disp_sup": "kobayashi.dist_bounds.upper over Euclidean-ball samples",
-    }
-
     k_uppers = []
     for r_n in schedule:
         p_n = bd.point + r_n * bd.inward_normal
@@ -222,12 +215,6 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
                "tau_n", "tau_bound", "geo_disp_sup", "geo_disp_bound",
                "init_cond", "init_cond_bound", "spread_product", "d_z0_phi_z0"]
     rep = PipelineReport(name=f"biholo[{dom.kind},{phi.name},{k.name}]", columns=columns)
-    rep.provenance = {
-        "d_pn_p0": "riemann.geodesic_distance",
-        "tau_n": "riemann.geodesic_flow exit time",
-        "init_cond": "riemann.tangent_distances(T1M).upper",
-        "spread_product": "riemann spread bound times init_cond",
-    }
     rep.fitted.update({"kappa_est": bg.kappa_est, "A_est": bg.A_est, "a_est": bg.a_est,
                        "A_eff": A_eff, "a_eff": a_eff, "L": L,
                        "threshold_L": rigidity_threshold(d, 1.0, A_eff, cone.aperture),

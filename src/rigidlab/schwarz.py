@@ -403,14 +403,6 @@ def disk_rigidity_pipeline(f: HoloMap, schedule=None, xi0: complex = 1.0,
     columns = ["n", "r_n", "p_n", "K_z0_pn", "K_bound_halflog", "E_5r4",
                "disp_bound", "eps_n", "disp_sup", "e4K", "composite", "in_regime"]
     rep = PipelineReport(name=f"disk_rigidity[{f.name}]", columns=columns)
-    rep.provenance = {
-        "K_z0_pn": "kobayashi.disk_distance",
-        "eps_n": "kobayashi.kob_ball_inclusion",
-        "E_5r4": "schwarz.error_modulus",
-        "disp_sup": "schwarz.displacement_sup",
-        "composite": "schwarz.quantid_term",
-    }
-
     dsk = disk()
     uniform_eps = []
     for i, r_n in enumerate(schedule):

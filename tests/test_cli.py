@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,15 @@ import pytest
 from rigidlab import cli
 from rigidlab.errors import ConfigInvalid
 from rigidlab.report import PipelineReport
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each ``rigidlab`` command in the README's CLI block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.strip()]
 
 
 class TestParseConfig:
@@ -43,6 +55,50 @@ class TestParseConfig:
     def test_bad_map_spec(self):
         with pytest.raises(ConfigInvalid):
             cli.map_from_config({"name": "warp"})
+        with pytest.raises(ConfigInvalid, match="map.theta"):
+            cli.map_from_config({"name": "rotation", "theta": "x"})
+        with pytest.raises(ConfigInvalid, match="map.zeros"):
+            cli.map_from_config({"name": "blaschke", "zeros": 0.5})
+
+    def test_kahler_model_dimension(self):
+        assert cli.kahler_from_config({"name": "bergman-ball", "dimension": 3}).complex_dim == 3
+        assert cli.kahler_from_config("bergman-ball").complex_dim == 2
+        assert cli.kahler_from_config("bergman-ball", 1).name == "bergman-ball-1"
+        assert cli.kahler_from_config("flat", 2).complex_dim == 2
+        for spec, dim in [("foo", 1), ("poincare", 2), ({"name": "bergman-ball", "dimension": 3}, 2),
+                          ({"name": "flat", "dimension": 0}, None), (["poincare"], 1)]:
+            with pytest.raises(ConfigInvalid):
+                cli.kahler_from_config(spec, dim)
+
+    def test_every_config_key_is_a_flag_that_lands_in_options(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(cli.SUBCOMMAND_KEYS) == set(cli._RUNNERS)
+        tokens = {cli.JSON: "[0.5, 0.25]", float: "0.5", int: "3", list: "[[0.5]]", dict: '{"x": 1}'}
+        for sub, kinds in cli.SUBCOMMAND_KEYS.items():
+            flags = {a.dest for a in subparsers.choices[sub]._actions if a.option_strings} - {"help"}
+            assert flags == set(kinds), sub
+            given = {key: kind[-1] if isinstance(kind, tuple) else tokens[kind]
+                     for key, kind in kinds.items()}
+            argv = [sub] + [t for key, token in given.items() for t in ("--" + key.replace("_", "-"), token)]
+            cfg = cli.config_from_args(parser.parse_args(argv))
+            assert set(cfg.options) == set(kinds), sub
+            for key, token in given.items():
+                want = token if isinstance(kinds[key], tuple) else json.loads(token)
+                assert np.asarray(cfg.options[key]).tolist() == want, (sub, key)
+
+    @pytest.mark.parametrize("raw", [
+        {"subcommand": "rigidity", "theta": float("nan")},
+        {"subcommand": "cgeo", "k_max": 2.5},
+        {"subcommand": "kob", "op": "frob"},
+        {"subcommand": "riemann", "params": [1]},
+        {"subcommand": "suite", "seed": "x"},
+        {"subcommand": "schwarz", "format": "xml"},
+        {"subcommand": "schwarz", "schedule": {"kind": "geometric", "ratio": "x"}},
+    ], ids=lambda raw: next(k for k in reversed(raw)))
+    def test_values_of_the_wrong_kind_are_rejected(self, raw):
+        with pytest.raises(ConfigInvalid):
+            cli.parse_config(raw)
 
     def test_domain_spec_via_config(self):
         cfg = cli.parse_config({"subcommand": "rigidity",
@@ -110,6 +166,63 @@ class TestMain:
         assert rc == 0
         body = (tmp_path / "kob.csv").read_text().splitlines()
         assert len(body) == 2
+        rc = cli.main(["--out-dir", str(tmp_path), "kob", "--op", "metric",
+                       "--points", "[[0.5]]", "--vectors", "[[1]]"])
+        assert rc == 0
+        assert len((tmp_path / "kob.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--op", "metric", "--points", "[[0.5,0]]"],
+        ["--op", "metric", "--points", "[[0.5,0],[0,0.1]]", "--vectors", "[[0,1]]"],
+        ["--op", "dist", "--points", "[[0.5,0],[0,0.1],[0.2,0]]"],
+    ], ids=["metric-without-vectors", "metric-2-points-1-vector", "dist-3-points"])
+    def test_kob_points_must_pair_up(self, tmp_path, capsys, argv):
+        rc = cli.main(["--out-dir", str(tmp_path / "out"), "kob",
+                       "--domain", '{"kind":"ball","dimension":2}'] + argv)
+        assert rc == 2
+        assert "error [ConfigInvalid]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("given", [
+        {"subcommand": "rigidity", "pipeline": "biholo", "theta": "abc"},
+        {"subcommand": "kob", "op": "ball", "points": [[0.1]], "radius": "x"},
+        {"subcommand": "schwarz", "xi": "abc"},
+        ["schwarz", "--xi", "[1,0,0]"],
+        {"subcommand": "riemann", "params": {"horizon": "x"}},
+        ["rigidity", "--pipeline", "biholo", "--metric", "foo"],
+        ["rigidity", "--pipeline", "biholo", "--domain", '{"kind":"ball","dimension":2}',
+         "--metric", "poincare"],
+        ["rigidity", "--pipeline", "biholo", "--theta", "2"],
+        ["rigidity", "--pipeline", "biholo", "--cone-length", "-1"],
+        ["riemann", "--metric", "[1]"],
+    ], ids=["theta", "radius", "xi", "xi-triple", "params-horizon", "kahler-model",
+            "model-dimension", "aperture", "cone-length", "metric-list"])
+    def test_malformed_input_exits_2_without_output(self, tmp_path, capsys, given):
+        argv = given
+        if isinstance(given, dict):
+            (tmp_path / "run.json").write_text(json.dumps(given))
+            argv = ["--config", str(tmp_path / "run.json")]
+        assert cli.main(["--out-dir", str(tmp_path / "out")] + argv) == 2
+        assert capsys.readouterr().err.startswith(("config error", "error ["))
+        assert not (tmp_path / "out").exists()
+
+    def test_kahler_bg_honours_the_model_dimension(self, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(kf, dom):
+            seen.append((kf.name, dom.dimension))
+            raise ConfigInvalid("stop")
+
+        monkeypatch.setattr(cli.kahler, "property_bg_estimate", stop)
+        cli.main(["--out-dir", str(tmp_path), "kahler", "--check", "bg",
+                  "--metric", '{"name":"bergman-ball","dimension":3}'])
+        assert seen == [("bergman-ball-3", 3)]
+
+    def test_kahler_squeeze_takes_a_domain_flag(self, tmp_path):
+        rc = cli.main(["--out-dir", str(tmp_path), "kahler", "--check", "squeeze",
+                       "--domain", '{"kind":"ball","dimension":2}'])
+        assert rc == 0
+        assert len(json.load(open(tmp_path / "kahler_squeeze.json"))["z"]) == 2
 
     def test_kahler_threshold(self, tmp_path):
         rc = cli.main(["--out-dir", str(tmp_path), "kahler", "--check", "threshold",
@@ -191,15 +304,12 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
 
     def test_suite_and_readme_example_are_byte_identical(self, tmp_path):
-        runs = {
-            "suite": ["suite"],
-            "convex": ["rigidity", "--pipeline", "convex", "--domain", '{"kind":"ball","dimension":2}',
-                       "--map", '{"name":"ball_contact","c":1e-9,"m":4}', "--xi", "[1.0,0.0]"],
-        }
-        for name, argv in runs.items():
-            outs = [tmp_path / f"{name}-{k}" for k in range(2)]
+        runs = readme_commands()
+        assert ["suite"] in runs and len(runs) >= 7
+        for k, argv in enumerate(runs):
+            outs = [tmp_path / f"{k}-{rep}" for rep in range(2)]
             for out in outs:
-                assert cli.main(["--out-dir", str(out)] + argv) == 0
+                assert cli.main(["--out-dir", str(out)] + argv) == 0, argv
             files = sorted(p.name for p in outs[0].iterdir())
             assert files and files == sorted(p.name for p in outs[1].iterdir())
             for f in files:
