@@ -39,6 +39,7 @@ from .domain import (
 )
 from .errors import (
     CoincidentPoints,
+    ConfigInvalid,
     NoConstructiveInverse,
     NoConvergence,
     NumericDefectTooLarge,
@@ -408,6 +409,9 @@ class ProbeResult:
 
 
 def default_radii_schedule(k_max: int = 20) -> np.ndarray:
+    """Radii ``1 - 2^-k`` for ``k = 1 .. k_max``; ``k_max < 1`` raises ``ConfigInvalid``."""
+    if k_max < 1:
+        raise ConfigInvalid(f"k_max must be at least 1, got {k_max}")
     return 1.0 - 2.0 ** (-np.arange(1, k_max + 1, dtype=float))
 
 

@@ -152,7 +152,7 @@ def parse_schedule(spec) -> np.ndarray:
     else:
         values = _vector(spec, "schedule", dtype=float)
     if len(values) == 0:
-        return values
+        raise ConfigInvalid("schedule needs at least one value")
     if np.any(values <= 0) or np.any(values >= 1):
         raise ConfigInvalid("schedule values must lie in (0, 1)")
     if np.any(np.diff(values) >= 0):

@@ -859,13 +859,23 @@ def domain_from_config(cfg: dict) -> Domain:
     if kind == "disk":
         return disk()
     if kind == "ball":
-        return ball(int(cfg.get("dimension", 2)))
+        return ball(_count(cfg.get("dimension", 2), "dimension"))
     if kind == "polydisk":
-        return polydisk(int(cfg.get("dimension", 2)))
+        return polydisk(_count(cfg.get("dimension", 2), "dimension"))
     if kind == "ellipsoid":
-        return ellipsoid(cfg["exponents"])
+        exponents = cfg.get("exponents")
+        if not isinstance(exponents, list) or not exponents:
+            raise ConfigInvalid(f"domain exponents must be a non-empty list, got {exponents!r}")
+        return ellipsoid([_count(m, "exponents") for m in exponents])
     return modulus_polynomial(
-        [(c, alpha) for c, alpha in cfg["terms"]],
-        int(cfg["dimension"]),
+        [(c, alpha) for c, alpha in cfg.get("terms", [])],
+        _count(cfg.get("dimension"), "dimension"),
         cfg.get("bounding_radius"),
     )
+
+
+def _count(value, key: str) -> int:
+    """A positive integer (an integral float counts); anything else raises ``ConfigInvalid``."""
+    if type(value) in (int, float) and math.isfinite(value) and value == int(value) and value >= 1:
+        return int(value)
+    raise ConfigInvalid(f"domain {key} must be a positive integer, got {value!r}")

@@ -21,6 +21,7 @@ from scipy.special import gamma as gamma_fn
 from .domain import Domain, as_point, boundary_distance, c2r, ray_exit, sample_ball
 from .errors import (
     ChartIncomplete,
+    ConfigInvalid,
     PositiveCurvatureUnsupported,
     RadiusOutOfRange,
     ZeroVector,
@@ -299,7 +300,7 @@ def rigidity_threshold(d: int, kappa: float, A: float, theta: float,
 
     Invariant under the metric rescaling ``(kappa, A) -> (lam kappa, A / sqrt(lam))``.
     """
-    if d < 1 or kappa <= 0 or A <= 0 or not (0 < theta <= math.pi / 2):
-        raise ValueError("need d >= 1, kappa > 0, A > 0, theta in (0, pi/2]")
+    if not (d >= 1 and kappa > 0 and A > 0 and 0 < theta <= math.pi / 2):
+        raise ConfigInvalid("need d >= 1, kappa > 0, A > 0, theta in (0, pi/2]")
     base = 2.0 + math.sqrt(kappa) * A / math.sin(theta)
     return base if positive_injectivity else 4.0 * d + base

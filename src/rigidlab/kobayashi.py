@@ -425,8 +425,8 @@ def kob_ball_inclusion(dom: Domain, p, euclidean_radius: float,
     """
     p = dom.require_inside(finite_point(p, dom.dimension, "point"))
     rho = float(euclidean_radius)
-    if not math.isfinite(rho):
-        raise ConfigInvalid(f"euclidean radius must be finite, got {rho}")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ConfigInvalid(f"euclidean radius must be finite and positive, got {rho}")
     delta = boundary_distance(dom, p)
     if rho >= delta:
         raise RadiusTooLarge(f"euclidean radius {rho} exceeds the boundary distance {delta}")

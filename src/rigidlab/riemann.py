@@ -10,13 +10,16 @@ whose Newton iteration uses the exact variational system (all four flows run
 on the one fixed-step RK4 integrator :func:`_rk4`), the tangent-bundle
 metric with its horizontal/vertical splitting, and the three estimates the
 rigidity pipelines consume: unit-tangent vs tangent comparison, geodesic
-spread, and the backward initial-condition estimate.
+spread, and the backward initial-condition estimate (which samples the
+model's ``closed_ray`` when it has one and integrates otherwise).
 
 Shape contract: the ``g``, ``ginv`` and ``dg`` oracles and
 :func:`christoffel` take one point ``(n,)`` or a stack of points ``(N, n)``
 and return the matching leading axis, e.g. ``christoffel(m, xs)`` is
 ``(N, n, n, n)``; ``d2g`` and everything else take one point.  ``ginv`` is
-the closed-form inverse of ``g``, so no step inverts a matrix numerically.
+the closed-form inverse of ``g``, so no step inverts a matrix numerically;
+``min_eig`` is the smallest eigenvalue of ``g`` at one point, in closed form,
+so the positivity check in :meth:`MetricField.metric_at` needs no ``eigvalsh``.
 The ``closed_geodesic`` and ``closed_ray`` samplers take a time ``t``
 (returning ``(n,)``) or an array of times (returning ``(N, n)``).
 
@@ -72,6 +75,7 @@ class MetricField:
     ginv: Callable[[np.ndarray], np.ndarray]    # inverse of g, stacks as g
     dg: Callable[[np.ndarray], np.ndarray]      # dg[..., k, i, j] = d_k g_ij, stacks as g
     d2g: Callable[[np.ndarray], np.ndarray]     # d2g[k, l, i, j] = d_k d_l g_ij, one point
+    min_eig: Callable[[np.ndarray], float]      # smallest eigenvalue of g, one point
     chart_contains: Callable[[np.ndarray], bool]
     kappa_model: float | None = None            # known constant sectional curvature
     inj_model: float | None = None              # known injectivity radius (None = unknown)
@@ -88,8 +92,10 @@ class MetricField:
         return x
 
     def metric_at(self, x) -> np.ndarray:
-        gx = np.asarray(self.g(np.asarray(x, dtype=float)))
-        if np.min(np.linalg.eigvalsh(0.5 * (gx + gx.T))) <= MIN_EIGENVALUE:
+        """``g(x)``; raises ``SingularMetric`` unless ``min_eig(x) > MIN_EIGENVALUE``."""
+        x = np.asarray(x, dtype=float)
+        gx = np.asarray(self.g(x))
+        if not self.min_eig(x) > MIN_EIGENVALUE:
             raise SingularMetric(f"{self.name}: metric not positive definite at {x}")
         return gx
 
@@ -127,8 +133,10 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
     coordinates ``(Re z_1, Im z_1, ...)``.  ``a`` and ``b`` map ``s`` (a float,
     or an array for a stack of points) to the triple ``(f, f', f'')``;
     ``b=None`` is the conformal case ``b == 0``, whose oracles skip the
-    rank-2 terms.  With ``P = x x^T + Jx (Jx)^T``, which has ``P^2 = s P``::
+    rank-2 terms.  With ``P = x x^T + Jx (Jx)^T``, which has ``P^2 = s P``
+    (eigenvalue ``s`` on span{x, Jx}, 0 on the rest)::
 
+        min eig   = min(a, a + b s)   (a + b s alone when dim == 2)
         g^{-1}    = (I - b / (a + b s) P) / a
         d_k g     = 2 x_k (a' I + b' P) + b d_k P
         d_k d_l g = 2 delta_kl (a' I + b' P) + 4 x_k x_l (a'' I + b'' P)
@@ -168,6 +176,14 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
         b0 = b(s)[0]
         return (eye - b0 / (a0 + b0 * s) * rank2(x)) / a0
 
+    def min_eig(x):
+        s = float(x.dot(x))
+        a0 = a(s)[0]
+        if b is None:
+            return a0
+        rank2_eig = a0 + b(s)[0] * s
+        return rank2_eig if dim == 2 else min(a0, rank2_eig)
+
     def dg(x):
         s = norm2(x)
         da = a(s)[1]
@@ -192,7 +208,8 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
         cross = x[:, None, None, None] * (2.0 * db * (dp @ x))
         return out + cross + cross.transpose(1, 0, 2, 3) + b0 * d2p
 
-    return MetricField(name=name, dim=dim, g=g, ginv=ginv, dg=dg, d2g=d2g, **fields)
+    return MetricField(name=name, dim=dim, g=g, ginv=ginv, dg=dg, d2g=d2g, min_eig=min_eig,
+                       **fields)
 
 
 # -- model metrics -----------------------------------------------------------
@@ -230,6 +247,7 @@ def euclidean(n: int = 2) -> MetricField:
     return MetricField(
         name="euclid", dim=n,
         g=constant(eye), ginv=constant(eye), dg=constant(zeros3), d2g=lambda x: zeros4,
+        min_eig=lambda x: 1.0,
         chart_contains=lambda x: bool(np.all(np.abs(x) < 1e6)),
         kappa_model=0.0, inj_model=math.inf,
         closed_dist=lambda x, y: float(np.linalg.norm(np.asarray(y) - np.asarray(x))),
@@ -286,8 +304,12 @@ def sphere_stereographic(chart_radius: float = 40.0) -> MetricField:
         return np.array([2 * x[0], 2 * x[1], s - 1.0]) / (1.0 + s)
 
     def dist(x, y):
-        c = float(np.clip(embed(np.asarray(x, float)) @ embed(np.asarray(y, float)), -1.0, 1.0))
-        return math.acos(c)
+        """``atan2(|p x q|, p . q)``: unlike ``acos(p . q)`` it keeps every digit
+        of short distances."""
+        p0, p1, p2 = embed(np.asarray(x, float)).tolist()
+        q0, q1, q2 = embed(np.asarray(y, float)).tolist()
+        cross = math.hypot(p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
+        return math.atan2(cross, p0 * q0 + p1 * q1 + p2 * q2)
 
     def curve(p, q):
         """Great circle through ``p`` with unit tangent ``q``, in the chart."""
@@ -428,6 +450,7 @@ def scale_metric(m: MetricField, lam: float) -> MetricField:
         name=f"{m.name}*{lam:g}", dim=m.dim,
         g=lambda x: lam * m.g(x), ginv=lambda x: m.ginv(x) / lam,
         dg=lambda x: lam * m.dg(x), d2g=lambda x: lam * m.d2g(x),
+        min_eig=lambda x: lam * m.min_eig(x),
         chart_contains=m.chart_contains,
         kappa_model=(m.kappa_model / lam if m.kappa_model is not None else None),
         inj_model=(m.inj_model * s if m.inj_model is not None else None),
@@ -530,6 +553,14 @@ def measured_curvature_bound(m: MetricField, points, rng=None, planes: int = 4) 
 # flows
 # ---------------------------------------------------------------------------
 
+def _positive(name: str, value) -> float:
+    """``value`` as a float; anything but a finite positive number raises ``ConfigInvalid``."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigInvalid(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def _rk4(rhs, state, h: float, n_steps: int, check=None) -> list[np.ndarray]:
     """Classical fixed-step RK4 for ``s' = rhs(*s)``, ``s`` a tuple of arrays.
 
@@ -599,6 +630,7 @@ def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
     Speed conservation is monitored, never enforced: a drift beyond
     ``drift_tol`` raises ``StepTooLarge``.
     """
+    step = _positive("step", step)
     x = m.require_chart(init.x)
     v = np.asarray(init.vec, dtype=float)
     n_steps = max(1, int(round(horizon / step)))
@@ -646,6 +678,7 @@ def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
     ``f(0) exp((kappa + 1) t / 2)`` with ``kappa`` the measured |sectional|
     bound along the path (or a supplied value).
     """
+    step = _positive("step", step)
     J0 = np.atleast_2d(np.asarray(J0, dtype=float))
     W0 = np.atleast_2d(np.asarray(W0, dtype=float))
     B = J0.shape[0]
@@ -933,21 +966,34 @@ def backward_estimate(m: MetricField, gamma_init: TangentPoint, sigma_init: Tang
                       step: float = DEFAULT_STEP, use_closed_form: bool = True) -> float:
     """Empirical ratio ``d_T1(gamma'(0), sigma'(0)) * eps / max_t d(gamma(t), sigma(t))``.
 
-    The max over samples of this ratio estimates the constant in the backward
+    The max runs over ``grid + 1`` equally spaced times in ``[0, eps]``.  Each
+    curve is the model's ``closed_ray`` sampled at ``|v|_g t`` when it has
+    one, else an RK4 ``geodesic_flow`` whose step (at most ``min(step,
+    eps / 16)``) divides the grid, so every sample is a stored state.  The
+    max over samples of this ratio estimates the constant in the backward
     initial-condition inequality.  Coincident geodesics report 0.
     """
+    eps = _positive("eps", eps)
+    step = _positive("step", step)
     kap = kappa if kappa is not None else (abs(m.kappa_model) if m.kappa_model else 1.0)
     r_floor = convexity_radius_floor(m, kap)
     if eps >= min(r_floor / 2.0, 1.0):
         raise EpsilonTooLarge(f"eps={eps} vs floor {min(r_floor / 2.0, 1.0)}")
-    p1 = geodesic_flow(m, gamma_init, eps, step=min(step, eps / 16))
-    p2 = geodesic_flow(m, sigma_init, eps, step=min(step, eps / 16))
-    dmax = 0.0
-    for t in np.linspace(0.0, eps, grid + 1):
-        x1, _ = p1.state(t)
-        x2, _ = p2.state(t)
-        dmax = max(dmax, geodesic_distance(m, x1, x2, prefer_closed_form=use_closed_form))
+    inits = (gamma_init, sigma_init)
+    for init in inits:
+        m.require_chart(init.x)
+    # the T1M distance also checks that both vectors are unit before any sampling
     d0 = tangent_distances(m, gamma_init, sigma_init, mode="T1M").interval.upper
+    ts = np.linspace(0.0, eps, grid + 1)
+    if m.closed_ray is not None:
+        xs1, xs2 = (m.closed_ray(p.x, p.vec)(m.norm(p.x, p.vec) * ts) for p in inits)
+    else:
+        per_sample = math.ceil(eps / (grid * min(step, eps / 16)))
+        xs1, xs2 = (geodesic_flow(m, p, eps, step=eps / (grid * per_sample)).xs[::per_sample]
+                    for p in inits)
+    dmax = 0.0
+    for x1, x2 in zip(xs1, xs2):
+        dmax = max(dmax, geodesic_distance(m, x1, x2, prefer_closed_form=use_closed_form))
     if dmax == 0.0:
         return 0.0
     return d0 * eps / dmax

@@ -27,6 +27,7 @@ import numpy as np
 from .domain import Cone, Domain, as_point, boundary_data, c2r, cone_certificate, disk, finite_point, r2c, sample_ball
 from .errors import (
     ConeUncertified,
+    ConfigInvalid,
     NotIsometry,
     PropertyBGFail,
     SuiteSoundnessViolation,
@@ -178,6 +179,8 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
     """
     xi0 = finite_point(xi0, dom.dimension, "xi0")
     z0 = dom.center() if z0 is None else finite_point(z0, dom.dimension, "z0")
+    if not dom.contains(z0):
+        raise ConfigInvalid(f"z0 must lie inside the domain, got {z0}")
     cert = cone_certificate(dom, cone, grid=16)
     if not cert.ok:
         raise ConeUncertified("the interior cone condition failed on samples")

@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +208,34 @@ class TestMain:
         assert cli.main(["--out-dir", str(tmp_path / "out")] + argv) == 2
         assert capsys.readouterr().err.startswith(("config error", "error ["))
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["kahler", "--check", "threshold", "--params", '{"d":0}'],
+        ["cgeo", "--points", "[[0,0],[0.5,0]]", "--k-max", "0"],
+        ["schwarz", "--schedule", "[]"],
+        ["rigidity", "--pipeline", "biholo", "--z0", "[2]"],
+        ["kob", "--domain", '{"kind":"ball","dimension":"x"}', "--points", "[[0.1,0]]"],
+        ["kob", "--domain", '{"kind":"ball","dimension":0}'],
+        ["kob", "--domain", '{"kind":"ellipsoid","exponents":[0,1]}'],
+        ["kob", "--op", "ball", "--points", "[[0.1]]", "--radius", "-1"],
+        ["riemann", "--params", '{"step":0}'],
+        ["riemann", "--op", "jacobi", "--params", '{"step":-1}'],
+        ["riemann", "--op", "backward", "--params", '{"eps":0}'],
+        ["riemann", "--op", "backward", "--params", '{"eps":-1}'],
+    ], ids=["threshold-d", "k-max", "empty-schedule", "z0-outside", "dimension-x",
+            "dimension-0", "exponent-0", "radius", "step", "jacobi-step", "eps-0", "eps-negative"])
+    def test_out_of_range_values_exit_2_without_output(self, tmp_path, capsys, argv):
+        assert cli.main(["--out-dir", str(tmp_path / "out")] + argv) == 2
+        assert capsys.readouterr().err.startswith(("config error", "error [ConfigInvalid]"))
+        assert not (tmp_path / "out").exists()
+
+    def test_python_m_rigidlab_runs_the_cli(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "rigidlab", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: rigidlab")
 
     def test_kahler_bg_honours_the_model_dimension(self, tmp_path, monkeypatch):
         seen = []

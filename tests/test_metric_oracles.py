@@ -148,6 +148,18 @@ def test_closed_form_inverse(metric):
     assert np.max(np.abs(stacked @ metric.g(xs) - eye)) <= 1e-13
 
 
+MIN_EIG_MODELS = [rm.euclidean(2), rm.poincare_disk(), rm.sphere_stereographic(),
+                  rm.bergman_ball(1), rm.bergman_ball(2), rm.bergman_ball(3),
+                  rm.scale_metric(rm.bergman_ball(2), 2.5)]
+
+
+@pytest.mark.parametrize("metric", MIN_EIG_MODELS, ids=lambda m: m.name)
+def test_min_eig_is_the_smallest_eigenvalue(metric):
+    for x in _chart_points(metric.dim, seed=9, count=40):
+        want = np.min(np.linalg.eigvalsh(metric.g(x)))
+        assert abs(metric.min_eig(x) - want) <= 1e-13 * want, f"{metric.name} at {x}"
+
+
 def _einsum_curvature(m, x):
     """``(gamma, dgamma, riem)`` by the per-index ``einsum`` formulas and
     ``np.linalg.inv``: the reference for ``christoffel_curvature``."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidlab import riemann as rm
-from rigidlab.errors import ConfigInvalid, EpsilonTooLarge, NotUnit, ShootingDiverged, StepTooLarge
+from rigidlab.errors import (ConfigInvalid, EpsilonTooLarge, NotUnit, ShootingDiverged,
+                             SingularMetric, StepTooLarge)
 
 EU = rm.euclidean(2)
 PO = rm.poincare_disk()
@@ -356,6 +358,82 @@ class TestBackward:
         with pytest.raises(EpsilonTooLarge):
             rm.backward_estimate(SP, X, Y, 0.9, kappa=1.0)
 
+    @pytest.mark.parametrize("key, value", [("eps", 0.0), ("eps", -1.0), ("eps", math.nan),
+                                            ("eps", math.inf), ("step", 0.0), ("step", -1e-3)])
+    def test_eps_and_step_must_be_positive(self, key, value):
+        X = unit_at(PO, [0.1, 0], [1, 0])
+        Y = unit_at(PO, [0.1, 0], [1, 1e-3])
+        kwargs = {"eps": 0.1, "step": 1e-3, key: value}
+        with pytest.raises(ConfigInvalid):
+            rm.backward_estimate(PO, X, Y, **kwargs)
+
+    @pytest.mark.parametrize("m", ALL_MODELS + (rm.scale_metric(BE, 2.5),), ids=lambda m: m.name)
+    def test_closed_rays_match_the_integrated_fallback(self, m):
+        fallback = dataclasses.replace(m, closed_ray=None)
+        rng = np.random.default_rng(31)
+        for k in range(4):
+            u = rng.standard_normal(m.dim)
+            x = 0.3 * rng.uniform() * u / np.linalg.norm(u)
+            v = rng.standard_normal(m.dim)
+            # two same-base pairs at an angle, then two pairs with nearby bases
+            if k < 2:
+                y, w = x, v + 0.05 * rng.standard_normal(m.dim)
+            else:
+                y, w = x + 1e-3 * rng.standard_normal(m.dim), v
+            X, Y = unit_at(m, x, v), unit_at(m, y, w)
+            for eps in (0.1, 0.05):
+                got = rm.backward_estimate(m, X, Y, eps)
+                want = rm.backward_estimate(fallback, X, Y, eps)
+                assert got == pytest.approx(want, rel=1e-9, abs=0), (m.name, k, eps)
+
+    def test_closed_rays_replace_the_two_flows(self, monkeypatch):
+        calls = []
+        flow = rm.geodesic_flow
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(rm, "geodesic_flow", counting)
+        X = unit_at(BE, [0.1, 0, 0, 0.2], [1, 0, 0, 0])
+        Y = unit_at(BE, [0.1, 0, 0, 0.2], [1, 0.01, 0, 0])
+        rm.backward_estimate(BE, X, Y, 0.1)
+        assert calls == []
+        rm.backward_estimate(dataclasses.replace(BE, closed_ray=None), X, Y, 0.1)
+        assert calls == [BE.name, BE.name]
+
+
+class TestPositivityCheck:
+    """Invariant metrics whose conformal factor ``a`` (dim 2) or whose
+    eigenvalue ``a + b s`` on span{x, Jx} (dim 4) crosses zero at ``s = 1/2``,
+    inside the unit-ball chart."""
+
+    @staticmethod
+    def _degenerate(kind: str) -> rm.MetricField:
+        chart = dict(chart_contains=lambda x: float(x @ x) < 1.0)
+        if kind == "conformal":
+            return rm.invariant_metric("a-crosses-zero", 2, lambda s: (1.0 - 2.0 * s, -2.0, 0.0),
+                                       **chart)
+        return rm.invariant_metric("ab-crosses-zero", 4, lambda s: (1.0, 0.0, 0.0),
+                                   lambda s: (-2.0, 0.0, 0.0), **chart)
+
+    @pytest.mark.parametrize("kind", ["conformal", "rank-2"])
+    def test_singular_metric_is_reported(self, kind):
+        m = self._degenerate(kind)
+        good, bad = np.zeros(m.dim), np.zeros(m.dim)
+        good[0], bad[0] = 0.5, 0.8
+        assert np.array_equal(m.metric_at(good), m.g(good))
+        v = np.zeros(m.dim)
+        v[1] = 1.0
+        with pytest.raises(SingularMetric):
+            m.metric_at(bad)
+        with pytest.raises(SingularMetric):
+            rm.christoffel_curvature(m, bad)
+        with pytest.raises(SingularMetric):
+            rm.jacobi_flow(m, rm.TangentPoint.of(bad, v), 0.1, [v], [v], step=1e-2)
+        with pytest.raises(SingularMetric):
+            rm.exp_log(m, bad, bad + 0.05 * v)
+
 
 class TestSegmentBound:
     def test_orthogonal(self):
@@ -670,6 +748,23 @@ def test_exp_log_reuses_the_accepted_trial(monkeypatch):
     monkeypatch.setattr(rm, "_endpoint_and_jacobian", counting)
     rm.exp_log(PO, [0.1, 0.0], [0.11, 0.01])
     assert calls == [48, 48]
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+def test_flow_step_must_be_positive(step):
+    init = rm.TangentPoint.of([0.1, 0.0], [0.3, 0.2])
+    with pytest.raises(ConfigInvalid):
+        rm.geodesic_flow(PO, init, 0.5, step=step)
+    with pytest.raises(ConfigInvalid):
+        rm.jacobi_flow(PO, init, 0.5, [[0.0, 1.0]], [[1.0, 0.0]], step=step)
+
+
+def test_sphere_distance_keeps_short_distances():
+    # the chart segment's length at its midpoint is the distance to O(d^2)
+    x = np.array([0.1, 0.2])
+    for d in (1e-4, 1e-6, 1e-8):
+        v = d * np.array([0.6, -0.8])
+        assert SP.closed_dist(x, x + v) == pytest.approx(SP.norm(x + v / 2, v), rel=1e-7)
 
 
 class TestNonFiniteInputs:
