@@ -5,7 +5,7 @@ Submodules
 domain     bounded domains in C^d and their Euclidean boundary geometry
 kobayashi  exact model invariant metrics and certified two-sided bounds
 cgeo       complex geodesics, good left inverses, boundary probes
-schwarz    disk self-maps, displacement inequalities, the disk pipeline
+schwarz    self-maps, displacement inequalities, the convex and disk pipeline
 riemann    chart-based Riemannian engine and tangent-bundle estimates
 kahler     holomorphic curvature, bounded geometry, thresholds
 rigidity   end-to-end pipelines with machine verdicts

@@ -14,7 +14,7 @@ hyperplane at a boundary point is the kernel of ``w -> <w, grad_c r>``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -867,15 +867,28 @@ def domain_from_config(cfg: dict) -> Domain:
         if not isinstance(exponents, list) or not exponents:
             raise ConfigInvalid(f"domain exponents must be a non-empty list, got {exponents!r}")
         return ellipsoid([_count(m, "exponents") for m in exponents])
+    terms = cfg.get("terms", [])
+    if not isinstance(terms, list) or not all(
+            isinstance(t, list) and len(t) == 2 and isinstance(t[1], list) for t in terms):
+        raise ConfigInvalid(f"domain terms must be a list of [coefficient, exponents] pairs, got {terms!r}")
+    radius = cfg.get("bounding_radius")
     return modulus_polynomial(
-        [(c, alpha) for c, alpha in cfg.get("terms", [])],
+        [(_positive(c, "terms coefficient"), [_count(a, "terms exponent", least=0) for a in alpha])
+         for c, alpha in terms],
         _count(cfg.get("dimension"), "dimension"),
-        cfg.get("bounding_radius"),
+        None if radius is None else _positive(radius, "bounding_radius"),
     )
 
 
-def _count(value, key: str) -> int:
-    """A positive integer (an integral float counts); anything else raises ``ConfigInvalid``."""
-    if type(value) in (int, float) and math.isfinite(value) and value == int(value) and value >= 1:
+def _count(value, key: str, least: int = 1) -> int:
+    """An integer ``>= least`` (an integral float counts); anything else raises ``ConfigInvalid``."""
+    if type(value) in (int, float) and math.isfinite(value) and value == int(value) and value >= least:
         return int(value)
-    raise ConfigInvalid(f"domain {key} must be a positive integer, got {value!r}")
+    raise ConfigInvalid(f"domain {key} must be an integer >= {least}, got {value!r}")
+
+
+def _positive(value, key: str) -> float:
+    """A positive finite number; anything else raises ``ConfigInvalid``."""
+    if type(value) in (int, float) and math.isfinite(value) and value > 0:
+        return float(value)
+    raise ConfigInvalid(f"domain {key} must be a positive finite number, got {value!r}")

@@ -22,9 +22,10 @@ and those boundary points are ``domain.ray_exit`` brackets.
 
 Points are complex arrays of shape ``(d,)``; a non-finite point or direction
 raises ``ConfigInvalid``.  ``line_boundary_distance`` also takes a stack of
-shape ``(N, d)`` with one shared direction and returns the ``N`` radii; a
-``(d,)`` point gives a float.  The chord rule evaluates each grid in one such
-call.
+shape ``(N, d)`` with one shared direction and returns the ``N`` radii, and
+``model_dist`` takes two such stacks and returns the ``N`` distances of their
+rows; a ``(d,)`` point gives a float.  The chord rule evaluates each grid in
+one such call.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .domain import (
     BallDomain,
     DiskDomain,
     Domain,
-    EllipsoidDomain,
     PolydiskDomain,
     as_point,
     boundary_data,
@@ -101,17 +101,43 @@ def ball_metric(z: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(num) / s
 
 
-def model_dist(dom: Domain, z, w) -> float:
-    """Exact Kobayashi distance on disk / ball / polydisk."""
-    z = dom.require_inside(z)
-    w = dom.require_inside(w)
-    if isinstance(dom, DiskDomain):
-        return disk_distance(z[0], w[0])
-    if isinstance(dom, BallDomain):
-        return ball_distance(z, w)
-    if isinstance(dom, PolydiskDomain):
-        return max(disk_distance(a, b) for a, b in zip(z, w))
-    raise NotConvex(f"no closed-form distance for kind {dom.kind!r}")
+def model_dist(dom: Domain, z, w):
+    """Exact Kobayashi distance on disk / ball / polydisk.
+
+    One pair of points ``(d,)`` gives a float from the one-point formulas.
+    Two stacks ``(N, d)`` give the ``(N,)`` distances of their rows in one
+    numpy evaluation of the same formulas (on the ball, each row is scaled by
+    its own exact power of two).
+    """
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim < 2:
+        z = dom.require_inside(z)
+        w = dom.require_inside(w)
+        if isinstance(dom, DiskDomain):
+            return disk_distance(z[0], w[0])
+        if isinstance(dom, BallDomain):
+            return ball_distance(z, w)
+        if isinstance(dom, PolydiskDomain):
+            return max(disk_distance(a, b) for a, b in zip(z, w))
+        raise NotConvex(f"no closed-form distance for kind {dom.kind!r}")
+    ws = np.asarray(w, dtype=complex)
+    if zs.shape != ws.shape or zs.shape[1:] != (dom.dimension,):
+        raise ValueError(f"expected two stacks of points of C^{dom.dimension}, got shapes {zs.shape} and {ws.shape}")
+    if not (dom.contains_all(zs) and dom.contains_all(ws)):
+        raise PointOutsideDomain(f"a point of the stacks is not in the domain ({dom.kind})")
+    if isinstance(dom, (DiskDomain, PolydiskDomain)):   # the disk formula, max over coordinates
+        m = np.max(np.abs((zs - ws) / (1.0 - np.conj(zs) * ws)), axis=1)
+    elif isinstance(dom, BallDomain):   # ball_distance's Lagrange identity, row by row
+        d = ws - zs
+        exponent = np.frexp(np.max(np.abs(d), axis=1))[1][:, None]
+        d = np.ldexp(d.real, -exponent) + 1j * np.ldexp(d.imag, -exponent)
+        wedge = zs[:, :, None] * d[:, None, :] - d[:, :, None] * zs[:, None, :]
+        num = np.sum(np.abs(d) ** 2, axis=1) - 0.5 * np.sum(np.abs(wedge) ** 2, axis=(1, 2))
+        den = np.abs(1.0 - np.sum(zs * np.conj(ws), axis=1))
+        m = np.ldexp(np.sqrt(np.maximum(0.0, num / den**2)), exponent[:, 0])
+    else:
+        raise NotConvex(f"no closed-form distance for kind {dom.kind!r}")
+    return np.arctanh(np.clip(m, 0.0, 1.0 - 1e-16))
 
 
 def model_metric(dom: Domain, z, v) -> float:

@@ -17,13 +17,11 @@ INCONCLUSIVE = "inconclusive"
 COLUMN_REGISTRY: dict[str, str] = {
     "n": "schedule index",
     "r_n": "schedule radius r_n",
-    "p_n": "probe point p_n = xi0 + r_n * normal",
     "K_z0_pn": "K(z0,p_n) upper bound",
     "K_z0_pn_bound": "C0 + 0.5*log(1/r_n)",
-    "K_bound_halflog": "0.5*log(2/r_n)",
     "E_5r4": "E(5 r_n / 4) boundary error modulus",
     "disp_bound": "(C1/r_n) * E(5 r_n/4)",
-    "disp_sup": "sup over B_K(p_n;eps_n) of K(w, f(w))",
+    "disp_sup": "sampled max over p_n and B(p_n, r_n/4) of K(w, f(w))",
     "eps_n": "certified radius with B_K(p_n;eps_n) inside B(p_n;r_n/4)",
     "e4K": "exp(4 K(z0, p_n))",
     "e4K_bound": "A * r_n^(-2)",

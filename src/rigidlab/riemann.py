@@ -613,11 +613,6 @@ class GeodesicPath:
     step: float
     speed_drift: float
 
-    def state(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest stored state (the grids are fine enough for the checks)."""
-        idx = int(np.clip(round(t / self.step), 0, len(self.ts) - 1))
-        return self.xs[idx], self.vs[idx]
-
 
 def _geodesic_rhs(m: MetricField, x, v):
     return v, -((christoffel(m, x) @ v) @ v)
@@ -932,6 +927,19 @@ class SpreadRow:
     ok: bool
 
 
+def _sampled_geodesics(m: MetricField, inits, horizon: float, grid: int, step: float):
+    """The ``grid + 1`` times ``linspace(0, horizon, grid + 1)`` and each
+    geodesic of ``inits`` at those times: the model's ``closed_ray`` sampled
+    at ``|v|_g t`` when it has one, else an RK4 ``geodesic_flow`` whose step
+    (at most ``step``) divides the grid, so every sample is a stored state."""
+    ts = np.linspace(0.0, horizon, grid + 1)
+    if m.closed_ray is not None:
+        return ts, [m.closed_ray(p.x, p.vec)(m.norm(p.x, p.vec) * ts) for p in inits]
+    per_sample = math.ceil(horizon / (grid * step))
+    return ts, [geodesic_flow(m, p, horizon, step=horizon / (grid * per_sample)).xs[::per_sample]
+                for p in inits]
+
+
 def spread_check(m: MetricField, init1: TangentPoint, init2: TangentPoint,
                  kappa: float, horizon: float, grid: int = 6,
                  step: float = DEFAULT_STEP, slack: float = 1e-8,
@@ -939,15 +947,14 @@ def spread_check(m: MetricField, init1: TangentPoint, init2: TangentPoint,
     """Check ``d(gamma1(t), gamma2(t)) <= exp((kappa+1)t/2) d_T1(g1'(0), g2'(0))``.
 
     ``kappa`` must dominate the measured |sectional| bound along both paths.
-    The left side uses the shooting distance unless ``use_closed_form``.
+    Both paths are sampled at the ``grid + 1`` equally spaced times in
+    ``[0, horizon]`` as in :func:`backward_estimate`.  The left side uses the
+    shooting distance unless ``use_closed_form``.
     """
-    p1 = geodesic_flow(m, init1, horizon, step=step)
-    p2 = geodesic_flow(m, init2, horizon, step=step)
+    ts, (xs1, xs2) = _sampled_geodesics(m, (init1, init2), horizon, grid, _positive("step", step))
     d0 = tangent_distances(m, init1, init2, mode="T1M").interval.upper
     rows = []
-    for t in np.linspace(0.0, horizon, grid + 1):
-        x1, _ = p1.state(t)
-        x2, _ = p2.state(t)
+    for t, x1, x2 in zip(ts, xs1, xs2):
         lhs = geodesic_distance(m, x1, x2, prefer_closed_form=use_closed_form)
         rhs = math.exp(0.5 * (kappa + 1.0) * t) * d0
         rows.append(SpreadRow(t=float(t), lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs + slack)))
@@ -984,13 +991,7 @@ def backward_estimate(m: MetricField, gamma_init: TangentPoint, sigma_init: Tang
         m.require_chart(init.x)
     # the T1M distance also checks that both vectors are unit before any sampling
     d0 = tangent_distances(m, gamma_init, sigma_init, mode="T1M").interval.upper
-    ts = np.linspace(0.0, eps, grid + 1)
-    if m.closed_ray is not None:
-        xs1, xs2 = (m.closed_ray(p.x, p.vec)(m.norm(p.x, p.vec) * ts) for p in inits)
-    else:
-        per_sample = math.ceil(eps / (grid * min(step, eps / 16)))
-        xs1, xs2 = (geodesic_flow(m, p, eps, step=eps / (grid * per_sample)).xs[::per_sample]
-                    for p in inits)
+    _, (xs1, xs2) = _sampled_geodesics(m, inits, eps, grid, min(step, eps / 16))
     dmax = 0.0
     for x1, x2 in zip(xs1, xs2):
         dmax = max(dmax, geodesic_distance(m, x1, x2, prefer_closed_form=use_closed_form))

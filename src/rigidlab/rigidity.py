@@ -1,9 +1,10 @@
 """End-to-end rigidity pipelines with machine verdicts.
 
-``convex_pipeline`` runs the invariant-distance cascade for holomorphic self
-maps of a convex domain: distance growth toward a boundary point, the
-displacement bound from the error modulus, certified invariant-ball radii,
-and the composite quantitative-identity term.
+``convex_pipeline`` (from :mod:`rigidlab.schwarz`, where the disk entry
+``disk_rigidity_pipeline`` also lives) runs the invariant-distance cascade for
+holomorphic self maps of a convex domain: distance growth toward a boundary
+point, the displacement bound from the error modulus, certified
+invariant-ball radii, and the composite quantitative-identity term.
 
 ``biholo_pipeline`` runs the Riemannian cascade for isometries of an
 invariant Kahler metric: cone-path distance bounds, geodesic horizons,
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Cone, Domain, as_point, boundary_data, c2r, cone_certificate, disk, finite_point, r2c, sample_ball
+from .cgeo import ball_involution
+from .domain import Cone, Domain, as_point, ball, c2r, cone_certificate, disk, finite_point, r2c, sample_ball
 from .errors import (
     ConeUncertified,
     ConfigInvalid,
@@ -32,115 +34,30 @@ from .errors import (
     PropertyBGFail,
     SuiteSoundnessViolation,
 )
-from .kahler import KahlerField, property_bg_estimate, rigidity_threshold
-from .kobayashi import (
-    DISK_CALIBRATION,
-    FiniteTypeCalibration,
-    dist_bounds,
-    kob_ball_inclusion,
-)
+from .kahler import KahlerField, bergman_kahler, poincare_kahler, property_bg_estimate, rigidity_threshold
 from .report import FORCES_IDENTITY, PipelineReport
 from .riemann import MetricField, TangentPoint, scale_metric, tangent_distances
 from .schwarz import (
+    IDENTIFICATION_THRESHOLD,
     HoloMap,
+    certify_self_map,
+    convex_pipeline,
     disk_rigidity_pipeline,
     disk_zoo,
-    error_modulus,
     fit_decay_exponent,
     geometric_schedule,
     identity_map,
     interior_displacement,
-    require_self_map,
+    rotation,
     ball_automorphism,
     ball_coordinate_contact,
     unitary_map,
 )
 
-IDENTIFICATION_THRESHOLD = 1e-6
 SOUNDNESS_DISPLACEMENT = 1e-4
-CONVEX_LEMMA_C1 = 2.0
 EPS_PRIME = 0.05            # the strictly positive epsilon in the spread exponents
 ISOMETRY_TOL = 1e-6
 CALIBRATION_PREFIX = 3      # rows used to fit the existential constants
-
-
-# ---------------------------------------------------------------------------
-# convex pipeline
-# ---------------------------------------------------------------------------
-
-def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
-                    calibration: FiniteTypeCalibration | None = None,
-                    threshold: float = IDENTIFICATION_THRESHOLD,
-                    ball_samples: int = 48) -> PipelineReport:
-    """Quantity cascade toward a boundary point of a convex domain.
-
-    Per step ``n``: the distance estimate ``K(z0, p_n) <= C0 + 0.5 log(1/r_n)``
-    (C0 fitted as the worst residual), the displacement bound
-    ``(2/r_n) E(5 r_n/4)`` over the Euclidean ball, the certified invariant
-    radius ``eps_n``, and the composite term ``e^{4K}/eps_n * sup K(w, f(w))``.
-    That sup is sampled: ``p_n`` and ``ball_samples - 1`` seeded uniform points
-    of ``B(p_n, r_n/4)``.
-    """
-    xi0 = finite_point(xi0, dom.dimension, "xi0")
-    z0 = dom.center() if z0 is None else finite_point(z0, dom.dimension, "z0")
-    require_self_map(f, dom)
-    bd = boundary_data(dom, xi0, tol=1e-9)
-    schedule = geometric_schedule() if schedule is None else np.asarray(schedule, dtype=float)
-    if calibration is None and dom.kind == "disk":
-        calibration = DISK_CALIBRATION
-
-    emod = error_modulus(f, bd.point, 1.25 * schedule[::-1], dom=dom)
-
-    columns = ["n", "r_n", "K_z0_pn", "K_z0_pn_bound", "E_5r4", "disp_bound",
-               "eps_n", "disp_sup", "e4K", "e4K_bound", "composite", "in_regime"]
-    rep = PipelineReport(name=f"convex[{dom.kind},{f.name}]", columns=columns)
-    k_uppers = []
-    for r_n in schedule:
-        p_n = bd.point + r_n * bd.inward_normal
-        k_uppers.append(dist_bounds(dom, z0, p_n).upper)
-    residuals = [k - 0.5 * math.log(1.0 / r) for k, r in zip(k_uppers, schedule)]
-    c0 = max(residuals)
-    a_fit = math.exp(4.0 * c0)
-
-    for i, r_n in enumerate(schedule):
-        p_n = bd.point + r_n * bd.inward_normal
-        eps_n = kob_ball_inclusion(dom, p_n, r_n / 4.0, calibration)
-        e_val = emod.at(1.25 * r_n)
-        in_regime = e_val <= r_n / 4.0
-        disp_bound = CONVEX_LEMMA_C1 / r_n * e_val
-
-        ws = np.vstack([p_n, sample_ball(dom, p_n, r_n / 4.0, ball_samples - 1,
-                                         np.random.default_rng(1000 + i))])
-        fws = f.many(ws)
-        if dom.contains_all(fws):
-            disp_sup = max((dist_bounds(dom, w, fw).upper for w, fw in zip(ws, fws)
-                            if np.linalg.norm(fw - w) > 0), default=0.0)
-        else:
-            disp_sup = math.inf
-
-        e4k = math.exp(4.0 * k_uppers[i])
-        composite = e4k / eps_n * disp_sup
-        rep.rows.append({
-            "n": i, "r_n": r_n, "K_z0_pn": k_uppers[i],
-            "K_z0_pn_bound": c0 + 0.5 * math.log(1.0 / r_n),
-            "E_5r4": e_val, "disp_bound": disp_bound, "eps_n": eps_n,
-            "disp_sup": disp_sup, "e4K": e4k, "e4K_bound": a_fit / r_n**2,
-            "composite": composite, "in_regime": in_regime,
-        })
-        rep.add_check(f"K(z0,p_{i}) <= C0 + 0.5 log(1/r_n)",
-                      k_uppers[i] <= c0 + 0.5 * math.log(1.0 / r_n) + 1e-12)
-        rep.add_check(f"e4K_{i} <= A r_n^-2", e4k <= a_fit / r_n**2 + 1e-9)
-        if in_regime and math.isfinite(disp_sup):
-            rep.add_check(f"disp_sup_{i} <= (2/r_n) E(5r_n/4)", disp_sup <= disp_bound + 1e-9)
-
-    rep.fitted["C0"] = c0
-    rep.fitted["A"] = a_fit
-    rep.fitted["residual_slope"] = float(np.polyfit(np.log(1.0 / schedule), residuals, 1)[0])
-    rep.fitted["composite_exponent"] = fit_decay_exponent(schedule, rep.column("composite"))
-    rep.fitted["eps_exponent"] = fit_decay_exponent(schedule, rep.column("eps_n"), window=len(schedule))
-
-    rep.decide("composite", threshold)
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +264,12 @@ class SuiteSummary:
 def near_identity_automorphism(d: int = 2, offset: float = 1e-3) -> HoloMap:
     """Composition of two ball involutions at nearby base points: a genuine
     automorphism at distance ~offset from the identity."""
-    from .cgeo import ball_involution
-
     a = np.zeros(d, dtype=complex)
     a[0] = 2 * offset
     b = np.zeros(d, dtype=complex)
     b[0] = offset
     phi_a, phi_b = ball_involution(a), ball_involution(b)
-    f = HoloMap(lambda z: phi_a(phi_b(z)), d, f"near_id_automorphism({offset:g})")
-    return f
+    return HoloMap(lambda z: phi_a(phi_b(z)), d, f"near_id_automorphism({offset:g})")
 
 
 def ball_zoo(d: int = 2) -> list[HoloMap]:
@@ -369,8 +283,6 @@ def ball_zoo(d: int = 2) -> list[HoloMap]:
         near_identity_automorphism(d),
         ball_coordinate_contact(1e-9, 4, d),
     ]
-    from .domain import ball
-    from .schwarz import certify_self_map
     for f in maps:
         certify_self_map(f, ball(d))
     return [f for f in maps if f._certification.passed]
@@ -383,8 +295,6 @@ def counterexample_suite(include_biholo: bool = True,
     Raises :class:`SuiteSoundnessViolation` if any map whose interior
     displacement exceeds the soundness threshold is ever identified.
     """
-    from .domain import ball
-
     summary = SuiteSummary()
 
     for f in disk_zoo():
@@ -400,9 +310,6 @@ def counterexample_suite(include_biholo: bool = True,
         _record(summary, "convex-ball", f, disp, rep.verdict)
 
     if include_biholo:
-        from .kahler import bergman_kahler, poincare_kahler
-        from .schwarz import rotation
-
         dsk = disk()
         cone_d = Cone(apex=np.array([1.0 + 0j]), direction=np.array([-1.0 + 0j]),
                       aperture=math.pi / 3, length=0.5)

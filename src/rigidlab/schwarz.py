@@ -1,11 +1,12 @@
-"""Holomorphic self-maps of the disk: displacement inequalities and the
-boundary-contact pipeline.
+"""Holomorphic self-maps of convex domains: displacement inequalities and the
+boundary-contact pipeline of the boundary Schwarz lemma.
 
 The two-anchor displacement inequality bounds the invariant displacement of
-any holomorphic self-map at one point by its displacements at two anchors;
-the pipeline combines it with the boundary error modulus ``E(r)`` and
-certified invariant-ball radii to decide whether a map's boundary contact
-forces it to be the identity.
+any holomorphic self-map of the disk at one point by its displacements at two
+anchors.  ``convex_pipeline`` combines the boundary error modulus ``E(r)``
+with invariant distances and certified invariant-ball radii to decide whether
+a map's boundary contact at a point of a convex domain forces it to be the
+identity; ``disk_rigidity_pipeline`` is its disk entry.
 """
 
 from __future__ import annotations
@@ -16,16 +17,16 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import BallDomain, DiskDomain, Domain, as_point, disk, finite_point, ray_exit, sample_ball
-from .errors import (
-    CoincidentAnchors,
-    NotSelfMap,
-    PointOutsideDomain,
-)
+from .domain import BallDomain, DiskDomain, Domain, as_point, boundary_data, disk, finite_point, ray_exit, sample_ball
+from .errors import CoincidentAnchors, ConfigInvalid, NotSelfMap
 from .kobayashi import (
     DISK_CALIBRATION,
+    FiniteTypeCalibration,
     disk_distance,
+    dist_bounds,
+    has_model_formulas,
     kob_ball_inclusion,
+    model_dist,
 )
 from .report import PipelineReport
 from .cgeo import disk_automorphism, ball_involution
@@ -36,9 +37,7 @@ CERT_MARGIN = 1e-9
 IDENTIFICATION_THRESHOLD = 1e-6
 DISPLACEMENT_GRID = 1000
 CS_SLACK = 1e-12
-SUP_GRID_CIRCLES = 10
-SUP_GRID_ANGLES = 24  # >= 200 grid points on the hyperbolic polar grid
-DISK_LEMMA_C1 = 2.0   # K(w, f(w)) <= (2/r) E(5r/4) once E(5r/4) <= r/4
+CONVEX_LEMMA_C1 = 2.0   # K(w, f(w)) <= (2/r) E(5r/4) once E(5r/4) <= r/4
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +150,6 @@ def interior_displacement(f: HoloMap, dom: Domain | None = None,
 # ---------------------------------------------------------------------------
 
 def identity_map(d: int = 1) -> HoloMap:
-    if d == 1:
-        return HoloMap(lambda z: z, 1, "id")
     return HoloMap(lambda z: z, d, "id")
 
 
@@ -332,40 +329,7 @@ def error_modulus(f: HoloMap, xi0, radii, dom: Domain | None = None,
 
 
 # ---------------------------------------------------------------------------
-# quantitative-identity term
-# ---------------------------------------------------------------------------
-
-def hyperbolic_ball_grid(center: complex, radius: float,
-                         circles: int = SUP_GRID_CIRCLES, angles: int = SUP_GRID_ANGLES) -> np.ndarray:
-    """Hyperbolic polar grid of the invariant ball ``B_K(center; radius)``."""
-    mob = disk_automorphism(center)
-    pts = [complex(center)]
-    for i in range(1, circles + 1):
-        rho = math.tanh(radius * i / circles)
-        for k in range(angles):
-            pts.append(mob(rho * np.exp(2j * math.pi * k / angles)))
-    return np.asarray(pts)
-
-
-def displacement_sup(f: HoloMap, center: complex, radius: float) -> float:
-    """Sup of ``K(f(w), w)`` over a hyperbolic polar grid of the ball."""
-    worst = 0.0
-    for w in hyperbolic_ball_grid(center, radius):
-        fw = f.scalar(w)
-        if abs(fw) >= 1.0:
-            raise PointOutsideDomain(f"{f.name} exits the disk at {w}")
-        worst = max(worst, disk_distance(fw, w))
-    return worst
-
-
-def quantid_term(f: HoloMap, z_n: complex, r_n: float) -> float:
-    """``exp(4 K(z_n, 0)) / r_n * sup_(B_K(z_n; r_n)) K(f(w), w)``."""
-    z_n = complex(np.asarray(z_n).reshape(-1)[0])
-    return math.exp(4.0 * disk_distance(z_n, 0.0)) / r_n * displacement_sup(f, z_n, r_n)
-
-
-# ---------------------------------------------------------------------------
-# disk pipeline
+# boundary-contact pipeline
 # ---------------------------------------------------------------------------
 
 def geometric_schedule(n_lo: int = 3, n_hi: int = 14, ratio: float = 0.5) -> np.ndarray:
@@ -382,53 +346,103 @@ def fit_decay_exponent(radii, values, window: int = 5) -> float:
     return float(np.polyfit(np.log(r[mask]), np.log(v[mask]), 1)[0])
 
 
-def disk_rigidity_pipeline(f: HoloMap, schedule=None, xi0: complex = 1.0,
-                           threshold: float = IDENTIFICATION_THRESHOLD) -> PipelineReport:
-    """Boundary-contact cascade for a certified self-map of the disk.
+def _kob_uppers(dom: Domain, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Upper bounds on ``K(z, w)`` for the rows of two stacks: one stacked
+    closed form on the disk, ball and polydisk, else ``dist_bounds`` per pair."""
+    if has_model_formulas(dom):
+        return model_dist(dom, zs, ws)
+    return np.array([dist_bounds(dom, z, w).upper for z, w in zip(zs, ws)])
 
-    Per step: the distance growth ``K(0, p_n)`` against ``0.5 log(2/r_n)``,
-    the displacement bound ``(2/r_n) E(5 r_n/4)``, the certified invariant
-    radius ``eps_n`` (uniformly bounded below in d = 1), and the composite
-    identity term.  The verdict (:meth:`PipelineReport.decide`) is
-    forced-identity only when every row check passes and the composite tail
-    sinks below the identification threshold.
+
+def displacement_sup(f: HoloMap, dom: Domain, ws: np.ndarray) -> float:
+    """Max of ``K(w, f(w))`` (its upper bound off the disk, ball and
+    polydisk) over the rows of the stack ``ws``; ``inf`` when ``f`` leaves
+    the domain at one of them."""
+    fws = f.many(ws)
+    return float(np.max(_kob_uppers(dom, ws, fws))) if dom.contains_all(fws) else math.inf
+
+
+def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
+                    calibration: FiniteTypeCalibration | None = None,
+                    threshold: float = IDENTIFICATION_THRESHOLD,
+                    ball_samples: int = 48) -> PipelineReport:
+    """Boundary-contact cascade toward a boundary point of a convex domain.
+
+    Per step ``n``, along ``p_n = xi0 + r_n * inward normal``: the distance
+    estimate ``K(z0, p_n) <= C0 + 0.5 log(1/r_n)``, the displacement bound
+    ``(2/r_n) E(5 r_n/4)`` over the Euclidean ball, the certified invariant
+    radius ``eps_n``, and the composite term ``e^{4K}/eps_n * sup K(w, f(w))``.
+    That sup is sampled: ``p_n`` and ``ball_samples - 1`` seeded uniform points
+    of ``B(p_n, r_n/4)``.
+
+    On the disk and the ball with ``z0`` at the center, ``C0 = 0.5 log 2``
+    (there ``K(0, p_n) = atanh(1 - r_n) <= 0.5 log(2/r_n)``), so the distance
+    and ``e4K`` row checks can fail, and a note says so.  Elsewhere ``C0`` is
+    fitted as the worst residual, so those two checks hold by construction.
     """
-    xi0 = complex(finite_point(xi0, 1, "xi0")[0])
-    require_self_map(f)
+    xi0 = finite_point(xi0, dom.dimension, "xi0")
+    z0 = dom.center() if z0 is None else finite_point(z0, dom.dimension, "z0")
+    require_self_map(f, dom)
+    bd = boundary_data(dom, xi0, tol=1e-9)
     schedule = geometric_schedule() if schedule is None else np.asarray(schedule, dtype=float)
-    xi0 = xi0 / abs(xi0)
+    if calibration is None and dom.kind == "disk":
+        calibration = DISK_CALIBRATION
 
-    emod = error_modulus(f, xi0, 1.25 * schedule[::-1])
+    emod = error_modulus(f, bd.point, 1.25 * schedule[::-1], dom=dom)
 
-    columns = ["n", "r_n", "p_n", "K_z0_pn", "K_bound_halflog", "E_5r4",
-               "disp_bound", "eps_n", "disp_sup", "e4K", "composite", "in_regime"]
-    rep = PipelineReport(name=f"disk_rigidity[{f.name}]", columns=columns)
-    dsk = disk()
-    uniform_eps = []
-    for i, r_n in enumerate(schedule):
-        p_n = xi0 * (1.0 - r_n)
-        k0 = disk_distance(p_n, 0.0)
-        k_bound = 0.5 * math.log(2.0 / r_n)
-        eps_n = kob_ball_inclusion(dsk, [p_n], r_n / 4.0, DISK_CALIBRATION)
-        uniform_eps.append(eps_n)
+    columns = ["n", "r_n", "K_z0_pn", "K_z0_pn_bound", "E_5r4", "disp_bound",
+               "eps_n", "disp_sup", "e4K", "e4K_bound", "composite", "in_regime"]
+    rep = PipelineReport(name=f"convex[{dom.kind},{f.name}]", columns=columns)
+    p_ns = bd.point + schedule[:, None] * bd.inward_normal
+    k_uppers = _kob_uppers(dom, np.tile(z0, (len(schedule), 1)), p_ns)
+    residuals = [k - 0.5 * math.log(1.0 / r) for k, r in zip(k_uppers, schedule)]
+    if isinstance(dom, (DiskDomain, BallDomain)) and not np.any(z0):
+        c0 = 0.5 * math.log(2.0)
+        rep.notes.append("C0 = 0.5 log 2 in closed form: K(0,p_n) = atanh(1 - r_n) <= 0.5 log(2/r_n)")
+    else:
+        c0 = max(residuals)
+    a_fit = math.exp(4.0 * c0)
+
+    for i, (r_n, p_n) in enumerate(zip(schedule, p_ns)):
+        eps_n = kob_ball_inclusion(dom, p_n, r_n / 4.0, calibration)
         e_val = emod.at(1.25 * r_n)
         in_regime = e_val <= r_n / 4.0
-        disp_bound = DISK_LEMMA_C1 / r_n * e_val
-        sup_val = displacement_sup(f, p_n, eps_n)
-        composite = math.exp(4.0 * k0) / eps_n * sup_val
+        disp_bound = CONVEX_LEMMA_C1 / r_n * e_val
+
+        ws = np.vstack([p_n, sample_ball(dom, p_n, r_n / 4.0, ball_samples - 1,
+                                         np.random.default_rng(1000 + i))])
+        disp_sup = displacement_sup(f, dom, ws)
+
+        e4k = math.exp(4.0 * k_uppers[i])
+        composite = e4k / eps_n * disp_sup
         rep.rows.append({
-            "n": i, "r_n": r_n, "p_n": p_n, "K_z0_pn": k0,
-            "K_bound_halflog": k_bound, "E_5r4": e_val, "disp_bound": disp_bound,
-            "eps_n": eps_n, "disp_sup": sup_val, "e4K": math.exp(4.0 * k0),
+            "n": i, "r_n": r_n, "K_z0_pn": k_uppers[i],
+            "K_z0_pn_bound": c0 + 0.5 * math.log(1.0 / r_n),
+            "E_5r4": e_val, "disp_bound": disp_bound, "eps_n": eps_n,
+            "disp_sup": disp_sup, "e4K": e4k, "e4K_bound": a_fit / r_n**2,
             "composite": composite, "in_regime": in_regime,
         })
-        rep.add_check(f"K(0,p_{i}) <= 0.5 log(2/r_n)", k0 <= k_bound + 1e-12)
-        if in_regime:
-            rep.add_check(f"disp_sup_{i} <= (2/r_n) E(5r_n/4)", sup_val <= disp_bound + 1e-10)
+        rep.add_check(f"K(z0,p_{i}) <= C0 + 0.5 log(1/r_n)",
+                      k_uppers[i] <= c0 + 0.5 * math.log(1.0 / r_n) + 1e-12)
+        rep.add_check(f"e4K_{i} <= A r_n^-2", e4k <= a_fit / r_n**2 + 1e-9)
+        if in_regime and math.isfinite(disp_sup):
+            rep.add_check(f"disp_sup_{i} <= (2/r_n) E(5r_n/4)", disp_sup <= disp_bound + 1e-10)
 
-    rep.fitted["eps_uniform_floor"] = float(min(uniform_eps))
+    rep.fitted["C0"] = c0
+    rep.fitted["A"] = a_fit
+    rep.fitted["residual_slope"] = float(np.polyfit(np.log(1.0 / schedule), residuals, 1)[0])
     rep.fitted["composite_exponent"] = fit_decay_exponent(schedule, rep.column("composite"))
-    rep.fitted["error_modulus_slope"] = emod.slope
+    rep.fitted["eps_exponent"] = fit_decay_exponent(schedule, rep.column("eps_n"), window=len(schedule))
 
     rep.decide("composite", threshold)
     return rep
+
+
+def disk_rigidity_pipeline(f: HoloMap, schedule=None, xi0: complex = 1.0,
+                           threshold: float = IDENTIFICATION_THRESHOLD) -> PipelineReport:
+    """The disk entry of :func:`convex_pipeline`, at ``xi0`` normalised onto
+    the unit circle."""
+    xi0 = complex(finite_point(xi0, 1, "xi0")[0])
+    if xi0 == 0:
+        raise ConfigInvalid("xi0 must be nonzero")
+    return convex_pipeline(disk(), f, [xi0 / abs(xi0)], schedule, threshold=threshold)

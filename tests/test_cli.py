@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rigidlab import cli
+from rigidlab import cli, domain, rigidity, schwarz
 from rigidlab.errors import ConfigInvalid
 from rigidlab.report import PipelineReport
 
@@ -22,6 +23,17 @@ def readme_commands() -> list[list[str]]:
     block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True)[1:] for line in lines if line.strip()]
+
+
+# implicit-domain specs whose terms or bounding radius are malformed
+IMPLICIT_SPECS = {
+    "terms-short": {"terms": [[1.0]]},
+    "terms-word": {"terms": [["a", [1]]]},
+    "terms-number": {"terms": 5},
+    "terms-fraction": {"terms": [[1.0, [1.5]]]},
+    "terms-infinite": {"terms": [[math.inf, [1]]]},
+    "radius-word": {"terms": [[1.0, [1]]], "bounding_radius": "x"},
+}
 
 
 class TestParseConfig:
@@ -118,6 +130,19 @@ class TestEmission:
         header = open(paths[0]).readline()
         assert "[schedule radius r_n]" in header
 
+    def test_generic_convex_artifacts_are_pinned(self, tmp_path):
+        # the ellipsoid takes the generic per-pair dist_bounds path and the
+        # fitted C0; its rows and its JSON are pinned by their SHA-256 digests
+        rep = rigidity.convex_pipeline(domain.ellipsoid((1, 2)), schwarz.identity_map(2), [1, 0],
+                                       schwarz.geometric_schedule(3, 6))
+        cfg = cli.RunConfig(subcommand="rigidity", out_dir=str(tmp_path), format="both")
+        csv_path, json_path = cli.emit_report(rep, cfg, "ellipsoid")
+        rows = csv_path.read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(rows).hexdigest() == \
+            "c61b8a54b639344e1fbc95ed655ba315e7e28385f662f6da2ffc971f33d01da3"
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == \
+            "991940b39917d0d08495a07b75d6eeea1e4dd0a0095b102e25b59fd9cd65c50f"
+
     def test_unregistered_column_rejected(self, tmp_path):
         rep = PipelineReport(name="t", columns=["mystery"])
         rep.rows = []
@@ -213,6 +238,7 @@ class TestMain:
         ["kahler", "--check", "threshold", "--params", '{"d":0}'],
         ["cgeo", "--points", "[[0,0],[0.5,0]]", "--k-max", "0"],
         ["schwarz", "--schedule", "[]"],
+        ["schwarz", "--xi", "0"],
         ["rigidity", "--pipeline", "biholo", "--z0", "[2]"],
         ["kob", "--domain", '{"kind":"ball","dimension":"x"}', "--points", "[[0.1,0]]"],
         ["kob", "--domain", '{"kind":"ball","dimension":0}'],
@@ -222,8 +248,11 @@ class TestMain:
         ["riemann", "--op", "jacobi", "--params", '{"step":-1}'],
         ["riemann", "--op", "backward", "--params", '{"eps":0}'],
         ["riemann", "--op", "backward", "--params", '{"eps":-1}'],
-    ], ids=["threshold-d", "k-max", "empty-schedule", "z0-outside", "dimension-x",
-            "dimension-0", "exponent-0", "radius", "step", "jacobi-step", "eps-0", "eps-negative"])
+        *(["kob", "--domain", json.dumps({"kind": "implicit", "dimension": 1, **spec})]
+          for spec in IMPLICIT_SPECS.values()),
+    ], ids=["threshold-d", "k-max", "empty-schedule", "xi-zero", "z0-outside", "dimension-x",
+            "dimension-0", "exponent-0", "radius", "step", "jacobi-step", "eps-0", "eps-negative",
+            *IMPLICIT_SPECS])
     def test_out_of_range_values_exit_2_without_output(self, tmp_path, capsys, argv):
         assert cli.main(["--out-dir", str(tmp_path / "out")] + argv) == 2
         assert capsys.readouterr().err.startswith(("config error", "error [ConfigInvalid]"))

@@ -270,6 +270,41 @@ def test_segment_upper_dominates_the_distance(dom, cz, rz, cw, rw):
     assert kb._segment_upper(dom, z, w) >= kb.model_dist(dom, z, w) * (1 - 1e-12)
 
 
+_PAIR = st.tuples(_COORDS, st.floats(0.0, 0.95), _COORDS, st.floats(0.0, 0.95),
+                  st.sampled_from(["apart", "1e-12 apart", "near 1e-160"]))
+
+
+def _model_pair(dom, pair):
+    cz, rz, cw, rw, kind = pair
+    z, w = _point_from(cz, rz, dom), _point_from(cw, rw, dom)
+    if kind == "1e-12 apart":
+        w = z + 1e-12 * w
+    elif kind == "near 1e-160":
+        z, w = 1e-160 * z, 1e-160 * w
+    return z[:dom.dimension], w[:dom.dimension]
+
+
+@pytest.mark.parametrize("dom", [DISK, BALL2, POLY2], ids=["disk", "ball", "polydisk"])
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_PAIR, min_size=1, max_size=6))
+def test_stacked_model_dist_matches_each_row(dom, pairs):
+    zs, ws = (np.array(side) for side in zip(*(_model_pair(dom, p) for p in pairs)))
+    stacked = kb.model_dist(dom, zs, ws)
+    assert stacked.shape == (len(pairs),)
+    for got, z, w in zip(stacked, zs, ws):
+        assert got == pytest.approx(kb.model_dist(dom, z, w), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("dom", [DISK, BALL2, POLY2], ids=["disk", "ball", "polydisk"])
+def test_stacked_model_dist_rejects_a_row_outside(dom):
+    inside = np.full((3, dom.dimension), 0.1 + 0.2j)
+    outside = inside.copy()
+    outside[1, 0] = 1.5
+    for zs, ws in ((inside, outside), (outside, inside)):
+        with pytest.raises(PointOutsideDomain):
+            kb.model_dist(dom, zs, ws)
+
+
 @pytest.mark.parametrize("w", [[0, 2.2250738585e-313j], [1e-170, -3e-171j], [5e-324, 0]])
 def test_segment_upper_of_a_tiny_chord(w):
     # squaring these entries underflows; the bound must stay the distance max |w_j|

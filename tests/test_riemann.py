@@ -333,6 +333,27 @@ class TestSpread:
         assert last.lhs == pytest.approx(2 * math.asinh(math.sinh(3.0) * math.sin(th / 2)), rel=1e-2)
 
 
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=lambda m: m.name)
+    def test_closed_rays_match_the_integrated_fallback(self, m):
+        X = unit_at(m, [0.1] + [0.0] * (m.dim - 1), [1.0] + [0.0] * (m.dim - 1))
+        Y = unit_at(m, X.x, [1.0, 0.05] + [0.0] * (m.dim - 2))
+        fallback = dataclasses.replace(m, closed_ray=None)
+        got = rm.spread_check(m, X, Y, kappa=4.0, horizon=1.0, grid=4)
+        want = rm.spread_check(fallback, X, Y, kappa=4.0, horizon=1.0, grid=4)
+        assert [r.t for r in got] == [r.t for r in want]
+        for a, b in zip(got, want):
+            assert a.lhs == pytest.approx(b.lhs, rel=1e-9, abs=1e-12)
+
+    def test_rows_sample_the_exact_grid_times(self):
+        # t = 1/3 is read at 1/3, not at the nearest stored state of a flow
+        X = unit_at(PO, [0, 0], [1, 0])
+        Y = unit_at(PO, [0, 0], [math.cos(0.01), math.sin(0.01)])
+        rows = rm.spread_check(PO, X, Y, kappa=1.0, horizon=2.0, grid=6, use_closed_form=True)
+        ray1, ray2 = PO.closed_ray(X.x, X.vec), PO.closed_ray(Y.x, Y.vec)
+        for r in rows:
+            assert r.lhs == pytest.approx(PO.closed_dist(ray1(r.t), ray2(r.t)), rel=1e-12, abs=0)
+
+
 class TestBackward:
     def test_flat_translate(self):
         X = rm.TangentPoint.of([0, 0], [1, 0])

@@ -128,20 +128,21 @@ class TestErrorModulus:
 
 
 class TestQuantIdTerm:
-    def test_identity_exact_zero(self):
-        assert sw.quantid_term(sw.identity_map(), 1 - 1e-2, 0.1) == 0.0
+    """The quantitative-identity term is the ``composite`` column of the disk
+    entry of the convex pipeline."""
 
     def test_quartic_probe_decreases(self):
         # local probe: the map exits the disk far away but is inward near 1
         f = sw.poly_contact(1e-3, 4)
-        vals = [sw.quantid_term(f, 1 - r, 0.1) for r in (1e-1, 1e-2, 1e-3)]
-        assert vals[0] > vals[1] > vals[2]
+        f.trusted = True
+        comp = sw.disk_rigidity_pipeline(f).column("composite")
+        assert all(a > b for a, b in zip(comp, comp[1:]))
+        assert comp[-1] < 1e-5
 
     def test_rotation_diverges(self):
-        f = sw.rotation(1e-2)
-        vals = [sw.quantid_term(f, 1 - r, 0.1) for r in (1e-1, 1e-2, 1e-3)]
-        assert vals[2] > vals[1] > vals[0]
-        assert vals[2] > 1e2
+        comp = sw.disk_rigidity_pipeline(sw.rotation(1e-2)).column("composite")
+        assert all(a < b for a, b in zip(comp, comp[1:]))
+        assert comp[-1] > 1e2
 
 
 class TestDiskPipeline:
@@ -153,7 +154,7 @@ class TestDiskPipeline:
 
     def test_uniform_eps_floor(self):
         rep = sw.disk_rigidity_pipeline(sw.identity_map())
-        assert rep.fitted["eps_uniform_floor"] == pytest.approx(0.1, rel=1e-9)
+        assert min(rep.column("eps_n")) == 0.1
 
     def test_tiny_quartic_forces(self):
         rep = sw.disk_rigidity_pipeline(sw.poly_contact(1e-9, 4))
@@ -167,9 +168,22 @@ class TestDiskPipeline:
         assert min(comp) > 1e-2  # bounded away from the identification threshold
 
     def test_rows_satisfy_half_log_bound(self):
-        rep = sw.disk_rigidity_pipeline(sw.cubic_contact(0.05))
-        for row in rep.rows:
-            assert row["K_z0_pn"] <= row["K_bound_halflog"] + 1e-12
+        # at the center, C0 = 0.5 log 2 in closed form, so the K row check is
+        # K(0, p_n) = atanh(1 - r_n) <= 0.5 log(2/r_n)
+        for rep in (sw.disk_rigidity_pipeline(sw.cubic_contact(0.05)),
+                    sw.convex_pipeline(dm.ball(2), sw.identity_map(2), [1.0, 0.0])):
+            assert rep.fitted["C0"] == 0.5 * math.log(2)
+            for row in rep.rows:
+                assert row["K_z0_pn_bound"] == pytest.approx(0.5 * math.log(2 / row["r_n"]), rel=1e-15)
+                assert row["K_z0_pn"] <= row["K_z0_pn_bound"]
+            assert rep.all_checks_pass
+
+    def test_c0_is_fitted_off_the_model_balls(self):
+        schedule = sw.geometric_schedule(3, 6)
+        rep = sw.convex_pipeline(dm.ellipsoid((1, 2)), sw.identity_map(2), [1.0, 0.0], schedule)
+        residuals = [row["K_z0_pn"] - 0.5 * math.log(1 / row["r_n"]) for row in rep.rows]
+        assert rep.fitted["C0"] == max(residuals)
+        assert rep.notes == []
 
     def test_uncertified_map_rejected(self):
         with pytest.raises(NotSelfMap):
