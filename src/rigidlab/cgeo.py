@@ -79,8 +79,8 @@ def ball_involution(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """
     a = np.asarray(a, dtype=complex)
     a2 = float(np.sum(np.abs(a) ** 2))
-    if a2 >= 1.0:
-        raise ValueError("base point must lie in the open ball")
+    if not a2 < 1.0:
+        raise ConfigInvalid(f"the base point {a} of a ball automorphism must lie in the open unit ball")
     if a2 == 0.0:
         return lambda z: -np.asarray(z, dtype=complex)
     s = math.sqrt(1.0 - a2)

@@ -2,8 +2,12 @@
 
 Points of C^d are numpy complex arrays of shape ``(d,)``; the real picture
 uses the interleaved coordinates ``(x_1, y_1, ..., x_d, y_d)``.  Every domain
-carries a smooth defining function ``r`` with ``z in Omega  iff  r(z) < 0``,
-plus gradient and Hessian oracles for the boundary computations.
+carries a defining function ``r`` with ``z in Omega  iff  r(z) < 0``, written
+once on a stack of points (``defining_many``; ``defining`` reads it for one
+point).  The disk, ball, polydisk, ellipsoid and modulus polynomial give the
+gradient and Hessian of ``r`` in closed form; the polydisk only where one
+coordinate has the largest modulus.  An implicit domain given by a one-point
+function has membership only: no derivative is estimated numerically.
 
 The Hermitian pairing ``<u, v> = sum_j u_j * conj(v_j)`` is used throughout;
 with this convention the complex gradient ``grad_c r = 2 * dr/dzbar`` is the
@@ -33,7 +37,6 @@ from .errors import (
 BOUNDARY_TOL = 1e-12          # |r(xi)| tolerance for "on the boundary"
 GRADIENT_TOL = 1e-12          # degenerate-gradient threshold
 STRONG_CONVEXITY_MARGIN = 1e-8  # min eigenvalue separating flat directions from roundoff
-FD_STEP = 1e-5                # central-difference step for implicit fallbacks
 SAMPLE_BLOCKS = 50            # candidate blocks sample_ball draws before it gives up
 RAY_BISECTIONS = 60           # halvings of every ray-exit bracket
 
@@ -141,61 +144,39 @@ class ConeCertificate:
 # ---------------------------------------------------------------------------
 
 class Domain:
-    """Base class: bounded domain with defining-function oracles."""
+    """Base class: a bounded domain ``{r < 0}``.
+
+    Each kind writes its defining function once, on a stack of points
+    (``defining_many``); the one-point ``defining`` reads that body.  Kinds
+    with a closed-form boundary override ``grad_c``, ``hessian_real`` and
+    ``project_to_boundary``; the base versions raise ``BoundaryDataUnavailable``.
+    """
 
     kind: str = "abstract"
     dimension: int
     bounding_radius: float
-    convex: bool = True
-    smooth: bool = True
 
     # -- defining function oracles -----------------------------------------
 
-    def defining(self, z) -> float:
+    def defining_many(self, zs: np.ndarray) -> np.ndarray:
+        """Defining function on a stack of points, shape (k, d) -> (k,)."""
         raise NotImplementedError
+
+    def defining(self, z) -> float:
+        return float(self.defining_many(as_point(z, self.dimension)[None, :])[0])
 
     def grad_c(self, z) -> np.ndarray:
         """Real gradient of the defining function as a complex vector."""
-        z = as_point(z, self.dimension)
-        x = c2r(z)
-        g = np.empty_like(x)
-        for i in range(len(x)):
-            e = np.zeros_like(x)
-            e[i] = FD_STEP
-            g[i] = (self._def_real(x + e) - self._def_real(x - e)) / (2 * FD_STEP)
-        return r2c(g)
+        raise BoundaryDataUnavailable(f"the {self.kind} domain has no gradient oracle")
 
     def hessian_real(self, z) -> np.ndarray:
-        z = as_point(z, self.dimension)
-        x = c2r(z)
-        n = len(x)
-        h = np.empty((n, n))
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = FD_STEP
-            for j in range(i, n):
-                ej = np.zeros(n)
-                ej[j] = FD_STEP
-                val = (
-                    self._def_real(x + ei + ej)
-                    - self._def_real(x + ei - ej)
-                    - self._def_real(x - ei + ej)
-                    + self._def_real(x - ei - ej)
-                ) / (4 * FD_STEP**2)
-                h[i, j] = h[j, i] = val
-        return h
-
-    def _def_real(self, x: np.ndarray) -> float:
-        return self.defining(r2c(x))
+        """Real Hessian of the defining function in the interleaved coordinates."""
+        raise BoundaryDataUnavailable(f"the {self.kind} domain has no Hessian oracle")
 
     # -- membership ----------------------------------------------------------
 
     def contains(self, z, margin: float = 0.0) -> bool:
         return self.defining(z) < -margin
-
-    def defining_many(self, zs: np.ndarray) -> np.ndarray:
-        """Defining function on a batch of points, shape (k, d)."""
-        return np.array([self.defining(z) for z in zs])
 
     def contains_all(self, zs: np.ndarray) -> bool:
         return bool(np.all(self.defining_many(zs) < 0))
@@ -210,7 +191,7 @@ class Domain:
 
     def project_to_boundary(self, z) -> np.ndarray:
         """Nearest boundary point (unique for convex domains)."""
-        raise NotImplementedError
+        raise BoundaryDataUnavailable(f"the {self.kind} domain has no boundary projection")
 
     def boundary_distance_exact(self, z) -> float | None:
         """Closed-form boundary distance, or None when unavailable."""
@@ -228,10 +209,6 @@ class DiskDomain(Domain):
     def __init__(self):
         self.dimension = 1
         self.bounding_radius = 1.0
-
-    def defining(self, z):
-        z = as_point(z, 1)
-        return float(np.abs(z[0]) ** 2 - 1.0)
 
     def defining_many(self, zs):
         return np.abs(np.asarray(zs, dtype=complex)[:, 0]) ** 2 - 1.0
@@ -262,10 +239,6 @@ class BallDomain(Domain):
         self.dimension = int(d)
         self.bounding_radius = 1.0
 
-    def defining(self, z):
-        z = as_point(z, self.dimension)
-        return float(np.sum(np.abs(z) ** 2) - 1.0)
-
     def defining_many(self, zs):
         return np.sum(np.abs(np.asarray(zs, dtype=complex)) ** 2, axis=1) - 1.0
 
@@ -289,22 +262,39 @@ class BallDomain(Domain):
 
 
 class PolydiskDomain(Domain):
-    """Unit polydisk D^d.  The boundary is only piecewise smooth; the
-    smooth-boundary operations require a unique maximal coordinate."""
+    """Unit polydisk D^d.  The boundary is only piecewise smooth: its
+    derivatives exist where one coordinate has the largest modulus."""
 
     kind = "polydisk"
-    smooth = False
 
     def __init__(self, d: int):
         self.dimension = int(d)
         self.bounding_radius = math.sqrt(d)
 
-    def defining(self, z):
-        z = as_point(z, self.dimension)
-        return float(np.max(np.abs(z)) ** 2 - 1.0)
-
     def defining_many(self, zs):
         return np.max(np.abs(np.asarray(zs, dtype=complex)), axis=1) ** 2 - 1.0
+
+    def _top(self, z) -> int:
+        """The coordinate of largest modulus; a tie, where the boundary is not
+        C^2, raises ``DegenerateGradient``."""
+        mods = np.abs(as_point(z, self.dimension))
+        j = int(np.argmax(mods))
+        if np.count_nonzero(mods == mods[j]) > 1:
+            raise DegenerateGradient(f"{z} has two coordinates of largest modulus, "
+                                     "where the polydisk boundary is not smooth")
+        return j
+
+    def grad_c(self, z):
+        j = self._top(z)
+        out = np.zeros(self.dimension, dtype=complex)
+        out[j] = 2.0 * as_point(z, self.dimension)[j]
+        return out
+
+    def hessian_real(self, z):
+        j = self._top(z)
+        h = np.zeros((2 * self.dimension, 2 * self.dimension))
+        h[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 2.0 * np.eye(2)
+        return h
 
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension).copy()
@@ -331,11 +321,6 @@ class EllipsoidDomain(Domain):
             raise ValueError("exponents must be >= 1")
         self.dimension = len(self.exponents)
         self.bounding_radius = math.sqrt(self.dimension)
-
-    def defining(self, z):
-        z = as_point(z, self.dimension)
-        m = np.asarray(self.exponents)
-        return float(np.sum(np.abs(z) ** (2 * m)) - 1.0)
 
     def defining_many(self, zs):
         m = np.asarray(self.exponents)
@@ -377,47 +362,72 @@ class EllipsoidDomain(Domain):
 
 
 class ImplicitConvexDomain(Domain):
-    """Convex domain given by defining-function oracles.
+    """Convex domain ``{func < 0}`` given by a one-point defining function.
 
-    ``grad`` and ``hess`` are optional; central differences with step
-    ``FD_STEP`` are used when they are missing.
+    It supports membership only (sampling and ray exits): its boundary has
+    no derivative oracles, so it has no normals and no projection.
     """
 
     kind = "implicit"
 
-    def __init__(
-        self,
-        func: Callable[[np.ndarray], float],
-        dimension: int,
-        bounding_radius: float,
-        grad: Callable[[np.ndarray], np.ndarray] | None = None,
-        hess: Callable[[np.ndarray], np.ndarray] | None = None,
-        center: np.ndarray | None = None,
-    ):
+    def __init__(self, func: Callable[[np.ndarray], float], dimension: int,
+                 bounding_radius: float, center: np.ndarray | None = None):
         self._func = func
         self.dimension = int(dimension)
         self.bounding_radius = float(bounding_radius)
-        self._grad = grad
-        self._hess = hess
         self._center = (
             np.zeros(self.dimension, dtype=complex) if center is None else as_point(center, dimension)
         )
 
-    def defining(self, z):
-        return float(self._func(as_point(z, self.dimension)))
-
-    def grad_c(self, z):
-        if self._grad is not None:
-            return np.asarray(self._grad(as_point(z, self.dimension)), dtype=complex)
-        return super().grad_c(z)
-
-    def hessian_real(self, z):
-        if self._hess is not None:
-            return np.asarray(self._hess(as_point(z, self.dimension)), dtype=float)
-        return super().hessian_real(z)
+    def defining_many(self, zs):
+        return np.array([float(self._func(z)) for z in np.asarray(zs, dtype=complex)])
 
     def center(self):
         return self._center
+
+
+class ModulusPolynomialDomain(Domain):
+    """Convex domain ``f(s) = sum_k c_k prod_j s_j^{a_kj} - 1 < 0`` with
+    ``s_j = |z_j|^2`` (see :func:`modulus_polynomial`).
+
+    With ``F = df/ds`` and ``F2 = d^2f/ds^2`` the derivatives are closed-form:
+    ``grad_c = 2 z F`` and ``hessian_real = 2 diag(F) (x) I_2 + 4 (x x^T) o
+    (F2 (x) 1_2x2)`` in the interleaved coordinates ``x``.
+    """
+
+    kind = "implicit"
+
+    def __init__(self, coef: np.ndarray, powers: np.ndarray, bounding_radius: float):
+        self.coef = coef
+        self.powers = powers
+        self.dimension = powers.shape[1]
+        self.bounding_radius = float(bounding_radius)
+
+    def defining_many(self, zs):
+        mod2 = np.abs(np.asarray(zs, dtype=complex))[:, None, :] ** 2
+        return np.sum(self.coef * np.prod(mod2**self.powers, axis=-1), axis=-1) - 1.0
+
+    def _s_derivative(self, z: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """``sum_k c_k prod_i (d/ds_i)^{n_i} s_i^{a_ki}`` at ``s = |z|^2``, where
+        ``n = order[..., :]`` counts 0, 1 or 2 derivatives per coordinate.  A
+        factor with ``a_ki < n_i`` is 0, also at ``s_i = 0``."""
+        a, s = self.powers, np.abs(z) ** 2
+        factors = np.stack([s**a, a * s ** np.maximum(a - 1, 0),
+                            a * (a - 1) * s ** np.maximum(a - 2, 0)])
+        picked = factors[order[..., None, :], np.arange(len(a))[:, None], np.arange(len(s))]
+        return np.prod(picked, axis=-1) @ self.coef
+
+    def grad_c(self, z):
+        z = as_point(z, self.dimension)
+        return 2.0 * z * self._s_derivative(z, np.eye(self.dimension, dtype=int))
+
+    def hessian_real(self, z):
+        z = as_point(z, self.dimension)
+        eye = np.eye(self.dimension, dtype=int)
+        f1 = self._s_derivative(z, eye)
+        f2 = self._s_derivative(z, eye[:, None, :] + eye[None, :, :])
+        x = c2r(z)
+        return 2.0 * np.kron(np.diag(f1), np.eye(2)) + 4.0 * np.outer(x, x) * np.kron(f2, np.ones((2, 2)))
 
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension)
@@ -428,26 +438,17 @@ class ImplicitConvexDomain(Domain):
         norm = float(np.linalg.norm(z - c))
         u = (z - c) / norm if norm >= 1e-14 else np.eye(self.dimension, dtype=complex)[0]
         _, hi = ray_exit(self, c, u[None, None, :])
-        start = c2r(c + hi[0] * u)
 
         res = minimize(
             lambda x: np.sum((x - x0) ** 2),
-            start,
+            c2r(c + hi[0] * u),
             jac=lambda x: 2.0 * (x - x0),
             method="SLSQP",
-            constraints=[{"type": "eq", "fun": self._def_real}],
+            constraints=[{"type": "eq", "fun": lambda x: self.defining(r2c(x)),
+                          "jac": lambda x: c2r(self.grad_c(r2c(x)))}],
             options={"maxiter": 200, "ftol": 1e-14},
         )
-        w = res.x
-        w = _kkt_polish(self, x0, w)
-        return r2c(w)
-
-
-class _ModulusPolynomialDomain(ImplicitConvexDomain):
-    """An implicit domain whose ``func`` also takes a stack of points."""
-
-    def defining_many(self, zs):
-        return self._func(np.asarray(zs, dtype=complex))
+        return r2c(_kkt_polish(self, x0, res.x))
 
 
 def _project_moduli(exponents: np.ndarray, m0: np.ndarray) -> np.ndarray:
@@ -551,12 +552,12 @@ def ellipsoid(exponents: Sequence[int]) -> EllipsoidDomain:
     return EllipsoidDomain(exponents)
 
 
-def implicit_convex(func, dimension, bounding_radius, grad=None, hess=None, center=None) -> ImplicitConvexDomain:
-    return ImplicitConvexDomain(func, dimension, bounding_radius, grad, hess, center)
+def implicit_convex(func, dimension, bounding_radius, center=None) -> ImplicitConvexDomain:
+    return ImplicitConvexDomain(func, dimension, bounding_radius, center)
 
 
 def modulus_polynomial(terms: Sequence[tuple[float, Sequence[int]]], dimension: int,
-                       bounding_radius: float | None = None) -> ImplicitConvexDomain:
+                       bounding_radius: float | None = None) -> ModulusPolynomialDomain:
     """Convex domain ``sum_k c_k prod_j |z_j|^{2 a_kj} < 1`` with c_k > 0.
 
     This is the config-file form of an implicit domain: each term is a
@@ -579,17 +580,12 @@ def modulus_polynomial(terms: Sequence[tuple[float, Sequence[int]]], dimension: 
     if len(free):
         raise ConfigInvalid(f"coordinates {free.tolist()} have no pure-power term, so the domain is unbounded")
 
-    def func(z):
-        # one point (d,) or a stack (k, d): each term is a product over the last axis
-        mod2 = np.abs(z)[..., None, :] ** 2
-        return np.sum(coef * np.prod(mod2**powers, axis=-1), axis=-1) - 1.0
-
     if bounding_radius is None:
         # each coordinate axis is bounded by the smallest single-variable term
         bounding_radius = math.sqrt(dimension) * max(
             (1.0 / c) ** (1.0 / (2 * max(sum(alpha), 1))) for c, alpha in terms
         ) + 1.0
-    return _ModulusPolynomialDomain(func, dimension, bounding_radius)
+    return ModulusPolynomialDomain(coef, powers, bounding_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +663,12 @@ def boundary_normal(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> tuple[np.ndar
     on-boundary and gradient checks (a non-finite value fails them too)."""
     xi = as_point(xi, dom.dimension)
     value = dom.defining(xi)
-    grad = dom.grad_c(xi)
+    try:
+        grad = dom.grad_c(xi)
+    except DegenerateGradient:   # a tie of the polydisk moduli is a corner only on the boundary
+        if not abs(value) <= tol:
+            raise ApexNotOnBoundary(f"defining function is {value:.3e} at {xi}") from None
+        raise
     gnorm = float(np.linalg.norm(grad))
     if not abs(value) <= tol * max(1.0, gnorm):
         raise ApexNotOnBoundary(f"defining function is {value:.3e} at {xi}")
@@ -729,9 +730,6 @@ def cone_certificate(dom: Domain, cone: Cone, grid: int = 24, rng=None) -> ConeC
     comp = _orthonormal_complement(v_real)
     n_orth = comp.shape[1]
 
-    worst = math.inf
-    count = 0
-    ok = True
     radii = cone.length * (np.arange(1, grid + 1)) / (grid + 1)
     # uniform angles plus a geometric approach to the (open) aperture,
     # which catches violations in the sliver along the cone's side
@@ -739,6 +737,7 @@ def cone_certificate(dom: Domain, cone: Cone, grid: int = 24, rng=None) -> ConeC
         cone.aperture * np.arange(grid) / grid,
         cone.aperture * (1.0 - 2.0 ** (-np.arange(2, 9, dtype=float))),
     ])
+    points = []
     for t in radii:
         for alpha in angles:
             if alpha == 0.0:
@@ -749,16 +748,14 @@ def cone_certificate(dom: Domain, cone: Cone, grid: int = 24, rng=None) -> ConeC
                 extra = rng.standard_normal((2, n_orth)) @ comp.T
                 ws += [w / np.linalg.norm(w) for w in extra]
                 dirs = [math.cos(alpha) * v_real + math.sin(alpha) * w for w in ws]
-            for u in dirs:
-                z = apex + r2c(t * u)
-                val = dom.defining(z)
-                worst = min(worst, -val)
-                count += 1
-                if val >= 0:
-                    ok = False
+            points += [apex + r2c(t * u) for u in dirs]
+    values = dom.defining_many(np.reshape(points, (-1, dom.dimension)))
+    worst = float(np.min(-values, initial=math.inf))
+    count = len(values)
+    ok = bool(np.all(values < 0))
 
     delta_ok = True
-    if ok and dom.convex:
+    if ok:
         sin_t = math.sin(cone.aperture)
         for t in radii:
             p = apex + t * v

@@ -308,8 +308,6 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True,
     by ``_pow2_scaled`` and scaled back, so a direction below ``1e-154`` keeps
     its digits.
     """
-    if not dom.convex:
-        raise NotConvex("metric bounds require a convex domain")
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
     v, exponent = _pow2_scaled(finite_point(v, dom.dimension, "direction"))
     vn = float(np.linalg.norm(v))
@@ -388,8 +386,6 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True,
     ``via`` waypoints (the shared-path construction makes interval-level
     triangle inequalities hold).  On model kinds the closed form is returned.
     """
-    if not dom.convex:
-        raise NotConvex("distance bounds require a convex domain")
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
     w = dom.require_inside(finite_point(w, dom.dimension, "point"))
     waypoints = [dom.center()] + [finite_point(p, dom.dimension, "waypoint") for p in via]

@@ -931,7 +931,10 @@ def _sampled_geodesics(m: MetricField, inits, horizon: float, grid: int, step: f
     """The ``grid + 1`` times ``linspace(0, horizon, grid + 1)`` and each
     geodesic of ``inits`` at those times: the model's ``closed_ray`` sampled
     at ``|v|_g t`` when it has one, else an RK4 ``geodesic_flow`` whose step
-    (at most ``step``) divides the grid, so every sample is a stored state."""
+    (at most ``step``) divides the grid, so every sample is a stored state.
+    A ``grid`` below 1 samples no time after 0 and raises ``ConfigInvalid``."""
+    if not grid >= 1:
+        raise ConfigInvalid(f"grid must be an integer >= 1, got {grid}")
     ts = np.linspace(0.0, horizon, grid + 1)
     if m.closed_ray is not None:
         return ts, [m.closed_ray(p.x, p.vec)(m.norm(p.x, p.vec) * ts) for p in inits]

@@ -181,7 +181,7 @@ def cubic_contact(c: float) -> HoloMap:
     """``z - c (z-1)^3`` is a genuine self-map for ``0 < c <= 1/4`` with
     exact third-order contact at 1."""
     if not 0 < c <= 0.25:
-        raise ValueError("need 0 < c <= 1/4 for a self-map")
+        raise ConfigInvalid(f"cubic_contact needs 0 < c <= 1/4 for a self-map, got c = {c}")
     return HoloMap(lambda z: z - c * (z - 1.0) ** 3, 1, f"cubic_contact({c:g})",
                    contact=ContactSpec(1.0, 3.0, -c))
 
@@ -196,8 +196,8 @@ def bk_extremal() -> HoloMap:
 def halfplane_contact(c: float, beta: float) -> HoloMap:
     """Transfer ``w -> w + c (1-z)^beta`` through the Cayley map; a self-map
     for ``c > 0`` and ``0 <= beta <= 1`` with contact order ``2 + beta`` at 1."""
-    if c <= 0 or not 0 <= beta <= 1:
-        raise ValueError("need c > 0 and beta in [0, 1]")
+    if not (c > 0 and 0 <= beta <= 1):
+        raise ConfigInvalid(f"halfplane_contact needs c > 0 and beta in [0, 1], got c = {c}, beta = {beta}")
 
     def f(z):
         w = (1.0 + z) / (1.0 - z) + c * (1.0 - z) ** beta

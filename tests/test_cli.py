@@ -248,11 +248,18 @@ class TestMain:
         ["riemann", "--op", "jacobi", "--params", '{"step":-1}'],
         ["riemann", "--op", "backward", "--params", '{"eps":0}'],
         ["riemann", "--op", "backward", "--params", '{"eps":-1}'],
+        ["riemann", "--metric", "poincare", "--op", "spread", "--params", '{"grid":-1}'],
+        ["riemann", "--metric", "poincare", "--op", "spread", "--params", '{"grid":0}'],
+        ["schwarz", "--map", '{"name":"cubic_contact","c":0.5}'],
+        ["schwarz", "--map", '{"name":"halfplane_contact","c":-1,"beta":0.5}'],
+        ["rigidity", "--pipeline", "convex", "--domain", '{"kind":"ball","dimension":2}',
+         "--map", '{"name":"ball_automorphism","a":[1.5,0]}'],
         *(["kob", "--domain", json.dumps({"kind": "implicit", "dimension": 1, **spec})]
           for spec in IMPLICIT_SPECS.values()),
     ], ids=["threshold-d", "k-max", "empty-schedule", "xi-zero", "z0-outside", "dimension-x",
             "dimension-0", "exponent-0", "radius", "step", "jacobi-step", "eps-0", "eps-negative",
-            *IMPLICIT_SPECS])
+            "spread-grid-negative", "spread-grid-0", "cubic-contact-c", "halfplane-contact-c",
+            "ball-automorphism-outside", *IMPLICIT_SPECS])
     def test_out_of_range_values_exit_2_without_output(self, tmp_path, capsys, argv):
         assert cli.main(["--out-dir", str(tmp_path / "out")] + argv) == 2
         assert capsys.readouterr().err.startswith(("config error", "error [ConfigInvalid]"))
@@ -358,6 +365,14 @@ class TestMain:
                        "--domain", '{"kind":"ball","dimension":2}', "--map", "id", "--xi", "[0.5,0.0]"])
         assert rc == 2
         assert "error [ApexNotOnBoundary]" in capsys.readouterr().err
+
+    def test_polydisk_corner_exits_2(self, tmp_path, capsys):
+        # the boundary is not C^2 where two coordinates have the largest modulus
+        rc = cli.main(["--out-dir", str(tmp_path / "out"), "rigidity", "--pipeline", "convex",
+                       "--domain", '{"kind":"polydisk","dimension":2}', "--xi", "[1.0,1.0]"])
+        assert rc == 2
+        assert "error [DegenerateGradient]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_no_subcommand_is_a_config_error(self, capsys):
         assert cli.main([]) == 2

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab import domain as dm
-from rigidlab.errors import ApexNotOnBoundary, BoundaryDataUnavailable, PointOutsideDomain
+from rigidlab.errors import (ApexNotOnBoundary, BoundaryDataUnavailable, DegenerateGradient,
+                             PointOutsideDomain, RigidLabError)
 
 
 DISK = dm.disk()
@@ -193,10 +194,8 @@ class TestLineType:
         assert dm.line_type(POLY2, [1, 0.2]) == math.inf
 
     def test_numeric_estimator_matches_closed_form(self):
-        # same ellipsoid but exposed only through oracles
-        ell = dm.ellipsoid((1, 2))
-        implicit = dm.implicit_convex(ell.defining, 2, ell.bounding_radius,
-                                      grad=ell.grad_c, hess=ell.hessian_real)
+        # the same ellipsoid written as a modulus polynomial takes the numeric estimator
+        implicit = dm.modulus_polynomial([(1.0, (1, 0)), (1.0, (0, 2))], 2)
         assert dm.line_type(implicit, [1, 0]) == 4
         assert dm.line_type(implicit, [0, 1]) == 2
 
@@ -327,3 +326,86 @@ def test_implicit_projection_lands_on_the_boundary_also_from_the_center():
     for z in ([0.0, 0.0], [0.3, 0.2j], [1e-15, 0.0]):
         p = imp.project_to_boundary(np.array(z, dtype=complex))
         assert abs(imp.defining(p)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# closed-form boundary oracles
+# ---------------------------------------------------------------------------
+
+MIXED = dm.modulus_polynomial([(1.0, (1, 0)), (1.0, (0, 2)), (0.5, (1, 1)), (0.3, (2, 1))], 2)
+
+
+def central_differences(dom, z):
+    """Real gradient (step 1e-6) and Hessian (step 1e-4) of ``dom.defining`` by
+    central differences: the independent reference for the closed forms."""
+    x = dm.c2r(np.asarray(z, dtype=complex))
+    n = len(x)
+    r = lambda y: dom.defining(dm.r2c(y))
+    e = np.eye(n)
+    grad = np.array([(r(x + 1e-6 * e[i]) - r(x - 1e-6 * e[i])) / 2e-6 for i in range(n)])
+    h = 1e-4 * e
+    hess = np.array([[(r(x + h[i] + h[j]) - r(x + h[i] - h[j]) - r(x - h[i] + h[j]) + r(x - h[i] - h[j]))
+                      / (4 * 1e-8) for j in range(n)] for i in range(n)])
+    return grad, hess
+
+
+def _seeded_points(seed, count, d=2, radius=1.1):
+    rng = np.random.default_rng(seed)
+    zs = rng.uniform(0, radius, (count, 1)) * (rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d)))
+    zs[: count // 5, 0] = 0.0          # points on the coordinate axes, where s_j = 0
+    zs[count // 5 : 2 * count // 5, 1] = 0.0
+    return zs
+
+
+def test_modulus_polynomial_oracles_equal_the_ellipsoid():
+    as_poly = dm.modulus_polynomial([(1, (1, 0)), (1, (0, 2))], 2)
+    for z in _seeded_points(30, 50):
+        g, h = ELL12.grad_c(z), ELL12.hessian_real(z)
+        assert np.linalg.norm(as_poly.grad_c(z) - g) <= 1e-14 * max(1.0, np.linalg.norm(g))
+        assert np.linalg.norm(as_poly.hessian_real(z) - h) <= 1e-14 * max(1.0, np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("dom, points", [
+    (MIXED, _seeded_points(31, 20, radius=0.9)),
+    (POLY2, _seeded_points(32, 20, radius=0.9)),     # each point has a unique largest coordinate
+    (dm.polydisk(3), [[0.2, 0.9j, -0.3], [0.5 - 0.5j, 0.1, 0.6]]),
+], ids=["mixed-polynomial", "polydisk", "polydisk3"])
+def test_closed_form_oracles_match_central_differences(dom, points):
+    for z in np.asarray(points, dtype=complex):
+        grad, hess = central_differences(dom, z)
+        assert np.all(np.abs(dm.c2r(dom.grad_c(z)) - grad) <= 1e-6 * max(1.0, np.max(np.abs(grad))))
+        assert np.all(np.abs(dom.hessian_real(z) - hess) <= 1e-6 * max(1.0, np.max(np.abs(hess))))
+
+
+def test_modulus_polynomial_projection_solves_the_kkt_system():
+    # f = s1 + s2^2 + 0.5 s1 s2 - 1, its gradient written out by hand
+    imp = SAMPLED_DOMAINS["modulus-polynomial"]
+
+    def grad(w):
+        s1, s2 = abs(w[0]) ** 2, abs(w[1]) ** 2
+        return dm.c2r(np.array([2 * w[0] * (1 + 0.5 * s2), 2 * w[1] * (2 * s2 + 0.5 * s1)]))
+
+    for z in dm.sample_ball(imp, np.zeros(2), 0.9, 20, np.random.default_rng(13)):
+        w = imp.project_to_boundary(z)
+        g, step = grad(w), dm.c2r(w - z)
+        tangential = step - (step @ g) / (g @ g) * g
+        assert np.linalg.norm(tangential) <= 1e-13
+        assert abs(imp.defining(w)) <= 1e-13
+
+
+def test_polydisk_corner_has_no_boundary_data():
+    with pytest.raises(RigidLabError):
+        dm.boundary_data(POLY2, [1, 1])
+    with pytest.raises(ApexNotOnBoundary):      # a tie off the boundary is not a corner
+        dm.boundary_data(POLY2, [0.5, 0.5j])
+    with pytest.raises(DegenerateGradient):
+        POLY2.hessian_real([1j, -1])
+    assert not dm.boundary_data(POLY2, [1, 0.2]).strongly_convex
+
+
+def test_implicit_domains_have_membership_only():
+    dom = dm.implicit_convex(BALL2.defining, 2, 1.0)
+    assert dom.defining([0.6, 0]) == BALL2.defining([0.6, 0])
+    for oracle in (dom.grad_c, dom.hessian_real, dom.project_to_boundary):
+        with pytest.raises(BoundaryDataUnavailable):
+            oracle([1.0, 0.0])

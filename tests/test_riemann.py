@@ -388,6 +388,15 @@ class TestBackward:
         with pytest.raises(ConfigInvalid):
             rm.backward_estimate(PO, X, Y, **kwargs)
 
+    @pytest.mark.parametrize("m", [PO, dataclasses.replace(PO, closed_ray=None)], ids=["closed-ray", "integrated"])
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_must_sample_a_time_after_zero(self, m, grid):
+        # grid 0 samples only t = 0, where the two geodesics coincide
+        X = unit_at(PO, [0.1, 0], [1, 0])
+        Y = unit_at(PO, [0.1, 0], [1, 1e-3])
+        with pytest.raises(ConfigInvalid, match="grid"):
+            rm.backward_estimate(m, X, Y, 0.1, grid=grid)
+
     @pytest.mark.parametrize("m", ALL_MODELS + (rm.scale_metric(BE, 2.5),), ids=lambda m: m.name)
     def test_closed_rays_match_the_integrated_fallback(self, m):
         fallback = dataclasses.replace(m, closed_ray=None)
