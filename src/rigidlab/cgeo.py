@@ -129,7 +129,7 @@ class ComplexGeodesic:
         return worst
 
 
-def complex_geodesic(dom: Domain, z, w, defect_tol: float = MODEL_DEFECT_TOL) -> ComplexGeodesic:
+def complex_geodesic(dom: Domain, z, w) -> ComplexGeodesic:
     """Complex geodesic (or certified candidate) through two points."""
     z = dom.require_inside(z)
     w = dom.require_inside(w)
@@ -146,7 +146,7 @@ def complex_geodesic(dom: Domain, z, w, defect_tol: float = MODEL_DEFECT_TOL) ->
         geo = _chord_disc_candidate(dom, z, w)
 
     geo.measure_defect(pairs=12 if geo.tag == "ConvexNumeric" else DEFECT_SAMPLE_PAIRS)
-    if geo.tag != "ConvexNumeric" and geo.defect > defect_tol:
+    if geo.tag != "ConvexNumeric" and geo.defect > MODEL_DEFECT_TOL:
         raise NumericDefectTooLarge(f"defect {geo.defect:.2e} on a model geodesic")
     return geo
 
@@ -265,13 +265,13 @@ class LeftInverse:
         return self.func(as_point(z, self.dom.dimension))
 
 
-def left_inverse(geo: ComplexGeodesic, dom: Domain | None = None) -> LeftInverse:
+def left_inverse(geo: ComplexGeodesic) -> LeftInverse:
     """Construct a good left inverse of a model geodesic.
 
     Chord candidates on general convex domains expose no construction, so
     they raise :class:`NoConstructiveInverse`.
     """
-    dom = geo.dom if dom is None else dom
+    dom = geo.dom
 
     if geo.tag == "DiskAuto":
         center, phase = geo.params["center"], geo.params["phase"]
@@ -415,19 +415,22 @@ def default_radii_schedule(k_max: int = 20) -> np.ndarray:
     return 1.0 - 2.0 ** (-np.arange(1, k_max + 1, dtype=float))
 
 
-def boundary_hyperplane_probe(geo: ComplexGeodesic, dom: Domain | None = None,
-                              zeta: complex = 1.0, radii: np.ndarray | None = None,
-                              tol: float = 1e-7) -> ProbeResult:
+def boundary_hyperplane_probe(geo: ComplexGeodesic, zeta: complex = 1.0,
+                              radii: np.ndarray | None = None) -> ProbeResult:
     """Estimate the limiting supporting hyperplane of ``phi`` at ``zeta``.
 
     Evaluates ``phi(r zeta)`` along the schedule, projects to the boundary,
     and averages the tangent hyperplanes of the deepest projections; the
     residual at each step is the distance from ``phi(r zeta)`` to the contact
-    set of the estimated hyperplane.
+    set of the estimated hyperplane.  The tail residuals must not grow by
+    more than ``tol = 1e-7``.  ``zeta == 0`` raises ``ConfigInvalid``.
     """
-    dom = geo.dom if dom is None else dom
+    dom = geo.dom
     zeta = complex(zeta)
+    if zeta == 0:
+        raise ConfigInvalid("zeta must be nonzero")
     zeta = zeta / abs(zeta)
+    tol = 1e-7
     radii = default_radii_schedule() if radii is None else np.asarray(radii, dtype=float)
 
     points, planes = [], []

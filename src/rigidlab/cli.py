@@ -442,6 +442,8 @@ def _run_riemann(cfg: RunConfig) -> int:
 
 def _rotate_first_plane(v: np.ndarray, theta: float) -> np.ndarray:
     out = np.asarray(v, dtype=float).copy()
+    if len(out) < 2:
+        raise ConfigInvalid(f"spread and backward need a metric of at least 2 real dimensions, got {len(out)}")
     c, s = math.cos(theta), math.sin(theta)
     a, b = out[0], out[1]
     out[0], out[1] = c * a - s * b, s * a + c * b
@@ -496,12 +498,12 @@ def _run_rigidity(cfg: RunConfig) -> int:
     f = map_from_config(opts.get("map", "id"), dom.dimension)
     schedule = opts.get("schedule")
     xi = _vector(opts.get("xi", [1.0] + [0.0] * (dom.dimension - 1)), "xi", dom.dimension)
+    z0 = _vector(opts["z0"], "z0", dom.dimension) if "z0" in opts else None
     if pipeline == "convex":
-        rep = rigidity.convex_pipeline(dom, f, xi0=xi, schedule=schedule)
+        rep = rigidity.convex_pipeline(dom, f, xi0=xi, schedule=schedule, z0=z0)
     else:
         kf = kahler_from_config(opts.get("metric", "poincare" if dom.dimension == 1 else "bergman-ball"),
                                 dom.dimension)
-        z0 = _vector(opts["z0"], "z0", dom.dimension) if "z0" in opts else None
         bd = boundary_data(dom, xi, tol=1e-9)
         try:
             cone = Cone(apex=bd.point, direction=bd.inward_normal,

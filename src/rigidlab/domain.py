@@ -93,8 +93,8 @@ class Hyperplane:
     def offset(self, z) -> complex:
         return herm(np.asarray(z, dtype=complex) - self.anchor, self.normal)
 
-    def contains(self, z, tol: float = 1e-10) -> bool:
-        return abs(self.offset(z)) <= tol
+    def contains(self, z) -> bool:
+        return abs(self.offset(z)) <= 1e-10
 
     def angle_to(self, other: "Hyperplane") -> float:
         """Grassmannian distance: angle between unit normal directions."""
@@ -175,8 +175,8 @@ class Domain:
 
     # -- membership ----------------------------------------------------------
 
-    def contains(self, z, margin: float = 0.0) -> bool:
-        return self.defining(z) < -margin
+    def contains(self, z) -> bool:
+        return self.defining(z) < 0
 
     def contains_all(self, zs: np.ndarray) -> bool:
         return bool(np.all(self.defining_many(zs) < 0))
@@ -713,7 +713,7 @@ def _orthonormal_complement(v: np.ndarray) -> np.ndarray:
     return cols
 
 
-def cone_certificate(dom: Domain, cone: Cone, grid: int = 24, rng=None) -> ConeCertificate:
+def cone_certificate(dom: Domain, cone: Cone, grid: int = 24) -> ConeCertificate:
     """Sample the truncated cone and certify containment in the domain.
 
     For convex domains the consequence ``delta(apex + t v) >= sin(theta) t``
@@ -724,7 +724,7 @@ def cone_certificate(dom: Domain, cone: Cone, grid: int = 24, rng=None) -> ConeC
         raise ApexNotOnBoundary("cone apex must lie on the boundary")
     v = as_point(cone.direction, dom.dimension)
     v = v / np.linalg.norm(c2r(v))
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
 
     v_real = c2r(v)
     comp = _orthonormal_complement(v_real)
@@ -768,11 +768,12 @@ def cone_certificate(dom: Domain, cone: Cone, grid: int = 24, rng=None) -> ConeC
     return ConeCertificate(ok=ok, margin=worst, delta_bound_ok=ok and delta_ok, samples=count)
 
 
-def line_type(dom: Domain, xi, directions: int = 6, rng=None):
+def line_type(dom: Domain, xi):
     """Maximal vanishing order of the defining function along complex tangent lines.
 
     Returns the closed-form value for model kinds and a log-log estimate for
-    implicit domains.  Flat boundary pieces report ``math.inf``.
+    implicit domains (at least six seeded tangent directions).  Flat boundary
+    pieces report ``math.inf``.
     """
     xi = as_point(xi, dom.dimension)
     if dom.dimension == 1:
@@ -784,11 +785,11 @@ def line_type(dom: Domain, xi, directions: int = 6, rng=None):
     if isinstance(dom, EllipsoidDomain):
         zero = [2 * m for j, m in enumerate(dom.exponents) if abs(xi[j]) < 1e-12]
         return max(2, max(zero)) if zero else 2
-    return _line_type_numeric(dom, xi, directions, rng)
+    return _line_type_numeric(dom, xi)
 
 
-def _line_type_numeric(dom: Domain, xi: np.ndarray, directions: int, rng) -> int:
-    rng = np.random.default_rng(7) if rng is None else rng
+def _line_type_numeric(dom: Domain, xi: np.ndarray) -> int:
+    rng = np.random.default_rng(7)
     grad = dom.grad_c(xi)
     if np.linalg.norm(grad) < GRADIENT_TOL:
         raise DegenerateGradient("cannot form the tangent hyperplane")
@@ -800,7 +801,7 @@ def _line_type_numeric(dom: Domain, xi: np.ndarray, directions: int, rng) -> int
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             cands.append((basis[a] + basis[b]) / math.sqrt(2))
-    while len(cands) < directions:
+    while len(cands) < 6:
         coef = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         w = sum(c * e for c, e in zip(coef, basis))
         cands.append(w / np.linalg.norm(w))

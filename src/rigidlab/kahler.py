@@ -58,8 +58,8 @@ class KahlerField:
     complex_dim: int
     name: str
 
-    def j_invariance_defect(self, points, rng=None) -> float:
-        rng = np.random.default_rng(23) if rng is None else rng
+    def j_invariance_defect(self, points) -> float:
+        rng = np.random.default_rng(23)
         worst = 0.0
         for x in points:
             gx = self.metric.g(np.asarray(x, dtype=float))
@@ -108,22 +108,20 @@ class BGReport:
     a_est: float       # inf sqrt(g(v,v)) / |v|
     complete: bool     # ray-length divergence surrogate
     passed: bool
-    n_points: int
-    n_directions: int
 
 
 def property_bg_estimate(k: KahlerField, dom: Domain, n_points: int = 40,
-                         n_directions: int = 6, seed: int = 31,
                          extra_points=()) -> BGReport:
     """Sampled bounded-geometry constants of an invariant metric.
 
     The sample points are the origin, ``extra_points`` and seeded uniform
-    points of the domain in ``B(0, 0.995)``, ``n_points`` in all.
+    points of the domain in ``B(0, 0.995)``, ``n_points`` in all, each
+    probed along six seeded random directions.
     PASS means: curvature and upper constant finite, lower constant positive.
     Completeness is a separate flag (rays toward the boundary accumulate at
     least ``COMPLETENESS_LENGTH`` of metric length).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(31)
     d = k.complex_dim
     m = k.metric
 
@@ -140,7 +138,7 @@ def property_bg_estimate(k: KahlerField, dom: Domain, n_points: int = 40,
         delta = boundary_distance(dom, z)
         cd = christoffel_curvature(m, x)
         gx = cd.gx
-        for _ in range(n_directions):
+        for _ in range(6):
             v = rng.standard_normal(2 * d)
             gnorm = math.sqrt(float(v @ gx @ v))
             vnorm = float(np.linalg.norm(v))
@@ -157,15 +155,14 @@ def property_bg_estimate(k: KahlerField, dom: Domain, n_points: int = 40,
 
     complete = _rays_diverge(k, dom, rng)
     passed = bool(math.isfinite(kappa) and math.isfinite(A_est) and a_est > 0)
-    return BGReport(kappa_est=kappa, A_est=A_est, a_est=a_est, complete=complete,
-                    passed=passed, n_points=len(pts), n_directions=n_directions)
+    return BGReport(kappa_est=kappa, A_est=A_est, a_est=a_est, complete=complete, passed=passed)
 
 
-def _rays_diverge(k: KahlerField, dom: Domain, rng, n_rays: int = 4) -> bool:
-    """Metric length of straight rays from the center toward the boundary."""
+def _rays_diverge(k: KahlerField, dom: Domain, rng) -> bool:
+    """Metric length of four seeded straight rays from the center to the boundary."""
     d = k.complex_dim
     m = k.metric
-    us = rng.standard_normal((n_rays, 2 * d))
+    us = rng.standard_normal((4, 2 * d))
     us /= np.linalg.norm(us, axis=1)[:, None]
     # where each ray from the origin leaves the domain
     exits, _ = ray_exit(dom, np.zeros(d), (us[:, 0::2] + 1j * us[:, 1::2])[:, None, :])
@@ -190,12 +187,12 @@ def _rays_diverge(k: KahlerField, dom: Domain, rng, n_rays: int = 4) -> bool:
 # squeezing lower bound
 # ---------------------------------------------------------------------------
 
-def circumradius(dom: Domain, z, samples: int = 4096, seed: int = 37) -> float:
+def circumradius(dom: Domain, z) -> float:
     """Max distance from ``z`` to the boundary (attained at an extreme point).
 
     Closed form on the disk, ball and polydisk, an SLSQP maximum over the
     moduli on the ellipsoid.  On implicit domains it is a sampled max: the
-    farthest of the boundary points where ``samples`` seeded rays from the
+    farthest of the boundary points where 4096 seeded rays from the
     center leave the domain (``ray_exit``), which can only underestimate.
     """
     z = dom.require_inside(z)
@@ -206,7 +203,7 @@ def circumradius(dom: Domain, z, samples: int = 4096, seed: int = 37) -> float:
         return float(np.sqrt(np.sum((1.0 + np.abs(z)) ** 2)))
     if kind == "ellipsoid":
         return _ellipsoid_circumradius(dom, z)
-    w = np.random.default_rng(seed).standard_normal((samples, 2, dom.dimension))
+    w = np.random.default_rng(37).standard_normal((4096, 2, dom.dimension))
     w = w[:, 0] + 1j * w[:, 1]
     u = w / np.linalg.norm(w, axis=1)[:, None]
     c = dom.center()
@@ -282,6 +279,8 @@ def model_volume(n: int, lam: float, r: float) -> float:
 def cgt_inj_lower(vol_ball: float, kappa: float, r: float, d: int) -> float:
     """Volume-ratio lower bound for the injectivity radius:
     ``inj >= (r/2) V / (V + V_{-kappa}^{2d}(2r))`` for ``r < pi/(4 sqrt(kappa))``."""
+    if not kappa > 0:
+        raise ConfigInvalid(f"the curvature bound kappa must be positive, got {kappa}")
     if vol_ball <= 0:
         raise RadiusOutOfRange("the metric ball volume must be positive")
     if not r < math.pi / (4.0 * math.sqrt(kappa)):

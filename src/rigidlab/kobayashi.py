@@ -237,12 +237,12 @@ class SupportingHalfplane:
         return _atanh(m)
 
 
-def supporting_halfplanes(dom: Domain, z, extra_points=(), t_schedule=None) -> list[SupportingHalfplane]:
+def supporting_halfplanes(dom: Domain, z, extra_points=()) -> list[SupportingHalfplane]:
     """Supporting hyperplanes at boundary points near ``z``.
 
     The family holds the tangent plane at the nearest boundary point and those
     where the rays from ``dom.center()`` through tangential offsets of ``z``
-    over a geometric schedule (these capture the flat directions of low-type
+    over a 12-step geometric schedule (these capture the flat directions of low-type
     boundary points) and through any ``extra_points`` leave the domain.  Any
     tangent plane supports a convex domain, so only the base point needs the
     nearest-point solve; the rays are bisected together.
@@ -251,12 +251,11 @@ def supporting_halfplanes(dom: Domain, z, extra_points=(), t_schedule=None) -> l
     rays = [finite_point(p, dom.dimension, "extra point") for p in extra_points]
     planes = [_tangent_halfplane(dom, dom.project_to_boundary(z))]
     if planes[0] is not None:
-        if t_schedule is None:
-            delta = float(np.linalg.norm(planes[0].anchor - z))
-            top = max(4.0 * delta, 0.5 * dom.bounding_radius)
-            t_schedule = np.geomspace(max(delta, 1e-8) * 0.5, top, 12)
+        delta = float(np.linalg.norm(planes[0].anchor - z))
+        top = max(4.0 * delta, 0.5 * dom.bounding_radius)
+        t_schedule = np.geomspace(max(delta, 1e-8) * 0.5, top, 12)
         frame = np.array(_tangent_frame(planes[0].inward))
-        offsets = z + np.asarray(t_schedule)[None, :, None] * frame[:, None, :]
+        offsets = z + t_schedule[None, :, None] * frame[:, None, :]
         rays = list(offsets.reshape(-1, dom.dimension)) + rays
     # anchors at the outer ends of the brackets; a point at the center gives no ray
     c = dom.center()
@@ -458,8 +457,10 @@ def kob_ball_inclusion(dom: Domain, p, euclidean_radius: float,
     return eps
 
 
-def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None, directions: int = 6) -> FiniteTypeCalibration:
-    """Fit the coefficient ``alpha0`` on a radial grid approaching ``xi``.
+def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None) -> FiniteTypeCalibration:
+    """Fit the coefficient ``alpha0`` on a radial grid approaching ``xi``,
+    along six directions: the inward normal, a tangent frame, and seeded
+    random ones.
 
     Uses certified metric lower bounds only, so the returned calibration is a
     genuine lower-bound coefficient on the sampled grid.
@@ -469,7 +470,7 @@ def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None, directions: int = 
     radii = np.geomspace(1e-3, 0.2, 8) if radii is None else np.asarray(radii)
     rng = np.random.default_rng(3)
     dirs = [bd.inward_normal] + _tangent_frame(-bd.inward_normal)
-    while len(dirs) < directions:
+    while len(dirs) < 6:
         w = rng.standard_normal(dom.dimension) + 1j * rng.standard_normal(dom.dimension)
         dirs.append(w / np.linalg.norm(w))
     alpha = math.inf

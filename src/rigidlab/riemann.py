@@ -298,7 +298,7 @@ def poincare_disk() -> MetricField:
 
 
 @lru_cache(maxsize=None)
-def sphere_stereographic(chart_radius: float = 40.0) -> MetricField:
+def sphere_stereographic() -> MetricField:
     def embed(x):
         s = float(x @ x)
         return np.array([2 * x[0], 2 * x[1], s - 1.0]) / (1.0 + s)
@@ -348,7 +348,7 @@ def sphere_stereographic(chart_radius: float = 40.0) -> MetricField:
 
     return invariant_metric(
         "sphere", 2, a,
-        chart_contains=lambda x: float(x @ x) < chart_radius**2,
+        chart_contains=lambda x: float(x @ x) < 40.0**2,
         kappa_model=1.0, inj_model=math.pi,
         closed_dist=dist, closed_geodesic=geod, closed_ray=ray,
     )
@@ -528,16 +528,17 @@ def sectional_curvature(m: MetricField, x, X, Y) -> float:
     return christoffel_curvature(m, x).sectional(X, Y)
 
 
-def measured_curvature_bound(m: MetricField, points, rng=None, planes: int = 4) -> float:
-    """Max |sectional| over sampled points and 2-planes."""
-    rng = np.random.default_rng(13) if rng is None else rng
+def measured_curvature_bound(m: MetricField, points) -> float:
+    """Max |sectional| over sampled points: the coordinate 2-planes and four
+    seeded random ones per point."""
+    rng = np.random.default_rng(13)
     worst = 0.0
     for x in points:
         cd = christoffel_curvature(m, x)
         n = m.dim
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         vecs = [(np.eye(n)[i], np.eye(n)[j]) for i, j in pairs]
-        for _ in range(planes):
+        for _ in range(4):
             a, b = rng.standard_normal((2, n))
             if abs(np.linalg.det(np.stack([a, b])[:, :2])) > 1e-8 or n > 2:
                 vecs.append((a, b))
@@ -626,6 +627,7 @@ def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
     ``drift_tol`` raises ``StepTooLarge``.
     """
     step = _positive("step", step)
+    horizon = _positive("horizon", horizon)
     x = m.require_chart(init.x)
     v = np.asarray(init.vec, dtype=float)
     n_steps = max(1, int(round(horizon / step)))
@@ -665,15 +667,15 @@ class JacobiReport:
 
 
 def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
-                step: float = DEFAULT_STEP, kappa: float | None = None,
-                growth_slack: float = 1e-9) -> JacobiReport:
+                step: float = DEFAULT_STEP) -> JacobiReport:
     """Integrate ``nab^2 J + R(gamma', J) gamma' = 0`` (batched initial data).
 
     Reports ``f(t) = sqrt(|J|_g^2 + |nab J|_g^2)`` against the growth bound
-    ``f(0) exp((kappa + 1) t / 2)`` with ``kappa`` the measured |sectional|
-    bound along the path (or a supplied value).
+    ``f(0) exp((kappa + 1) t / 2)`` (up to a slack of 1e-9) with ``kappa``
+    the measured |sectional| bound along the path.
     """
     step = _positive("step", step)
+    horizon = _positive("horizon", horizon)
     J0 = np.atleast_2d(np.asarray(J0, dtype=float))
     W0 = np.atleast_2d(np.asarray(W0, dtype=float))
     B = J0.shape[0]
@@ -704,7 +706,6 @@ def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
             except ValueError:
                 pass
 
-    kap = kappa_meas if kappa is None else float(kappa)
     ts = np.linspace(0.0, horizon, n_steps + 1)
     # g-norms along the path
     xs = geodesic_flow(m, init, horizon, step=step).xs
@@ -713,8 +714,8 @@ def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
         gx = m.g(xs[i])
         f[i] = np.sqrt(np.einsum("bi,ij,bj->b", Js[i], gx, Js[i])
                        + np.einsum("bi,ij,bj->b", Ws[i], gx, Ws[i]))
-    bound = f[0][None, :] * np.exp(0.5 * (kap + 1.0) * ts)[:, None]
-    growth_ok = bool(np.all(f <= bound + growth_slack))
+    bound = f[0][None, :] * np.exp(0.5 * (kappa_meas + 1.0) * ts)[:, None]
+    growth_ok = bool(np.all(f <= bound + 1e-9))
     return JacobiReport(ts=ts, J=Js, W=Ws, f=f, kappa_measured=kappa_meas, growth_ok=growth_ok)
 
 
@@ -743,7 +744,7 @@ def _endpoint_and_jacobian(m: MetricField, x, X, n_steps: int):
     return pos[-1], dxdX[-1]
 
 
-def exp_log(m: MetricField, x, y, tol: float = SHOOTING_TOL) -> TangentPoint:
+def exp_log(m: MetricField, x, y) -> TangentPoint:
     """Newton shooting for ``X`` with ``exp_x(X) = y``; ``|X|_g`` is the distance."""
     x = m.require_chart(np.asarray(x, dtype=float))
     y = m.require_chart(np.asarray(y, dtype=float))
@@ -763,7 +764,7 @@ def exp_log(m: MetricField, x, y, tol: float = SHOOTING_TOL) -> TangentPoint:
         _, endpoint, jac = accepted
         res = endpoint - y
         rnorm = float(np.linalg.norm(res))
-        if rnorm < tol:
+        if rnorm < SHOOTING_TOL:
             return TangentPoint(x, X)
         if rnorm > 1e3 * max(1.0, best_res):
             raise ShootingDiverged(f"{m.name}: residual blew up ({rnorm:.2e})")
@@ -808,8 +809,9 @@ class SasakiSplit:
     h_norm: float
 
 
-def sasaki_eval(m: MetricField, X: TangentPoint, curve: Callable[[float], tuple], h: float = 1e-6) -> SasakiSplit:
-    """Split the derivative of a curve ``t -> (x(t), V(t))`` in TM at t = 0.
+def sasaki_eval(m: MetricField, X: TangentPoint, curve: Callable[[float], tuple]) -> SasakiSplit:
+    """Split the derivative of a curve ``t -> (x(t), V(t))`` in TM at t = 0,
+    taken by central differences of step ``h = 1e-6``.
 
     The connection map is ``K(xi) = V'(0) + Gamma(x)(x'(0), V(0))``; the
     Sasaki norm is ``sqrt(|dpi xi|_g^2 + |K xi|_g^2)``.
@@ -817,6 +819,7 @@ def sasaki_eval(m: MetricField, X: TangentPoint, curve: Callable[[float], tuple]
     x0, v0 = curve(0.0)
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
+    h = 1e-6
     xp, vp = curve(h)
     xm, vm = curve(-h)
     dx = (np.asarray(xp, float) - np.asarray(xm, float)) / (2 * h)
@@ -842,11 +845,10 @@ class TangentDistanceResult:
     interval: DistInterval
     base_distance: float
     transported: np.ndarray
-    fiber_term: float  # angle (T1M) or g-norm of the fiber gap (TM)
 
 
 def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: str = "T1M",
-                      unit_tol: float = 1e-8, step: float = DEFAULT_STEP) -> TangentDistanceResult:
+                      step: float = DEFAULT_STEP) -> TangentDistanceResult:
     """Two-sided bounds for the Sasaki distance between tangent vectors.
 
     Upper bound: base geodesic with parallel transport followed by a fiber
@@ -857,7 +859,7 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
     ny = m.norm(Y.x, Y.vec)
     if mode not in ("TM", "T1M"):
         raise ValueError("mode must be 'TM' or 'T1M'")
-    if mode == "T1M" and (abs(nx - 1.0) > unit_tol or abs(ny - 1.0) > unit_tol):
+    if mode == "T1M" and (abs(nx - 1.0) > 1e-8 or abs(ny - 1.0) > 1e-8):
         raise NotUnit(f"unit tangent mode needs unit vectors (|X|={nx}, |Y|={ny})")
 
     same_base = bool(np.allclose(X.x, Y.x, atol=1e-14))
@@ -877,15 +879,12 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
 
     if mode == "T1M":
         fiber = tangent_angle(m, Y.x, transported, Y.vec)
-        upper = base + fiber
-        lower = max(base, abs(nx - ny))
     else:
-        gap = transported - Y.vec
-        fiber = m.norm(Y.x, gap)
-        upper = base + fiber
-        lower = max(base, abs(nx - ny))
+        fiber = m.norm(Y.x, transported - Y.vec)
+    upper = base + fiber
+    lower = max(base, abs(nx - ny))
     return TangentDistanceResult(interval=DistInterval(min(lower, upper), upper),
-                                 base_distance=base, transported=transported, fiber_term=fiber)
+                                 base_distance=base, transported=transported)
 
 
 # points per stacked christoffel call: 128 KB of dg at n = 4, so the transport
@@ -945,22 +944,22 @@ def _sampled_geodesics(m: MetricField, inits, horizon: float, grid: int, step: f
 
 def spread_check(m: MetricField, init1: TangentPoint, init2: TangentPoint,
                  kappa: float, horizon: float, grid: int = 6,
-                 step: float = DEFAULT_STEP, slack: float = 1e-8,
-                 use_closed_form: bool = False) -> list[SpreadRow]:
+                 step: float = DEFAULT_STEP, use_closed_form: bool = False) -> list[SpreadRow]:
     """Check ``d(gamma1(t), gamma2(t)) <= exp((kappa+1)t/2) d_T1(g1'(0), g2'(0))``.
 
     ``kappa`` must dominate the measured |sectional| bound along both paths.
     Both paths are sampled at the ``grid + 1`` equally spaced times in
     ``[0, horizon]`` as in :func:`backward_estimate`.  The left side uses the
-    shooting distance unless ``use_closed_form``.
+    shooting distance unless ``use_closed_form``.  A row passes with a slack of 1e-8.
     """
+    horizon = _positive("horizon", horizon)
     ts, (xs1, xs2) = _sampled_geodesics(m, (init1, init2), horizon, grid, _positive("step", step))
     d0 = tangent_distances(m, init1, init2, mode="T1M").interval.upper
     rows = []
     for t, x1, x2 in zip(ts, xs1, xs2):
         lhs = geodesic_distance(m, x1, x2, prefer_closed_form=use_closed_form)
         rhs = math.exp(0.5 * (kappa + 1.0) * t) * d0
-        rows.append(SpreadRow(t=float(t), lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs + slack)))
+        rows.append(SpreadRow(t=float(t), lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs + 1e-8)))
     return rows
 
 
@@ -973,15 +972,16 @@ def convexity_radius_floor(m: MetricField, kappa: float) -> float:
 
 def backward_estimate(m: MetricField, gamma_init: TangentPoint, sigma_init: TangentPoint,
                       eps: float, kappa: float | None = None, grid: int = 8,
-                      step: float = DEFAULT_STEP, use_closed_form: bool = True) -> float:
+                      step: float = DEFAULT_STEP) -> float:
     """Empirical ratio ``d_T1(gamma'(0), sigma'(0)) * eps / max_t d(gamma(t), sigma(t))``.
 
     The max runs over ``grid + 1`` equally spaced times in ``[0, eps]``.  Each
     curve is the model's ``closed_ray`` sampled at ``|v|_g t`` when it has
     one, else an RK4 ``geodesic_flow`` whose step (at most ``min(step,
-    eps / 16)``) divides the grid, so every sample is a stored state.  The
-    max over samples of this ratio estimates the constant in the backward
-    initial-condition inequality.  Coincident geodesics report 0.
+    eps / 16)``) divides the grid, so every sample is a stored state; ``d``
+    is the model's ``closed_dist`` when it has one.  The max over samples of
+    this ratio estimates the constant in the backward initial-condition
+    inequality.  Coincident geodesics report 0.
     """
     eps = _positive("eps", eps)
     step = _positive("step", step)
@@ -997,7 +997,7 @@ def backward_estimate(m: MetricField, gamma_init: TangentPoint, sigma_init: Tang
     _, (xs1, xs2) = _sampled_geodesics(m, inits, eps, grid, min(step, eps / 16))
     dmax = 0.0
     for x1, x2 in zip(xs1, xs2):
-        dmax = max(dmax, geodesic_distance(m, x1, x2, prefer_closed_form=use_closed_form))
+        dmax = max(dmax, geodesic_distance(m, x1, x2))
     if dmax == 0.0:
         return 0.0
     return d0 * eps / dmax

@@ -55,6 +55,7 @@ from .schwarz import (
 )
 
 SOUNDNESS_DISPLACEMENT = 1e-4
+SUITE_DISPLACEMENT_SAMPLES = 400
 EPS_PRIME = 0.05            # the strictly positive epsilon in the spread exponents
 ISOMETRY_TOL = 1e-6
 CALIBRATION_PREFIX = 3      # rows used to fit the existential constants
@@ -83,9 +84,7 @@ def _check_isometry(metric: MetricField, action, samples, tol: float) -> float:
 
 
 def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
-                    schedule=None, z0=None, L: float | None = None,
-                    eps_prime: float = EPS_PRIME,
-                    threshold: float = IDENTIFICATION_THRESHOLD) -> PipelineReport:
+                    schedule=None, z0=None) -> PipelineReport:
     """Geodesic-spread cascade for an isometry of an invariant Kahler metric.
 
     The metric is rescaled so the measured curvature bound is 1 (the
@@ -122,8 +121,7 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
 
     d = k.complex_dim
     sin_t = math.sin(cone.aperture)
-    if L is None:
-        L = rigidity_threshold(d, 1.0, A_eff, cone.aperture, positive_injectivity=False) + 0.5
+    L = rigidity_threshold(d, 1.0, A_eff, cone.aperture, positive_injectivity=False) + 0.5
 
     action = _chart_map(phi)
     z0r = c2r(z0)
@@ -149,20 +147,20 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
     for i, r_n in enumerate(schedule):
         pnr = c2r(xi0 + r_n * v)
         d_pn_p0 = metric.closed_dist(pnr, p0r)
-        d_pn_p0_bound = (1.0 + eps_prime) * A_eff / sin_t * math.log(r0 / r_n) if r_n < r0 else 0.0
+        d_pn_p0_bound = (1.0 + EPS_PRIME) * A_eff / sin_t * math.log(r0 / r_n) if r_n < r0 else 0.0
         T_n = metric.closed_dist(z0r, pnr)
         T_bound = d_z0_p0 + d_pn_p0_bound
 
         T_geo, v0, sampler = metric.closed_geodesic(pnr, z0r)
         tau_n = _euclidean_exit_time(sampler, pnr, sin_t * r_n / 4.0, T_geo)
-        tau_bound = sin_t * a_eff / (4.0 * (1.0 + eps_prime)) * r_n
+        tau_bound = sin_t * a_eff / (4.0 * (1.0 + EPS_PRIME)) * r_n
 
         ts = np.linspace(0.0, tau_n, 9)
         disp = max(metric.closed_dist(sampler(t), action(sampler(t))) for t in ts)
 
         init = _initial_condition_distance(metric, sampler, action, pnr, v0)
 
-        product = math.exp(0.5 * (kappa + eps_prime + 1.0) * T_n) * init
+        product = math.exp(0.5 * (kappa + EPS_PRIME + 1.0) * T_n) * init
         rows_data.append(dict(n=i, r_n=r_n, d_pn_p0=d_pn_p0, d_pn_p0_bound=d_pn_p0_bound,
                               T_n=T_n, T_n_bound=T_bound, tau_n=tau_n, tau_bound=tau_bound,
                               geo_disp_sup=disp, init_cond=init, spread_product=product,
@@ -193,7 +191,7 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
                 decay_ok = False
 
     rep.fitted["product_exponent"] = fit_decay_exponent(schedule, rep.column("spread_product"))
-    rep.decide("spread_product", threshold, consistent=decay_ok)
+    rep.decide("spread_product", IDENTIFICATION_THRESHOLD, consistent=decay_ok)
     rep.notes.append(f"decay_fit_consistent={decay_ok}")
     return rep
 
@@ -261,9 +259,10 @@ class SuiteSummary:
         raise KeyError((pipeline, map_name))
 
 
-def near_identity_automorphism(d: int = 2, offset: float = 1e-3) -> HoloMap:
+def near_identity_automorphism(d: int = 2) -> HoloMap:
     """Composition of two ball involutions at nearby base points: a genuine
-    automorphism at distance ~offset from the identity."""
+    automorphism at distance ~1e-3 from the identity."""
+    offset = 1e-3
     a = np.zeros(d, dtype=complex)
     a[0] = 2 * offset
     b = np.zeros(d, dtype=complex)
@@ -288,8 +287,7 @@ def ball_zoo(d: int = 2) -> list[HoloMap]:
     return [f for f in maps if f._certification.passed]
 
 
-def counterexample_suite(include_biholo: bool = True,
-                         displacement_grid: int = 400) -> SuiteSummary:
+def counterexample_suite() -> SuiteSummary:
     """Run the pipelines over the zoo and enforce verdict soundness.
 
     Raises :class:`SuiteSoundnessViolation` if any map whose interior
@@ -298,35 +296,34 @@ def counterexample_suite(include_biholo: bool = True,
     summary = SuiteSummary()
 
     for f in disk_zoo():
-        disp = interior_displacement(f, samples=displacement_grid)
+        disp = interior_displacement(f, samples=SUITE_DISPLACEMENT_SAMPLES)
         rep = disk_rigidity_pipeline(f)
         _record(summary, "disk", f, disp, rep.verdict)
 
     b2 = ball(2)
     for f in ball_zoo(2):
-        disp = interior_displacement(f, b2, samples=displacement_grid)
+        disp = interior_displacement(f, b2, samples=SUITE_DISPLACEMENT_SAMPLES)
         rep = convex_pipeline(b2, f, xi0=np.array([1.0, 0.0]),
                               schedule=geometric_schedule(3, 11))
         _record(summary, "convex-ball", f, disp, rep.verdict)
 
-    if include_biholo:
-        dsk = disk()
-        cone_d = Cone(apex=np.array([1.0 + 0j]), direction=np.array([-1.0 + 0j]),
-                      aperture=math.pi / 3, length=0.5)
-        for f in (identity_map(1), rotation(1e-3)):
-            disp = interior_displacement(f, samples=displacement_grid)
-            rep = biholo_pipeline(dsk, f, poincare_kahler(), xi0=[1.0], cone=cone_d,
-                                  schedule=0.5 ** np.arange(2, 8, dtype=float))
-            _record(summary, "biholo-disk", f, disp, rep.verdict)
+    dsk = disk()
+    cone_d = Cone(apex=np.array([1.0 + 0j]), direction=np.array([-1.0 + 0j]),
+                  aperture=math.pi / 3, length=0.5)
+    for f in (identity_map(1), rotation(1e-3)):
+        disp = interior_displacement(f, samples=SUITE_DISPLACEMENT_SAMPLES)
+        rep = biholo_pipeline(dsk, f, poincare_kahler(), xi0=[1.0], cone=cone_d,
+                              schedule=0.5 ** np.arange(2, 8, dtype=float))
+        _record(summary, "biholo-disk", f, disp, rep.verdict)
 
-        cone_b = Cone(apex=np.array([1.0, 0.0], dtype=complex),
-                      direction=np.array([-1.0, 0.0], dtype=complex),
-                      aperture=math.pi / 3, length=0.5)
-        for f in (identity_map(2), ball_automorphism(np.array([1e-3, 0.0]))):
-            disp = interior_displacement(f, b2, samples=displacement_grid)
-            rep = biholo_pipeline(b2, f, bergman_kahler(2), xi0=[1.0, 0.0], cone=cone_b,
-                                  schedule=0.5 ** np.arange(2, 7, dtype=float))
-            _record(summary, "biholo-ball", f, disp, rep.verdict)
+    cone_b = Cone(apex=np.array([1.0, 0.0], dtype=complex),
+                  direction=np.array([-1.0, 0.0], dtype=complex),
+                  aperture=math.pi / 3, length=0.5)
+    for f in (identity_map(2), ball_automorphism(np.array([1e-3, 0.0]))):
+        disp = interior_displacement(f, b2, samples=SUITE_DISPLACEMENT_SAMPLES)
+        rep = biholo_pipeline(b2, f, bergman_kahler(2), xi0=[1.0, 0.0], cone=cone_b,
+                              schedule=0.5 ** np.arange(2, 7, dtype=float))
+        _record(summary, "biholo-ball", f, disp, rep.verdict)
 
     return summary
 

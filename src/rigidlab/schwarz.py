@@ -21,7 +21,6 @@ from .domain import BallDomain, DiskDomain, Domain, as_point, boundary_data, dis
 from .errors import CoincidentAnchors, ConfigInvalid, NotSelfMap
 from .kobayashi import (
     DISK_CALIBRATION,
-    FiniteTypeCalibration,
     disk_distance,
     dist_bounds,
     has_model_formulas,
@@ -64,7 +63,6 @@ class HoloMap:
     func: Callable
     dimension: int
     name: str
-    declared_self_map: bool = True
     contact: ContactSpec | None = None
     trusted: bool = False
     _certification: "Certification | None" = field(default=None, repr=False)
@@ -99,21 +97,20 @@ class Certification:
     samples: int
 
 
-def certify_self_map(f: HoloMap, dom: Domain | None = None,
-                     samples: int = CERT_SAMPLES, margin: float = CERT_MARGIN) -> Certification:
+def certify_self_map(f: HoloMap, dom: Domain | None = None) -> Certification:
     """Sampled check that ``f`` maps the domain into itself: the largest excess
-    (``|f(z)| - 1``, or ``r(f(z))`` off the disk and ball) over ``samples``
+    (``|f(z)| - 1``, or ``r(f(z))`` off the disk and ball) over ``CERT_SAMPLES``
     boundary points scaled by ``1 - 1e-6`` toward the center, equispaced on
     the disk and along seeded random directions elsewhere (there, off the
     ball, the boundary point is the ``ray_exit`` of the ray from the center).
-    A pass is evidence, not a proof."""
+    A pass means an excess of at most ``CERT_MARGIN``; it is evidence, not a proof."""
     dom = disk() if dom is None else dom
     radius = 1.0 - CERT_RADIUS_OFFSET
     if isinstance(dom, DiskDomain):
-        theta = 2 * math.pi * np.arange(samples) / samples
+        theta = 2 * math.pi * np.arange(CERT_SAMPLES) / CERT_SAMPLES
         excess = float(np.max(np.abs(f.many(radius * np.exp(1j * theta)[:, None])))) - 1.0
     else:
-        w = np.random.default_rng(2).standard_normal((samples, 2, dom.dimension))
+        w = np.random.default_rng(2).standard_normal((CERT_SAMPLES, 2, dom.dimension))
         w = w[:, 0] + 1j * w[:, 1]
         w /= np.linalg.norm(w, axis=1)[:, None]
         if isinstance(dom, BallDomain):
@@ -122,7 +119,7 @@ def certify_self_map(f: HoloMap, dom: Domain | None = None,
             c = dom.center()
             lo, _ = ray_exit(dom, c, w[:, None, :])
             excess = float(np.max(dom.defining_many(f.many(c + radius * lo[:, None] * w))))
-    cert = Certification(passed=bool(excess <= margin), max_excess=excess, samples=samples)
+    cert = Certification(passed=bool(excess <= CERT_MARGIN), max_excess=excess, samples=CERT_SAMPLES)
     f._certification = cert
     return cert
 
@@ -137,11 +134,11 @@ def require_self_map(f: HoloMap, dom: Domain | None = None) -> None:
 
 
 def interior_displacement(f: HoloMap, dom: Domain | None = None,
-                          samples: int = DISPLACEMENT_GRID, seed: int = 9) -> float:
+                          samples: int = DISPLACEMENT_GRID) -> float:
     """Sampled max of ``|f(z) - z|`` over up to ``samples`` seeded uniform
     points of the domain inside the Euclidean ball ``B(0, 0.95)``."""
     dom = disk() if dom is None else dom
-    zs = sample_ball(dom, np.zeros(dom.dimension), 0.95, samples, np.random.default_rng(seed))
+    zs = sample_ball(dom, np.zeros(dom.dimension), 0.95, samples, np.random.default_rng(9))
     return float(np.max(np.linalg.norm(f.many(zs) - zs, axis=1), initial=0.0))
 
 
@@ -168,9 +165,9 @@ def power_map(p: int) -> HoloMap:
     return HoloMap(lambda z: z**p, 1, f"z^{p}")
 
 
-def blaschke_product(zeros: list[complex], phase: complex = 1.0) -> HoloMap:
+def blaschke_product(zeros: list[complex]) -> HoloMap:
     def f(z):
-        out = phase
+        out = 1.0
         for a in zeros:
             out *= (z - a) / (1.0 - np.conj(a) * z)
         return out
@@ -207,11 +204,11 @@ def halfplane_contact(c: float, beta: float) -> HoloMap:
                    contact=ContactSpec(1.0, 2.0 + beta, -c / 2))
 
 
-def poly_contact(c: complex, m: int, xi0: complex = 1.0) -> HoloMap:
-    """``z + c (z - xi0)^m``.  Only tiny coefficients survive self-map
+def poly_contact(c: complex, m: int) -> HoloMap:
+    """``z + c (z - 1)^m``.  Only tiny coefficients survive self-map
     certification for m >= 4; larger ones are useful as local probes."""
-    return HoloMap(lambda z: z + c * (z - xi0) ** m, 1,
-                   f"poly_contact({c:g},{m})", contact=ContactSpec(xi0, float(m), c))
+    return HoloMap(lambda z: z + c * (z - 1.0) ** m, 1,
+                   f"poly_contact({c:g},{m})", contact=ContactSpec(1.0, float(m), c))
 
 
 def unitary_map(u: np.ndarray) -> HoloMap:
@@ -290,7 +287,6 @@ class ErrorModulus:
     radii: np.ndarray          # increasing
     values: np.ndarray         # nondecreasing envelope of the sampled sups
     slope: float               # fitted log-log slope
-    configured_order: float | None = None
 
     def at(self, r: float) -> float:
         """Envelope value at ``r`` (next sampled radius >= r)."""
@@ -300,8 +296,7 @@ class ErrorModulus:
 
 
 def error_modulus(f: HoloMap, xi0, radii, dom: Domain | None = None,
-                  samples_per_radius: int = 160, seed: int = 21,
-                  configured_order: float | None = None) -> ErrorModulus:
+                  samples_per_radius: int = 160) -> ErrorModulus:
     """Envelope of sampled ``sup { |f(z) - z| : z in Omega, |z - xi0| <= r }``:
     per radius, the interior ones of three radial points, filled up to
     ``samples_per_radius`` with seeded uniform points of ``B(xi0, r)``."""
@@ -309,7 +304,7 @@ def error_modulus(f: HoloMap, xi0, radii, dom: Domain | None = None,
     d = dom.dimension
     xi0 = as_point(xi0, d)
     radii = np.sort(np.asarray(radii, dtype=float))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(21)
     inward = -xi0 / np.linalg.norm(xi0)
 
     values = []
@@ -325,15 +320,15 @@ def error_modulus(f: HoloMap, xi0, radii, dom: Domain | None = None,
         slope = float(np.polyfit(np.log(radii[pos]), np.log(env[pos]), 1)[0])
     else:
         slope = math.nan
-    return ErrorModulus(radii=radii, values=env, slope=slope, configured_order=configured_order)
+    return ErrorModulus(radii=radii, values=env, slope=slope)
 
 
 # ---------------------------------------------------------------------------
 # boundary-contact pipeline
 # ---------------------------------------------------------------------------
 
-def geometric_schedule(n_lo: int = 3, n_hi: int = 14, ratio: float = 0.5) -> np.ndarray:
-    return ratio ** np.arange(n_lo, n_hi + 1, dtype=float)
+def geometric_schedule(n_lo: int = 3, n_hi: int = 14) -> np.ndarray:
+    return 0.5 ** np.arange(n_lo, n_hi + 1, dtype=float)
 
 
 def fit_decay_exponent(radii, values, window: int = 5) -> float:
@@ -362,18 +357,15 @@ def displacement_sup(f: HoloMap, dom: Domain, ws: np.ndarray) -> float:
     return float(np.max(_kob_uppers(dom, ws, fws))) if dom.contains_all(fws) else math.inf
 
 
-def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
-                    calibration: FiniteTypeCalibration | None = None,
-                    threshold: float = IDENTIFICATION_THRESHOLD,
-                    ball_samples: int = 48) -> PipelineReport:
+def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None) -> PipelineReport:
     """Boundary-contact cascade toward a boundary point of a convex domain.
 
     Per step ``n``, along ``p_n = xi0 + r_n * inward normal``: the distance
     estimate ``K(z0, p_n) <= C0 + 0.5 log(1/r_n)``, the displacement bound
     ``(2/r_n) E(5 r_n/4)`` over the Euclidean ball, the certified invariant
     radius ``eps_n``, and the composite term ``e^{4K}/eps_n * sup K(w, f(w))``.
-    That sup is sampled: ``p_n`` and ``ball_samples - 1`` seeded uniform points
-    of ``B(p_n, r_n/4)``.
+    That sup is sampled: ``p_n`` and 47 seeded uniform points of ``B(p_n, r_n/4)``.
+    ``z0`` (default: the domain's center) must lie inside the domain.
 
     On the disk and the ball with ``z0`` at the center, ``C0 = 0.5 log 2``
     (there ``K(0, p_n) = atanh(1 - r_n) <= 0.5 log(2/r_n)``), so the distance
@@ -382,11 +374,12 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
     """
     xi0 = finite_point(xi0, dom.dimension, "xi0")
     z0 = dom.center() if z0 is None else finite_point(z0, dom.dimension, "z0")
+    if not dom.contains(z0):
+        raise ConfigInvalid(f"z0 must lie inside the domain, got {z0}")
     require_self_map(f, dom)
     bd = boundary_data(dom, xi0, tol=1e-9)
     schedule = geometric_schedule() if schedule is None else np.asarray(schedule, dtype=float)
-    if calibration is None and dom.kind == "disk":
-        calibration = DISK_CALIBRATION
+    calibration = DISK_CALIBRATION if dom.kind == "disk" else None
 
     emod = error_modulus(f, bd.point, 1.25 * schedule[::-1], dom=dom)
 
@@ -409,7 +402,7 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
         in_regime = e_val <= r_n / 4.0
         disp_bound = CONVEX_LEMMA_C1 / r_n * e_val
 
-        ws = np.vstack([p_n, sample_ball(dom, p_n, r_n / 4.0, ball_samples - 1,
+        ws = np.vstack([p_n, sample_ball(dom, p_n, r_n / 4.0, 47,
                                          np.random.default_rng(1000 + i))])
         disp_sup = displacement_sup(f, dom, ws)
 
@@ -434,15 +427,14 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None,
     rep.fitted["composite_exponent"] = fit_decay_exponent(schedule, rep.column("composite"))
     rep.fitted["eps_exponent"] = fit_decay_exponent(schedule, rep.column("eps_n"), window=len(schedule))
 
-    rep.decide("composite", threshold)
+    rep.decide("composite", IDENTIFICATION_THRESHOLD)
     return rep
 
 
-def disk_rigidity_pipeline(f: HoloMap, schedule=None, xi0: complex = 1.0,
-                           threshold: float = IDENTIFICATION_THRESHOLD) -> PipelineReport:
+def disk_rigidity_pipeline(f: HoloMap, schedule=None, xi0: complex = 1.0) -> PipelineReport:
     """The disk entry of :func:`convex_pipeline`, at ``xi0`` normalised onto
     the unit circle."""
     xi0 = complex(finite_point(xi0, 1, "xi0")[0])
     if xi0 == 0:
         raise ConfigInvalid("xi0 must be nonzero")
-    return convex_pipeline(disk(), f, [xi0 / abs(xi0)], schedule, threshold=threshold)
+    return convex_pipeline(disk(), f, [xi0 / abs(xi0)], schedule)

@@ -1,0 +1,98 @@
+"""Every defaulted parameter of ``rigidlab`` is bound by some call site.
+
+A default that no caller in ``src/``, ``tests/`` or ``bench/`` overrides is a
+constant spelled as a parameter: it widens the API without a user.  The scan
+matches call sites to definitions by function name (the name after the last
+dot; a constructor's name is its class's), and a parameter counts as bound
+when some call of that name passes it by position or by keyword.  A ``**d``
+splat passes the constant string keys of the dict literals assigned to a
+variable ``d`` in the calling file.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rigidlab"
+CALLERS = [ROOT / "src", ROOT / "tests", ROOT / "bench"]
+
+
+def _trees(dirs):
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _defaulted_parameters():
+    """``(file, function, name, position)`` of each defaulted parameter;
+    ``position`` is its index among a call's positional arguments (``self``
+    and ``cls`` not counted), ``None`` for a keyword-only parameter."""
+    found = []
+    for path, tree in _trees([PACKAGE]):
+        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(id(fn))
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            name = cls.name if fn.name == "__init__" else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            first_default = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first_default:], start=first_default):
+                found.append((path.name, name, arg.arg, i - skip))
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    found.append((path.name, name, arg.arg, None))
+    return found
+
+
+def _dict_keys(tree) -> dict[str, set[str]]:
+    """Per variable, the constant string keys of the dict literals assigned to it."""
+    keys = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    keys.setdefault(target.id, set()).update(
+                        k.value for k in node.value.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    return keys
+
+
+def _call_sites() -> dict[str, list[tuple[int, set[str]]]]:
+    """Per called name, the positional count and keyword names of each call."""
+    calls = {}
+    for _, tree in _trees(CALLERS):
+        splats = _dict_keys(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords = set()
+            for k in node.keywords:
+                if k.arg is not None:
+                    keywords.add(k.arg)
+                elif isinstance(k.value, ast.Name):
+                    keywords |= splats.get(k.value.id, set())
+            n_positional = sum(not isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append((n_positional, keywords))
+    return calls
+
+
+def unbound_defaulted_parameters() -> list[str]:
+    """``file:function(parameter)`` of each defaulted parameter no call binds."""
+    calls = _call_sites()
+
+    def bound(fn, name, position):
+        return any(name in keywords or (position is not None and n_positional > position)
+                   for n_positional, keywords in calls.get(fn, []))
+
+    return sorted(f"{file}:{fn}({name})" for file, fn, name, position in _defaulted_parameters()
+                  if not bound(fn, name, position))
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    assert unbound_defaulted_parameters() == []

@@ -256,14 +256,38 @@ class TestMain:
          "--map", '{"name":"ball_automorphism","a":[1.5,0]}'],
         *(["kob", "--domain", json.dumps({"kind": "implicit", "dimension": 1, **spec})]
           for spec in IMPLICIT_SPECS.values()),
+        ["rigidity", "--pipeline", "convex", "--z0", "[2]"],
+        ["kahler", "--check", "inj", "--params", '{"kappa":0}'],
+        ["kahler", "--check", "inj", "--params", '{"kappa":-1}'],
+        ["cgeo", "--points", "[[0,0],[0.5,0]]", "--zeta", "0"],
+        ["riemann", "--metric", '{"name":"euclid","dimension":1}', "--op", "spread"],
+        ["riemann", "--metric", '{"name":"euclid","dimension":1}', "--op", "backward"],
+        ["riemann", "--op", "flow", "--params", '{"horizon":-1}'],
+        ["riemann", "--op", "jacobi", "--params", '{"horizon":-1}'],
+        ["riemann", "--op", "spread", "--params", '{"horizon":-1}'],
+        ["riemann", "--op", "flow", "--params", '{"horizon":0}'],
     ], ids=["threshold-d", "k-max", "empty-schedule", "xi-zero", "z0-outside", "dimension-x",
             "dimension-0", "exponent-0", "radius", "step", "jacobi-step", "eps-0", "eps-negative",
             "spread-grid-negative", "spread-grid-0", "cubic-contact-c", "halfplane-contact-c",
-            "ball-automorphism-outside", *IMPLICIT_SPECS])
+            "ball-automorphism-outside", *IMPLICIT_SPECS, "convex-z0-outside", "inj-kappa-0",
+            "inj-kappa-negative", "zeta-0", "spread-dimension-1", "backward-dimension-1",
+            "flow-horizon-negative", "jacobi-horizon-negative", "spread-horizon-negative",
+            "flow-horizon-0"])
     def test_out_of_range_values_exit_2_without_output(self, tmp_path, capsys, argv):
         assert cli.main(["--out-dir", str(tmp_path / "out")] + argv) == 2
         assert capsys.readouterr().err.startswith(("config error", "error [ConfigInvalid]"))
         assert not (tmp_path / "out").exists()
+
+    def test_convex_pipeline_reads_z0(self, tmp_path):
+        c0 = {}
+        for z0 in ([], ["--z0", "[0.5]"]):
+            out = tmp_path / str(len(z0))
+            rc = cli.main(["--out-dir", str(out), "rigidity", "--pipeline", "convex"] + z0)
+            assert rc in (0, 1)
+            c0[len(z0)] = json.load(open(out / "rigidity_convex_id.json"))["fitted"]["C0"]
+        direct = rigidity.convex_pipeline(domain.disk(), schwarz.identity_map(), [1.0], z0=[0.5])
+        assert c0[0] == 0.5 * math.log(2.0)
+        assert c0[2] == direct.fitted["C0"] != c0[0]
 
     def test_python_m_rigidlab_runs_the_cli(self):
         src = str(Path(cli.__file__).resolve().parents[1])
