@@ -201,15 +201,16 @@ def map_from_config(cfg: dict, dimension: int = 1) -> schwarz.HoloMap:
 def metric_from_config(cfg) -> riemann.MetricField:
     cfg = _named(cfg, "metric")
     name = cfg["name"]
-    if name == "euclid":
-        return riemann.euclidean(_read(int, cfg.get("dimension", 2), "metric.dimension"))
     if name == "poincare":
         return riemann.poincare_disk()
     if name == "sphere":
         return riemann.sphere_stereographic()
-    if name == "bergman-ball":
-        return riemann.bergman_ball(_read(int, cfg.get("dimension", 2), "metric.dimension"))
-    raise ConfigInvalid(f"unknown metric {name!r}")
+    if name not in ("euclid", "bergman-ball"):
+        raise ConfigInvalid(f"unknown metric {name!r}")
+    d = _read(int, cfg.get("dimension", 2), "metric.dimension")
+    if d < 1:
+        raise ConfigInvalid(f"metric.dimension must be at least 1, got {d}")
+    return riemann.euclidean(d) if name == "euclid" else riemann.bergman_ball(d)
 
 
 def kahler_from_config(cfg, dimension: int | None = None) -> kahler.KahlerField:

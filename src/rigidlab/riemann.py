@@ -19,7 +19,7 @@ and return the matching leading axis, e.g. ``christoffel(m, xs)`` is
 ``(N, n, n, n)``; ``d2g`` and everything else take one point.  ``ginv`` is
 the closed-form inverse of ``g``, so no step inverts a matrix numerically;
 ``min_eig`` is the smallest eigenvalue of ``g`` at one point, in closed form,
-so the positivity check in :meth:`MetricField.metric_at` needs no ``eigvalsh``.
+so the positivity check :meth:`MetricField.require_positive` needs no ``eigvalsh``.
 The ``closed_geodesic`` and ``closed_ray`` samplers take a time ``t``
 (returning ``(n,)``) or an array of times (returning ``(N, n)``).
 
@@ -91,13 +91,16 @@ class MetricField:
             raise LeftChart(f"{self.name}: point {x} left the chart")
         return x
 
-    def metric_at(self, x) -> np.ndarray:
-        """``g(x)``; raises ``SingularMetric`` unless ``min_eig(x) > MIN_EIGENVALUE``."""
+    def require_positive(self, x) -> np.ndarray:
+        """``x``; raises ``SingularMetric`` unless ``min_eig(x) > MIN_EIGENVALUE``."""
         x = np.asarray(x, dtype=float)
-        gx = np.asarray(self.g(x))
         if not self.min_eig(x) > MIN_EIGENVALUE:
             raise SingularMetric(f"{self.name}: metric not positive definite at {x}")
-        return gx
+        return x
+
+    def metric_at(self, x) -> np.ndarray:
+        """``g(x)`` after :meth:`require_positive`."""
+        return np.asarray(self.g(self.require_positive(x)))
 
     def inner(self, x, u, v) -> float:
         return float(np.asarray(u) @ self.g(np.asarray(x, dtype=float)) @ np.asarray(v))
@@ -502,9 +505,9 @@ def christoffel(m: MetricField, x) -> np.ndarray:
     return 0.5 * (m.ginv(x) @ term.reshape(term.shape[:-2] + (-1,))).reshape(term.shape)
 
 
-def christoffel_curvature(m: MetricField, x) -> CurvatureData:
-    """Christoffels, their derivatives, and the curvature tensor at ``x``,
-    contracted as matmuls on ``(n, n^2)`` blocks."""
+def connection(m: MetricField, x):
+    """``(gamma, dgamma, gx, ginv)`` at one point ``x``, contracted as matmuls
+    on ``(n, n^2)`` blocks; runs :meth:`MetricField.require_positive` first."""
     x = np.asarray(x, dtype=float)
     gx = m.metric_at(x)
     dg = m.dg(x)
@@ -517,9 +520,17 @@ def christoffel_curvature(m: MetricField, x) -> CurvatureData:
     gamma = 0.5 * (ginv @ term)
     dginv = -(ginv @ dg @ ginv)  # dginv[m, k, l] = d_m g^{kl}
     dgamma = (0.5 * (dginv @ term + ginv @ dterm)).reshape(n, n, n, n)
+    return gamma.reshape(n, n, n), dgamma, gx, ginv
+
+
+def christoffel_curvature(m: MetricField, x) -> CurvatureData:
+    """:func:`connection` at ``x`` plus the curvature tensor."""
+    x = np.asarray(x, dtype=float)
+    gamma, dgamma, gx, ginv = connection(m, x)
+    n = m.dim
     # r[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk;  riem = r - (i <-> j)
-    r = dgamma.transpose(1, 0, 2, 3) + (gamma.reshape(n * n, n) @ gamma).reshape(n, n, n, n)
-    gamma = gamma.reshape(n, n, n)
+    gg = gamma.reshape(n * n, n) @ gamma.reshape(n, n * n)
+    r = dgamma.transpose(1, 0, 2, 3) + gg.reshape(n, n, n, n)
     riem = r - r.transpose(0, 2, 1, 3)
     return CurvatureData(x=x, gx=gx, ginv=ginv, gamma=gamma, dgamma=dgamma, riem=riem)
 
@@ -723,20 +734,28 @@ def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
 # exponential / logarithm by shooting
 # ---------------------------------------------------------------------------
 
-def _shooting_steps(arc: float, step: float | None) -> int:
-    if step is not None:
-        return max(8, int(round(1.0 / step)))
+def _shooting_steps(arc: float) -> int:
     return int(np.clip(arc / 0.01, 48, 512))
+
+
+def _endpoint(m: MetricField, x, X, n_steps: int):
+    """Endpoint of exp_x(X), with the positivity and chart checks of
+    :func:`_endpoint_and_jacobian` on every stage and step.  Its acceleration
+    is contracted as there, so the two give the same positions bit for bit."""
+    def rhs(pos, vel):
+        return vel, -((vel @ christoffel(m, m.require_positive(pos))) @ vel)
+
+    h = 1.0 / n_steps
+    return _rk4(rhs, (x, X), h, n_steps, _chart_guard(m, "shooting", h))[0][-1]
 
 
 def _endpoint_and_jacobian(m: MetricField, x, X, n_steps: int):
     """Endpoint of exp_x(X) plus its Jacobian in X (variational system)."""
     def rhs(pos, vel, dx, dv):
-        cd = christoffel_curvature(m, pos)
-        acc = -np.einsum("kij,i,j->k", cd.gamma, vel, vel)
-        dacc = (-np.einsum("akij,i,j,am->km", cd.dgamma, vel, vel, dx)
-                - 2.0 * np.einsum("kij,i,jm->km", cd.gamma, vel, dv))
-        return vel, acc, dv, dacc
+        gamma, dgamma, _, _ = connection(m, pos)
+        gv = vel @ gamma  # gv[k, j] = Gamma^k_ij vel^i
+        dacc = -((dgamma @ vel) @ vel).T @ dx - 2.0 * gv @ dv
+        return vel, -(gv @ vel), dv, dacc
 
     n, h = m.dim, 1.0 / n_steps
     pos, _, dxdX, _ = _rk4(rhs, (x, X, np.zeros((n, n)), np.eye(n)), h, n_steps,
@@ -745,23 +764,32 @@ def _endpoint_and_jacobian(m: MetricField, x, X, n_steps: int):
 
 
 def exp_log(m: MetricField, x, y) -> TangentPoint:
-    """Newton shooting for ``X`` with ``exp_x(X) = y``; ``|X|_g`` is the distance."""
+    """Newton shooting for ``X`` with ``exp_x(X) = y``; ``|X|_g`` is the distance.
+
+    The variational system runs only where Newton takes a step from: at the
+    start, when the step count changes, and at an accepted line-search trial
+    that has not converged.  The trials themselves integrate the geodesic alone.
+    """
     x = m.require_chart(np.asarray(x, dtype=float))
     y = m.require_chart(np.asarray(y, dtype=float))
     X = y - x
     if np.linalg.norm(X) < 1e-15:
         return TangentPoint(x, np.zeros(m.dim))
 
+    def solve():
+        try:
+            return _endpoint_and_jacobian(m, x, X, n_steps)
+        except LeftChart as exc:
+            raise ShootingDiverged(str(exc)) from exc
+
     best_res = math.inf
-    accepted = None  # (n_steps, endpoint, jac) at the current X
+    n_steps = endpoint = None  # the step count and the endpoint at the current X
     for _ in range(SHOOTING_MAX_NEWTON):
-        n_steps = _shooting_steps(m.norm(x, X), None)
-        if accepted is None or accepted[0] != n_steps:
-            try:
-                accepted = (n_steps, *_endpoint_and_jacobian(m, x, X, n_steps))
-            except LeftChart as exc:
-                raise ShootingDiverged(str(exc)) from exc
-        _, endpoint, jac = accepted
+        jac = None
+        steps = _shooting_steps(m.norm(x, X))
+        if steps != n_steps:
+            n_steps = steps
+            endpoint, jac = solve()
         res = endpoint - y
         rnorm = float(np.linalg.norm(res))
         if rnorm < SHOOTING_TOL:
@@ -769,6 +797,8 @@ def exp_log(m: MetricField, x, y) -> TangentPoint:
         if rnorm > 1e3 * max(1.0, best_res):
             raise ShootingDiverged(f"{m.name}: residual blew up ({rnorm:.2e})")
         best_res = min(best_res, rnorm)
+        if jac is None:
+            jac = solve()[1]
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -778,12 +808,12 @@ def exp_log(m: MetricField, x, y) -> TangentPoint:
         for _ in range(30):
             Xn = X + lam * delta
             try:
-                endn, jacn = _endpoint_and_jacobian(m, x, Xn, n_steps)
+                endn = _endpoint(m, x, Xn, n_steps)
             except LeftChart:
                 lam *= 0.5
                 continue
             if np.linalg.norm(endn - y) < rnorm:
-                X, accepted = Xn, (n_steps, endn, jacn)
+                X, endpoint = Xn, endn
                 break
             lam *= 0.5
         else:
@@ -844,7 +874,6 @@ def tangent_angle(m: MetricField, x, u, w) -> float:
 class TangentDistanceResult:
     interval: DistInterval
     base_distance: float
-    transported: np.ndarray
 
 
 def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: str = "T1M",
@@ -884,7 +913,7 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
     upper = base + fiber
     lower = max(base, abs(nx - ny))
     return TangentDistanceResult(interval=DistInterval(min(lower, upper), upper),
-                                 base_distance=base, transported=transported)
+                                 base_distance=base)
 
 
 # points per stacked christoffel call: 128 KB of dg at n = 4, so the transport

@@ -45,11 +45,9 @@ CONVEX_LEMMA_C1 = 2.0   # K(w, f(w)) <= (2/r) E(5r/4) once E(5r/4) <= r/4
 
 @dataclass(frozen=True)
 class ContactSpec:
-    """Declared boundary contact ``f(z) = z + coeff (z - xi0)^order + ...``."""
+    """Declared order ``m`` of the boundary contact ``f(z) = z + c (z - xi0)^m + ...``."""
 
-    xi0: complex | np.ndarray
     order: float
-    coeff: complex = 0.0
 
 
 @dataclass
@@ -153,7 +151,7 @@ def identity_map(d: int = 1) -> HoloMap:
 def rotation(theta: float) -> HoloMap:
     phase = np.exp(1j * theta)
     return HoloMap(lambda z: phase * z, 1, f"rotation({theta:g})",
-                   contact=ContactSpec(1.0, 0.0))
+                   contact=ContactSpec(0.0))
 
 
 def mobius_map(a: complex, phase: complex = 1.0) -> HoloMap:
@@ -180,14 +178,14 @@ def cubic_contact(c: float) -> HoloMap:
     if not 0 < c <= 0.25:
         raise ConfigInvalid(f"cubic_contact needs 0 < c <= 1/4 for a self-map, got c = {c}")
     return HoloMap(lambda z: z - c * (z - 1.0) ** 3, 1, f"cubic_contact({c:g})",
-                   contact=ContactSpec(1.0, 3.0, -c))
+                   contact=ContactSpec(3.0))
 
 
 def bk_extremal() -> HoloMap:
     """The degree-two Blaschke product ``(1+3z^2)/(3+z^2)``; it equals
     ``z - (z-1)^3/(3+z^2)`` so its boundary contact at 1 is exactly cubic."""
     return HoloMap(lambda z: (1.0 + 3.0 * z * z) / (3.0 + z * z), 1, "bk_extremal",
-                   contact=ContactSpec(1.0, 3.0, -0.25))
+                   contact=ContactSpec(3.0))
 
 
 def halfplane_contact(c: float, beta: float) -> HoloMap:
@@ -201,14 +199,14 @@ def halfplane_contact(c: float, beta: float) -> HoloMap:
         return (w - 1.0) / (w + 1.0)
 
     return HoloMap(f, 1, f"halfplane_contact({c:g},{beta:g})",
-                   contact=ContactSpec(1.0, 2.0 + beta, -c / 2))
+                   contact=ContactSpec(2.0 + beta))
 
 
 def poly_contact(c: complex, m: int) -> HoloMap:
     """``z + c (z - 1)^m``.  Only tiny coefficients survive self-map
     certification for m >= 4; larger ones are useful as local probes."""
     return HoloMap(lambda z: z + c * (z - 1.0) ** m, 1,
-                   f"poly_contact({c:g},{m})", contact=ContactSpec(1.0, float(m), c))
+                   f"poly_contact({c:g},{m})", contact=ContactSpec(float(m)))
 
 
 def unitary_map(u: np.ndarray) -> HoloMap:
@@ -228,7 +226,7 @@ def ball_coordinate_contact(c: complex, m: int, d: int = 2) -> HoloMap:
         out[..., 0] = out[..., 0] + c * (out[..., 0] - 1.0) ** m
         return out
     return HoloMap(f, d, f"ball_contact({c:g},{m})",
-                   contact=ContactSpec(np.eye(d, dtype=complex)[0], float(m), c))
+                   contact=ContactSpec(float(m)))
 
 
 def disk_zoo() -> list[HoloMap]:

@@ -1,4 +1,5 @@
-"""Every defaulted parameter of ``rigidlab`` is bound by some call site.
+"""Every defaulted parameter of ``rigidlab`` is bound by some call site, and
+every dataclass field is read somewhere.
 
 A default that no caller in ``src/``, ``tests/`` or ``bench/`` overrides is a
 constant spelled as a parameter: it widens the API without a user.  The scan
@@ -7,6 +8,9 @@ dot; a constructor's name is its class's), and a parameter counts as bound
 when some call of that name passes it by position or by keyword.  A ``**d``
 splat passes the constant string keys of the dict literals assigned to a
 variable ``d`` in the calling file.
+
+A field that no code there reads (an attribute load of its name, on any
+object) is state carried for nobody.
 """
 
 import ast
@@ -96,3 +100,25 @@ def unbound_defaulted_parameters() -> list[str]:
 
 def test_every_defaulted_parameter_has_a_caller():
     assert unbound_defaulted_parameters() == []
+
+
+def _is_dataclass(decorator) -> bool:
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(func, "id", getattr(func, "attr", None)) == "dataclass"
+
+
+def unread_dataclass_fields() -> list[str]:
+    """``file:Class.field`` of each dataclass field whose name no attribute
+    load in ``src/``, ``tests/`` or ``bench/`` reads."""
+    loads = {node.attr for _, tree in _trees(CALLERS) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{path.name}:{cls.name}.{stmt.target.id}"
+                  for path, tree in _trees([PACKAGE]) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+                  for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in loads)
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_dataclass_fields() == []

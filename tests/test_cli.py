@@ -278,6 +278,18 @@ class TestMain:
         assert capsys.readouterr().err.startswith(("config error", "error [ConfigInvalid]"))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("metric", [{"name": "euclid", "dimension": -1},
+                                        {"name": "euclid", "dimension": 0},
+                                        {"name": "bergman-ball", "dimension": -2},
+                                        {"name": "bergman-ball", "dimension": 0}],
+                             ids=["euclid--1", "euclid-0", "bergman-ball--2", "bergman-ball-0"])
+    def test_metric_dimension_below_1_names_the_key(self, tmp_path, capsys, metric):
+        argv = ["--out-dir", str(tmp_path / "out"), "riemann", "--metric", json.dumps(metric),
+                "--op", "flow"]
+        assert cli.main(argv) == 2
+        assert "metric.dimension" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_convex_pipeline_reads_z0(self, tmp_path):
         c0 = {}
         for z0 in ([], ["--z0", "[0.5]"]):

@@ -708,10 +708,9 @@ def _reference_endpoint_and_jacobian(m, x, X, n_steps):
 
     def rhs(pos, vel, dx, dv):
         cd = rm.christoffel_curvature(m, pos)
-        acc = -np.einsum("kij,i,j->k", cd.gamma, vel, vel)
-        dacc = (-np.einsum("akij,i,j,am->km", cd.dgamma, vel, vel, dx)
-                - 2.0 * np.einsum("kij,i,jm->km", cd.gamma, vel, dv))
-        return vel, acc, dv, dacc
+        gv = vel @ cd.gamma
+        dacc = -((cd.dgamma @ vel) @ vel).T @ dx - 2.0 * gv @ dv
+        return vel, -(gv @ vel), dv, dacc
 
     for _ in range(n_steps):
         k1 = rhs(pos, vel, dxdX, dvdX)
@@ -766,18 +765,42 @@ class TestOneIntegrator:
 
 
 def test_exp_log_reuses_the_accepted_trial(monkeypatch):
-    # one Newton step: the first solve, the accepted line-search trial, and the
-    # converged check, which reads the trial instead of integrating again
+    # one Newton step: the variational solve at the start, then the accepted
+    # line-search trial, which integrates the geodesic alone and converges
     calls = []
-    solve = rm._endpoint_and_jacobian
+    for name in ("_endpoint_and_jacobian", "_endpoint"):
+        def counting(*args, _name=name, _solve=getattr(rm, name)):
+            calls.append((_name, args[3]))
+            return _solve(*args)
 
-    def counting(*args):
-        calls.append(args[3])
-        return solve(*args)
-
-    monkeypatch.setattr(rm, "_endpoint_and_jacobian", counting)
+        monkeypatch.setattr(rm, name, counting)
     rm.exp_log(PO, [0.1, 0.0], [0.11, 0.01])
-    assert calls == [48, 48]
+    assert calls == [("_endpoint_and_jacobian", 48), ("_endpoint", 48)]
+
+
+@pytest.mark.parametrize("m, x, v, y", _FLOW_STARTS, ids=_FLOW_IDS)
+def test_shooting_jacobian_matches_central_differences(m, x, v, y):
+    # the independent reference: central differences of the endpoint map
+    x, X, n_steps, h = 0.5 * np.asarray(x, float), 0.4 * np.asarray(v, float), 48, 1e-6
+    end, jac = rm._endpoint_and_jacobian(m, x, X, n_steps)
+    assert np.array_equal(end, rm._endpoint(m, x, X, n_steps))
+    fd = np.stack([(rm._endpoint(m, x, X + h * e, n_steps) - rm._endpoint(m, x, X - h * e, n_steps))
+                   / (2 * h) for e in np.eye(m.dim)], axis=1)
+    assert np.allclose(jac, fd, rtol=0, atol=1e-8)
+
+
+def test_singular_metric_on_the_trial_path_is_reported():
+    # g is the Poincare metric; its positivity oracle reports a singular
+    # annulus |x| >= 0.57.  From 0 the first solve ends on the diameter at
+    # tanh(0.6) = 0.537 and the Newton trial aims at 0.6, so only the trial
+    # crosses it.
+    m = dataclasses.replace(PO, min_eig=lambda x: PO.min_eig(x) if x @ x < 0.57**2 else 0.0)
+    x, y = np.zeros(2), np.array([0.6, 0.0])
+    rm._endpoint_and_jacobian(m, x, y, 48)
+    with pytest.raises(SingularMetric):
+        rm._endpoint(m, x, np.array([math.atanh(0.6), 0.0]), 48)
+    with pytest.raises(SingularMetric):
+        rm.exp_log(m, x, y)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
