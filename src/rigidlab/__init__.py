@@ -4,10 +4,10 @@ Submodules
 ----------
 domain     bounded domains in C^d and their Euclidean boundary geometry
 kobayashi  exact model invariant metrics and certified two-sided bounds
-cgeo       complex geodesics, good left inverses, boundary probes
+cgeo       complex geodesics, Gromov products, boundary probes
 schwarz    self-maps, displacement inequalities, the convex and disk pipeline
 riemann    chart-based Riemannian engine and tangent-bundle estimates
-kahler     holomorphic curvature, bounded geometry, thresholds
+kahler     bounded geometry, squeezing, volumes, thresholds
 rigidity   end-to-end pipelines with machine verdicts
 cli        command-line front end
 """

@@ -1,11 +1,9 @@
-"""Complex geodesics, good left inverses, and boundary-extension probes.
+"""Complex geodesics, Gromov products and boundary-extension probes.
 
 Model constructions:
 
 * disk: Moebius automorphisms (exact isometries);
 * ball: affine discs cut out by complex lines, which are totally geodesic;
-  their good left inverses are built by conjugating a coordinate projection
-  with a ball automorphism, so the fibers are hyperplane slices;
 * polydisk: coordinatewise geodesics when one coordinate realizes the max;
 * general convex domains: maximally scaled affine chord discs, returned as
   upper-bound candidates together with a measured isometry defect.
@@ -25,25 +23,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .domain import (
-    BallDomain,
-    DiskDomain,
-    Domain,
-    EllipsoidDomain,
-    Hyperplane,
-    PolydiskDomain,
-    as_point,
-    boundary_data,
-    c2r,
-    herm,
-)
-from .errors import (
-    CoincidentPoints,
-    ConfigInvalid,
-    NoConstructiveInverse,
-    NoConvergence,
-    NumericDefectTooLarge,
-)
+from .domain import BallDomain, DiskDomain, Domain, Hyperplane, PolydiskDomain, boundary_data, c2r, herm
+from .errors import CoincidentPoints, ConfigInvalid, NoConvergence, NumericDefectTooLarge
 from .intervals import DistInterval
 from .kobayashi import disk_distance, dist_bounds
 
@@ -53,14 +34,8 @@ MODEL_DEFECT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# disk Moebius maps and the hyperbolic translation flow
+# disk and ball automorphisms
 # ---------------------------------------------------------------------------
-
-def mobius_flow(t: float, z: complex) -> complex:
-    """One-parameter hyperbolic translation group of the disk fixing +/-1."""
-    ch, sh = math.cosh(t), math.sinh(t)
-    return (ch * z + sh) / (sh * z + ch)
-
 
 def disk_automorphism(center: complex, phase: complex = 1.0) -> Callable[[complex], complex]:
     """z -> (center + phase * z) / (1 + conj(center) * phase * z)."""
@@ -200,8 +175,7 @@ def _polydisk_geodesic(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
         dom=dom,
         func=phi,
         tag="PolydiskMax",
-        params={"coordinate": jstar, "t_w": tstar,
-                "mobius": mobs, "distinct": bool(np.sum(mags > tstar - 1e-12) == 1)},
+        params={"coordinate": jstar, "t_w": tstar},
     )
 
 
@@ -247,137 +221,6 @@ def _chord_disc_candidate(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
         params={"center": c, "radius": rho, "direction": u,
                 "zeta_z": herm(z - c, u) / rho, "zeta_w": herm(w - c, u) / rho},
     )
-
-
-# ---------------------------------------------------------------------------
-# good left inverses
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LeftInverse:
-    """Holomorphic retraction ``pi : Omega -> D`` with hyperplane fibers."""
-
-    dom: Domain
-    func: Callable[[np.ndarray], complex]
-    fiber: Callable[[complex], Hyperplane]
-
-    def __call__(self, z) -> complex:
-        return self.func(as_point(z, self.dom.dimension))
-
-
-def left_inverse(geo: ComplexGeodesic) -> LeftInverse:
-    """Construct a good left inverse of a model geodesic.
-
-    Chord candidates on general convex domains expose no construction, so
-    they raise :class:`NoConstructiveInverse`.
-    """
-    dom = geo.dom
-
-    if geo.tag == "DiskAuto":
-        center, phase = geo.params["center"], geo.params["phase"]
-
-        def pi(zv):
-            zc = zv[0]
-            return ((zc - center) / (1.0 - np.conj(center) * zc)) / phase
-
-        def fiber(zeta):
-            p = geo(zeta)
-            return Hyperplane(anchor=p, normal=np.array([1.0 + 0j]))
-
-        inv = LeftInverse(dom=dom, func=pi, fiber=fiber)
-
-    elif geo.tag == "BallAffineSlice":
-        a = geo.params["center"]
-        inv = _ball_slice_inverse(dom, geo, a)
-
-    elif geo.tag == "PolydiskMax":
-        if not geo.params["distinct"]:
-            raise NoConstructiveInverse("polydisk inverse needs a strictly maximal coordinate")
-        j = geo.params["coordinate"]
-        mobj, _ = geo.params["mobius"][j]
-
-        def pi(zv):
-            return _mobius_param(mobj, zv[j])
-
-        def fiber(zeta):
-            e = np.zeros(dom.dimension, dtype=complex)
-            e[j] = 1.0
-            return Hyperplane(anchor=geo(zeta), normal=e)
-
-        inv = LeftInverse(dom=dom, func=pi, fiber=fiber)
-
-    elif geo.tag == "ConvexNumeric" and isinstance(dom, EllipsoidDomain):
-        inv = _ellipsoid_axis_inverse(dom, geo)
-
-    else:
-        raise NoConstructiveInverse(f"no constructive left inverse for tag {geo.tag!r}")
-
-    return inv
-
-
-def _mobius_param(mob: Callable[[complex], complex], value: complex) -> complex:
-    """Invert ``mob`` (a disk automorphism built by disk_automorphism)."""
-    center = mob(0.0)
-    # mob(zeta) = (center + phase zeta) / (1 + conj(center) phase zeta)
-    phase = (mob(1e-3) - center) / (1e-3 * (1 - np.conj(center) * mob(1e-3)))
-    phase = phase / abs(phase)
-    return ((value - center) / (1.0 - np.conj(center) * value)) / phase
-
-
-def _ball_slice_inverse(dom, geo, a):
-    phi_a = ball_involution(a)
-    # psi = phi_a o geo is a linear geodesic zeta -> zeta e
-    e = phi_a(geo(0.5)) / 0.5
-    e = e / np.linalg.norm(e)
-
-    def pi(zv):
-        return herm(phi_a(zv), e)
-
-    # complex-orthonormal completion of e
-    d = dom.dimension
-    rng = np.random.default_rng(17)
-    cols = [e] + [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(d - 1)]
-    q, _ = np.linalg.qr(np.column_stack(cols))
-    comp = [q[:, k] for k in range(1, d)]
-
-    def fiber(zeta):
-        anchor = phi_a(zeta * e)
-        if d == 1:
-            return Hyperplane(anchor=anchor, normal=np.array([1.0 + 0j]))
-        # push points of {<w, e> = zeta} through the involution and fit the image hyperplane
-        pts = []
-        for f in comp:
-            for t in (0.05, -0.05, 0.05j):
-                pts.append(phi_a(zeta * e + t * f))
-        diffs = np.array([p - anchor for p in pts])
-        _, _, vh = np.linalg.svd(diffs)
-        # rows satisfy diffs @ conj(v) = 0, i.e. <row, v> = 0 for v = vh[-1]
-        normal = vh[-1]
-        return Hyperplane(anchor=anchor, normal=normal / np.linalg.norm(normal))
-
-    return LeftInverse(dom=dom, func=pi, fiber=fiber)
-
-
-def _ellipsoid_axis_inverse(dom, geo):
-    """Coordinate projection for axis slices of an ellipsoid through 0."""
-    c = geo.params["center"]
-    u = geo.params["direction"]
-    axis = np.argmax(np.abs(u))
-    aligned = abs(np.abs(u[axis]) - 1.0) < 1e-9 and np.linalg.norm(c) < 1e-9
-    if not aligned:
-        raise NoConstructiveInverse("only axis slices through the center are constructive")
-    rho = geo.params["radius"]
-    phase = u[axis]
-
-    def pi(zv):
-        return zv[axis] / (rho * phase)
-
-    def fiber(zeta):
-        e = np.zeros(dom.dimension, dtype=complex)
-        e[axis] = 1.0
-        return Hyperplane(anchor=geo(zeta), normal=e)
-
-    return LeftInverse(dom=dom, func=pi, fiber=fiber)
 
 
 # ---------------------------------------------------------------------------

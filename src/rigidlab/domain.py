@@ -31,7 +31,6 @@ from .errors import (
     DegenerateGradient,
     PointOutsideDomain,
     SamplingEmpty,
-    TypeEstimateUnstable,
 )
 
 BOUNDARY_TOL = 1e-12          # |r(xi)| tolerance for "on the boundary"
@@ -552,10 +551,6 @@ def ellipsoid(exponents: Sequence[int]) -> EllipsoidDomain:
     return EllipsoidDomain(exponents)
 
 
-def implicit_convex(func, dimension, bounding_radius, center=None) -> ImplicitConvexDomain:
-    return ImplicitConvexDomain(func, dimension, bounding_radius, center)
-
-
 def modulus_polynomial(terms: Sequence[tuple[float, Sequence[int]]], dimension: int,
                        bounding_radius: float | None = None) -> ModulusPolynomialDomain:
     """Convex domain ``sum_k c_k prod_j |z_j|^{2 a_kj} < 1`` with c_k > 0.
@@ -766,62 +761,6 @@ def cone_certificate(dom: Domain, cone: Cone, grid: int = 24) -> ConeCertificate
                 delta_ok = False
                 break
     return ConeCertificate(ok=ok, margin=worst, delta_bound_ok=ok and delta_ok, samples=count)
-
-
-def line_type(dom: Domain, xi):
-    """Maximal vanishing order of the defining function along complex tangent lines.
-
-    Returns the closed-form value for model kinds and a log-log estimate for
-    implicit domains (at least six seeded tangent directions).  Flat boundary
-    pieces report ``math.inf``.
-    """
-    xi = as_point(xi, dom.dimension)
-    if dom.dimension == 1:
-        return 2
-    if isinstance(dom, BallDomain):
-        return 2
-    if isinstance(dom, PolydiskDomain):
-        return math.inf
-    if isinstance(dom, EllipsoidDomain):
-        zero = [2 * m for j, m in enumerate(dom.exponents) if abs(xi[j]) < 1e-12]
-        return max(2, max(zero)) if zero else 2
-    return _line_type_numeric(dom, xi)
-
-
-def _line_type_numeric(dom: Domain, xi: np.ndarray) -> int:
-    rng = np.random.default_rng(7)
-    grad = dom.grad_c(xi)
-    if np.linalg.norm(grad) < GRADIENT_TOL:
-        raise DegenerateGradient("cannot form the tangent hyperplane")
-    # complex-orthonormal basis of ker <., grad>
-    d = dom.dimension
-    q, _ = np.linalg.qr(np.column_stack([grad] + [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(d - 1)]))
-    basis = [q[:, k] for k in range(1, d)]
-    cands = list(basis)
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            cands.append((basis[a] + basis[b]) / math.sqrt(2))
-    while len(cands) < 6:
-        coef = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        w = sum(c * e for c, e in zip(coef, basis))
-        cands.append(w / np.linalg.norm(w))
-
-    ts = np.geomspace(1e-3, 1e-2, 10)
-    best = 0.0
-    for w in cands:
-        slopes = []
-        for phase in (1.0, np.exp(0.25j * math.pi), 1j, np.exp(0.75j * math.pi)):
-            vals = np.array([dom.defining(xi + t * phase * w) for t in ts])
-            if np.any(vals <= 0):
-                slopes.append(1.0)  # direction leaves the tangent cone
-                continue
-            slope, _ = np.polyfit(np.log(ts), np.log(vals), 1)
-            slopes.append(slope)
-        best = max(best, min(slopes))
-    rounded = 2 * round(best / 2)  # convexity forces even vanishing order
-    if abs(best - rounded) > 0.1:
-        raise TypeEstimateUnstable(f"slope {best:.3f} is not near an even integer")
-    return max(2, int(rounded))
 
 
 # ---------------------------------------------------------------------------

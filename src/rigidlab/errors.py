@@ -19,10 +19,6 @@ class ApexNotOnBoundary(RigidLabError):
     pass
 
 
-class TypeEstimateUnstable(RigidLabError):
-    pass
-
-
 class NotConvex(RigidLabError):
     pass
 
@@ -42,10 +38,6 @@ class CoincidentAnchors(RigidLabError):
 
 
 class NumericDefectTooLarge(RigidLabError):
-    pass
-
-
-class NoConstructiveInverse(RigidLabError):
     pass
 
 

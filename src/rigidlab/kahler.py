@@ -1,12 +1,10 @@
-"""Kahler-specific quantities: holomorphic sectional curvature, bounded
-geometry (curvature bound + metric upper bound against 1/delta), squeezing
-lower bounds, model-space ball volumes, the volume-ratio injectivity bound,
-and the rigidity thresholds.
+"""Kahler-specific quantities: bounded geometry (curvature bound + metric
+upper bound against 1/delta), squeezing lower bounds, model-space ball
+volumes, the volume-ratio injectivity bound, and the rigidity thresholds.
 
-A Kahler field is a chart metric on a domain of C^d (real dimension 2d) that
-is invariant under the standard complex structure J on the interleaved
-coordinates.  Curvature values of models are always measured through the
-engine, never hard-coded.
+A Kahler field is a chart metric on a domain of C^d (real dimension 2d, in
+interleaved coordinates).  Curvature values of models are always measured
+through the engine, never hard-coded.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .errors import (
     ConfigInvalid,
     PositiveCurvatureUnsupported,
     RadiusOutOfRange,
-    ZeroVector,
 )
 from .riemann import (
     MetricField,
@@ -34,7 +31,6 @@ from .riemann import (
     poincare_disk,
 )
 
-J_INVARIANCE_TOL = 1e-8
 COMPLETENESS_LENGTH = 8.0    # ray length treated as "diverging" at desk scale
 COMPLETENESS_DEPTH = 1e-7    # how close to the boundary rays are integrated
 
@@ -43,32 +39,11 @@ COMPLETENESS_DEPTH = 1e-7    # how close to the boundary rays are integrated
 # Kahler fields
 # ---------------------------------------------------------------------------
 
-def apply_j(v: np.ndarray) -> np.ndarray:
-    """Standard complex structure on interleaved real coordinates."""
-    v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    out[0::2] = -v[1::2]
-    out[1::2] = v[0::2]
-    return out
-
-
 @dataclass
 class KahlerField:
     metric: MetricField
     complex_dim: int
     name: str
-
-    def j_invariance_defect(self, points) -> float:
-        rng = np.random.default_rng(23)
-        worst = 0.0
-        for x in points:
-            gx = self.metric.g(np.asarray(x, dtype=float))
-            for _ in range(4):
-                v, w = rng.standard_normal((2, 2 * self.complex_dim))
-                lhs = float(apply_j(v) @ gx @ apply_j(w))
-                rhs = float(v @ gx @ w)
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        return worst
 
 
 def poincare_kahler() -> KahlerField:
@@ -81,20 +56,6 @@ def flat_kahler(d: int = 1) -> KahlerField:
 
 def bergman_kahler(d: int = 2) -> KahlerField:
     return KahlerField(metric=bergman_ball(d), complex_dim=d, name=f"bergman-ball-{d}")
-
-
-# ---------------------------------------------------------------------------
-# holomorphic sectional curvature
-# ---------------------------------------------------------------------------
-
-def hol_sectional(k: KahlerField, z, X) -> float:
-    """Sectional curvature of the J-invariant plane spanned by X and JX."""
-    X = np.asarray(X, dtype=float)
-    if np.linalg.norm(X) == 0:
-        raise ZeroVector("holomorphic sectional curvature of the zero vector")
-    x = np.asarray(z, dtype=float)
-    cd = christoffel_curvature(k.metric, x)
-    return cd.sectional(X, apply_j(X))
 
 
 # ---------------------------------------------------------------------------

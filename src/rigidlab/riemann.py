@@ -7,10 +7,10 @@ double precision).
 On top of it the module builds Christoffel symbols, the curvature tensor,
 geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map
 whose Newton iteration uses the exact variational system (all four flows run
-on the one fixed-step RK4 integrator :func:`_rk4`), the tangent-bundle
-metric with its horizontal/vertical splitting, and the three estimates the
-rigidity pipelines consume: unit-tangent vs tangent comparison, geodesic
-spread, and the backward initial-condition estimate (which samples the
+on the one fixed-step RK4 integrator :func:`_rk4`), and the three
+estimates the rigidity pipelines consume: two-sided bounds on the Sasaki
+distance of the (unit) tangent bundle, geodesic spread, and the backward
+initial-condition estimate (which samples the
 model's ``closed_ray`` when it has one and integrates otherwise).
 
 Shape contract: the ``g``, ``ginv`` and ``dg`` oracles and
@@ -329,10 +329,9 @@ def sphere_stereographic() -> MetricField:
         norm = np.linalg.norm(axis)
         if norm < 1e-14:
             raise ShootingDiverged("antipodal or coincident points on the sphere")
-        gamma = curve(p, axis / norm)
-        h = 1e-6
-        v0 = (gamma(h) - gamma(0.0)) / h
-        return T, v0, gamma
+        q = axis / norm
+        v0 = q[:2] / (1.0 - p[2]) + p[:2] * q[2] / (1.0 - p[2]) ** 2   # d/dt gamma at t = 0
+        return T, v0, curve(p, q)
 
     def ray(x, v):
         x = np.asarray(x, float)
@@ -533,10 +532,6 @@ def christoffel_curvature(m: MetricField, x) -> CurvatureData:
     r = dgamma.transpose(1, 0, 2, 3) + gg.reshape(n, n, n, n)
     riem = r - r.transpose(0, 2, 1, 3)
     return CurvatureData(x=x, gx=gx, ginv=ginv, gamma=gamma, dgamma=dgamma, riem=riem)
-
-
-def sectional_curvature(m: MetricField, x, X, Y) -> float:
-    return christoffel_curvature(m, x).sectional(X, Y)
 
 
 def measured_curvature_bound(m: MetricField, points) -> float:
@@ -826,39 +821,6 @@ def geodesic_distance(m: MetricField, x, y, prefer_closed_form: bool = True) -> 
         return float(m.closed_dist(np.asarray(x, float), np.asarray(y, float)))
     tp = exp_log(m, x, y)
     return m.norm(tp.x, tp.vec)
-
-
-# ---------------------------------------------------------------------------
-# tangent-bundle (Sasaki) geometry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SasakiSplit:
-    horizontal: np.ndarray  # d(pi) xi
-    vertical: np.ndarray    # connection map K(xi)
-    h_norm: float
-
-
-def sasaki_eval(m: MetricField, X: TangentPoint, curve: Callable[[float], tuple]) -> SasakiSplit:
-    """Split the derivative of a curve ``t -> (x(t), V(t))`` in TM at t = 0,
-    taken by central differences of step ``h = 1e-6``.
-
-    The connection map is ``K(xi) = V'(0) + Gamma(x)(x'(0), V(0))``; the
-    Sasaki norm is ``sqrt(|dpi xi|_g^2 + |K xi|_g^2)``.
-    """
-    x0, v0 = curve(0.0)
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    h = 1e-6
-    xp, vp = curve(h)
-    xm, vm = curve(-h)
-    dx = (np.asarray(xp, float) - np.asarray(xm, float)) / (2 * h)
-    dV = (np.asarray(vp, float) - np.asarray(vm, float)) / (2 * h)
-    gamma = christoffel(m, x0)
-    K = dV + np.einsum("kij,i,j->k", gamma, dx, v0)
-    gx = m.g(x0)
-    hn = math.sqrt(float(dx @ gx @ dx) + float(K @ gx @ K))
-    return SasakiSplit(horizontal=dx, vertical=K, h_norm=hn)
 
 
 def tangent_angle(m: MetricField, x, u, w) -> float:

@@ -1,5 +1,7 @@
-"""Every defaulted parameter of ``rigidlab`` is bound by some call site, and
-every dataclass field is read somewhere.
+"""Every defaulted parameter of ``rigidlab`` is bound by some call site, every
+dataclass field is read somewhere, every public top-level function or class
+is reached from the package or the benchmark, and every module-level import
+of the package is used.
 
 A default that no caller in ``src/``, ``tests/`` or ``bench/`` overrides is a
 constant spelled as a parameter: it widens the API without a user.  The scan
@@ -11,6 +13,10 @@ variable ``d`` in the calling file.
 
 A field that no code there reads (an attribute load of its name, on any
 object) is state carried for nobody.
+
+A public function or class that nothing in ``src/`` or ``bench/`` loads (by
+name or as an attribute, outside its own definition) is reached by no
+verdict, CLI command or benchmark: only unit tests would keep it alive.
 """
 
 import ast
@@ -122,3 +128,62 @@ def unread_dataclass_fields() -> list[str]:
 
 def test_every_dataclass_field_is_read():
     assert unread_dataclass_fields() == []
+
+
+# Public names that only tests reach, kept on purpose.
+ALLOWED_UNREACHED = {
+    # the entry point of acceptance criterion 7, called from tests/test_acceptance.py
+    "riemann.py:measured_curvature_bound",
+    # the only way to build a non-convex, off-center or too-small-radius domain,
+    # which the NotConvex, SamplingEmpty and bounding-radius safety checks need
+    "domain.py:ImplicitConvexDomain",
+}
+
+
+def _loaded_name(node):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    return None
+
+
+def unreached_public_names() -> list[str]:
+    """``file:name`` of each public top-level function or class of the package
+    that no name or attribute load in ``src/`` or ``bench/`` reaches outside
+    its own definition."""
+    loads = set()
+    for _, tree in _trees([ROOT / "src", ROOT / "bench"]):
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            loads |= {name for node in ast.walk(stmt)
+                      if (name := _loaded_name(node)) is not None and name != own}
+    return sorted(f"{path.name}:{stmt.name}" for path, tree in _trees([PACKAGE]) for stmt in tree.body
+                  if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                  and not stmt.name.startswith("_") and stmt.name not in loads)
+
+
+def test_every_public_name_is_reached_outside_tests():
+    assert unreached_public_names() == sorted(ALLOWED_UNREACHED)    # a stale entry fails too
+
+
+def unused_imports() -> list[str]:
+    """``file:name`` of each name a module-level import binds that its module
+    never loads; ``from __future__`` imports and ``__all__`` re-exports are exempt."""
+    found = []
+    for path, tree in _trees([PACKAGE]):
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{name}" for alias in stmt.names
+                          if (name := alias.asname or alias.name.split(".")[0]) not in used]
+    return sorted(found)
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

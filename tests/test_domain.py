@@ -177,29 +177,6 @@ class TestConeCertificate:
                                               math.pi / 4, 0.2))
 
 
-class TestLineType:
-    def test_ellipsoid_flat_point(self):
-        assert dm.line_type(ELL12, [1, 0]) == 4
-
-    def test_ellipsoid_round_point(self):
-        assert dm.line_type(ELL12, [0, 1]) == 2
-
-    def test_ball(self):
-        assert dm.line_type(BALL2, [1, 0]) == 2
-
-    def test_disk_convention(self):
-        assert dm.line_type(DISK, [1]) == 2
-
-    def test_polydisk_flat_face(self):
-        assert dm.line_type(POLY2, [1, 0.2]) == math.inf
-
-    def test_numeric_estimator_matches_closed_form(self):
-        # the same ellipsoid written as a modulus polynomial takes the numeric estimator
-        implicit = dm.modulus_polynomial([(1.0, (1, 0)), (1.0, (0, 2))], 2)
-        assert dm.line_type(implicit, [1, 0]) == 4
-        assert dm.line_type(implicit, [0, 1]) == 2
-
-
 class TestConfig:
     def test_roundtrip_kinds(self):
         assert dm.domain_from_config({"kind": "disk"}).kind == "disk"
@@ -304,7 +281,7 @@ def test_ray_exit_shares_steps_across_bases():
 def test_ray_exit_rejects_a_bounding_radius_that_is_too_small():
     from rigidlab.errors import ConfigInvalid
     from rigidlab.kobayashi import line_boundary_distance
-    dom = dm.implicit_convex(BALL2.defining, 2, 0.4)
+    dom = dm.ImplicitConvexDomain(BALL2.defining, 2, 0.4)
     with pytest.raises(ConfigInvalid, match="bounding radius"):
         dm.ray_exit(dom, np.zeros(2), np.array([[[1.0, 0.0]]], dtype=complex))
     with pytest.raises(ConfigInvalid, match="bounding radius"):
@@ -404,7 +381,7 @@ def test_polydisk_corner_has_no_boundary_data():
 
 
 def test_implicit_domains_have_membership_only():
-    dom = dm.implicit_convex(BALL2.defining, 2, 1.0)
+    dom = dm.ImplicitConvexDomain(BALL2.defining, 2, 1.0)
     assert dom.defining([0.6, 0]) == BALL2.defining([0.6, 0])
     for oracle in (dom.grad_c, dom.hessian_real, dom.project_to_boundary):
         with pytest.raises(BoundaryDataUnavailable):

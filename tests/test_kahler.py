@@ -5,7 +5,8 @@ import pytest
 
 from rigidlab import domain as dm
 from rigidlab import kahler as kh
-from rigidlab.errors import PositiveCurvatureUnsupported, RadiusOutOfRange, ZeroVector
+from rigidlab import riemann as rm
+from rigidlab.errors import PositiveCurvatureUnsupported, RadiusOutOfRange
 
 
 PO = kh.poincare_kahler()
@@ -13,40 +14,58 @@ FLAT = kh.flat_kahler(1)
 BERG = kh.bergman_kahler(2)
 
 
+def apply_j(v) -> np.ndarray:
+    """The standard complex structure on interleaved real coordinates."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty_like(v)
+    out[0::2] = -v[1::2]
+    out[1::2] = v[0::2]
+    return out
+
+
+def hol_sectional(k, x, X) -> float:
+    """Sectional curvature of the J-invariant plane spanned by X and JX."""
+    return rm.christoffel_curvature(k.metric, x).sectional(X, apply_j(X))
+
+
 class TestHolomorphicSectional:
     def test_poincare_equals_gaussian(self):
         for x in ([0, 0], [0.3, -0.2], [0.7, 0.1]):
-            assert kh.hol_sectional(PO, x, [1, 0.4]) == pytest.approx(-1.0, abs=1e-6)
+            assert hol_sectional(PO, x, [1, 0.4]) == pytest.approx(-1.0, abs=1e-6)
 
     def test_bergman_constant(self):
-        vals = [kh.hol_sectional(BERG, x, v) for x, v in (
+        vals = [hol_sectional(BERG, x, v) for x, v in (
             ([0, 0, 0, 0], [1, 0, 0, 0]),
             ([0.2, 0.1, -0.1, 0.3], [0.5, 0.2, -0.3, 0.1]),
             ([0.5, 0, 0, 0], [0, 0, 1, 0]))]
         assert max(vals) - min(vals) < 1e-5
 
     def test_flat_zero(self):
-        assert kh.hol_sectional(FLAT, [0.1, 0.2], [1, 0]) == 0.0
+        assert hol_sectional(FLAT, [0.1, 0.2], [1, 0]) == 0.0
 
     def test_complex_scaling_invariance(self):
         # H(cX) = H(X): the plane span(X, JX) is unchanged by complex scalars
         x = [0.2, 0.1, -0.1, 0.3]
         X = np.array([0.5, 0.2, -0.3, 0.1])
-        base = kh.hol_sectional(BERG, x, X)
+        base = hol_sectional(BERG, x, X)
         for c in (2.0, -1.0):
-            assert kh.hol_sectional(BERG, x, c * X) == pytest.approx(base, rel=1e-9)
+            assert hol_sectional(BERG, x, c * X) == pytest.approx(base, rel=1e-9)
         # multiplication by i acts as J on the real picture
-        assert kh.hol_sectional(BERG, x, kh.apply_j(X)) == pytest.approx(base, rel=1e-9)
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            kh.hol_sectional(PO, [0, 0], [0, 0])
+        assert hol_sectional(BERG, x, apply_j(X)) == pytest.approx(base, rel=1e-9)
 
 
 class TestJInvariance:
     def test_models(self):
-        assert PO.j_invariance_defect([[0, 0], [0.4, -0.3]]) < 1e-8
-        assert BERG.j_invariance_defect([[0, 0, 0, 0], [0.2, 0.1, -0.1, 0.3]]) < 1e-8
+        # g(JX, JY) = g(X, Y) at seeded points and vectors
+        rng = np.random.default_rng(23)
+        for k, points in ((PO, [[0, 0], [0.4, -0.3]]), (BERG, [[0, 0, 0, 0], [0.2, 0.1, -0.1, 0.3]])):
+            for x in points:
+                gx = k.metric.g(np.asarray(x, dtype=float))
+                for _ in range(4):
+                    X, Y = rng.standard_normal((2, 2 * k.complex_dim))
+                    rhs = float(X @ gx @ Y)
+                    lhs = float(apply_j(X) @ gx @ apply_j(Y))
+                    assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
 
 class TestPropertyBG:

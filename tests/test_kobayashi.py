@@ -158,7 +158,7 @@ def _inside_points(dom, rng, n, rmax):
 class TestStackedEvaluation:
     def test_chord_leaving_the_domain_raises(self):
         # both ends lie inside the domain, the midpoint does not
-        nonconvex = dm.implicit_convex(lambda z: min(abs(z[0] - 0.5), abs(z[0] + 0.5)) - 0.3, 1, 1.0)
+        nonconvex = dm.ImplicitConvexDomain(lambda z: min(abs(z[0] - 0.5), abs(z[0] + 0.5)) - 0.3, 1, 1.0)
         with pytest.raises(NotConvex):
             kb._segment_upper(nonconvex, np.array([0.5]), np.array([-0.5]))
 

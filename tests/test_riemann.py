@@ -55,20 +55,20 @@ class TestCurvature:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.uniform(-0.6, 0.6, 2)
-            assert rm.sectional_curvature(PO, x, [1, 0], [0, 1]) == pytest.approx(-1.0, abs=1e-6)
+            assert rm.christoffel_curvature(PO, x).sectional([1, 0], [0, 1]) == pytest.approx(-1.0, abs=1e-6)
 
     def test_sphere_constant_plus_one(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.uniform(-1.5, 1.5, 2)
-            assert rm.sectional_curvature(SP, x, [1, 0], [0, 1]) == pytest.approx(1.0, abs=1e-6)
+            assert rm.christoffel_curvature(SP, x).sectional([1, 0], [0, 1]) == pytest.approx(1.0, abs=1e-6)
 
     def test_plane_independence_on_models(self):
         # constant-curvature metrics: same value for random 2-planes
         rng = np.random.default_rng(2)
         for m, expect in ((PO, -1.0), (SP, 1.0)):
             X, Y = rng.standard_normal((2, 2))
-            assert rm.sectional_curvature(m, [0.2, 0.1], X, Y) == pytest.approx(expect, abs=1e-6)
+            assert rm.christoffel_curvature(m, [0.2, 0.1]).sectional(X, Y) == pytest.approx(expect, abs=1e-6)
 
     def test_bergman_pinched(self):
         cd = rm.christoffel_curvature(BE, [0.2, 0.1, -0.1, 0.3])
@@ -199,50 +199,6 @@ class TestJacobi:
         rep = rm.jacobi_flow(PO, rm.TangentPoint.of([0, 0], [0.5, 0]), 1.5, J0, W0, step=2e-3)
         assert rep.f.shape[1] == 3
         assert rep.growth_ok
-
-
-class TestSasaki:
-    def test_horizontal_curve_flat(self):
-        # constant fiber over a straight base line: vertical part vanishes
-        split = rm.sasaki_eval(EU, rm.TangentPoint.of([0, 0], [0, 1]),
-                               lambda t: (np.array([t, 0.0]), np.array([0.0, 1.0])))
-        assert np.allclose(split.vertical, 0, atol=1e-8)
-        assert split.h_norm == pytest.approx(1.0, abs=1e-8)
-
-    def test_vertical_curve(self):
-        # fixed base point, moving fiber: horizontal part vanishes
-        split = rm.sasaki_eval(PO, rm.TangentPoint.of([0.2, 0.1], [0, 1]),
-                               lambda t: (np.array([0.2, 0.1]), np.array([t, 1.0])))
-        assert np.allclose(split.horizontal, 0, atol=1e-8)
-        gx = PO.g(np.array([0.2, 0.1]))
-        assert split.h_norm == pytest.approx(math.sqrt(gx[0, 0]), rel=1e-6)
-
-    def test_norm_reconstruction(self):
-        def curve(t):
-            return (np.array([0.1 + t, 0.2 - 0.5 * t]), np.array([0.3 + 2 * t, 0.4]))
-        split = rm.sasaki_eval(PO, rm.TangentPoint.of([0.1, 0.2], [0.3, 0.4]), curve)
-        gx = PO.g(np.array([0.1, 0.2]))
-        h2 = float(split.horizontal @ gx @ split.horizontal + split.vertical @ gx @ split.vertical)
-        assert split.h_norm == pytest.approx(math.sqrt(h2), rel=1e-10)
-
-    def test_norm_gap_below_curve_length(self):
-        # |  |X|_g - |Y|_g  | is dominated by the Sasaki length of any curve
-        # joining X to Y in TM
-        def curve(t):
-            return (np.array([0.1 * t, 0.05 * t * t]), np.array([1.0 + 0.8 * t, 0.4 * t]))
-
-        for m in (EU, PO):
-            ts = np.linspace(0.0, 1.0, 400)
-            length = 0.0
-            for a, b in zip(ts[:-1], ts[1:]):
-                mid = 0.5 * (a + b)
-                split = rm.sasaki_eval(m, rm.TangentPoint.of(*curve(mid)),
-                                       lambda s: curve(mid + s))
-                length += (b - a) * split.h_norm
-            x0, v0 = curve(0.0)
-            x1, v1 = curve(1.0)
-            gap = abs(m.norm(x0, v0) - m.norm(x1, v1))
-            assert gap <= length + 1e-6
 
 
 _COORD = st.floats(-1.0, 1.0)
@@ -524,7 +480,7 @@ class TestScaling:
         P4 = rm.scale_metric(PO, lam)
         x, y = np.array([0.1, 0.0]), np.array([0.4, 0.2])
         assert P4.closed_dist(x, y) == pytest.approx(2 * PO.closed_dist(x, y), rel=1e-12)
-        assert rm.sectional_curvature(P4, [0.2, 0.1], [1, 0], [0, 1]) == pytest.approx(-0.25, abs=1e-6)
+        assert rm.christoffel_curvature(P4, [0.2, 0.1]).sectional([1, 0], [0, 1]) == pytest.approx(-0.25, abs=1e-6)
         # closed geodesic stays unit speed in the scaled metric
         T, v0, sampler = P4.closed_geodesic(x, y)
         assert P4.norm(x, v0) == pytest.approx(1.0, abs=1e-9)
@@ -608,6 +564,17 @@ class TestClosedGeodesicSamplers:
                 one = curve(float(t))
                 assert one.shape == (m.dim,)
                 assert np.max(np.abs(row - one)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [EU, PO, SP, BE, BE_SCALED],
+                             ids=["euclid", "poincare", "sphere", "bergman-ball-2", "bergman-ball-2-scaled"])
+    def test_initial_velocity_is_unit(self, m):
+        rng = np.random.default_rng(8)
+        worst = 0.0
+        for _ in range(50):
+            x, y = 0.6 * rng.uniform(-1.0, 1.0, (2, m.dim)) / math.sqrt(m.dim)
+            _, v0, _ = m.closed_geodesic(x, y)
+            worst = max(worst, abs(m.norm(x, v0) - 1.0))
+        assert worst <= 1e-12
 
 
 # -- the hand-written RK4 loops that the one integrator replaced (reference) --

@@ -208,7 +208,7 @@ class TestDiskPipeline:
 
     def test_displacement_of_a_domain_that_misses_its_sample_ball_raises(self):
         # the disk of radius 1 about 3 meets no point of B(0, 0.95)
-        far = dm.implicit_convex(lambda z: abs(z[0] - 3.0) ** 2 - 1.0, 1, 4.0, center=[3.0])
+        far = dm.ImplicitConvexDomain(lambda z: abs(z[0] - 3.0) ** 2 - 1.0, 1, 4.0, center=[3.0])
         with pytest.raises(SamplingEmpty):
             sw.interior_displacement(sw.identity_map(), far)
 
