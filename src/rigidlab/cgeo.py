@@ -128,13 +128,12 @@ def complex_geodesic(dom: Domain, z, w) -> ComplexGeodesic:
 
 def _disk_geodesic(dom, z: complex, w: complex) -> ComplexGeodesic:
     t = (w - z) / (1.0 - np.conj(z) * w)
-    phase = t / abs(t)
-    mob = disk_automorphism(z, phase)
+    mob = disk_automorphism(z, t / abs(t))
     return ComplexGeodesic(
         dom=dom,
         func=lambda zeta: np.array([mob(zeta)]),
         tag="DiskAuto",
-        params={"center": z, "phase": phase, "t_w": abs(t)},
+        params={"t_w": abs(t)},
     )
 
 
@@ -152,16 +151,14 @@ def _ball_geodesic(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
         dom=dom,
         func=phi,
         tag="BallAffineSlice",
-        params={"center": a, "radius": rho, "direction": u,
-                "zeta_z": off / rho, "zeta_w": herm(w, u) / rho},
+        params={"radius": rho},
     )
 
 
 def _polydisk_geodesic(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
     t = np.array([(wj - zj) / (1.0 - np.conj(zj) * wj) for zj, wj in zip(z, w)])
     mags = np.abs(t)
-    jstar = int(np.argmax(mags))
-    tstar = mags[jstar]
+    tstar = mags.max()
     mobs = []
     for j in range(dom.dimension):
         phase = t[j] / mags[j] if mags[j] > 0 else 1.0
@@ -175,7 +172,7 @@ def _polydisk_geodesic(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
         dom=dom,
         func=phi,
         tag="PolydiskMax",
-        params={"coordinate": jstar, "t_w": tstar},
+        params={"t_w": tstar},
     )
 
 
@@ -218,8 +215,7 @@ def _chord_disc_candidate(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
         dom=dom,
         func=phi,
         tag="ConvexNumeric",
-        params={"center": c, "radius": rho, "direction": u,
-                "zeta_z": herm(z - c, u) / rho, "zeta_w": herm(w - c, u) / rho},
+        params={"radius": rho},
     )
 
 

@@ -9,7 +9,10 @@ geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map
 whose Newton iteration uses the exact variational system (all four flows run
 on the one fixed-step RK4 integrator :func:`_rk4`), and the three
 estimates the rigidity pipelines consume: two-sided bounds on the Sasaki
-distance of the (unit) tangent bundle, geodesic spread, and the backward
+distance of the (unit) tangent bundle (whose parallel transport is the
+model's exact ``closed_transport`` when it has one: all four models are
+symmetric spaces, so transport along a geodesic is the differential of a
+transvection), geodesic spread, and the backward
 initial-condition estimate (which samples the
 model's ``closed_ray`` when it has one and integrates otherwise).
 
@@ -21,7 +24,8 @@ the closed-form inverse of ``g``, so no step inverts a matrix numerically;
 ``min_eig`` is the smallest eigenvalue of ``g`` at one point, in closed form,
 so the positivity check :meth:`MetricField.require_positive` needs no ``eigvalsh``.
 The ``closed_geodesic`` and ``closed_ray`` samplers take a time ``t``
-(returning ``(n,)``) or an array of times (returning ``(N, n)``).
+(returning ``(n,)``) or an array of times (returning ``(N, n)``);
+``closed_transport(x, y, X)`` takes one vector ``(n,)``.
 
 Index conventions::
 
@@ -84,6 +88,7 @@ class MetricField:
                                                 # (n,), sampler(ts) of shape (N,) is (N, n)
     closed_ray: Callable | None = None          # (x, unit v) -> sampler t -> gamma(t), shaped
                                                 # as closed_geodesic's sampler
+    closed_transport: Callable | None = None    # (x, y, X) -> X parallel along the geodesic x -> y
 
     def require_chart(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -228,6 +233,26 @@ def _real_of(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conformal_transport(k: float):
+    """Parallel transport on ``4 |dz|^2 / (1 + k |z|^2)^2``, the disk (``k = -1``)
+    or the stereographic sphere (``k = 1``).  The transvection moving ``x`` to
+    ``y`` along their geodesic (on the sphere, the rotation about ``p x q`` by
+    the angle ``d(x, y)``) is a Moebius map, so transport is multiplication by
+    its derivative at ``x``, ``(1 + k |y|^2) / (1 + k |x|^2) * c / conj(c)`` with
+    ``c = 1 + k conj(x) y``.  On the sphere ``|c|`` is ``cos(d / 2)`` times the
+    norms: antipodal points have no one geodesic and raise, as in ``geod``."""
+    def transport(x, y, X):
+        zx, zy = complex(x[0], x[1]), complex(y[0], y[1])
+        nx, ny = 1.0 + k * abs(zx) ** 2, 1.0 + k * abs(zy) ** 2
+        c = 1.0 + k * zx.conjugate() * zy
+        if abs(c) < 1e-14 * math.sqrt(nx * ny):
+            raise ShootingDiverged("antipodal points on the sphere")
+        w = complex(X[0], X[1]) * ny / nx * c / c.conjugate()
+        return np.array([w.real, w.imag])
+
+    return transport
+
+
 @lru_cache(maxsize=None)
 def euclidean(n: int = 2) -> MetricField:
     eye = np.eye(n)
@@ -256,6 +281,7 @@ def euclidean(n: int = 2) -> MetricField:
         closed_dist=lambda x, y: float(np.linalg.norm(np.asarray(y) - np.asarray(x))),
         closed_geodesic=sampler_factory,
         closed_ray=lambda x, v: line(np.asarray(x, float), np.asarray(v, float)),
+        closed_transport=lambda x, y, X: np.array(X, dtype=float),
     )
 
 
@@ -297,6 +323,7 @@ def poincare_disk() -> MetricField:
         chart_contains=lambda x: float(x @ x) < 1.0 - 1e-12,
         kappa_model=-1.0, inj_model=math.inf,
         closed_dist=dist, closed_geodesic=geod, closed_ray=ray,
+        closed_transport=_conformal_transport(-1.0),
     )
 
 
@@ -353,6 +380,7 @@ def sphere_stereographic() -> MetricField:
         chart_contains=lambda x: float(x @ x) < 40.0**2,
         kappa_model=1.0, inj_model=math.pi,
         closed_dist=dist, closed_geodesic=geod, closed_ray=ray,
+        closed_transport=_conformal_transport(1.0),
     )
 
 
@@ -407,6 +435,36 @@ def bergman_ball(d: int = 2) -> MetricField:
         e = -(pv / s_a**2 + (vc - pv) / s_a)
         return curve(ball_involution(a), e / np.linalg.norm(e))
 
+    def transport(x, y, X):
+        """``-J phi_x(w) J phi_-w(0) J phi_x(x) X`` with ``w = phi_x(y)``.
+
+        With ``tau_c(z) = phi_c(-z)``, ``tau_-w`` is the transvection along the
+        diameter from 0 to ``-w``, and ``tau_x`` carries that diameter onto the
+        geodesic from ``x`` to ``y``; so transport is ``d tau_x(-w) d tau_-w(0)
+        d tau_x(0)^-1``, and ``d tau_c(z) = -J phi_c(-z)``.  Each ``J phi_a(z) =
+        (L D + N a^H) / D^2`` (the quotient rule on ``phi_a = N / D``, Rudin
+        2.2.2: ``L = -(P + s (I - P))``, ``D = 1 - a^H z``, ``N = a + L z``)
+        simplifies where it is taken: ``J phi_x(x) = L / s^2`` (``N = 0``),
+        ``J phi_-w(0) = -(s_w^2 P_w + s_w (I - P_w))`` and ``J phi_x(w) = (L + y
+        x^H) (1 - x^H y) / s^2`` (``N = y D``, ``D = s^2 / (1 - x^H y)``)."""
+        zx, zy, v = (_complex_of(np.asarray(u, float)) for u in (x, y, X))
+        a2 = np.vdot(zx, zx).real
+        s2 = 1.0 - a2
+        s = math.sqrt(s2)
+
+        def lin(u):   # L u
+            pu = (np.vdot(zx, u) / a2) * zx if a2 > 0 else 0.0
+            return (s - 1.0) * pu - s * u
+
+        c = 1.0 - np.vdot(zx, zy)
+        w = (zx + lin(zy)) / c
+        w2 = np.vdot(w, w).real
+        sw = math.sqrt(1.0 - w2)
+        u = lin(v) / s2
+        pu = (np.vdot(w, u) / w2) * w if w2 > 0 else 0.0
+        u = (sw - sw * sw) * pu - sw * u
+        return _real_of(-(lin(u) + zy * np.vdot(zx, u)) * (c / s2))
+
     c = 2.0 * (d + 1)
 
     def a(s):
@@ -421,7 +479,7 @@ def bergman_ball(d: int = 2) -> MetricField:
         f"bergman-ball-{d}", 2 * d, a, b,
         chart_contains=lambda x: float(x @ x) < 1.0 - 1e-12,
         kappa_model=None, inj_model=math.inf,
-        closed_dist=dist, closed_geodesic=geod, closed_ray=ray,
+        closed_dist=dist, closed_geodesic=geod, closed_ray=ray, closed_transport=transport,
     )
 
 
@@ -457,6 +515,7 @@ def scale_metric(m: MetricField, lam: float) -> MetricField:
         kappa_model=(m.kappa_model / lam if m.kappa_model is not None else None),
         inj_model=(m.inj_model * s if m.inj_model is not None else None),
         closed_dist=closed_dist, closed_geodesic=closed_geodesic, closed_ray=closed_ray,
+        closed_transport=m.closed_transport,   # a constant factor moves no geodesic or connection
     )
 
 
@@ -844,7 +903,11 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
 
     Upper bound: base geodesic with parallel transport followed by a fiber
     great-circle (T1M) or straight fiber segment (TM).  Lower bounds: the
-    base-point distance (projection contracts) and the norm gap.
+    base-point distance (projection contracts) and the norm gap.  On a metric
+    with ``closed_transport`` the base distance (``closed_dist``) and the
+    transport are exact.  Otherwise ``exp_log`` finds the base geodesic and RK4
+    ``parallel_transport`` runs along it; ``step`` bounds that fallback's step
+    and is read nowhere else.
     """
     nx = m.norm(X.x, X.vec)
     ny = m.norm(Y.x, Y.vec)
@@ -853,20 +916,17 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
     if mode == "T1M" and (abs(nx - 1.0) > 1e-8 or abs(ny - 1.0) > 1e-8):
         raise NotUnit(f"unit tangent mode needs unit vectors (|X|={nx}, |Y|={ny})")
 
-    same_base = bool(np.allclose(X.x, Y.x, atol=1e-14))
-    if same_base:
+    if np.allclose(X.x, Y.x, atol=1e-14):
         base = 0.0
         transported = X.vec.copy()
+    elif m.closed_transport is not None:
+        base = float(m.closed_dist(X.x, Y.x))
+        transported = m.closed_transport(X.x, Y.x, X.vec)
     else:
-        if m.closed_geodesic is not None:
-            base, _, sampler = m.closed_geodesic(X.x, Y.x)
-            ts = np.linspace(0, base, max(16, int(base / step)) + 1)
-            transported = _transport_along_samples(m, sampler(ts), ts, X.vec)
-        else:
-            tp = exp_log(m, X.x, Y.x)
-            base = m.norm(tp.x, tp.vec)
-            path = geodesic_flow(m, tp, 1.0, step=1.0 / max(32, int(base / step)), drift_tol=1.0)
-            transported = parallel_transport(m, path, X.vec)[-1]
+        tp = exp_log(m, X.x, Y.x)
+        base = m.norm(tp.x, tp.vec)
+        path = geodesic_flow(m, tp, 1.0, step=1.0 / max(32, int(base / step)), drift_tol=1.0)
+        transported = parallel_transport(m, path, X.vec)[-1]
 
     if mode == "T1M":
         fiber = tangent_angle(m, Y.x, transported, Y.vec)
@@ -876,33 +936,6 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
     lower = max(base, abs(nx - ny))
     return TangentDistanceResult(interval=DistInterval(min(lower, upper), upper),
                                  base_distance=base)
-
-
-# points per stacked christoffel call: 128 KB of dg at n = 4, so the transport
-# adds no peak memory over the one-point loop (1024 added ~1 MB, 4096 ~11 MB)
-_TRANSPORT_BLOCK = 256
-
-
-def _transport_along_samples(m: MetricField, xs: np.ndarray, ts: np.ndarray, X0) -> np.ndarray:
-    """Parallel transport along a sampled curve, one RK2 step per interval.
-
-    With ``A = Gamma(x_i)(xdot_i, .)`` and ``A_mid`` the same at the
-    interval's midpoint, the step is ``w <- w - h A_mid (w - h/2 A w)``.  The
-    Christoffels come from stacked calls of ``_TRANSPORT_BLOCK`` points.
-    """
-    h = np.diff(ts)
-    xdot = np.diff(xs, axis=0) / h[:, None]
-    starts, mids = xs[:-1], 0.5 * (xs[:-1] + xs[1:])
-    w = np.asarray(X0, dtype=float)
-    eye = np.eye(len(w))
-    for lo in range(0, len(h), _TRANSPORT_BLOCK):
-        blk = slice(lo, lo + _TRANSPORT_BLOCK)
-        hb = h[blk, None, None]
-        a = np.einsum("nkij,ni->nkj", christoffel(m, starts[blk]), xdot[blk])
-        a_mid = np.einsum("nkij,ni->nkj", christoffel(m, mids[blk]), xdot[blk])
-        for step in eye - hb * (a_mid - 0.5 * hb * (a_mid @ a)):
-            w = step @ w
-    return w
 
 
 # ---------------------------------------------------------------------------

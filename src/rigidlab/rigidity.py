@@ -158,7 +158,7 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
         ts = np.linspace(0.0, tau_n, 9)
         disp = max(metric.closed_dist(sampler(t), action(sampler(t))) for t in ts)
 
-        init = _initial_condition_distance(metric, sampler, action, pnr, v0)
+        init = _initial_condition_distance(metric, action, pnr, z0r, v0)
 
         product = math.exp(0.5 * (kappa + EPS_PRIME + 1.0) * T_n) * init
         rows_data.append(dict(n=i, r_n=r_n, d_pn_p0=d_pn_p0, d_pn_p0_bound=d_pn_p0_bound,
@@ -217,18 +217,20 @@ def _euclidean_exit_time(sampler, start: np.ndarray, radius: float, horizon: flo
     return lo
 
 
-def _initial_condition_distance(metric: MetricField, sampler, action, pnr, v0) -> float:
-    """Upper bound for the unit-tangent distance between the geodesic's
-    initial vector and its image under the isometry."""
-    h = 1e-6
+def _image_tangent(metric: MetricField, action, pnr, z0r) -> TangentPoint:
+    """The unit initial vector of the geodesic ``phi(p_n) -> phi(z0)``: an
+    isometry carries the geodesic ``p_n -> z0`` onto it, so this is the image
+    of that geodesic's initial vector, with no derivative of ``phi``."""
     q0 = action(pnr)
-    qdot = (action(sampler(h)) - action(sampler(-h))) / (2.0 * h)
-    n0 = metric.norm(q0, qdot)
-    if n0 < 1e-14:
-        return 0.0
-    qdot = qdot / n0
+    _, qdot, _ = metric.closed_geodesic(q0, action(z0r))
+    return TangentPoint(q0, metric.unit(q0, qdot))
+
+
+def _initial_condition_distance(metric: MetricField, action, pnr, z0r, v0) -> float:
+    """Upper bound for the unit-tangent distance between the initial vector
+    ``v0`` of the geodesic ``p_n -> z0`` and its image under the isometry."""
     X = TangentPoint(np.asarray(pnr, float), metric.unit(pnr, v0))
-    Y = TangentPoint(np.asarray(q0, float), qdot)
+    Y = _image_tangent(metric, action, pnr, z0r)
     if np.allclose(X.x, Y.x, atol=1e-15) and np.allclose(X.vec, Y.vec, atol=1e-12):
         return 0.0
     return tangent_distances(metric, X, Y, mode="T1M").interval.upper

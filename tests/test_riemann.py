@@ -487,61 +487,68 @@ class TestScaling:
         assert np.allclose(sampler(T), y, atol=1e-9)
 
 
-def _transport_one_point_at_a_time(m, xs, ts, X0):
-    """The per-sample RK2 transport that the stacked one replaced (reference)."""
-    w = np.asarray(X0, dtype=float).copy()
-    for i in range(len(ts) - 1):
-        h = ts[i + 1] - ts[i]
-        xdot = (xs[i + 1] - xs[i]) / h
-        g1 = rm.christoffel(m, xs[i])
-        k1 = -np.einsum("kij,i,j->k", g1, xdot, w)
-        gm = rm.christoffel(m, 0.5 * (xs[i] + xs[i + 1]))
-        k2 = -np.einsum("kij,i,j->k", gm, xdot, w + 0.5 * h * k1)
-        w = w + h * k2
-    return w
-
-
-def _closed_samples(m, x, y, step=1e-3):
-    """The samples ``tangent_distances`` transports along."""
-    T, _, sampler = m.closed_geodesic(np.asarray(x, float), np.asarray(y, float))
-    ts = np.linspace(0, T, max(16, int(T / step)) + 1)
-    return sampler(ts), ts
-
-
 # the Bergman metric scaled to curvature bound 1, as biholo_pipeline scales it
 # by its measured bound 2/3
 BE_SCALED = rm.scale_metric(BE, 2.0 / 3.0)
 
+_TRANSPORT_CASES = [
+    (BE_SCALED, [0.9921875, 0.0, 0.0, 0.0], [-0.2, 0.1, 0.3, 0.0], [0.3, 1.0, -0.2, 0.4]),
+    (BE, [0.2, 0.1, -0.1, 0.3], [-0.4, 0.2, 0.3, -0.1], [0.3, 1.0, -0.2, 0.4]),
+    (PO, [0.9, 0.1], [-0.3, 0.2], [0.5, -1.0]),
+    (SP, [2.0, -0.5], [-0.4, 0.3], [1.0, 0.7]),
+    (EU, [1.0, 2.0], [-3.0, 0.5], [0.2, -0.6]),
+]
+_TRANSPORT_IDS = ["bergman-ball-2-scaled", "bergman-ball-2", "poincare", "sphere", "euclid"]
 
-class TestStackedTransport:
-    @pytest.mark.parametrize("m, x, y, w, min_samples", [
-        (BE_SCALED, [0.9921875, 0.0, 0.0, 0.0], [-0.2, 0.1, 0.3, 0.0], [0.3, 1.0, -0.2, 0.4], 5000),
-        (PO, [0.9, 0.1], [-0.3, 0.2], [0.5, -1.0], 3000),
-        (SP, [2.0, -0.5], [-0.4, 0.3], [1.0, 0.7], 1000),
-        (EU, [1.0, 2.0], [-3.0, 0.5], [0.2, -0.6], 1000),
-    ], ids=["bergman-ball-2-scaled", "poincare", "sphere", "euclid"])
-    def test_matches_the_per_sample_loop(self, m, x, y, w, min_samples):
-        xs, ts = _closed_samples(m, x, y)
-        assert len(ts) - 1 >= min_samples
-        want = _transport_one_point_at_a_time(m, xs, ts, w)
-        got = rm._transport_along_samples(m, xs, ts, w)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_christoffel_is_called_once_per_block_of_samples(self, monkeypatch):
-        calls = []
-        original = rm.christoffel
+def _times_i(v):
+    """``J v``: multiplication by ``i`` in interleaved coordinates."""
+    out = np.empty_like(v)
+    out[0::2], out[1::2] = -v[1::2], v[0::2]
+    return out
 
-        def counted(m, x):
-            calls.append(np.shape(x))
-            return original(m, x)
 
-        monkeypatch.setattr(rm, "christoffel", counted)
-        ts = np.linspace(0.0, 1.0, 10_001)
-        xs = 0.8 * np.stack((np.cos(ts), np.sin(ts), ts - 0.5, 0.1 * ts), axis=-1) / 1.5
-        rm._transport_along_samples(BE, xs, ts, [1.0, 0.0, 0.0, 0.0])
-        assert len(calls) <= 2 * math.ceil(10_000 / rm._TRANSPORT_BLOCK)
-        assert len(calls) <= 200     # not 2 per sample: at least 100 points a call
-        assert sum(shape[0] for shape in calls) == 2 * 10_000
+class TestClosedTransport:
+    @pytest.mark.parametrize("m, x, y, w", _TRANSPORT_CASES, ids=_TRANSPORT_IDS)
+    def test_matches_rk4_transport(self, m, x, y, w):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        T, v0, _ = m.closed_geodesic(x, y)
+        path = rm.geodesic_flow(m, rm.TangentPoint.of(x, v0), T, step=2e-3)
+        want = rm.parallel_transport(m, path, w)[-1]
+        got = m.closed_transport(x, y, w)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m, x, y, w", _TRANSPORT_CASES, ids=_TRANSPORT_IDS)
+    def test_keeps_the_gram_matrix_and_commutes_with_j(self, m, x, y, w):
+        x, y, w = (np.asarray(a, float) for a in (x, y, w))
+        frame = np.stack((w, np.roll(w, 1) - 0.5 * w))
+        moved = np.stack([m.closed_transport(x, y, u) for u in frame])
+        gram_x = frame @ m.g(x) @ frame.T
+        gram_y = moved @ m.g(y) @ moved.T
+        assert np.max(np.abs(gram_y - gram_x)) <= 1e-12 * np.max(np.abs(gram_x))
+        for u, pu in zip(frame, moved):
+            pju = m.closed_transport(x, y, _times_i(u))
+            assert np.max(np.abs(pju - _times_i(pu))) <= 1e-12 * np.max(np.abs(pu))
+
+    @pytest.mark.parametrize("m", [PO, SP, BE], ids=lambda m: m.name)
+    def test_tangent_distances_agree_with_the_integrated_fallback(self, m, monkeypatch):
+        x = np.full(m.dim, 0.3) * np.tile([1.0, -0.5], m.dim // 2)
+        y = np.full(m.dim, -0.2) * np.tile([0.4, 1.0], m.dim // 2)
+        X, Y = unit_at(m, x, np.roll(x, 1) + 0.1), unit_at(m, y, y + 0.3)
+        fallback = rm.tangent_distances(dataclasses.replace(m, closed_transport=None), X, Y, "T1M").interval
+
+        def no_flow(*args):
+            raise AssertionError("the closed-form path integrated a flow")
+
+        monkeypatch.setattr(rm, "christoffel", no_flow)
+        exact = rm.tangent_distances(m, X, Y, "T1M").interval
+        assert exact.upper == pytest.approx(fallback.upper, rel=1e-9)
+        assert exact.lower == pytest.approx(fallback.lower, rel=1e-9)
+
+    def test_antipodal_points_on_the_sphere_raise(self):
+        x = np.array([0.5, -0.25])
+        with pytest.raises(ShootingDiverged):
+            SP.closed_transport(x, -x / float(x @ x), [1.0, 0.0])
 
 
 class TestClosedGeodesicSamplers:

@@ -131,6 +131,26 @@ class TestBiholoPipeline:
                                xi0=[1.0], cone=wide, schedule=SHORT)
 
 
+class TestImageTangent:
+    @pytest.mark.parametrize("k, f, z0r", [
+        (poincare_kahler(), sw.rotation(1e-3), [0.0, 0.3]),
+        (bergman_kahler(2), sw.ball_automorphism(np.array([1e-3, 0.0])), [0.0, 0.0, 0.3, -0.1]),
+    ], ids=["disk-rotation", "ball-automorphism"])
+    def test_matches_a_central_difference_of_the_mapped_geodesic(self, k, f, z0r):
+        m, action = k.metric, rg._chart_map(f)
+        z0r = np.asarray(z0r)
+        h = 1e-6
+        for r_n in SHORT:
+            pnr = np.zeros(m.dim)
+            pnr[0] = 1.0 - r_n
+            _, _, sampler = m.closed_geodesic(pnr, z0r)
+            qdot = (action(sampler(h)) - action(sampler(-h))) / (2.0 * h)
+            qdot = qdot / m.norm(action(pnr), qdot)
+            Y = rg._image_tangent(m, action, pnr, z0r)
+            assert np.array_equal(Y.x, action(pnr))
+            assert np.max(np.abs(Y.vec - qdot)) <= 1e-8 * np.max(np.abs(qdot))
+
+
 class TestSuite:
     def test_soundness_guard_fires(self):
         summary = rg.SuiteSummary()
