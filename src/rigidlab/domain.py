@@ -5,7 +5,8 @@ uses the interleaved coordinates ``(x_1, y_1, ..., x_d, y_d)``.  Every domain
 carries a defining function ``r`` with ``z in Omega  iff  r(z) < 0``, written
 once on a stack of points (``defining_many``; ``defining`` reads it for one
 point).  The disk, ball, polydisk, ellipsoid and modulus polynomial give the
-gradient and Hessian of ``r`` in closed form; the polydisk only where one
+gradient of ``r`` and the nearest boundary point in closed form or by one
+solver on the moduli ``|z_j|``; the polydisk gradient exists only where one
 coordinate has the largest modulus.  An implicit domain given by a one-point
 function has membership only: no derivative is estimated numerically.
 
@@ -35,7 +36,6 @@ from .errors import (
 
 BOUNDARY_TOL = 1e-12          # |r(xi)| tolerance for "on the boundary"
 GRADIENT_TOL = 1e-12          # degenerate-gradient threshold
-STRONG_CONVEXITY_MARGIN = 1e-8  # min eigenvalue separating flat directions from roundoff
 SAMPLE_BLOCKS = 50            # candidate blocks sample_ball draws before it gives up
 RAY_BISECTIONS = 60           # halvings of every ray-exit bracket
 
@@ -106,8 +106,6 @@ class BoundaryData:
     point: np.ndarray
     inward_normal: np.ndarray
     tangent_hyperplane: Hyperplane
-    strongly_convex: bool
-    convexity_margin: float
 
 
 @dataclass(frozen=True)
@@ -147,8 +145,8 @@ class Domain:
 
     Each kind writes its defining function once, on a stack of points
     (``defining_many``); the one-point ``defining`` reads that body.  Kinds
-    with a closed-form boundary override ``grad_c``, ``hessian_real`` and
-    ``project_to_boundary``; the base versions raise ``BoundaryDataUnavailable``.
+    with a closed-form boundary override ``grad_c`` and ``project_to_boundary``;
+    the base versions raise ``BoundaryDataUnavailable``.
     """
 
     kind: str = "abstract"
@@ -167,10 +165,6 @@ class Domain:
     def grad_c(self, z) -> np.ndarray:
         """Real gradient of the defining function as a complex vector."""
         raise BoundaryDataUnavailable(f"the {self.kind} domain has no gradient oracle")
-
-    def hessian_real(self, z) -> np.ndarray:
-        """Real Hessian of the defining function in the interleaved coordinates."""
-        raise BoundaryDataUnavailable(f"the {self.kind} domain has no Hessian oracle")
 
     # -- membership ----------------------------------------------------------
 
@@ -215,9 +209,6 @@ class DiskDomain(Domain):
     def grad_c(self, z):
         return 2.0 * as_point(z, 1)
 
-    def hessian_real(self, z):
-        return 2.0 * np.eye(2)
-
     def project_to_boundary(self, z):
         z = as_point(z, 1)
         n = np.abs(z[0])
@@ -243,9 +234,6 @@ class BallDomain(Domain):
 
     def grad_c(self, z):
         return 2.0 * as_point(z, self.dimension)
-
-    def hessian_real(self, z):
-        return 2.0 * np.eye(2 * self.dimension)
 
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension)
@@ -289,12 +277,6 @@ class PolydiskDomain(Domain):
         out[j] = 2.0 * as_point(z, self.dimension)[j]
         return out
 
-    def hessian_real(self, z):
-        j = self._top(z)
-        h = np.zeros((2 * self.dimension, 2 * self.dimension))
-        h[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 2.0 * np.eye(2)
-        return h
-
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension).copy()
         j = int(np.argmax(np.abs(z)))
@@ -334,30 +316,14 @@ class EllipsoidDomain(Domain):
             pow_term = np.where(mod2 > 0, mod2 ** (m - 1), np.where(m == 1, 1.0, 0.0))
         return 2.0 * m * pow_term * z
 
-    def hessian_real(self, z):
-        z = as_point(z, self.dimension)
-        n = 2 * self.dimension
-        h = np.zeros((n, n))
-        for j, m in enumerate(self.exponents):
-            x, y = z[j].real, z[j].imag
-            s = x * x + y * y
-            blk = np.zeros((2, 2))
-            if m == 1:
-                blk = 2.0 * np.eye(2)
-            else:
-                if s > 0:
-                    blk = 2 * m * s ** (m - 1) * np.eye(2)
-                    blk += 4 * m * (m - 1) * s ** (m - 2) * np.outer([x, y], [x, y])
-            h[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = blk
-        return h
-
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension)
-        mods = np.abs(z)
-        best = _project_moduli(np.asarray(self.exponents, dtype=float), mods)
-        z = np.where(mods < 2.0**-600, z * 2.0**600, z)   # a subnormal |z_j| overflows z_j / |z_j|
-        phases = np.where(mods > 0, z / np.where(mods > 0, np.abs(z), 1.0), 1.0)
-        return best * phases
+        two_e = 2 * np.asarray(self.exponents, dtype=float)
+        return _project_moduli(
+            lambda x: float((np.maximum(x, 0.0) ** two_e).sum() - 1.0),
+            lambda x: two_e * np.maximum(x, 0.0) ** (two_e - 1),
+            lambda x: np.diag(two_e * (two_e - 1) * np.maximum(x, 1e-300) ** (two_e - 2)),
+            np.abs(z)) * _unit_phases(z)
 
 
 class ImplicitConvexDomain(Domain):
@@ -389,9 +355,10 @@ class ModulusPolynomialDomain(Domain):
     """Convex domain ``f(s) = sum_k c_k prod_j s_j^{a_kj} - 1 < 0`` with
     ``s_j = |z_j|^2`` (see :func:`modulus_polynomial`).
 
-    With ``F = df/ds`` and ``F2 = d^2f/ds^2`` the derivatives are closed-form:
-    ``grad_c = 2 z F`` and ``hessian_real = 2 diag(F) (x) I_2 + 4 (x x^T) o
-    (F2 (x) 1_2x2)`` in the interleaved coordinates ``x``.
+    With ``F = df/ds`` and ``F2 = d^2f/ds^2`` at ``s = x^2`` the gradient is
+    ``grad_c = 2 z F``; on the moduli ``x = |z|`` the constraint has gradient
+    ``2 x F`` and Hessian ``2 diag(F) + 4 (x x^T) o F2``, which the nearest-point
+    solver shared with the ellipsoid reads.
     """
 
     kind = "implicit"
@@ -420,54 +387,40 @@ class ModulusPolynomialDomain(Domain):
         z = as_point(z, self.dimension)
         return 2.0 * z * self._s_derivative(z, np.eye(self.dimension, dtype=int))
 
-    def hessian_real(self, z):
-        z = as_point(z, self.dimension)
-        eye = np.eye(self.dimension, dtype=int)
-        f1 = self._s_derivative(z, eye)
-        f2 = self._s_derivative(z, eye[:, None, :] + eye[None, :, :])
-        x = c2r(z)
-        return 2.0 * np.kron(np.diag(f1), np.eye(2)) + 4.0 * np.outer(x, x) * np.kron(f2, np.ones((2, 2)))
-
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension)
-        x0 = c2r(z)
-
-        # start just outside the boundary, on the ray from the center through z
-        c = self.center()
-        norm = float(np.linalg.norm(z - c))
-        u = (z - c) / norm if norm >= 1e-14 else np.eye(self.dimension, dtype=complex)[0]
-        _, hi = ray_exit(self, c, u[None, None, :])
-
-        res = minimize(
-            lambda x: np.sum((x - x0) ** 2),
-            c2r(c + hi[0] * u),
-            jac=lambda x: 2.0 * (x - x0),
-            method="SLSQP",
-            constraints=[{"type": "eq", "fun": lambda x: self.defining(r2c(x)),
-                          "jac": lambda x: c2r(self.grad_c(r2c(x)))}],
-            options={"maxiter": 200, "ftol": 1e-14},
-        )
-        return r2c(_kkt_polish(self, x0, res.x))
+        eye = np.eye(self.dimension, dtype=int)
+        pair = eye[:, None, :] + eye[None, :, :]
+        two_a = 2 * self.powers
+        return _project_moduli(
+            lambda x: float(self.coef @ (x ** two_a).prod(axis=1) - 1.0),
+            lambda x: 2.0 * x * self._s_derivative(x, eye),
+            lambda x: 2.0 * np.diag(self._s_derivative(x, eye))
+            + 4.0 * np.outer(x, x) * self._s_derivative(x, pair),
+            np.abs(z)) * _unit_phases(z)
 
 
-def _project_moduli(exponents: np.ndarray, m0: np.ndarray) -> np.ndarray:
-    """Nearest point on ``sum x_j^{2 e_j} = 1`` (x >= 0) to the modulus vector."""
+def _unit_phases(z: np.ndarray) -> np.ndarray:
+    """``z_j / |z_j|``, and 1 where ``z_j = 0``."""
+    mods = np.abs(z)
+    z = np.where(mods < 2.0**-600, z * 2.0**600, z)   # a subnormal |z_j| overflows z_j / |z_j|
+    return np.where(mods > 0, z / np.where(mods > 0, np.abs(z), 1.0), 1.0)
 
-    def constraint(x):
-        return float(np.sum(np.maximum(x, 0.0) ** (2 * exponents)) - 1.0)
 
-    def cgrad(x):
-        xs = np.maximum(x, 0.0)
-        return 2 * exponents * xs ** (2 * exponents - 1)
+def _project_moduli(constraint: Callable, cgrad: Callable, chess: Callable,
+                    m0: np.ndarray) -> np.ndarray:
+    """Nearest point ``x >= 0`` on ``constraint(x) = 0`` to the modulus vector
+    ``m0``: an SLSQP solve from the radial point on the surface, then Newton
+    steps on the KKT system with the constraint's gradient and Hessian."""
 
     # radial initial guess on the surface
     scale_lo, scale_hi = 0.0, 2.0
     base = np.where(m0 > 1e-9, m0, 1e-3)
-    while np.sum((scale_hi * base) ** (2 * exponents)) < 1.0:
+    while constraint(scale_hi * base) < 0:
         scale_hi *= 2.0
     for _ in range(80):
         mid = 0.5 * (scale_lo + scale_hi)
-        if np.sum((mid * base) ** (2 * exponents)) < 1.0:
+        if constraint(mid * base) < 0:
             scale_lo = mid
         else:
             scale_hi = mid
@@ -492,9 +445,8 @@ def _project_moduli(exponents: np.ndarray, m0: np.ndarray) -> np.ndarray:
         lam = float(np.mean((x[nz] - m0[nz]) / g[nz]))
     for _ in range(40):
         g = cgrad(x)
-        chess = np.diag(2 * exponents * (2 * exponents - 1) * np.maximum(x, 1e-300) ** (2 * exponents - 2))
         jac = np.block(
-            [[np.eye(len(x)) - lam * chess, -g[:, None]], [g[None, :], np.zeros((1, 1))]]
+            [[np.eye(len(x)) - lam * chess(x), -g[:, None]], [g[None, :], np.zeros((1, 1))]]
         )
         rhs = np.concatenate([x - m0 - lam * g, [constraint(x)]])
         try:
@@ -506,29 +458,6 @@ def _project_moduli(exponents: np.ndarray, m0: np.ndarray) -> np.ndarray:
         if np.linalg.norm(rhs) < 1e-14:
             break
     return x
-
-
-def _kkt_polish(dom: Domain, x0: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Newton-polish ``w`` toward the exact nearest boundary point to ``x0``."""
-    for _ in range(30):
-        z = r2c(w)
-        g = c2r(dom.grad_c(z))
-        gn2 = float(g @ g)
-        if gn2 < 1e-24:
-            break
-        lam = float((w - x0) @ g) / gn2
-        hess = dom.hessian_real(z)
-        n = len(w)
-        jac = np.block([[np.eye(n) - lam * hess, -g[:, None]], [g[None, :], np.zeros((1, 1))]])
-        rhs = np.concatenate([w - x0 - lam * g, [dom.defining(z)]])
-        if np.linalg.norm(rhs) < 1e-14:
-            break
-        try:
-            step = np.linalg.solve(jac, -rhs)
-        except np.linalg.LinAlgError:
-            break
-        w = w + step[:-1]
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -673,26 +602,11 @@ def boundary_normal(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> tuple[np.ndar
 
 
 def boundary_data(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> BoundaryData:
-    """Normal, complex tangent hyperplane and convexity type at a boundary point."""
+    """Inward normal and complex tangent hyperplane at a boundary point."""
     xi = as_point(xi, dom.dimension)
-    normal_out, gnorm = boundary_normal(dom, xi, tol)
-    hyperplane = Hyperplane(anchor=xi.copy(), normal=normal_out)
-
-    # restricted real Hessian on the real tangent space
-    hess = dom.hessian_real(xi)
-    n_real = c2r(normal_out)
-    n_real = n_real / np.linalg.norm(n_real)
-    basis = _orthonormal_complement(n_real)
-    restricted = basis.T @ hess @ basis
-    eigs = np.linalg.eigvalsh(restricted)
-    margin = float(eigs.min()) / gnorm
-    return BoundaryData(
-        point=xi.copy(),
-        inward_normal=-normal_out,
-        tangent_hyperplane=hyperplane,
-        strongly_convex=bool(margin > STRONG_CONVEXITY_MARGIN),
-        convexity_margin=margin,
-    )
+    normal_out, _ = boundary_normal(dom, xi, tol)
+    return BoundaryData(point=xi.copy(), inward_normal=-normal_out,
+                        tangent_hyperplane=Hyperplane(anchor=xi.copy(), normal=normal_out))
 
 
 def _orthonormal_complement(v: np.ndarray) -> np.ndarray:

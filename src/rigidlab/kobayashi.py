@@ -376,18 +376,15 @@ def _chord_rule(radii: np.ndarray) -> float:
     return float(np.sum(ratio / r0)) / len(r0)
 
 
-def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True,
-                via=()) -> DistInterval:
+def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True) -> DistInterval:
     """Certified interval for the Kobayashi distance ``K(z, w)``.
 
-    The upper bound is the best of the admissible polygonal routes: the
-    straight chord, the route through the domain center, and any supplied
-    ``via`` waypoints (the shared-path construction makes interval-level
-    triangle inequalities hold).  On model kinds the closed form is returned.
+    The upper bound is the better of two polygonal routes: the straight chord
+    and the route through the domain center.  On model kinds the closed form
+    is returned.
     """
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
     w = dom.require_inside(finite_point(w, dom.dimension, "point"))
-    waypoints = [dom.center()] + [finite_point(p, dom.dimension, "waypoint") for p in via]
     if np.allclose(z, w, atol=0, rtol=0):
         return DistInterval.exact(0.0)
 
@@ -395,10 +392,9 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True,
         return DistInterval.exact(model_dist(dom, z, w))
 
     upper = _segment_upper(dom, z, w)
-    for y in waypoints:
-        if not dom.contains(y) or np.allclose(y, z) or np.allclose(y, w):
-            continue
-        upper = min(upper, _segment_upper(dom, z, y) + _segment_upper(dom, y, w))
+    c = dom.center()
+    if dom.contains(c) and not (np.allclose(c, z) or np.allclose(c, w)):
+        upper = min(upper, _segment_upper(dom, z, c) + _segment_upper(dom, c, w))
 
     lower = float(np.linalg.norm(w - z)) / dom.bounding_radius
     mid = z + 0.5 * (w - z)

@@ -22,7 +22,8 @@ and return the matching leading axis, e.g. ``christoffel(m, xs)`` is
 ``(N, n, n, n)``; ``d2g`` and everything else take one point.  ``ginv`` is
 the closed-form inverse of ``g``, so no step inverts a matrix numerically;
 ``min_eig`` is the smallest eigenvalue of ``g`` at one point, in closed form,
-so the positivity check :meth:`MetricField.require_positive` needs no ``eigvalsh``.
+so the positivity check :meth:`MetricField.require_positive` needs no numerical
+eigensolver.
 The ``closed_geodesic`` and ``closed_ray`` samplers take a time ``t``
 (returning ``(n,)``) or an array of times (returning ``(N, n)``);
 ``closed_transport(x, y, X)`` takes one vector ``(n,)``.

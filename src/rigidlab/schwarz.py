@@ -62,7 +62,6 @@ class HoloMap:
     dimension: int
     name: str
     contact: ContactSpec | None = None
-    trusted: bool = False
     _certification: "Certification | None" = field(default=None, repr=False)
 
     def __call__(self, z):
@@ -123,8 +122,6 @@ def certify_self_map(f: HoloMap, dom: Domain | None = None) -> Certification:
 
 
 def require_self_map(f: HoloMap, dom: Domain | None = None) -> None:
-    if f.trusted:
-        return
     cert = f._certification or certify_self_map(f, dom)
     if not cert.passed:
         raise NotSelfMap(f"{f.name}: sampled boundary excess {cert.max_excess:.2e} "

@@ -107,16 +107,6 @@ class TestIntervals:
     def test_coincident_interval(self):
         assert kb.dist_bounds(BALL2, [0.1, 0.2], [0.1, 0.2]) == kb.DistInterval(0.0, 0.0)
 
-    def test_interval_triangle_with_shared_paths(self):
-        # upper(z, w) routed through y is dominated by the two legs
-        rng = np.random.default_rng(10)
-        for _ in range(25):
-            z, w, y = sample_disk_points(rng, 3, rmax=0.9)
-            direct = kb.dist_bounds(DISK, z, w, tighten_with_model=False, via=(y,))
-            leg1 = kb.dist_bounds(DISK, z, y, tighten_with_model=False)
-            leg2 = kb.dist_bounds(DISK, y, w, tighten_with_model=False)
-            assert direct.upper <= leg1.upper + leg2.upper + 1e-9
-
     def test_distance_decreasing_under_inclusion(self):
         # disk included in the ball slice: exact ball values dominate from below
         rng = np.random.default_rng(11)
@@ -395,7 +385,6 @@ _GOOD = np.array([0.3, 0.2j])
 def _nonfinite_calls(dom, bad, value):
     yield lambda: kb.dist_bounds(dom, bad, _GOOD, tighten_with_model=False)
     yield lambda: kb.dist_bounds(dom, _GOOD, bad)
-    yield lambda: kb.dist_bounds(dom, _GOOD, -_GOOD, tighten_with_model=False, via=(bad,))
     yield lambda: kb.metric_bounds(dom, bad, _GOOD)
     yield lambda: kb.metric_bounds(dom, _GOOD, bad, tighten_with_model=False)
     yield lambda: kb.kob_ball_inclusion(dom, bad, 0.01)
@@ -408,7 +397,7 @@ def _nonfinite_calls(dom, bad, value):
 
 @pytest.mark.parametrize("dom", [ELL12, BALL2], ids=["ellipsoid", "ball"])
 @settings(max_examples=80, deadline=None)
-@given(_NONFINITE, st.integers(0, 1), st.integers(0, 10))
+@given(_NONFINITE, st.integers(0, 1), st.integers(0, 9))
 def test_nonfinite_inputs_raise_config_invalid(dom, value, slot, case):
     bad = _GOOD.copy()
     bad[slot] = value
