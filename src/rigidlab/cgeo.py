@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .domain import BallDomain, DiskDomain, Domain, Hyperplane, PolydiskDomain, boundary_data, c2r, herm
-from .errors import CoincidentPoints, ConfigInvalid, NoConvergence, NumericDefectTooLarge
+from .domain import BallDomain, DiskDomain, Domain, Hyperplane, PolydiskDomain, boundary_data, c2r, herm, r2c
+from .errors import CoincidentPoints, ConfigInvalid, DegenerateGradient, NoConvergence, NumericDefectTooLarge
 from .intervals import DistInterval
 from .kobayashi import disk_distance, dist_bounds
 
@@ -302,25 +302,33 @@ def boundary_hyperplane_probe(geo: ComplexGeodesic, zeta: complex = 1.0,
 
 
 def _distance_to_contact_set(dom: Domain, plane: Hyperplane, p: np.ndarray) -> float:
-    """Distance from ``p`` to ``boundary(Omega) intersect plane``."""
+    """Distance from ``p`` to ``boundary(Omega) intersect plane``.
+
+    An SLSQP solve in the real coordinates from the plane's anchor, with exact
+    Jacobians: ``2 (x - p)`` for the objective, ``c2r(grad_c r)`` for the
+    defining function, and the constant rows ``c2r(n)`` and ``c2r(i n)`` for
+    the real and imaginary parts of the offset ``<z - anchor, n>``.  A failed
+    solve, or a point where the gradient is degenerate (a polydisk corner),
+    gives the distance to the anchor, which lies on the contact set.
+    """
     x0 = c2r(np.asarray(plane.anchor, dtype=complex))
     pr = c2r(np.asarray(p, dtype=complex))
-
-    def offset_parts(x):
-        off = plane.offset(np.array(x[0::2]) + 1j * np.array(x[1::2]))
-        return [off.real, off.imag]
-
-    res = minimize(
-        lambda x: np.sum((x - pr) ** 2),
-        x0,
-        method="SLSQP",
-        constraints=[
-            {"type": "eq", "fun": lambda x: dom.defining(x[0::2] + 1j * x[1::2])},
-            {"type": "eq", "fun": lambda x: offset_parts(x)[0]},
-            {"type": "eq", "fun": lambda x: offset_parts(x)[1]},
-        ],
-        options={"maxiter": 120, "ftol": 1e-14},
-    )
+    rows = np.array([c2r(plane.normal), c2r(1j * plane.normal)])
+    try:
+        res = minimize(
+            lambda x: np.sum((x - pr) ** 2),
+            x0,
+            jac=lambda x: 2.0 * (x - pr),
+            method="SLSQP",
+            constraints=[
+                {"type": "eq", "fun": lambda x: dom.defining(r2c(x)),
+                 "jac": lambda x: c2r(dom.grad_c(r2c(x)))[None, :]},
+                {"type": "eq", "fun": lambda x: rows @ (x - x0), "jac": lambda x: rows},
+            ],
+            options={"maxiter": 120, "ftol": 1e-14},
+        )
+    except DegenerateGradient:   # a polydisk corner, where grad_c does not exist
+        return float(np.linalg.norm(x0 - pr))
     if res.success:
         return float(np.linalg.norm(res.x - pr))
-    return float(np.linalg.norm(c2r(plane.anchor) - pr))
+    return float(np.linalg.norm(x0 - pr))

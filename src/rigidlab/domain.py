@@ -38,6 +38,7 @@ BOUNDARY_TOL = 1e-12          # |r(xi)| tolerance for "on the boundary"
 GRADIENT_TOL = 1e-12          # degenerate-gradient threshold
 SAMPLE_BLOCKS = 50            # candidate blocks sample_ball draws before it gives up
 RAY_BISECTIONS = 60           # halvings of every ray-exit bracket
+RAY_SHORTLIST_AFTER = 8       # halvings on the whole step stack before ray_exit keeps the binding steps
 
 
 # ---------------------------------------------------------------------------
@@ -561,18 +562,33 @@ def ray_exit(dom: Domain, base, steps) -> tuple[np.ndarray, np.ndarray]:
     ``defining_many`` call per halving (it stops shrinking once ``lo`` and
     ``hi`` are adjacent floats).  ``lo`` is inside whenever the base is,
     and ``hi`` never is: a row whose ``hi`` stayed at ``2R`` has its far end
-    checked, and an inside far end raises ``ConfigInvalid`` (the bounding
-    radius is too small).
+    checked for all ``K`` steps, and an inside far end raises ``ConfigInvalid``
+    (the bounding radius is too small).
+
+    Only a step that is outside at ``hi`` can decide a later halving of its
+    row: any other step is inside at ``hi``, so on a convex domain it stays
+    inside on ``[0, hi]``.  With ``K > 1``, the first ``RAY_SHORTLIST_AFTER``
+    halvings evaluate the whole ``(n, K)`` stack, one more evaluation at ``hi``
+    picks each row's steps outside there, and the other halvings evaluate
+    those only (a row with fewer than the most repeats its first one).  That
+    gives the same brackets bit for bit.
     """
     n, k, d = np.broadcast_shapes(np.shape(base), np.shape(steps))
     top = 2.0 * dom.bounding_radius
     lo, hi = np.zeros(n), np.full(n, top)
-    for _ in range(RAY_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        pts = base + mid[:, None, None] * steps
-        inside = dom.defining_many(pts.reshape(-1, d)).reshape(n, k).max(axis=1) < 0
-        np.copyto(lo, mid, where=inside)
-        np.copyto(hi, mid, where=~inside)
+    if k == 1:
+        _halve(dom, base, steps, 1, lo, hi, RAY_BISECTIONS)
+    else:
+        _halve(dom, base, steps, k, lo, hi, RAY_SHORTLIST_AFTER)
+        # the shortlist: each row's steps outside at hi, padded with its first one
+        all_bases, all_steps = np.broadcast_to(base, (n, k, d)), np.broadcast_to(steps, (n, k, d))
+        at_hi = (all_bases + hi[:, None, None] * all_steps).reshape(-1, d)
+        binding = ~(dom.defining_many(at_hi).reshape(n, k) < 0)
+        count = binding.sum(axis=1)
+        order = np.argsort(~binding, axis=1, kind="stable")[:, :max(1, count.max(initial=0))]
+        keep = np.where(np.arange(order.shape[1]) < count[:, None], order, order[:, :1])[:, :, None]
+        _halve(dom, np.take_along_axis(all_bases, keep, axis=1), np.take_along_axis(all_steps, keep, axis=1),
+               keep.shape[1], lo, hi, RAY_BISECTIONS - RAY_SHORTLIST_AFTER)
     far = hi == top
     if np.any(far):
         ends = np.broadcast_to(base + top * steps, (n, k, d))[far]
@@ -582,9 +598,21 @@ def ray_exit(dom: Domain, base, steps) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def boundary_normal(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> tuple[np.ndarray, float]:
-    """Unit outward normal at a boundary point and ``|grad r|``, after the
-    on-boundary and gradient checks (a non-finite value fails them too)."""
+def _halve(dom: Domain, base, steps, k: int, lo: np.ndarray, hi: np.ndarray, times: int) -> None:
+    """Halve the brackets ``[lo, hi]`` of ``ray_exit`` in place ``times``
+    times; ``base + t * steps`` has ``k`` steps per row."""
+    n, d = len(lo), np.shape(steps)[-1]
+    for _ in range(times):
+        mid = 0.5 * (lo + hi)
+        pts = base + mid[:, None, None] * steps
+        inside = dom.defining_many(pts.reshape(-1, d)).reshape(n, k).max(axis=1) < 0
+        np.copyto(lo, mid, where=inside)
+        np.copyto(hi, mid, where=~inside)
+
+
+def boundary_normal(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> np.ndarray:
+    """Unit outward normal at a boundary point, after the on-boundary and
+    gradient checks (a non-finite value fails them too)."""
     xi = as_point(xi, dom.dimension)
     value = dom.defining(xi)
     try:
@@ -598,13 +626,13 @@ def boundary_normal(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> tuple[np.ndar
         raise ApexNotOnBoundary(f"defining function is {value:.3e} at {xi}")
     if not gnorm >= GRADIENT_TOL:
         raise DegenerateGradient("vanishing gradient on the boundary")
-    return grad / gnorm, gnorm
+    return grad / gnorm
 
 
 def boundary_data(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> BoundaryData:
     """Inward normal and complex tangent hyperplane at a boundary point."""
     xi = as_point(xi, dom.dimension)
-    normal_out, _ = boundary_normal(dom, xi, tol)
+    normal_out = boundary_normal(dom, xi, tol)
     return BoundaryData(point=xi.copy(), inward_normal=-normal_out,
                         tangent_hyperplane=Hyperplane(anchor=xi.copy(), normal=normal_out))
 

@@ -271,7 +271,7 @@ def _tangent_halfplane(dom: Domain, xi: np.ndarray) -> SupportingHalfplane | Non
     """The tangent half-plane at ``xi``, or None where ``xi`` fails the
     checks of ``boundary_normal``."""
     try:
-        normal, _ = boundary_normal(dom, xi, tol=1e-6)
+        normal = boundary_normal(dom, xi, tol=1e-6)
     except RigidLabError:
         return None
     return SupportingHalfplane(anchor=xi, inward=-normal)
@@ -299,13 +299,15 @@ def _tangent_frame(normal: np.ndarray) -> list[np.ndarray]:
 # certified bounds
 # ---------------------------------------------------------------------------
 
-def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True,
-                  halfplanes: list[SupportingHalfplane] | None = None) -> DistInterval:
+def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True) -> DistInterval:
     """Certified interval for the infinitesimal metric ``k(z; v)``.
 
-    Since ``k(z; t v) = |t| k(z; v)``, the interval is found for ``v`` scaled
-    by ``_pow2_scaled`` and scaled back, so a direction below ``1e-154`` keeps
-    its digits.
+    The upper bound is ``|v| / line_boundary_distance``, the metric of the
+    round disc in the slice; the lower bound is the best of the enclosing
+    ball, ``|v| / R``, and the half-planes of ``supporting_halfplanes(z)``,
+    clamped to the upper bound.  Since ``k(z; t v) = |t| k(z; v)``, the
+    interval is found for ``v`` scaled by ``_pow2_scaled`` and scaled back, so
+    a direction below ``1e-154`` keeps its digits.
     """
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
     v, exponent = _pow2_scaled(finite_point(v, dom.dimension, "direction"))
@@ -317,12 +319,18 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True,
         return DistInterval.exact(math.ldexp(model_metric(dom, z, v), exponent))
 
     upper = vn / line_boundary_distance(dom, z, v)
-    lower = vn / dom.bounding_radius  # ball-of-radius-R comparison
-    if halfplanes is None:
-        halfplanes = supporting_halfplanes(dom, z)
-    for hp in halfplanes:
-        lower = max(lower, hp.metric_lower(z, v))
+    lower = _metric_lower(dom, supporting_halfplanes(dom, z), z, v)
     return DistInterval(math.ldexp(min(lower, upper), exponent), math.ldexp(upper, exponent))
+
+
+def _metric_lower(dom: Domain, planes: list[SupportingHalfplane], z: np.ndarray, v: np.ndarray) -> float:
+    """``max(|v| / R, max_hp hp.metric_lower(z, v))``: the domain lies in a
+    ball of radius ``R`` and in each supporting half-plane, and the metric
+    shrinks as the domain grows, so each of their metrics is a lower bound."""
+    lower = float(np.linalg.norm(v)) / dom.bounding_radius
+    for hp in planes:
+        lower = max(lower, hp.metric_lower(z, v))
+    return lower
 
 
 def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
@@ -459,7 +467,10 @@ def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None) -> FiniteTypeCalib
     random ones.
 
     Uses certified metric lower bounds only, so the returned calibration is a
-    genuine lower-bound coefficient on the sampled grid.
+    genuine lower-bound coefficient on the sampled grid.  Each is the lower
+    side of ``metric_bounds`` without its clamp to the upper bound:
+    ``max(|v| / R, max_hp hp.metric_lower(z, v))`` over the half-planes built
+    once per radius.  No disc radius (``line_boundary_distance``) is needed.
     """
     xi = finite_point(xi, dom.dimension, "boundary point")
     bd = boundary_data(dom, xi, tol=1e-9)
@@ -475,7 +486,7 @@ def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None) -> FiniteTypeCalib
         delta = boundary_distance(dom, z)
         planes = supporting_halfplanes(dom, z)
         for v in dirs:
-            klo = metric_bounds(dom, z, v, tighten_with_model=False, halfplanes=planes).lower
+            klo = _metric_lower(dom, planes, z, v)
             alpha = min(alpha, klo * delta ** (1.0 / ell) / np.linalg.norm(v))
     if not math.isfinite(alpha) or alpha <= 0:
         raise PointOutsideDomain("calibration grid produced no usable lower bounds")

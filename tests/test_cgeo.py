@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rigidlab import cgeo
 from rigidlab import domain as dm
 from rigidlab import kobayashi as kb
-from rigidlab.errors import CoincidentPoints
+from rigidlab.errors import CoincidentPoints, DegenerateGradient
 
 DISK = dm.disk()
 BALL2 = dm.ball(2)
@@ -156,6 +156,36 @@ class TestBoundaryProbe:
         # limiting plane {z2 = 1}
         assert abs(abs(probe.hyperplane.normal[1]) - 1.0) < 1e-5
         assert probe.residuals[-1] <= probe.residuals[0]
+
+    @pytest.mark.parametrize("z, w", [([0, 0], [0.5, 0]), ([0.1, 0.05], [0.5, 0.1]),
+                                      ([0.3j, -0.2], [-0.1, 0.4 + 0.2j])])
+    def test_ball_residuals_match_the_contact_circle(self, z, w):
+        # On the ball the contact set of the plane <z - a, n> = 0 is the circle
+        # a - c e + rho e^{i theta} e with e a unit vector orthogonal to n,
+        # c = <a, e> and rho^2 = 1 - |a - c e|^2, so the distance from p is
+        # sqrt(|q|^2 + rho^2 - 2 rho |<e, q>|) with q = a - c e - p.  The solve
+        # starts at the anchor, on that circle, so it ends no farther than 2 rho
+        # above the nearest point.
+        geo = cgeo.complex_geodesic(BALL2, z, w)
+        probe = cgeo.boundary_hyperplane_probe(geo)
+        a, n = probe.hyperplane.anchor, probe.hyperplane.normal
+        e = np.array([-np.conj(n[1]), np.conj(n[0])])
+        c = dm.herm(a, e)
+        rho = math.sqrt(max(0.0, 1.0 - np.linalg.norm(a - c * e) ** 2))
+        for r, got in zip(probe.radii, probe.residuals):
+            q = a - c * e - geo(r)
+            exact = math.sqrt(max(0.0, np.linalg.norm(q) ** 2 + rho**2 - 2 * rho * abs(dm.herm(e, q))))
+            assert exact - 1e-9 <= got <= exact + 2 * rho + 1e-9
+
+    def test_polydisk_corner_anchor_falls_back_to_the_anchor(self):
+        # the gradient does not exist at the corner (1, 1), where the solve starts
+        poly = dm.polydisk(2)
+        anchor = np.array([1.0, 1.0], dtype=complex)
+        plane = dm.Hyperplane(anchor=anchor, normal=anchor / math.sqrt(2))
+        p = np.array([0.9, 0.8 + 0.1j])
+        with pytest.raises(DegenerateGradient):
+            poly.grad_c(anchor)
+        assert cgeo._distance_to_contact_set(poly, plane, p) == np.linalg.norm(dm.c2r(anchor - p))
 
     def test_fiber_hyperplanes_converge_to_probe_plane(self):
         # the probe's limit is the tangent hyperplane of the ball at the

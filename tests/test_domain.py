@@ -124,10 +124,11 @@ class TestBoundaryData:
 
     def test_boundary_data_shares_the_normal(self):
         xi = np.array([0.6, (1 - 0.36) ** 0.25 * 1j])
-        normal, gnorm = dm.boundary_normal(ELL12, xi)
+        normal = dm.boundary_normal(ELL12, xi)
         bd = dm.boundary_data(ELL12, xi)
         assert np.array_equal(bd.inward_normal, -normal)
-        assert gnorm == pytest.approx(np.linalg.norm(ELL12.grad_c(xi)), rel=1e-15)
+        grad = ELL12.grad_c(xi)
+        assert np.allclose(normal, grad / np.linalg.norm(grad), rtol=0, atol=1e-15)
 
     def test_tangent_basis_failure_is_typed(self):
         with pytest.raises(BoundaryDataUnavailable):
@@ -276,6 +277,60 @@ def test_ray_exit_shares_steps_across_bases():
     steps = np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=complex)
     lo, hi = dm.ray_exit(BALL2, base, steps)
     assert np.allclose(lo, [1.0, 0.5]) and np.allclose(hi, [1.0, 0.5])
+
+
+def _halving_reference(dom, base, steps):
+    """``ray_exit`` without its shortlist: 60 halvings, each on the whole stack."""
+    n, k, d = np.broadcast_shapes(np.shape(base), np.shape(steps))
+    lo, hi = np.zeros(n), np.full(n, 2.0 * dom.bounding_radius)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        values = dom.defining_many((base + mid[:, None, None] * steps).reshape(-1, d))
+        inside = values.reshape(n, k).max(axis=1) < 0
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return lo, hi
+
+
+def _phase_grid_stack(dom, rows, shared_base, seed):
+    """``LINE_PHASES``-phase step grids as ``line_boundary_distance`` stacks them
+    (``(n, 1, d)`` bases, shared ``(K, d)`` steps), or one shared base with a
+    grid of its own per row (``(n, K, d)`` steps).  Points of norm below 0.9
+    lie in every domain of ``SAMPLED_DOMAINS``."""
+    from rigidlab.kobayashi import LINE_PHASES
+    rng = np.random.default_rng(seed)
+    d = dom.dimension
+    w = rng.standard_normal((rows + 1, 2, d))
+    w = w[:, 0] + 1j * w[:, 1]
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    phases = np.exp(2j * math.pi * np.arange(LINE_PHASES) / LINE_PHASES)
+    points = 0.9 * rng.uniform(size=rows + 1)[:, None] * w[::-1]
+    if shared_base:
+        return points[0], phases[None, :, None] * w[:rows, None, :]
+    return points[:rows, None, :], phases[:, None] * w[rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SAMPLED_DOMAINS)), st.integers(1, 24), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_ray_exit_shortlist_is_bit_identical(name, rows, shared_base, seed):
+    # halving only the steps that were outside at hi gives the same brackets
+    dom = SAMPLED_DOMAINS[name]
+    base, steps = _phase_grid_stack(dom, rows, shared_base, seed)
+    lo, hi = dm.ray_exit(dom, base, steps)
+    ref_lo, ref_hi = _halving_reference(dom, base, steps)
+    assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes()
+
+
+def test_ray_exit_evaluates_the_full_stack_at_most_nine_times(monkeypatch):
+    dom = dm.ellipsoid((1, 2))
+    sizes = []
+    evaluate = dom.defining_many
+    monkeypatch.setattr(dom, "defining_many", lambda zs: sizes.append(len(zs)) or evaluate(zs))
+    base, steps = _phase_grid_stack(dom, 17, False, 3)
+    dm.ray_exit(dom, base, steps)
+    assert len(sizes) >= dm.RAY_BISECTIONS
+    assert sizes.count(17 * 32) <= 9
+    assert max(sizes[9:]) < 17 * 32
 
 
 def test_ray_exit_rejects_a_bounding_radius_that_is_too_small():

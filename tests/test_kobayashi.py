@@ -454,6 +454,17 @@ class TestKobBallInclusion:
         with pytest.raises(RadiusTooLarge):
             kb.kob_ball_inclusion(DISK, [0.5], 0.6)
 
+    def test_calibration_builds_no_disc_radius(self, monkeypatch):
+        # only the lower bounds are read, so no slice radius is bisected
+        calls = []
+        radius = kb.line_boundary_distance
+        monkeypatch.setattr(kb, "line_boundary_distance", lambda *a: calls.append(a) or radius(*a))
+        cal = kb.calibrate_alpha0(ELL12, [1, 0], ell=4)
+        assert calls == []
+        assert cal.alpha0 > 0
+        assert kb.metric_bounds(ELL12, [0.9, 0], [1, 0], tighten_with_model=False).upper > 0
+        assert len(calls) == 1
+
     def test_ellipsoid_finite_type_rate(self):
         cal = kb.calibrate_alpha0(ELL12, [1, 0], ell=4, radii=np.geomspace(1e-3, 0.1, 6))
         assert cal.alpha0 > 0.2
