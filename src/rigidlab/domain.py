@@ -4,11 +4,12 @@ Points of C^d are numpy complex arrays of shape ``(d,)``; the real picture
 uses the interleaved coordinates ``(x_1, y_1, ..., x_d, y_d)``.  Every domain
 carries a defining function ``r`` with ``z in Omega  iff  r(z) < 0``, written
 once on a stack of points (``defining_many``; ``defining`` reads it for one
-point).  The disk, ball, polydisk, ellipsoid and modulus polynomial give the
-gradient of ``r`` and the nearest boundary point in closed form or by one
-solver on the moduli ``|z_j|``; the polydisk gradient exists only where one
-coordinate has the largest modulus.  An implicit domain given by a one-point
-function has membership only: no derivative is estimated numerically.
+point).  Every kind is balanced about 0 and gives the gradient of ``r`` and
+the nearest boundary point: the disk, ball and polydisk in closed form, the
+convex Reinhardt domains (the modulus polynomials, the ellipsoid among them)
+from polynomial tables in the moduli ``|z_j|`` and one nearest-point solver
+on them.  The polydisk gradient exists only where one coordinate has the
+largest modulus.  No derivative is estimated numerically.
 
 The Hermitian pairing ``<u, v> = sum_j u_j * conj(v_j)`` is used throughout;
 with this convention the complex gradient ``grad_c r = 2 * dr/dzbar`` is the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -145,9 +146,8 @@ class Domain:
     """Base class: a bounded domain ``{r < 0}``.
 
     Each kind writes its defining function once, on a stack of points
-    (``defining_many``); the one-point ``defining`` reads that body.  Kinds
-    with a closed-form boundary override ``grad_c`` and ``project_to_boundary``;
-    the base versions raise ``BoundaryDataUnavailable``.
+    (``defining_many``); the one-point ``defining`` reads that body.  Each
+    kind also writes ``grad_c`` and ``project_to_boundary``.
     """
 
     kind: str = "abstract"
@@ -165,7 +165,7 @@ class Domain:
 
     def grad_c(self, z) -> np.ndarray:
         """Real gradient of the defining function as a complex vector."""
-        raise BoundaryDataUnavailable(f"the {self.kind} domain has no gradient oracle")
+        raise NotImplementedError
 
     # -- membership ----------------------------------------------------------
 
@@ -185,7 +185,7 @@ class Domain:
 
     def project_to_boundary(self, z) -> np.ndarray:
         """Nearest boundary point (unique for convex domains)."""
-        raise BoundaryDataUnavailable(f"the {self.kind} domain has no boundary projection")
+        raise NotImplementedError
 
     def boundary_distance_exact(self, z) -> float | None:
         """Closed-form boundary distance, or None when unavailable."""
@@ -292,113 +292,134 @@ class PolydiskDomain(Domain):
         return float(np.min(1.0 - np.abs(z)))
 
 
-class EllipsoidDomain(Domain):
-    """Complex ellipsoid ``sum_j |z_j|^{2 m_j} < 1`` with integer exponents."""
-
-    kind = "ellipsoid"
-
-    def __init__(self, exponents: Sequence[int]):
-        self.exponents = tuple(int(m) for m in exponents)
-        if any(m < 1 for m in self.exponents):
-            raise ValueError("exponents must be >= 1")
-        self.dimension = len(self.exponents)
-        self.bounding_radius = math.sqrt(self.dimension)
-
-    def defining_many(self, zs):
-        m = np.asarray(self.exponents)
-        return np.sum(np.abs(np.asarray(zs, dtype=complex)) ** (2 * m[None, :]), axis=1) - 1.0
-
-    def grad_c(self, z):
-        z = as_point(z, self.dimension)
-        m = np.asarray(self.exponents)
-        mod2 = np.abs(z) ** 2
-        # 2 * d/dzbar of |z|^{2m} = 2 m |z|^{2(m-1)} z
-        with np.errstate(invalid="ignore"):
-            pow_term = np.where(mod2 > 0, mod2 ** (m - 1), np.where(m == 1, 1.0, 0.0))
-        return 2.0 * m * pow_term * z
-
-    def project_to_boundary(self, z):
-        z = as_point(z, self.dimension)
-        two_e = 2 * np.asarray(self.exponents, dtype=float)
-        return _project_moduli(
-            lambda x: float((np.maximum(x, 0.0) ** two_e).sum() - 1.0),
-            lambda x: two_e * np.maximum(x, 0.0) ** (two_e - 1),
-            lambda x: np.diag(two_e * (two_e - 1) * np.maximum(x, 1e-300) ** (two_e - 2)),
-            np.abs(z)) * _unit_phases(z)
-
-
-class ImplicitConvexDomain(Domain):
-    """Convex domain ``{func < 0}`` given by a one-point defining function.
-
-    It supports membership only (sampling and ray exits): its boundary has
-    no derivative oracles, so it has no normals and no projection.
-    """
-
-    kind = "implicit"
-
-    def __init__(self, func: Callable[[np.ndarray], float], dimension: int,
-                 bounding_radius: float, center: np.ndarray | None = None):
-        self._func = func
-        self.dimension = int(dimension)
-        self.bounding_radius = float(bounding_radius)
-        self._center = (
-            np.zeros(self.dimension, dtype=complex) if center is None else as_point(center, dimension)
-        )
-
-    def defining_many(self, zs):
-        return np.array([float(self._func(z)) for z in np.asarray(zs, dtype=complex)])
-
-    def center(self):
-        return self._center
-
-
 class ModulusPolynomialDomain(Domain):
-    """Convex domain ``f(s) = sum_k c_k prod_j s_j^{a_kj} - 1 < 0`` with
-    ``s_j = |z_j|^2`` (see :func:`modulus_polynomial`).
+    """Convex Reinhardt domain ``p(x) = sum_k c_k prod_j x_j^{2 a_kj} < 1`` in
+    the moduli ``x_j = |z_j|`` (see :func:`modulus_polynomial`; the ellipsoid
+    is its pure-power case).
 
-    With ``F = df/ds`` and ``F2 = d^2f/ds^2`` at ``s = x^2`` the gradient is
-    ``grad_c = 2 z F``; on the moduli ``x = |z|`` the constraint has gradient
-    ``2 x F`` and Hessian ``2 diag(F) + 4 (x x^T) o F2``, which the nearest-point
-    solver shared with the ellipsoid reads.
+    Every oracle is a polynomial table built once from the exponents: the
+    defining function ``p(|z|) - 1``; ``F = dp/ds`` in ``s = |z|^2``, which
+    gives ``grad_c = 2 z F``; and the gradient and Hessian of ``p`` on the
+    moduli, which the nearest-point solver and the circumradius read.
     """
 
-    kind = "implicit"
-
-    def __init__(self, coef: np.ndarray, powers: np.ndarray, bounding_radius: float):
-        self.coef = coef
-        self.powers = powers
+    def __init__(self, coef: np.ndarray, powers: np.ndarray, bounding_radius: float, kind: str):
+        self.coef, self.powers, self.kind = coef, powers, kind
         self.dimension = powers.shape[1]
         self.bounding_radius = float(bounding_radius)
+        d, e = self.dimension, 2 * powers
+        delta = np.eye(d, dtype=int)
+        self._value = _Monomials([(0, c, ek) for c, ek in zip(coef, e)], None)
+        self._s_grad = _Monomials([(j, c * ak[j], ak - delta[j]) for c, ak in zip(coef, powers)
+                                   for j in range(d)], d)
+        self._grad = _Monomials([(j, c * ek[j], ek - delta[j]) for c, ek in zip(coef, e)
+                                 for j in range(d)], d)
+        self._hess = _Monomials([(i * d + j, c * ek[i] * (ek[j] - delta[i, j]), ek - delta[i] - delta[j])
+                                 for c, ek in zip(coef, e) for i in range(d) for j in range(d)], d * d)
 
     def defining_many(self, zs):
-        mod2 = np.abs(np.asarray(zs, dtype=complex))[:, None, :] ** 2
-        return np.sum(self.coef * np.prod(mod2**self.powers, axis=-1), axis=-1) - 1.0
-
-    def _s_derivative(self, z: np.ndarray, order: np.ndarray) -> np.ndarray:
-        """``sum_k c_k prod_i (d/ds_i)^{n_i} s_i^{a_ki}`` at ``s = |z|^2``, where
-        ``n = order[..., :]`` counts 0, 1 or 2 derivatives per coordinate.  A
-        factor with ``a_ki < n_i`` is 0, also at ``s_i = 0``."""
-        a, s = self.powers, np.abs(z) ** 2
-        factors = np.stack([s**a, a * s ** np.maximum(a - 1, 0),
-                            a * (a - 1) * s ** np.maximum(a - 2, 0)])
-        picked = factors[order[..., None, :], np.arange(len(a))[:, None], np.arange(len(s))]
-        return np.prod(picked, axis=-1) @ self.coef
+        return self._value(np.abs(np.asarray(zs, dtype=complex))) - 1.0
 
     def grad_c(self, z):
         z = as_point(z, self.dimension)
-        return 2.0 * z * self._s_derivative(z, np.eye(self.dimension, dtype=int))
+        return 2.0 * z * self._s_grad(np.abs(z) ** 2)
+
+    def moduli_constraint(self, x) -> float:
+        """``p(x) - 1`` for moduli ``x`` (a negative entry reads as 0)."""
+        return float(self._value(np.maximum(x, 0.0)) - 1.0)
+
+    def moduli_gradient(self, x) -> np.ndarray:
+        return self._grad(np.maximum(x, 0.0))
+
+    def moduli_hessian(self, x) -> np.ndarray:
+        return self._hess(np.maximum(x, 0.0)).reshape(self.dimension, self.dimension)
 
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension)
-        eye = np.eye(self.dimension, dtype=int)
-        pair = eye[:, None, :] + eye[None, :, :]
-        two_a = 2 * self.powers
-        return _project_moduli(
-            lambda x: float(self.coef @ (x ** two_a).prod(axis=1) - 1.0),
-            lambda x: 2.0 * x * self._s_derivative(x, eye),
-            lambda x: 2.0 * np.diag(self._s_derivative(x, eye))
-            + 4.0 * np.outer(x, x) * self._s_derivative(x, pair),
-            np.abs(z)) * _unit_phases(z)
+        return self._project_moduli(np.abs(z)) * _unit_phases(z)
+
+    def _project_moduli(self, m0: np.ndarray) -> np.ndarray:
+        """Nearest point ``x >= 0`` on ``p(x) = 1`` to the modulus vector
+        ``m0``: an SLSQP solve from the radial point on the surface, then
+        Newton steps on the KKT system with the moduli Hessian."""
+
+        # radial start: p(t base) = sum_k w_k t^{n_k} is a polynomial in t
+        base = np.where(m0 > 1e-9, m0, 1e-3)
+        weights, degrees = self._value.coef * self._value.terms(base), 2 * self.powers.sum(axis=1)
+        scale_lo, scale_hi = 0.0, 2.0
+        while weights @ scale_hi**degrees < 1.0:
+            scale_hi *= 2.0
+        for _ in range(80):
+            mid = 0.5 * (scale_lo + scale_hi)
+            if weights @ mid**degrees < 1.0:
+                scale_lo = mid
+            else:
+                scale_hi = mid
+        x0 = 0.5 * (scale_lo + scale_hi) * base
+
+        res = minimize(
+            lambda x: np.sum((x - m0) ** 2),
+            x0,
+            jac=lambda x: 2.0 * (x - m0),
+            method="SLSQP",
+            bounds=[(0.0, None)] * len(m0),
+            constraints=[{"type": "eq", "fun": self.moduli_constraint, "jac": self.moduli_gradient}],
+            options={"maxiter": 200, "ftol": 1e-16},
+        )
+        x = np.maximum(res.x, 0.0)
+
+        # Newton polish of the KKT system  x - m0 = lam * grad p(x),  p(x) = 1
+        lam = 0.0
+        g = self.moduli_gradient(x)
+        nz = np.abs(g) > 1e-12
+        if np.any(nz):
+            lam = float(np.mean((x[nz] - m0[nz]) / g[nz]))
+        for _ in range(40):
+            g = self.moduli_gradient(x)
+            jac = np.block(
+                [[np.eye(len(x)) - lam * self.moduli_hessian(x), -g[:, None]], [g[None, :], np.zeros((1, 1))]]
+            )
+            rhs = np.concatenate([x - m0 - lam * g, [self.moduli_constraint(x)]])
+            try:
+                step = np.linalg.solve(jac, -rhs)
+            except np.linalg.LinAlgError:
+                break
+            x = np.maximum(x + step[:-1], 0.0)
+            lam += step[-1]
+            if np.linalg.norm(rhs) < 1e-14:
+                break
+        return x
+
+
+class _Monomials:
+    """``sum_k coef_k prod_j x_j^{e_kj}`` on ``(..., d)`` moduli, one output
+    per slot: the nonzero exponents are gathered once, each monomial is the
+    product of its own factors, and the monomials meet their coefficients in
+    one matrix product.
+
+    Built from ``(slot, coefficient, exponents)`` rows; rows with a zero
+    coefficient are dropped.  ``slots=None`` gives a scalar per point.
+    """
+
+    def __init__(self, rows, slots: int | None):
+        rows = [(o, c, np.asarray(ek)) for o, c, ek in rows if c != 0]
+        # the factors of each monomial; a constant reads x_0^0
+        factors = [np.flatnonzero(ek) if ek.any() else np.array([0]) for _, _, ek in rows]
+        self.cols = np.concatenate(factors)
+        self.pows = np.concatenate([ek[nz] for (_, _, ek), nz in zip(rows, factors)]).astype(float)
+        self.starts = np.cumsum([0] + [len(nz) for nz in factors[:-1]])
+        self.single = len(self.cols) == len(rows)    # no monomial has two factors
+        self.coef = np.array([c for _, c, _ in rows], dtype=float)
+        if slots is not None:
+            self.coef = self.coef[:, None] * (np.array([o for o, _, _ in rows])[:, None] == np.arange(slots))
+
+    def terms(self, x: np.ndarray) -> np.ndarray:
+        """Each monomial's value, shape ``(..., K)``."""
+        factors = x.take(self.cols, axis=-1) ** self.pows
+        return factors if self.single else np.multiply.reduceat(factors, self.starts, axis=-1)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.terms(x).dot(self.coef)
 
 
 def _unit_phases(z: np.ndarray) -> np.ndarray:
@@ -406,59 +427,6 @@ def _unit_phases(z: np.ndarray) -> np.ndarray:
     mods = np.abs(z)
     z = np.where(mods < 2.0**-600, z * 2.0**600, z)   # a subnormal |z_j| overflows z_j / |z_j|
     return np.where(mods > 0, z / np.where(mods > 0, np.abs(z), 1.0), 1.0)
-
-
-def _project_moduli(constraint: Callable, cgrad: Callable, chess: Callable,
-                    m0: np.ndarray) -> np.ndarray:
-    """Nearest point ``x >= 0`` on ``constraint(x) = 0`` to the modulus vector
-    ``m0``: an SLSQP solve from the radial point on the surface, then Newton
-    steps on the KKT system with the constraint's gradient and Hessian."""
-
-    # radial initial guess on the surface
-    scale_lo, scale_hi = 0.0, 2.0
-    base = np.where(m0 > 1e-9, m0, 1e-3)
-    while constraint(scale_hi * base) < 0:
-        scale_hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (scale_lo + scale_hi)
-        if constraint(mid * base) < 0:
-            scale_lo = mid
-        else:
-            scale_hi = mid
-    x0 = 0.5 * (scale_lo + scale_hi) * base
-
-    res = minimize(
-        lambda x: np.sum((x - m0) ** 2),
-        x0,
-        jac=lambda x: 2.0 * (x - m0),
-        method="SLSQP",
-        bounds=[(0.0, None)] * len(m0),
-        constraints=[{"type": "eq", "fun": constraint, "jac": cgrad}],
-        options={"maxiter": 200, "ftol": 1e-16},
-    )
-    x = np.maximum(res.x, 0.0)
-
-    # Newton polish of the KKT system  x - m0 = lam * grad c(x),  c(x) = 0
-    lam = 0.0
-    g = cgrad(x)
-    nz = np.abs(g) > 1e-12
-    if np.any(nz):
-        lam = float(np.mean((x[nz] - m0[nz]) / g[nz]))
-    for _ in range(40):
-        g = cgrad(x)
-        jac = np.block(
-            [[np.eye(len(x)) - lam * chess(x), -g[:, None]], [g[None, :], np.zeros((1, 1))]]
-        )
-        rhs = np.concatenate([x - m0 - lam * g, [constraint(x)]])
-        try:
-            step = np.linalg.solve(jac, -rhs)
-        except np.linalg.LinAlgError:
-            break
-        x = np.maximum(x + step[:-1], 0.0)
-        lam += step[-1]
-        if np.linalg.norm(rhs) < 1e-14:
-            break
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +445,22 @@ def polydisk(d: int) -> PolydiskDomain:
     return PolydiskDomain(d)
 
 
-def ellipsoid(exponents: Sequence[int]) -> EllipsoidDomain:
-    return EllipsoidDomain(exponents)
+def ellipsoid(exponents: Sequence[int]) -> ModulusPolynomialDomain:
+    """Complex ellipsoid ``sum_j |z_j|^{2 m_j} < 1`` with integer exponents:
+    the modulus polynomial with one pure-power term ``(1, m_j e_j)`` per coordinate."""
+    m = [int(mj) for mj in exponents]
+    if any(mj < 1 for mj in m):
+        raise ValueError("exponents must be >= 1")
+    return ModulusPolynomialDomain(np.ones(len(m)), np.diag(m), math.sqrt(len(m)), "ellipsoid")
 
 
 def modulus_polynomial(terms: Sequence[tuple[float, Sequence[int]]], dimension: int,
                        bounding_radius: float | None = None) -> ModulusPolynomialDomain:
     """Convex domain ``sum_k c_k prod_j |z_j|^{2 a_kj} < 1`` with c_k > 0.
 
-    This is the config-file form of an implicit domain: each term is a
-    coefficient plus one exponent per coordinate.  Every coordinate needs a
+    This is the config-file form of the ``implicit`` kind: each term is a
+    coefficient plus one exponent per coordinate.  The ellipsoid is its
+    pure-power case (see :func:`ellipsoid`).  Every coordinate needs a
     pure-power term ``c |z_j|^{2a}``; without one the domain is unbounded and
     ``ConfigInvalid`` is raised.
     """
@@ -510,7 +484,7 @@ def modulus_polynomial(terms: Sequence[tuple[float, Sequence[int]]], dimension: 
         bounding_radius = math.sqrt(dimension) * max(
             (1.0 / c) ** (1.0 / (2 * max(sum(alpha), 1))) for c, alpha in terms
         ) + 1.0
-    return ModulusPolynomialDomain(coef, powers, bounding_radius)
+    return ModulusPolynomialDomain(coef, powers, bounding_radius, "implicit")
 
 
 # ---------------------------------------------------------------------------

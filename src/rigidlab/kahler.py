@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 
 from .domain import Domain, as_point, boundary_distance, c2r, ray_exit, sample_ball
@@ -151,48 +152,28 @@ def _rays_diverge(k: KahlerField, dom: Domain, rng) -> bool:
 def circumradius(dom: Domain, z) -> float:
     """Max distance from ``z`` to the boundary (attained at an extreme point).
 
-    Closed form on the disk, ball and polydisk, an SLSQP maximum over the
-    moduli on the ellipsoid.  On implicit domains it is a sampled max: the
-    farthest of the boundary points where 4096 seeded rays from the
-    center leave the domain (``ray_exit``), which can only underestimate.
+    Closed form on the disk, ball and polydisk.  On the convex Reinhardt
+    domains (the ellipsoid and the modulus polynomials) the phases of the
+    farthest point align against ``z``, which leaves a maximum over the
+    moduli on ``p(x) = 1``: the best SLSQP solve from ``d`` axis starts.  That
+    maximum is not certified, since a local one can underestimate.
     """
     z = dom.require_inside(z)
-    kind = dom.kind
-    if kind in ("disk", "ball"):
+    if dom.kind in ("disk", "ball"):
         return 1.0 + float(np.linalg.norm(z))
-    if kind == "polydisk":
+    if dom.kind == "polydisk":
         return float(np.sqrt(np.sum((1.0 + np.abs(z)) ** 2)))
-    if kind == "ellipsoid":
-        return _ellipsoid_circumradius(dom, z)
-    w = np.random.default_rng(37).standard_normal((4096, 2, dom.dimension))
-    w = w[:, 0] + 1j * w[:, 1]
-    u = w / np.linalg.norm(w, axis=1)[:, None]
-    c = dom.center()
-    lo, hi = ray_exit(dom, c, u[:, None, :])
-    return float(np.max(np.linalg.norm(c + 0.5 * (lo + hi)[:, None] * u - z, axis=1)))
-
-
-def _ellipsoid_circumradius(dom, z) -> float:
-    """Maximize ``|w - z|`` over the boundary; phases align against ``z``,
-    leaving a small real problem over the moduli."""
-    from scipy.optimize import minimize
-
-    m = np.asarray(dom.exponents, dtype=float)
-    zm = np.abs(np.asarray(z, dtype=complex))
+    zm, d = np.abs(z), dom.dimension
 
     def negobj(x):
         return -float(np.sum((np.maximum(x, 0.0) + zm) ** 2))
 
-    def constraint(x):
-        return float(np.sum(np.maximum(x, 0.0) ** (2 * m)) - 1.0)
-
     best = 0.0
-    for seed_axis in range(len(m)):
-        x0 = np.full(len(m), 0.1)
-        x0[seed_axis] = 0.9
-        res = minimize(negobj, x0, method="SLSQP",
-                       bounds=[(0.0, None)] * len(m),
-                       constraints=[{"type": "eq", "fun": constraint}],
+    for axis in range(d):
+        x0 = np.full(d, 0.1)
+        x0[axis] = 0.9
+        res = minimize(negobj, x0, method="SLSQP", bounds=[(0.0, None)] * d,
+                       constraints=[{"type": "eq", "fun": dom.moduli_constraint}],
                        options={"maxiter": 300, "ftol": 1e-14})
         if res.success:
             best = max(best, math.sqrt(-res.fun))
@@ -201,9 +182,9 @@ def _ellipsoid_circumradius(dom, z) -> float:
 
 def squeezing_lower_bound(dom: Domain, z) -> float:
     """Inradius over circumradius: a lower bound for the squeezing function
-    via the affine map scaling ``Omega - z`` into the unit ball.  On implicit
-    domains the circumradius is a sampled max, so the value there is an
-    estimate that can exceed the bound, not a certified lower bound."""
+    via the affine map scaling ``Omega - z`` into the unit ball.  On the
+    ellipsoid and the modulus polynomials the circumradius is an uncertified
+    SLSQP max, so the value there is an estimate that can exceed the bound."""
     z = dom.require_inside(z)
     rho_in = boundary_distance(dom, z)
     rho_out = circumradius(dom, z)

@@ -401,7 +401,7 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True) -> DistInter
 
     upper = _segment_upper(dom, z, w)
     c = dom.center()
-    if dom.contains(c) and not (np.allclose(c, z) or np.allclose(c, w)):
+    if not (np.allclose(c, z) or np.allclose(c, w)):
         upper = min(upper, _segment_upper(dom, z, c) + _segment_upper(dom, c, w))
 
     lower = float(np.linalg.norm(w - z)) / dom.bounding_radius

@@ -134,9 +134,6 @@ def test_every_dataclass_field_is_read():
 ALLOWED_UNREACHED = {
     # the entry point of acceptance criterion 7, called from tests/test_acceptance.py
     "riemann.py:measured_curvature_bound",
-    # the only way to build a non-convex, off-center or too-small-radius domain,
-    # which the NotConvex, SamplingEmpty and bounding-radius safety checks need
-    "domain.py:ImplicitConvexDomain",
 }
 
 

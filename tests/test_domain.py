@@ -183,7 +183,7 @@ class TestConfig:
         assert dm.domain_from_config({"kind": "disk"}).kind == "disk"
         assert dm.domain_from_config({"kind": "ball", "dimension": 3}).dimension == 3
         e = dm.domain_from_config({"kind": "ellipsoid", "exponents": [1, 2]})
-        assert e.exponents == (1, 2)
+        assert e.kind == "ellipsoid" and e.powers.tolist() == [[1, 0], [0, 2]]
 
     def test_unknown_keys_rejected(self):
         from rigidlab.errors import ConfigInvalid
@@ -336,7 +336,7 @@ def test_ray_exit_evaluates_the_full_stack_at_most_nine_times(monkeypatch):
 def test_ray_exit_rejects_a_bounding_radius_that_is_too_small():
     from rigidlab.errors import ConfigInvalid
     from rigidlab.kobayashi import line_boundary_distance
-    dom = dm.ImplicitConvexDomain(BALL2.defining, 2, 0.4)
+    dom = dm.modulus_polynomial([(1, (1, 0)), (1, (0, 1))], 2, bounding_radius=0.4)   # the unit ball
     with pytest.raises(ConfigInvalid, match="bounding radius"):
         dm.ray_exit(dom, np.zeros(2), np.array([[[1.0, 0.0]]], dtype=complex))
     with pytest.raises(ConfigInvalid, match="bounding radius"):
@@ -387,8 +387,43 @@ def _seeded_points(seed, count, d=2, radius=1.1):
 def test_modulus_polynomial_oracles_equal_the_ellipsoid():
     as_poly = dm.modulus_polynomial([(1, (1, 0)), (1, (0, 2))], 2)
     for z in _seeded_points(30, 50):
-        g = ELL12.grad_c(z)
-        assert np.linalg.norm(as_poly.grad_c(z) - g) <= 1e-14 * max(1.0, np.linalg.norm(g))
+        g = _grad_ellipsoid12(z)
+        for dom in (as_poly, ELL12):
+            assert np.linalg.norm(dom.grad_c(z) - g) <= 1e-14 * max(1.0, np.linalg.norm(g))
+
+
+@pytest.mark.parametrize("dom", [dm.ellipsoid((1, 2, 3)), MIXED], ids=["ellipsoid123", "mixed-polynomial"])
+def test_moduli_derivative_tables_match_sympy(dom):
+    # p(x) = sum_k c_k prod_j x_j^{2 a_kj}, differentiated and evaluated exactly by sympy
+    import sympy as sp
+    d = dom.dimension
+    xs = sp.symbols(f"x0:{d}", nonnegative=True)
+    p = sum(sp.Rational(c) * sp.Mul(*(x ** (2 * int(a)) for x, a in zip(xs, alpha)))
+            for c, alpha in zip(dom.coef, dom.powers))
+    grad = [sp.diff(p, x) for x in xs]
+    hess = [[sp.diff(g, x) for x in xs] for g in grad]
+    pts = np.random.default_rng(33).uniform(0, 1.1, (12, d))
+    pts[:3, 0] = 0.0                   # axis points, where x_j = 0
+    pts[3:6, -1] = 0.0
+    for x in pts:
+        at = dict(zip(xs, map(sp.Rational, x)))
+        ref = lambda exprs: np.array([float(e.subs(at)) for e in exprs])
+        np.testing.assert_allclose(dom.moduli_constraint(x), float((p - 1).subs(at)), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dom.moduli_gradient(x), ref(grad), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dom.moduli_hessian(x), np.array([ref(row) for row in hess]),
+                                   rtol=1e-12, atol=0)
+
+
+def test_radial_start_of_the_projection_makes_no_constraint_calls(monkeypatch):
+    # the radial start bisects a polynomial in the ray parameter, so every
+    # constraint call is SLSQP's or the Newton polish's
+    dom = dm.ellipsoid((1, 2))
+    calls = []
+    constraint = dom.moduli_constraint
+    monkeypatch.setattr(dom, "moduli_constraint", lambda x: calls.append(1) or constraint(x))
+    for z in dm.sample_ball(dom, np.zeros(2), 1.0, 300, np.random.default_rng(13)):
+        dom.project_to_boundary(z)
+    assert len(calls) / 300 <= 150
 
 
 @pytest.mark.parametrize("dom, points", [
@@ -439,10 +474,3 @@ def test_polydisk_corner_has_no_boundary_data():
         POLY2.grad_c([1j, -1])
     assert np.allclose(dm.boundary_data(POLY2, [1, 0.2]).inward_normal, [-1, 0])
 
-
-def test_implicit_domains_have_membership_only():
-    dom = dm.ImplicitConvexDomain(BALL2.defining, 2, 1.0)
-    assert dom.defining([0.6, 0]) == BALL2.defining([0.6, 0])
-    for oracle in (dom.grad_c, dom.project_to_boundary):
-        with pytest.raises(BoundaryDataUnavailable):
-            oracle([1.0, 0.0])

@@ -102,6 +102,23 @@ class TestSqueezing:
         val = kh.squeezing_lower_bound(dm.ellipsoid((1, 2)), [0, 0])
         assert val == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-6)
 
+    @pytest.mark.parametrize("dom", [
+        dm.modulus_polynomial([(1.0, (1, 0)), (1.0, (0, 2)), (0.5, (1, 1))], 2),
+        dm.ellipsoid((1, 2, 3)),
+    ], ids=["readme-polynomial", "ellipsoid123"])
+    def test_moduli_circumradius_is_at_least_the_sampled_max(self, dom):
+        # the sampled max: the farthest of the boundary points where 4096
+        # seeded rays from the center leave the domain
+        d = dom.dimension
+        w = np.random.default_rng(37).standard_normal((4096, 2, d))
+        u = w[:, 0] + 1j * w[:, 1]
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        lo, hi = dm.ray_exit(dom, np.zeros(d), u[:, None, :])
+        exits = 0.5 * (lo + hi)[:, None] * u
+        for z in dm.sample_ball(dom, np.zeros(d), 0.9, 8, np.random.default_rng(8)):
+            sampled = float(np.max(np.linalg.norm(exits - z, axis=1)))
+            assert kh.circumradius(dom, z) >= sampled - 1e-12
+
     def test_range(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

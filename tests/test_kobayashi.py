@@ -147,10 +147,10 @@ def _inside_points(dom, rng, n, rmax):
 
 class TestStackedEvaluation:
     def test_chord_leaving_the_domain_raises(self):
-        # both ends lie inside the domain, the midpoint does not
-        nonconvex = dm.ImplicitConvexDomain(lambda z: min(abs(z[0] - 0.5), abs(z[0] + 0.5)) - 0.3, 1, 1.0)
+        # |z1|^2 + |z2|^2 + 100 |z1|^2 |z2|^2 < 1: both ends lie inside, the midpoint does not
+        nonconvex = dm.modulus_polynomial([(1, (1, 0)), (1, (0, 1)), (100, (1, 1))], 2)
         with pytest.raises(NotConvex):
-            kb._segment_upper(nonconvex, np.array([0.5]), np.array([-0.5]))
+            kb._segment_upper(nonconvex, np.array([0.9, 0]), np.array([0, 0.9]))
 
     @pytest.mark.parametrize("dom", [ELL12, MODPOLY], ids=["ellipsoid", "modulus-polynomial"])
     def test_stacked_line_distance_generic_is_bit_identical(self, dom):

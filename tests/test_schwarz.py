@@ -199,10 +199,10 @@ class TestDiskPipeline:
                 assert disp > 1e-4
 
     def test_displacement_of_a_domain_that_misses_its_sample_ball_raises(self):
-        # the disk of radius 1 about 3 meets no point of B(0, 0.95)
-        far = dm.ImplicitConvexDomain(lambda z: abs(z[0] - 3.0) ** 2 - 1.0, 1, 4.0, center=[3.0])
-        with pytest.raises(SamplingEmpty):
-            sw.interior_displacement(sw.identity_map(), far)
+        # the disk of radius 1e-3 is about 1e-6 of B(0, 0.95): 50,000 candidates miss it
+        tiny = dm.modulus_polynomial([(1e6, [1])], 1)
+        with pytest.raises(SamplingEmpty, match="0 of 1000 points"):
+            sw.interior_displacement(sw.identity_map(), tiny)
 
 
 # every name cli.map_from_config accepts, in the dimension it is used in
