@@ -6,21 +6,24 @@ one closed-form U(d)-invariant family, so their derivatives are exact to
 double precision).
 On top of it the module builds Christoffel symbols, the curvature tensor,
 geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map
-whose Newton iteration uses the exact variational system (all four flows run
-on the one fixed-step RK4 integrator :func:`_rk4`), and the three
-estimates the rigidity pipelines consume: two-sided bounds on the Sasaki
-distance of the (unit) tangent bundle (whose parallel transport is the
-model's exact ``closed_transport`` when it has one: all four models are
-symmetric spaces, so transport along a geodesic is the differential of a
-transvection), geodesic spread, and the backward
-initial-condition estimate (which samples the
-model's ``closed_ray`` when it has one and integrates otherwise).
+whose Newton iteration uses the exact variational system (the geodesic, the
+transport and the variational system run on the one fixed-step RK4 integrator
+:func:`_rk4`; the Jacobi fields are closed-form, from one eigendecomposition
+of the Jacobi operator, on the symmetric metrics that have ``closed_ray`` and
+``closed_transport``), and the three estimates the rigidity pipelines
+consume: two-sided bounds on the Sasaki distance of the (unit) tangent bundle
+(whose parallel transport is the model's exact ``closed_transport`` when it
+has one: all four models are symmetric spaces, so transport along a geodesic
+is the differential of a transvection), geodesic spread, and the backward
+initial-condition estimate (which samples the model's ``closed_ray`` when it
+has one and integrates otherwise).
 
 Shape contract: the ``g``, ``ginv`` and ``dg`` oracles and
 :func:`christoffel` take one point ``(n,)`` or a stack of points ``(N, n)``
 and return the matching leading axis, e.g. ``christoffel(m, xs)`` is
 ``(N, n, n, n)``; ``d2g`` and everything else take one point.  ``ginv`` is
-the closed-form inverse of ``g``, so no step inverts a matrix numerically;
+the closed-form inverse of ``g``, so no step inverts ``g`` numerically (the
+one factorization of ``g`` is the Cholesky frame at a Jacobi flow's start);
 ``min_eig`` is the smallest eigenvalue of ``g`` at one point, in closed form,
 so the positivity check :meth:`MetricField.require_positive` needs no numerical
 eigensolver.
@@ -89,7 +92,10 @@ class MetricField:
                                                 # (n,), sampler(ts) of shape (N,) is (N, n)
     closed_ray: Callable | None = None          # (x, unit v) -> sampler t -> gamma(t), shaped
                                                 # as closed_geodesic's sampler
-    closed_transport: Callable | None = None    # (x, y, X) -> X parallel along the geodesic x -> y
+    closed_transport: Callable | None = None    # (x, y, X) -> X parallel along the geodesic x -> y:
+                                                # the differential of a transvection, so the
+                                                # metric is symmetric (nab R = 0), which
+                                                # jacobi_flow relies on
 
     def require_chart(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -594,28 +600,6 @@ def christoffel_curvature(m: MetricField, x) -> CurvatureData:
     return CurvatureData(x=x, gx=gx, ginv=ginv, gamma=gamma, dgamma=dgamma, riem=riem)
 
 
-def measured_curvature_bound(m: MetricField, points) -> float:
-    """Max |sectional| over sampled points: the coordinate 2-planes and four
-    seeded random ones per point."""
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for x in points:
-        cd = christoffel_curvature(m, x)
-        n = m.dim
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        vecs = [(np.eye(n)[i], np.eye(n)[j]) for i, j in pairs]
-        for _ in range(4):
-            a, b = rng.standard_normal((2, n))
-            if abs(np.linalg.det(np.stack([a, b])[:, :2])) > 1e-8 or n > 2:
-                vecs.append((a, b))
-        for X, Y in vecs:
-            try:
-                worst = max(worst, abs(cd.sectional(X, Y)))
-            except ValueError:
-                continue
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # flows
 # ---------------------------------------------------------------------------
@@ -732,57 +716,70 @@ class JacobiReport:
     growth_ok: bool
 
 
+def _jacobi_eigenframe(cd: CurvatureData, v):
+    """Eigenvalues ``lam`` and ``g``-orthonormal eigenvectors (the columns of
+    ``frame``) of the Jacobi operator ``Y -> R(Y, v) v`` at ``cd.x``.  The
+    operator is ``g``-self-adjoint, so with ``g = L L^T`` the matrix ``L^T K
+    L^-T`` is symmetric; it is symmetrized against rounding for one ``eigh``."""
+    chol = np.linalg.cholesky(cd.gx)
+    op = np.linalg.solve(chol, (chol.T @ ((cd.riem @ v) @ v)).T).T
+    lam, q = np.linalg.eigh(0.5 * (op + op.T))
+    return lam, np.linalg.solve(chol.T, q)
+
+
 def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
                 step: float = DEFAULT_STEP) -> JacobiReport:
-    """Integrate ``nab^2 J + R(gamma', J) gamma' = 0`` (batched initial data).
+    """Solve ``nab^2 J + R(J, gamma') gamma' = 0`` (batched initial data) exactly.
 
-    Reports ``f(t) = sqrt(|J|_g^2 + |nab J|_g^2)`` against the growth bound
-    ``f(0) exp((kappa + 1) t / 2)`` (up to a slack of 1e-9) with ``kappa``
-    the measured |sectional| bound along the path.
+    A metric with ``closed_ray`` and ``closed_transport`` is a symmetric space,
+    so ``nab R = 0`` and the Jacobi operator is parallel along the geodesic.  In
+    its eigenframe ``e_k`` at the start, carried by ``closed_transport``, each
+    coefficient solves ``c'' = -lam_k c``: cos/sin for ``lam_k > 0``, cosh/sinh
+    for ``lam_k < 0``, ``1, t`` for 0.  The fields are sampled at the ``step``
+    grid of ``[0, horizon]``, each position checked against the chart.  A metric
+    without the two closed forms raises ``ConfigInvalid``.
+
+    Reports ``f(t) = sqrt(|J|_g^2 + |nab J|_g^2)``, the norm of the coefficients,
+    against the growth bound ``f(0) exp((kappa + 1) t / 2)`` (up to a slack of
+    1e-9) with ``kappa = max |lam_k| / |gamma'|^2``, the supremum of |sectional|
+    over the planes through ``gamma'``.
     """
     step = _positive("step", step)
     horizon = _positive("horizon", horizon)
     J0 = np.atleast_2d(np.asarray(J0, dtype=float))
     W0 = np.atleast_2d(np.asarray(W0, dtype=float))
-    B = J0.shape[0]
     x = m.require_chart(init.x)
     v = np.asarray(init.vec, dtype=float)
-    n_steps = max(1, int(round(horizon / step)))
-    h = horizon / n_steps
+    if not all(np.isfinite(a).all() for a in (v, J0, W0)):
+        raise ConfigInvalid("non-finite initial state for the flow")
+    cd = christoffel_curvature(m, x)
+    if m.closed_ray is None or m.closed_transport is None:
+        raise ConfigInvalid(f"{m.name}: jacobi_flow needs closed_ray and closed_transport")
+    ts = np.linspace(0.0, horizon, max(1, int(round(horizon / step))) + 1)
+    lam, frame = _jacobi_eigenframe(cd, v)
+    speed = m.norm(x, v)
+    if speed > 0:
+        xs = m.closed_ray(x, v / speed)(speed * ts)
+        for t, p in zip(ts, xs):
+            if not m.chart_contains(p):
+                raise LeftChart(f"{m.name}: jacobi flow left the chart at t={t:.4f}")
+        moved = np.array([[m.closed_transport(x, p, e) for e in frame.T] for p in xs])
+    else:
+        moved = np.broadcast_to(frame.T, (len(ts),) + frame.shape)
 
-    def rhs(x, v, J, W):
-        cd = christoffel_curvature(m, x)
-        dx, dv = v, -np.einsum("kij,i,j->k", cd.gamma, v, v)
-        dJ = W - np.einsum("kij,i,bj->bk", cd.gamma, v, J)
-        # Jacobi operator R(J, gamma') gamma' in the sign convention of `riem`
-        rv = np.einsum("lijk,bi,j,k->bl", cd.riem, J, v, v)
-        dW = -rv - np.einsum("kij,i,bj->bk", cd.gamma, v, W)
-        return dx, dv, dJ, dW
-
-    pos, vel, Js, Ws = _rk4(rhs, (x, v, J0, W0), h, n_steps, _chart_guard(m, "jacobi flow", h))
-
-    kappa_meas = 0.0
-    eye = np.eye(m.dim)
-    for i in range(0, n_steps, max(1, n_steps // 16)):
-        cd = christoffel_curvature(m, pos[i])
-        fields = [J if np.linalg.norm(J) > 1e-12 else eye[0] for J in Js[i][:4]]
-        for Y in fields + list(eye):
-            try:
-                kappa_meas = max(kappa_meas, abs(cd.sectional(vel[i], Y)))
-            except ValueError:
-                pass
-
-    ts = np.linspace(0.0, horizon, n_steps + 1)
-    # g-norms along the path
-    xs = geodesic_flow(m, init, horizon, step=step).xs
-    f = np.empty((n_steps + 1, B))
-    for i in range(n_steps + 1):
-        gx = m.g(xs[i])
-        f[i] = np.sqrt(np.einsum("bi,ij,bj->b", Js[i], gx, Js[i])
-                       + np.einsum("bi,ij,bj->b", Ws[i], gx, Ws[i]))
+    root = np.sqrt(np.abs(lam))
+    w = np.multiply.outer(ts, root)
+    neg = lam < 0
+    cos = np.where(neg, np.cosh(w), np.cos(w))[:, None]   # C, and S below: C' = -lam S, S' = C
+    sin = np.divide(np.sinh(w), root, out=ts[:, None] * np.sinc(w / np.pi), where=neg)[:, None]
+    a, b = J0 @ (cd.gx @ frame), W0 @ (cd.gx @ frame)     # coefficients of J0 and W0
+    c, dc = cos * a + sin * b, cos * b - lam * sin * a
+    f = np.sqrt(np.sum(c * c + dc * dc, axis=-1))
+    kappa_meas = float(np.max(np.abs(lam))) / speed**2 if speed > 0 else 0.0
     bound = f[0][None, :] * np.exp(0.5 * (kappa_meas + 1.0) * ts)[:, None]
     growth_ok = bool(np.all(f <= bound + 1e-9))
-    return JacobiReport(ts=ts, J=Js, W=Ws, f=f, kappa_measured=kappa_meas, growth_ok=growth_ok)
+    return JacobiReport(ts=ts, J=c @ moved, W=dc @ moved, f=f, kappa_measured=kappa_meas,
+                        growth_ok=growth_ok)
 
 
 # ---------------------------------------------------------------------------

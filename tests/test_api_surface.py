@@ -131,10 +131,7 @@ def test_every_dataclass_field_is_read():
 
 
 # Public names that only tests reach, kept on purpose.
-ALLOWED_UNREACHED = {
-    # the entry point of acceptance criterion 7, called from tests/test_acceptance.py
-    "riemann.py:measured_curvature_bound",
-}
+ALLOWED_UNREACHED: set[str] = set()
 
 
 def _loaded_name(node):

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidlab import riemann as rm
-from rigidlab.errors import (ConfigInvalid, EpsilonTooLarge, NotUnit, ShootingDiverged,
-                             SingularMetric, StepTooLarge)
+from rigidlab.errors import (ConfigInvalid, EpsilonTooLarge, LeftChart, NotUnit,
+                             ShootingDiverged, SingularMetric, StepTooLarge)
 
 EU = rm.euclidean(2)
 PO = rm.poincare_disk()
@@ -40,7 +40,6 @@ class TestMetricFields:
                 assert np.max(np.abs(fd - m.dg(x)[k])) < 1e-5
 
     def test_chart_guard(self):
-        from rigidlab.errors import LeftChart
         with pytest.raises(LeftChart):
             PO.require_chart(np.array([1.5, 0.0]))
 
@@ -167,7 +166,45 @@ class TestParallelTransport:
         assert angle == pytest.approx(math.pi / 2, abs=1e-4)
 
 
+_KNOWN_JACOBI_SPECTRA = [
+    (EU, [0.0, 0.0]), (PO, [-1.0, 0.0]), (SP, [0.0, 1.0]),
+    *((rm.bergman_ball(d), sorted([0.0, -2.0 / (d + 1)] + [-0.5 / (d + 1)] * (2 * d - 2)))
+      for d in (1, 2, 3)),
+]
+
+
 class TestJacobi:
+    @pytest.mark.parametrize("m, expect", _KNOWN_JACOBI_SPECTRA, ids=[m.name for m, _ in _KNOWN_JACOBI_SPECTRA])
+    def test_jacobi_operator_eigenvalues(self, m, expect):
+        # sectional curvature times |v|^2: 0 along v, then -1, +1 and on the
+        # Bergman ball -2/(d+1) on the complex line of v, -1/(2(d+1)) off it
+        x = np.linspace(0.3, -0.2, m.dim)
+        v = np.linspace(-0.7, 1.1, m.dim)
+        lam, frame = rm._jacobi_eigenframe(rm.christoffel_curvature(m, x), v)
+        speed2 = m.norm(x, v) ** 2
+        assert np.allclose(lam, speed2 * np.asarray(expect), rtol=0, atol=1e-10 * speed2)
+        assert np.allclose(frame.T @ m.g(x) @ frame, np.eye(m.dim), rtol=0, atol=1e-12)
+        rep = rm.jacobi_flow(m, rm.TangentPoint.of(x, v), 0.5, np.eye(m.dim), np.eye(m.dim), step=0.1)
+        assert rep.kappa_measured == pytest.approx(max(abs(e) for e in expect), rel=1e-10, abs=1e-12)
+
+    def test_great_circle_leaving_the_chart_raises(self):
+        # the circle from the south pole reaches |x| = 40 at t = 2 atan(40) = 3.0916
+        with pytest.raises(LeftChart):
+            rm.jacobi_flow(SP, rm.TangentPoint.of([0, 0], [0.5, 0]), 3.12, [[0, 1]], [[1, 0]], step=0.01)
+
+    def test_zero_velocity_gives_the_flat_solution(self):
+        J0, W0 = np.random.default_rng(4).standard_normal((2, 3, 2))
+        rep = rm.jacobi_flow(PO, rm.TangentPoint.of([0.1, 0.2], [0, 0]), 1.0, J0, W0, step=0.1)
+        assert np.allclose(rep.J, J0 + rep.ts[:, None, None] * W0, rtol=0, atol=1e-14)
+        assert np.allclose(rep.W, np.broadcast_to(W0, rep.W.shape), rtol=0, atol=1e-14)
+        assert rep.kappa_measured == 0.0 and rep.growth_ok
+
+    @pytest.mark.parametrize("missing", ["closed_ray", "closed_transport"])
+    def test_metric_without_closed_forms_is_refused(self, missing):
+        with pytest.raises(ConfigInvalid, match="closed_ray and closed_transport"):
+            rm.jacobi_flow(dataclasses.replace(PO, **{missing: None}),
+                           rm.TangentPoint.of([0.1, 0.0], [0.3, 0.2]), 0.5, [[1, 0]], [[0, 1]], step=0.1)
+
     def test_flat_linear_growth(self):
         rep = rm.jacobi_flow(EU, rm.TangentPoint.of([0, 0], [1, 0]), 4.0,
                              J0=[[0, 0]], W0=[[0, 1]], step=1e-2)
@@ -629,7 +666,8 @@ def _reference_transport(m, xs, vs, h, X0):
 
 
 def _reference_jacobi(m, x, v, horizon, J0, W0, step):
-    """The Jacobi loop with its kappa probe; returns (J, W, kappa_measured)."""
+    """RK4 on the Jacobi equation with |sectional| sampled at 16 path points;
+    returns (J, W, sampled kappa)."""
     J, W = np.atleast_2d(np.asarray(J0, float)), np.atleast_2d(np.asarray(W0, float))
     B = J.shape[0]
     x, v = np.asarray(x, float), np.asarray(v, float)
@@ -705,10 +743,13 @@ _FLOW_STARTS = [
     (BE, [0.1, -0.05, 0.2, 0.0], [1.0, 0.3, -0.2, 0.5], [-0.3, 0.2, 0.1, 0.4]),
 ]
 _FLOW_IDS = [m.name for m, *_ in _FLOW_STARTS]
+_JACOBI_STARTS = _FLOW_STARTS + [(rm.scale_metric(BE, 2.5),) + tuple(_FLOW_STARTS[-1][1:])]
 
 
 class TestOneIntegrator:
-    """Every flow on ``_rk4`` gives the hand-written loops' floats bit for bit."""
+    """Every flow on ``_rk4`` gives the hand-written loops' floats bit for bit;
+    the closed-form Jacobi fields match the hand-written RK4 Jacobi loop at a
+    fine step."""
 
     @pytest.mark.parametrize("m, x, v, y", _FLOW_STARTS, ids=_FLOW_IDS)
     def test_geodesic_and_transport(self, m, x, v, y):
@@ -720,14 +761,22 @@ class TestOneIntegrator:
         assert np.array_equal(w, _reference_transport(m, xs, vs, path.step, y))
 
     @pytest.mark.parametrize("batch", [1, 10])
-    @pytest.mark.parametrize("m, x, v, y", _FLOW_STARTS, ids=_FLOW_IDS)
+    @pytest.mark.parametrize("m, x, v, y", _JACOBI_STARTS, ids=[m.name for m, *_ in _JACOBI_STARTS])
     def test_jacobi(self, m, x, v, y, batch):
+        # RK4 at step 1/200 is within 2.4e-10 of the exact fields on these
+        # starts (relative to each trajectory's largest entry), so 1e-9 holds
         start = unit_at(m, x, v)
         J0, W0 = np.random.default_rng(batch).standard_normal((2, batch, m.dim))
-        rep = rm.jacobi_flow(m, start, 1.0, J0, W0, step=1.0 / 40)
-        Js, Ws, kappa = _reference_jacobi(m, start.x, start.vec, 1.0, J0, W0, 1.0 / 40)
-        assert np.array_equal(rep.J, Js) and np.array_equal(rep.W, Ws)
-        assert rep.kappa_measured == kappa
+        rep = rm.jacobi_flow(m, start, 1.0, J0, W0, step=1.0 / 200)
+        Js, Ws, kappa = _reference_jacobi(m, start.x, start.vec, 1.0, J0, W0, 1.0 / 200)
+        assert np.max(np.abs(rep.J - Js)) <= 1e-9 * np.max(np.abs(Js))
+        assert np.max(np.abs(rep.W - Ws)) <= 1e-9 * np.max(np.abs(Ws))
+        g = np.stack([m.g(p) for p in rm.geodesic_flow(m, start, 1.0, step=1.0 / 200).xs])
+        f = np.sqrt(np.einsum("tbi,tij,tbj->tb", Js, g, Js) + np.einsum("tbi,tij,tbj->tb", Ws, g, Ws))
+        assert np.max(np.abs(rep.f - f) / f) <= 1e-9
+        # the exact sup over planes through gamma' dominates the sampled planes;
+        # their sectional curvatures carry rounding of up to 2e-11 relative
+        assert rep.kappa_measured >= kappa * (1.0 - 1e-9)
 
     @pytest.mark.parametrize("m, x, v, y", _FLOW_STARTS, ids=_FLOW_IDS)
     def test_exp_log(self, m, x, v, y, monkeypatch):
@@ -805,10 +854,14 @@ class TestNonFiniteInputs:
         with pytest.raises(ConfigInvalid):
             rm.parallel_transport(PO, path, [math.nan, 1.0])
 
-    def test_jacobi_field(self):
+    @pytest.mark.parametrize("which", ["J0", "W0", "v"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_jacobi_field(self, which, bad):
+        data = {"J0": np.array([[1.0, 0.0]]), "W0": np.array([[0.0, 1.0]]), "v": np.array([0.3, 0.2])}
+        data[which].flat[0] = bad
         with pytest.raises(ConfigInvalid):
-            rm.jacobi_flow(PO, rm.TangentPoint.of([0.1, 0.0], [0.3, 0.2]), 0.5,
-                           [[math.inf, 0.0]], [[0.0, 1.0]], step=0.1)
+            rm.jacobi_flow(PO, rm.TangentPoint.of([0.1, 0.0], data["v"]), 0.5,
+                           data["J0"], data["W0"], step=0.1)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in g(v, v)
     @pytest.mark.parametrize("vec", [[math.nan, 0.0], [math.inf, 1.0]])
