@@ -854,9 +854,14 @@ class TestNonFiniteInputs:
         with pytest.raises(ConfigInvalid):
             rm.parallel_transport(PO, path, [math.nan, 1.0])
 
+    def test_jacobi_field(self):
+        with pytest.raises(ConfigInvalid):
+            rm.jacobi_flow(PO, rm.TangentPoint.of([0.1, 0.0], [0.3, 0.2]), 0.5,
+                           [[math.inf, 0.0]], [[0.0, 1.0]], step=0.1)
+
     @pytest.mark.parametrize("which", ["J0", "W0", "v"])
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_jacobi_field(self, which, bad):
+    def test_jacobi_field_each_input(self, which, bad):
         data = {"J0": np.array([[1.0, 0.0]]), "W0": np.array([[0.0, 1.0]]), "v": np.array([0.3, 0.2])}
         data[which].flat[0] = bad
         with pytest.raises(ConfigInvalid):
