@@ -4,12 +4,14 @@ Points of C^d are numpy complex arrays of shape ``(d,)``; the real picture
 uses the interleaved coordinates ``(x_1, y_1, ..., x_d, y_d)``.  Every domain
 carries a defining function ``r`` with ``z in Omega  iff  r(z) < 0``, written
 once on a stack of points (``defining_many``; ``defining`` reads it for one
-point).  Every kind is balanced about 0 and gives the gradient of ``r`` and
-the nearest boundary point: the disk, ball and polydisk in closed form, the
-convex Reinhardt domains (the modulus polynomials, the ellipsoid among them)
-from polynomial tables in the moduli ``|z_j|`` and one nearest-point solver
-on them.  The polydisk gradient exists only where one coordinate has the
-largest modulus.  No derivative is estimated numerically.
+point).  Every kind is balanced about 0 and gives the gradient of ``r``, the
+nearest boundary point and where a ray from 0 leaves it (the reciprocal of
+the Minkowski gauge): the disk, ball and polydisk in closed form, the convex
+Reinhardt domains (the modulus polynomials, the ellipsoid among them) from
+polynomial tables in the moduli ``|z_j|``, one nearest-point solver on them
+and Newton's method on a polynomial in the ray parameter.  The polydisk
+gradient exists only where one coordinate has the largest modulus.  No
+derivative is estimated numerically.
 
 The Hermitian pairing ``<u, v> = sum_j u_j * conj(v_j)`` is used throughout;
 with this convention the complex gradient ``grad_c r = 2 * dr/dzbar`` is the
@@ -31,6 +33,7 @@ from .errors import (
     BoundaryDataUnavailable,
     ConfigInvalid,
     DegenerateGradient,
+    NoConvergence,
     PointOutsideDomain,
     SamplingEmpty,
 )
@@ -38,8 +41,10 @@ from .errors import (
 BOUNDARY_TOL = 1e-12          # |r(xi)| tolerance for "on the boundary"
 GRADIENT_TOL = 1e-12          # degenerate-gradient threshold
 SAMPLE_BLOCKS = 50            # candidate blocks sample_ball draws before it gives up
-RAY_BISECTIONS = 60           # halvings of every ray-exit bracket
+RAY_BISECTIONS = 60           # halvings of every ray_exit bracket
 RAY_SHORTLIST_AFTER = 8       # halvings on the whole step stack before ray_exit keeps the binding steps
+RADIAL_WALK = 64              # float steps radial_exit takes from the gauge's exit before it gives up
+GAUGE_NEWTON_STEPS = 100      # cap on the Newton steps of a modulus-polynomial exit
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +150,10 @@ class ConeCertificate:
 class Domain:
     """Base class: a bounded domain ``{r < 0}``.
 
-    Each kind writes its defining function once, on a stack of points
-    (``defining_many``); the one-point ``defining`` reads that body.  Each
-    kind also writes ``grad_c`` and ``project_to_boundary``.
+    Each kind writes its defining function and its gradient once, on a stack
+    of points (``defining_many``, ``grad_c_many``); the one-point ``defining``
+    and ``grad_c`` read those bodies.  Each kind also writes
+    ``project_to_boundary`` and ``exit_radii``.
     """
 
     kind: str = "abstract"
@@ -163,9 +169,14 @@ class Domain:
     def defining(self, z) -> float:
         return float(self.defining_many(as_point(z, self.dimension)[None, :])[0])
 
-    def grad_c(self, z) -> np.ndarray:
-        """Real gradient of the defining function as a complex vector."""
+    def grad_c_many(self, zs: np.ndarray) -> np.ndarray:
+        """Real gradient of the defining function as a complex vector, on
+        points of shape ``(..., d)``; NaN where it does not exist (a polydisk
+        corner)."""
         raise NotImplementedError
+
+    def grad_c(self, z) -> np.ndarray:
+        return self.grad_c_many(as_point(z, self.dimension))
 
     # -- membership ----------------------------------------------------------
 
@@ -191,6 +202,12 @@ class Domain:
         """Closed-form boundary distance, or None when unavailable."""
         return None
 
+    def exit_radii(self, us: np.ndarray) -> np.ndarray:
+        """Where each ray ``t u`` from 0 meets the boundary, shape (k, d) ->
+        (k,): ``1 / h(u)`` for the Minkowski gauge ``h`` of the balanced
+        domain, to rounding (``radial_exit`` certifies it)."""
+        raise NotImplementedError
+
     def center(self) -> np.ndarray:
         return np.zeros(self.dimension, dtype=complex)
 
@@ -207,8 +224,11 @@ class DiskDomain(Domain):
     def defining_many(self, zs):
         return np.abs(np.asarray(zs, dtype=complex)[:, 0]) ** 2 - 1.0
 
-    def grad_c(self, z):
-        return 2.0 * as_point(z, 1)
+    def grad_c_many(self, zs):
+        return 2.0 * np.asarray(zs, dtype=complex)
+
+    def exit_radii(self, us):
+        return 1.0 / np.abs(np.asarray(us, dtype=complex)[:, 0])
 
     def project_to_boundary(self, z):
         z = as_point(z, 1)
@@ -233,8 +253,11 @@ class BallDomain(Domain):
     def defining_many(self, zs):
         return np.sum(np.abs(np.asarray(zs, dtype=complex)) ** 2, axis=1) - 1.0
 
-    def grad_c(self, z):
-        return 2.0 * as_point(z, self.dimension)
+    def grad_c_many(self, zs):
+        return 2.0 * np.asarray(zs, dtype=complex)
+
+    def exit_radii(self, us):
+        return 1.0 / np.linalg.norm(us, axis=1)
 
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension)
@@ -262,21 +285,23 @@ class PolydiskDomain(Domain):
     def defining_many(self, zs):
         return np.max(np.abs(np.asarray(zs, dtype=complex)), axis=1) ** 2 - 1.0
 
-    def _top(self, z) -> int:
-        """The coordinate of largest modulus; a tie, where the boundary is not
-        C^2, raises ``DegenerateGradient``."""
-        mods = np.abs(as_point(z, self.dimension))
-        j = int(np.argmax(mods))
-        if np.count_nonzero(mods == mods[j]) > 1:
-            raise DegenerateGradient(f"{z} has two coordinates of largest modulus, "
-                                     "where the polydisk boundary is not smooth")
-        return j
+    def grad_c_many(self, zs):
+        zs = np.asarray(zs, dtype=complex)
+        mods = np.abs(zs)
+        top = mods == np.max(mods, axis=-1, keepdims=True)
+        return np.where(np.sum(top, axis=-1, keepdims=True) == 1, np.where(top, 2.0 * zs, 0.0), np.nan)
 
     def grad_c(self, z):
-        j = self._top(z)
-        out = np.zeros(self.dimension, dtype=complex)
-        out[j] = 2.0 * as_point(z, self.dimension)[j]
-        return out
+        """A tie of the largest moduli, where the boundary is not C^2, raises
+        ``DegenerateGradient``."""
+        mods = np.abs(as_point(z, self.dimension))
+        if np.count_nonzero(mods == np.max(mods)) > 1:
+            raise DegenerateGradient(f"{z} has two coordinates of largest modulus, "
+                                     "where the polydisk boundary is not smooth")
+        return super().grad_c(z)
+
+    def exit_radii(self, us):
+        return 1.0 / np.max(np.abs(np.asarray(us, dtype=complex)), axis=1)
 
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension).copy()
@@ -307,6 +332,7 @@ class ModulusPolynomialDomain(Domain):
         self.coef, self.powers, self.kind = coef, powers, kind
         self.dimension = powers.shape[1]
         self.bounding_radius = float(bounding_radius)
+        self._degrees = 2 * powers.sum(axis=1)
         d, e = self.dimension, 2 * powers
         delta = np.eye(d, dtype=int)
         self._value = _Monomials([(0, c, ek) for c, ek in zip(coef, e)], None)
@@ -320,9 +346,37 @@ class ModulusPolynomialDomain(Domain):
     def defining_many(self, zs):
         return self._value(np.abs(np.asarray(zs, dtype=complex))) - 1.0
 
-    def grad_c(self, z):
-        z = as_point(z, self.dimension)
-        return 2.0 * z * self._s_grad(np.abs(z) ** 2)
+    def grad_c_many(self, zs):
+        zs = np.asarray(zs, dtype=complex)
+        return 2.0 * zs * self._s_grad(np.abs(zs) ** 2)
+
+    def exit_radii(self, us):
+        return self._gauge_root(self._weights(np.abs(np.asarray(us, dtype=complex))), 2.0 * self.bounding_radius)
+
+    def _weights(self, x: np.ndarray) -> np.ndarray:
+        """``w_k = c_k prod_j x_j^{2 a_kj}``, so that ``p(t x) = sum_k w_k t^{n_k}``
+        with ``n_k = 2 |a_k|`` (``self._degrees``)."""
+        return self._value.coef * self._value.terms(x)
+
+    def _gauge_root(self, weights: np.ndarray, top: float) -> np.ndarray:
+        """Per row of ``weights``, the root ``t`` of ``sum_k w_k t^{n_k} = 1``,
+        by Newton's method from ``min_k w_k^{-1/n_k}``: no root lies above it
+        (each term is at most 1 at the root), and on this convex increasing
+        function Newton falls monotonically to the root from above.  A row
+        stops as soon as ``t`` stops decreasing.  A root beyond ``top`` raises
+        ``ConfigInvalid``."""
+        with np.errstate(divide="ignore"):   # a zero weight or a constant term bounds nothing
+            t = np.min(weights ** (-1.0 / self._degrees), axis=1)
+        for _ in range(GAUGE_NEWTON_STEPS):
+            terms = weights * t[:, None] ** self._degrees
+            lower = t - t * (terms.sum(axis=1) - 1.0) / (terms @ self._degrees)
+            if not np.any(lower < t):
+                break
+            t = np.minimum(t, lower)   # a row that stopped keeps its t
+        if np.any(t > top):
+            raise ConfigInvalid(f"a ray is still inside the {self.kind} domain at twice "
+                                f"its bounding radius {self.bounding_radius:g}")
+        return t
 
     def moduli_constraint(self, x) -> float:
         """``p(x) - 1`` for moduli ``x`` (a negative entry reads as 0)."""
@@ -343,23 +397,9 @@ class ModulusPolynomialDomain(Domain):
         ``m0``: an SLSQP solve from the radial point on the surface, then
         Newton steps on the KKT system with the moduli Hessian."""
 
-        # radial start: p(t base) = sum_k w_k t^{n_k} is a polynomial in t
-        base = np.where(m0 > 1e-9, m0, 1e-3)
-        weights, degrees = self._value.coef * self._value.terms(base), 2 * self.powers.sum(axis=1)
-        scale_lo, scale_hi = 0.0, 2.0
-        while weights @ scale_hi**degrees < 1.0:
-            scale_hi *= 2.0
-        for _ in range(80):
-            mid = 0.5 * (scale_lo + scale_hi)
-            if weights @ mid**degrees < 1.0:
-                scale_lo = mid
-            else:
-                scale_hi = mid
-        x0 = 0.5 * (scale_lo + scale_hi) * base
-
         res = minimize(
             lambda x: np.sum((x - m0) ** 2),
-            x0,
+            self._radial_start(m0),
             jac=lambda x: 2.0 * (x - m0),
             method="SLSQP",
             bounds=[(0.0, None)] * len(m0),
@@ -389,6 +429,18 @@ class ModulusPolynomialDomain(Domain):
             if np.linalg.norm(rhs) < 1e-14:
                 break
         return x
+
+    def _radial_start(self, m0: np.ndarray) -> np.ndarray:
+        """The surface point on the ray through ``m0`` (through ``1e-3`` in the
+        coordinates below ``1e-9``): ``p(t base) = sum_k w_k t^{n_k}`` is a
+        polynomial in ``t`` with the root ``_gauge_root``; float steps then
+        walk to where ``p(t base) < 1`` changes, and the start is the middle of
+        those two floats."""
+        base = np.where(m0 > 1e-9, m0, 1e-3)
+        weights = self._weights(base)
+        t = self._gauge_root(weights[None, :], math.inf)
+        lo, hi = _crossing(t, lambda ts: np.array([weights @ s**self._degrees for s in ts]) < 1.0)
+        return 0.5 * (lo[0] + hi[0]) * base
 
 
 class _Monomials:
@@ -525,12 +577,50 @@ def sample_ball(dom: Domain, center, radius: float, count: int, rng) -> np.ndarr
                         f"B({center}, {radius:g}) after {SAMPLE_BLOCKS * count} candidates")
 
 
+def radial_exit(dom: Domain, us) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket ``[lo, hi]`` of where each ray ``t u`` from 0, the center of
+    every kind, leaves the domain: per row of ``us`` (shape (k, d)), ``lo`` is
+    inside, ``hi`` is not, and the two are adjacent floats.
+
+    The start is the kind's own ``exit_radii`` (the reciprocal gauge, in
+    closed form or by Newton's method); ``nextafter`` steps then walk up or
+    down to where ``defining_many`` changes sign, one stacked call per step.
+    A row that has not settled within ``RADIAL_WALK`` steps raises
+    ``NoConvergence``.  The defining function is not monotone at the ulp
+    level, so this crossing can sit an ulp away from a bisection's.
+    """
+    us = np.asarray(us, dtype=complex)
+    return _crossing(dom.exit_radii(us), lambda t: dom.defining_many(t[:, None] * us) < 0)
+
+
+def _crossing(t: np.ndarray, inside) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacent floats ``lo < hi`` per row with ``inside(lo)`` true and
+    ``inside(hi)`` false, by ``nextafter`` steps from ``t``: up while
+    ``inside`` holds at ``t``, down while it does not."""
+    up = inside(t)
+    toward = np.where(up, np.inf, -np.inf)
+    lo, hi = np.empty_like(t), np.empty_like(t)
+    pending = np.ones(len(t), dtype=bool)
+    for _ in range(RADIAL_WALK):
+        step = np.nextafter(t, toward)
+        crossed = pending & (inside(step) != up)
+        lo = np.where(crossed, np.minimum(t, step), lo)
+        hi = np.where(crossed, np.maximum(t, step), hi)
+        pending &= ~crossed
+        if not pending.any():
+            return lo, hi
+        t = step
+    raise NoConvergence(f"{np.count_nonzero(pending)} boundary crossings not found "
+                        f"within {RADIAL_WALK} float steps")
+
+
 def ray_exit(dom: Domain, base, steps) -> tuple[np.ndarray, np.ndarray]:
     """Bracket ``[lo, hi]``, per row ``i``, of the largest ``t`` with every
-    ``base[i] + t * steps[i, k]`` inside the domain.
+    ``base[i] + t * steps[i, k]`` inside the domain: the search for rays that
+    do not start at the center (a ray from 0 has ``radial_exit``).
 
     ``base + t * steps`` broadcasts to shape ``(n, K, d)``: a shared ``(d,)``
-    base with ``(n, 1, d)`` steps, or ``(n, 1, d)`` bases with shared ``(K, d)``
+    base with ``(n, K, d)`` steps, or ``(n, 1, d)`` bases with shared ``(K, d)``
     steps; the steps are unit vectors.  The bracket starts at ``[0, 2R]`` with
     ``R`` the bounding radius and is halved ``RAY_BISECTIONS`` times, one
     ``defining_many`` call per halving (it stops shrinking once ``lo`` and
@@ -541,28 +631,25 @@ def ray_exit(dom: Domain, base, steps) -> tuple[np.ndarray, np.ndarray]:
 
     Only a step that is outside at ``hi`` can decide a later halving of its
     row: any other step is inside at ``hi``, so on a convex domain it stays
-    inside on ``[0, hi]``.  With ``K > 1``, the first ``RAY_SHORTLIST_AFTER``
-    halvings evaluate the whole ``(n, K)`` stack, one more evaluation at ``hi``
-    picks each row's steps outside there, and the other halvings evaluate
-    those only (a row with fewer than the most repeats its first one).  That
-    gives the same brackets bit for bit.
+    inside on ``[0, hi]``.  The first ``RAY_SHORTLIST_AFTER`` halvings
+    evaluate the whole ``(n, K)`` stack, one more evaluation at ``hi`` picks
+    each row's steps outside there, and the other halvings evaluate those
+    only (a row with fewer than the most repeats its first one).  That gives
+    the same brackets bit for bit as halving the whole stack.
     """
     n, k, d = np.broadcast_shapes(np.shape(base), np.shape(steps))
     top = 2.0 * dom.bounding_radius
     lo, hi = np.zeros(n), np.full(n, top)
-    if k == 1:
-        _halve(dom, base, steps, 1, lo, hi, RAY_BISECTIONS)
-    else:
-        _halve(dom, base, steps, k, lo, hi, RAY_SHORTLIST_AFTER)
-        # the shortlist: each row's steps outside at hi, padded with its first one
-        all_bases, all_steps = np.broadcast_to(base, (n, k, d)), np.broadcast_to(steps, (n, k, d))
-        at_hi = (all_bases + hi[:, None, None] * all_steps).reshape(-1, d)
-        binding = ~(dom.defining_many(at_hi).reshape(n, k) < 0)
-        count = binding.sum(axis=1)
-        order = np.argsort(~binding, axis=1, kind="stable")[:, :max(1, count.max(initial=0))]
-        keep = np.where(np.arange(order.shape[1]) < count[:, None], order, order[:, :1])[:, :, None]
-        _halve(dom, np.take_along_axis(all_bases, keep, axis=1), np.take_along_axis(all_steps, keep, axis=1),
-               keep.shape[1], lo, hi, RAY_BISECTIONS - RAY_SHORTLIST_AFTER)
+    _halve(dom, base, steps, k, lo, hi, RAY_SHORTLIST_AFTER)
+    # the shortlist: each row's steps outside at hi, padded with its first one
+    all_bases, all_steps = np.broadcast_to(base, (n, k, d)), np.broadcast_to(steps, (n, k, d))
+    at_hi = (all_bases + hi[:, None, None] * all_steps).reshape(-1, d)
+    binding = ~(dom.defining_many(at_hi).reshape(n, k) < 0)
+    count = binding.sum(axis=1)
+    order = np.argsort(~binding, axis=1, kind="stable")[:, :max(1, count.max(initial=0))]
+    keep = np.where(np.arange(order.shape[1]) < count[:, None], order, order[:, :1])[:, :, None]
+    _halve(dom, np.take_along_axis(all_bases, keep, axis=1), np.take_along_axis(all_steps, keep, axis=1),
+           keep.shape[1], lo, hi, RAY_BISECTIONS - RAY_SHORTLIST_AFTER)
     far = hi == top
     if np.any(far):
         ends = np.broadcast_to(base + top * steps, (n, k, d))[far]

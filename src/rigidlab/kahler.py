@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 
-from .domain import Domain, as_point, boundary_distance, c2r, ray_exit, sample_ball
+from .domain import Domain, as_point, boundary_distance, c2r, radial_exit, sample_ball
 from .errors import (
     ChartIncomplete,
     ConfigInvalid,
@@ -127,7 +127,7 @@ def _rays_diverge(k: KahlerField, dom: Domain, rng) -> bool:
     us = rng.standard_normal((4, 2 * d))
     us /= np.linalg.norm(us, axis=1)[:, None]
     # where each ray from the origin leaves the domain
-    exits, _ = ray_exit(dom, np.zeros(d), (us[:, 0::2] + 1j * us[:, 1::2])[:, None, :])
+    exits, _ = radial_exit(dom, us[:, 0::2] + 1j * us[:, 1::2])
     for u, lo in zip(us, exits):
         t_max = lo * (1.0 - COMPLETENESS_DEPTH)
         ts = t_max * (1.0 - np.geomspace(1.0, 1e-7, 400))

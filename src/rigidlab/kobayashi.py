@@ -17,8 +17,9 @@ produces certified two-sided estimates:
 The half-plane family holds the tangent plane at the nearest boundary point
 and the tangent planes where the rays from the domain's center through
 tangent offsets of the base point meet the boundary, which is what makes the
-bounds scale correctly near low-type boundary points.  Both the disc radii
-and those boundary points are ``domain.ray_exit`` brackets.
+bounds scale correctly near low-type boundary points.  The disc radii are
+``domain.ray_exit`` brackets; those boundary points are ``domain.radial_exit``
+brackets, started at the domain's gauge.
 
 Points are complex arrays of shape ``(d,)``; a non-finite point or direction
 raises ``ConfigInvalid``.  ``line_boundary_distance`` also takes a stack of
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    GRADIENT_TOL,
     BallDomain,
     DiskDomain,
     Domain,
@@ -43,12 +45,12 @@ from .domain import (
     as_point,
     boundary_data,
     boundary_distance,
-    boundary_normal,
     finite_point,
     herm,
+    radial_exit,
     ray_exit,
 )
-from .errors import ConfigInvalid, NotConvex, PointOutsideDomain, RadiusTooLarge, RigidLabError, ZeroVector
+from .errors import ConfigInvalid, NotConvex, PointOutsideDomain, RadiusTooLarge, ZeroVector
 from .intervals import DistInterval
 
 CHORD_RTOL = 1e-4         # the chord rule doubles its grid from 17 nodes until the bound moves less
@@ -241,40 +243,49 @@ def supporting_halfplanes(dom: Domain, z, extra_points=()) -> list[SupportingHal
     """Supporting hyperplanes at boundary points near ``z``.
 
     The family holds the tangent plane at the nearest boundary point and those
-    where the rays from ``dom.center()`` through tangential offsets of ``z``
-    over a 12-step geometric schedule (these capture the flat directions of low-type
-    boundary points) and through any ``extra_points`` leave the domain.  Any
-    tangent plane supports a convex domain, so only the base point needs the
-    nearest-point solve; the rays are bisected together.
+    where the rays from 0, the domain's center, through tangential offsets of
+    ``z`` over a 12-step geometric schedule (these capture the flat directions
+    of low-type boundary points) and through any ``extra_points`` leave the
+    domain.  Any tangent plane supports a convex domain, so only the base
+    point needs the nearest-point solve.  The rays' anchors are the outer ends
+    of their ``radial_exit`` brackets, and their planes are built in one
+    stacked pass.
     """
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
     rays = [finite_point(p, dom.dimension, "extra point") for p in extra_points]
-    planes = [_tangent_halfplane(dom, dom.project_to_boundary(z))]
-    if planes[0] is not None:
+    planes = _tangent_halfplanes(dom, dom.project_to_boundary(z)[None, :])
+    if planes:
         delta = float(np.linalg.norm(planes[0].anchor - z))
         top = max(4.0 * delta, 0.5 * dom.bounding_radius)
         t_schedule = np.geomspace(max(delta, 1e-8) * 0.5, top, 12)
         frame = np.array(_tangent_frame(planes[0].inward))
         offsets = z + t_schedule[None, :, None] * frame[:, None, :]
         rays = list(offsets.reshape(-1, dom.dimension)) + rays
-    # anchors at the outer ends of the brackets; a point at the center gives no ray
-    c = dom.center()
-    dirs = np.reshape(rays, (-1, dom.dimension)) - c
+    # a point at the center gives no ray
+    dirs = np.reshape(rays, (-1, dom.dimension))
     norms = np.linalg.norm(dirs, axis=1)
     dirs = dirs[norms > 0] / norms[norms > 0, None]
-    _, hi = ray_exit(dom, c, dirs[:, None, :])
-    planes += [_tangent_halfplane(dom, xi) for xi in c + hi[:, None] * dirs]
-    return [p for p in planes if p is not None]
+    _, hi = radial_exit(dom, dirs)
+    return planes + _tangent_halfplanes(dom, hi[:, None] * dirs)
 
 
-def _tangent_halfplane(dom: Domain, xi: np.ndarray) -> SupportingHalfplane | None:
-    """The tangent half-plane at ``xi``, or None where ``xi`` fails the
-    checks of ``boundary_normal``."""
-    try:
-        normal = boundary_normal(dom, xi, tol=1e-6)
-    except RigidLabError:
-        return None
-    return SupportingHalfplane(anchor=xi, inward=-normal)
+def _tangent_halfplanes(dom: Domain, anchors: np.ndarray) -> list[SupportingHalfplane]:
+    """The tangent half-planes at a stack of points, one ``defining_many`` and
+    one ``grad_c_many`` call for all of them.  A row is dropped where it fails
+    the checks of ``boundary_normal(dom, xi, tol=1e-6)``: ``|r| <= 1e-6
+    max(1, |grad r|)`` and ``|grad r| >= GRADIENT_TOL``, which a non-finite
+    row and a polydisk corner (no gradient) fail too."""
+    values = dom.defining_many(anchors)
+    grads = dom.grad_c_many(anchors)
+    # |grad r| as np.linalg.norm takes it one row at a time (a dot product of
+    # the real parts plus one of the imaginary parts), so every normal is
+    # boundary_normal's bit for bit
+    re, im = grads.real[:, None, :], grads.imag[:, None, :]
+    gnorms = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+    keep = ((np.abs(values) <= 1e-6 * np.maximum(1.0, gnorms)) & (gnorms >= GRADIENT_TOL)
+            & np.isfinite(gnorms))
+    return [SupportingHalfplane(anchor=xi, inward=-(g / n))
+            for xi, g, n in zip(anchors[keep], grads[keep], gnorms[keep])]
 
 
 def _tangent_frame(normal: np.ndarray) -> list[np.ndarray]:

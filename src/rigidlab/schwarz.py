@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import BallDomain, DiskDomain, Domain, as_point, boundary_data, disk, finite_point, ray_exit, sample_ball
+from .domain import (BallDomain, DiskDomain, Domain, as_point, boundary_data, disk, finite_point, radial_exit,
+                     sample_ball)
 from .errors import CoincidentAnchors, ConfigInvalid, NotSelfMap
 from .kobayashi import (
     DISK_CALIBRATION,
@@ -99,7 +100,8 @@ def certify_self_map(f: HoloMap, dom: Domain | None = None) -> Certification:
     (``|f(z)| - 1``, or ``r(f(z))`` off the disk and ball) over ``CERT_SAMPLES``
     boundary points scaled by ``1 - 1e-6`` toward the center, equispaced on
     the disk and along seeded random directions elsewhere (there, off the
-    ball, the boundary point is the ``ray_exit`` of the ray from the center).
+    ball, the boundary point is the inner end of the ray's ``radial_exit``
+    bracket, started at the domain's gauge).
     A pass means an excess of at most ``CERT_MARGIN``; it is evidence, not a proof."""
     dom = disk() if dom is None else dom
     radius = 1.0 - CERT_RADIUS_OFFSET
@@ -113,9 +115,8 @@ def certify_self_map(f: HoloMap, dom: Domain | None = None) -> Certification:
         if isinstance(dom, BallDomain):
             excess = float(np.max(np.linalg.norm(f.many(radius * w), axis=1))) - 1.0
         else:
-            c = dom.center()
-            lo, _ = ray_exit(dom, c, w[:, None, :])
-            excess = float(np.max(dom.defining_many(f.many(c + radius * lo[:, None] * w))))
+            lo, _ = radial_exit(dom, w)
+            excess = float(np.max(dom.defining_many(f.many(radius * lo[:, None] * w))))
     cert = Certification(passed=bool(excess <= CERT_MARGIN), max_excess=excess, samples=CERT_SAMPLES)
     f._certification = cert
     return cert

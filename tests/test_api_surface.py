@@ -1,7 +1,7 @@
 """Every defaulted parameter of ``rigidlab`` is bound by some call site, every
 dataclass field is read somewhere, every public top-level function or class
-is reached from the package or the benchmark, and every module-level import
-of the package is used.
+is reached from the package or the benchmark, every module-level import
+of the package is used, and every target of the benchmark's tracer exists.
 
 A default that no caller in ``src/``, ``tests/`` or ``bench/`` overrides is a
 constant spelled as a parameter: it widens the API without a user.  The scan
@@ -20,6 +20,8 @@ verdict, CLI command or benchmark: only unit tests would keep it alive.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -181,3 +183,30 @@ def unused_imports() -> list[str]:
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def _tracer():
+    """``bench/tracer.py``, loaded from its file (``bench`` is not on the test path)."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_is_a_callable_of_its_layer():
+    # a traced benchmark run reports each target's metrics; a target renamed or
+    # deleted in the package silently drops them from that run
+    missing = [f"{layer}.{name}" for layer, names in _tracer().FUNCTION_TARGETS.items() for name in names
+               if not callable(getattr(importlib.import_module(f"rigidlab.{layer}"), name, None))]
+    assert missing == []
+
+
+def test_every_domain_kind_defines_the_traced_method():
+    # the tracer wraps the method on each class that defines it
+    from rigidlab.domain import Domain, domain_from_config
+    method = _tracer().DOMAIN_METHOD
+    for cfg in ({"kind": "disk"}, {"kind": "ball", "dimension": 1}, {"kind": "ball", "dimension": 2},
+                {"kind": "polydisk", "dimension": 2}, {"kind": "ellipsoid", "exponents": [1, 2]},
+                {"kind": "implicit", "dimension": 2, "terms": [[1.0, [1, 0]], [1.0, [0, 2]]]}):
+        owners = [cls for cls in type(domain_from_config(cfg)).__mro__ if method in vars(cls)]
+        assert owners and owners[0] is not Domain, cfg

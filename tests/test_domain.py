@@ -256,6 +256,7 @@ def test_sample_ball_gives_up_on_a_ball_that_misses_the_domain():
 @given(st.sampled_from(sorted(SAMPLED_DOMAINS)), st.lists(st.floats(-1, 1), min_size=4, max_size=4),
        st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_ray_exit_brackets_the_boundary(name, coords, rays, seed):
+    # one step per off-center base; rays from 0 have radial_exit
     dom = SAMPLED_DOMAINS[name]
     d = dom.dimension
     base = np.array(coords[0:2 * d:2]) + 1j * np.array(coords[1:2 * d:2])
@@ -335,12 +336,45 @@ def test_ray_exit_evaluates_the_full_stack_at_most_nine_times(monkeypatch):
 
 def test_ray_exit_rejects_a_bounding_radius_that_is_too_small():
     from rigidlab.errors import ConfigInvalid
-    from rigidlab.kobayashi import line_boundary_distance
+    from rigidlab.kobayashi import line_boundary_distance, supporting_halfplanes
     dom = dm.modulus_polynomial([(1, (1, 0)), (1, (0, 1))], 2, bounding_radius=0.4)   # the unit ball
     with pytest.raises(ConfigInvalid, match="bounding radius"):
         dm.ray_exit(dom, np.zeros(2), np.array([[[1.0, 0.0]]], dtype=complex))
     with pytest.raises(ConfigInvalid, match="bounding radius"):
         line_boundary_distance(dom, [0.1, 0.0], [1.0, 0.0])
+    # the radial route: the gauge's exit lies beyond twice the bounding radius
+    with pytest.raises(ConfigInvalid, match="bounding radius"):
+        dm.radial_exit(dom, np.array([[1.0, 0.0]], dtype=complex))
+    with pytest.raises(ConfigInvalid, match="bounding radius"):
+        supporting_halfplanes(dom, [0.1, 0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SAMPLED_DOMAINS)), st.integers(1, 32), st.booleans(), st.integers(0, 2**32 - 1))
+def test_radial_exit_brackets_the_boundary_in_adjacent_floats(name, rays, on_axis, seed):
+    dom = SAMPLED_DOMAINS[name]
+    d = dom.dimension
+    w = np.random.default_rng(seed).standard_normal((rays, 2, d))
+    u = w[:, 0] + 1j * w[:, 1]
+    if on_axis and d > 1:   # every other ray on a coordinate axis, where a weight w_k is 0
+        u[::2, 1:] = 0.0
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    lo, hi = dm.radial_exit(dom, u)
+    assert lo.shape == hi.shape == (rays,)
+    assert np.all(dom.defining_many(lo[:, None] * u) < 0)
+    assert np.all(dom.defining_many(hi[:, None] * u) >= 0)
+    assert np.array_equal(hi, np.nextafter(lo, np.inf))
+    # the computed defining function is not monotone at the ulp level, so the
+    # bisection can stop at a crossing next to this one
+    ref_lo, ref_hi = _halving_reference(dom, np.zeros(d), u[:, None, :])
+    assert np.all(np.abs(lo - ref_lo) <= 2 * np.spacing(ref_lo))
+    assert np.all(np.abs(hi - ref_hi) <= 2 * np.spacing(ref_hi))
+
+
+def test_radial_exit_that_does_not_settle_raises():
+    from rigidlab.errors import NoConvergence
+    with pytest.raises(NoConvergence, match="float steps"):
+        dm.radial_exit(BALL2, np.array([[0.6, 0.8], [np.nan, 0.0]], dtype=complex))
 
 
 def test_modulus_polynomial_without_a_pure_power_is_rejected():
@@ -424,6 +458,32 @@ def test_radial_start_of_the_projection_makes_no_constraint_calls(monkeypatch):
     for z in dm.sample_ball(dom, np.zeros(2), 1.0, 300, np.random.default_rng(13)):
         dom.project_to_boundary(z)
     assert len(calls) / 300 <= 150
+
+
+def _bisected_radial_start(dom, m0):
+    """The projection's radial start as a doubling loop and 80 halvings of
+    ``p(t base) < 1`` found it."""
+    base = np.where(m0 > 1e-9, m0, 1e-3)
+    weights, degrees = dom._value.coef * dom._value.terms(base), 2 * dom.powers.sum(axis=1)
+    lo, hi = 0.0, 2.0
+    while weights @ hi**degrees < 1.0:
+        hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if weights @ mid**degrees < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi) * base
+
+
+@pytest.mark.parametrize("dom", [ELL12, dm.ellipsoid((1, 2, 3)), SAMPLED_DOMAINS["modulus-polynomial"], MIXED],
+                         ids=["ellipsoid12", "ellipsoid123", "modulus-polynomial", "mixed-polynomial"])
+def test_radial_start_equals_the_bisected_start(dom):
+    # 300 seeded points inside and outside, a fifth of them on each of two axes
+    for z in _seeded_points(34, 300, d=dom.dimension, radius=1.5):
+        m0 = np.abs(z)
+        assert dom._radial_start(m0).tobytes() == _bisected_radial_start(dom, m0).tobytes()
 
 
 @pytest.mark.parametrize("dom, points", [

@@ -208,6 +208,47 @@ class TestWorkCounts:
         assert len(calls) == 1
         assert len(planes) == 1 + 2 * 12 + 1   # base, 2(d-1) x 12 tangent offsets, one extra point
 
+    def test_halfplanes_make_a_few_defining_calls(self, monkeypatch):
+        # require_inside, the base plane, the start of the radial walk and its
+        # float steps, and one pass for the 25 ray planes; bisecting the rays
+        # and one boundary_normal per anchor made 87
+        dom = dm.ellipsoid((1, 2))
+        sizes = []
+        evaluate = dom.defining_many
+        monkeypatch.setattr(dom, "defining_many", lambda zs: sizes.append(len(zs)) or evaluate(zs))
+        planes = kb.supporting_halfplanes(dom, np.array([0.5, 0.3]), extra_points=([0.1, 0.2j],))
+        assert len(planes) == 26
+        assert len(sizes) <= 8
+        assert sizes[:2] == [1, 1] and sizes[-1] == 25
+
+
+@pytest.mark.parametrize("dom", [BALL2, POLY2, ELL12, MODPOLY, dm.ellipsoid((1, 2, 3))],
+                         ids=["ball", "polydisk", "ellipsoid12", "modulus-polynomial", "ellipsoid123"])
+def test_stacked_planes_equal_boundary_normal_row_by_row(dom):
+    from rigidlab.errors import RigidLabError
+    d = dom.dimension
+    w = np.random.default_rng(6).standard_normal((12, 2, d))
+    u = w[:, 0] + 1j * w[:, 1]
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    _, hi = dm.radial_exit(dom, u)
+    tie = np.zeros(d, dtype=complex)
+    tie[:2] = [1.0, 1j]                 # a polydisk corner: two coordinates of modulus 1
+    nonfinite = np.full(d, np.nan + 0j)
+    anchors = np.vstack([hi[:, None] * u, [tie, 0.5 * hi[0] * u[0], nonfinite]])
+    planes = kb._tangent_halfplanes(dom, anchors)
+    expected = []
+    for xi in anchors:
+        try:
+            expected.append((xi, dm.boundary_normal(dom, xi, tol=1e-6)))
+        except RigidLabError:
+            continue
+    # dropped: the tie (a corner of the polydisk, off the boundary elsewhere), the inner point, the NaN row
+    assert len(expected) == 12
+    assert len(planes) == len(expected)
+    for hp, (xi, normal) in zip(planes, expected):
+        assert np.array_equal(hp.anchor, xi)
+        assert np.max(np.abs(hp.inward + normal)) <= 1e-15
+
 
 class TestBadDirections:
     def test_zero_direction_line_distance(self):
