@@ -671,23 +671,37 @@ def _halve(dom: Domain, base, steps, k: int, lo: np.ndarray, hi: np.ndarray, tim
         np.copyto(hi, mid, where=~inside)
 
 
+def boundary_normals(dom: Domain, xis: np.ndarray, tol: float = BOUNDARY_TOL):
+    """Unit outward normals at a stack of points ``(N, d)``, from one
+    ``defining_many`` and one ``grad_c_many`` call, as ``(normals, passed,
+    on_boundary)``.  A row is on the boundary when its value ``r`` is finite
+    and ``|r| <= tol max(1, |grad r|)`` (a polydisk tie has no gradient and
+    counts as 1 there); it passes when ``|grad r|`` is also finite and at
+    least ``GRADIENT_TOL``.  Rows that do not pass get a NaN normal."""
+    values = dom.defining_many(xis)
+    grads = dom.grad_c_many(xis)
+    # |grad r| as np.linalg.norm takes it one row at a time (a dot product of
+    # the real parts plus one of the imaginary parts), bit for bit
+    re, im = grads.real[:, None, :], grads.imag[:, None, :]
+    gnorms = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+    on_boundary = np.isfinite(values) & (np.abs(values) <= tol * np.fmax(1.0, gnorms))
+    passed = on_boundary & np.isfinite(gnorms) & (gnorms >= GRADIENT_TOL)
+    normals = np.full_like(grads, np.nan)
+    np.divide(grads, gnorms[:, None], out=normals, where=passed[:, None])
+    return normals, passed, on_boundary
+
+
 def boundary_normal(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> np.ndarray:
-    """Unit outward normal at a boundary point, after the on-boundary and
-    gradient checks (a non-finite value fails them too)."""
+    """Unit outward normal at a boundary point: the one-row
+    ``boundary_normals``, raising ``ApexNotOnBoundary`` off the boundary and
+    ``DegenerateGradient`` on it where the row does not pass."""
     xi = as_point(xi, dom.dimension)
-    value = dom.defining(xi)
-    try:
-        grad = dom.grad_c(xi)
-    except DegenerateGradient:   # a tie of the polydisk moduli is a corner only on the boundary
-        if not abs(value) <= tol:
-            raise ApexNotOnBoundary(f"defining function is {value:.3e} at {xi}") from None
-        raise
-    gnorm = float(np.linalg.norm(grad))
-    if not abs(value) <= tol * max(1.0, gnorm):
-        raise ApexNotOnBoundary(f"defining function is {value:.3e} at {xi}")
-    if not gnorm >= GRADIENT_TOL:
-        raise DegenerateGradient("vanishing gradient on the boundary")
-    return grad / gnorm
+    normals, passed, on_boundary = boundary_normals(dom, xi[None, :], tol)
+    if not on_boundary[0]:
+        raise ApexNotOnBoundary(f"defining function is {dom.defining(xi):.3e} at {xi}")
+    if not passed[0]:
+        raise DegenerateGradient(f"no unit normal at {xi}: the gradient is missing (a polydisk tie) or vanishes")
+    return normals[0]
 
 
 def boundary_data(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> BoundaryData:

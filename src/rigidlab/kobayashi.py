@@ -14,12 +14,15 @@ produces certified two-sided estimates:
   maps the domain into a half-plane, whose invariant metric and distance are
   explicit, and holomorphic maps contract the metric.
 
-The half-plane family holds the tangent plane at the nearest boundary point
-and the tangent planes where the rays from the domain's center through
-tangent offsets of the base point meet the boundary, which is what makes the
-bounds scale correctly near low-type boundary points.  The disc radii are
-``domain.ray_exit`` brackets; those boundary points are ``domain.radial_exit``
-brackets, started at the domain's gauge.
+The half-plane family (``HalfplaneFamily``, one ``(P, d)`` stack of anchors
+and inward normals, each bound the best plane's) holds the tangent plane at
+the nearest boundary point and the tangent planes where the rays from the
+domain's center through tangent offsets of the base point meet the boundary,
+which is what makes the bounds scale correctly near low-type boundary points.
+The disc radii are ``domain.ray_exit`` brackets; those boundary points are
+``domain.radial_exit`` brackets, started at the domain's gauge, and their
+normals come from ``domain.boundary_normals``.  ``dist_uppers`` gives only
+the upper sides, for two stacks of points, and builds no half-plane.
 
 Points are complex arrays of shape ``(d,)``; a non-finite point or direction
 raises ``ConfigInvalid``.  ``line_boundary_distance`` also takes a stack of
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    GRADIENT_TOL,
     BallDomain,
     DiskDomain,
     Domain,
@@ -45,6 +47,7 @@ from .domain import (
     as_point,
     boundary_data,
     boundary_distance,
+    boundary_normals,
     finite_point,
     herm,
     radial_exit,
@@ -122,11 +125,7 @@ def model_dist(dom: Domain, z, w):
         if isinstance(dom, PolydiskDomain):
             return max(disk_distance(a, b) for a, b in zip(z, w))
         raise NotConvex(f"no closed-form distance for kind {dom.kind!r}")
-    ws = np.asarray(w, dtype=complex)
-    if zs.shape != ws.shape or zs.shape[1:] != (dom.dimension,):
-        raise ValueError(f"expected two stacks of points of C^{dom.dimension}, got shapes {zs.shape} and {ws.shape}")
-    if not (dom.contains_all(zs) and dom.contains_all(ws)):
-        raise PointOutsideDomain(f"a point of the stacks is not in the domain ({dom.kind})")
+    zs, ws = _require_stacks(dom, zs, w)
     if isinstance(dom, (DiskDomain, PolydiskDomain)):   # the disk formula, max over coordinates
         m = np.max(np.abs((zs - ws) / (1.0 - np.conj(zs) * ws)), axis=1)
     elif isinstance(dom, BallDomain):   # ball_distance's Lagrange identity, row by row
@@ -140,6 +139,15 @@ def model_dist(dom: Domain, z, w):
     else:
         raise NotConvex(f"no closed-form distance for kind {dom.kind!r}")
     return np.arctanh(np.clip(m, 0.0, 1.0 - 1e-16))
+
+
+def _require_stacks(dom: Domain, zs, ws) -> tuple[np.ndarray, np.ndarray]:
+    zs, ws = np.asarray(zs, dtype=complex), np.asarray(ws, dtype=complex)
+    if zs.shape != ws.shape or zs.shape[1:] != (dom.dimension,):
+        raise ValueError(f"expected two stacks of points of C^{dom.dimension}, got shapes {zs.shape} and {ws.shape}")
+    if not (dom.contains_all(zs) and dom.contains_all(ws)):
+        raise PointOutsideDomain(f"a point of the stacks is not in the domain ({dom.kind})")
+    return zs, ws
 
 
 def model_metric(dom: Domain, z, v) -> float:
@@ -213,34 +221,40 @@ def line_boundary_distance(dom: Domain, z, v):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SupportingHalfplane:
-    """Image of the domain under ``z -> <z - anchor, inward>``: a subset of
-    the right half-plane when the hyperplane supports a convex domain."""
+class HalfplaneFamily:
+    """Supporting hyperplanes as one stack.  Row ``p`` maps the domain by
+    ``z -> <z - anchors[p], inward[p]>`` into the right half-plane when its
+    hyperplane supports a convex domain; ``inward`` holds unit Hermitian
+    normals pointing into the domain.  Both arrays have shape ``(P, d)``."""
 
-    anchor: np.ndarray
-    inward: np.ndarray  # unit Hermitian normal pointing into the domain
+    anchors: np.ndarray
+    inward: np.ndarray
 
-    def functional(self, z) -> complex:
-        return herm(np.asarray(z, dtype=complex) - self.anchor, self.inward)
+    def __len__(self) -> int:
+        return len(self.anchors)
+
+    def functional(self, z) -> np.ndarray:
+        """The ``P`` values ``<z - anchors[p], inward[p]>``."""
+        return np.sum((np.asarray(z, dtype=complex) - self.anchors) * np.conj(self.inward), axis=1)
 
     def metric_lower(self, z, v) -> float:
-        w = self.functional(z)
-        if w.real <= 0:
-            return 0.0
-        dv = herm(np.asarray(v, dtype=complex), self.inward)
-        return abs(dv) / (2.0 * w.real)
+        """The best plane's half-plane metric ``|<v, inward>| / (2 Re w)`` at
+        the image ``w`` of ``z``; a plane with ``Re w <= 0`` gives 0."""
+        w = self.functional(z).real
+        dv = _modulus(np.sum(np.asarray(v, dtype=complex) * np.conj(self.inward), axis=1))
+        return float(np.max(np.divide(dv, 2.0 * w, out=np.zeros_like(w), where=w > 0), initial=0.0))
 
     def dist_lower(self, z, w) -> float:
-        a = self.functional(z)
-        b = self.functional(w)
-        if a.real <= 0 or b.real <= 0:
-            return 0.0
-        m = abs(a - b) / abs(a + np.conj(b))
-        return _atanh(m)
+        """The best plane's half-plane distance ``atanh |a - b| / |a + conj(b)|``
+        between the images of ``z`` and ``w``; 0 unless both lie in it."""
+        a, b = self.functional(z), self.functional(w)
+        m = np.divide(_modulus(a - b), _modulus(a + np.conj(b)), out=np.zeros(len(a)),
+                      where=(a.real > 0) & (b.real > 0))
+        return _atanh(float(np.max(m, initial=0.0)))   # atanh grows, so the best m gives the best plane
 
 
-def supporting_halfplanes(dom: Domain, z, extra_points=()) -> list[SupportingHalfplane]:
-    """Supporting hyperplanes at boundary points near ``z``.
+def supporting_halfplanes(dom: Domain, z, extra_points=()) -> HalfplaneFamily:
+    """Supporting hyperplanes at boundary points near ``z``, as one stack.
 
     The family holds the tangent plane at the nearest boundary point and those
     where the rays from 0, the domain's center, through tangential offsets of
@@ -248,17 +262,19 @@ def supporting_halfplanes(dom: Domain, z, extra_points=()) -> list[SupportingHal
     of low-type boundary points) and through any ``extra_points`` leave the
     domain.  Any tangent plane supports a convex domain, so only the base
     point needs the nearest-point solve.  The rays' anchors are the outer ends
-    of their ``radial_exit`` brackets, and their planes are built in one
-    stacked pass.
+    of their ``radial_exit`` brackets.  The base point's normal and then the
+    rays' come from ``boundary_normals`` at ``tol = 1e-6``, and a row it
+    rejects (a polydisk tie, a non-finite value) gives no plane.
     """
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
     rays = [finite_point(p, dom.dimension, "extra point") for p in extra_points]
-    planes = _tangent_halfplanes(dom, dom.project_to_boundary(z)[None, :])
-    if planes:
-        delta = float(np.linalg.norm(planes[0].anchor - z))
+    base = dom.project_to_boundary(z)[None, :]
+    base_normal, base_ok, _ = boundary_normals(dom, base, 1e-6)
+    if base_ok[0]:
+        delta = float(np.linalg.norm(base[0] - z))
         top = max(4.0 * delta, 0.5 * dom.bounding_radius)
         t_schedule = np.geomspace(max(delta, 1e-8) * 0.5, top, 12)
-        frame = np.array(_tangent_frame(planes[0].inward))
+        frame = np.array(_tangent_frame(-base_normal[0]))
         offsets = z + t_schedule[None, :, None] * frame[:, None, :]
         rays = list(offsets.reshape(-1, dom.dimension)) + rays
     # a point at the center gives no ray
@@ -266,26 +282,10 @@ def supporting_halfplanes(dom: Domain, z, extra_points=()) -> list[SupportingHal
     norms = np.linalg.norm(dirs, axis=1)
     dirs = dirs[norms > 0] / norms[norms > 0, None]
     _, hi = radial_exit(dom, dirs)
-    return planes + _tangent_halfplanes(dom, hi[:, None] * dirs)
-
-
-def _tangent_halfplanes(dom: Domain, anchors: np.ndarray) -> list[SupportingHalfplane]:
-    """The tangent half-planes at a stack of points, one ``defining_many`` and
-    one ``grad_c_many`` call for all of them.  A row is dropped where it fails
-    the checks of ``boundary_normal(dom, xi, tol=1e-6)``: ``|r| <= 1e-6
-    max(1, |grad r|)`` and ``|grad r| >= GRADIENT_TOL``, which a non-finite
-    row and a polydisk corner (no gradient) fail too."""
-    values = dom.defining_many(anchors)
-    grads = dom.grad_c_many(anchors)
-    # |grad r| as np.linalg.norm takes it one row at a time (a dot product of
-    # the real parts plus one of the imaginary parts), so every normal is
-    # boundary_normal's bit for bit
-    re, im = grads.real[:, None, :], grads.imag[:, None, :]
-    gnorms = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
-    keep = ((np.abs(values) <= 1e-6 * np.maximum(1.0, gnorms)) & (gnorms >= GRADIENT_TOL)
-            & np.isfinite(gnorms))
-    return [SupportingHalfplane(anchor=xi, inward=-(g / n))
-            for xi, g, n in zip(anchors[keep], grads[keep], gnorms[keep])]
+    anchors = hi[:, None] * dirs
+    normals, ok, _ = boundary_normals(dom, anchors, 1e-6)
+    return HalfplaneFamily(anchors=np.vstack([base[base_ok], anchors[ok]]),
+                           inward=-np.vstack([base_normal[base_ok], normals[ok]]))
 
 
 def _tangent_frame(normal: np.ndarray) -> list[np.ndarray]:
@@ -315,7 +315,8 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True) -> DistInt
 
     The upper bound is ``|v| / line_boundary_distance``, the metric of the
     round disc in the slice; the lower bound is the best of the enclosing
-    ball, ``|v| / R``, and the half-planes of ``supporting_halfplanes(z)``,
+    ball, ``|v| / R``, and the half-planes of ``supporting_halfplanes(z)``
+    (the domain lies in each, and the metric shrinks as the domain grows),
     clamped to the upper bound.  Since ``k(z; t v) = |t| k(z; v)``, the
     interval is found for ``v`` scaled by ``_pow2_scaled`` and scaled back, so
     a direction below ``1e-154`` keeps its digits.
@@ -330,18 +331,8 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True) -> DistInt
         return DistInterval.exact(math.ldexp(model_metric(dom, z, v), exponent))
 
     upper = vn / line_boundary_distance(dom, z, v)
-    lower = _metric_lower(dom, supporting_halfplanes(dom, z), z, v)
+    lower = max(vn / dom.bounding_radius, supporting_halfplanes(dom, z).metric_lower(z, v))
     return DistInterval(math.ldexp(min(lower, upper), exponent), math.ldexp(upper, exponent))
-
-
-def _metric_lower(dom: Domain, planes: list[SupportingHalfplane], z: np.ndarray, v: np.ndarray) -> float:
-    """``max(|v| / R, max_hp hp.metric_lower(z, v))``: the domain lies in a
-    ball of radius ``R`` and in each supporting half-plane, and the metric
-    shrinks as the domain grows, so each of their metrics is a lower bound."""
-    lower = float(np.linalg.norm(v)) / dom.bounding_radius
-    for hp in planes:
-        lower = max(lower, hp.metric_lower(z, v))
-    return lower
 
 
 def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
@@ -398,9 +389,9 @@ def _chord_rule(radii: np.ndarray) -> float:
 def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True) -> DistInterval:
     """Certified interval for the Kobayashi distance ``K(z, w)``.
 
-    The upper bound is the better of two polygonal routes: the straight chord
-    and the route through the domain center.  On model kinds the closed form
-    is returned.
+    The upper bound is ``_route_upper``; the lower bound is the best of
+    ``|w - z| / R`` and the half-planes at the midpoint, with ``z`` and ``w``
+    as extra points.  On model kinds the closed form is returned.
     """
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
     w = dom.require_inside(finite_point(w, dom.dimension, "point"))
@@ -410,17 +401,30 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True) -> DistInter
     if tighten_with_model and has_model_formulas(dom):
         return DistInterval.exact(model_dist(dom, z, w))
 
+    upper = _route_upper(dom, z, w)
+    planes = supporting_halfplanes(dom, z + 0.5 * (w - z), extra_points=(z, w))
+    lower = max(float(np.linalg.norm(w - z)) / dom.bounding_radius, planes.dist_lower(z, w))
+    return DistInterval(min(lower, upper), upper)
+
+
+def dist_uppers(dom: Domain, zs, ws) -> np.ndarray:
+    """Upper bounds on ``K(z, w)`` for the rows of two stacks ``(N, d)``: the
+    stacked ``model_dist`` on the disk, ball and polydisk, else each row's
+    ``dist_bounds(...).upper`` without its half-plane lower side."""
+    if has_model_formulas(dom):
+        return model_dist(dom, zs, ws)
+    zs, ws = _require_stacks(dom, zs, ws)
+    return np.array([0.0 if np.array_equal(z, w) else _route_upper(dom, z, w) for z, w in zip(zs, ws)])
+
+
+def _route_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
+    """The better of two polygonal routes from ``z`` to ``w``: the straight
+    chord and the route through the domain center."""
     upper = _segment_upper(dom, z, w)
     c = dom.center()
     if not (np.allclose(c, z) or np.allclose(c, w)):
         upper = min(upper, _segment_upper(dom, z, c) + _segment_upper(dom, c, w))
-
-    lower = float(np.linalg.norm(w - z)) / dom.bounding_radius
-    mid = z + 0.5 * (w - z)
-    planes = supporting_halfplanes(dom, mid, extra_points=(z, w))
-    for hp in planes:
-        lower = max(lower, hp.dist_lower(z, w))
-    return DistInterval(min(lower, upper), upper)
+    return upper
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +484,7 @@ def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None) -> FiniteTypeCalib
     Uses certified metric lower bounds only, so the returned calibration is a
     genuine lower-bound coefficient on the sampled grid.  Each is the lower
     side of ``metric_bounds`` without its clamp to the upper bound:
-    ``max(|v| / R, max_hp hp.metric_lower(z, v))`` over the half-planes built
+    ``max(|v| / R, planes.metric_lower(z, v))`` for the half-planes built
     once per radius.  No disc radius (``line_boundary_distance``) is needed.
     """
     xi = finite_point(xi, dom.dimension, "boundary point")
@@ -497,8 +501,9 @@ def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None) -> FiniteTypeCalib
         delta = boundary_distance(dom, z)
         planes = supporting_halfplanes(dom, z)
         for v in dirs:
-            klo = _metric_lower(dom, planes, z, v)
-            alpha = min(alpha, klo * delta ** (1.0 / ell) / np.linalg.norm(v))
+            vn = float(np.linalg.norm(v))
+            klo = max(vn / dom.bounding_radius, planes.metric_lower(z, v))
+            alpha = min(alpha, klo * delta ** (1.0 / ell) / vn)
     if not math.isfinite(alpha) or alpha <= 0:
         raise PointOutsideDomain("calibration grid produced no usable lower bounds")
     return FiniteTypeCalibration(alpha0=float(alpha), ell=float(ell))

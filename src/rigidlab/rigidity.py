@@ -254,12 +254,6 @@ class SuiteSummary:
     entries: list[SuiteEntry] = field(default_factory=list)
     passed: bool = True
 
-    def verdict_of(self, pipeline: str, map_name: str) -> str:
-        for e in self.entries:
-            if e.pipeline == pipeline and e.map_name == map_name:
-                return e.verdict
-        raise KeyError((pipeline, map_name))
-
 
 def near_identity_automorphism(d: int = 2) -> HoloMap:
     """Composition of two ball involutions at nearby base points: a genuine

@@ -20,14 +20,7 @@ import numpy as np
 from .domain import (BallDomain, DiskDomain, Domain, as_point, boundary_data, disk, finite_point, radial_exit,
                      sample_ball)
 from .errors import CoincidentAnchors, ConfigInvalid, NotSelfMap
-from .kobayashi import (
-    DISK_CALIBRATION,
-    disk_distance,
-    dist_bounds,
-    has_model_formulas,
-    kob_ball_inclusion,
-    model_dist,
-)
+from .kobayashi import DISK_CALIBRATION, disk_distance, dist_uppers, kob_ball_inclusion
 from .report import PipelineReport
 from .cgeo import disk_automorphism, ball_involution
 
@@ -337,20 +330,12 @@ def fit_decay_exponent(radii, values, window: int = 5) -> float:
     return float(np.polyfit(np.log(r[mask]), np.log(v[mask]), 1)[0])
 
 
-def _kob_uppers(dom: Domain, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Upper bounds on ``K(z, w)`` for the rows of two stacks: one stacked
-    closed form on the disk, ball and polydisk, else ``dist_bounds`` per pair."""
-    if has_model_formulas(dom):
-        return model_dist(dom, zs, ws)
-    return np.array([dist_bounds(dom, z, w).upper for z, w in zip(zs, ws)])
-
-
 def displacement_sup(f: HoloMap, dom: Domain, ws: np.ndarray) -> float:
     """Max of ``K(w, f(w))`` (its upper bound off the disk, ball and
     polydisk) over the rows of the stack ``ws``; ``inf`` when ``f`` leaves
     the domain at one of them."""
     fws = f.many(ws)
-    return float(np.max(_kob_uppers(dom, ws, fws))) if dom.contains_all(fws) else math.inf
+    return float(np.max(dist_uppers(dom, ws, fws))) if dom.contains_all(fws) else math.inf
 
 
 def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None) -> PipelineReport:
@@ -383,7 +368,7 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None) -> Pip
                "eps_n", "disp_sup", "e4K", "e4K_bound", "composite", "in_regime"]
     rep = PipelineReport(name=f"convex[{dom.kind},{f.name}]", columns=columns)
     p_ns = bd.point + schedule[:, None] * bd.inward_normal
-    k_uppers = _kob_uppers(dom, np.tile(z0, (len(schedule), 1)), p_ns)
+    k_uppers = dist_uppers(dom, np.tile(z0, (len(schedule), 1)), p_ns)
     residuals = [k - 0.5 * math.log(1.0 / r) for k, r in zip(k_uppers, schedule)]
     if isinstance(dom, (DiskDomain, BallDomain)) and not np.any(z0):
         c0 = 0.5 * math.log(2.0)

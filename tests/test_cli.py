@@ -402,6 +402,15 @@ class TestMain:
         assert rc == 2
         assert "error [ApexNotOnBoundary]" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_apex_exits_2(self, tmp_path, capsys):
+        # r and grad r overflow to inf at this point: a typed error, not a NaN normal
+        rc = cli.main(["--out-dir", str(tmp_path / "out"), "rigidity", "--pipeline", "convex",
+                       "--domain", '{"kind":"ellipsoid","exponents":[1,2]}', "--xi", "[0, 1e110]"])
+        assert rc == 2
+        assert "error [ApexNotOnBoundary]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_polydisk_corner_exits_2(self, tmp_path, capsys):
         # the boundary is not C^2 where two coordinates have the largest modulus
         rc = cli.main(["--out-dir", str(tmp_path / "out"), "rigidity", "--pipeline", "convex",
@@ -409,6 +418,14 @@ class TestMain:
         assert rc == 2
         assert "error [DegenerateGradient]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_disk_quick_check_runs_the_generic_estimator(self, monkeypatch):
+        first = ("disk distance intervals contain the closed form", True)
+        assert cli._quick_checks(42)[0] == first
+        # with the closed form returned as the interval, the check could not fail
+        from rigidlab import kobayashi
+        monkeypatch.setattr(kobayashi, "_route_upper", lambda dom, z, w: 0.0)
+        assert cli._quick_checks(42)[0] == (first[0], False)
 
     def test_no_subcommand_is_a_config_error(self, capsys):
         assert cli.main([]) == 2

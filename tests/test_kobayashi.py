@@ -235,7 +235,8 @@ def test_stacked_planes_equal_boundary_normal_row_by_row(dom):
     tie[:2] = [1.0, 1j]                 # a polydisk corner: two coordinates of modulus 1
     nonfinite = np.full(d, np.nan + 0j)
     anchors = np.vstack([hi[:, None] * u, [tie, 0.5 * hi[0] * u[0], nonfinite]])
-    planes = kb._tangent_halfplanes(dom, anchors)
+    normals, passed, _ = dm.boundary_normals(dom, anchors, 1e-6)
+    planes = kb.HalfplaneFamily(anchors=anchors[passed], inward=-normals[passed])
     expected = []
     for xi in anchors:
         try:
@@ -245,9 +246,46 @@ def test_stacked_planes_equal_boundary_normal_row_by_row(dom):
     # dropped: the tie (a corner of the polydisk, off the boundary elsewhere), the inner point, the NaN row
     assert len(expected) == 12
     assert len(planes) == len(expected)
-    for hp, (xi, normal) in zip(planes, expected):
-        assert np.array_equal(hp.anchor, xi)
-        assert np.max(np.abs(hp.inward + normal)) <= 1e-15
+    assert np.all(np.isnan(normals[~passed]))
+    for anchor, inward, (xi, normal) in zip(planes.anchors, planes.inward, expected):
+        assert np.array_equal(anchor, xi)
+        assert np.max(np.abs(inward + normal)) <= 1e-15
+
+
+def _plane_by_plane(planes, z, v, w):
+    """The family's two bounds as one loop over its planes, each plane's
+    half-plane metric and distance written out with ``herm``."""
+    metric, dist = 0.0, 0.0
+    for anchor, inward in zip(planes.anchors, planes.inward):
+        a, b = dm.herm(z - anchor, inward), dm.herm(w - anchor, inward)
+        if a.real > 0:
+            metric = max(metric, abs(dm.herm(v, inward)) / (2.0 * a.real))
+        if a.real > 0 and b.real > 0:
+            dist = max(dist, math.atanh(min(abs(a - b) / abs(a + np.conj(b)), 1.0 - 1e-16)))
+    return metric, dist
+
+
+@pytest.mark.parametrize("dom", [POLY2, ELL12, MODPOLY, dm.ellipsoid((1, 2, 3))],
+                         ids=["polydisk", "ellipsoid12", "modulus-polynomial", "ellipsoid123"])
+def test_family_bounds_equal_a_plane_by_plane_loop(dom):
+    rng = np.random.default_rng(8)
+    d = dom.dimension
+    for _ in range(10):
+        z, w = (0.8 * p / max(1.0, np.linalg.norm(p)) for p in rng.standard_normal((2, d)) + 0j)
+        z, w = z * np.exp(1j * rng.uniform(0, 6, d)), w * np.exp(1j * rng.uniform(0, 6, d))
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        planes = kb.supporting_halfplanes(dom, z, extra_points=(w, -w))
+        metric, dist = _plane_by_plane(planes, z, v, w)
+        assert metric > 0 and dist > 0
+        assert planes.metric_lower(z, v) == pytest.approx(metric, rel=1e-15, abs=0)
+        assert planes.dist_lower(z, w) == pytest.approx(dist, rel=1e-15, abs=0)
+        # planes that put z or w outside their half-plane contribute 0
+        far = kb.HalfplaneFamily(anchors=np.vstack([planes.anchors, z + planes.inward[:1]]),
+                                 inward=np.vstack([planes.inward, planes.inward[:1]]))
+        assert far.metric_lower(z, v) == planes.metric_lower(z, v)
+        assert far.dist_lower(z, w) == planes.dist_lower(z, w)
+    empty = kb.HalfplaneFamily(anchors=np.zeros((0, d), complex), inward=np.zeros((0, d), complex))
+    assert len(empty) == 0 and empty.metric_lower(z, v) == 0.0 and empty.dist_lower(z, w) == 0.0
 
 
 class TestBadDirections:
@@ -404,11 +442,11 @@ def test_halfplanes_support_the_ellipsoid(cz, rz, extra, rx):
     z = _point_from(cz, rz, BALL2)
     extra = [_point_from(c, rx, BALL2) for c in extra]
     planes = kb.supporting_halfplanes(ELL12, z, extra_points=extra)
-    assert planes
-    for hp in planes:
-        dm.boundary_normal(ELL12, hp.anchor, tol=1e-6)   # the on-boundary check
-        values = [hp.functional(p).real for p in _INTERIOR]
-        assert min(values) > 0
+    assert len(planes)
+    for anchor in planes.anchors:
+        dm.boundary_normal(ELL12, anchor, tol=1e-6)   # the on-boundary check
+    values = np.array([planes.functional(p).real for p in _INTERIOR])
+    assert values.min() > 0
 
 
 @pytest.mark.parametrize("z", [0.0, 0.3 + 0.2j, 0.9 - 0.3j], ids=["origin", "inner", "near-boundary"])
