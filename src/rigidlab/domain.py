@@ -30,7 +30,6 @@ from scipy.optimize import minimize
 
 from .errors import (
     ApexNotOnBoundary,
-    BoundaryDataUnavailable,
     ConfigInvalid,
     DegenerateGradient,
     NoConvergence,
@@ -140,7 +139,6 @@ class ConeCertificate:
     ok: bool
     margin: float
     delta_bound_ok: bool
-    samples: int
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +676,9 @@ def boundary_normals(dom: Domain, xis: np.ndarray, tol: float = BOUNDARY_TOL):
     and ``|r| <= tol max(1, |grad r|)`` (a polydisk tie has no gradient and
     counts as 1 there); it passes when ``|grad r|`` is also finite and at
     least ``GRADIENT_TOL``.  Rows that do not pass get a NaN normal."""
-    values = dom.defining_many(xis)
-    grads = dom.grad_c_many(xis)
+    with np.errstate(over="ignore"):    # a far point overflows to inf, which fails below
+        values = dom.defining_many(xis)
+        grads = dom.grad_c_many(xis)
     # |grad r| as np.linalg.norm takes it one row at a time (a dot product of
     # the real parts plus one of the imaginary parts), bit for bit
     re, im = grads.real[:, None, :], grads.imag[:, None, :]
@@ -698,7 +697,8 @@ def boundary_normal(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> np.ndarray:
     xi = as_point(xi, dom.dimension)
     normals, passed, on_boundary = boundary_normals(dom, xi[None, :], tol)
     if not on_boundary[0]:
-        raise ApexNotOnBoundary(f"defining function is {dom.defining(xi):.3e} at {xi}")
+        with np.errstate(over="ignore"):
+            raise ApexNotOnBoundary(f"defining function is {dom.defining(xi):.3e} at {xi}")
     if not passed[0]:
         raise DegenerateGradient(f"no unit normal at {xi}: the gradient is missing (a polydisk tie) or vanishes")
     return normals[0]
@@ -712,72 +712,41 @@ def boundary_data(dom: Domain, xi, tol: float = BOUNDARY_TOL) -> BoundaryData:
                         tangent_hyperplane=Hyperplane(anchor=xi.copy(), normal=normal_out))
 
 
-def _orthonormal_complement(v: np.ndarray) -> np.ndarray:
-    """Columns form an orthonormal basis of the orthogonal complement of v."""
-    n = len(v)
-    mat = np.eye(n) - np.outer(v, v)
-    q, _ = np.linalg.qr(mat)
-    # drop the column (nearly) parallel to v
-    keep = [j for j in range(n) if abs(q[:, j] @ v) < 0.9]
-    cols = q[:, keep][:, : n - 1]
-    if cols.shape[1] != n - 1:
-        raise BoundaryDataUnavailable("failed to build tangent basis")
-    return cols
+def cone_certificate(dom: Domain, cone: Cone) -> ConeCertificate:
+    """Closed-form interior-cone certificate on the disk and the ball; any
+    other kind raises ``ConfigInvalid``.
 
+    The apex must pass the on-boundary test of ``boundary_normals`` (at the
+    tolerance 1e-9), else ``ApexNotOnBoundary``.  The domain is convex and the
+    apex lies in its closure, so the open segment from the apex to an interior
+    point is interior: the open truncated cone is inside once its far cap
+    ``{apex + length u : angle(u, v) <= aperture}`` is.  On the unit ball the
+    cap's largest ``|p|^2`` is ``|a|^2 + L^2 + 2 L |a| cos(max(phi - theta, 0))``,
+    with ``phi`` the angle from ``v`` to the apex ``a``; ``margin`` is one minus
+    it, and ``ok`` means ``margin > 0``.
 
-def cone_certificate(dom: Domain, cone: Cone, grid: int = 24) -> ConeCertificate:
-    """Sample the truncated cone and certify containment in the domain.
-
-    For convex domains the consequence ``delta(apex + t v) >= sin(theta) t``
-    is checked along the axis as well.
+    The consequence ``delta(apex + t v) >= sin(theta) t`` of convexity is
+    checked along the axis as well: ``delta = 1 - |p|`` is concave, so the left
+    side minus the right is concave in ``t`` and 0 at the apex, and
+    ``t = length`` suffices.
     """
+    if dom.kind not in ("disk", "ball"):
+        raise ConfigInvalid(f"the cone certificate is closed-form on the disk and the ball, not the {dom.kind}")
     apex = as_point(cone.apex, dom.dimension)
-    if abs(dom.defining(apex)) > 1e-9:
-        raise ApexNotOnBoundary("cone apex must lie on the boundary")
-    v = as_point(cone.direction, dom.dimension)
-    v = v / np.linalg.norm(c2r(v))
-    rng = np.random.default_rng(0)
-
-    v_real = c2r(v)
-    comp = _orthonormal_complement(v_real)
-    n_orth = comp.shape[1]
-
-    radii = cone.length * (np.arange(1, grid + 1)) / (grid + 1)
-    # uniform angles plus a geometric approach to the (open) aperture,
-    # which catches violations in the sliver along the cone's side
-    angles = np.concatenate([
-        cone.aperture * np.arange(grid) / grid,
-        cone.aperture * (1.0 - 2.0 ** (-np.arange(2, 9, dtype=float))),
-    ])
-    points = []
-    for t in radii:
-        for alpha in angles:
-            if alpha == 0.0:
-                dirs = [v_real]
-            else:
-                # frame directions plus seeded random combinations
-                ws = [comp[:, k] for k in range(min(n_orth, 4))]
-                extra = rng.standard_normal((2, n_orth)) @ comp.T
-                ws += [w / np.linalg.norm(w) for w in extra]
-                dirs = [math.cos(alpha) * v_real + math.sin(alpha) * w for w in ws]
-            points += [apex + r2c(t * u) for u in dirs]
-    values = dom.defining_many(np.reshape(points, (-1, dom.dimension)))
-    worst = float(np.min(-values, initial=math.inf))
-    count = len(values)
-    ok = bool(np.all(values < 0))
-
-    delta_ok = True
-    if ok:
-        sin_t = math.sin(cone.aperture)
-        for t in radii:
-            p = apex + t * v
-            if not dom.contains(p):
-                delta_ok = False
-                break
-            if boundary_distance(dom, p) < sin_t * t - 1e-9:
-                delta_ok = False
-                break
-    return ConeCertificate(ok=ok, margin=worst, delta_bound_ok=ok and delta_ok, samples=count)
+    _, _, on_boundary = boundary_normals(dom, apex[None, :], tol=1e-9)
+    if not on_boundary[0]:
+        raise ApexNotOnBoundary(f"cone apex {apex} must lie on the boundary")
+    a, v = c2r(apex), c2r(finite_point(cone.direction, dom.dimension, "cone direction"))
+    if not np.any(v):
+        raise ConfigInvalid("the cone direction must be nonzero")
+    v = v / np.linalg.norm(v)
+    a_norm, L = float(np.linalg.norm(a)), cone.length
+    phi = math.acos(min(1.0, max(-1.0, float(a @ v) / a_norm)))
+    far = a_norm**2 + L**2 + 2.0 * L * a_norm * math.cos(max(phi - cone.aperture, 0.0))
+    margin = 1.0 - far
+    ok = margin > 0
+    delta_ok = ok and 1.0 - float(np.linalg.norm(a + L * v)) >= math.sin(cone.aperture) * L - 1e-9
+    return ConeCertificate(ok=ok, margin=margin, delta_bound_ok=delta_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,6 @@ class ZeroVector(RigidLabError):
     pass
 
 
-class ChartIncomplete(RigidLabError):
-    pass
-
-
 class PositiveCurvatureUnsupported(RigidLabError):
     pass
 
@@ -106,10 +102,6 @@ class PropertyBGFail(RigidLabError):
 
 
 class ConeUncertified(RigidLabError):
-    pass
-
-
-class BoundaryDataUnavailable(RigidLabError):
     pass
 
 

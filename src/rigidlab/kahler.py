@@ -3,8 +3,8 @@ upper bound against 1/delta), squeezing lower bounds, model-space ball
 volumes, the volume-ratio injectivity bound, and the rigidity thresholds.
 
 A Kahler field is a chart metric on a domain of C^d (real dimension 2d, in
-interleaved coordinates).  Curvature values of models are always measured
-through the engine, never hard-coded.
+interleaved coordinates) that states whether it is complete there.  Curvature
+values of models are always measured through the engine, never hard-coded.
 """
 
 from __future__ import annotations
@@ -17,23 +17,16 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 
-from .domain import Domain, as_point, boundary_distance, c2r, radial_exit, sample_ball
-from .errors import (
-    ChartIncomplete,
-    ConfigInvalid,
-    PositiveCurvatureUnsupported,
-    RadiusOutOfRange,
-)
+from .domain import Domain, boundary_distance
+from .errors import ConfigInvalid, PositiveCurvatureUnsupported, RadiusOutOfRange
 from .riemann import (
     MetricField,
+    _jacobi_eigenframe,
     bergman_ball,
     christoffel_curvature,
     euclidean,
     poincare_disk,
 )
-
-COMPLETENESS_LENGTH = 8.0    # ray length treated as "diverging" at desk scale
-COMPLETENESS_DEPTH = 1e-7    # how close to the boundary rays are integrated
 
 
 # ---------------------------------------------------------------------------
@@ -42,107 +35,82 @@ COMPLETENESS_DEPTH = 1e-7    # how close to the boundary rays are integrated
 
 @dataclass
 class KahlerField:
+    """A model metric on the unit ball of ``C^complex_dim`` (the disk when
+    it is 1), possibly scaled; ``complete`` states whether the metric is
+    complete on that ball."""
+
     metric: MetricField
     complex_dim: int
     name: str
+    complete: bool
 
 
 def poincare_kahler() -> KahlerField:
-    return KahlerField(metric=poincare_disk(), complex_dim=1, name="poincare")
+    return KahlerField(metric=poincare_disk(), complex_dim=1, name="poincare", complete=True)
 
 
 def flat_kahler(d: int = 1) -> KahlerField:
-    return KahlerField(metric=euclidean(2 * d), complex_dim=d, name="flat")
+    # a straight ray reaches the boundary of the bounded ball in finite length
+    return KahlerField(metric=euclidean(2 * d), complex_dim=d, name="flat", complete=False)
 
 
 def bergman_kahler(d: int = 2) -> KahlerField:
-    return KahlerField(metric=bergman_ball(d), complex_dim=d, name=f"bergman-ball-{d}")
+    return KahlerField(metric=bergman_ball(d), complex_dim=d, name=f"bergman-ball-{d}", complete=True)
 
 
 # ---------------------------------------------------------------------------
-# bounded-geometry estimation
+# bounded-geometry constants
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BGReport:
-    kappa_est: float   # sup |sectional| over sampled 2-planes
+    kappa_est: float   # sup |sectional| over all 2-planes
     A_est: float       # sup sqrt(g(v,v)) * delta(z) / |v|
     a_est: float       # inf sqrt(g(v,v)) / |v|
-    complete: bool     # ray-length divergence surrogate
+    complete: bool     # the model's stated completeness
     passed: bool
 
 
-def property_bg_estimate(k: KahlerField, dom: Domain, n_points: int = 40,
-                         extra_points=()) -> BGReport:
-    """Sampled bounded-geometry constants of an invariant metric.
+def property_bg_estimate(k: KahlerField, dom: Domain) -> BGReport:
+    """Exact bounded-geometry constants of a model on its own unit ball.
 
-    The sample points are the origin, ``extra_points`` and seeded uniform
-    points of the domain in ``B(0, 0.995)``, ``n_points`` in all, each
-    probed along six seeded random directions.
-    PASS means: curvature and upper constant finite, lower constant positive.
-    Completeness is a separate flag (rays toward the boundary accumulate at
-    least ``COMPLETENESS_LENGTH`` of metric length).
+    Every model is ``g = a(s) I + b(s) P`` in ``s = |z|^2`` (see
+    ``riemann.invariant_metric``), a U(d)-invariant metric, and the Poincare
+    disk and the Bergman ball are rank-one symmetric spaces: the isometry group
+    is transitive on the unit tangent vectors (Helgason, ch. IV).  So the
+    spectrum of the Jacobi operator ``Y -> R(Y, v) v`` is the same for every
+    unit ``v`` at every point, and its largest ``|lambda|`` at the origin is
+    the sup of ``|sectional|`` (0 on the flat metric).
+
+    ``A = sup sqrt(lambda_max(g)) delta`` and ``a = inf sqrt(lambda_min(g))``
+    are sups over ``s`` alone, with ``delta = 1 - sqrt(s)`` and eigenvalues
+    ``a(s)`` and ``a(s) + b(s) s``; each extremum sits at the origin:
+
+    * Poincare: ``sqrt(lambda_max) delta = 2 / (1 + sqrt(s))`` falls and
+      ``lambda_min = 4 / (1 - s)^2`` rises;
+    * Bergman, with ``c = 2 (d + 1)``: ``sqrt(c) / (1 + sqrt(s))`` falls and
+      ``lambda_min = c / (1 - s)`` rises (``c / (1 - s)^2`` when ``d = 1``);
+    * flat: ``1 - sqrt(s)`` falls and ``lambda_min = 1``;
+    * a constant scaling of the metric only multiplies these.
+
+    ``complete`` is the model's own statement.  PASS means: curvature and
+    upper constant finite, lower constant positive.  Any pair other than a
+    model on the unit disk or ball of its own dimension raises
+    ``ConfigInvalid``.
     """
-    rng = np.random.default_rng(31)
     d = k.complex_dim
+    if dom.kind not in ("disk", "ball") or dom.dimension != d:
+        raise ConfigInvalid(f"the constants of {k.name} are exact only on the unit ball of C^{d}, "
+                            f"not on the {dom.kind} domain of dimension {dom.dimension}")
     m = k.metric
-
-    pts = [np.zeros(2 * d)] + [c2r(as_point(p, d)) for p in extra_points]
-    pts += [c2r(z) for z in sample_ball(dom, np.zeros(d), 0.995, n_points - len(pts), rng)]
-
-    kappa = 0.0
-    A_est = 0.0
-    a_est = math.inf
-    for x in pts:
-        if not m.chart_contains(x):
-            raise ChartIncomplete(f"sample {x} misses the chart of {m.name}")
-        z = x[0::2] + 1j * x[1::2]
-        delta = boundary_distance(dom, z)
-        cd = christoffel_curvature(m, x)
-        gx = cd.gx
-        for _ in range(6):
-            v = rng.standard_normal(2 * d)
-            gnorm = math.sqrt(float(v @ gx @ v))
-            vnorm = float(np.linalg.norm(v))
-            A_est = max(A_est, gnorm * delta / vnorm)
-            a_est = min(a_est, gnorm / vnorm)
-            w = rng.standard_normal(2 * d)
-            try:
-                kappa = max(kappa, abs(cd.sectional(v, w)))
-            except ValueError:
-                continue
-        for i in range(2 * d):
-            for j in range(i + 1, 2 * d):
-                kappa = max(kappa, abs(cd.sectional(np.eye(2 * d)[i], np.eye(2 * d)[j])))
-
-    complete = _rays_diverge(k, dom, rng)
+    x = np.zeros(2 * d)
+    g0 = m.g(x)
+    lam, _ = _jacobi_eigenframe(christoffel_curvature(m, x), m.unit(x, np.eye(2 * d)[0]))
+    kappa = float(np.max(np.abs(lam)))
+    A_est = math.sqrt(float(np.linalg.eigvalsh(g0)[-1])) * boundary_distance(dom, dom.center())
+    a_est = math.sqrt(m.min_eig(x))
     passed = bool(math.isfinite(kappa) and math.isfinite(A_est) and a_est > 0)
-    return BGReport(kappa_est=kappa, A_est=A_est, a_est=a_est, complete=complete, passed=passed)
-
-
-def _rays_diverge(k: KahlerField, dom: Domain, rng) -> bool:
-    """Metric length of four seeded straight rays from the center to the boundary."""
-    d = k.complex_dim
-    m = k.metric
-    us = rng.standard_normal((4, 2 * d))
-    us /= np.linalg.norm(us, axis=1)[:, None]
-    # where each ray from the origin leaves the domain
-    exits, _ = radial_exit(dom, us[:, 0::2] + 1j * us[:, 1::2])
-    for u, lo in zip(us, exits):
-        t_max = lo * (1.0 - COMPLETENESS_DEPTH)
-        ts = t_max * (1.0 - np.geomspace(1.0, 1e-7, 400))
-        length = 0.0
-        prev = 0.0
-        for t in ts[1:]:
-            xm = 0.5 * (t + prev) * u
-            seg = (t - prev) * math.sqrt(float(u @ m.g(xm) @ u))
-            length += seg
-            prev = t
-            if length >= COMPLETENESS_LENGTH:
-                break
-        if length < COMPLETENESS_LENGTH:
-            return False
-    return True
+    return BGReport(kappa_est=kappa, A_est=A_est, a_est=a_est, complete=k.complete, passed=passed)
 
 
 # ---------------------------------------------------------------------------

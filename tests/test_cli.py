@@ -376,15 +376,26 @@ class TestMain:
         verdicts = json.load(open(tmp_path / "out" / "rigidity_convex_id.json"))
         assert verdicts["verdict"] == "forces-identity"
 
-    def test_kahler_bg_on_a_domain_the_sample_ball_misses_exits_2(self, tmp_path, capsys):
-        # the domain |z| < 1e-1.5 holds about 1 in 1000 points of B(0, 0.995);
-        # the bounded-geometry sampler gives up instead of spinning
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({
-            "subcommand": "kahler", "check": "bg", "metric": "poincare", "out_dir": str(tmp_path / "out"),
-            "domain": {"kind": "implicit", "dimension": 1, "terms": [[1e6, [2]]], "bounding_radius": 0.01}}))
-        assert cli.main(["--config", str(cfg_path)]) == 2
-        assert "SamplingEmpty" in capsys.readouterr().err
+    def test_kahler_bg_on_a_mismatched_pair_exits_2(self, tmp_path, capsys):
+        # the bounded-geometry constants are exact only for a model on the unit
+        # disk or ball of its own dimension
+        for metric, dom in [
+                ("poincare", {"kind": "implicit", "dimension": 1, "terms": [[1e6, [2]]], "bounding_radius": 0.01}),
+                ("bergman-ball", {"kind": "polydisk", "dimension": 2}),
+                ({"name": "bergman-ball", "dimension": 2}, {"kind": "ball", "dimension": 3})]:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({"subcommand": "kahler", "check": "bg", "metric": metric,
+                                            "out_dir": str(tmp_path / "out"), "domain": dom}))
+            assert cli.main(["--config", str(cfg_path)]) == 2
+            assert "error [ConfigInvalid]" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_biholo_on_an_incomplete_metric_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["--out-dir", str(tmp_path / "out"), "rigidity", "--pipeline", "biholo",
+                       "--metric", "flat"])
+        assert rc == 2
+        assert "error [PropertyBGFail]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unbounded_implicit_domain_exits_2(self, tmp_path, capsys):
         # D x C: the metric along the free axis is 0, so no certified interval exists
@@ -402,7 +413,7 @@ class TestMain:
         assert rc == 2
         assert "error [ApexNotOnBoundary]" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_apex_exits_2(self, tmp_path, capsys):
         # r and grad r overflow to inf at this point: a typed error, not a NaN normal
         rc = cli.main(["--out-dir", str(tmp_path / "out"), "rigidity", "--pipeline", "convex",

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidlab import domain as dm
-from rigidlab.errors import (ApexNotOnBoundary, BoundaryDataUnavailable, DegenerateGradient,
-                             PointOutsideDomain)
+from rigidlab.errors import ApexNotOnBoundary, ConfigInvalid, DegenerateGradient, PointOutsideDomain
 
 
 DISK = dm.disk()
@@ -135,16 +134,12 @@ class TestBoundaryData:
         grad = ELL12.grad_c(xi)
         assert np.allclose(normal, grad / np.linalg.norm(grad), rtol=0, atol=1e-15)
 
-    def test_tangent_basis_failure_is_typed(self):
-        with pytest.raises(BoundaryDataUnavailable):
-            dm._orthonormal_complement(np.array([math.nan, 0.0, 0.0, 0.0]))
-
 
 class TestConeCertificate:
     def test_disk_inward_cone(self):
         cone = dm.Cone(apex=np.array([1.0 + 0j]), direction=np.array([-1.0 + 0j]),
                        aperture=math.pi / 4, length=0.5)
-        cert = dm.cone_certificate(DISK, cone, grid=20)
+        cert = dm.cone_certificate(DISK, cone)
         assert cert.ok and cert.margin > 0
         assert cert.delta_bound_ok
 
@@ -153,21 +148,21 @@ class TestConeCertificate:
         # length below ~2 sin(0.01); length 0.1 pokes outside
         apex = np.array([1.0, 0.0], dtype=complex)
         v = np.array([-1.0, 0.0], dtype=complex)
-        ok = dm.cone_certificate(BALL2, dm.Cone(apex, v, math.pi / 2 - 0.01, 0.01), grid=14)
+        ok = dm.cone_certificate(BALL2, dm.Cone(apex, v, math.pi / 2 - 0.01, 0.01))
         assert ok.ok
-        bad = dm.cone_certificate(BALL2, dm.Cone(apex, v, math.pi / 2 - 0.01, 0.1), grid=14)
+        bad = dm.cone_certificate(BALL2, dm.Cone(apex, v, math.pi / 2 - 0.01, 0.1))
         assert not bad.ok
 
     def test_outward_cone_fails(self):
         cone = dm.Cone(apex=np.array([1.0 + 0j]), direction=np.array([1.0 + 0j]),
                        aperture=math.pi / 4, length=0.5)
-        assert not dm.cone_certificate(DISK, cone, grid=10).ok
+        assert not dm.cone_certificate(DISK, cone).ok
 
     def test_aperture_monotonicity(self):
         apex = np.array([1.0 + 0j])
         v = np.array([-1.0 + 0j])
         apertures = [math.pi / 3, math.pi / 4, math.pi / 6, math.pi / 12]
-        results = [dm.cone_certificate(DISK, dm.Cone(apex, v, a, 0.5), grid=12).ok
+        results = [dm.cone_certificate(DISK, dm.Cone(apex, v, a, 0.5)).ok
                    for a in apertures]
         # once true, smaller apertures stay true
         seen_true = False
@@ -181,6 +176,64 @@ class TestConeCertificate:
         with pytest.raises(ApexNotOnBoundary):
             dm.cone_certificate(DISK, dm.Cone(np.array([0.5 + 0j]), np.array([-1.0 + 0j]),
                                               math.pi / 4, 0.2))
+
+    def test_nan_apex_is_not_on_the_boundary(self):
+        with pytest.raises(ApexNotOnBoundary):
+            dm.cone_certificate(BALL2, dm.Cone(np.array([math.nan, 0]), np.array([-1, 0]), math.pi / 4, 0.5))
+
+    @pytest.mark.parametrize("direction", [[0, 0], [math.nan, 0]], ids=["zero", "nan"])
+    def test_bad_direction_is_refused(self, direction):
+        with pytest.raises(ConfigInvalid):
+            dm.cone_certificate(BALL2, dm.Cone(np.array([1, 0]), np.array(direction), math.pi / 4, 0.5))
+
+    def test_suite_cone_margin_is_a_quarter(self):
+        # apex (1, 0), axis -apex, aperture pi/3, length 1/2: the farthest cap
+        # point makes the angle 2 pi / 3 with the apex, |p|^2 = 1 + 1/4 - 1/2
+        for dom in (DISK, BALL2):
+            apex = np.eye(dom.dimension, dtype=complex)[0]
+            cert = dm.cone_certificate(dom, dm.Cone(apex, -apex, math.pi / 3, 0.5))
+            assert cert.ok and cert.delta_bound_ok
+            assert cert.margin == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("dom", [POLY2, ELL12], ids=["polydisk", "ellipsoid"])
+    def test_other_kinds_are_refused(self, dom):
+        cone = dm.Cone(np.array([1.0, 0.0], dtype=complex), np.array([-1.0, 0.0], dtype=complex),
+                       math.pi / 4, 0.1)
+        with pytest.raises(ConfigInvalid):
+            dm.cone_certificate(dom, cone)
+
+    @pytest.mark.parametrize("dom", [DISK, BALL2, dm.ball(3)], ids=["disk", "ball2", "ball3"])
+    def test_dense_samples_lie_inside_a_certified_cone(self, dom):
+        # the reference: dense seeded samples of the open truncated cone, out to
+        # 1 - 2^-8 of its length and of its aperture, lie inside whenever the
+        # certificate holds; and the closed-form cap maximum, 1 - margin, bounds
+        # |p|^2 on seeded samples of the closed far cap
+        rng = np.random.default_rng(17)
+        n = 2 * dom.dimension
+        fractions = np.concatenate([np.linspace(0.0, 1.0, 17)[1:-1], 1.0 - 2.0 ** -np.arange(4, 9)])
+        certified = 0
+        for _ in range(60):
+            apex = rng.standard_normal(n)
+            apex /= np.linalg.norm(apex)
+            v = -apex + 0.8 * rng.standard_normal(n)
+            cone = dm.Cone(dm.r2c(apex), dm.r2c(v), rng.uniform(0.05, math.pi / 2), rng.uniform(0.01, 1.0))
+            cert = dm.cone_certificate(dom, cone)
+            v /= np.linalg.norm(v)
+            w = rng.standard_normal((64, n))
+            w -= np.outer(w @ v, v)
+            w /= np.linalg.norm(w, axis=1)[:, None]
+
+            def directions(alpha):
+                return (np.cos(alpha)[:, None, None] * v + np.sin(alpha)[:, None, None] * w).reshape(-1, n)
+
+            cap = apex + cone.length * directions(cone.aperture * np.linspace(0.0, 1.0, 33))
+            assert np.max(np.sum(cap * cap, axis=1)) <= 1.0 - cert.margin + 1e-12
+            if cert.ok:
+                certified += 1
+                pts = apex + (cone.length * fractions)[:, None, None] * directions(cone.aperture * fractions)
+                pts = pts.reshape(-1, n)
+                assert dom.contains_all(pts[:, 0::2] + 1j * pts[:, 1::2])
+        assert certified >= 10
 
 
 class TestConfig:

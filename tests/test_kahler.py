@@ -6,7 +6,7 @@ import pytest
 from rigidlab import domain as dm
 from rigidlab import kahler as kh
 from rigidlab import riemann as rm
-from rigidlab.errors import PositiveCurvatureUnsupported, RadiusOutOfRange
+from rigidlab.errors import ConfigInvalid, PositiveCurvatureUnsupported, RadiusOutOfRange
 
 
 PO = kh.poincare_kahler()
@@ -68,26 +68,67 @@ class TestJInvariance:
                     assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
 
+def sampled_bg(k, dom, n_points: int = 40):
+    """The reference: sampled bounded-geometry constants ``(kappa, A, a)`` over
+    the origin and seeded points of ``B(0, 0.995)``, each probed along six
+    seeded random directions and every coordinate 2-plane."""
+    rng = np.random.default_rng(31)
+    d = k.complex_dim
+    m = k.metric
+    pts = [np.zeros(2 * d)] + [dm.c2r(z) for z in dm.sample_ball(dom, np.zeros(d), 0.995, n_points - 1, rng)]
+    kappa, A, a = 0.0, 0.0, math.inf
+    for x in pts:
+        delta = dm.boundary_distance(dom, dm.r2c(x))
+        cd = rm.christoffel_curvature(m, x)
+        for _ in range(6):
+            v, w = rng.standard_normal((2, 2 * d))
+            gnorm = math.sqrt(float(v @ cd.gx @ v))
+            A = max(A, gnorm * delta / np.linalg.norm(v))
+            a = min(a, gnorm / np.linalg.norm(v))
+            kappa = max(kappa, abs(cd.sectional(v, w)))
+        eye = np.eye(2 * d)
+        for i in range(2 * d):
+            for j in range(i + 1, 2 * d):
+                kappa = max(kappa, abs(cd.sectional(eye[i], eye[j])))
+    return kappa, A, a
+
+
 class TestPropertyBG:
     def test_poincare_passes(self):
-        rep = kh.property_bg_estimate(PO, dm.disk(), n_points=25)
+        rep = kh.property_bg_estimate(PO, dm.disk())
         assert rep.passed and rep.complete
         # closed forms: sqrt(g(v,v)) delta / |v| = 2 (1 - |z|) / (1 - |z|^2) <= 2
-        assert rep.A_est <= 2.0 + 1e-9
-        assert rep.a_est >= 2.0 - 1e-9
-        assert rep.kappa_est == pytest.approx(1.0, abs=1e-5)
+        assert rep.kappa_est == 1.0
+        assert rep.A_est == rep.a_est == 2.0
 
     def test_flat_upper_bound_but_incomplete(self):
-        rep = kh.property_bg_estimate(FLAT, dm.disk(), n_points=15)
-        assert rep.passed           # the 1/delta upper bound holds trivially
-        assert not rep.complete     # rays reach the boundary in finite length
-        assert rep.A_est <= 1.0 + 1e-9
+        for d in (1, 2):
+            rep = kh.property_bg_estimate(kh.flat_kahler(d), dm.ball(d))
+            assert rep.passed           # the 1/delta upper bound holds trivially
+            assert (rep.kappa_est, rep.A_est, rep.a_est, rep.complete) == (0.0, 1.0, 1.0, False)
 
     def test_bergman_ball_passes(self):
-        rep = kh.property_bg_estimate(BERG, dm.ball(2), n_points=25)
+        rep = kh.property_bg_estimate(BERG, dm.ball(2))
         assert rep.passed and rep.complete
-        assert 0 < rep.a_est < rep.A_est < math.inf
-        assert rep.kappa_est == pytest.approx(2.0 / 3.0, abs=1e-4)
+        assert rep.a_est == rep.A_est == math.sqrt(6.0)
+        assert abs(rep.kappa_est - 2.0 / 3.0) <= 2 * math.ulp(2.0 / 3.0)
+
+    @pytest.mark.parametrize("k", [PO, FLAT, kh.flat_kahler(2), kh.bergman_kahler(1), BERG,
+                                   kh.bergman_kahler(3)], ids=lambda k: f"{k.name}-{k.complex_dim}")
+    def test_samples_stay_within_the_exact_constants(self, k):
+        # a relative 1e-9 absorbs the rounding of the sampled values
+        rep = kh.property_bg_estimate(k, dm.ball(k.complex_dim))
+        kappa, A, a = sampled_bg(k, dm.ball(k.complex_dim))
+        assert kappa <= rep.kappa_est * (1 + 1e-9)
+        assert A <= rep.A_est * (1 + 1e-9)
+        assert a >= rep.a_est * (1 - 1e-9)
+
+    @pytest.mark.parametrize("k, dom", [(BERG, dm.polydisk(2)), (BERG, dm.ball(3)), (PO, dm.ball(2)),
+                                        (BERG, dm.ellipsoid((1, 2)))],
+                             ids=["polydisk", "ball3", "poincare-ball2", "ellipsoid"])
+    def test_other_pairs_are_refused(self, k, dom):
+        with pytest.raises(ConfigInvalid):
+            kh.property_bg_estimate(k, dom)
 
 
 class TestSqueezing:

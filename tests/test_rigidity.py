@@ -9,8 +9,9 @@ from rigidlab import domain as dm
 from rigidlab import rigidity as rg
 from rigidlab import schwarz as sw
 from rigidlab.domain import Cone
-from rigidlab.errors import ApexNotOnBoundary, ConeUncertified, ConfigInvalid, NotIsometry, SuiteSoundnessViolation
-from rigidlab.kahler import bergman_kahler, poincare_kahler
+from rigidlab.errors import (ApexNotOnBoundary, ConeUncertified, ConfigInvalid, NotIsometry, PropertyBGFail,
+                             SuiteSoundnessViolation)
+from rigidlab.kahler import bergman_kahler, flat_kahler, poincare_kahler
 from rigidlab.report import FORCES_IDENTITY, INCONCLUSIVE, PipelineReport
 
 DISK = dm.disk()
@@ -109,7 +110,7 @@ class TestBiholoPipeline:
         from rigidlab.kahler import KahlerField
         from rigidlab.riemann import scale_metric
         scaled = KahlerField(metric=scale_metric(poincare_kahler().metric, 3.7),
-                             complex_dim=1, name="poincare-scaled")
+                             complex_dim=1, name="poincare-scaled", complete=True)
         rep1 = rg.biholo_pipeline(DISK, sw.rotation(1e-3), poincare_kahler(),
                                   xi0=[1.0], cone=CONE_D, schedule=SHORT, z0=[0.3])
         rep2 = rg.biholo_pipeline(DISK, sw.rotation(1e-3), scaled,
@@ -121,6 +122,12 @@ class TestBiholoPipeline:
     def test_non_isometry_rejected(self):
         with pytest.raises(NotIsometry):
             rg.biholo_pipeline(DISK, sw.power_map(2), poincare_kahler(),
+                               xi0=[1.0], cone=CONE_D, schedule=SHORT)
+
+    def test_incomplete_metric_rejected(self):
+        # the flat metric has bounded geometry on the disk but is not complete there
+        with pytest.raises(PropertyBGFail):
+            rg.biholo_pipeline(DISK, sw.identity_map(1), flat_kahler(1),
                                xi0=[1.0], cone=CONE_D, schedule=SHORT)
 
     def test_bad_cone_rejected(self):
