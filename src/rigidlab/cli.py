@@ -421,7 +421,7 @@ def _run_riemann(cfg: RunConfig) -> int:
         kappa = _param(opts, "kappa", float, abs(m.kappa_model) if m.kappa_model else 1.0)
         rows_s = riemann.spread_check(m, riemann.TangentPoint.of(x0, u1),
                                       riemann.TangentPoint.of(x0, u2), kappa,
-                                      horizon, grid=_param(opts, "grid", int, 6), step=step)
+                                      horizon, grid=_param(opts, "grid", int, 6))
         rows = [{"input": repr(r.t), "lower": r.lhs, "upper": r.rhs, "exact": r.ok} for r in rows_s]
         write_csv(_out(cfg) / "riemann_spread.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
         ok = all(r.ok for r in rows_s)

@@ -9,14 +9,14 @@ geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map
 whose Newton iteration uses the exact variational system (the geodesic, the
 transport and the variational system run on the one fixed-step RK4 integrator
 :func:`_rk4`; the Jacobi fields are closed-form, from one eigendecomposition
-of the Jacobi operator, on the symmetric metrics that have ``closed_ray`` and
-``closed_transport``), and the three estimates the rigidity pipelines
-consume: two-sided bounds on the Sasaki distance of the (unit) tangent bundle
-(whose parallel transport is the model's exact ``closed_transport`` when it
-has one: all four models are symmetric spaces, so transport along a geodesic
-is the differential of a transvection), geodesic spread, and the backward
-initial-condition estimate (which samples the model's ``closed_ray`` when it
-has one and integrates otherwise).
+of the Jacobi operator carried by ``closed_transport``), and the three
+estimates the rigidity pipelines consume: two-sided bounds on the Sasaki
+distance of the (unit) tangent bundle (from the exact ``closed_dist`` and
+``closed_transport``: every metric is a symmetric space, so transport along a
+geodesic is the differential of a transvection), geodesic spread, and the
+backward initial-condition estimate (both sample ``closed_ray``).  The RK4
+geodesic and transport flows and the shooting ``exp_log`` are the independent
+engines the closed forms are checked against.
 
 Shape contract: the ``g``, ``ginv`` and ``dg`` oracles and
 :func:`christoffel` take one point ``(n,)`` or a stack of points ``(N, n)``
@@ -75,7 +75,10 @@ SHOOTING_MAX_NEWTON = 60
 
 @dataclass
 class MetricField:
-    """Smooth Riemannian metric on a chart with derivative oracles."""
+    """Smooth Riemannian metric on a chart with derivative oracles and the
+    closed forms of a symmetric space: distance, geodesics, rays and transport
+    (Helgason, ch. IV).  Every model sets them; a metric without all four
+    raises ``ConfigInvalid`` at construction."""
 
     name: str
     dim: int
@@ -85,17 +88,22 @@ class MetricField:
     d2g: Callable[[np.ndarray], np.ndarray]     # d2g[k, l, i, j] = d_k d_l g_ij, one point
     min_eig: Callable[[np.ndarray], float]      # smallest eigenvalue of g, one point
     chart_contains: Callable[[np.ndarray], bool]
-    kappa_model: float | None = None            # known constant sectional curvature
-    inj_model: float | None = None              # known injectivity radius (None = unknown)
-    closed_dist: Callable | None = None
-    closed_geodesic: Callable | None = None     # (x, y) -> (T, v0, sampler); sampler(t) is
+    inj_model: float                            # injectivity radius
+    closed_dist: Callable
+    closed_geodesic: Callable                   # (x, y) -> (T, v0, sampler); sampler(t) is
                                                 # (n,), sampler(ts) of shape (N,) is (N, n)
-    closed_ray: Callable | None = None          # (x, unit v) -> sampler t -> gamma(t), shaped
+    closed_ray: Callable                        # (x, unit v) -> sampler t -> gamma(t), shaped
                                                 # as closed_geodesic's sampler
-    closed_transport: Callable | None = None    # (x, y, X) -> X parallel along the geodesic x -> y:
+    closed_transport: Callable                  # (x, y, X) -> X parallel along the geodesic x -> y:
                                                 # the differential of a transvection, so the
                                                 # metric is symmetric (nab R = 0), which
                                                 # jacobi_flow relies on
+    kappa_model: float | None = None            # known constant sectional curvature
+
+    def __post_init__(self):
+        for field in ("closed_dist", "closed_geodesic", "closed_ray", "closed_transport"):
+            if not callable(getattr(self, field)):
+                raise ConfigInvalid(f"{self.name}: a metric needs a callable {field}")
 
     def require_chart(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -497,21 +505,13 @@ def scale_metric(m: MetricField, lam: float) -> MetricField:
         raise ValueError("scale factor must be positive")
     s = math.sqrt(lam)
 
-    closed_dist = None
-    if m.closed_dist is not None:
-        closed_dist = lambda x, y: s * m.closed_dist(x, y)
+    def closed_geodesic(x, y):
+        T, v0, sampler = m.closed_geodesic(x, y)
+        return s * T, v0 / s, lambda t: sampler(t / s)
 
-    closed_geodesic = None
-    if m.closed_geodesic is not None:
-        def closed_geodesic(x, y):
-            T, v0, sampler = m.closed_geodesic(x, y)
-            return s * T, v0 / s, lambda t: sampler(t / s)
-
-    closed_ray = None
-    if m.closed_ray is not None:
-        def closed_ray(x, v):
-            base = m.closed_ray(x, np.asarray(v, float) * s)
-            return lambda t: base(t / s)
+    def closed_ray(x, v):
+        base = m.closed_ray(x, np.asarray(v, float) * s)
+        return lambda t: base(t / s)
 
     return MetricField(
         name=f"{m.name}*{lam:g}", dim=m.dim,
@@ -520,8 +520,9 @@ def scale_metric(m: MetricField, lam: float) -> MetricField:
         min_eig=lambda x: lam * m.min_eig(x),
         chart_contains=m.chart_contains,
         kappa_model=(m.kappa_model / lam if m.kappa_model is not None else None),
-        inj_model=(m.inj_model * s if m.inj_model is not None else None),
-        closed_dist=closed_dist, closed_geodesic=closed_geodesic, closed_ray=closed_ray,
+        inj_model=m.inj_model * s,
+        closed_dist=lambda x, y: s * m.closed_dist(x, y),
+        closed_geodesic=closed_geodesic, closed_ray=closed_ray,
         closed_transport=m.closed_transport,   # a constant factor moves no geodesic or connection
     )
 
@@ -670,11 +671,11 @@ def _geodesic_rhs(m: MetricField, x, v):
 
 
 def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
-                  step: float = DEFAULT_STEP, drift_tol: float = SPEED_DRIFT_TOL) -> GeodesicPath:
+                  step: float = DEFAULT_STEP) -> GeodesicPath:
     """RK4 integration of ``x'' = -Gamma(x)(x', x')``.
 
-    Speed conservation is monitored, never enforced: a drift beyond
-    ``drift_tol`` raises ``StepTooLarge``.
+    Speed conservation is monitored, never enforced: a relative drift beyond
+    ``SPEED_DRIFT_TOL`` raises ``StepTooLarge``.
     """
     step = _positive("step", step)
     horizon = _positive("horizon", horizon)
@@ -688,7 +689,7 @@ def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
     speed0 = m.norm(x, v)
     speeds = np.array([m.norm(xs[i], vs[i]) for i in range(0, n_steps + 1, max(1, n_steps // 32))])
     drift = float(np.max(np.abs(speeds - speed0)) / max(speed0, 1e-300))
-    if drift > drift_tol:
+    if drift > SPEED_DRIFT_TOL:
         raise StepTooLarge(f"{m.name}: relative speed drift {drift:.2e} with step {h:g}")
     return GeodesicPath(metric=m, ts=np.linspace(0.0, horizon, n_steps + 1),
                         xs=xs, vs=vs, step=h, speed_drift=drift)
@@ -731,13 +732,12 @@ def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
                 step: float = DEFAULT_STEP) -> JacobiReport:
     """Solve ``nab^2 J + R(J, gamma') gamma' = 0`` (batched initial data) exactly.
 
-    A metric with ``closed_ray`` and ``closed_transport`` is a symmetric space,
-    so ``nab R = 0`` and the Jacobi operator is parallel along the geodesic.  In
-    its eigenframe ``e_k`` at the start, carried by ``closed_transport``, each
-    coefficient solves ``c'' = -lam_k c``: cos/sin for ``lam_k > 0``, cosh/sinh
-    for ``lam_k < 0``, ``1, t`` for 0.  The fields are sampled at the ``step``
-    grid of ``[0, horizon]``, each position checked against the chart.  A metric
-    without the two closed forms raises ``ConfigInvalid``.
+    Every metric is a symmetric space, so ``nab R = 0`` and the Jacobi operator
+    is parallel along the geodesic.  In its eigenframe ``e_k`` at the start,
+    carried by ``closed_transport``, each coefficient solves ``c'' = -lam_k c``:
+    cos/sin for ``lam_k > 0``, cosh/sinh for ``lam_k < 0``, ``1, t`` for 0.  The
+    fields are sampled at the ``step`` grid of ``[0, horizon]`` along
+    ``closed_ray``, each position checked against the chart.
 
     Reports ``f(t) = sqrt(|J|_g^2 + |nab J|_g^2)``, the norm of the coefficients,
     against the growth bound ``f(0) exp((kappa + 1) t / 2)`` (up to a slack of
@@ -753,8 +753,6 @@ def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
     if not all(np.isfinite(a).all() for a in (v, J0, W0)):
         raise ConfigInvalid("non-finite initial state for the flow")
     cd = christoffel_curvature(m, x)
-    if m.closed_ray is None or m.closed_transport is None:
-        raise ConfigInvalid(f"{m.name}: jacobi_flow needs closed_ray and closed_transport")
     ts = np.linspace(0.0, horizon, max(1, int(round(horizon / step))) + 1)
     lam, frame = _jacobi_eigenframe(cd, v)
     speed = m.norm(x, v)
@@ -874,7 +872,7 @@ def exp_log(m: MetricField, x, y) -> TangentPoint:
 
 
 def geodesic_distance(m: MetricField, x, y, prefer_closed_form: bool = True) -> float:
-    if prefer_closed_form and m.closed_dist is not None:
+    if prefer_closed_form:
         return float(m.closed_dist(np.asarray(x, float), np.asarray(y, float)))
     tp = exp_log(m, x, y)
     return m.norm(tp.x, tp.vec)
@@ -901,12 +899,13 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
 
     Upper bound: base geodesic with parallel transport followed by a fiber
     great-circle (T1M) or straight fiber segment (TM).  Lower bounds: the
-    base-point distance (projection contracts) and the norm gap.  On a metric
-    with ``closed_transport`` the base distance (``closed_dist``) and the
-    transport are exact.  Otherwise ``exp_log`` finds the base geodesic and RK4
-    ``parallel_transport`` runs along it; ``step`` bounds that fallback's step
-    and is read nowhere else.
+    base-point distance (projection contracts) and the norm gap.  The base
+    distance (``closed_dist``) and the transport (``closed_transport``) are
+    exact; a base point outside the chart raises ``LeftChart``.  ``step`` is
+    read by nothing; it stays for the callers that pass it.
     """
+    m.require_chart(X.x)
+    m.require_chart(Y.x)
     nx = m.norm(X.x, X.vec)
     ny = m.norm(Y.x, Y.vec)
     if mode not in ("TM", "T1M"):
@@ -914,17 +913,12 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
     if mode == "T1M" and (abs(nx - 1.0) > 1e-8 or abs(ny - 1.0) > 1e-8):
         raise NotUnit(f"unit tangent mode needs unit vectors (|X|={nx}, |Y|={ny})")
 
-    if np.allclose(X.x, Y.x, atol=1e-14):
+    if np.array_equal(X.x, Y.x):
         base = 0.0
         transported = X.vec.copy()
-    elif m.closed_transport is not None:
+    else:
         base = float(m.closed_dist(X.x, Y.x))
         transported = m.closed_transport(X.x, Y.x, X.vec)
-    else:
-        tp = exp_log(m, X.x, Y.x)
-        base = m.norm(tp.x, tp.vec)
-        path = geodesic_flow(m, tp, 1.0, step=1.0 / max(32, int(base / step)), drift_tol=1.0)
-        transported = parallel_transport(m, path, X.vec)[-1]
 
     if mode == "T1M":
         fiber = tangent_angle(m, Y.x, transported, Y.vec)
@@ -948,25 +942,20 @@ class SpreadRow:
     ok: bool
 
 
-def _sampled_geodesics(m: MetricField, inits, horizon: float, grid: int, step: float):
+def _sampled_geodesics(m: MetricField, inits, horizon: float, grid: int):
     """The ``grid + 1`` times ``linspace(0, horizon, grid + 1)`` and each
-    geodesic of ``inits`` at those times: the model's ``closed_ray`` sampled
-    at ``|v|_g t`` when it has one, else an RK4 ``geodesic_flow`` whose step
-    (at most ``step``) divides the grid, so every sample is a stored state.
-    A ``grid`` below 1 samples no time after 0 and raises ``ConfigInvalid``."""
+    geodesic of ``inits`` at those times: ``closed_ray`` sampled at
+    ``|v|_g t``.  A ``grid`` below 1 samples no time after 0 and raises
+    ``ConfigInvalid``."""
     if not grid >= 1:
         raise ConfigInvalid(f"grid must be an integer >= 1, got {grid}")
     ts = np.linspace(0.0, horizon, grid + 1)
-    if m.closed_ray is not None:
-        return ts, [m.closed_ray(p.x, p.vec)(m.norm(p.x, p.vec) * ts) for p in inits]
-    per_sample = math.ceil(horizon / (grid * step))
-    return ts, [geodesic_flow(m, p, horizon, step=horizon / (grid * per_sample)).xs[::per_sample]
-                for p in inits]
+    return ts, [m.closed_ray(p.x, p.vec)(m.norm(p.x, p.vec) * ts) for p in inits]
 
 
 def spread_check(m: MetricField, init1: TangentPoint, init2: TangentPoint,
                  kappa: float, horizon: float, grid: int = 6,
-                 step: float = DEFAULT_STEP, use_closed_form: bool = False) -> list[SpreadRow]:
+                 use_closed_form: bool = False) -> list[SpreadRow]:
     """Check ``d(gamma1(t), gamma2(t)) <= exp((kappa+1)t/2) d_T1(g1'(0), g2'(0))``.
 
     ``kappa`` must dominate the measured |sectional| bound along both paths.
@@ -975,7 +964,7 @@ def spread_check(m: MetricField, init1: TangentPoint, init2: TangentPoint,
     shooting distance unless ``use_closed_form``.  A row passes with a slack of 1e-8.
     """
     horizon = _positive("horizon", horizon)
-    ts, (xs1, xs2) = _sampled_geodesics(m, (init1, init2), horizon, grid, _positive("step", step))
+    ts, (xs1, xs2) = _sampled_geodesics(m, (init1, init2), horizon, grid)
     d0 = tangent_distances(m, init1, init2, mode="T1M").interval.upper
     rows = []
     for t, x1, x2 in zip(ts, xs1, xs2):
@@ -988,35 +977,28 @@ def spread_check(m: MetricField, init1: TangentPoint, init2: TangentPoint,
 def convexity_radius_floor(m: MetricField, kappa: float) -> float:
     """Lower bound ``min(pi / (2 sqrt(kappa)), inj/2)`` for the convexity radius."""
     roots = math.pi / (2.0 * math.sqrt(kappa)) if kappa > 0 else math.inf
-    inj = m.inj_model if m.inj_model is not None else math.inf
-    return min(roots, inj / 2.0)
+    return min(roots, m.inj_model / 2.0)
 
 
 def backward_estimate(m: MetricField, gamma_init: TangentPoint, sigma_init: TangentPoint,
-                      eps: float, kappa: float | None = None, grid: int = 8,
-                      step: float = DEFAULT_STEP) -> float:
+                      eps: float, kappa: float | None = None, grid: int = 8) -> float:
     """Empirical ratio ``d_T1(gamma'(0), sigma'(0)) * eps / max_t d(gamma(t), sigma(t))``.
 
     The max runs over ``grid + 1`` equally spaced times in ``[0, eps]``.  Each
-    curve is the model's ``closed_ray`` sampled at ``|v|_g t`` when it has
-    one, else an RK4 ``geodesic_flow`` whose step (at most ``min(step,
-    eps / 16)``) divides the grid, so every sample is a stored state; ``d``
-    is the model's ``closed_dist`` when it has one.  The max over samples of
-    this ratio estimates the constant in the backward initial-condition
-    inequality.  Coincident geodesics report 0.
+    curve is ``closed_ray`` sampled at ``|v|_g t``, and ``d`` is
+    ``closed_dist``.  The max over samples of this ratio estimates the
+    constant in the backward initial-condition inequality.  Coincident
+    geodesics report 0.
     """
     eps = _positive("eps", eps)
-    step = _positive("step", step)
     kap = kappa if kappa is not None else (abs(m.kappa_model) if m.kappa_model else 1.0)
     r_floor = convexity_radius_floor(m, kap)
     if eps >= min(r_floor / 2.0, 1.0):
         raise EpsilonTooLarge(f"eps={eps} vs floor {min(r_floor / 2.0, 1.0)}")
-    inits = (gamma_init, sigma_init)
-    for init in inits:
-        m.require_chart(init.x)
-    # the T1M distance also checks that both vectors are unit before any sampling
+    # the T1M distance checks both base points and that both vectors are unit
+    # before any sampling
     d0 = tangent_distances(m, gamma_init, sigma_init, mode="T1M").interval.upper
-    _, (xs1, xs2) = _sampled_geodesics(m, inits, eps, grid, min(step, eps / 16))
+    _, (xs1, xs2) = _sampled_geodesics(m, (gamma_init, sigma_init), eps, grid)
     dmax = 0.0
     for x1, x2 in zip(xs1, xs2):
         dmax = max(dmax, geodesic_distance(m, x1, x2))

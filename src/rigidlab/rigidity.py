@@ -154,8 +154,7 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
         tau_n = _euclidean_exit_time(sampler, pnr, sin_t * r_n / 4.0, T_geo)
         tau_bound = sin_t * a_eff / (4.0 * (1.0 + EPS_PRIME)) * r_n
 
-        ts = np.linspace(0.0, tau_n, 9)
-        disp = max(metric.closed_dist(sampler(t), action(sampler(t))) for t in ts)
+        disp = max(metric.closed_dist(q, action(q)) for q in sampler(np.linspace(0.0, tau_n, 9)))
 
         init = _initial_condition_distance(metric, action, pnr, z0r, v0)
 
@@ -226,7 +225,7 @@ def _initial_condition_distance(metric: MetricField, action, pnr, z0r, v0) -> fl
     ``v0`` of the geodesic ``p_n -> z0`` and its image under the isometry."""
     X = TangentPoint(np.asarray(pnr, float), metric.unit(pnr, v0))
     Y = _image_tangent(metric, action, pnr, z0r)
-    if np.allclose(X.x, Y.x, atol=1e-15) and np.allclose(X.vec, Y.vec, atol=1e-12):
+    if np.array_equal(X.x, Y.x) and np.array_equal(X.vec, Y.vec):
         return 0.0
     return tangent_distances(metric, X, Y, mode="T1M").interval.upper
 

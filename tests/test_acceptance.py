@@ -235,7 +235,7 @@ def test_criterion_7_geodesic_spread():
     for m in models():
         for X, Y in _unit_pair_samples(m, rng, 3):
             rows = rm.spread_check(m, X, Y, kappas[m.name], horizon=2.0, grid=4,
-                                   step=5e-3, use_closed_form=False)
+                                   use_closed_form=False)
             assert all(r.ok for r in rows)
             ray1 = m.closed_ray(X.x, X.vec)
             ray2 = m.closed_ray(Y.x, Y.vec)

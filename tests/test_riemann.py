@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rigidlab import riemann as rm
 from rigidlab.errors import (ConfigInvalid, EpsilonTooLarge, LeftChart, NotUnit,
                              ShootingDiverged, SingularMetric, StepTooLarge)
+from rigidlab.intervals import DistInterval
 
 EU = rm.euclidean(2)
 PO = rm.poincare_disk()
@@ -199,11 +200,12 @@ class TestJacobi:
         assert np.allclose(rep.W, np.broadcast_to(W0, rep.W.shape), rtol=0, atol=1e-14)
         assert rep.kappa_measured == 0.0 and rep.growth_ok
 
-    @pytest.mark.parametrize("missing", ["closed_ray", "closed_transport"])
+    @pytest.mark.parametrize("missing", ["closed_dist", "closed_geodesic", "closed_ray", "closed_transport"])
     def test_metric_without_closed_forms_is_refused(self, missing):
-        with pytest.raises(ConfigInvalid, match="closed_ray and closed_transport"):
-            rm.jacobi_flow(dataclasses.replace(PO, **{missing: None}),
-                           rm.TangentPoint.of([0.1, 0.0], [0.3, 0.2]), 0.5, [[1, 0]], [[0, 1]], step=0.1)
+        # the exact fields rest on closed_ray and closed_transport; a metric
+        # without any of the four closed forms is refused when it is built
+        with pytest.raises(ConfigInvalid, match=missing):
+            dataclasses.replace(PO, **{missing: None})
 
     def test_flat_linear_growth(self):
         rep = rm.jacobi_flow(EU, rm.TangentPoint.of([0, 0], [1, 0]), 4.0,
@@ -299,6 +301,21 @@ class TestTangentDistances:
             rm.tangent_distances(EU, rm.TangentPoint.of([0, 0], [2, 0]),
                                  rm.TangentPoint.of([0, 0], [1, 0]), "T1M")
 
+    def test_nearby_bases_are_not_coincident(self):
+        # 2e-6 apart is within np.allclose's default rtol of 1e-5, but the
+        # bases are 5.33e-6 apart in the metric: only equal bases give 0
+        x, y = np.array([0.5, 0.0]), np.array([0.5 + 2e-6, 0.0])
+        res = rm.tangent_distances(PO, unit_at(PO, x, [1, 0]), unit_at(PO, y, [1, 0]), "T1M")
+        assert res.base_distance == PO.closed_dist(x, y) > 5e-6
+        assert res.base_distance <= res.interval.lower <= res.interval.upper
+
+    @pytest.mark.parametrize("outside_first", [True, False])
+    def test_base_point_outside_the_chart_raises(self, outside_first):
+        X = rm.TangentPoint.of([1.2, 0, 0, 0], [0, 1, 0, 0])
+        Y = rm.TangentPoint.of([0.1, 0, 0, 0], [0, 1, 0, 0])
+        with pytest.raises(LeftChart):
+            rm.tangent_distances(BE, *((X, Y) if outside_first else (Y, X)), "TM")
+
 
 class TestSpread:
     def test_flat_rays(self):
@@ -330,12 +347,12 @@ class TestSpread:
     def test_closed_rays_match_the_integrated_fallback(self, m):
         X = unit_at(m, [0.1] + [0.0] * (m.dim - 1), [1.0] + [0.0] * (m.dim - 1))
         Y = unit_at(m, X.x, [1.0, 0.05] + [0.0] * (m.dim - 2))
-        fallback = dataclasses.replace(m, closed_ray=None)
         got = rm.spread_check(m, X, Y, kappa=4.0, horizon=1.0, grid=4)
-        want = rm.spread_check(fallback, X, Y, kappa=4.0, horizon=1.0, grid=4)
-        assert [r.t for r in got] == [r.t for r in want]
-        for a, b in zip(got, want):
-            assert a.lhs == pytest.approx(b.lhs, rel=1e-9, abs=1e-12)
+        ts, (xs1, xs2) = _integrated_samples(m, (X, Y), 1.0, 4, rm.DEFAULT_STEP)
+        assert [r.t for r in got] == list(ts)
+        for a, x1, x2 in zip(got, xs1, xs2):
+            want = rm.geodesic_distance(m, x1, x2, prefer_closed_form=False)
+            assert a.lhs == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_rows_sample_the_exact_grid_times(self):
         # t = 1/3 is read at 1/3, not at the nearest stored state of a flow
@@ -373,15 +390,15 @@ class TestBackward:
             rm.backward_estimate(SP, X, Y, 0.9, kappa=1.0)
 
     @pytest.mark.parametrize("key, value", [("eps", 0.0), ("eps", -1.0), ("eps", math.nan),
-                                            ("eps", math.inf), ("step", 0.0), ("step", -1e-3)])
+                                            ("eps", math.inf)])
     def test_eps_and_step_must_be_positive(self, key, value):
         X = unit_at(PO, [0.1, 0], [1, 0])
         Y = unit_at(PO, [0.1, 0], [1, 1e-3])
-        kwargs = {"eps": 0.1, "step": 1e-3, key: value}
+        kwargs = {"eps": 0.1, key: value}
         with pytest.raises(ConfigInvalid):
             rm.backward_estimate(PO, X, Y, **kwargs)
 
-    @pytest.mark.parametrize("m", [PO, dataclasses.replace(PO, closed_ray=None)], ids=["closed-ray", "integrated"])
+    @pytest.mark.parametrize("m", [PO], ids=["closed-ray"])
     @pytest.mark.parametrize("grid", [0, -1])
     def test_grid_must_sample_a_time_after_zero(self, m, grid):
         # grid 0 samples only t = 0, where the two geodesics coincide
@@ -392,7 +409,6 @@ class TestBackward:
 
     @pytest.mark.parametrize("m", ALL_MODELS + (rm.scale_metric(BE, 2.5),), ids=lambda m: m.name)
     def test_closed_rays_match_the_integrated_fallback(self, m):
-        fallback = dataclasses.replace(m, closed_ray=None)
         rng = np.random.default_rng(31)
         for k in range(4):
             u = rng.standard_normal(m.dim)
@@ -406,7 +422,10 @@ class TestBackward:
             X, Y = unit_at(m, x, v), unit_at(m, y, w)
             for eps in (0.1, 0.05):
                 got = rm.backward_estimate(m, X, Y, eps)
-                want = rm.backward_estimate(fallback, X, Y, eps)
+                # the integrated reference: the same grid of 9 times on RK4 flows
+                _, (xs1, xs2) = _integrated_samples(m, (X, Y), eps, 8, min(rm.DEFAULT_STEP, eps / 16))
+                dmax = max(m.closed_dist(x1, x2) for x1, x2 in zip(xs1, xs2))
+                want = rm.tangent_distances(m, X, Y, "T1M").interval.upper * eps / dmax
                 assert got == pytest.approx(want, rel=1e-9, abs=0), (m.name, k, eps)
 
     def test_closed_rays_replace_the_two_flows(self, monkeypatch):
@@ -422,8 +441,6 @@ class TestBackward:
         Y = unit_at(BE, [0.1, 0, 0, 0.2], [1, 0.01, 0, 0])
         rm.backward_estimate(BE, X, Y, 0.1)
         assert calls == []
-        rm.backward_estimate(dataclasses.replace(BE, closed_ray=None), X, Y, 0.1)
-        assert calls == [BE.name, BE.name]
 
 
 class TestPositivityCheck:
@@ -433,12 +450,17 @@ class TestPositivityCheck:
 
     @staticmethod
     def _degenerate(kind: str) -> rm.MetricField:
-        chart = dict(chart_contains=lambda x: float(x @ x) < 1.0)
+        def fields(model):
+            # the closed forms only complete the type; these tests never reach them
+            return dict(chart_contains=lambda x: float(x @ x) < 1.0, inj_model=model.inj_model,
+                        **{f: getattr(model, f) for f in
+                           ("closed_dist", "closed_geodesic", "closed_ray", "closed_transport")})
+
         if kind == "conformal":
             return rm.invariant_metric("a-crosses-zero", 2, lambda s: (1.0 - 2.0 * s, -2.0, 0.0),
-                                       **chart)
+                                       **fields(PO))
         return rm.invariant_metric("ab-crosses-zero", 4, lambda s: (1.0, 0.0, 0.0),
-                                   lambda s: (-2.0, 0.0, 0.0), **chart)
+                                   lambda s: (-2.0, 0.0, 0.0), **fields(BE))
 
     @pytest.mark.parametrize("kind", ["conformal", "rank-2"])
     def test_singular_metric_is_reported(self, kind):
@@ -572,15 +594,21 @@ class TestClosedTransport:
         x = np.full(m.dim, 0.3) * np.tile([1.0, -0.5], m.dim // 2)
         y = np.full(m.dim, -0.2) * np.tile([0.4, 1.0], m.dim // 2)
         X, Y = unit_at(m, x, np.roll(x, 1) + 0.1), unit_at(m, y, y + 0.3)
-        fallback = rm.tangent_distances(dataclasses.replace(m, closed_transport=None), X, Y, "T1M").interval
+        # the integrated reference: the shooting base geodesic, RK4 transport along it
+        tp = rm.exp_log(m, X.x, Y.x)
+        base = m.norm(tp.x, tp.vec)
+        path = rm.geodesic_flow(m, tp, 1.0, step=1.0 / max(32, int(base / rm.DEFAULT_STEP)))
+        moved = rm.parallel_transport(m, path, X.vec)[-1]
+        upper = base + rm.tangent_angle(m, Y.x, moved, Y.vec)
+        integrated = DistInterval(min(max(base, abs(m.norm(X.x, X.vec) - m.norm(Y.x, Y.vec))), upper), upper)
 
         def no_flow(*args):
             raise AssertionError("the closed-form path integrated a flow")
 
         monkeypatch.setattr(rm, "christoffel", no_flow)
         exact = rm.tangent_distances(m, X, Y, "T1M").interval
-        assert exact.upper == pytest.approx(fallback.upper, rel=1e-9)
-        assert exact.lower == pytest.approx(fallback.lower, rel=1e-9)
+        assert exact.upper == pytest.approx(integrated.upper, rel=1e-9)
+        assert exact.lower == pytest.approx(integrated.lower, rel=1e-9)
 
     def test_antipodal_points_on_the_sphere_raise(self):
         x = np.array([0.5, -0.25])
@@ -619,6 +647,16 @@ class TestClosedGeodesicSamplers:
             _, v0, _ = m.closed_geodesic(x, y)
             worst = max(worst, abs(m.norm(x, v0) - 1.0))
         assert worst <= 1e-12
+
+
+def _integrated_samples(m, inits, horizon, grid, step):
+    """The ``grid + 1`` times of ``linspace(0, horizon, grid + 1)`` and each
+    geodesic of ``inits`` there, from an RK4 ``geodesic_flow`` whose step (at
+    most ``step``) divides the grid, so every sample is a stored state."""
+    per_sample = math.ceil(horizon / (grid * step))
+    return np.linspace(0.0, horizon, grid + 1), [
+        rm.geodesic_flow(m, p, horizon, step=horizon / (grid * per_sample)).xs[::per_sample]
+        for p in inits]
 
 
 # -- the hand-written RK4 loops that the one integrator replaced (reference) --

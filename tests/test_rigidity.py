@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab import domain as dm
+from rigidlab import riemann as rm
 from rigidlab import rigidity as rg
 from rigidlab import schwarz as sw
 from rigidlab.domain import Cone
@@ -156,6 +157,20 @@ class TestImageTangent:
             Y = rg._image_tangent(m, action, pnr, z0r)
             assert np.array_equal(Y.x, action(pnr))
             assert np.max(np.abs(Y.vec - qdot)) <= 1e-8 * np.max(np.abs(qdot))
+
+    def test_only_the_identity_has_no_initial_condition_distance(self):
+        # a rotation by 1e-7 moves each coordinate of p_n and of its vector by
+        # 1e-7 relative, within np.allclose's default rtol of 1e-5, yet the
+        # distance is not 0
+        m = poincare_kahler().metric
+        pnr, z0r = np.array([0.3, 0.4]), np.zeros(2)
+        _, v0, _ = m.closed_geodesic(pnr, z0r)
+        assert rg._initial_condition_distance(m, rg._chart_map(sw.identity_map(1)), pnr, z0r, v0) == 0.0
+        action = rg._chart_map(sw.rotation(1e-7))
+        d = rg._initial_condition_distance(m, action, pnr, z0r, v0)
+        X = rm.TangentPoint(pnr, m.unit(pnr, v0))
+        assert d == rm.tangent_distances(m, X, rg._image_tangent(m, action, pnr, z0r)).interval.upper
+        assert d >= m.closed_dist(pnr, action(pnr)) > 1e-7
 
 
 class TestSuite:
