@@ -29,6 +29,18 @@ from .report import COLUMN_REGISTRY, PipelineReport
 #: point list, ...); a flag's token is parsed as JSON, else kept as a name
 JSON = "a JSON value or a name"
 
+#: subcommand -> (selector key, {choice: the ``params`` keys it reads}), the
+#: default choice first; a ``params`` key the chosen op or check does not read
+#: is rejected
+PARAM_KEYS = {
+    "riemann": ("op", {"flow": ("x0", "v0", "horizon", "step"),
+                       "jacobi": ("x0", "v0", "horizon", "step"),
+                       "spread": ("x0", "v0", "horizon", "angle", "v1", "kappa", "grid"),
+                       "backward": ("x0", "v0", "angle", "eps")}),
+    "kahler": ("check", {"bg": (), "squeeze": ("z",), "inj": ("d", "kappa", "volume", "r"),
+                         "threshold": ("d", "kappa", "A", "theta", "positive_injectivity")}),
+}
+
 #: subcommand -> {config key: value kind}; a kind is JSON, float, int, list,
 #: dict, or the tuple of allowed values
 SUBCOMMAND_KEYS = {
@@ -36,8 +48,8 @@ SUBCOMMAND_KEYS = {
             "vectors": list, "radius": float},
     "cgeo": {"domain": JSON, "points": list, "zeta": JSON, "k_max": int},
     "schwarz": {"map": JSON, "xi": JSON, "schedule": JSON},
-    "riemann": {"metric": JSON, "op": ("flow", "jacobi", "spread", "backward"), "params": dict},
-    "kahler": {"metric": JSON, "check": ("bg", "squeeze", "inj", "threshold"), "domain": JSON,
+    "riemann": {"metric": JSON, "op": tuple(PARAM_KEYS["riemann"][1]), "params": dict},
+    "kahler": {"metric": JSON, "check": tuple(PARAM_KEYS["kahler"][1]), "domain": JSON,
                "params": dict},
     "rigidity": {"pipeline": ("convex", "biholo"), "domain": JSON, "map": JSON, "metric": JSON,
                  "xi": JSON, "theta": float, "cone_length": float, "schedule": JSON, "z0": JSON},
@@ -123,6 +135,12 @@ def parse_config(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigInvalid(f"unknown config keys for {sub}: {sorted(unknown)}")
     options = {k: _read(kinds[k], v, k) for k, v in raw.items() if k in kinds}
+    if sub in PARAM_KEYS:
+        selector, reads = PARAM_KEYS[sub]
+        choice = options.get(selector, next(iter(reads)))
+        unread = set(options.get("params", {})) - set(reads[choice])
+        if unread:
+            raise ConfigInvalid(f"unknown params keys for {sub} {selector} {choice}: {sorted(unread)}")
     if "schedule" in options:
         options["schedule"] = parse_schedule(options["schedule"])
     return RunConfig(subcommand=sub, seed=_read(int, raw.get("seed", 42), "seed"),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class DistInterval:
@@ -36,3 +38,8 @@ class DistInterval:
         if value > self.upper:
             return value - self.upper
         return 0.0
+
+
+def round_out(lower, upper):
+    """``(lower, upper)`` one float further out at each end, past the last-digit rounding."""
+    return np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf)

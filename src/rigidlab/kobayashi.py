@@ -4,32 +4,26 @@ On the disk, ball and polydisk the invariant metric and distance have closed
 forms and are returned exactly.  On a general bounded convex domain the module
 produces certified two-sided estimates:
 
+* from the center, ``K(0, z) = atanh h(z)`` for the Minkowski gauge ``h`` of
+  every kind (convex and balanced about 0: the disc ``zeta -> zeta z / h(z)``
+  gives one side, the supporting functional at ``z / h(z)`` the other), which
+  ``center_dist`` brackets;
 * upper bounds come from round holomorphic discs inside the domain (the
   metric is dominated by ``|v| / delta`` with ``delta`` measured along the
-  complex line of the direction) and from integrating that bound along the
-  straight segment between two points.  Along a segment the disc radius is
-  concave, so the integral of the reciprocal of its piecewise-linear
-  interpolant (the chord rule) is an upper bound on every grid;
-* lower bounds come from supporting hyperplanes: each supporting functional
-  maps the domain into a half-plane, whose invariant metric and distance are
-  explicit, and holomorphic maps contract the metric.
+  complex line of the direction), from integrating that bound along the
+  straight segment between two points, and from the route through the
+  center.  Along a segment the disc radius is concave, so the integral of the
+  reciprocal of its piecewise-linear interpolant (the chord rule) is an upper
+  bound on every grid;
+* lower bounds come from the supporting hyperplanes of ``HalfplaneFamily``
+  (each maps the domain into a half-plane, whose invariant metric and
+  distance are explicit, and holomorphic maps contract the metric) and from
+  the reverse triangle inequality through the center.
 
-The half-plane family (``HalfplaneFamily``, one ``(P, d)`` stack of anchors
-and inward normals, each bound the best plane's) holds the tangent plane at
-the nearest boundary point and the tangent planes where the rays from the
-domain's center through tangent offsets of the base point meet the boundary,
-which is what makes the bounds scale correctly near low-type boundary points.
-The disc radii are ``domain.ray_exit`` brackets; those boundary points are
-``domain.radial_exit`` brackets, started at the domain's gauge, and their
-normals come from ``domain.boundary_normals``.  ``dist_uppers`` gives only
-the upper sides, for two stacks of points, and builds no half-plane.
-
-Points are complex arrays of shape ``(d,)``; a non-finite point or direction
-raises ``ConfigInvalid``.  ``line_boundary_distance`` also takes a stack of
-shape ``(N, d)`` with one shared direction and returns the ``N`` radii, and
-``model_dist`` takes two such stacks and returns the ``N`` distances of their
-rows; a ``(d,)`` point gives a float.  The chord rule evaluates each grid in
-one such call.
+Points are complex arrays of shape ``(d,)``; a non-finite one raises
+``ConfigInvalid``.  ``line_boundary_distance``, ``model_dist`` and
+``center_dist`` also take stacks ``(N, d)``.  The disc radii are
+``domain.ray_exit`` brackets.
 """
 
 from __future__ import annotations
@@ -54,9 +48,11 @@ from .domain import (
     ray_exit,
 )
 from .errors import ConfigInvalid, NotConvex, PointOutsideDomain, RadiusTooLarge, ZeroVector
-from .intervals import DistInterval
+from .intervals import DistInterval, round_out
 
 CHORD_RTOL = 1e-4         # the chord rule doubles its grid from 17 nodes until the bound moves less
+CENTER_RTOL = 2.0**-46    # center_dist's relative widening of each exit, 64 ulps of 1: more than the rounding of
+                          # the ray's moduli (each gauge is monotone in them) and of the defining function moves it
 LINE_PHASES = 32          # phase grid certifying a round disc inside a slice
 LINE_SAFETY = 1.0 - 1e-9  # shrink factor applied to sampled slice radii
 
@@ -65,12 +61,12 @@ def _atanh(m: float) -> float:
     return math.atanh(min(max(m, 0.0), 1.0 - 1e-16))
 
 
-def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(v 2^-e, e)`` with the largest entry modulus of ``v 2^-e`` in
-    ``[1/2, 1)`` (``e = 0`` for ``v = 0``).  The scaling is exact, so the
-    squares of entries below ``1e-154`` no longer underflow."""
-    exponent = math.frexp(float(np.max(np.abs(v))))[1]
-    return np.ldexp(v.real, -exponent) + 1j * np.ldexp(v.imag, -exponent), exponent
+def _pow2_scaled(v: np.ndarray):
+    """``(v 2^-e, e)`` with the largest entry modulus of ``v 2^-e`` (of each
+    row of a stack) in ``[1/2, 1)``, ``e = 0`` for 0.  The scaling is exact, so
+    the squares of entries below ``1e-154`` no longer underflow."""
+    exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1]
+    return np.ldexp(v.real, -exponent) + 1j * np.ldexp(v.imag, -exponent), exponent[..., 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +125,11 @@ def model_dist(dom: Domain, z, w):
     if isinstance(dom, (DiskDomain, PolydiskDomain)):   # the disk formula, max over coordinates
         m = np.max(np.abs((zs - ws) / (1.0 - np.conj(zs) * ws)), axis=1)
     elif isinstance(dom, BallDomain):   # ball_distance's Lagrange identity, row by row
-        d = ws - zs
-        exponent = np.frexp(np.max(np.abs(d), axis=1))[1][:, None]
-        d = np.ldexp(d.real, -exponent) + 1j * np.ldexp(d.imag, -exponent)
+        d, exponent = _pow2_scaled(ws - zs)
         wedge = zs[:, :, None] * d[:, None, :] - d[:, :, None] * zs[:, None, :]
         num = np.sum(np.abs(d) ** 2, axis=1) - 0.5 * np.sum(np.abs(wedge) ** 2, axis=(1, 2))
         den = np.abs(1.0 - np.sum(zs * np.conj(ws), axis=1))
-        m = np.ldexp(np.sqrt(np.maximum(0.0, num / den**2)), exponent[:, 0])
+        m = np.ldexp(np.sqrt(np.maximum(0.0, num / den**2)), exponent)
     else:
         raise NotConvex(f"no closed-form distance for kind {dom.kind!r}")
     return np.arctanh(np.clip(m, 0.0, 1.0 - 1e-16))
@@ -386,12 +380,29 @@ def _chord_rule(radii: np.ndarray) -> float:
     return float(np.sum(ratio / r0)) / len(r0)
 
 
+def center_dist(dom: Domain, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Certified ``(lower, upper)`` of ``K(0, z) = atanh h(z)`` for the rows of a
+    stack ``(N, d)``: the ``radial_exit`` bracket of the ray ``t u``, ``u = 2^-e z``
+    exactly, holds ``2^e / h(z)``; it is widened by ``CENTER_RTOL``, the ``atanh``
+    rounded out.  A zero row gives exactly ``(0, 0)``, an upper end at 1 ``inf``."""
+    bounds = np.zeros((2, len(zs)))
+    moving = np.any(zs != 0, axis=1)
+    if moving.any():
+        rays, exponent = _pow2_scaled(zs[moving])
+        lo, hi = radial_exit(dom, rays)
+        ends = np.ldexp(1.0 / np.stack([hi * (1 + CENTER_RTOL), lo * (1 - CENTER_RTOL)]), exponent)
+        with np.errstate(divide="ignore"):   # atanh(1) = inf
+            bounds[:, moving] = round_out(*np.arctanh(np.minimum(ends, 1.0)))
+    return bounds[0], bounds[1]
+
+
 def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True) -> DistInterval:
     """Certified interval for the Kobayashi distance ``K(z, w)``.
 
     The upper bound is ``_route_upper``; the lower bound is the best of
-    ``|w - z| / R`` and the half-planes at the midpoint, with ``z`` and ``w``
-    as extra points.  On model kinds the closed form is returned.
+    ``|w - z| / R``, the half-planes at the midpoint, with ``z`` and ``w`` as
+    extra points, and the reverse triangle inequality of the two
+    ``center_dist`` brackets.  On model kinds the closed form is returned.
     """
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
     w = dom.require_inside(finite_point(w, dom.dimension, "point"))
@@ -401,30 +412,31 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True) -> DistInter
     if tighten_with_model and has_model_formulas(dom):
         return DistInterval.exact(model_dist(dom, z, w))
 
-    upper = _route_upper(dom, z, w)
+    (lz, lw), (uz, uw) = center_dist(dom, np.vstack([z, w]))   # K(0, z) in [lz, uz], K(0, w) in [lw, uw]
+    upper = _route_upper(dom, z, w, uz + uw)
     planes = supporting_halfplanes(dom, z + 0.5 * (w - z), extra_points=(z, w))
-    lower = max(float(np.linalg.norm(w - z)) / dom.bounding_radius, planes.dist_lower(z, w))
+    lower = max(float(np.linalg.norm(w - z)) / dom.bounding_radius, planes.dist_lower(z, w), lz - uw, lw - uz)
     return DistInterval(min(lower, upper), upper)
 
 
 def dist_uppers(dom: Domain, zs, ws) -> np.ndarray:
     """Upper bounds on ``K(z, w)`` for the rows of two stacks ``(N, d)``: the
     stacked ``model_dist`` on the disk, ball and polydisk, else each row's
-    ``dist_bounds(...).upper`` without its half-plane lower side."""
+    ``dist_bounds(...).upper``, with one ``center_dist`` call per stack."""
     if has_model_formulas(dom):
         return model_dist(dom, zs, ws)
     zs, ws = _require_stacks(dom, zs, ws)
-    return np.array([0.0 if np.array_equal(z, w) else _route_upper(dom, z, w) for z, w in zip(zs, ws)])
+    via = center_dist(dom, zs)[1] + center_dist(dom, ws)[1]
+    return np.array([0.0 if np.array_equal(z, w) else _route_upper(dom, z, w, c) for z, w, c in zip(zs, ws, via)])
 
 
-def _route_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
+def _route_upper(dom: Domain, z: np.ndarray, w: np.ndarray, through_center: float) -> float:
     """The better of two polygonal routes from ``z`` to ``w``: the straight
-    chord and the route through the domain center."""
-    upper = _segment_upper(dom, z, w)
-    c = dom.center()
-    if not (np.allclose(c, z) or np.allclose(c, w)):
-        upper = min(upper, _segment_upper(dom, z, c) + _segment_upper(dom, c, w))
-    return upper
+    chord and the route through the center, of length ``through_center``,
+    which is exact (so the chord is skipped) when ``z`` or ``w`` is 0."""
+    if not (np.any(z) and np.any(w)):
+        return float(through_center)
+    return min(_segment_upper(dom, z, w), float(through_center))
 
 
 # ---------------------------------------------------------------------------

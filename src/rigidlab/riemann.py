@@ -14,7 +14,8 @@ estimates the rigidity pipelines consume: two-sided bounds on the Sasaki
 distance of the (unit) tangent bundle (from the exact ``closed_dist`` and
 ``closed_transport``: every metric is a symmetric space, so transport along a
 geodesic is the differential of a transvection), geodesic spread, and the
-backward initial-condition estimate (both sample ``closed_ray``).  The RK4
+backward initial-condition estimate (both sample ``closed_ray`` and read
+``closed_dist``).  The RK4
 geodesic and transport flows and the shooting ``exp_log`` are the independent
 engines the closed forms are checked against.
 
@@ -871,13 +872,6 @@ def exp_log(m: MetricField, x, y) -> TangentPoint:
     raise ShootingDiverged(f"{m.name}: Newton did not converge (residual {best_res:.2e})")
 
 
-def geodesic_distance(m: MetricField, x, y, prefer_closed_form: bool = True) -> float:
-    if prefer_closed_form:
-        return float(m.closed_dist(np.asarray(x, float), np.asarray(y, float)))
-    tp = exp_log(m, x, y)
-    return m.norm(tp.x, tp.vec)
-
-
 def tangent_angle(m: MetricField, x, u, w) -> float:
     gu = m.norm(x, u)
     gw = m.norm(x, w)
@@ -954,21 +948,20 @@ def _sampled_geodesics(m: MetricField, inits, horizon: float, grid: int):
 
 
 def spread_check(m: MetricField, init1: TangentPoint, init2: TangentPoint,
-                 kappa: float, horizon: float, grid: int = 6,
-                 use_closed_form: bool = False) -> list[SpreadRow]:
+                 kappa: float, horizon: float, grid: int = 6) -> list[SpreadRow]:
     """Check ``d(gamma1(t), gamma2(t)) <= exp((kappa+1)t/2) d_T1(g1'(0), g2'(0))``.
 
     ``kappa`` must dominate the measured |sectional| bound along both paths.
     Both paths are sampled at the ``grid + 1`` equally spaced times in
-    ``[0, horizon]`` as in :func:`backward_estimate`.  The left side uses the
-    shooting distance unless ``use_closed_form``.  A row passes with a slack of 1e-8.
+    ``[0, horizon]`` as in :func:`backward_estimate`, and the left side is
+    ``closed_dist``.  A row passes with a slack of 1e-8.
     """
     horizon = _positive("horizon", horizon)
     ts, (xs1, xs2) = _sampled_geodesics(m, (init1, init2), horizon, grid)
     d0 = tangent_distances(m, init1, init2, mode="T1M").interval.upper
     rows = []
     for t, x1, x2 in zip(ts, xs1, xs2):
-        lhs = geodesic_distance(m, x1, x2, prefer_closed_form=use_closed_form)
+        lhs = float(m.closed_dist(x1, x2))
         rhs = math.exp(0.5 * (kappa + 1.0) * t) * d0
         rows.append(SpreadRow(t=float(t), lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs + 1e-8)))
     return rows
@@ -1001,7 +994,7 @@ def backward_estimate(m: MetricField, gamma_init: TangentPoint, sigma_init: Tang
     _, (xs1, xs2) = _sampled_geodesics(m, (gamma_init, sigma_init), eps, grid)
     dmax = 0.0
     for x1, x2 in zip(xs1, xs2):
-        dmax = max(dmax, geodesic_distance(m, x1, x2))
+        dmax = max(dmax, float(m.closed_dist(x1, x2)))
     if dmax == 0.0:
         return 0.0
     return d0 * eps / dmax

@@ -20,7 +20,7 @@ import numpy as np
 from .domain import (BallDomain, DiskDomain, Domain, as_point, boundary_data, disk, finite_point, radial_exit,
                      sample_ball)
 from .errors import CoincidentAnchors, ConfigInvalid, NotSelfMap
-from .kobayashi import DISK_CALIBRATION, disk_distance, dist_uppers, kob_ball_inclusion
+from .kobayashi import DISK_CALIBRATION, center_dist, disk_distance, dist_uppers, kob_ball_inclusion
 from .report import PipelineReport
 from .cgeo import disk_automorphism, ball_involution
 
@@ -348,10 +348,11 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None) -> Pip
     That sup is sampled: ``p_n`` and 47 seeded uniform points of ``B(p_n, r_n/4)``.
     ``z0`` (default: the domain's center) must lie inside the domain.
 
-    On the disk and the ball with ``z0`` at the center, ``C0 = 0.5 log 2``
-    (there ``K(0, p_n) = atanh(1 - r_n) <= 0.5 log(2/r_n)``), so the distance
-    and ``e4K`` row checks can fail, and a note says so.  Elsewhere ``C0`` is
-    fitted as the worst residual, so those two checks hold by construction.
+    ``C0`` has one closed form: ``K(z0, p_n) <= K(0, z0) + atanh h(p_n)`` for the gauge
+    ``h`` (``exit_radii``), ``atanh h <= 0.5 log(2/(1 - h))``, and ``1 - h`` is concave
+    along the normal, so ``1 - h(p_n) >= c r_n`` for ``c = (1 - h(p_0))/r_0 - max(0,
+    h(xi0) - 1)/r_min``.  So ``C0 = upper K(0, z0) + 0.5 log(2/c)``, and the ``K`` and
+    ``e4K`` row checks can fail; ``c <= 0`` gives ``C0 = inf``, and then they do.
     """
     xi0 = finite_point(xi0, dom.dimension, "xi0")
     z0 = dom.center() if z0 is None else finite_point(z0, dom.dimension, "z0")
@@ -370,11 +371,10 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None) -> Pip
     p_ns = bd.point + schedule[:, None] * bd.inward_normal
     k_uppers = dist_uppers(dom, np.tile(z0, (len(schedule), 1)), p_ns)
     residuals = [k - 0.5 * math.log(1.0 / r) for k, r in zip(k_uppers, schedule)]
-    if isinstance(dom, (DiskDomain, BallDomain)) and not np.any(z0):
-        c0 = 0.5 * math.log(2.0)
-        rep.notes.append("C0 = 0.5 log 2 in closed form: K(0,p_n) = atanh(1 - r_n) <= 0.5 log(2/r_n)")
-    else:
-        c0 = max(residuals)
+    h_xi, h_p0 = (np.linalg.norm(p) / dom.exit_radii(p[None] / np.linalg.norm(p))[0] if np.any(p) else 0.0
+                  for p in (bd.point, p_ns[0]))   # the gauge along unit rays, so p_0 may be the center
+    c = (1.0 - h_p0) / schedule[0] - max(0.0, h_xi - 1.0) / schedule[-1]
+    c0 = float(center_dist(dom, z0[None])[1][0]) + 0.5 * math.log(2.0 / c) if c > 0 else math.inf
     a_fit = math.exp(4.0 * c0)
 
     for i, (r_n, p_n) in enumerate(zip(schedule, p_ns)):
@@ -388,17 +388,17 @@ def convex_pipeline(dom: Domain, f: HoloMap, xi0, schedule=None, z0=None) -> Pip
         disp_sup = displacement_sup(f, dom, ws)
 
         e4k = math.exp(4.0 * k_uppers[i])
+        k_bound = c0 + 0.5 * math.log(1.0 / r_n)
         composite = e4k / eps_n * disp_sup
         rep.rows.append({
             "n": i, "r_n": r_n, "K_z0_pn": k_uppers[i],
-            "K_z0_pn_bound": c0 + 0.5 * math.log(1.0 / r_n),
+            "K_z0_pn_bound": k_bound,
             "E_5r4": e_val, "disp_bound": disp_bound, "eps_n": eps_n,
             "disp_sup": disp_sup, "e4K": e4k, "e4K_bound": a_fit / r_n**2,
             "composite": composite, "in_regime": in_regime,
         })
-        rep.add_check(f"K(z0,p_{i}) <= C0 + 0.5 log(1/r_n)",
-                      k_uppers[i] <= c0 + 0.5 * math.log(1.0 / r_n) + 1e-12)
-        rep.add_check(f"e4K_{i} <= A r_n^-2", e4k <= a_fit / r_n**2 + 1e-9)
+        rep.add_check(f"K(z0,p_{i}) <= C0 + 0.5 log(1/r_n)", k_uppers[i] <= k_bound + 1e-12 < math.inf)
+        rep.add_check(f"e4K_{i} <= A r_n^-2", e4k <= a_fit / r_n**2 + 1e-9 < math.inf)
         if in_regime and math.isfinite(disp_sup):
             rep.add_check(f"disp_sup_{i} <= (2/r_n) E(5r_n/4)", disp_sup <= disp_bound + 1e-10)
 

@@ -231,17 +231,20 @@ def test_criterion_7_geodesic_spread():
                 rhs = math.exp(0.5 * (kap + 1.0) * t) * d0
                 assert lhs <= rhs + 1e-8, f"{m.name}: spread violated at t={t}"
 
-    # tie the closed-form rays to the shooting engine on a subset
+    # tie the closed-form rays to the shooting engine on a subset: the left
+    # side is the length of the shooting exp_log vector between the samples
     for m in models():
         for X, Y in _unit_pair_samples(m, rng, 3):
-            rows = rm.spread_check(m, X, Y, kappas[m.name], horizon=2.0, grid=4,
-                                   use_closed_form=False)
+            rows = rm.spread_check(m, X, Y, kappas[m.name], horizon=2.0, grid=4)
             assert all(r.ok for r in rows)
             ray1 = m.closed_ray(X.x, X.vec)
             ray2 = m.closed_ray(Y.x, Y.vec)
             for r, t in zip(rows, np.linspace(0, 2, 5)):
+                tp = rm.exp_log(m, ray1(t), ray2(t))
+                lhs_shoot = m.norm(tp.x, tp.vec)
+                assert lhs_shoot <= r.rhs + 1e-8
                 lhs_closed = m.closed_dist(ray1(t), ray2(t))
-                assert abs(r.lhs - lhs_closed) < 1e-5
+                assert abs(lhs_shoot - lhs_closed) < 1e-5
 
     # flat-plane case checked symbolically on a grid
     import sympy as sp

@@ -89,11 +89,13 @@ class TestParseConfig:
         parser = cli.build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert set(subparsers.choices) == set(cli.SUBCOMMAND_KEYS) == set(cli._RUNNERS)
-        tokens = {cli.JSON: "[0.5, 0.25]", float: "0.5", int: "3", list: "[[0.5]]", dict: '{"x": 1}'}
+        tokens = {cli.JSON: "[0.5, 0.25]", float: "0.5", int: "3", list: "[[0.5]]"}
+        # a params key that the last op (backward) or check (threshold) reads
+        params = {"riemann": '{"eps": 1}', "kahler": '{"d": 1}'}
         for sub, kinds in cli.SUBCOMMAND_KEYS.items():
             flags = {a.dest for a in subparsers.choices[sub]._actions if a.option_strings} - {"help"}
             assert flags == set(kinds), sub
-            given = {key: kind[-1] if isinstance(kind, tuple) else tokens[kind]
+            given = {key: kind[-1] if isinstance(kind, tuple) else params[sub] if kind is dict else tokens[kind]
                      for key, kind in kinds.items()}
             argv = [sub] + [t for key, token in given.items() for t in ("--" + key.replace("_", "-"), token)]
             cfg = cli.config_from_args(parser.parse_args(argv))
@@ -131,17 +133,18 @@ class TestEmission:
         assert "[schedule radius r_n]" in header
 
     def test_generic_convex_artifacts_are_pinned(self, tmp_path):
-        # the ellipsoid takes the generic per-pair dist_bounds path and the
-        # fitted C0; its rows and its JSON are pinned by their SHA-256 digests
+        # the ellipsoid takes the generic dist_uppers path (the center route
+        # of center_dist from z0 = 0) and the closed-form C0; its rows and its
+        # JSON are pinned by their SHA-256 digests
         rep = rigidity.convex_pipeline(domain.ellipsoid((1, 2)), schwarz.identity_map(2), [1, 0],
                                        schwarz.geometric_schedule(3, 6))
         cfg = cli.RunConfig(subcommand="rigidity", out_dir=str(tmp_path), format="both")
         csv_path, json_path = cli.emit_report(rep, cfg, "ellipsoid")
         rows = csv_path.read_bytes().split(b"\n", 1)[1]
         assert hashlib.sha256(rows).hexdigest() == \
-            "c61b8a54b639344e1fbc95ed655ba315e7e28385f662f6da2ffc971f33d01da3"
+            "5e3a25106f140dbd184f5a0be443522d6ebe95f51f352bd69a8b69f5dd77ce77"
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == \
-            "991940b39917d0d08495a07b75d6eeea1e4dd0a0095b102e25b59fd9cd65c50f"
+            "a6c151a362ad508b4b153caae223d50e351ed6c75d0a4fc9423480eb980ff83d"
 
     def test_unregistered_column_rejected(self, tmp_path):
         rep = PipelineReport(name="t", columns=["mystery"])
@@ -276,6 +279,21 @@ class TestMain:
     def test_out_of_range_values_exit_2_without_output(self, tmp_path, capsys, argv):
         assert cli.main(["--out-dir", str(tmp_path / "out")] + argv) == 2
         assert capsys.readouterr().err.startswith(("config error", "error [ConfigInvalid]"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["riemann", "--metric", "poincare", "--op", "spread", "--params", '{"foo":-1}'],
+        ["riemann", "--op", "flow", "--params", '{"horizn":5}'],
+        ["kahler", "--check", "squeeze", "--params", '{"zz":1}'],
+        ["riemann", "--op", "spread", "--params", '{"step":-1}'],
+        ["riemann", "--op", "backward", "--params", '{"horizon":2}'],
+        ["kahler", "--params", '{"d":1}'],
+    ], ids=["spread-foo", "flow-typo", "squeeze-zz", "spread-step", "backward-horizon", "bg-d"])
+    def test_params_key_the_op_does_not_read_exits_2(self, tmp_path, capsys, argv):
+        # each riemann op and kahler check reads its own params keys; a typo or a
+        # key of another op would otherwise be ignored and its default used
+        assert cli.main(["--out-dir", str(tmp_path / "out")] + argv) == 2
+        assert "unknown params keys" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("metric", [{"name": "euclid", "dimension": -1},
@@ -435,7 +453,7 @@ class TestMain:
         assert cli._quick_checks(42)[0] == first
         # with the closed form returned as the interval, the check could not fail
         from rigidlab import kobayashi
-        monkeypatch.setattr(kobayashi, "_route_upper", lambda dom, z, w: 0.0)
+        monkeypatch.setattr(kobayashi, "_route_upper", lambda dom, z, w, through_center: 0.0)
         assert cli._quick_checks(42)[0] == (first[0], False)
 
     def test_no_subcommand_is_a_config_error(self, capsys):

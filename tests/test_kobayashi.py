@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,21 @@ class TestWorkCounts:
         assert len(calls) >= 2
         assert calls == [17] + [16 * 2**k for k in range(len(calls) - 1)]
 
+    def test_no_chord_runs_through_the_center(self, monkeypatch):
+        # the route through the center reads the center_dist brackets: only the
+        # straight chord between two points off the center is integrated, and
+        # each dist_uppers stack takes one center_dist call
+        chords, centers = [], []
+        segment, center = kb._segment_upper, kb.center_dist
+        monkeypatch.setattr(kb, "_segment_upper", lambda dom, z, w: chords.append((z, w)) or segment(dom, z, w))
+        monkeypatch.setattr(kb, "center_dist", lambda dom, zs: centers.append(len(zs)) or center(dom, zs))
+        z, w, origin = np.array([0.6, 0.2j]), np.array([-0.3, 0.4]), np.zeros(2, dtype=complex)
+        kb.dist_bounds(ELL12, z, w)
+        kb.dist_bounds(ELL12, origin, w)
+        kb.dist_uppers(ELL12, np.array([z, origin, origin]), np.array([w, w, z]))
+        assert len(chords) == 2 and all(np.any(a) and np.any(b) for a, b in chords)
+        assert centers == [2, 2, 3, 3]
+
     def test_halfplanes_make_one_projection(self, monkeypatch):
         dom = dm.ellipsoid((1, 2))
         calls = []
@@ -327,6 +343,68 @@ def test_generic_bounds_bracket_closed_forms(dom, cz, rz, cw, rw, cv):
     im = kb.metric_bounds(dom, z, v, tighten_with_model=False)
     assert im.lower <= im.upper
     assert im.contains(kb.model_metric(dom, z, v), slack=1e-9)
+
+
+def _center_dist_mp(dom, z):
+    """``K(0, z) = atanh h(z)`` for the float point ``z`` in 60-digit
+    arithmetic, with the Minkowski gauge ``h`` in closed form; on
+    ``ellipsoid((1, 2))``, ``h^2 = (a + sqrt(a^2 + 4b)) / 2`` with
+    ``a = |z1|^2`` and ``b = |z2|^4``."""
+    with mpmath.workdps(60):
+        x = [mpmath.sqrt(mpmath.mpf(c.real) ** 2 + mpmath.mpf(c.imag) ** 2) for c in z]
+        if dom is POLY2:
+            h = max(x)
+        elif dom is ELL12:
+            a, b = x[0] ** 2, x[1] ** 4
+            h = mpmath.sqrt((a + mpmath.sqrt(a * a + 4 * b)) / 2)
+        else:
+            h = mpmath.sqrt(mpmath.fsum(v * v for v in x))
+        return mpmath.atanh(h)
+
+
+_GAUGE_ROW = st.tuples(_COORDS, st.floats(1.0, 40.0), st.sampled_from([1.0, 1e-160]))
+
+
+@pytest.mark.parametrize("dom", [DISK, BALL2, POLY2, ELL12], ids=["disk", "ball", "polydisk", "ellipsoid"])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_GAUGE_ROW, min_size=1, max_size=8))
+def test_center_dist_brackets_the_mpmath_distance(dom, rows):
+    # K(0, z) = atanh h(z); each row sits 2^-depth inside the boundary (or is
+    # that point times 1e-160), and the rounded-out bracket holds the 60-digit
+    # value with no slack.  A zero row gives exactly (0, 0).
+    zs = [np.zeros(dom.dimension, dtype=complex)]
+    for coords, depth, scale in rows:
+        u = _point_from(coords, 1.0, BALL2)[:dom.dimension]
+        if np.any(u):
+            lo, _ = dm.radial_exit(dom, u[None])
+            z = scale * (1 - 2.0 ** -depth) * lo[0] * u
+            if dom.contains(z):
+                zs.append(z)
+    lower, upper = kb.center_dist(dom, np.array(zs))
+    assert lower[0] == upper[0] == 0.0
+    for z, lo, up in zip(zs[1:], lower[1:], upper[1:]):
+        assert mpmath.mpf(lo) <= _center_dist_mp(dom, z) <= mpmath.mpf(up)
+
+
+@pytest.mark.parametrize("dom", [DISK, BALL2, POLY2], ids=["disk", "ball", "polydisk"])
+@settings(max_examples=25, deadline=None)
+@given(_COORDS, st.floats(0.0, 0.999), _COORDS, st.floats(0.0, 0.95))
+def test_center_dist_lies_inside_dist_bounds(dom, cz, rz, cw, rw):
+    # the bracket of z holds the closed form and lies inside the generic
+    # interval from the center: no other lower side beats it (|z| >= 0.01 keeps
+    # |z| / R, the first-order value, below it); the generic interval of
+    # (z, w) is at least as tight as the triangle and reverse triangle
+    # inequalities through the center
+    z, w = _point_from(cz, rz, dom)[:dom.dimension], _point_from(cw, rw, dom)[:dom.dimension]
+    (lo_z, lo_w), (up_z, up_w) = kb.center_dist(dom, np.array([z, w]))
+    origin = np.zeros(dom.dimension, dtype=complex)
+    if np.linalg.norm(z) >= 0.01:
+        assert lo_z <= kb.model_dist(dom, origin, z) <= up_z
+        iv = kb.dist_bounds(dom, origin, z, tighten_with_model=False)
+        assert iv.lower <= lo_z <= up_z <= iv.upper
+    if not np.array_equal(z, w):
+        iv = kb.dist_bounds(dom, z, w, tighten_with_model=False)
+        assert max(lo_z - up_w, lo_w - up_z) <= iv.lower and iv.upper <= up_z + up_w
 
 
 @pytest.mark.parametrize("dom", [BALL2, POLY2], ids=["ball", "polydisk"])

@@ -22,6 +22,13 @@ def unit_at(m, x, v):
     return rm.TangentPoint.of(x, m.unit(np.asarray(x, float), np.asarray(v, float)))
 
 
+def shooting_distance(m, x, y):
+    """The length of the shooting ``exp_log`` vector from ``x`` to ``y``: the
+    reference the closed-form distances are checked against."""
+    tp = rm.exp_log(m, x, y)
+    return m.norm(tp.x, tp.vec)
+
+
 class TestMetricFields:
     def test_symmetry_and_positivity(self):
         pts = {2: [[0.0, 0.0], [0.3, -0.2]], 4: [[0.1, 0.2, -0.1, 0.3]]}
@@ -123,8 +130,8 @@ class TestExpLog:
                 u, w = rng.standard_normal((2, m.dim))
                 x = 0.45 * rng.uniform() * u / np.linalg.norm(u)
                 y = 0.45 * rng.uniform() * w / np.linalg.norm(w)
-                d_shoot = rm.geodesic_distance(m, x, y, prefer_closed_form=False)
-                d_closed = rm.geodesic_distance(m, x, y, prefer_closed_form=True)
+                d_shoot = shooting_distance(m, x, y)
+                d_closed = m.closed_dist(x, y)
                 assert d_shoot == pytest.approx(d_closed, abs=1e-7)
 
     def test_antipodal_diverges(self):
@@ -350,15 +357,19 @@ class TestSpread:
         got = rm.spread_check(m, X, Y, kappa=4.0, horizon=1.0, grid=4)
         ts, (xs1, xs2) = _integrated_samples(m, (X, Y), 1.0, 4, rm.DEFAULT_STEP)
         assert [r.t for r in got] == list(ts)
-        for a, x1, x2 in zip(got, xs1, xs2):
-            want = rm.geodesic_distance(m, x1, x2, prefer_closed_form=False)
-            assert a.lhs == pytest.approx(want, rel=1e-9, abs=1e-12)
+        # the left side is closed_dist; the shooting distance between the
+        # closed-ray samples matches the one between the integrated samples
+        xc1, xc2 = (m.closed_ray(p.x, p.vec)(m.norm(p.x, p.vec) * ts) for p in (X, Y))
+        for a, c1, c2, x1, x2 in zip(got, xc1, xc2, xs1, xs2):
+            assert a.lhs == m.closed_dist(c1, c2)
+            want = shooting_distance(m, x1, x2)
+            assert shooting_distance(m, c1, c2) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_rows_sample_the_exact_grid_times(self):
         # t = 1/3 is read at 1/3, not at the nearest stored state of a flow
         X = unit_at(PO, [0, 0], [1, 0])
         Y = unit_at(PO, [0, 0], [math.cos(0.01), math.sin(0.01)])
-        rows = rm.spread_check(PO, X, Y, kappa=1.0, horizon=2.0, grid=6, use_closed_form=True)
+        rows = rm.spread_check(PO, X, Y, kappa=1.0, horizon=2.0, grid=6)
         ray1, ray2 = PO.closed_ray(X.x, X.vec), PO.closed_ray(Y.x, Y.vec)
         for r in rows:
             assert r.lhs == pytest.approx(PO.closed_dist(ray1(r.t), ray2(r.t)), rel=1e-12, abs=0)

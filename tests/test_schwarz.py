@@ -172,12 +172,46 @@ class TestDiskPipeline:
                 assert row["K_z0_pn"] <= row["K_z0_pn_bound"]
             assert rep.all_checks_pass
 
-    def test_c0_is_fitted_off_the_model_balls(self):
-        schedule = sw.geometric_schedule(3, 6)
-        rep = sw.convex_pipeline(dm.ellipsoid((1, 2)), sw.identity_map(2), [1.0, 0.0], schedule)
-        residuals = [row["K_z0_pn"] - 0.5 * math.log(1 / row["r_n"]) for row in rep.rows]
-        assert rep.fitted["C0"] == max(residuals)
-        assert rep.notes == []
+    @pytest.mark.parametrize("u", [[1.0, 0.0], [math.cos(0.7), math.sin(0.7) * np.exp(0.3j)]],
+                             ids=["axis", "off-axis"])
+    def test_k_row_check_is_live_off_the_model_balls(self, monkeypatch, u):
+        # on ellipsoid((1, 2)), C0 = 0.5 log(2/c) with c = (1 - h(p_0))/r_0 - eta/r_min
+        # for the gauge h(z) = sqrt((a + sqrt(a^2 + 4b))/2), a = |z1|^2, b = |z2|^4
+        def gauge(z):
+            a, b = abs(z[0]) ** 2, abs(z[1]) ** 4
+            return math.sqrt((a + math.sqrt(a * a + 4 * b)) / 2)
+
+        dom, f, schedule = dm.ellipsoid((1, 2)), sw.identity_map(2), sw.geometric_schedule(3, 6)
+        xi = np.asarray(u, dtype=complex) / gauge(u)
+        bd = dm.boundary_data(dom, xi, tol=1e-9)
+        c = (1 - gauge(bd.point + schedule[0] * bd.inward_normal)) / schedule[0] \
+            - max(0.0, gauge(bd.point) - 1) / schedule[-1]
+        rep = sw.convex_pipeline(dom, f, xi, schedule)
+        assert rep.fitted["C0"] == pytest.approx(0.5 * math.log(2 / c), rel=1e-12, abs=0)
+        assert rep.fitted["residual_slope"] < 0.02
+        assert rep.all_checks_pass and rep.notes == []
+        # the check compares K with that bound, so a K above it fails the check
+        real = sw.dist_uppers
+        monkeypatch.setattr(sw, "dist_uppers", lambda dom, zs, ws: real(dom, zs, ws) + 0.01)
+        raised = dict(sw.convex_pipeline(dom, f, xi, schedule).checks)
+        assert raised["K(z0,p_0) <= C0 + 0.5 log(1/r_n)"]
+        assert not raised["K(z0,p_3) <= C0 + 0.5 log(1/r_n)"]
+
+    def test_c0_is_infinite_when_the_gauge_gives_no_slope(self):
+        # xi is 4e-10 outside the polydisk, within the on-boundary tolerance: then
+        # c = (1 - h(p_0))/r_0 - eta/r_min = 0.5/0.9 - 4e-10/5.6e-10 < 0, C0 = inf
+        rep = sw.convex_pipeline(dm.polydisk(2), sw.identity_map(2), [1 + 4e-10, 0.5], [0.9, 5.6e-10])
+        assert rep.fitted["C0"] == math.inf
+        assert not any(ok for name, ok in rep.checks if name.startswith(("K(z0", "e4K")))
+        assert rep.verdict == INCONCLUSIVE
+
+    def test_c0_when_the_first_radius_reaches_the_center(self):
+        # on 4|z1|^2 + |z2|^2 < 1 at (1/2, 0), r_0 = 1/2 puts p_0 at the center:
+        # h(p_0) = 0, c = (1 - 0)/r_0 = 2 and C0 = 0.5 log(2/c) = 0
+        dom = dm.modulus_polynomial([(4.0, (1, 0)), (1.0, (0, 1))], 2)
+        rep = sw.convex_pipeline(dom, sw.identity_map(2), [0.5, 0], [0.5, 0.25])
+        assert rep.fitted["C0"] == 0.0
+        assert rep.all_checks_pass
 
     def test_uncertified_map_rejected(self):
         with pytest.raises(NotSelfMap):
