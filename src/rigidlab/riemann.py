@@ -5,19 +5,20 @@ A metric lives on a single chart ``U subset R^n`` through a component oracle
 one closed-form U(d)-invariant family, so their derivatives are exact to
 double precision).
 On top of it the module builds Christoffel symbols, the curvature tensor,
-geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map
-whose Newton iteration uses the exact variational system (the geodesic, the
-transport and the variational system run on the one fixed-step RK4 integrator
-:func:`_rk4`; the Jacobi fields are closed-form, from one eigendecomposition
-of the Jacobi operator carried by ``closed_transport``), and the three
-estimates the rigidity pipelines consume: two-sided bounds on the Sasaki
-distance of the (unit) tangent bundle (from the exact ``closed_dist`` and
-``closed_transport``: every metric is a symmetric space, so transport along a
-geodesic is the differential of a transvection), geodesic spread, and the
-backward initial-condition estimate (both sample ``closed_ray`` and read
-``closed_dist``).  The RK4
-geodesic and transport flows and the shooting ``exp_log`` are the independent
-engines the closed forms are checked against.
+geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map,
+and the three estimates the rigidity pipelines consume.  The geodesic and the
+transport run on the one fixed-step RK4 integrator :func:`_rk4`.  The Jacobi
+fields are closed-form, from one eigendecomposition of the Jacobi operator
+carried by ``closed_transport``.  ``exp_log`` is Newton shooting: the RK4
+endpoint alone decides convergence, and the closed-form Jacobi fields with
+``J(0) = 0`` give the Newton Jacobian.  The three estimates are two-sided
+bounds on the Sasaki distance of the (unit) tangent bundle (from the exact
+``closed_dist`` and ``closed_transport``: every metric is a symmetric space,
+so transport along a geodesic is the differential of a transvection),
+geodesic spread, and the backward initial-condition estimate (both sample
+``closed_ray`` and read ``closed_dist``).  The RK4 geodesic and transport
+flows and the shooting ``exp_log`` are the independent engines the closed
+forms are checked against.
 
 Shape contract: the ``g``, ``ginv`` and ``dg`` oracles and
 :func:`christoffel` take one point ``(n,)`` or a stack of points ``(N, n)``
@@ -30,7 +31,8 @@ so the positivity check :meth:`MetricField.require_positive` needs no numerical
 eigensolver.
 The ``closed_geodesic`` and ``closed_ray`` samplers take a time ``t``
 (returning ``(n,)``) or an array of times (returning ``(N, n)``);
-``closed_transport(x, y, X)`` takes one vector ``(n,)``.
+``closed_transport(x, y, X)`` takes one vector ``(n,)`` or a stack of
+vectors ``(K, n)`` at ``x`` and returns the matching shape.
 
 Index conventions::
 
@@ -95,7 +97,8 @@ class MetricField:
                                                 # (n,), sampler(ts) of shape (N,) is (N, n)
     closed_ray: Callable                        # (x, unit v) -> sampler t -> gamma(t), shaped
                                                 # as closed_geodesic's sampler
-    closed_transport: Callable                  # (x, y, X) -> X parallel along the geodesic x -> y:
+    closed_transport: Callable                  # (x, y, X) -> X parallel along the geodesic x -> y,
+                                                # X of shape (n,) or a stack (K, n):
                                                 # the differential of a transvection, so the
                                                 # metric is symmetric (nab R = 0), which
                                                 # jacobi_flow relies on
@@ -256,15 +259,17 @@ def _conformal_transport(k: float):
     the angle ``d(x, y)``) is a Moebius map, so transport is multiplication by
     its derivative at ``x``, ``(1 + k |y|^2) / (1 + k |x|^2) * c / conj(c)`` with
     ``c = 1 + k conj(x) y``.  On the sphere ``|c|`` is ``cos(d / 2)`` times the
-    norms: antipodal points have no one geodesic and raise, as in ``geod``."""
+    norms: antipodal points have no one geodesic and raise, as in ``geod``.
+    ``X`` is one vector or a stack of them, each row times the real 2x2 matrix
+    of that complex factor."""
     def transport(x, y, X):
         zx, zy = complex(x[0], x[1]), complex(y[0], y[1])
         nx, ny = 1.0 + k * abs(zx) ** 2, 1.0 + k * abs(zy) ** 2
         c = 1.0 + k * zx.conjugate() * zy
         if abs(c) < 1e-14 * math.sqrt(nx * ny):
             raise ShootingDiverged("antipodal points on the sphere")
-        w = complex(X[0], X[1]) * ny / nx * c / c.conjugate()
-        return np.array([w.real, w.imag])
+        f = ny / nx * c / c.conjugate()
+        return np.asarray(X, float) @ np.array([[f.real, f.imag], [-f.imag, f.real]])
 
     return transport
 
@@ -462,24 +467,26 @@ def bergman_ball(d: int = 2) -> MetricField:
         2.2.2: ``L = -(P + s (I - P))``, ``D = 1 - a^H z``, ``N = a + L z``)
         simplifies where it is taken: ``J phi_x(x) = L / s^2`` (``N = 0``),
         ``J phi_-w(0) = -(s_w^2 P_w + s_w (I - P_w))`` and ``J phi_x(w) = (L + y
-        x^H) (1 - x^H y) / s^2`` (``N = y D``, ``D = s^2 / (1 - x^H y)``)."""
+        x^H) (1 - x^H y) / s^2`` (``N = y D``, ``D = s^2 / (1 - x^H y)``).
+        Every factor is complex-linear, so ``X`` may be a stack of vectors:
+        ``u @ z.conj()`` is ``z^H u`` for each row ``u``."""
         zx, zy, v = (_complex_of(np.asarray(u, float)) for u in (x, y, X))
-        a2 = np.vdot(zx, zx).real
+        a2 = (zx @ zx.conj()).real
         s2 = 1.0 - a2
         s = math.sqrt(s2)
 
         def lin(u):   # L u
-            pu = (np.vdot(zx, u) / a2) * zx if a2 > 0 else 0.0
+            pu = ((u @ zx.conj()) / a2)[..., None] * zx if a2 > 0 else 0.0
             return (s - 1.0) * pu - s * u
 
-        c = 1.0 - np.vdot(zx, zy)
+        c = 1.0 - zy @ zx.conj()
         w = (zx + lin(zy)) / c
-        w2 = np.vdot(w, w).real
+        w2 = (w @ w.conj()).real
         sw = math.sqrt(1.0 - w2)
         u = lin(v) / s2
-        pu = (np.vdot(w, u) / w2) * w if w2 > 0 else 0.0
+        pu = ((u @ w.conj()) / w2)[..., None] * w if w2 > 0 else 0.0
         u = (sw - sw * sw) * pu - sw * u
-        return _real_of(-(lin(u) + zy * np.vdot(zx, u)) * (c / s2))
+        return _real_of(-(lin(u) + (u @ zx.conj())[..., None] * zy) * (c / s2))
 
     c = 2.0 * (d + 1)
 
@@ -572,29 +579,20 @@ def christoffel(m: MetricField, x) -> np.ndarray:
     return 0.5 * (m.ginv(x) @ term.reshape(term.shape[:-2] + (-1,))).reshape(term.shape)
 
 
-def connection(m: MetricField, x):
-    """``(gamma, dgamma, gx, ginv)`` at one point ``x``, contracted as matmuls
-    on ``(n, n^2)`` blocks; runs :meth:`MetricField.require_positive` first."""
+def christoffel_curvature(m: MetricField, x) -> CurvatureData:
+    """Christoffel symbols, their derivatives and the curvature tensor at one
+    point ``x``, contracted as matmuls on ``(n, n^2)`` blocks; runs
+    :meth:`MetricField.require_positive` first."""
     x = np.asarray(x, dtype=float)
     gx = m.metric_at(x)
     dg = m.dg(x)
-    d2g = m.d2g(x)
     ginv = m.ginv(x)
     n = m.dim
-
     term = _term(dg).reshape(n, n * n)
-    dterm = _term(d2g).reshape(n, n, n * n)  # dterm[a] = d_a term
-    gamma = 0.5 * (ginv @ term)
+    dterm = _term(m.d2g(x)).reshape(n, n, n * n)  # dterm[a] = d_a term
     dginv = -(ginv @ dg @ ginv)  # dginv[m, k, l] = d_m g^{kl}
     dgamma = (0.5 * (dginv @ term + ginv @ dterm)).reshape(n, n, n, n)
-    return gamma.reshape(n, n, n), dgamma, gx, ginv
-
-
-def christoffel_curvature(m: MetricField, x) -> CurvatureData:
-    """:func:`connection` at ``x`` plus the curvature tensor."""
-    x = np.asarray(x, dtype=float)
-    gamma, dgamma, gx, ginv = connection(m, x)
-    n = m.dim
+    gamma = (0.5 * (ginv @ term)).reshape(n, n, n)
     # r[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk;  riem = r - (i <-> j)
     gg = gamma.reshape(n * n, n) @ gamma.reshape(n, n * n)
     r = dgamma.transpose(1, 0, 2, 3) + gg.reshape(n, n, n, n)
@@ -762,7 +760,7 @@ def jacobi_flow(m: MetricField, init: TangentPoint, horizon: float, J0, W0,
         for t, p in zip(ts, xs):
             if not m.chart_contains(p):
                 raise LeftChart(f"{m.name}: jacobi flow left the chart at t={t:.4f}")
-        moved = np.array([[m.closed_transport(x, p, e) for e in frame.T] for p in xs])
+        moved = np.array([m.closed_transport(x, p, frame.T) for p in xs])
     else:
         moved = np.broadcast_to(frame.T, (len(ts),) + frame.shape)
 
@@ -790,86 +788,77 @@ def _shooting_steps(arc: float) -> int:
 
 
 def _endpoint(m: MetricField, x, X, n_steps: int):
-    """Endpoint of exp_x(X), with the positivity and chart checks of
-    :func:`_endpoint_and_jacobian` on every stage and step.  Its acceleration
-    is contracted as there, so the two give the same positions bit for bit."""
-    def rhs(pos, vel):
-        return vel, -((vel @ christoffel(m, m.require_positive(pos))) @ vel)
-
+    """Endpoint of exp_x(X): RK4 on :func:`_geodesic_rhs`, the right-hand side
+    of :func:`geodesic_flow`, with the positivity check on every stage and the
+    chart check on every step."""
     h = 1.0 / n_steps
-    return _rk4(rhs, (x, X), h, n_steps, _chart_guard(m, "shooting", h))[0][-1]
-
-
-def _endpoint_and_jacobian(m: MetricField, x, X, n_steps: int):
-    """Endpoint of exp_x(X) plus its Jacobian in X (variational system)."""
-    def rhs(pos, vel, dx, dv):
-        gamma, dgamma, _, _ = connection(m, pos)
-        gv = vel @ gamma  # gv[k, j] = Gamma^k_ij vel^i
-        dacc = -((dgamma @ vel) @ vel).T @ dx - 2.0 * gv @ dv
-        return vel, -(gv @ vel), dv, dacc
-
-    n, h = m.dim, 1.0 / n_steps
-    pos, _, dxdX, _ = _rk4(rhs, (x, X, np.zeros((n, n)), np.eye(n)), h, n_steps,
-                           _chart_guard(m, "shooting", h))
-    return pos[-1], dxdX[-1]
+    return _rk4(lambda pos, vel: _geodesic_rhs(m, m.require_positive(pos), vel), (x, X), h,
+                n_steps, _chart_guard(m, "shooting", h))[0][-1]
 
 
 def exp_log(m: MetricField, x, y) -> TangentPoint:
     """Newton shooting for ``X`` with ``exp_x(X) = y``; ``|X|_g`` is the distance.
 
-    The variational system runs only where Newton takes a step from: at the
-    start, when the step count changes, and at an accepted line-search trial
-    that has not converged.  The trials themselves integrate the geodesic alone.
+    The RK4 :func:`_endpoint` alone decides ``|exp_x(X) - y| < SHOOTING_TOL``.
+    Where it has not converged, Newton steers with ``d exp_x`` at ``X``: every
+    metric is a symmetric space, so its column ``k`` is the closed-form Jacobi
+    field with ``J(0) = 0``, ``J'(0) = e_k`` at time 1 (:func:`jacobi_flow`).
+    A line-search trial that leaves the chart backtracks; leaving it anywhere
+    else raises ``ShootingDiverged``.  So does a converged ``X`` longer than
+    ``inj_model``, which is a geodesic that does not minimize (the long arc of
+    a great circle on the sphere).
     """
     x = m.require_chart(np.asarray(x, dtype=float))
     y = m.require_chart(np.asarray(y, dtype=float))
     X = y - x
     if np.linalg.norm(X) < 1e-15:
         return TangentPoint(x, np.zeros(m.dim))
-
-    def solve():
-        try:
-            return _endpoint_and_jacobian(m, x, X, n_steps)
-        except LeftChart as exc:
-            raise ShootingDiverged(str(exc)) from exc
-
+    n = m.dim
     best_res = math.inf
     n_steps = endpoint = None  # the step count and the endpoint at the current X
-    for _ in range(SHOOTING_MAX_NEWTON):
-        jac = None
-        steps = _shooting_steps(m.norm(x, X))
-        if steps != n_steps:
-            n_steps = steps
-            endpoint, jac = solve()
-        res = endpoint - y
-        rnorm = float(np.linalg.norm(res))
-        if rnorm < SHOOTING_TOL:
-            return TangentPoint(x, X)
-        if rnorm > 1e3 * max(1.0, best_res):
-            raise ShootingDiverged(f"{m.name}: residual blew up ({rnorm:.2e})")
-        best_res = min(best_res, rnorm)
-        if jac is None:
-            jac = solve()[1]
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise ShootingDiverged("singular endpoint Jacobian (conjugate point?)") from exc
-        # damped Newton keeps the iterates inside the chart
-        lam = 1.0
-        for _ in range(30):
-            Xn = X + lam * delta
-            try:
-                endn = _endpoint(m, x, Xn, n_steps)
-            except LeftChart:
-                lam *= 0.5
-                continue
-            if np.linalg.norm(endn - y) < rnorm:
-                X, endpoint = Xn, endn
+    try:
+        for _ in range(SHOOTING_MAX_NEWTON):
+            steps = _shooting_steps(m.norm(x, X))
+            if steps != n_steps:
+                n_steps = steps
+                endpoint = _endpoint(m, x, X, n_steps)
+            res = endpoint - y
+            rnorm = float(np.linalg.norm(res))
+            if rnorm < SHOOTING_TOL:
                 break
-            lam *= 0.5
+            if rnorm > 1e3 * max(1.0, best_res):
+                raise ShootingDiverged(f"{m.name}: residual blew up ({rnorm:.2e})")
+            best_res = min(best_res, rnorm)
+            jac = jacobi_flow(m, TangentPoint(x, X), 1.0, np.zeros((n, n)), np.eye(n),
+                              step=1.0).J[-1].T
+            try:
+                delta = np.linalg.solve(jac, -res)
+            except np.linalg.LinAlgError as exc:
+                raise ShootingDiverged("singular endpoint Jacobian (conjugate point?)") from exc
+            # damped Newton keeps the iterates inside the chart
+            lam = 1.0
+            for _ in range(30):
+                Xn = X + lam * delta
+                try:
+                    endn = _endpoint(m, x, Xn, n_steps)
+                except LeftChart:
+                    lam *= 0.5
+                    continue
+                if np.linalg.norm(endn - y) < rnorm:
+                    X, endpoint = Xn, endn
+                    break
+                lam *= 0.5
+            else:
+                raise ShootingDiverged(f"{m.name}: no descent (residual {rnorm:.2e})")
         else:
-            raise ShootingDiverged(f"{m.name}: no descent (residual {rnorm:.2e})")
-    raise ShootingDiverged(f"{m.name}: Newton did not converge (residual {best_res:.2e})")
+            raise ShootingDiverged(f"{m.name}: Newton did not converge (residual {best_res:.2e})")
+    except LeftChart as exc:
+        raise ShootingDiverged(str(exc)) from exc
+    length = m.norm(x, X)
+    if length > m.inj_model:
+        raise ShootingDiverged(f"{m.name}: the shot geodesic has length {length:.4f} > "
+                               f"injectivity radius {m.inj_model:.4f}, so it does not minimize")
+    return TangentPoint(x, X)
 
 
 def tangent_angle(m: MetricField, x, u, w) -> float:

@@ -195,19 +195,19 @@ def biholo_pipeline(dom: Domain, phi: HoloMap, k: KahlerField, xi0, cone: Cone,
 
 
 def _euclidean_exit_time(sampler, start: np.ndarray, radius: float, horizon: float) -> float:
-    """First time the geodesic leaves the Euclidean ball around its start."""
+    """First time the geodesic leaves the Euclidean ball around its start.
+
+    The bracket ``[lo, hi]`` has ``hi`` outside the ball.  One stacked
+    ``sampler`` call at 62 interior times narrows it to the first sample
+    outside and the one before it, until its ends are adjacent floats."""
     if np.linalg.norm(sampler(horizon) - start) <= radius:
         return horizon
-    # bracket by one stacked scan, then bisect
-    ts = np.linspace(0.0, horizon, 64)
-    out = np.flatnonzero(np.linalg.norm(sampler(ts[1:]) - start, axis=1) > radius)
-    lo, hi = (ts[out[0]], ts[out[0] + 1]) if len(out) else (ts[-1], horizon)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if np.linalg.norm(sampler(mid) - start) > radius:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = 0.0, horizon
+    while np.nextafter(lo, hi) < hi:
+        ts = np.linspace(lo, hi, 64)
+        inside = np.linalg.norm(sampler(ts[1:-1]) - start, axis=1) <= radius
+        k = int(np.argmin(np.append(inside, False)))   # ts[k + 1] is the first time outside
+        lo, hi = ts[k], ts[k + 1]
     return lo
 
 

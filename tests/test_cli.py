@@ -129,7 +129,8 @@ class TestEmission:
         rep.rows = [{"n": 0, "r_n": 0.5, "composite": 1.0}]
         cfg = cli.RunConfig(subcommand="schwarz", out_dir=str(tmp_path))
         paths = cli.emit_report(rep, cfg, "t")
-        header = open(paths[0]).readline()
+        with open(paths[0]) as fh:
+            header = fh.readline()
         assert "[schedule radius r_n]" in header
 
     def test_generic_convex_artifacts_are_pinned(self, tmp_path):
@@ -157,14 +158,14 @@ class TestEmission:
         rep = PipelineReport(name="t", columns=["n", "r_n"])
         cfg = cli.RunConfig(subcommand="schwarz", out_dir=str(tmp_path), format="csv")
         paths = cli.emit_report(rep, cfg, "empty")
-        lines = open(paths[0]).read().splitlines()
+        lines = Path(paths[0]).read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("n [")
 
     def test_json_stable_keys(self, tmp_path):
         rep = PipelineReport(name="t", columns=["n"])
         cfg = cli.RunConfig(subcommand="schwarz", out_dir=str(tmp_path), format="json")
         (path,) = cli.emit_report(rep, cfg, "t")
-        payload = json.load(open(path))
+        payload = json.loads(Path(path).read_text())
         assert list(payload) == sorted(payload)
 
 
@@ -314,7 +315,7 @@ class TestMain:
             out = tmp_path / str(len(z0))
             rc = cli.main(["--out-dir", str(out), "rigidity", "--pipeline", "convex"] + z0)
             assert rc in (0, 1)
-            c0[len(z0)] = json.load(open(out / "rigidity_convex_id.json"))["fitted"]["C0"]
+            c0[len(z0)] = json.loads((out / "rigidity_convex_id.json").read_text())["fitted"]["C0"]
         direct = rigidity.convex_pipeline(domain.disk(), schwarz.identity_map(), [1.0], z0=[0.5])
         assert c0[0] == 0.5 * math.log(2.0)
         assert c0[2] == direct.fitted["C0"] != c0[0]
@@ -343,14 +344,14 @@ class TestMain:
         rc = cli.main(["--out-dir", str(tmp_path), "kahler", "--check", "squeeze",
                        "--domain", '{"kind":"ball","dimension":2}'])
         assert rc == 0
-        assert len(json.load(open(tmp_path / "kahler_squeeze.json"))["z"]) == 2
+        assert len(json.loads((tmp_path / "kahler_squeeze.json").read_text())["z"]) == 2
 
     def test_kahler_threshold(self, tmp_path):
         rc = cli.main(["--out-dir", str(tmp_path), "kahler", "--check", "threshold",
                        "--params", json.dumps({"d": 1, "kappa": 1, "A": 1,
                                                "theta": math.pi / 2})])
         assert rc == 0
-        val = json.load(open(tmp_path / "kahler_threshold.json"))["L_threshold"]
+        val = json.loads((tmp_path / "kahler_threshold.json").read_text())["L_threshold"]
         assert val == 7.0
 
     def test_riemann_spread_violation_exits_1(self, tmp_path):
@@ -391,7 +392,7 @@ class TestMain:
             "schedule": {"kind": "geometric", "n_lo": 3, "n_hi": 8},
         }))
         assert cli.main(["--config", str(cfg_path)]) == 0
-        verdicts = json.load(open(tmp_path / "out" / "rigidity_convex_id.json"))
+        verdicts = json.loads((tmp_path / "out" / "rigidity_convex_id.json").read_text())
         assert verdicts["verdict"] == "forces-identity"
 
     def test_kahler_bg_on_a_mismatched_pair_exits_2(self, tmp_path, capsys):

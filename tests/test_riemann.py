@@ -621,6 +621,15 @@ class TestClosedTransport:
         assert exact.upper == pytest.approx(integrated.upper, rel=1e-9)
         assert exact.lower == pytest.approx(integrated.lower, rel=1e-9)
 
+    @pytest.mark.parametrize("m, x, y, w", _TRANSPORT_CASES, ids=_TRANSPORT_IDS)
+    def test_stacked_call_gives_the_single_calls(self, m, x, y, w):
+        x, y, w = (np.asarray(a, float) for a in (x, y, w))
+        stack = np.stack((w, np.roll(w, 1) - 0.5 * w, _times_i(w)))
+        got = m.closed_transport(x, y, stack)
+        want = np.stack([m.closed_transport(x, y, u) for u in stack])
+        assert got.shape == stack.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_antipodal_points_on_the_sphere_raise(self):
         x = np.array([0.5, -0.25])
         with pytest.raises(ShootingDiverged):
@@ -760,29 +769,14 @@ def _reference_jacobi(m, x, v, horizon, J0, W0, step):
     return Js, Ws, kappa_meas
 
 
-def _reference_endpoint_and_jacobian(m, x, X, n_steps):
-    n = m.dim
-    h = 1.0 / n_steps
-    pos, vel = x.copy(), X.copy()
-    dxdX = np.zeros((n, n))
-    dvdX = np.eye(n)
-
-    def rhs(pos, vel, dx, dv):
-        cd = rm.christoffel_curvature(m, pos)
-        gv = vel @ cd.gamma
-        dacc = -((cd.dgamma @ vel) @ vel).T @ dx - 2.0 * gv @ dv
-        return vel, -(gv @ vel), dv, dacc
-
-    for _ in range(n_steps):
-        k1 = rhs(pos, vel, dxdX, dvdX)
-        k2 = rhs(pos + 0.5 * h * k1[0], vel + 0.5 * h * k1[1], dxdX + 0.5 * h * k1[2], dvdX + 0.5 * h * k1[3])
-        k3 = rhs(pos + 0.5 * h * k2[0], vel + 0.5 * h * k2[1], dxdX + 0.5 * h * k2[2], dvdX + 0.5 * h * k2[3])
-        k4 = rhs(pos + h * k3[0], vel + h * k3[1], dxdX + h * k3[2], dvdX + h * k3[3])
-        pos = pos + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        vel = vel + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        dxdX = dxdX + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        dvdX = dvdX + h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    return pos, dxdX
+def _reference_endpoint(m, x, X, n_steps):
+    """``_endpoint`` as the hand-written geodesic loop, with its chart check
+    (the positivity check raises on no input here)."""
+    xs, _ = _reference_geodesic(m, x, X, 1.0, 1.0 / n_steps)
+    for i, p in enumerate(xs[1:]):
+        if not m.chart_contains(p):
+            raise LeftChart(f"{m.name}: shooting left the chart at t={(i + 1) / n_steps:.4f}")
+    return xs[-1]
 
 
 _FLOW_STARTS = [
@@ -796,9 +790,9 @@ _JACOBI_STARTS = _FLOW_STARTS + [(rm.scale_metric(BE, 2.5),) + tuple(_FLOW_START
 
 
 class TestOneIntegrator:
-    """Every flow on ``_rk4`` gives the hand-written loops' floats bit for bit;
-    the closed-form Jacobi fields match the hand-written RK4 Jacobi loop at a
-    fine step."""
+    """Every flow on ``_rk4``, and the shooting endpoint, gives the hand-written
+    loops' floats bit for bit; the closed-form Jacobi fields match the
+    hand-written RK4 Jacobi loop at a fine step."""
 
     @pytest.mark.parametrize("m, x, v, y", _FLOW_STARTS, ids=_FLOW_IDS)
     def test_geodesic_and_transport(self, m, x, v, y):
@@ -831,31 +825,51 @@ class TestOneIntegrator:
     def test_exp_log(self, m, x, v, y, monkeypatch):
         x, y = 0.5 * np.asarray(x, float), 0.5 * np.asarray(y, float)
         got = rm.exp_log(m, x, y)
-        monkeypatch.setattr(rm, "_endpoint_and_jacobian", _reference_endpoint_and_jacobian)
+        monkeypatch.setattr(rm, "_endpoint", _reference_endpoint)
         want = rm.exp_log(m, x, y)
         assert np.array_equal(got.vec, want.vec)
 
 
-def test_exp_log_reuses_the_accepted_trial(monkeypatch):
-    # one Newton step: the variational solve at the start, then the accepted
-    # line-search trial, which integrates the geodesic alone and converges
+def _count_calls(monkeypatch, names):
+    """Record each call to the named ``rm`` functions with the step count of
+    an ``_endpoint`` call or the number of fields of a ``jacobi_flow`` call."""
     calls = []
-    for name in ("_endpoint_and_jacobian", "_endpoint"):
-        def counting(*args, _name=name, _solve=getattr(rm, name)):
-            calls.append((_name, args[3]))
-            return _solve(*args)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(rm, name), **kwargs):
+            calls.append((_name, args[3] if _name == "_endpoint" else len(args[4])))
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(rm, name, counting)
+    return calls
+
+
+def test_exp_log_reuses_the_accepted_trial(monkeypatch):
+    # one Newton step: the endpoint at the start, one Jacobian of n Jacobi
+    # fields, then the accepted line-search trial, which converges
+    calls = _count_calls(monkeypatch, ("_endpoint", "jacobi_flow"))
     rm.exp_log(PO, [0.1, 0.0], [0.11, 0.01])
-    assert calls == [("_endpoint_and_jacobian", 48), ("_endpoint", 48)]
+    assert calls == [("_endpoint", 48), ("jacobi_flow", 2), ("_endpoint", 48)]
+
+
+def test_euclid_exp_log_takes_no_jacobian(monkeypatch):
+    # the straight start X = y - x already lands on y, so the endpoint alone
+    # converges and no curvature (hence no d2g) is ever evaluated
+    d2g_calls = []
+    m = dataclasses.replace(EU, d2g=lambda x: d2g_calls.append(1) or EU.d2g(x))
+    calls = _count_calls(monkeypatch, ("_endpoint", "jacobi_flow"))
+    x, y = np.array([0.2, -0.1]), np.array([1.0, 0.7])
+    tp = rm.exp_log(m, x, y)
+    assert calls == [("_endpoint", 113)] and d2g_calls == []
+    assert np.array_equal(tp.vec, y - x)
 
 
 @pytest.mark.parametrize("m, x, v, y", _FLOW_STARTS, ids=_FLOW_IDS)
 def test_shooting_jacobian_matches_central_differences(m, x, v, y):
-    # the independent reference: central differences of the endpoint map
+    # the independent reference: central differences of the RK4 endpoint map
+    # against d exp_x from the Jacobi fields with J(0) = 0, J'(0) = e_k
     x, X, n_steps, h = 0.5 * np.asarray(x, float), 0.4 * np.asarray(v, float), 48, 1e-6
-    end, jac = rm._endpoint_and_jacobian(m, x, X, n_steps)
-    assert np.array_equal(end, rm._endpoint(m, x, X, n_steps))
+    n = m.dim
+    jac = rm.jacobi_flow(m, rm.TangentPoint(x, X), 1.0, np.zeros((n, n)), np.eye(n), step=1.0).J[-1].T
     fd = np.stack([(rm._endpoint(m, x, X + h * e, n_steps) - rm._endpoint(m, x, X - h * e, n_steps))
                    / (2 * h) for e in np.eye(m.dim)], axis=1)
     assert np.allclose(jac, fd, rtol=0, atol=1e-8)
@@ -863,16 +877,28 @@ def test_shooting_jacobian_matches_central_differences(m, x, v, y):
 
 def test_singular_metric_on_the_trial_path_is_reported():
     # g is the Poincare metric; its positivity oracle reports a singular
-    # annulus |x| >= 0.57.  From 0 the first solve ends on the diameter at
+    # annulus |x| >= 0.57.  From 0 the first endpoint ends on the diameter at
     # tanh(0.6) = 0.537 and the Newton trial aims at 0.6, so only the trial
     # crosses it.
     m = dataclasses.replace(PO, min_eig=lambda x: PO.min_eig(x) if x @ x < 0.57**2 else 0.0)
     x, y = np.zeros(2), np.array([0.6, 0.0])
-    rm._endpoint_and_jacobian(m, x, y, 48)
+    rm._endpoint(m, x, y, 48)
     with pytest.raises(SingularMetric):
         rm._endpoint(m, x, np.array([math.atanh(0.6), 0.0]), 48)
     with pytest.raises(SingularMetric):
         rm.exp_log(m, x, y)
+
+
+def test_exp_log_refuses_the_long_arc():
+    # Newton from the chart difference converges to the great-circle arc of
+    # length 2 pi - 2.5874 = 3.6958 > pi, which is a geodesic but not the
+    # distance; the short arc still shoots
+    x, y = np.array([1.2, 0.4]), np.array([-0.9, 0.2])
+    with pytest.raises(ShootingDiverged, match="does not minimize"):
+        rm.exp_log(SP, x, y)
+    y = np.array([-0.3, 0.9])
+    tp = rm.exp_log(SP, x, y)
+    assert SP.norm(x, tp.vec) == pytest.approx(SP.closed_dist(x, y), rel=1e-8)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
