@@ -3,7 +3,8 @@
 A metric lives on a single chart ``U subset R^n`` through a component oracle
 ``g_ij(x)`` with first and second derivative oracles (the model metrics are
 one closed-form U(d)-invariant family, so their derivatives are exact to
-double precision).
+double precision; the Poincare disk and the round sphere are one conformal
+Moebius model, ``4 |dz|^2 / (1 + k |z|^2)^2`` with ``k = -1`` and ``k = 1``).
 On top of it the module builds Christoffel symbols, the curvature tensor,
 geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map,
 and the three estimates the rigidity pipelines consume.  The geodesic and the
@@ -252,28 +253,6 @@ def _real_of(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conformal_transport(k: float):
-    """Parallel transport on ``4 |dz|^2 / (1 + k |z|^2)^2``, the disk (``k = -1``)
-    or the stereographic sphere (``k = 1``).  The transvection moving ``x`` to
-    ``y`` along their geodesic (on the sphere, the rotation about ``p x q`` by
-    the angle ``d(x, y)``) is a Moebius map, so transport is multiplication by
-    its derivative at ``x``, ``(1 + k |y|^2) / (1 + k |x|^2) * c / conj(c)`` with
-    ``c = 1 + k conj(x) y``.  On the sphere ``|c|`` is ``cos(d / 2)`` times the
-    norms: antipodal points have no one geodesic and raise, as in ``geod``.
-    ``X`` is one vector or a stack of them, each row times the real 2x2 matrix
-    of that complex factor."""
-    def transport(x, y, X):
-        zx, zy = complex(x[0], x[1]), complex(y[0], y[1])
-        nx, ny = 1.0 + k * abs(zx) ** 2, 1.0 + k * abs(zy) ** 2
-        c = 1.0 + k * zx.conjugate() * zy
-        if abs(c) < 1e-14 * math.sqrt(nx * ny):
-            raise ShootingDiverged("antipodal points on the sphere")
-        f = ny / nx * c / c.conjugate()
-        return np.asarray(X, float) @ np.array([[f.real, f.imag], [-f.imag, f.real]])
-
-    return transport
-
-
 @lru_cache(maxsize=None)
 def euclidean(n: int = 2) -> MetricField:
     eye = np.eye(n)
@@ -306,103 +285,93 @@ def euclidean(n: int = 2) -> MetricField:
     )
 
 
-@lru_cache(maxsize=None)
-def poincare_disk() -> MetricField:
-    def dist(x, y):
+def _conformal_model(name: str, k: float, chart_contains) -> MetricField:
+    """``4 |dz|^2 / (1 + k |z|^2)^2`` of constant curvature ``k``: the Poincare
+    disk (``k = -1``) and the stereographic round sphere (``k = 1``).
+
+    Both are one Moebius family.  The transvection ``tau(w) = (zx + w) /
+    (1 - k conj(zx) w)`` moves 0 to ``zx`` with ``tau'(0) = 1 + k |zx|^2``, and
+    its inverse is ``tau^-1(zy) = (zy - zx) / c`` with ``c = 1 + k conj(zx) zy``.
+    The geodesics through 0 are the rays ``w = e tan_k(t / 2)`` (``tanh`` on the
+    disk, ``tan`` on the sphere), so ``d(zx, zy) = 2 atan_k |tau^-1(zy)|`` and
+    every geodesic is the image of one ray under a ``tau``.  Transport along it
+    is multiplication by ``(1 + k |zy|^2) / (1 + k |zx|^2) * c / conj(c)``, the
+    derivative of the transvection moving ``zx`` to ``zy``.
+    """
+    tan_k = np.tan if k > 0 else np.tanh
+
+    def atan_k(num, den):
+        """``atan_k |num / den|``, with ``atan2`` on the sphere: ``pi / 2`` at the antipode."""
+        if k > 0:
+            return math.atan2(abs(num), abs(den))
+        return math.atanh(min(abs(num / den), 1 - 1e-16))
+
+    def chart_pair(x, y):
+        """``zx``, ``zy``, ``nx = 1 + k |zx|^2``, ``ny`` and ``c``."""
         zx, zy = complex(x[0], x[1]), complex(y[0], y[1])
-        m = abs((zx - zy) / (1 - np.conj(zx) * zy))
-        return 2.0 * math.atanh(min(m, 1 - 1e-16))
+        return zx, zy, 1.0 + k * abs(zx) ** 2, 1.0 + k * abs(zy) ** 2, 1 + k * np.conj(zx) * zy
+
+    def joined_pair(x, y):
+        """:func:`chart_pair` of two points that one geodesic joins.  On the
+        sphere ``|c|`` is ``cos(d / 2) sqrt(nx ny)`` (``cosh`` on the disk), so
+        antipodal points raise ``ShootingDiverged``."""
+        zx, zy, nx, ny, c = pair = chart_pair(x, y)
+        if abs(c) < 1e-14 * math.sqrt(nx * ny):
+            raise ShootingDiverged(f"{name}: antipodal points")
+        return pair
 
     def curve(zx, e):
-        """Unit-speed geodesic from ``zx`` leaving in the unit direction ``e``."""
+        """Unit-speed geodesic ``tau(e tan_k(t / 2))`` from ``zx`` in the unit direction ``e``."""
         def gamma(t):
-            w = e * np.tanh(t / 2.0)
-            z = (zx + w) / (1 + np.conj(zx) * w)
+            w = e * tan_k(t / 2.0)
+            z = (zx + w) / (1 - k * np.conj(zx) * w)
             return np.stack((z.real, z.imag), axis=-1)
 
         return gamma
 
+    def dist(x, y):
+        zx, zy, _, _, c = chart_pair(x, y)
+        return 2.0 * atan_k(zy - zx, c)
+
     def geod(x, y):
-        zx, zy = complex(x[0], x[1]), complex(y[0], y[1])
-        t = (zy - zx) / (1 - np.conj(zx) * zy)
-        T = 2.0 * math.atanh(abs(t))
+        zx, zy, nx, _, c = joined_pair(x, y)
+        t = (zy - zx) / c
+        if abs(t) < 1e-15:
+            raise ShootingDiverged(f"{name}: coincident points")
         e = t / abs(t)
-        v0c = (1 - abs(zx) ** 2) * e / 2.0
-        return T, np.array([v0c.real, v0c.imag]), curve(zx, e)
+        v0c = nx * e / 2.0
+        return 2.0 * atan_k(zy - zx, c), np.array([v0c.real, v0c.imag]), curve(zx, e)
 
     def ray(x, v):
         zx = complex(x[0], x[1])
-        e = 2.0 * complex(v[0], v[1]) / (1 - abs(zx) ** 2)
+        e = complex(v[0], v[1]) / (1.0 + k * abs(zx) ** 2)   # the velocity pulled back to 0
         return curve(zx, e / abs(e))
 
+    def transport(x, y, X):   # each row of X times the real 2x2 matrix of the factor
+        _, _, nx, ny, c = joined_pair(x, y)
+        c = complex(c)
+        f = ny / nx * c / c.conjugate()
+        return np.asarray(X, float) @ np.array([[f.real, f.imag], [-f.imag, f.real]])
+
     def a(s):
-        u = 1.0 / (1.0 - s)
-        return 4.0 * u**2, 8.0 * u**3, 24.0 * u**4
+        u = 1.0 / (1.0 + k * s)
+        return 4.0 * u**2, -8.0 * k * u**3, 24.0 * u**4
 
     return invariant_metric(
-        "poincare", 2, a,
-        chart_contains=lambda x: float(x @ x) < 1.0 - 1e-12,
-        kappa_model=-1.0, inj_model=math.inf,
-        closed_dist=dist, closed_geodesic=geod, closed_ray=ray,
-        closed_transport=_conformal_transport(-1.0),
+        name, 2, a, chart_contains=chart_contains,
+        kappa_model=k, inj_model=math.pi if k > 0 else math.inf,
+        closed_dist=dist, closed_geodesic=geod, closed_ray=ray, closed_transport=transport,
     )
 
 
 @lru_cache(maxsize=None)
+def poincare_disk() -> MetricField:
+    return _conformal_model("poincare", -1.0, lambda x: float(x @ x) < 1.0 - 1e-12)
+
+
+@lru_cache(maxsize=None)
 def sphere_stereographic() -> MetricField:
-    def embed(x):
-        s = float(x @ x)
-        return np.array([2 * x[0], 2 * x[1], s - 1.0]) / (1.0 + s)
-
-    def dist(x, y):
-        """``atan2(|p x q|, p . q)``: unlike ``acos(p . q)`` it keeps every digit
-        of short distances."""
-        p0, p1, p2 = embed(np.asarray(x, float)).tolist()
-        q0, q1, q2 = embed(np.asarray(y, float)).tolist()
-        cross = math.hypot(p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
-        return math.atan2(cross, p0 * q0 + p1 * q1 + p2 * q2)
-
-    def curve(p, q):
-        """Great circle through ``p`` with unit tangent ``q``, in the chart."""
-        def gamma(t):
-            pt = np.multiply.outer(np.cos(t), p) + np.multiply.outer(np.sin(t), q)
-            return pt[..., :2] / (1.0 - pt[..., 2:])
-
-        return gamma
-
-    def geod(x, y):
-        p, q = embed(np.asarray(x, float)), embed(np.asarray(y, float))
-        T = dist(x, y)
-        axis = q - p * (p @ q)
-        norm = np.linalg.norm(axis)
-        if norm < 1e-14:
-            raise ShootingDiverged("antipodal or coincident points on the sphere")
-        q = axis / norm
-        v0 = q[:2] / (1.0 - p[2]) + p[:2] * q[2] / (1.0 - p[2]) ** 2   # d/dt gamma at t = 0
-        return T, v0, curve(p, q)
-
-    def ray(x, v):
-        x = np.asarray(x, float)
-        v = np.asarray(v, float)
-        s = float(x @ x)
-        u = 1.0 + s
-        p = embed(x)
-        xv = float(x @ v)
-        dp = np.array([2 * v[0] * u - 4 * x[0] * xv, 2 * v[1] * u - 4 * x[1] * xv,
-                       4 * xv]) / u**2
-        return curve(p, dp / np.linalg.norm(dp))
-
-    def a(s):
-        u = 1.0 / (1.0 + s)
-        return 4.0 * u**2, -8.0 * u**3, 24.0 * u**4
-
-    return invariant_metric(
-        "sphere", 2, a,
-        chart_contains=lambda x: float(x @ x) < 40.0**2,
-        kappa_model=1.0, inj_model=math.pi,
-        closed_dist=dist, closed_geodesic=geod, closed_ray=ray,
-        closed_transport=_conformal_transport(1.0),
-    )
+    return _conformal_model("sphere", 1.0, lambda x: float(x @ x) < 40.0**2)
 
 
 @lru_cache(maxsize=None)
@@ -420,8 +389,7 @@ def bergman_ball(d: int = 2) -> MetricField:
         return lambda t: _real_of(phi(np.multiply.outer(np.tanh(t / radial), e)))
 
     def dist(x, y):
-        m = math.tanh(ball_distance(_complex_of(np.asarray(x, float)), _complex_of(np.asarray(y, float))))
-        return radial * math.atanh(min(m, 1 - 1e-16))
+        return radial * ball_distance(_complex_of(np.asarray(x, float)), _complex_of(np.asarray(y, float)))
 
     def geod(x, y):
         zx = _complex_of(np.asarray(x, float))
@@ -815,13 +783,9 @@ def exp_log(m: MetricField, x, y) -> TangentPoint:
         return TangentPoint(x, np.zeros(m.dim))
     n = m.dim
     best_res = math.inf
-    n_steps = endpoint = None  # the step count and the endpoint at the current X
     try:
+        endpoint = _endpoint(m, x, X, _shooting_steps(m.norm(x, X)))
         for _ in range(SHOOTING_MAX_NEWTON):
-            steps = _shooting_steps(m.norm(x, X))
-            if steps != n_steps:
-                n_steps = steps
-                endpoint = _endpoint(m, x, X, n_steps)
             res = endpoint - y
             rnorm = float(np.linalg.norm(res))
             if rnorm < SHOOTING_TOL:
@@ -835,12 +799,13 @@ def exp_log(m: MetricField, x, y) -> TangentPoint:
                 delta = np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError as exc:
                 raise ShootingDiverged("singular endpoint Jacobian (conjugate point?)") from exc
-            # damped Newton keeps the iterates inside the chart
+            # damped Newton keeps the iterates inside the chart; each trial runs
+            # at its own step count, so the accepted one's endpoint is reused
             lam = 1.0
             for _ in range(30):
                 Xn = X + lam * delta
                 try:
-                    endn = _endpoint(m, x, Xn, n_steps)
+                    endn = _endpoint(m, x, Xn, _shooting_steps(m.norm(x, Xn)))
                 except LeftChart:
                     lam *= 0.5
                     continue

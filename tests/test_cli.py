@@ -441,6 +441,15 @@ class TestMain:
         assert "error [ApexNotOnBoundary]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_z0_on_a_schedule_point_exits_2(self, tmp_path, capsys):
+        # p_0 = 0.75: the geodesic p_0 -> z0 does not exist, and no NaN reaches a norm
+        rc = cli.main(["--out-dir", str(tmp_path / "out"), "rigidity", "--pipeline", "biholo",
+                       "--z0", "[0.75]"])
+        assert rc == 2
+        assert "error [ShootingDiverged]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_polydisk_corner_exits_2(self, tmp_path, capsys):
         # the boundary is not C^2 where two coordinates have the largest modulus
         rc = cli.main(["--out-dir", str(tmp_path / "out"), "rigidity", "--pipeline", "convex",

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -901,6 +902,23 @@ def test_exp_log_refuses_the_long_arc():
     assert SP.norm(x, tp.vec) == pytest.approx(SP.closed_dist(x, y), rel=1e-8)
 
 
+
+def test_exp_log_solves_each_endpoint_once(monkeypatch):
+    # the far Bergman pair changes the step count along the way: a trial runs
+    # at its own count, and the accepted trial's endpoint is the next residual
+    solved = []
+    endpoint = rm._endpoint
+
+    def counted(m, x, X, n_steps):
+        solved.append(X.tobytes())
+        return endpoint(m, x, X, n_steps)
+
+    monkeypatch.setattr(rm, "_endpoint", counted)
+    x, y = np.array([0.5, 0.1, -0.3, 0.2]), np.array([-0.4, 0.3, 0.2, -0.5])
+    tp = rm.exp_log(BE, x, y)
+    assert BE.norm(x, tp.vec) == pytest.approx(3.915459360937898, rel=1e-12)
+    assert len(set(solved)) == len(solved) == 8
+
 @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
 def test_flow_step_must_be_positive(step):
     init = rm.TangentPoint.of([0.1, 0.0], [0.3, 0.2])
@@ -917,6 +935,56 @@ def test_sphere_distance_keeps_short_distances():
         v = d * np.array([0.6, -0.8])
         assert SP.closed_dist(x, x + v) == pytest.approx(SP.norm(x + v / 2, v), rel=1e-7)
 
+
+
+def _sphere_reference(x, y, ts):
+    """Distance and geodesic samples ``x -> y`` on the round sphere at 50
+    digits, from the embedding in R^3: ``atan2(|p x q|, p . q)`` and the great
+    circle ``cos(t) p + sin(t) u``, with ``u`` the unit normal of ``p`` towards
+    ``q``, projected from the north pole."""
+    with mpmath.workdps(50):
+        def embed(z):
+            a, b = mpmath.mpf(float(z[0])), mpmath.mpf(float(z[1]))
+            s = a * a + b * b
+            return mpmath.matrix([2 * a, 2 * b, s - 1]) / (1 + s)
+
+        p, q = embed(x), embed(y)
+        pq = (p.T * q)[0]
+        cross = mpmath.matrix([p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+                               p[0] * q[1] - p[1] * q[0]])
+        u = q - pq * p
+        u /= mpmath.norm(u)
+        samples = []
+        for t in ts:
+            t = mpmath.mpf(float(t))
+            pt = mpmath.cos(t) * p + mpmath.sin(t) * u
+            samples.append([float(pt[0] / (1 - pt[2])), float(pt[1] / (1 - pt[2]))])
+        return float(mpmath.atan2(mpmath.norm(cross), pq)), np.array(samples)
+
+
+def test_sphere_closed_forms_match_a_50_digit_reference():
+    # relative to the sample's size; samples outside the chart (near the north
+    # pole, where the coordinates blow up) are not compared
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x, y = rng.uniform(-3.0, 3.0, 2), rng.uniform(-3.0, 3.0, 2)
+        T, _, sampler = SP.closed_geodesic(x, y)
+        ts = np.linspace(0.0, T, 9)
+        d, want = _sphere_reference(x, y, ts)
+        assert SP.closed_dist(x, y) == pytest.approx(d, rel=1e-14, abs=0)
+        inside = np.sum(want * want, axis=1) < 40.0**2
+        err = np.max(np.abs(sampler(ts) - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert np.all(err[inside] <= 1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, x", [(PO, [0.75, 0.0]), (SP, [1.5, -0.3]),
+                                  (BE, [0.2, 0.1, -0.1, 0.3]), (BE_SCALED, [0.2, 0.1, -0.1, 0.3])],
+                         ids=["poincare", "sphere", "bergman-ball-2", "bergman-scaled"])
+def test_coincident_points_have_no_closed_geodesic(m, x):
+    x = np.array(x)
+    with pytest.raises(ShootingDiverged, match="coincident"):
+        m.closed_geodesic(x, x.copy())
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("vec", [[math.inf, 0.0], [math.nan, 0.0]])
