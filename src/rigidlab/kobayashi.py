@@ -15,10 +15,10 @@ produces certified two-sided estimates:
   center.  Along a segment the disc radius is concave, so the integral of the
   reciprocal of its piecewise-linear interpolant (the chord rule) is an upper
   bound on every grid;
-* lower bounds come from the supporting hyperplanes of ``HalfplaneFamily``
-  (each maps the domain into a half-plane, whose invariant metric and
-  distance are explicit, and holomorphic maps contract the metric) and from
-  the reverse triangle inequality through the center.
+* lower bounds come from the polydisk closed forms of the images under the
+  holomorphic map ``z -> F z`` of ``supporting_halfplanes`` (on a convex
+  domain the Kobayashi and Caratheodory distances agree, so maps into the
+  disc are the right kind), and from the reverse triangle inequality.
 
 Points are complex arrays of shape ``(d,)``; a non-finite one raises
 ``ConfigInvalid``.  ``line_boundary_distance``, ``model_dist`` and
@@ -52,7 +52,8 @@ from .intervals import DistInterval, round_out
 
 CHORD_RTOL = 1e-4         # the chord rule doubles its grid from 17 nodes until the bound moves less
 CENTER_RTOL = 2.0**-46    # center_dist's relative widening of each exit, 64 ulps of 1: more than the rounding of
-                          # the ray's moduli (each gauge is monotone in them) and of the defining function moves it
+                          # the ray's moduli (each gauge is monotone in them) and of the defining function moves it;
+                          # also the shrink of every generic lower side and the rounding down of the images
 LINE_PHASES = 32          # phase grid certifying a round disc inside a slice
 LINE_SAFETY = 1.0 - 1e-9  # shrink factor applied to sampled slice radii
 
@@ -211,66 +212,35 @@ def line_boundary_distance(dom: Domain, z, v):
 
 
 # ---------------------------------------------------------------------------
-# supporting half-planes
+# supporting functionals: one holomorphic map into the polydisk
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HalfplaneFamily:
-    """Supporting hyperplanes as one stack.  Row ``p`` maps the domain by
-    ``z -> <z - anchors[p], inward[p]>`` into the right half-plane when its
-    hyperplane supports a convex domain; ``inward`` holds unit Hermitian
-    normals pointing into the domain.  Both arrays have shape ``(P, d)``."""
+def supporting_halfplanes(dom: Domain, z, extra_points=()) -> np.ndarray:
+    """Supporting functionals near ``z`` as one complex matrix ``F`` of shape
+    ``(P, d)``: row ``p`` is ``<., n_p> / Re <a_p, n_p>``, scaled by ``1 -
+    CENTER_RTOL``, for an anchor ``a_p`` and its outer unit normal ``n_p``.  The
+    tangent plane at ``a_p`` supports the convex domain, which is balanced, so
+    ``z -> F z`` maps it holomorphically into the polydisk ``Delta^P``.
 
-    anchors: np.ndarray
-    inward: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.anchors)
-
-    def functional(self, z) -> np.ndarray:
-        """The ``P`` values ``<z - anchors[p], inward[p]>``."""
-        return np.sum((np.asarray(z, dtype=complex) - self.anchors) * np.conj(self.inward), axis=1)
-
-    def metric_lower(self, z, v) -> float:
-        """The best plane's half-plane metric ``|<v, inward>| / (2 Re w)`` at
-        the image ``w`` of ``z``; a plane with ``Re w <= 0`` gives 0."""
-        w = self.functional(z).real
-        dv = _modulus(np.sum(np.asarray(v, dtype=complex) * np.conj(self.inward), axis=1))
-        return float(np.max(np.divide(dv, 2.0 * w, out=np.zeros_like(w), where=w > 0), initial=0.0))
-
-    def dist_lower(self, z, w) -> float:
-        """The best plane's half-plane distance ``atanh |a - b| / |a + conj(b)|``
-        between the images of ``z`` and ``w``; 0 unless both lie in it."""
-        a, b = self.functional(z), self.functional(w)
-        m = np.divide(_modulus(a - b), _modulus(a + np.conj(b)), out=np.zeros(len(a)),
-                      where=(a.real > 0) & (b.real > 0))
-        return _atanh(float(np.max(m, initial=0.0)))   # atanh grows, so the best m gives the best plane
-
-
-def supporting_halfplanes(dom: Domain, z, extra_points=()) -> HalfplaneFamily:
-    """Supporting hyperplanes at boundary points near ``z``, as one stack.
-
-    The family holds the tangent plane at the nearest boundary point and those
-    where the rays from 0, the domain's center, through tangential offsets of
-    ``z`` over a 12-step geometric schedule (these capture the flat directions
-    of low-type boundary points) and through any ``extra_points`` leave the
-    domain.  Any tangent plane supports a convex domain, so only the base
-    point needs the nearest-point solve.  The rays' anchors are the outer ends
-    of their ``radial_exit`` brackets.  The base point's normal and then the
-    rays' come from ``boundary_normals`` at ``tol = 1e-6``, and a row it
-    rejects (a polydisk tie, a non-finite value) gives no plane.
+    The anchors are the outer ends of the ``radial_exit`` brackets of the rays
+    from 0, the domain's center, through any ``extra_points`` and, when the
+    nearest boundary point to ``z`` has a normal, through that point and
+    tangential offsets of ``z`` along its tangent frame over a 12-step
+    geometric schedule (these capture the flat directions of low-type
+    boundary points).  A row that ``boundary_normals`` rejects at ``tol = 1e-6``
+    (a polydisk tie, a non-finite value) gives no functional.
     """
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
     rays = [finite_point(p, dom.dimension, "extra point") for p in extra_points]
-    base = dom.project_to_boundary(z)[None, :]
-    base_normal, base_ok, _ = boundary_normals(dom, base, 1e-6)
+    base = dom.project_to_boundary(z)
+    base_normal, base_ok, _ = boundary_normals(dom, base[None, :], 1e-6)
     if base_ok[0]:
-        delta = float(np.linalg.norm(base[0] - z))
+        delta = float(np.linalg.norm(base - z))
         top = max(4.0 * delta, 0.5 * dom.bounding_radius)
         t_schedule = np.geomspace(max(delta, 1e-8) * 0.5, top, 12)
         frame = np.array(_tangent_frame(-base_normal[0]))
         offsets = z + t_schedule[None, :, None] * frame[:, None, :]
-        rays = list(offsets.reshape(-1, dom.dimension)) + rays
+        rays = [base] + list(offsets.reshape(-1, dom.dimension)) + rays
     # a point at the center gives no ray
     dirs = np.reshape(rays, (-1, dom.dimension))
     norms = np.linalg.norm(dirs, axis=1)
@@ -278,8 +248,33 @@ def supporting_halfplanes(dom: Domain, z, extra_points=()) -> HalfplaneFamily:
     _, hi = radial_exit(dom, dirs)
     anchors = hi[:, None] * dirs
     normals, ok, _ = boundary_normals(dom, anchors, 1e-6)
-    return HalfplaneFamily(anchors=np.vstack([base[base_ok], anchors[ok]]),
-                           inward=-np.vstack([base_normal[base_ok], normals[ok]]))
+    support = np.sum(anchors[ok] * np.conj(normals[ok]), axis=1).real
+    return (1.0 - CENTER_RTOL) * np.conj(normals[ok]) / support[:, None]
+
+
+def _image_moduli(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``|F x|`` for each column ``x`` of ``X``, rounded down by ``CENTER_RTOL (|F| @ |x| + tiny)``
+    (more than the product's rounding and underflow) and clipped at 0."""
+    return np.maximum(0.0, _modulus(F @ X) - CENTER_RTOL * (np.abs(F) @ np.abs(X) + np.finfo(float).tiny))
+
+
+def _disc_metric_lower(F: np.ndarray, z, v) -> float:
+    """The polydisk metric of the images, ``max_p |f_p v| / (1 - |f_p z|^2)``;
+    a row that maps ``z`` onto or past the unit circle gives no bound."""
+    moduli = _image_moduli(F, np.stack([z, v], axis=1))
+    a, dv = moduli[moduli[:, 0] < 1.0].T
+    return float(np.max(dv / ((1.0 - a) * (1.0 + a)), initial=0.0))
+
+
+def _disc_dist_lower(F: np.ndarray, z, w) -> float:
+    """The polydisk distance of the images, ``max_p atanh m_p`` with ``m = |a - b| / |1 - conj(a) b|``
+    for ``a = f_p z`` and ``b = f_p w``.  As ``|1 - conj(a) b|^2 = |a - b|^2 + q``, ``q = (1 - |a|^2)(1 - |b|^2)``,
+    ``atanh m = asinh(|a - b| / sqrt q)``, which grows with the three moduli, all rounded down, and keeps
+    its digits near 1; ``|a - b| = |F(z - w)|`` keeps those of close pairs.  A row mapping ``z`` or ``w`` onto
+    or past the unit circle gives 0."""
+    moduli = _image_moduli(F, np.stack([z, w, z - w], axis=1))
+    a, b, d = moduli[(moduli[:, 0] < 1.0) & (moduli[:, 1] < 1.0)].T
+    return float(np.max(np.arcsinh(d / np.sqrt((1.0 - a) * (1.0 + a) * (1.0 - b) * (1.0 + b))), initial=0.0))
 
 
 def _tangent_frame(normal: np.ndarray) -> list[np.ndarray]:
@@ -309,9 +304,9 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True) -> DistInt
 
     The upper bound is ``|v| / line_boundary_distance``, the metric of the
     round disc in the slice; the lower bound is the best of the enclosing
-    ball, ``|v| / R``, and the half-planes of ``supporting_halfplanes(z)``
-    (the domain lies in each, and the metric shrinks as the domain grows),
-    clamped to the upper bound.  Since ``k(z; t v) = |t| k(z; v)``, the
+    ball, ``|v| / R``, and the polydisk metric of the images under the
+    functionals of ``supporting_halfplanes(z)`` (holomorphic maps contract the
+    metric), clamped to the upper bound.  Since ``k(z; t v) = |t| k(z; v)``, the
     interval is found for ``v`` scaled by ``_pow2_scaled`` and scaled back, so
     a direction below ``1e-154`` keeps its digits.
     """
@@ -325,7 +320,8 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True) -> DistInt
         return DistInterval.exact(math.ldexp(model_metric(dom, z, v), exponent))
 
     upper = vn / line_boundary_distance(dom, z, v)
-    lower = max(vn / dom.bounding_radius, supporting_halfplanes(dom, z).metric_lower(z, v))
+    F = supporting_halfplanes(dom, z)
+    lower = max((1.0 - CENTER_RTOL) * vn / dom.bounding_radius, _disc_metric_lower(F, z, v))
     return DistInterval(math.ldexp(min(lower, upper), exponent), math.ldexp(upper, exponent))
 
 
@@ -400,9 +396,10 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True) -> DistInter
     """Certified interval for the Kobayashi distance ``K(z, w)``.
 
     The upper bound is ``_route_upper``; the lower bound is the best of
-    ``|w - z| / R``, the half-planes at the midpoint, with ``z`` and ``w`` as
-    extra points, and the reverse triangle inequality of the two
-    ``center_dist`` brackets.  On model kinds the closed form is returned.
+    ``|w - z| / R``, the polydisk distance of the images under the functionals
+    at the midpoint, with ``z`` and ``w`` as extra points, and the reverse
+    triangle inequality of the two ``center_dist`` brackets.  On model kinds
+    the closed form is returned.
     """
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
     w = dom.require_inside(finite_point(w, dom.dimension, "point"))
@@ -414,8 +411,9 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True) -> DistInter
 
     (lz, lw), (uz, uw) = center_dist(dom, np.vstack([z, w]))   # K(0, z) in [lz, uz], K(0, w) in [lw, uw]
     upper = _route_upper(dom, z, w, uz + uw)
-    planes = supporting_halfplanes(dom, z + 0.5 * (w - z), extra_points=(z, w))
-    lower = max(float(np.linalg.norm(w - z)) / dom.bounding_radius, planes.dist_lower(z, w), lz - uw, lw - uz)
+    F = supporting_halfplanes(dom, z + 0.5 * (w - z), extra_points=(z, w))
+    chord = (1.0 - CENTER_RTOL) * math.hypot(*np.abs(w - z)) / dom.bounding_radius   # hypot: no squares underflow
+    lower = max(chord, _disc_dist_lower(F, z, w), lz - uw, lw - uz)
     return DistInterval(min(lower, upper), upper)
 
 
@@ -495,9 +493,8 @@ def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None) -> FiniteTypeCalib
 
     Uses certified metric lower bounds only, so the returned calibration is a
     genuine lower-bound coefficient on the sampled grid.  Each is the lower
-    side of ``metric_bounds`` without its clamp to the upper bound:
-    ``max(|v| / R, planes.metric_lower(z, v))`` for the half-planes built
-    once per radius.  No disc radius (``line_boundary_distance``) is needed.
+    side of ``metric_bounds`` without its clamp to the upper bound, from the
+    functionals built once per radius; no ``line_boundary_distance`` is needed.
     """
     xi = finite_point(xi, dom.dimension, "boundary point")
     bd = boundary_data(dom, xi, tol=1e-9)
@@ -511,10 +508,10 @@ def calibrate_alpha0(dom: Domain, xi, ell: float, radii=None) -> FiniteTypeCalib
     for r in radii:
         z = xi + r * bd.inward_normal
         delta = boundary_distance(dom, z)
-        planes = supporting_halfplanes(dom, z)
+        F = supporting_halfplanes(dom, z)
         for v in dirs:
             vn = float(np.linalg.norm(v))
-            klo = max(vn / dom.bounding_radius, planes.metric_lower(z, v))
+            klo = max((1.0 - CENTER_RTOL) * vn / dom.bounding_radius, _disc_metric_lower(F, z, v))
             alpha = min(alpha, klo * delta ** (1.0 / ell) / vn)
     if not math.isfinite(alpha) or alpha <= 0:
         raise PointOutsideDomain("calibration grid produced no usable lower bounds")

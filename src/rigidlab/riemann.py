@@ -301,10 +301,12 @@ def _conformal_model(name: str, k: float, chart_contains) -> MetricField:
     tan_k = np.tan if k > 0 else np.tanh
 
     def atan_k(num, den):
-        """``atan_k |num / den|``, with ``atan2`` on the sphere: ``pi / 2`` at the antipode."""
+        """``atan_k |num / den|``: ``atan2`` on the sphere (``pi / 2`` at the antipode); 1 raises ``LeftChart``."""
         if k > 0:
             return math.atan2(abs(num), abs(den))
-        return math.atanh(min(abs(num / den), 1 - 1e-16))
+        if abs(num / den) >= 1 - 1e-16:
+            raise LeftChart(f"{name}: a point rounded onto the unit circle")
+        return math.atanh(abs(num / den))
 
     def chart_pair(x, y):
         """``zx``, ``zy``, ``nx = 1 + k |zx|^2``, ``ny`` and ``c``."""

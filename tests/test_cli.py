@@ -450,6 +450,15 @@ class TestMain:
         assert "error [ShootingDiverged]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_poincare_spread_past_the_chart_exits_2(self, tmp_path, capsys):
+        # past t ~ 30 the sampled rays round onto |z| = 1; the distance used to
+        # clamp there and mark rows up to t = 60 exact at 37.42994775023705
+        rc = cli.main(["--out-dir", str(tmp_path / "out"), "riemann", "--metric", "poincare",
+                       "--op", "spread", "--params", '{"horizon": 60}'])
+        assert rc == 2
+        assert "error [LeftChart]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_polydisk_corner_exits_2(self, tmp_path, capsys):
         # the boundary is not C^2 where two coordinates have the largest modulus
         rc = cli.main(["--out-dir", str(tmp_path / "out"), "rigidity", "--pipeline", "convex",
