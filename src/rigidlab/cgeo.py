@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .domain import BallDomain, DiskDomain, Domain, Hyperplane, PolydiskDomain, boundary_data, c2r, herm, r2c
+from .domain import BallDomain, BallTransvection, DiskDomain, Domain, Hyperplane, PolydiskDomain, boundary_data, c2r, herm, r2c
 from .errors import CoincidentPoints, ConfigInvalid, DegenerateGradient, NoConvergence, NumericDefectTooLarge
 from .intervals import DistInterval
 from .kobayashi import disk_distance, dist_bounds
@@ -48,26 +48,13 @@ def disk_automorphism(center: complex, phase: complex = 1.0) -> Callable[[comple
 
 
 def ball_involution(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The automorphism of the unit ball swapping ``a`` and the origin.
+    """The automorphism ``phi_a = -tau_a^-1`` of the unit ball swapping ``a`` and
+    the origin (:class:`~rigidlab.domain.BallTransvection`).
 
     The returned map takes one point ``(d,)`` or a stack of points ``(N, d)``.
     """
-    a = np.asarray(a, dtype=complex)
-    a2 = float(np.sum(np.abs(a) ** 2))
-    if not a2 < 1.0:
-        raise ConfigInvalid(f"the base point {a} of a ball automorphism must lie in the open unit ball")
-    if a2 == 0.0:
-        return lambda z: -np.asarray(z, dtype=complex)
-    s = math.sqrt(1.0 - a2)
-
-    def phi(z):
-        z = np.asarray(z, dtype=complex)
-        za = np.sum(z * np.conj(a), axis=-1)[..., None]    # herm(z, a) per point
-        pa = (za / a2) * a
-        qa = z - pa
-        return (a - pa - s * qa) / (1.0 - za)
-
-    return phi
+    tau = BallTransvection(a)
+    return lambda z: -tau.inverse(np.asarray(z, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

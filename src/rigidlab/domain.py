@@ -67,21 +67,93 @@ def finite_point(z, d: int, name: str) -> np.ndarray:
 
 
 def c2r(z: np.ndarray) -> np.ndarray:
-    """C^d -> R^{2d}, interleaved (x1, y1, ..., xd, yd)."""
-    out = np.empty(2 * len(z))
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
+    """C^d -> R^{2d}, interleaved (x1, y1, ..., xd, yd); a stack ``(..., d)`` gives ``(..., 2d)``.
+    Interleaved is the memory layout of a complex array, so this is a copy and a view."""
+    return np.array(z, dtype=complex, order="C").view(float)
 
 
 def r2c(x: np.ndarray) -> np.ndarray:
-    """R^{2d} -> C^d inverse of :func:`c2r`."""
-    return x[0::2] + 1j * x[1::2]
+    """R^{2d} -> C^d inverse of :func:`c2r`, on stacks as well."""
+    return np.array(x, dtype=float, order="C").view(complex)
 
 
 def herm(u: np.ndarray, v: np.ndarray) -> complex:
     """Hermitian pairing, conjugate-linear in the second slot."""
     return complex(np.sum(u * np.conj(v)))
+
+
+def pow2_scaled(v: np.ndarray):
+    """``(v 2^-e, e)`` with the largest entry modulus of ``v 2^-e`` (of each
+    row of a stack) in ``[1/2, 1)``, ``e = 0`` for 0.  The scaling is exact, so
+    the squares of entries below ``1e-154`` no longer underflow."""
+    exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1]
+    return np.ldexp(v.real, -exponent) + 1j * np.ldexp(v.imag, -exponent), exponent[..., 0].tolist()
+
+
+# ---------------------------------------------------------------------------
+# the automorphisms of the unit ball
+# ---------------------------------------------------------------------------
+
+class BallTransvection:
+    """The ball automorphism ``tau_a(w) = (a + P w + s Q w) / (1 + <w, a>)`` moving 0 to
+    ``a`` (Rudin, *Function Theory in the Unit Ball of C^n*, 2.2.2: ``tau_a(w) = phi_a(-w)``),
+    with ``P`` the projection onto ``C a``, ``Q = I - P``, ``s = sqrt(1 - |a|^2)`` and
+    ``P + s Q = s I + a a^H / (1 + s)``.  Its inverse, written on ``d = y - a``, is ``(P d
+    + s Q d) / (1 - <y, a>)`` and keeps the digits of ``y`` near ``a``; its differential is
+    ``d tau_a(w) u = ((P + s Q) u - tau_a(w) <u, a>) / (1 + <w, a>)``, ``s^2 P + s Q`` at 0.
+    ``a`` is one point ``(d,)`` or a stack ``(N, d)``; the maps take ``(..., d)`` arrays
+    that broadcast against it.  A base point outside the open unit ball raises ``ConfigInvalid``.
+    """
+
+    def __init__(self, a):
+        a = np.asarray(a, dtype=complex)
+        self.a, self.ac = a, a.conj()
+        a2 = self._pair(a).real
+        if not (a2 < 1.0).all():
+            raise ConfigInvalid(f"the base point {a} of a ball automorphism must lie in the open unit ball")
+        self.s2 = 1.0 - a2
+        self.s = np.sqrt(self.s2)
+        self.ka = a / (1.0 + self.s)
+
+    def _pair(self, u):
+        """``<u, a>``: a scalar for one vector, shape ``(..., 1)`` for a stack.  A stack
+        never reaches BLAS: a threaded product on thousands of rows costs milliseconds
+        here and leaves its threads spinning."""
+        if u.ndim == self.a.ndim == 1:
+            return u @ self.ac
+        return np.einsum("...i,...i->...", u, self.ac)[..., None]
+
+    def _lift(self, u, ua):
+        """``(P + s Q) u`` from ``ua = <u, a>``."""
+        return self.s * u + ua * self.ka
+
+    def __call__(self, w):
+        wa = self._pair(w)
+        return (self.a + self._lift(w, wa)) / (1.0 + wa)
+
+    def inverse(self, y):
+        d = y - self.a
+        da = self._pair(d)
+        return self._lift(d, da) / (self.s2 - da)   # 1 - <y, a> = s^2 - <d, a>
+
+    def inverse_modulus(self, y):
+        """``|tau_a^-1(y)|``, shape ``(...,)``.  ``d`` is scaled by an exact power
+        of two, so distinct points closer than ``1e-154`` keep their digits."""
+        d, exponent = pow2_scaled(y - self.a)
+        lifted = self._lift(d, self._pair(d))
+        modulus = np.sqrt((lifted * lifted.conj()).real.sum(-1, keepdims=True)) / np.abs(1.0 - self._pair(y))
+        return np.ldexp(modulus[..., 0], exponent)
+
+    def differential(self, u, y=None):
+        """``d tau_a u`` at 0, or at ``w = tau_a^-1(y)``, where ``1 + <w, a> = s^2 / (1 - <y, a>)``."""
+        ua = self._pair(u)
+        if y is None:
+            return self.s * (u - ua * self.ka)
+        return (self.s * u + ua * (self.ka - y)) * ((1.0 - self._pair(y)) / self.s2)
+
+    def differential_inverse(self, u):
+        """``d tau_a(0)^-1 u = (P + s Q) u / s^2``."""
+        return self._lift(u, self._pair(u)) / self.s2
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +301,7 @@ class DiskDomain(Domain):
         return 1.0 / np.abs(np.asarray(us, dtype=complex)[:, 0])
 
     def project_to_boundary(self, z):
-        z = as_point(z, 1)
-        n = np.abs(z[0])
-        if n == 0:
-            return np.array([1.0 + 0j])
-        return z / n
+        return _unit_phases(as_point(z, 1))
 
     def boundary_distance_exact(self, z):
         return 1.0 - float(np.abs(as_point(z, 1)[0]))
@@ -259,12 +327,11 @@ class BallDomain(Domain):
 
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension)
-        n = np.linalg.norm(z)
-        if n == 0:
-            out = np.zeros(self.dimension, dtype=complex)
-            out[0] = 1.0
-            return out
-        return z / n
+        if not np.any(z):
+            return np.eye(self.dimension, dtype=complex)[0]
+        if np.max(np.abs(z)) < 2.0**-500:   # the squares in the norm underflow: rescale exactly
+            z = z * 2.0**600
+        return z / np.linalg.norm(z)
 
     def boundary_distance_exact(self, z):
         return 1.0 - float(np.linalg.norm(as_point(z, self.dimension)))

@@ -35,6 +35,7 @@ import numpy as np
 
 from .domain import (
     BallDomain,
+    BallTransvection,
     DiskDomain,
     Domain,
     PolydiskDomain,
@@ -44,6 +45,7 @@ from .domain import (
     boundary_normals,
     finite_point,
     herm,
+    pow2_scaled,
     radial_exit,
     ray_exit,
 )
@@ -62,12 +64,13 @@ def _atanh(m: float) -> float:
     return math.atanh(min(max(m, 0.0), 1.0 - 1e-16))
 
 
-def _pow2_scaled(v: np.ndarray):
-    """``(v 2^-e, e)`` with the largest entry modulus of ``v 2^-e`` (of each
-    row of a stack) in ``[1/2, 1)``, ``e = 0`` for 0.  The scaling is exact, so
-    the squares of entries below ``1e-154`` no longer underflow."""
-    exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1]
-    return np.ldexp(v.real, -exponent) + 1j * np.ldexp(v.imag, -exponent), exponent[..., 0].tolist()
+def _ldexp_out(x: float, exponent: int, up: bool) -> float:
+    """``math.ldexp`` of a certified side, one float further out where it rounded a subnormal result inward."""
+    out = math.ldexp(x, exponent)
+    back = math.ldexp(out, -exponent)
+    if (back < x) if up else (back > x):
+        out = math.nextafter(out, math.inf if up else 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +87,9 @@ def disk_metric(z: complex, v: complex) -> float:
 
 
 def ball_distance(z: np.ndarray, w: np.ndarray) -> float:
-    """``atanh |phi_z(w)|``.  ``|phi_z(w)|^2 |1-<z,w>|^2 = |d|^2 - sum_{i<j}
-    |z_i d_j - z_j d_i|^2`` with ``d = w - z`` (Lagrange identity), so nearby
-    points keep their digits instead of cancelling against 1."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    d, exponent = _pow2_scaled(w - z)   # num is quadratic in d: scale it back below
-    wedge = np.outer(z, d) - np.outer(d, z)   # z_i d_j - z_j d_i, each pair twice
-    num = float(np.sum(np.abs(d) ** 2)) - 0.5 * float(np.sum(np.abs(wedge) ** 2))
-    return _atanh(math.ldexp(math.sqrt(max(0.0, num / abs(1.0 - herm(z, w)) ** 2)), exponent))
+    """``atanh |tau_z^-1(w)|`` (:class:`~rigidlab.domain.BallTransvection`),
+    which keeps the digits of nearby points."""
+    return _atanh(float(BallTransvection(z).inverse_modulus(np.asarray(w, dtype=complex))))
 
 
 def ball_metric(z: np.ndarray, v: np.ndarray) -> float:
@@ -125,12 +122,8 @@ def model_dist(dom: Domain, z, w):
     zs, ws = _require_stacks(dom, zs, w)
     if isinstance(dom, (DiskDomain, PolydiskDomain)):   # the disk formula, max over coordinates
         m = np.max(np.abs((zs - ws) / (1.0 - np.conj(zs) * ws)), axis=1)
-    elif isinstance(dom, BallDomain):   # ball_distance's Lagrange identity, row by row
-        d, exponent = _pow2_scaled(ws - zs)
-        wedge = zs[:, :, None] * d[:, None, :] - d[:, :, None] * zs[:, None, :]
-        num = np.sum(np.abs(d) ** 2, axis=1) - 0.5 * np.sum(np.abs(wedge) ** 2, axis=(1, 2))
-        den = np.abs(1.0 - np.sum(zs * np.conj(ws), axis=1))
-        m = np.ldexp(np.sqrt(np.maximum(0.0, num / den**2)), exponent)
+    elif isinstance(dom, BallDomain):   # ball_distance, row by row
+        m = BallTransvection(zs).inverse_modulus(ws)
     else:
         raise NotConvex(f"no closed-form distance for kind {dom.kind!r}")
     return np.arctanh(np.clip(m, 0.0, 1.0 - 1e-16))
@@ -188,7 +181,7 @@ def line_boundary_distance(dom: Domain, z, v):
         raise ValueError(f"expected points of C^{dom.dimension}, got shape {zs.shape}")
     elif not dom.contains_all(zs):
         raise PointOutsideDomain(f"a point of the stack is not in the domain ({dom.kind})")
-    v, _ = _pow2_scaled(finite_point(v, dom.dimension, "direction"))   # exact, so a tiny v keeps its digits
+    v, _ = pow2_scaled(finite_point(v, dom.dimension, "direction"))   # exact, so a tiny v keeps its digits
     vn = float(np.linalg.norm(v))
     if vn == 0:
         raise ZeroVector("direction must be nonzero")
@@ -307,11 +300,11 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True) -> DistInt
     ball, ``|v| / R``, and the polydisk metric of the images under the
     functionals of ``supporting_halfplanes(z)`` (holomorphic maps contract the
     metric), clamped to the upper bound.  Since ``k(z; t v) = |t| k(z; v)``, the
-    interval is found for ``v`` scaled by ``_pow2_scaled`` and scaled back, so
+    interval is found for ``v`` scaled by ``pow2_scaled`` and scaled back, so
     a direction below ``1e-154`` keeps its digits.
     """
     z = dom.require_inside(finite_point(z, dom.dimension, "point"))
-    v, exponent = _pow2_scaled(finite_point(v, dom.dimension, "direction"))
+    v, exponent = pow2_scaled(finite_point(v, dom.dimension, "direction"))
     vn = float(np.linalg.norm(v))
     if vn == 0:
         return DistInterval.exact(0.0)
@@ -322,7 +315,7 @@ def metric_bounds(dom: Domain, z, v, tighten_with_model: bool = True) -> DistInt
     upper = vn / line_boundary_distance(dom, z, v)
     F = supporting_halfplanes(dom, z)
     lower = max((1.0 - CENTER_RTOL) * vn / dom.bounding_radius, _disc_metric_lower(F, z, v))
-    return DistInterval(math.ldexp(min(lower, upper), exponent), math.ldexp(upper, exponent))
+    return DistInterval(_ldexp_out(min(lower, upper), exponent, up=False), _ldexp_out(upper, exponent, up=True))
 
 
 def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
@@ -337,14 +330,14 @@ def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
     ``line_boundary_distance`` call for each grid's new nodes, until the bound
     moves by at most ``CHORD_RTOL`` relative.
 
-    The bound is summed for the chord scaled by ``_pow2_scaled`` and scaled
+    The bound is summed for the chord scaled by ``pow2_scaled`` and scaled
     back at the end, so distinct points closer than ``1e-154`` keep their
     digits instead of returning 0.
     """
     chord = w - z
     if not np.any(chord):
         return 0.0
-    direction, exponent = _pow2_scaled(chord)
+    direction, exponent = pow2_scaled(chord)
     chord_len = float(np.linalg.norm(direction))
 
     def radii_at(s):
@@ -364,7 +357,7 @@ def _segment_upper(dom: Domain, z: np.ndarray, w: np.ndarray) -> float:
         bound = _chord_rule(radii) * chord_len
         if abs(previous - bound) <= CHORD_RTOL * bound:
             break
-    return math.ldexp(bound, exponent)
+    return _ldexp_out(bound, exponent, up=True)
 
 
 def _chord_rule(radii: np.ndarray) -> float:
@@ -384,7 +377,7 @@ def center_dist(dom: Domain, zs) -> tuple[np.ndarray, np.ndarray]:
     bounds = np.zeros((2, len(zs)))
     moving = np.any(zs != 0, axis=1)
     if moving.any():
-        rays, exponent = _pow2_scaled(zs[moving])
+        rays, exponent = pow2_scaled(zs[moving])
         lo, hi = radial_exit(dom, rays)
         ends = np.ldexp(1.0 / np.stack([hi * (1 + CENTER_RTOL), lo * (1 - CENTER_RTOL)]), exponent)
         with np.errstate(divide="ignore"):   # atanh(1) = inf

@@ -4,7 +4,9 @@ A metric lives on a single chart ``U subset R^n`` through a component oracle
 ``g_ij(x)`` with first and second derivative oracles (the model metrics are
 one closed-form U(d)-invariant family, so their derivatives are exact to
 double precision; the Poincare disk and the round sphere are one conformal
-Moebius model, ``4 |dz|^2 / (1 + k |z|^2)^2`` with ``k = -1`` and ``k = 1``).
+Moebius model, ``4 |dz|^2 / (1 + k |z|^2)^2`` with ``k = -1`` and ``k = 1``,
+and the Bergman ball's closed forms read the ball transvections of
+:class:`~rigidlab.domain.BallTransvection`).
 On top of it the module builds Christoffel symbols, the curvature tensor,
 geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map,
 and the three estimates the rigidity pipelines consume.  The geodesic and the
@@ -55,6 +57,7 @@ from typing import Callable
 
 import numpy as np
 
+from .domain import BallTransvection, c2r, r2c
 from .errors import (
     ConfigInvalid,
     EpsilonTooLarge,
@@ -242,17 +245,6 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
 
 # -- model metrics -----------------------------------------------------------
 
-def _complex_of(x: np.ndarray) -> np.ndarray:
-    return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-def _real_of(z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = np.real(z)
-    out[..., 1::2] = np.imag(z)
-    return out
-
-
 @lru_cache(maxsize=None)
 def euclidean(n: int = 2) -> MetricField:
     eye = np.eye(n)
@@ -380,83 +372,42 @@ def sphere_stereographic() -> MetricField:
 def bergman_ball(d: int = 2) -> MetricField:
     """Bergman metric of the unit ball: the real form of
     ``(d+1) [(1-|z|^2) delta_jk + zbar_j z_k] / (1-|z|^2)^2``, i.e. the
-    invariant metric with ``a = 2(d+1)/(1-s)`` and ``b = 2(d+1)/(1-s)^2``."""
-    from .cgeo import ball_involution
-    from .kobayashi import ball_distance
-
+    invariant metric with ``a = 2(d+1)/(1-s)`` and ``b = 2(d+1)/(1-s)^2``.
+    The closed forms read :class:`~rigidlab.domain.BallTransvection`: with ``w =
+    tau_x^-1(y)``, the geodesic ``x -> y`` is ``tau_x`` of the diameter ``e tanh(t /
+    radial)``, ``e = w / |w|``, of length ``radial atanh |w|``, and transport along it
+    is ``d tau_x(w) d tau_w(0) d tau_x(0)^-1``, complex-linear, so ``X`` may be a stack."""
     radial = math.sqrt(2.0 * (d + 1))  # metric length of the unit radial speed
 
-    def curve(phi, e):
-        """Geodesic ``phi(e tanh(t / radial))``: the image of a diameter."""
-        return lambda t: _real_of(phi(np.multiply.outer(np.tanh(t / radial), e)))
+    def curve(tau, e):
+        """Geodesic ``tau(e tanh(t / radial))``: the image of a diameter."""
+        return lambda t: c2r(tau(np.multiply.outer(np.tanh(t / radial), e)))
+
+    def atanh_radial(m):
+        return radial * math.atanh(min(m, 1 - 1e-16))
 
     def dist(x, y):
-        return radial * ball_distance(_complex_of(np.asarray(x, float)), _complex_of(np.asarray(y, float)))
+        return atanh_radial(float(BallTransvection(r2c(x)).inverse_modulus(r2c(y))))
 
     def geod(x, y):
-        zx = _complex_of(np.asarray(x, float))
-        zy = _complex_of(np.asarray(y, float))
-        phi = ball_involution(zx)
-        w = phi(zy)
-        wn = np.linalg.norm(w)
+        tx = BallTransvection(r2c(x))
+        w = tx.inverse(r2c(y))
+        wn = float(np.linalg.norm(w))
         if wn < 1e-15:
             raise ShootingDiverged("coincident points")
         e = w / wn
-        T = radial * math.atanh(min(wn, 1 - 1e-16))
-        a2 = float(np.sum(np.abs(zx) ** 2))
-        s_a = math.sqrt(1.0 - a2)
-        if a2 > 0:
-            pa = (np.sum(e * np.conj(zx)) / a2) * zx
-        else:
-            pa = np.zeros_like(e)
-        dphi_e = -(s_a**2 * pa + s_a * (e - pa))
-        v0 = _real_of(dphi_e / radial)
-        return T, v0, curve(phi, e)
+        return atanh_radial(wn), c2r(tx.differential(e)) / radial, curve(tx, e)
 
     def ray(x, v):
-        a = _complex_of(np.asarray(x, float))
-        vc = _complex_of(np.asarray(v, float))
-        a2 = float(np.sum(np.abs(a) ** 2))
-        s_a = math.sqrt(1.0 - a2)
-        if a2 > 0:
-            pv = (np.sum(vc * np.conj(a)) / a2) * a
-        else:
-            pv = np.zeros_like(vc)
-        # invert dphi_a|_0 = -(s^2 P + s Q) and rescale to the radial speed
-        e = -(pv / s_a**2 + (vc - pv) / s_a)
-        return curve(ball_involution(a), e / np.linalg.norm(e))
+        tx = BallTransvection(r2c(x))
+        e = tx.differential_inverse(r2c(v))   # rescaled to the radial speed below
+        return curve(tx, e / np.linalg.norm(e))
 
     def transport(x, y, X):
-        """``-J phi_x(w) J phi_-w(0) J phi_x(x) X`` with ``w = phi_x(y)``.
-
-        With ``tau_c(z) = phi_c(-z)``, ``tau_-w`` is the transvection along the
-        diameter from 0 to ``-w``, and ``tau_x`` carries that diameter onto the
-        geodesic from ``x`` to ``y``; so transport is ``d tau_x(-w) d tau_-w(0)
-        d tau_x(0)^-1``, and ``d tau_c(z) = -J phi_c(-z)``.  Each ``J phi_a(z) =
-        (L D + N a^H) / D^2`` (the quotient rule on ``phi_a = N / D``, Rudin
-        2.2.2: ``L = -(P + s (I - P))``, ``D = 1 - a^H z``, ``N = a + L z``)
-        simplifies where it is taken: ``J phi_x(x) = L / s^2`` (``N = 0``),
-        ``J phi_-w(0) = -(s_w^2 P_w + s_w (I - P_w))`` and ``J phi_x(w) = (L + y
-        x^H) (1 - x^H y) / s^2`` (``N = y D``, ``D = s^2 / (1 - x^H y)``).
-        Every factor is complex-linear, so ``X`` may be a stack of vectors:
-        ``u @ z.conj()`` is ``z^H u`` for each row ``u``."""
-        zx, zy, v = (_complex_of(np.asarray(u, float)) for u in (x, y, X))
-        a2 = (zx @ zx.conj()).real
-        s2 = 1.0 - a2
-        s = math.sqrt(s2)
-
-        def lin(u):   # L u
-            pu = ((u @ zx.conj()) / a2)[..., None] * zx if a2 > 0 else 0.0
-            return (s - 1.0) * pu - s * u
-
-        c = 1.0 - zy @ zx.conj()
-        w = (zx + lin(zy)) / c
-        w2 = (w @ w.conj()).real
-        sw = math.sqrt(1.0 - w2)
-        u = lin(v) / s2
-        pu = ((u @ w.conj()) / w2)[..., None] * w if w2 > 0 else 0.0
-        u = (sw - sw * sw) * pu - sw * u
-        return _real_of(-(lin(u) + (u @ zx.conj())[..., None] * zy) * (c / s2))
+        zy = r2c(y)
+        tx = BallTransvection(r2c(x))
+        tw = BallTransvection(tx.inverse(zy))
+        return c2r(tx.differential(tw.differential(tx.differential_inverse(r2c(X))), zy))
 
     c = 2.0 * (d + 1)
 

@@ -214,3 +214,18 @@ def test_every_domain_kind_defines_the_traced_method():
                 {"kind": "implicit", "dimension": 2, "terms": [[1.0, [1, 0]], [1.0, [0, 2]]]}):
         owners = [cls for cls in type(domain_from_config(cfg)).__mro__ if method in vars(cls)]
         assert owners and owners[0] is not Domain, cfg
+
+
+def test_riemann_imports_only_the_lower_layers():
+    # the Riemannian engine reads the ball's automorphisms from domain; an import
+    # of cgeo or kobayashi, even inside a function, would hang it above them
+    allowed = {"errors", "intervals", "domain"}
+    tree = ast.parse((PACKAGE / "riemann.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "rigidlab"):
+            module = (node.module or "").removeprefix("rigidlab").lstrip(".")
+            imported |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.removeprefix("rigidlab.") for alias in node.names if alias.name.startswith("rigidlab")}
+    assert imported <= allowed, sorted(imported - allowed)

@@ -46,6 +46,17 @@ class TestBoundaryDistance:
         assert np.max(np.abs(p)) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z, want", [([1e-310j], [1j]), ([-5e-324], [-1.0]), ([3e-320 + 4e-320j], [0.6 + 0.8j])])
+    def test_disk_projection_of_a_subnormal_point(self, z, want):
+        assert np.max(np.abs(DISK.project_to_boundary(z) - want)) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z, want", [([1e-310j, 0], [1j, 0]), ([0, -5e-324], [0, -1.0]),
+                                         ([3e-170, 4e-170j], [0.6, 0.8j]), ([3e-320, 4e-320j], [0.6, 0.8j])])
+    def test_ball_projection_of_a_subnormal_point(self, z, want):
+        assert np.max(np.abs(BALL2.project_to_boundary(z) - np.asarray(want))) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("z", [[5e-324, 0], [1e-320 + 1e-320j, 0], [0, -5e-324j]])
     def test_ellipsoid_projection_of_subnormal_coordinates(self, z):
         # the modulus polynomial shares the ellipsoid's solver on the moduli

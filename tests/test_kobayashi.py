@@ -567,6 +567,23 @@ def test_metric_bounds_of_a_tiny_direction():
     assert got.upper == pytest.approx(1e-160 * unit.upper, rel=1e-15, abs=0)
 
 
+def test_subnormal_sides_hold_the_mpmath_value():
+    # math.ldexp rounds a subnormal result to nearest, past the relative margins
+    # of the scaled sides: the lower side here was 2.2972973e-316 against a true
+    # 2.29729729314e-316
+    got = kb.metric_bounds(DISK, [0.5 + 0.1j], [1.7e-316j], tighten_with_model=False)
+    assert mpmath.mpf(got.lower) <= _model_mp(DISK, [0.5 + 0.1j], v=[1.7e-316j]) <= mpmath.mpf(got.upper)
+    rng = np.random.default_rng(4)
+    for dom in (DISK, POLY2):
+        origin = np.zeros(dom.dimension, dtype=complex)
+        for _ in range(30):
+            z, v = rng.uniform(-0.5, 0.5, (2, dom.dimension, 2)) @ [1, 1j]
+            v *= 10.0 ** rng.uniform(-323, -308)
+            got = kb.metric_bounds(dom, z, v, tighten_with_model=False)
+            assert mpmath.mpf(got.lower) <= _model_mp(dom, z, v=v) <= mpmath.mpf(got.upper)
+            assert _model_mp(dom, origin, v) <= mpmath.mpf(kb._segment_upper(dom, origin, v))
+
+
 def _midpoint_segment(dom, z, w, nodes=4096):
     """Midpoint rule for the integral of ``|w - z| / delta`` along the segment.
     ``1 / delta`` is convex along the chord, so this lies below the integral."""

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidlab import riemann as rm
+from rigidlab.cgeo import ball_involution
 from rigidlab.errors import (ConfigInvalid, EpsilonTooLarge, LeftChart, NotUnit,
                              ShootingDiverged, SingularMetric, StepTooLarge)
 from rigidlab.intervals import DistInterval
@@ -975,6 +976,53 @@ def test_sphere_closed_forms_match_a_50_digit_reference():
         inside = np.sum(want * want, axis=1) < 40.0**2
         err = np.max(np.abs(sampler(ts) - want), axis=1) / np.max(np.abs(want), axis=1)
         assert np.all(err[inside] <= 1e-14)
+
+
+def _ball_involution_mp(a, z):
+    """Rudin's ``phi_a(z) = (a - P z - s Q z) / (1 - <z, a>)`` at 60 digits, with
+    ``P z = <z, a> a / |a|^2``, ``Q = I - P`` and ``s = sqrt(1 - |a|^2)``."""
+    with mpmath.workdps(60):
+        a, z = [mpmath.mpc(c) for c in a], [mpmath.mpc(c) for c in z]
+        za = mpmath.fsum(p * mpmath.conj(q) for p, q in zip(z, a))
+        a2 = mpmath.fsum(abs(c) ** 2 for c in a)
+        s = mpmath.sqrt(1 - a2)
+        return [(c - za / a2 * c - s * (q - za / a2 * c)) / (1 - za) for c, q in zip(a, z)]
+
+
+def _bergman_mp(d, x, y):
+    """``T`` and ``v0`` of the Bergman geodesic ``x -> y`` on ``bergman_ball(d)``
+    at 60 digits: ``w = -phi_x(y)``, ``T = radial atanh |w|`` and ``v0 = (s^2 P +
+    s Q) w / (|w| radial)``."""
+    with mpmath.workdps(60):
+        radial = mpmath.sqrt(2 * (d + 1))
+        a = [mpmath.mpc(*x[k:k + 2]) for k in range(0, 2 * d, 2)]
+        w = [-c for c in _ball_involution_mp(a, [mpmath.mpc(*y[k:k + 2]) for k in range(0, 2 * d, 2)])]
+        wn = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in w))
+        a2 = mpmath.fsum(abs(c) ** 2 for c in a)
+        s = mpmath.sqrt(1 - a2)
+        ea = mpmath.fsum(c * mpmath.conj(q) for c, q in zip(w, a)) / (wn * a2)   # <e, a> / |a|^2
+        v0 = [(s * s * ea * q + s * (c / wn - ea * q)) / radial for c, q in zip(w, a)]
+        return float(radial * mpmath.atanh(wn)), np.array([float(part) for c in v0 for part in (c.real, c.imag)])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bergman_closed_forms_of_near_pairs_match_a_60_digit_reference(d):
+    # phi_x(y) once lost the digits of a pair 1e-12 apart to cancellation:
+    # T was off by 4.2e-6 relative and v0 by 1.9e-6
+    m = rm.bergman_ball(d)
+    x = np.array([0.3, -0.2, 0.1, 0.4, -0.15, 0.05])[:2 * d]
+    u = np.array([0.6, 0.1, -0.5, 0.2, 0.3, -0.4])[:2 * d]
+    for sep in 10.0 ** -np.arange(3, 13):
+        y = x + sep * u
+        T, v0, _ = m.closed_geodesic(x, y)
+        T_mp, v0_mp = _bergman_mp(d, x, y)
+        assert T == pytest.approx(T_mp, rel=1e-14, abs=0)
+        assert m.closed_dist(x, y) == pytest.approx(T_mp, rel=1e-14, abs=0)
+        assert np.max(np.abs(v0 - v0_mp)) <= 1e-14 * np.max(np.abs(v0_mp))
+    a = np.array([0.3 - 0.2j, 0.1 + 0.4j, -0.15 + 0.05j])[:d]
+    z = a + 1e-12 * np.array([0.6 + 0.1j, -0.5 + 0.2j, 0.3 - 0.4j])[:d]
+    want = np.array([complex(c) for c in _ball_involution_mp(a, z)])
+    assert np.max(np.abs(ball_involution(a)(z) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.filterwarnings("error")
