@@ -405,7 +405,8 @@ def dist_bounds(dom: Domain, z, w, tighten_with_model: bool = True) -> DistInter
     (lz, lw), (uz, uw) = center_dist(dom, np.vstack([z, w]))   # K(0, z) in [lz, uz], K(0, w) in [lw, uw]
     upper = _route_upper(dom, z, w, uz + uw)
     F = supporting_halfplanes(dom, z + 0.5 * (w - z), extra_points=(z, w))
-    chord = (1.0 - CENTER_RTOL) * math.hypot(*np.abs(w - z)) / dom.bounding_radius   # hypot: no squares underflow
+    scaled, exponent = pow2_scaled(w - z)   # exact, so a subnormal chord is shrunk before it is rounded
+    chord = _ldexp_out((1.0 - CENTER_RTOL) * math.hypot(*np.abs(scaled)) / dom.bounding_radius, exponent, up=False)
     lower = max(chord, _disc_dist_lower(F, z, w), lz - uw, lw - uz)
     return DistInterval(min(lower, upper), upper)
 

@@ -10,7 +10,10 @@ and the Bergman ball's closed forms read the ball transvections of
 On top of it the module builds Christoffel symbols, the curvature tensor,
 geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map,
 and the three estimates the rigidity pipelines consume.  The geodesic and the
-transport run on the one fixed-step RK4 integrator :func:`_rk4`.  The Jacobi
+transport run on the one fixed-step RK4 integrator :func:`_rk4`.  Each geodesic
+stage, in ``geodesic_flow`` and in the shooting endpoint alike, reads the
+metric's closed-form ``spray`` ``Gamma(x)(v, v)``; only the transport builds
+the Christoffel tensor.  The Jacobi
 fields are closed-form, from one eigendecomposition of the Jacobi operator
 carried by ``closed_transport``.  ``exp_log`` is Newton shooting: the RK4
 endpoint alone decides convergence, and the closed-form Jacobi fields with
@@ -84,8 +87,8 @@ SHOOTING_MAX_NEWTON = 60
 class MetricField:
     """Smooth Riemannian metric on a chart with derivative oracles and the
     closed forms of a symmetric space: distance, geodesics, rays and transport
-    (Helgason, ch. IV).  Every model sets them; a metric without all four
-    raises ``ConfigInvalid`` at construction."""
+    (Helgason, ch. IV), and the geodesic spray.  Every model sets them; a
+    metric without all five raises ``ConfigInvalid`` at construction."""
 
     name: str
     dim: int
@@ -94,6 +97,8 @@ class MetricField:
     dg: Callable[[np.ndarray], np.ndarray]      # dg[..., k, i, j] = d_k g_ij, stacks as g
     d2g: Callable[[np.ndarray], np.ndarray]     # d2g[k, l, i, j] = d_k d_l g_ij, one point
     min_eig: Callable[[np.ndarray], float]      # smallest eigenvalue of g, one point
+    spray: Callable                             # (x, v) -> Gamma(x)(v, v) at one point, in
+                                                # closed form: a geodesic has x'' = -spray(x, x')
     chart_contains: Callable[[np.ndarray], bool]
     inj_model: float                            # injectivity radius
     closed_dist: Callable
@@ -109,7 +114,7 @@ class MetricField:
     kappa_model: float | None = None            # known constant sectional curvature
 
     def __post_init__(self):
-        for field in ("closed_dist", "closed_geodesic", "closed_ray", "closed_transport"):
+        for field in ("spray", "closed_dist", "closed_geodesic", "closed_ray", "closed_transport"):
             if not callable(getattr(self, field)):
                 raise ConfigInvalid(f"{self.name}: a metric needs a callable {field}")
 
@@ -172,6 +177,13 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
         d_k g     = 2 x_k (a' I + b' P) + b d_k P
         d_k d_l g = 2 delta_kl (a' I + b' P) + 4 x_k x_l (a'' I + b'' P)
                     + 2 b' (x_k d_l P + x_l d_k P) + b d_k d_l P
+
+    The spray ``Gamma(v, v) = g^{-1} w`` with ``w = (d_v g) v - grad g(v, v) / 2``
+    needs no Christoffel tensor.  With ``xv = x.v``, ``jv = Jx.v`` and ``vv = v.v``::
+
+        w = 2 a' xv v + (b' (xv^2 - jv^2) + (b - a') vv) x + 2 b' xv jv Jx + 2 b jv Jv
+
+    which is ``a' (2 xv v - vv x)`` in the conformal case.
     """
     eye = np.eye(dim)
     if b is not None:
@@ -239,8 +251,20 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
         cross = x[:, None, None, None] * (2.0 * db * (dp @ x))
         return out + cross + cross.transpose(1, 0, 2, 3) + b0 * d2p
 
+    def spray(x, v):
+        s, xv, vv = float(x @ x), float(x @ v), float(v @ v)
+        a0, da, _ = a(s)
+        if b is None:
+            return da / a0 * (2.0 * xv * v - vv * x)
+        b0, db, _ = b(s)
+        jx = rot @ x
+        jv = float(jx @ v)
+        w = ((2.0 * da * xv) * v + (db * (xv * xv - jv * jv) + (b0 - da) * vv) * x
+             + (2.0 * db * xv * jv) * jx + (2.0 * b0 * jv) * (rot @ v))
+        return (w - b0 / (a0 + b0 * s) * (float(x @ w) * x + float(jx @ w) * jx)) / a0
+
     return MetricField(name=name, dim=dim, g=g, ginv=ginv, dg=dg, d2g=d2g, min_eig=min_eig,
-                       **fields)
+                       spray=spray, **fields)
 
 
 # -- model metrics -----------------------------------------------------------
@@ -267,8 +291,8 @@ def euclidean(n: int = 2) -> MetricField:
     return MetricField(
         name="euclid", dim=n,
         g=constant(eye), ginv=constant(eye), dg=constant(zeros3), d2g=lambda x: zeros4,
-        min_eig=lambda x: 1.0,
-        chart_contains=lambda x: bool(np.all(np.abs(x) < 1e6)),
+        min_eig=lambda x: 1.0, spray=lambda x, v: np.zeros(n),
+        chart_contains=lambda x: bool(abs(x).max() < 1e6),   # a NaN also fails it
         kappa_model=0.0, inj_model=math.inf,
         closed_dist=lambda x, y: float(np.linalg.norm(np.asarray(y) - np.asarray(x))),
         closed_geodesic=sampler_factory,
@@ -447,6 +471,7 @@ def scale_metric(m: MetricField, lam: float) -> MetricField:
         g=lambda x: lam * m.g(x), ginv=lambda x: m.ginv(x) / lam,
         dg=lambda x: lam * m.dg(x), d2g=lambda x: lam * m.d2g(x),
         min_eig=lambda x: lam * m.min_eig(x),
+        spray=m.spray,   # a constant factor leaves the Christoffel symbols unchanged
         chart_contains=m.chart_contains,
         kappa_model=(m.kappa_model / lam if m.kappa_model is not None else None),
         inj_model=m.inj_model * s,
@@ -587,7 +612,7 @@ class GeodesicPath:
 
 
 def _geodesic_rhs(m: MetricField, x, v):
-    return v, -((christoffel(m, x) @ v) @ v)
+    return v, -m.spray(x, v)
 
 
 def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
@@ -606,9 +631,12 @@ def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
 
     xs, vs = _rk4(lambda x, v: _geodesic_rhs(m, x, v), (x, v), h, n_steps,
                   _chart_guard(m, "geodesic", h))
-    speed0 = m.norm(x, v)
-    speeds = np.array([m.norm(xs[i], vs[i]) for i in range(0, n_steps + 1, max(1, n_steps // 32))])
-    drift = float(np.max(np.abs(speeds - speed0)) / max(speed0, 1e-300))
+    pick = slice(0, n_steps + 1, max(1, n_steps // 32))   # always holds the start
+    sq = np.einsum("ti,tij,tj->t", vs[pick], m.g(xs[pick]), vs[pick])
+    if not np.isfinite(sq).all():
+        raise ConfigInvalid(f"{m.name}: non-finite speed along the geodesic from {x}")
+    speeds = np.sqrt(np.maximum(sq, 0.0))
+    drift = float(np.max(np.abs(speeds - speeds[0])) / max(speeds[0], 1e-300))
     if drift > SPEED_DRIFT_TOL:
         raise StepTooLarge(f"{m.name}: relative speed drift {drift:.2e} with step {h:g}")
     return GeodesicPath(metric=m, ts=np.linspace(0.0, horizon, n_steps + 1),

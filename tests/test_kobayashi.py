@@ -584,6 +584,19 @@ def test_subnormal_sides_hold_the_mpmath_value():
             assert _model_mp(dom, origin, v) <= mpmath.mpf(kb._segment_upper(dom, origin, v))
 
 
+def test_subnormal_chord_lower_side_holds_the_mpmath_value():
+    # hypot rounds a subnormal |w - z| to nearest and the relative shrink rounds
+    # back to it, so the chord term |w - z| / R lay above the distance on about
+    # a quarter of these pairs until it was shrunk on the scaled chord
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        z = rng.uniform(-1.0, 1.0, (1, 2)) @ [1, 1j] * 1e-300
+        w = z + rng.uniform(-1.0, 1.0, (1, 2)) @ [1, 1j] * 10.0 ** rng.uniform(-323, -308)
+        if not np.array_equal(z, w):
+            lower = kb.dist_bounds(DISK, z, w, tighten_with_model=False).lower
+            assert mpmath.mpf(lower) <= _model_mp(DISK, z, w), (z, w)
+
+
 def _midpoint_segment(dom, z, w, nodes=4096):
     """Midpoint rule for the integral of ``|w - z| / delta`` along the segment.
     ``1 / delta`` is convex along the chord, so this lies below the integral."""

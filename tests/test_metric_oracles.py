@@ -49,9 +49,11 @@ def _bergman(xs):
 @lru_cache(maxsize=None)
 def _reference(name: str):
     """``(g, dg, d2g)`` lambdas of the symbolic metric ``name``."""
-    n = 2 if name in ("poincare", "sphere") else 2 * int(name.rsplit("-", 1)[1])
+    n = 2 if name in ("euclid", "poincare", "sphere") else 2 * int(name.rsplit("-", 1)[1])
     xs = sp.symbols(f"x1:{n + 1}", real=True)
-    if name == "poincare":
+    if name == "euclid":
+        gm = sp.eye(n)
+    elif name == "poincare":
         gm = _conformal(xs, -1)
     elif name == "sphere":
         gm = _conformal(xs, +1)
@@ -86,6 +88,28 @@ def test_oracles_match_symbolic_reference(metric):
             assert got.shape == want.shape
             err = np.max(np.abs(got - want))
             assert err <= REL_TOL * np.max(np.abs(want)), f"{metric.name} point {i}: error {err:.2e}"
+
+
+SPRAY_CASES = [(rm.euclidean(2), "euclid", 1.0), (rm.poincare_disk(), "poincare", 1.0),
+               (rm.sphere_stereographic(), "sphere", 1.0), (rm.bergman_ball(1), "bergman-ball-1", 1.0),
+               (rm.bergman_ball(2), "bergman-ball-2", 1.0),
+               (rm.scale_metric(rm.bergman_ball(2), 2.5), "bergman-ball-2", 2.5)]
+
+
+@pytest.mark.parametrize("metric, base, lam", SPRAY_CASES, ids=[m.name for m, *_ in SPRAY_CASES])
+def test_spray_matches_the_symbolic_christoffel_contraction(metric, base, lam):
+    # Gamma(v, v) = g^-1 ((d_v g) v - grad g(v, v) / 2) from the symbolic lam * g and its dg
+    g_ref, dg_ref, _ = _reference(base)
+    rng = np.random.default_rng(13)
+    for i, x in enumerate(_chart_points(metric.dim, seed=13)):
+        v = rng.standard_normal(metric.dim)
+        dg = lam * np.asarray(dg_ref(*x), dtype=float)
+        w = np.einsum("kij,k,j->i", dg, v, v) - 0.5 * np.einsum("kij,i,j->k", dg, v, v)
+        want = np.linalg.solve(lam * np.asarray(g_ref(*x), dtype=float), w)
+        got = metric.spray(x, v)
+        assert got.shape == want.shape
+        err = np.max(np.abs(got - want))
+        assert err <= REL_TOL * np.max(np.abs(want)), f"{metric.name} point {i}: error {err:.2e}"
 
 
 def test_bergman_ball_3_derivatives_match_central_differences():

@@ -108,6 +108,11 @@ class TestGeodesics:
             path = rm.geodesic_flow(m, rm.TangentPoint.of(x0, v0), 2.0, step=1e-3)
             assert path.speed_drift < 1e-8
 
+    def test_non_finite_speed_is_reported(self):
+        m = dataclasses.replace(EU, g=lambda x: np.full(x.shape[:-1] + (2, 2), np.nan))
+        with pytest.raises(ConfigInvalid, match="non-finite speed"):
+            rm.geodesic_flow(m, rm.TangentPoint.of([0, 0], [1, 0]), 1.0, step=0.1)
+
     def test_step_too_large_detected(self):
         # coarse steps on the curved sphere drift visibly (its chart is
         # unbounded, so the failure mode is drift rather than chart exit)
@@ -830,6 +835,21 @@ class TestOneIntegrator:
         monkeypatch.setattr(rm, "_endpoint", _reference_endpoint)
         want = rm.exp_log(m, x, y)
         assert np.array_equal(got.vec, want.vec)
+
+
+@pytest.mark.parametrize("m, x, v, y", _FLOW_STARTS, ids=_FLOW_IDS)
+def test_geodesic_stages_build_no_christoffel_tensor(m, x, v, y, monkeypatch):
+    # the RK4 right-hand side of geodesic_flow and of the shooting endpoint is
+    # the closed-form spray; only the transport flow builds Gamma
+    def no_tensor(*args):
+        raise AssertionError("an RK4 geodesic stage built the Christoffel tensor")
+
+    monkeypatch.setattr(rm, "christoffel", no_tensor)
+    path = rm.geodesic_flow(m, unit_at(m, x, v), 1.3, step=1.3 / 60)
+    assert path.speed_drift < rm.SPEED_DRIFT_TOL
+    x, y = 0.5 * np.asarray(x, float), 0.5 * np.asarray(y, float)
+    tp = rm.exp_log(m, x, y)
+    assert m.norm(x, tp.vec) == pytest.approx(m.closed_dist(x, y), rel=1e-8)
 
 
 def _count_calls(monkeypatch, names):
