@@ -214,10 +214,12 @@ class TestJacobi:
         assert np.allclose(rep.W, np.broadcast_to(W0, rep.W.shape), rtol=0, atol=1e-14)
         assert rep.kappa_measured == 0.0 and rep.growth_ok
 
-    @pytest.mark.parametrize("missing", ["closed_dist", "closed_geodesic", "closed_ray", "closed_transport"])
+    @pytest.mark.parametrize("missing", ["spray", "closed_dist", "closed_geodesic", "closed_ray",
+                                         "closed_transport"])
     def test_metric_without_closed_forms_is_refused(self, missing):
-        # the exact fields rest on closed_ray and closed_transport; a metric
-        # without any of the four closed forms is refused when it is built
+        # the exact fields rest on closed_ray and closed_transport, the RK4
+        # geodesic on the spray; a metric without any of the five closed forms
+        # is refused when it is built
         with pytest.raises(ConfigInvalid, match=missing):
             dataclasses.replace(PO, **{missing: None})
 
