@@ -2,9 +2,10 @@
 
 Model constructions:
 
-* disk: Moebius automorphisms (exact isometries);
 * ball: affine discs cut out by complex lines, which are totally geodesic;
-* polydisk: coordinatewise geodesics when one coordinate realizes the max;
+* polydisk: coordinatewise Moebius geodesics when one coordinate realizes
+  the max; on the disk, the polydisk of dimension 1, the one coordinate is a
+  Moebius automorphism (an exact isometry);
 * general convex domains: maximally scaled affine chord discs, returned as
   upper-bound candidates together with a measured isometry defect.
 
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .domain import BallDomain, BallTransvection, DiskDomain, Domain, Hyperplane, PolydiskDomain, boundary_data, c2r, herm, r2c
+from .domain import BallDomain, BallTransvection, Domain, Hyperplane, PolydiskDomain, boundary_data, c2r, herm, r2c
 from .errors import CoincidentPoints, ConfigInvalid, DegenerateGradient, NoConvergence, NumericDefectTooLarge
 from .intervals import DistInterval
 from .kobayashi import disk_distance, dist_bounds
@@ -67,7 +68,7 @@ class ComplexGeodesic:
 
     dom: Domain
     func: Callable[[complex], np.ndarray]
-    tag: str  # DiskAuto | BallAffineSlice | PolydiskMax | ConvexNumeric
+    tag: str  # BallAffineSlice | PolydiskMax (the disk among them) | ConvexNumeric
     params: dict = field(default_factory=dict)
     defect: float = math.nan
 
@@ -98,9 +99,7 @@ def complex_geodesic(dom: Domain, z, w) -> ComplexGeodesic:
     if np.allclose(z, w, atol=1e-14, rtol=0):
         raise CoincidentPoints("need two distinct points")
 
-    if isinstance(dom, DiskDomain):
-        geo = _disk_geodesic(dom, z[0], w[0])
-    elif isinstance(dom, BallDomain):
+    if isinstance(dom, BallDomain):
         geo = _ball_geodesic(dom, z, w)
     elif isinstance(dom, PolydiskDomain):
         geo = _polydisk_geodesic(dom, z, w)
@@ -111,17 +110,6 @@ def complex_geodesic(dom: Domain, z, w) -> ComplexGeodesic:
     if geo.tag != "ConvexNumeric" and geo.defect > MODEL_DEFECT_TOL:
         raise NumericDefectTooLarge(f"defect {geo.defect:.2e} on a model geodesic")
     return geo
-
-
-def _disk_geodesic(dom, z: complex, w: complex) -> ComplexGeodesic:
-    t = (w - z) / (1.0 - np.conj(z) * w)
-    mob = disk_automorphism(z, t / abs(t))
-    return ComplexGeodesic(
-        dom=dom,
-        func=lambda zeta: np.array([mob(zeta)]),
-        tag="DiskAuto",
-        params={"t_w": abs(t)},
-    )
 
 
 def _ball_geodesic(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
@@ -144,7 +132,7 @@ def _ball_geodesic(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
 
 def _polydisk_geodesic(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
     t = np.array([(wj - zj) / (1.0 - np.conj(zj) * wj) for zj, wj in zip(z, w)])
-    mags = np.abs(t)
+    mags = np.hypot(t.real, t.imag)   # libm hypot, as the scalar abs(); np.abs can differ by an ulp
     tstar = mags.max()
     mobs = []
     for j in range(dom.dimension):

@@ -282,31 +282,6 @@ class Domain:
         return np.zeros(self.dimension, dtype=complex)
 
 
-class DiskDomain(Domain):
-    """Unit disk in C (the d = 1 ball)."""
-
-    kind = "disk"
-
-    def __init__(self):
-        self.dimension = 1
-        self.bounding_radius = 1.0
-
-    def defining_many(self, zs):
-        return np.abs(np.asarray(zs, dtype=complex)[:, 0]) ** 2 - 1.0
-
-    def grad_c_many(self, zs):
-        return 2.0 * np.asarray(zs, dtype=complex)
-
-    def exit_radii(self, us):
-        return 1.0 / np.abs(np.asarray(us, dtype=complex)[:, 0])
-
-    def project_to_boundary(self, z):
-        return _unit_phases(as_point(z, 1))
-
-    def boundary_distance_exact(self, z):
-        return 1.0 - float(np.abs(as_point(z, 1)[0]))
-
-
 class BallDomain(Domain):
     """Unit Euclidean ball in C^d."""
 
@@ -380,6 +355,29 @@ class PolydiskDomain(Domain):
     def boundary_distance_exact(self, z):
         z = as_point(z, self.dimension)
         return float(np.min(1.0 - np.abs(z)))
+
+
+class DiskDomain(PolydiskDomain):
+    """Unit disk in C: the polydisk, and the ball, of dimension 1.  It keeps
+    its own one-coordinate oracle bodies, which skip the polydisk's max over
+    the coordinates."""
+
+    kind = "disk"
+
+    def defining_many(self, zs):
+        return np.abs(np.asarray(zs, dtype=complex)[:, 0]) ** 2 - 1.0
+
+    def grad_c_many(self, zs):
+        return 2.0 * np.asarray(zs, dtype=complex)
+
+    def exit_radii(self, us):
+        return 1.0 / np.abs(np.asarray(us, dtype=complex)[:, 0])
+
+    def project_to_boundary(self, z):
+        return _unit_phases(as_point(z, 1))
+
+    def boundary_distance_exact(self, z):
+        return 1.0 - float(np.abs(as_point(z, 1)[0]))
 
 
 class ModulusPolynomialDomain(Domain):
@@ -551,15 +549,15 @@ def _unit_phases(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def disk() -> DiskDomain:
-    return DiskDomain()
+    return DiskDomain(1)
 
 
 def ball(d: int) -> Domain:
-    return DiskDomain() if d == 1 else BallDomain(d)
+    return disk() if d == 1 else BallDomain(d)
 
 
 def polydisk(d: int) -> PolydiskDomain:
-    return PolydiskDomain(d)
+    return disk() if d == 1 else PolydiskDomain(d)
 
 
 def ellipsoid(exponents: Sequence[int]) -> ModulusPolynomialDomain:

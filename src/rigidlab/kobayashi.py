@@ -101,7 +101,8 @@ def ball_metric(z: np.ndarray, v: np.ndarray) -> float:
 
 
 def model_dist(dom: Domain, z, w):
-    """Exact Kobayashi distance on disk / ball / polydisk.
+    """Exact Kobayashi distance on the ball and the polydisk (the disk is both
+    at ``d = 1``; it takes the polydisk formulas).
 
     One pair of points ``(d,)`` gives a float from the one-point formulas.
     Two stacks ``(N, d)`` give the ``(N,)`` distances of their rows in one
@@ -112,15 +113,13 @@ def model_dist(dom: Domain, z, w):
     if zs.ndim < 2:
         z = dom.require_inside(z)
         w = dom.require_inside(w)
-        if isinstance(dom, DiskDomain):
-            return disk_distance(z[0], w[0])
         if isinstance(dom, BallDomain):
             return ball_distance(z, w)
         if isinstance(dom, PolydiskDomain):
             return max(disk_distance(a, b) for a, b in zip(z, w))
         raise NotConvex(f"no closed-form distance for kind {dom.kind!r}")
     zs, ws = _require_stacks(dom, zs, w)
-    if isinstance(dom, (DiskDomain, PolydiskDomain)):   # the disk formula, max over coordinates
+    if isinstance(dom, PolydiskDomain):   # the disk formula, max over coordinates
         m = np.max(np.abs((zs - ws) / (1.0 - np.conj(zs) * ws)), axis=1)
     elif isinstance(dom, BallDomain):   # ball_distance, row by row
         m = BallTransvection(zs).inverse_modulus(ws)
@@ -139,11 +138,9 @@ def _require_stacks(dom: Domain, zs, ws) -> tuple[np.ndarray, np.ndarray]:
 
 
 def model_metric(dom: Domain, z, v) -> float:
-    """Exact infinitesimal Kobayashi metric on disk / ball / polydisk."""
+    """Exact infinitesimal Kobayashi metric on the ball and the polydisk, the disk among them."""
     z = dom.require_inside(z)
     v = as_point(v, dom.dimension)
-    if isinstance(dom, DiskDomain):
-        return disk_metric(z[0], v[0])
     if isinstance(dom, BallDomain):
         return ball_metric(z, v)
     if isinstance(dom, PolydiskDomain):
@@ -152,7 +149,7 @@ def model_metric(dom: Domain, z, v) -> float:
 
 
 def has_model_formulas(dom: Domain) -> bool:
-    return isinstance(dom, (DiskDomain, BallDomain, PolydiskDomain))
+    return isinstance(dom, (BallDomain, PolydiskDomain))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +183,7 @@ def line_boundary_distance(dom: Domain, z, v):
     if vn == 0:
         raise ZeroVector("direction must be nonzero")
     u = v / vn
-    if isinstance(dom, DiskDomain):
+    if isinstance(dom, DiskDomain):   # the polydisk quotient would divide by |u| = 1 +- 1 ulp
         radii = 1.0 - _modulus(zs[:, 0])
     elif isinstance(dom, BallDomain):
         off = np.sum(zs * np.conj(u), axis=1)

@@ -26,10 +26,9 @@ geodesic spread, and the backward initial-condition estimate (both sample
 flows and the shooting ``exp_log`` are the independent engines the closed
 forms are checked against.
 
-Shape contract: the ``g``, ``ginv`` and ``dg`` oracles and
-:func:`christoffel` take one point ``(n,)`` or a stack of points ``(N, n)``
-and return the matching leading axis, e.g. ``christoffel(m, xs)`` is
-``(N, n, n, n)``; ``d2g`` and everything else take one point.  ``ginv`` is
+Shape contract: the ``g`` oracle takes one point ``(n,)`` or a stack of
+points ``(N, n)`` and returns the matching leading axis, ``(N, n, n)`` for a
+stack; every other oracle, and :func:`christoffel`, takes one point.  ``ginv`` is
 the closed-form inverse of ``g``, so no step inverts ``g`` numerically (the
 one factorization of ``g`` is the Cholesky frame at a Jacobi flow's start);
 ``min_eig`` is the smallest eigenvalue of ``g`` at one point, in closed form,
@@ -93,8 +92,8 @@ class MetricField:
     name: str
     dim: int
     g: Callable[[np.ndarray], np.ndarray]       # (n,) -> (n, n); (N, n) -> (N, n, n)
-    ginv: Callable[[np.ndarray], np.ndarray]    # inverse of g, stacks as g
-    dg: Callable[[np.ndarray], np.ndarray]      # dg[..., k, i, j] = d_k g_ij, stacks as g
+    ginv: Callable[[np.ndarray], np.ndarray]    # inverse of g, one point
+    dg: Callable[[np.ndarray], np.ndarray]      # dg[k, i, j] = d_k g_ij, one point
     d2g: Callable[[np.ndarray], np.ndarray]     # d2g[k, l, i, j] = d_k d_l g_ij, one point
     min_eig: Callable[[np.ndarray], float]      # smallest eigenvalue of g, one point
     spray: Callable                             # (x, v) -> Gamma(x)(v, v) at one point, in
@@ -193,7 +192,6 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
         dp = (np.einsum("ik,jm->kijm", eye, eye) + np.einsum("im,jk->kijm", eye, eye)
               + np.einsum("ik,jm->kijm", rot, rot) + np.einsum("im,jk->kijm", rot, rot))
         d2p = dp.transpose(0, 3, 1, 2)
-        dp_t = dp.reshape(dim**3, dim).T     # x @ dp_t = (dp @ x) flattened
 
     def norm2(x):
         """``s = |x|^2``: a float for one point, shape (N, 1, 1) for a stack."""
@@ -228,15 +226,12 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
         return rank2_eig if dim == 2 else min(a0, rank2_eig)
 
     def dg(x):
-        s = norm2(x)
+        s = float(x.dot(x))
         da = a(s)[1]
         if b is None:
-            return x[..., :, None, None] * (2.0 * da * eye)[..., None, :, :]
+            return x[:, None, None] * (2.0 * da * eye)
         b0, db, _ = b(s)
-        lead = x.shape[:-1]
-        bdp = b0 * (x @ dp_t).reshape(lead + (dim, dim * dim))
-        return (x[..., :, None, None] * (2.0 * (da * eye + db * rank2(x)))[..., None, :, :]
-                + bdp.reshape(lead + (dim,) * 3))
+        return x[:, None, None] * (2.0 * (da * eye + db * rank2(x))) + b0 * (dp @ x)
 
     def d2g(x):
         s = float(x.dot(x))
@@ -400,7 +395,11 @@ def bergman_ball(d: int = 2) -> MetricField:
     The closed forms read :class:`~rigidlab.domain.BallTransvection`: with ``w =
     tau_x^-1(y)``, the geodesic ``x -> y`` is ``tau_x`` of the diameter ``e tanh(t /
     radial)``, ``e = w / |w|``, of length ``radial atanh |w|``, and transport along it
-    is ``d tau_x(w) d tau_w(0) d tau_x(0)^-1``, complex-linear, so ``X`` may be a stack."""
+    is ``d tau_x(w) d tau_w(0) d tau_x(0)^-1``, complex-linear, so ``X`` may be a stack.
+    At ``d = 1`` the real form is ``(a + b s) I = 4 / (1-s)^2 I``, the Poincare disk,
+    which is returned."""
+    if d == 1:
+        return poincare_disk()
     radial = math.sqrt(2.0 * (d + 1))  # metric length of the unit radial speed
 
     def curve(tau, e):
@@ -408,7 +407,10 @@ def bergman_ball(d: int = 2) -> MetricField:
         return lambda t: c2r(tau(np.multiply.outer(np.tanh(t / radial), e)))
 
     def atanh_radial(m):
-        return radial * math.atanh(min(m, 1 - 1e-16))
+        """``radial atanh m``; ``m`` rounded onto 1 raises ``LeftChart``, as the conformal ``atan_k`` does."""
+        if m >= 1 - 1e-16:
+            raise LeftChart(f"bergman-ball-{d}: a point rounded onto the unit sphere")
+        return radial * math.atanh(m)
 
     def dist(x, y):
         return atanh_radial(float(BallTransvection(r2c(x)).inverse_modulus(r2c(y))))
@@ -513,16 +515,17 @@ class CurvatureData:
 
 
 def _term(dg: np.ndarray) -> np.ndarray:
-    """``term[..., m, i, j] = d_i g_jm + d_j g_im - d_m g_ij`` from ``dg[..., k, i, j]``."""
+    """``term[..., m, i, j] = d_i g_jm + d_j g_im - d_m g_ij`` from ``dg[..., k, i, j]``
+    at one point; a leading axis is the extra derivative of ``d2g``."""
     t = dg.swapaxes(-3, -1)  # t[..., m, i, j] = d_j g_im
     return t.swapaxes(-2, -1) + t - dg
 
 
 def christoffel(m: MetricField, x) -> np.ndarray:
-    """``gamma[..., k, i, j]`` at one point ``(n,)`` or at each of ``(N, n)``."""
+    """``gamma[k, i, j]`` at one point ``(n,)``."""
     x = np.asarray(x, dtype=float)
     term = _term(m.dg(x))
-    return 0.5 * (m.ginv(x) @ term.reshape(term.shape[:-2] + (-1,))).reshape(term.shape)
+    return 0.5 * (m.ginv(x) @ term.reshape(m.dim, -1)).reshape(term.shape)
 
 
 def christoffel_curvature(m: MetricField, x) -> CurvatureData:

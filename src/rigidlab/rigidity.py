@@ -21,7 +21,7 @@ pipelines over the map zoo and aborts on any unsound identification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .riemann import MetricField, TangentPoint, scale_metric, tangent_distances
 from .schwarz import (
     IDENTIFICATION_THRESHOLD,
     HoloMap,
-    certify_self_map,
     convex_pipeline,
     disk_rigidity_pipeline,
     disk_zoo,
@@ -245,8 +244,13 @@ class SuiteEntry:
 
 @dataclass
 class SuiteSummary:
-    entries: list[SuiteEntry] = field(default_factory=list)
-    passed: bool = True
+    entries: list[SuiteEntry]
+
+    @property
+    def passed(self) -> bool:
+        """Always true: a summary is returned only when every verdict kept the
+        soundness rule, since ``_record`` raises at the first that does not."""
+        return True
 
 
 def near_identity_automorphism(d: int = 2) -> HoloMap:
@@ -265,16 +269,13 @@ def ball_zoo(d: int = 2) -> list[HoloMap]:
     theta = 1e-3
     u = np.eye(d, dtype=complex)
     u[0, 0] = np.exp(1j * theta)
-    maps = [
+    return [
         identity_map(d),
         unitary_map(u),
         ball_automorphism(np.array([1e-3] + [0.0] * (d - 1))),
         near_identity_automorphism(d),
         ball_coordinate_contact(1e-9, 4, d),
     ]
-    for f in maps:
-        certify_self_map(f, ball(d))
-    return [f for f in maps if f._certification.passed]
 
 
 def counterexample_suite() -> SuiteSummary:
@@ -283,19 +284,19 @@ def counterexample_suite() -> SuiteSummary:
     Raises :class:`SuiteSoundnessViolation` if any map whose interior
     displacement exceeds the soundness threshold is ever identified.
     """
-    summary = SuiteSummary()
+    entries: list[SuiteEntry] = []
 
     for f in disk_zoo():
         disp = interior_displacement(f, samples=SUITE_DISPLACEMENT_SAMPLES)
         rep = disk_rigidity_pipeline(f)
-        _record(summary, "disk", f, disp, rep.verdict)
+        _record(entries, "disk", f, disp, rep.verdict)
 
     b2 = ball(2)
     for f in ball_zoo(2):
         disp = interior_displacement(f, b2, samples=SUITE_DISPLACEMENT_SAMPLES)
         rep = convex_pipeline(b2, f, xi0=np.array([1.0, 0.0]),
                               schedule=geometric_schedule(3, 11))
-        _record(summary, "convex-ball", f, disp, rep.verdict)
+        _record(entries, "convex-ball", f, disp, rep.verdict)
 
     dsk = disk()
     cone_d = Cone(apex=np.array([1.0 + 0j]), direction=np.array([-1.0 + 0j]),
@@ -304,7 +305,7 @@ def counterexample_suite() -> SuiteSummary:
         disp = interior_displacement(f, samples=SUITE_DISPLACEMENT_SAMPLES)
         rep = biholo_pipeline(dsk, f, poincare_kahler(), xi0=[1.0], cone=cone_d,
                               schedule=0.5 ** np.arange(2, 8, dtype=float))
-        _record(summary, "biholo-disk", f, disp, rep.verdict)
+        _record(entries, "biholo-disk", f, disp, rep.verdict)
 
     cone_b = Cone(apex=np.array([1.0, 0.0], dtype=complex),
                   direction=np.array([-1.0, 0.0], dtype=complex),
@@ -313,22 +314,20 @@ def counterexample_suite() -> SuiteSummary:
         disp = interior_displacement(f, b2, samples=SUITE_DISPLACEMENT_SAMPLES)
         rep = biholo_pipeline(b2, f, bergman_kahler(2), xi0=[1.0, 0.0], cone=cone_b,
                               schedule=0.5 ** np.arange(2, 7, dtype=float))
-        _record(summary, "biholo-ball", f, disp, rep.verdict)
+        _record(entries, "biholo-ball", f, disp, rep.verdict)
 
-    return summary
+    return SuiteSummary(entries)
 
 
-def _record(summary: SuiteSummary, pipeline: str, f: HoloMap, disp: float, verdict: str) -> None:
+def _record(entries: list[SuiteEntry], pipeline: str, f: HoloMap, disp: float, verdict: str) -> None:
     entry = SuiteEntry(pipeline=pipeline, map_name=f.name, displacement=disp,
                        verdict=verdict, indistinguishable=bool(disp <= SOUNDNESS_DISPLACEMENT))
-    summary.entries.append(entry)
+    entries.append(entry)
     if verdict == FORCES_IDENTITY and disp > SOUNDNESS_DISPLACEMENT:
-        summary.passed = False
         raise SuiteSoundnessViolation(
             f"{pipeline}: {f.name} has displacement {disp:.2e} but was identified")
     # constructed contact families of order >= 4 must be identified or flagged
     if f.contact is not None and f.contact.order >= 4:
         if verdict != FORCES_IDENTITY and not entry.indistinguishable:
-            summary.passed = False
             raise SuiteSoundnessViolation(
                 f"{pipeline}: order-{f.contact.order} map {f.name} neither identified nor negligible")

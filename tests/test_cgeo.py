@@ -51,10 +51,22 @@ class TestMobiusFlow:
 class TestComplexGeodesics:
     def test_disk_through_origin(self):
         geo = cgeo.complex_geodesic(DISK, [0], [0.5])
-        assert geo.tag == "DiskAuto"
+        assert geo.tag == "PolydiskMax"   # the disk is the polydisk of dimension 1
         assert geo.defect < 1e-10
         assert np.allclose(geo(0), [0])
         assert np.allclose(geo(geo.params["t_w"]), [0.5])
+
+    def test_disk_geodesic_is_the_moebius_map_of_the_polydisk_construction(self):
+        # the one coordinate has scale 1, so the disc is the Moebius map through z
+        # in the direction of t = (w - z) / (1 - conj(z) w), bit for bit
+        for z, w in ((0.1 + 0.2j, -0.5 + 0.3j), (0.0, 0.5), (-0.7j, 0.69 - 0.1j)):
+            geo = cgeo.complex_geodesic(DISK, [z], [w])
+            t = (w - z) / (1.0 - np.conj(z) * w)
+            mob = cgeo.disk_automorphism(z, t / abs(t))
+            assert geo.tag == "PolydiskMax" and geo.params["t_w"] == abs(t)
+            for zeta in (0.0, 0.3 - 0.4j, -0.95, abs(t)):
+                assert np.array_equal(geo(zeta), [mob(zeta)])
+            assert np.allclose(geo(abs(t)), [w], rtol=0, atol=1e-15)
 
     def test_ball_axis_slice(self):
         geo = cgeo.complex_geodesic(BALL2, [0, 0], [0.5, 0])

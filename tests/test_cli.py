@@ -459,6 +459,32 @@ class TestMain:
         assert "error [LeftChart]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dimension, params", [(1, '{"horizon": 34, "kappa": 1, "grid": 60}'),
+                                                   (2, '{"horizon": 40, "kappa": 1, "grid": 80}')],
+                             ids=["dimension-1", "dimension-2"])
+    def test_bergman_spread_past_the_chart_exits_2(self, tmp_path, capsys, dimension, params):
+        # the Bergman distance used to clamp where the sampled rays round onto the
+        # unit sphere: rows for t = 30 to 40 at d = 2 read sqrt(6) atanh(1 - 1e-16)
+        rc = cli.main(["--out-dir", str(tmp_path / "out"), "riemann", "--metric",
+                       f'{{"name":"bergman-ball","dimension":{dimension}}}', "--op", "spread", "--params", params])
+        assert rc == 2
+        assert "error [LeftChart]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("domain", ['{"kind":"disk"}', '{"kind":"ball","dimension":1}',
+                                        '{"kind":"polydisk","dimension":1}'], ids=["disk", "ball-1", "polydisk-1"])
+    @pytest.mark.parametrize("f", ['{"name":"poly_contact","c":1e-9,"m":4}', '{"name":"cubic_contact","c":0.05}'],
+                             ids=["poly_contact", "cubic_contact"])
+    def test_every_spelling_of_the_disk_gives_the_disk_rows(self, tmp_path, capsys, domain, f):
+        # the polydisk of dimension 1 once missed the disk calibration: eps_n fell
+        # to 1.526e-05 against 0.1, and cubic_contact(0.05) ended at 1.02e4
+        # against 1.557
+        def run(spelling, out):
+            rc = cli.main(["--out-dir", str(tmp_path / out), "--format", "csv", "rigidity",
+                           "--pipeline", "convex", "--domain", spelling, "--map", f])
+            return rc, capsys.readouterr().out, [p.read_text() for p in sorted((tmp_path / out).iterdir())]
+        assert run(domain, "spelled") == run('{"kind":"disk"}', "disk")
+
     def test_polydisk_corner_exits_2(self, tmp_path, capsys):
         # the boundary is not C^2 where two coordinates have the largest modulus
         rc = cli.main(["--out-dir", str(tmp_path / "out"), "rigidity", "--pipeline", "convex",

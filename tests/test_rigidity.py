@@ -175,10 +175,9 @@ class TestImageTangent:
 
 class TestSuite:
     def test_soundness_guard_fires(self):
-        summary = rg.SuiteSummary()
         fake = sw.rotation(0.5)
         with pytest.raises(SuiteSoundnessViolation):
-            rg._record(summary, "disk", fake, 0.5, FORCES_IDENTITY)
+            rg._record([], "disk", fake, 0.5, FORCES_IDENTITY)
 
     def test_small_suite(self):
         # the acceptance module runs the full zoo; here a focused slice

@@ -54,11 +54,27 @@ class TestCertification:
         assert not scaled.passed and scaled.max_excess > 0.04
         assert calls == []
 
+    def test_a_certificate_on_one_domain_does_not_pass_a_map_on_another(self):
+        # a 45 degree rotation mixing the coordinates keeps ball(2) but not the
+        # bidisk; a certificate made on the ball was once reused on the bidisk,
+        # where the pipeline ran to a verdict with disp_sup 4.43
+        c = math.sqrt(0.5)
+        f = sw.unitary_map(np.array([[c, -c], [c, c]]))
+        assert sw.certify_self_map(f, dm.ball(2)).passed
+        with pytest.raises(NotSelfMap):
+            sw.convex_pipeline(dm.polydisk(2), f, [1.0, 0.0])
+
+    def test_every_zoo_map_certifies_on_its_domain(self):
+        # the zoos filter nothing, so a map that failed would raise in its verdict
+        for maps, dom in ((sw.disk_zoo(), dm.disk()), (ball_zoo(2), dm.ball(2))):
+            assert all(sw.certify_self_map(f, dom).passed for f in maps)
+        assert (len(sw.disk_zoo()), len(ball_zoo(2))) == (13, 5)
+
     def test_cubic_contact_is_exact_self_map(self):
         # |z - c (z-1)^3| <= 1 on the circle for c <= 1/4 (explicit algebra)
         f = sw.cubic_contact(0.25)
         theta = np.linspace(0, 2 * math.pi, 2000)
-        vals = np.abs([f.scalar(z) for z in np.exp(1j * theta)])
+        vals = np.abs([f.func(complex(z)) for z in np.exp(1j * theta)])
         assert vals.max() <= 1 + 1e-12
 
 
@@ -266,7 +282,8 @@ def test_stacked_evaluation_matches_pointwise(f):
     zs = dm.sample_ball(dm.ball(f.dimension), np.zeros(f.dimension), 0.95, 64, np.random.default_rng(5))
     stacked = f.many(zs)
     assert stacked.shape == zs.shape
-    rows = np.array([[f(z[0])] if f.dimension == 1 else f(z) for z in zs])
+    # a map of C also against its func on Python scalars, which share no numpy loop with the stack
+    rows = np.array([[f.func(complex(z[0]))] if f.dimension == 1 else f(z) for z in zs])
     assert np.all(np.linalg.norm(stacked - rows, axis=1) <= 1e-14 * np.linalg.norm(rows, axis=1))
 
 
