@@ -2,7 +2,9 @@
 
 Runs are described either by flags or by a JSON config file (flags win).
 Every config key of a subcommand is also its ``--key`` flag (``cone_length``
-is ``--cone-length``), and both are checked against one table.
+is ``--cone-length``), and both are checked against one table; each spec (a
+domain, map, metric, Kähler model, schedule or ``params`` object) is checked
+against one more, by one reader.
 Sampling is seeded, nothing reads the clock, and CSV/JSON emission uses
 stable formatting, so identical configs produce byte-identical artifacts.
 
@@ -21,24 +23,50 @@ from pathlib import Path
 import numpy as np
 
 from . import cgeo, kahler, kobayashi, rigidity, riemann, schwarz
-from .domain import Cone, ball, boundary_data, disk, domain_from_config
+from .domain import Cone, Domain, ball, boundary_data, disk, ellipsoid, modulus_polynomial, polydisk
 from .errors import ConfigInvalid, IoFailure, RigidLabError
 from .report import COLUMN_REGISTRY, PipelineReport
 
 #: the value kind of a key whose runner reads it further (a domain, map,
 #: point list, ...); a flag's token is parsed as JSON, else kept as a name
 JSON = "a JSON value or a name"
+#: the value kind of a dimension: an integer of at least 1
+COUNT = "an integer >= 1"
 
-#: subcommand -> (selector key, {choice: the ``params`` keys it reads}), the
-#: default choice first; a ``params`` key the chosen op or check does not read
-#: is rejected
+#: spec -> (selector key, {choice: {key: value kind}}), the default choice
+#: first; a spec is an object that names its choice under the selector, or
+#: that bare name, and a key its choice does not read is rejected
+SPEC_KEYS = {
+    "domain": ("kind", {"disk": {}, "ball": {"dimension": COUNT}, "polydisk": {"dimension": COUNT},
+                        "ellipsoid": {"exponents": list},
+                        "implicit": {"dimension": COUNT, "terms": list, "bounding_radius": float}}),
+    "map": ("name", {
+        "id": {}, "rotation": {"theta": float}, "mobius": {"a": complex}, "power": {"p": int},
+        "blaschke": {"zeros": list}, "cubic_contact": {"c": float}, "bk_extremal": {},
+        "halfplane_contact": {"c": float, "beta": float}, "poly_contact": {"c": complex, "m": int},
+        "unitary_rotation": {"theta": float}, "ball_automorphism": {"a": JSON},
+        "ball_contact": {"c": complex, "m": int}}),
+    "metric": ("name", {"poincare": {}, "sphere": {}, "euclid": {"dimension": COUNT},
+                        "bergman-ball": {"dimension": COUNT}}),
+    "kahler": ("name", dict.fromkeys(("poincare", "flat", "bergman-ball"), {"dimension": COUNT})),
+    "schedule": ("kind", {"geometric": {"ratio": float, "n_lo": int, "n_hi": int},
+                          "list": {"values": JSON}}),
+}
+
+#: subcommand -> (selector key, {choice: {the ``params`` key it reads: value
+#: kind}}), the default choice first; the selector is a config key of the
+#: subcommand, and a ``params`` key the chosen op or check does not read is
+#: rejected
+_FLOW = {"x0": JSON, "v0": JSON, "horizon": float, "step": float}
 PARAM_KEYS = {
-    "riemann": ("op", {"flow": ("x0", "v0", "horizon", "step"),
-                       "jacobi": ("x0", "v0", "horizon", "step"),
-                       "spread": ("x0", "v0", "horizon", "angle", "v1", "kappa", "grid"),
-                       "backward": ("x0", "v0", "angle", "eps")}),
-    "kahler": ("check", {"bg": (), "squeeze": ("z",), "inj": ("d", "kappa", "volume", "r"),
-                         "threshold": ("d", "kappa", "A", "theta", "positive_injectivity")}),
+    "riemann": ("op", {"flow": _FLOW, "jacobi": _FLOW,
+                       "spread": {"x0": JSON, "v0": JSON, "horizon": float, "angle": float,
+                                  "v1": JSON, "kappa": float, "grid": int},
+                       "backward": {"x0": JSON, "v0": JSON, "angle": float, "eps": float}}),
+    "kahler": ("check", {"bg": {}, "squeeze": {"z": JSON},
+                         "inj": {"d": int, "kappa": float, "volume": float, "r": float},
+                         "threshold": {"d": int, "kappa": float, "A": float, "theta": float,
+                                       "positive_injectivity": (False, True)}}),
 }
 
 #: subcommand -> {config key: value kind}; a kind is JSON, float, int, list,
@@ -73,26 +101,61 @@ class RunConfig:
 
 def _read(kind, value, key: str):
     """``value`` checked against ``kind``: a JSON value, a choice, a list or a
-    dict comes back as is, a finite number as ``kind``; a mismatch raises
+    dict comes back as is, a finite number as ``kind`` (a COUNT as an int of
+    at least 1), a complex number as ``_complex`` reads it; a mismatch raises
     ``ConfigInvalid``."""
     if (kind is JSON or (isinstance(kind, tuple) and value in kind)
             or (kind in (list, dict) and isinstance(value, kind))):
         return value
-    if kind in (float, int) and type(value) in (int, float):
+    if kind is complex:
+        return _complex(value, key)
+    if kind in (float, int, COUNT) and type(value) in (int, float):
         try:
-            number = kind(value)
+            number = float(value) if kind is float else int(value)
         except (OverflowError, ValueError):  # int(inf), int(nan), float(10**400)
             number = math.nan
-        if number == value if kind is int else math.isfinite(number):
+        if math.isfinite(number) if kind is float else number == value and (kind is int or number >= 1):
             return number
-    want = f"one of {', '.join(map(str, kind))}" if isinstance(kind, tuple) else kind.__name__
+    want = f"one of {', '.join(map(str, kind))}" if isinstance(kind, tuple) else getattr(kind, "__name__", kind)
     raise ConfigInvalid(f"{key} must be {want}, got {value!r}")
 
 
-def _param(opts: dict, key: str, kind, default):
-    """``params[key]`` checked against ``kind`` (see ``_read``), or ``default``."""
-    params = opts.get("params", {})
-    return _read(kind, params[key], f"params.{key}") if key in params else default
+class _Values(dict):
+    """The checked values of a spec; reading a key it lacks raises ``ConfigInvalid``."""
+
+    def __init__(self, what: str, values: dict):
+        super().__init__(values)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ConfigInvalid(f"{self.what} needs {key!r}")
+
+
+def _keys(spec: str, what: str, kinds: dict, values: dict) -> _Values:
+    """``values`` checked against ``kinds``, each under the name ``<spec>.<key>``;
+    a key ``kinds`` lacks raises ``ConfigInvalid``."""
+    unknown = set(values) - set(kinds)
+    if unknown:
+        raise ConfigInvalid(f"unknown {spec} keys for {what}: {sorted(unknown)}")
+    return _Values(f"{spec} {what}", {k: _read(kinds[k], v, f"{spec}.{k}") for k, v in values.items()})
+
+
+def _spec(spec: str, value) -> tuple[str, _Values]:
+    """The choice a ``spec`` value names (a bare string names it; without the
+    selector it is the default) and its checked values (see ``SPEC_KEYS``)."""
+    selector, choices = SPEC_KEYS[spec]
+    if isinstance(value, str):
+        value = {selector: value}
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{spec} must be a name or an object, got {value!r}")
+    choice = _read(tuple(choices), value.get(selector, next(iter(choices))), f"{spec}.{selector}")
+    rest = {k: v for k, v in value.items() if k != selector}
+    return choice, _keys(spec, choice, choices[choice], rest)
+
+
+def _param(opts: dict, key: str, default):
+    """``params[key]``, checked by ``parse_config``, or ``default``."""
+    return opts.get("params", {}).get(key, default)
 
 
 def _vector(value, key: str, dim: int | None = None, dtype=complex) -> np.ndarray:
@@ -115,15 +178,6 @@ def _complex(value, key: str) -> complex:
     return complex(*(_read(float, p, key) for p in parts))
 
 
-def _named(spec, what: str) -> dict:
-    """A spec given as a name or as an object with a 'name' field."""
-    if isinstance(spec, str):
-        return {"name": spec}
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigInvalid(f"{what} config must be a name or an object with 'name'")
-    return spec
-
-
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config mapping; unknown keys and values of the wrong
     kind are rejected."""
@@ -135,12 +189,10 @@ def parse_config(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigInvalid(f"unknown config keys for {sub}: {sorted(unknown)}")
     options = {k: _read(kinds[k], v, k) for k, v in raw.items() if k in kinds}
-    if sub in PARAM_KEYS:
+    if "params" in options:
         selector, reads = PARAM_KEYS[sub]
         choice = options.get(selector, next(iter(reads)))
-        unread = set(options.get("params", {})) - set(reads[choice])
-        if unread:
-            raise ConfigInvalid(f"unknown params keys for {sub} {selector} {choice}: {sorted(unread)}")
+        options["params"] = _keys("params", f"{sub} {selector} {choice}", reads[choice], options["params"])
     if "schedule" in options:
         options["schedule"] = parse_schedule(options["schedule"])
     return RunConfig(subcommand=sub, seed=_read(int, raw.get("seed", 42), "seed"),
@@ -150,25 +202,16 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def parse_schedule(spec) -> np.ndarray:
-    """Geometric or explicit schedules; values strictly decreasing in (0, 1)."""
-    if isinstance(spec, dict):
-        kind = spec.get("kind", "geometric")
-        if kind == "geometric":
-            extra = set(spec) - {"kind", "ratio", "n_lo", "n_hi"}
-            if extra:
-                raise ConfigInvalid(f"unknown schedule keys {sorted(extra)}")
-            ratio = _read(float, spec.get("ratio", 0.5), "schedule.ratio")
-            n_lo = _read(int, spec.get("n_lo", 3), "schedule.n_lo")
-            n_hi = _read(int, spec.get("n_hi", 14), "schedule.n_hi")
-            if not (0 < ratio < 1 and n_lo <= n_hi):
-                raise ConfigInvalid("need 0 < ratio < 1 and n_lo <= n_hi")
-            values = ratio ** np.arange(n_lo, n_hi + 1, dtype=float)
-        elif kind == "list":
-            values = _vector(spec.get("values", []), "schedule.values", dtype=float)
-        else:
-            raise ConfigInvalid(f"unknown schedule kind {kind!r}")
-    else:
+    """Geometric or explicit schedules, or a bare list of values; values
+    strictly decreasing in (0, 1)."""
+    if isinstance(spec, list):
         values = _vector(spec, "schedule", dtype=float)
+    else:
+        kind, cfg = _spec("schedule", spec)
+        if kind == "geometric":
+            values = cfg.get("ratio", 0.5) ** np.arange(cfg.get("n_lo", 3), cfg.get("n_hi", 14) + 1, dtype=float)
+        else:
+            values = _vector(cfg.get("values", []), "schedule.values", dtype=float)
     if len(values) == 0:
         raise ConfigInvalid("schedule needs at least one value")
     if np.any(values <= 0) or np.any(values >= 1):
@@ -178,69 +221,70 @@ def parse_schedule(spec) -> np.ndarray:
     return values
 
 
-def map_from_config(cfg: dict, dimension: int = 1) -> schwarz.HoloMap:
-    cfg = _named(cfg, "map")
-    name = cfg["name"]
+def domain_from_config(cfg) -> Domain:
+    """The domain a spec names, such as ``{"kind": "ball", "dimension": 2}``,
+    ``{"kind": "ellipsoid", "exponents": [1, 2]}`` or ``{"kind": "implicit",
+    "dimension": 2, "terms": [[1.0, [1, 0]], [1.0, [0, 2]]]}`` (the terms of
+    a ``modulus_polynomial``, each a coefficient and its exponents)."""
+    kind, cfg = _spec("domain", cfg)
+    if kind == "disk":
+        return disk()
+    if kind in ("ball", "polydisk"):
+        return (ball if kind == "ball" else polydisk)(cfg.get("dimension", 2))
+    if kind == "ellipsoid":
+        return ellipsoid([_read(int, m, "domain.exponents") for m in cfg["exponents"]])
+    terms = cfg.get("terms", [])
+    if not all(isinstance(t, list) and len(t) == 2 and isinstance(t[1], list) for t in terms):
+        raise ConfigInvalid(f"domain.terms must be a list of [coefficient, exponents] pairs, got {terms!r}")
+    return modulus_polynomial([(_read(float, c, "domain.terms"), [_read(int, a, "domain.terms") for a in alpha])
+                               for c, alpha in terms], cfg["dimension"], cfg.get("bounding_radius"))
 
-    def arg(key: str, kind=float):
-        if key not in cfg:
-            raise ConfigInvalid(f"map {name!r} is missing parameter {key!r}")
-        return _complex(cfg[key], f"map.{key}") if kind is complex else _read(kind, cfg[key], f"map.{key}")
 
+def map_from_config(cfg, dimension: int = 1) -> schwarz.HoloMap:
+    name, cfg = _spec("map", cfg)
     if name == "id":
         return schwarz.identity_map(dimension)
     if name == "rotation":
-        return schwarz.rotation(arg("theta"))
+        return schwarz.rotation(cfg["theta"])
     if name == "mobius":
-        return schwarz.mobius_map(arg("a", complex))
+        return schwarz.mobius_map(cfg["a"])
     if name == "power":
-        return schwarz.power_map(arg("p", int))
+        return schwarz.power_map(cfg["p"])
     if name == "blaschke":
-        return schwarz.blaschke_product([_complex(a, "map.zeros") for a in arg("zeros", list)])
+        return schwarz.blaschke_product([_complex(a, "map.zeros") for a in cfg["zeros"]])
     if name == "cubic_contact":
-        return schwarz.cubic_contact(arg("c"))
+        return schwarz.cubic_contact(cfg["c"])
     if name == "bk_extremal":
         return schwarz.bk_extremal()
     if name == "halfplane_contact":
-        return schwarz.halfplane_contact(arg("c"), arg("beta"))
+        return schwarz.halfplane_contact(cfg["c"], cfg["beta"])
     if name == "poly_contact":
-        return schwarz.poly_contact(arg("c", complex), arg("m", int))
+        return schwarz.poly_contact(cfg["c"], cfg["m"])
     if name == "unitary_rotation":
         u = np.eye(dimension, dtype=complex)
-        u[0, 0] = np.exp(1j * arg("theta"))
+        u[0, 0] = np.exp(1j * cfg["theta"])
         return schwarz.unitary_map(u)
     if name == "ball_automorphism":
-        return schwarz.ball_automorphism(_vector(arg("a", JSON), "map.a", dimension))
-    if name == "ball_contact":
-        return schwarz.ball_coordinate_contact(arg("c", complex), arg("m", int), dimension)
-    raise ConfigInvalid(f"unknown map {name!r}")
+        return schwarz.ball_automorphism(_vector(cfg["a"], "map.a", dimension))
+    return schwarz.ball_coordinate_contact(cfg["c"], cfg["m"], dimension)
 
 
 def metric_from_config(cfg) -> riemann.MetricField:
-    cfg = _named(cfg, "metric")
-    name = cfg["name"]
+    name, cfg = _spec("metric", cfg)
     if name == "poincare":
         return riemann.poincare_disk()
     if name == "sphere":
         return riemann.sphere_stereographic()
-    if name not in ("euclid", "bergman-ball"):
-        raise ConfigInvalid(f"unknown metric {name!r}")
-    d = _read(int, cfg.get("dimension", 2), "metric.dimension")
-    if d < 1:
-        raise ConfigInvalid(f"metric.dimension must be at least 1, got {d}")
+    d = cfg.get("dimension", 2)
     return riemann.euclidean(d) if name == "euclid" else riemann.bergman_ball(d)
 
 
 def kahler_from_config(cfg, dimension: int | None = None) -> kahler.KahlerField:
     """The Kähler model ``cfg`` names, in its own dimension, else the domain's
     ``dimension``, else 2 for the Bergman ball and 1 otherwise."""
-    cfg = _named(cfg, "Kahler model")
-    name = cfg["name"]
-    if name not in ("poincare", "flat", "bergman-ball"):
-        raise ConfigInvalid(f"unknown Kahler model {name!r}")
-    d = _read(int, cfg.get("dimension", dimension or (2 if name == "bergman-ball" else 1)),
-              "metric.dimension")
-    if d < 1 or d != (dimension or d) or (name == "poincare" and d != 1):
+    name, cfg = _spec("kahler", cfg)
+    d = cfg.get("dimension", dimension or (2 if name == "bergman-ball" else 1))
+    if d != (dimension or d) or (name == "poincare" and d != 1):
         raise ConfigInvalid(f"no Kahler model {name!r} of dimension {d} for a domain "
                             f"of dimension {dimension or d}")
     if name == "poincare":
@@ -266,9 +310,6 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, columns: list[str], rows: list[dict], anchors: bool = True) -> None:
-    for col in columns:
-        if anchors and col not in COLUMN_REGISTRY:
-            raise IoFailure(f"column {col!r} has no registered anchor")
     try:
         with open(path, "w") as fh:
             if anchors:
@@ -410,10 +451,10 @@ def _run_riemann(cfg: RunConfig) -> int:
     opts = cfg.options
     m = metric_from_config(opts.get("metric", "poincare"))
     op = opts.get("op", "flow")
-    x0 = _vector(_param(opts, "x0", JSON, [0.0] * m.dim), "params.x0", m.dim, float)
-    v0 = _vector(_param(opts, "v0", JSON, [1.0] + [0.0] * (m.dim - 1)), "params.v0", m.dim, float)
-    horizon = _param(opts, "horizon", float, 1.0)
-    step = _param(opts, "step", float, riemann.DEFAULT_STEP)
+    x0 = _vector(_param(opts, "x0", [0.0] * m.dim), "params.x0", m.dim, float)
+    v0 = _vector(_param(opts, "v0", [1.0] + [0.0] * (m.dim - 1)), "params.v0", m.dim, float)
+    horizon = _param(opts, "horizon", 1.0)
+    step = _param(opts, "step", riemann.DEFAULT_STEP)
 
     if op == "flow":
         path = riemann.geodesic_flow(m, riemann.TangentPoint.of(x0, v0), horizon, step=step)
@@ -432,21 +473,21 @@ def _run_riemann(cfg: RunConfig) -> int:
         print(f"growth ok={rep.growth_ok} kappa={rep.kappa_measured:.4f}")
         return 0 if rep.growth_ok else 1
     if op == "spread":
-        theta = _param(opts, "angle", float, 0.01)
+        theta = _param(opts, "angle", 0.01)
         u1 = m.unit(x0, v0)
-        rot = _vector(_param(opts, "v1", JSON, _rotate_first_plane(v0, theta)), "params.v1", m.dim, float)
+        rot = _vector(_param(opts, "v1", _rotate_first_plane(v0, theta)), "params.v1", m.dim, float)
         u2 = m.unit(x0, rot)
-        kappa = _param(opts, "kappa", float, abs(m.kappa_model) if m.kappa_model else 1.0)
+        kappa = _param(opts, "kappa", abs(m.kappa_model) if m.kappa_model else 1.0)
         rows_s = riemann.spread_check(m, riemann.TangentPoint.of(x0, u1),
                                       riemann.TangentPoint.of(x0, u2), kappa,
-                                      horizon, grid=_param(opts, "grid", int, 6))
+                                      horizon, grid=_param(opts, "grid", 6))
         rows = [{"input": repr(r.t), "lower": r.lhs, "upper": r.rhs, "exact": r.ok} for r in rows_s]
         write_csv(_out(cfg) / "riemann_spread.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
         ok = all(r.ok for r in rows_s)
         print(f"spread ok={ok}")
         return 0 if ok else 1
-    theta = _param(opts, "angle", float, 1e-3)
-    eps = _param(opts, "eps", float, 0.1)
+    theta = _param(opts, "angle", 1e-3)
+    eps = _param(opts, "eps", 0.1)
     u1 = m.unit(x0, v0)
     u2 = m.unit(x0, _rotate_first_plane(v0, theta))
     ratio = riemann.backward_estimate(m, riemann.TangentPoint.of(x0, u1),
@@ -489,22 +530,22 @@ def _run_kahler(cfg: RunConfig) -> int:
         return 0 if rep.passed else 1
     if check == "squeeze":
         dom = domain_from_config(opts.get("domain", {"kind": "disk"}))
-        z = _vector(_param(opts, "z", JSON, [0.0] * dom.dimension), "params.z", dom.dimension)
+        z = _vector(_param(opts, "z", [0.0] * dom.dimension), "params.z", dom.dimension)
         s = kahler.squeezing_lower_bound(dom, z)
         write_json(_out(cfg) / "kahler_squeeze.json", {"z": z, "squeezing_lower_bound": s})
         print(f"squeezing lower bound {s:.6f}")
         return 0
-    d = _param(opts, "d", int, 1)
-    kappa = _param(opts, "kappa", float, 1.0)
+    d = _param(opts, "d", 1)
+    kappa = _param(opts, "kappa", 1.0)
     if check == "inj":
-        val = kahler.cgt_inj_lower(_param(opts, "volume", float, 1.0), kappa,
-                                   _param(opts, "r", float, 0.5), d)
+        val = kahler.cgt_inj_lower(_param(opts, "volume", 1.0), kappa,
+                                   _param(opts, "r", 0.5), d)
         write_json(_out(cfg) / "kahler_inj.json", {"inj_lower": val})
         print(f"injectivity lower bound {val:.6f}")
         return 0
-    val = kahler.rigidity_threshold(d, kappa, _param(opts, "A", float, 1.0),
-                                    _param(opts, "theta", float, math.pi / 2),
-                                    _param(opts, "positive_injectivity", (False, True), False))
+    val = kahler.rigidity_threshold(d, kappa, _param(opts, "A", 1.0),
+                                    _param(opts, "theta", math.pi / 2),
+                                    _param(opts, "positive_injectivity", False))
     write_json(_out(cfg) / "kahler_threshold.json", {"L_threshold": val})
     print(f"rigidity threshold L > {val:.6f}")
     return 0

@@ -564,8 +564,8 @@ def ellipsoid(exponents: Sequence[int]) -> ModulusPolynomialDomain:
     """Complex ellipsoid ``sum_j |z_j|^{2 m_j} < 1`` with integer exponents:
     the modulus polynomial with one pure-power term ``(1, m_j e_j)`` per coordinate."""
     m = [int(mj) for mj in exponents]
-    if any(mj < 1 for mj in m):
-        raise ValueError("exponents must be >= 1")
+    if not m or any(mj < 1 for mj in m):
+        raise ConfigInvalid(f"ellipsoid exponents must be a non-empty list of integers >= 1, got {m}")
     return ModulusPolynomialDomain(np.ones(len(m)), np.diag(m), math.sqrt(len(m)), "ellipsoid")
 
 
@@ -583,8 +583,10 @@ def modulus_polynomial(terms: Sequence[tuple[float, Sequence[int]]], dimension: 
     for c, alpha in terms:
         if c <= 0:
             raise ConfigInvalid("modulus polynomial coefficients must be positive")
-        if len(alpha) != dimension:
-            raise ConfigInvalid("exponent tuple length must equal the dimension")
+        if len(alpha) != dimension or min(alpha, default=0) < 0:
+            raise ConfigInvalid("each exponent tuple must hold one nonnegative integer per coordinate")
+    if bounding_radius is not None and not bounding_radius > 0:
+        raise ConfigInvalid(f"the bounding radius must be positive, got {bounding_radius}")
 
     coef = np.array([c for c, _ in terms])
     powers = np.array([alpha for _, alpha in terms], dtype=int).reshape(-1, dimension)
@@ -812,71 +814,3 @@ def cone_certificate(dom: Domain, cone: Cone) -> ConeCertificate:
     ok = margin > 0
     delta_ok = ok and 1.0 - float(np.linalg.norm(a + L * v)) >= math.sin(cone.aperture) * L - 1e-9
     return ConeCertificate(ok=ok, margin=margin, delta_bound_ok=delta_ok)
-
-
-# ---------------------------------------------------------------------------
-# config interface
-# ---------------------------------------------------------------------------
-
-def domain_from_config(cfg: dict) -> Domain:
-    """Build a domain from its JSON description.
-
-    Recognized forms::
-
-        {"kind": "disk"}
-        {"kind": "ball", "dimension": 2}
-        {"kind": "polydisk", "dimension": 2}
-        {"kind": "ellipsoid", "exponents": [1, 2]}
-        {"kind": "implicit", "dimension": 2, "terms": [[1.0, [1, 0]], [1.0, [0, 2]]]}
-    """
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigInvalid("domain config must be an object with a 'kind' field")
-    kind = cfg["kind"]
-    known = {
-        "disk": {"kind"},
-        "ball": {"kind", "dimension"},
-        "polydisk": {"kind", "dimension"},
-        "ellipsoid": {"kind", "exponents"},
-        "implicit": {"kind", "dimension", "terms", "bounding_radius"},
-    }
-    if kind not in known:
-        raise ConfigInvalid(f"unknown domain kind {kind!r}")
-    extra = set(cfg) - known[kind]
-    if extra:
-        raise ConfigInvalid(f"unknown domain config keys {sorted(extra)}")
-    if kind == "disk":
-        return disk()
-    if kind == "ball":
-        return ball(_count(cfg.get("dimension", 2), "dimension"))
-    if kind == "polydisk":
-        return polydisk(_count(cfg.get("dimension", 2), "dimension"))
-    if kind == "ellipsoid":
-        exponents = cfg.get("exponents")
-        if not isinstance(exponents, list) or not exponents:
-            raise ConfigInvalid(f"domain exponents must be a non-empty list, got {exponents!r}")
-        return ellipsoid([_count(m, "exponents") for m in exponents])
-    terms = cfg.get("terms", [])
-    if not isinstance(terms, list) or not all(
-            isinstance(t, list) and len(t) == 2 and isinstance(t[1], list) for t in terms):
-        raise ConfigInvalid(f"domain terms must be a list of [coefficient, exponents] pairs, got {terms!r}")
-    radius = cfg.get("bounding_radius")
-    return modulus_polynomial(
-        [(_positive(c, "terms coefficient"), [_count(a, "terms exponent", least=0) for a in alpha])
-         for c, alpha in terms],
-        _count(cfg.get("dimension"), "dimension"),
-        None if radius is None else _positive(radius, "bounding_radius"),
-    )
-
-
-def _count(value, key: str, least: int = 1) -> int:
-    """An integer ``>= least`` (an integral float counts); anything else raises ``ConfigInvalid``."""
-    if type(value) in (int, float) and math.isfinite(value) and value == int(value) and value >= least:
-        return int(value)
-    raise ConfigInvalid(f"domain {key} must be an integer >= {least}, got {value!r}")
-
-
-def _positive(value, key: str) -> float:
-    """A positive finite number; anything else raises ``ConfigInvalid``."""
-    if type(value) in (int, float) and math.isfinite(value) and value > 0:
-        return float(value)
-    raise ConfigInvalid(f"domain {key} must be a positive finite number, got {value!r}")

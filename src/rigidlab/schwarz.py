@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -78,6 +79,22 @@ class Certification:
     samples: int
 
 
+#: the disk's sample points, read-only: ``CERT_SAMPLES`` equispaced points of
+#: the circle of radius ``1 - CERT_RADIUS_OFFSET``, as a stack ``(N, 1)``
+_CERT_CIRCLE = (1.0 - CERT_RADIUS_OFFSET) * np.exp(1j * (2 * math.pi * np.arange(CERT_SAMPLES) / CERT_SAMPLES))[:, None]
+_CERT_CIRCLE.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _cert_directions(d: int) -> np.ndarray:
+    """``CERT_SAMPLES`` seeded unit directions of ``C^d``, drawn once per ``d``, read-only."""
+    w = np.random.default_rng(2).standard_normal((CERT_SAMPLES, 2, d))
+    w = w[:, 0] + 1j * w[:, 1]
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    w.flags.writeable = False
+    return w
+
+
 def certify_self_map(f: HoloMap, dom: Domain | None = None) -> Certification:
     """Sampled check that ``f`` maps the domain into itself: the largest excess
     (``|f(z)| - 1``, or ``r(f(z))`` off the disk and ball) over ``CERT_SAMPLES``
@@ -89,12 +106,9 @@ def certify_self_map(f: HoloMap, dom: Domain | None = None) -> Certification:
     dom = disk() if dom is None else dom
     radius = 1.0 - CERT_RADIUS_OFFSET
     if isinstance(dom, DiskDomain):
-        theta = 2 * math.pi * np.arange(CERT_SAMPLES) / CERT_SAMPLES
-        excess = float(np.max(np.abs(f.many(radius * np.exp(1j * theta)[:, None])))) - 1.0
+        excess = float(np.max(np.abs(f.many(_CERT_CIRCLE)))) - 1.0
     else:
-        w = np.random.default_rng(2).standard_normal((CERT_SAMPLES, 2, dom.dimension))
-        w = w[:, 0] + 1j * w[:, 1]
-        w /= np.linalg.norm(w, axis=1)[:, None]
+        w = _cert_directions(dom.dimension)
         if isinstance(dom, BallDomain):
             excess = float(np.max(np.linalg.norm(f.many(radius * w), axis=1))) - 1.0
         else:

@@ -1,7 +1,8 @@
 """Every defaulted parameter of ``rigidlab`` is bound by some call site, every
 dataclass field is read somewhere, every public top-level function or class
 is reached from the package or the benchmark, every module-level import
-of the package is used, and every target of the benchmark's tracer exists.
+of the package is used, every target of the benchmark's tracer exists, and
+every module imports only from the layers below its own.
 
 A default that no caller in ``src/``, ``tests/`` or ``bench/`` overrides is a
 constant spelled as a parameter: it widens the API without a user.  The scan
@@ -23,6 +24,8 @@ import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rigidlab"
@@ -207,7 +210,8 @@ def test_every_traced_target_is_a_callable_of_its_layer():
 
 def test_every_domain_kind_defines_the_traced_method():
     # the tracer wraps the method on each class that defines it
-    from rigidlab.domain import Domain, domain_from_config
+    from rigidlab.cli import domain_from_config
+    from rigidlab.domain import Domain
     method = _tracer().DOMAIN_METHOD
     for cfg in ({"kind": "disk"}, {"kind": "ball", "dimension": 1}, {"kind": "ball", "dimension": 2},
                 {"kind": "polydisk", "dimension": 2}, {"kind": "ellipsoid", "exponents": [1, 2]},
@@ -216,16 +220,32 @@ def test_every_domain_kind_defines_the_traced_method():
         assert owners and owners[0] is not Domain, cfg
 
 
-def test_riemann_imports_only_the_lower_layers():
-    # the Riemannian engine reads the ball's automorphisms from domain; an import
-    # of cgeo or kobayashi, even inside a function, would hang it above them
-    allowed = {"errors", "intervals", "domain"}
-    tree = ast.parse((PACKAGE / "riemann.py").read_text())
+# the package's layers, bottom to top: a module imports only from the layers below its own
+LAYERS = [{"errors", "intervals", "report"}, {"domain"}, {"kobayashi", "riemann"}, {"cgeo", "kahler"},
+          {"schwarz"}, {"rigidity"}, {"cli"}, {"__init__", "__main__"}]
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules ``module`` imports, inside functions too."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "rigidlab"):
-            module = (node.module or "").removeprefix("rigidlab").lstrip(".")
-            imported |= {module} if module else {alias.name for alias in node.names}
+            name = (node.module or "").removeprefix("rigidlab").lstrip(".")
+            imported |= {name} if name else {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             imported |= {alias.name.removeprefix("rigidlab.") for alias in node.names if alias.name.startswith("rigidlab")}
-    assert imported <= allowed, sorted(imported - allowed)
+    return imported
+
+
+def test_every_module_has_a_layer():
+    assert set().union(*LAYERS) == {path.stem for path in PACKAGE.glob("*.py")}
+
+
+@pytest.mark.parametrize("module", sorted(set().union(*LAYERS)))
+def test_every_module_imports_only_the_lower_layers(module):
+    # riemann reads the ball's automorphisms from domain, and an import of cgeo
+    # or kobayashi, even inside a function, would hang it above them; domain
+    # holds no config code, which would reach up into the maps and metrics
+    level = next(i for i, layer in enumerate(LAYERS) if module in layer)
+    allowed = set().union(*LAYERS[:level])
+    assert _package_imports(module) <= allowed, sorted(_package_imports(module) - allowed)

@@ -85,6 +85,13 @@ class TestParseConfig:
             with pytest.raises(ConfigInvalid):
                 cli.kahler_from_config(spec, dim)
 
+    def test_every_spec_takes_a_bare_name(self):
+        assert cli.domain_from_config("disk").kind == "disk"
+        assert cli.map_from_config("bk_extremal").name == cli.map_from_config({"name": "bk_extremal"}).name
+        assert cli.metric_from_config("sphere").name == cli.metric_from_config({"name": "sphere"}).name
+        assert cli.kahler_from_config("flat").complex_dim == 1
+        assert cli.parse_schedule("geometric").tolist() == cli.parse_schedule({"kind": "geometric"}).tolist()
+
     def test_every_config_key_is_a_flag_that_lands_in_options(self):
         parser = cli.build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -295,6 +302,21 @@ class TestMain:
         # key of another op would otherwise be ignored and its default used
         assert cli.main(["--out-dir", str(tmp_path / "out")] + argv) == 2
         assert "unknown params keys" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["riemann", "--metric", '{"name":"bergman-ball","dim":3}'],
+        ["kahler", "--check", "bg", "--metric", '{"name":"bergman-ball","dim":3}'],
+        ["schwarz", "--map", '{"name":"poly_contact","c":1e-9,"m":4,"xi":2}'],
+        ["schwarz", "--schedule", '{"kind":"list","values":[0.25,0.125],"ratio":0.9}'],
+        ["riemann", "--metric", '{"name":"poincare","dimension":"x"}'],
+        ["kob", "--domain", '{"kind":"ball","dimension":2,"radius":1}'],
+    ], ids=["metric", "kahler-model", "map", "schedule", "metric-poincare", "domain"])
+    def test_a_key_the_spec_does_not_read_exits_2(self, tmp_path, capsys, argv):
+        # a key the named choice does not read would otherwise be dropped, and
+        # its default used: the Kahler model above would run in dimension 2
+        assert cli.main(["--out-dir", str(tmp_path / "out")] + argv) == 2
+        assert capsys.readouterr().err.startswith(("config error", "error [ConfigInvalid]"))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("metric", [{"name": "euclid", "dimension": -1},

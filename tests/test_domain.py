@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidlab import domain as dm
+from rigidlab.cli import domain_from_config
 from rigidlab.errors import ApexNotOnBoundary, ConfigInvalid, DegenerateGradient, PointOutsideDomain
 
 
@@ -249,18 +250,17 @@ class TestConeCertificate:
 
 class TestConfig:
     def test_roundtrip_kinds(self):
-        assert dm.domain_from_config({"kind": "disk"}).kind == "disk"
-        assert dm.domain_from_config({"kind": "ball", "dimension": 3}).dimension == 3
-        e = dm.domain_from_config({"kind": "ellipsoid", "exponents": [1, 2]})
+        assert domain_from_config({"kind": "disk"}).kind == "disk"
+        assert domain_from_config({"kind": "ball", "dimension": 3}).dimension == 3
+        e = domain_from_config({"kind": "ellipsoid", "exponents": [1, 2]})
         assert e.kind == "ellipsoid" and e.powers.tolist() == [[1, 0], [0, 2]]
 
     def test_unknown_keys_rejected(self):
-        from rigidlab.errors import ConfigInvalid
         with pytest.raises(ConfigInvalid):
-            dm.domain_from_config({"kind": "disk", "radius": 2})
+            domain_from_config({"kind": "disk", "radius": 2})
 
     def test_modulus_polynomial_matches_ellipsoid(self):
-        imp = dm.domain_from_config(
+        imp = domain_from_config(
             {"kind": "implicit", "dimension": 2, "terms": [[1.0, [1, 0]], [1.0, [0, 2]]]})
         rng = np.random.default_rng(3)
         for _ in range(50):
