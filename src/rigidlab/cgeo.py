@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .domain import BallDomain, BallTransvection, Domain, Hyperplane, PolydiskDomain, boundary_data, c2r, herm, r2c
 from .errors import CoincidentPoints, ConfigInvalid, DegenerateGradient, NoConvergence, NumericDefectTooLarge
@@ -174,6 +173,8 @@ def _chord_disc_candidate(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
             return 1.0 - rho * 1e-3
         return -rho
 
+    from scipy.optimize import minimize
+
     best = None
     for s0 in ([0.5, 0.0], [0.25, 0.0], [0.75, 0.0]):
         res = minimize(objective, np.asarray(s0), method="Nelder-Mead",
@@ -279,15 +280,31 @@ def boundary_hyperplane_probe(geo: ComplexGeodesic, zeta: complex = 1.0,
 def _distance_to_contact_set(dom: Domain, plane: Hyperplane, p: np.ndarray) -> float:
     """Distance from ``p`` to ``boundary(Omega) intersect plane``.
 
-    An SLSQP solve in the real coordinates from the plane's anchor, with exact
-    Jacobians: ``2 (x - p)`` for the objective, ``c2r(grad_c r)`` for the
-    defining function, and the constant rows ``c2r(n)`` and ``c2r(i n)`` for
-    the real and imaginary parts of the offset ``<z - anchor, n>``.  A failed
-    solve, or a point where the gradient is degenerate (a polydisk corner),
-    gives the distance to the anchor, which lies on the contact set.
+    On the ball, with ``alpha = <a, n>`` for the anchor ``a`` and unit normal
+    ``n``, the plane ``<z, n> = alpha`` meets the sphere in the sphere of
+    center ``alpha n`` and radius ``rho = sqrt(1 - |alpha|^2)`` inside it, so
+    the distance is ``hypot(|<p, n> - alpha|, |p - <p, n> n| - rho)``.  The
+    anchor lies on that sphere, and ``rho`` is read as ``|a - alpha n|``: near
+    a tangent plane ``1 - |alpha|^2`` keeps only the last digits of ``rho^2``.
+
+    Elsewhere it is an SLSQP solve in the real coordinates from the plane's
+    anchor, with exact Jacobians: ``2 (x - p)`` for the objective,
+    ``c2r(grad_c r)`` for the defining function, and the constant rows
+    ``c2r(n)`` and ``c2r(i n)`` for the real and imaginary parts of the offset
+    ``<z - anchor, n>``.  A failed solve, or a point where the gradient is
+    degenerate (a polydisk corner), gives the distance to the anchor, which
+    lies on the contact set.
     """
+    p = np.asarray(p, dtype=complex)
+    if isinstance(dom, BallDomain):
+        alpha, along = herm(plane.anchor, plane.normal), herm(p, plane.normal)
+        rho = float(np.linalg.norm(plane.anchor - alpha * plane.normal))
+        return math.hypot(abs(along - alpha), float(np.linalg.norm(p - along * plane.normal)) - rho)
+
+    from scipy.optimize import minimize
+
     x0 = c2r(np.asarray(plane.anchor, dtype=complex))
-    pr = c2r(np.asarray(p, dtype=complex))
+    pr = c2r(p)
     rows = np.array([c2r(plane.normal), c2r(1j * plane.normal)])
     try:
         res = minimize(

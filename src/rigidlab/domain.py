@@ -8,10 +8,12 @@ point).  Every kind is balanced about 0 and gives the gradient of ``r``, the
 nearest boundary point and where a ray from 0 leaves it (the reciprocal of
 the Minkowski gauge): the disk, ball and polydisk in closed form, the convex
 Reinhardt domains (the modulus polynomials, the ellipsoid among them) from
-polynomial tables in the moduli ``|z_j|``, one nearest-point solver on them
-and Newton's method on a polynomial in the ray parameter.  The polydisk
-gradient exists only where one coordinate has the largest modulus.  No
-derivative is estimated numerically.
+polynomial tables in the moduli ``|z_j|``: Newton's method on a polynomial
+in the ray parameter for the exit, and for the nearest point Newton's method
+on the KKT system from the local minima of the distance over a surface
+sample built once per domain.  The polydisk gradient exists only where one
+coordinate has the largest modulus.  No derivative is estimated numerically,
+and nothing here needs SciPy.
 
 The Hermitian pairing ``<u, v> = sum_j u_j * conj(v_j)`` is used throughout;
 with this convention the complex gradient ``grad_c r = 2 * dr/dzbar`` is the
@@ -21,12 +23,12 @@ hyperplane at a boundary point is the kernel of ``w -> <w, grad_c r>``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     ApexNotOnBoundary,
@@ -44,6 +46,8 @@ RAY_BISECTIONS = 60           # halvings of every ray_exit bracket
 RAY_SHORTLIST_AFTER = 8       # halvings on the whole step stack before ray_exit keeps the binding steps
 RADIAL_WALK = 64              # float steps radial_exit takes from the gauge's exit before it gives up
 GAUGE_NEWTON_STEPS = 100      # cap on the Newton steps of a modulus-polynomial exit
+SURFACE_ANGLES = {2: 65, 3: 17}   # grid angles per polar angle of a modulus-polynomial surface sample
+SURFACE_SAMPLE = 4096         # about the size of that sample beyond d = 3
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +392,8 @@ class ModulusPolynomialDomain(Domain):
     Every oracle is a polynomial table built once from the exponents: the
     defining function ``p(|z|) - 1``; ``F = dp/ds`` in ``s = |z|^2``, which
     gives ``grad_c = 2 z F``; and the gradient and Hessian of ``p`` on the
-    moduli, which the nearest-point solver and the circumradius read.
+    moduli, which the nearest-point solver and the circumradius read.  The
+    surface sample is ``p = 1`` on the grid of ``_orthant_directions``.
     """
 
     def __init__(self, coef: np.ndarray, powers: np.ndarray, bounding_radius: float, kind: str):
@@ -405,6 +410,10 @@ class ModulusPolynomialDomain(Domain):
                                  for j in range(d)], d)
         self._hess = _Monomials([(i * d + j, c * ek[i] * (ek[j] - delta[i, j]), ek - delta[i] - delta[j])
                                  for c, ek in zip(coef, e) for i in range(d) for j in range(d)], d * d)
+        # the real section's surface in the positive orthant, on a fixed grid of directions
+        us = _orthant_directions(d)
+        flat = us.reshape(-1, d)
+        self._surface = (self._gauge_root(self._weights(flat), math.inf)[:, None] * flat).reshape(us.shape)
 
     def defining_many(self, zs):
         return self._value(np.abs(np.asarray(zs, dtype=complex))) - 1.0
@@ -457,32 +466,27 @@ class ModulusPolynomialDomain(Domain):
 
     def _project_moduli(self, m0: np.ndarray) -> np.ndarray:
         """Nearest point ``x >= 0`` on ``p(x) = 1`` to the modulus vector
-        ``m0``: an SLSQP solve from the radial point on the surface, then
-        Newton steps on the KKT system with the moduli Hessian."""
+        ``m0``.  The distance to the surface can have several local minima
+        (on the flat sides of ``ellipsoid((1, 2, 3))`` they differ by 0.1%),
+        so every local minimum of the distance over the surface sample's grid
+        starts a Newton polish, and the nearest result on the surface wins."""
+        grid = np.sum((self._surface - m0) ** 2, axis=-1)
+        starts = np.unique(self._surface[_grid_minima(grid)], axis=0)
+        return min((self._polish(m0, x) for x in starts),
+                   key=lambda x: (abs(self.moduli_constraint(x)) > BOUNDARY_TOL, np.sum((x - m0) ** 2)))
 
-        res = minimize(
-            lambda x: np.sum((x - m0) ** 2),
-            self._radial_start(m0),
-            jac=lambda x: 2.0 * (x - m0),
-            method="SLSQP",
-            bounds=[(0.0, None)] * len(m0),
-            constraints=[{"type": "eq", "fun": self.moduli_constraint, "jac": self.moduli_gradient}],
-            options={"maxiter": 200, "ftol": 1e-16},
-        )
-        x = np.maximum(res.x, 0.0)
-
-        # Newton polish of the KKT system  x - m0 = lam * grad p(x),  p(x) = 1
-        lam = 0.0
+    def _polish(self, m0: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Newton steps on the KKT system  ``x - m0 = lam grad p(x),  p(x) = 1``
+        from the surface point ``x``, with the moduli Hessian."""
+        d = len(x)
         g = self.moduli_gradient(x)
-        nz = np.abs(g) > 1e-12
-        if np.any(nz):
-            lam = float(np.mean((x[nz] - m0[nz]) / g[nz]))
+        lam = float((x - m0) @ g / (g @ g))     # the least-squares multiplier at the start
+        jac, rhs = np.zeros((d + 1, d + 1)), np.empty(d + 1)
         for _ in range(40):
             g = self.moduli_gradient(x)
-            jac = np.block(
-                [[np.eye(len(x)) - lam * self.moduli_hessian(x), -g[:, None]], [g[None, :], np.zeros((1, 1))]]
-            )
-            rhs = np.concatenate([x - m0 - lam * g, [self.moduli_constraint(x)]])
+            jac[:d, :d] = np.eye(d) - lam * self.moduli_hessian(x)
+            jac[:d, d], jac[d, :d] = -g, g
+            rhs[:d], rhs[d] = x - m0 - lam * g, self.moduli_constraint(x)
             try:
                 step = np.linalg.solve(jac, -rhs)
             except np.linalg.LinAlgError:
@@ -492,18 +496,6 @@ class ModulusPolynomialDomain(Domain):
             if np.linalg.norm(rhs) < 1e-14:
                 break
         return x
-
-    def _radial_start(self, m0: np.ndarray) -> np.ndarray:
-        """The surface point on the ray through ``m0`` (through ``1e-3`` in the
-        coordinates below ``1e-9``): ``p(t base) = sum_k w_k t^{n_k}`` is a
-        polynomial in ``t`` with the root ``_gauge_root``; float steps then
-        walk to where ``p(t base) < 1`` changes, and the start is the middle of
-        those two floats."""
-        base = np.where(m0 > 1e-9, m0, 1e-3)
-        weights = self._weights(base)
-        t = self._gauge_root(weights[None, :], math.inf)
-        lo, hi = _crossing(t, lambda ts: np.array([weights @ s**self._degrees for s in ts]) < 1.0)
-        return 0.5 * (lo[0] + hi[0]) * base
 
 
 class _Monomials:
@@ -535,6 +527,32 @@ class _Monomials:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.terms(x).dot(self.coef)
+
+
+def _orthant_directions(d: int) -> np.ndarray:
+    """Unit vectors of R^d with nonnegative entries, the axes among them, on a
+    grid of shape ``(n,) * (d - 1) + (d,)``: every polar angle ``a_i`` of ``x =
+    (cos a_1, sin a_1 cos a_2, ..., sin a_1 ... sin a_{d-1})`` takes the same
+    ``n`` points of ``[0, pi/2]``, ``n = SURFACE_ANGLES[d]``, or about
+    ``SURFACE_SAMPLE`` directions in all."""
+    n = SURFACE_ANGLES.get(d) or max(2, round(SURFACE_SAMPLE ** (1.0 / max(d - 1, 1))))
+    angles = np.array(list(itertools.product(np.linspace(0.0, 0.5 * math.pi, n), repeat=d - 1)))
+    x = np.ones((len(angles), d))
+    x[:, 1:] = np.cumprod(np.sin(angles), axis=1)
+    x[:, :-1] *= np.cos(angles)
+    return np.where(x < 1e-15, 0.0, x).reshape((n,) * (d - 1) + (d,))     # cos(pi/2) is 6e-17
+
+
+def _grid_minima(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a grid that are at most each of their
+    neighbours along every axis."""
+    keep = np.ones(values.shape, dtype=bool)
+    for axis in range(values.ndim):
+        step = np.moveaxis(np.diff(values, axis=axis), axis, 0)
+        along = np.moveaxis(keep, axis, 0)     # a view: the masks below write into keep
+        along[:-1] &= step >= 0
+        along[1:] &= step <= 0
+    return keep
 
 
 def _unit_phases(z: np.ndarray) -> np.ndarray:
@@ -655,13 +673,8 @@ def radial_exit(dom: Domain, us) -> tuple[np.ndarray, np.ndarray]:
     level, so this crossing can sit an ulp away from a bisection's.
     """
     us = np.asarray(us, dtype=complex)
-    return _crossing(dom.exit_radii(us), lambda t: dom.defining_many(t[:, None] * us) < 0)
-
-
-def _crossing(t: np.ndarray, inside) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacent floats ``lo < hi`` per row with ``inside(lo)`` true and
-    ``inside(hi)`` false, by ``nextafter`` steps from ``t``: up while
-    ``inside`` holds at ``t``, down while it does not."""
+    t = dom.exit_radii(us)
+    inside = lambda t: dom.defining_many(t[:, None] * us) < 0
     up = inside(t)
     toward = np.where(up, np.inf, -np.inf)
     lo, hi = np.empty_like(t), np.empty_like(t)

@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize
-from scipy.special import gamma as gamma_fn
 
 from .domain import Domain, boundary_distance
 from .errors import ConfigInvalid, PositiveCurvatureUnsupported, RadiusOutOfRange
@@ -131,6 +128,8 @@ def circumradius(dom: Domain, z) -> float:
         return 1.0 + float(np.linalg.norm(z))
     if dom.kind == "polydisk":
         return float(np.sqrt(np.sum((1.0 + np.abs(z)) ** 2)))
+    from scipy.optimize import minimize
+
     zm, d = np.abs(z), dom.dimension
 
     def negobj(x):
@@ -164,26 +163,36 @@ def squeezing_lower_bound(dom: Domain, z) -> float:
 # ---------------------------------------------------------------------------
 
 def unit_ball_volume(n: int) -> float:
-    return math.pi ** (n / 2.0) / gamma_fn(n / 2.0 + 1.0)
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
 def unit_sphere_area(n: int) -> float:
     """Area of S^{n-1} in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def model_volume(n: int, lam: float, r: float) -> float:
-    """Volume of the radius-``r`` ball in the constant-curvature model space."""
+    """Volume of the radius-``r`` ball in the constant-curvature model space.
+
+    For ``lam < 0`` and an even ``n = 2m + 2``, with ``s^2 = -lam``, the
+    volume ``|S^{n-1}| int_0^r (sinh(s t)/s)^{n-1} dt`` is, in ``w = cosh(s r)
+    - 1 = 2 sinh^2(s r/2)``, ``|S^{n-1}| s^{-n} int_0^w (u (u + 2))^m du =
+    |S^{n-1}| s^{-n} sum_k C(m, k) 2^{m-k} w^{m+k+1} / (m+k+1)``.  Every term
+    is positive, so nothing cancels at a small ``r``.  An odd ``n`` with
+    ``lam < 0`` raises ``ConfigInvalid``.
+    """
     if r <= 0:
         raise RadiusOutOfRange("radius must be positive")
     if lam > 0:
         raise PositiveCurvatureUnsupported("only lambda <= 0 is needed here")
     if lam == 0:
         return unit_ball_volume(n) * r**n
-    s = math.sqrt(-lam)
-    integrand = lambda t: (math.sinh(s * t) / s) ** (n - 1)
-    val, _ = quad(integrand, 0.0, r, epsabs=1e-12, epsrel=1e-12)
-    return unit_sphere_area(n) * val
+    if n < 2 or n % 2:
+        raise ConfigInvalid(f"the model volume is closed-form in even dimensions, not {n}")
+    m, s = n // 2 - 1, math.sqrt(-lam)
+    w = 2.0 * math.sinh(0.5 * s * r) ** 2
+    total = sum(math.comb(m, k) * 2.0 ** (m - k) * w ** (m + k + 1) / (m + k + 1) for k in range(m + 1))
+    return unit_sphere_area(n) * total / s**n
 
 
 def cgt_inj_lower(vol_ball: float, kappa: float, r: float, d: int) -> float:

@@ -1,8 +1,9 @@
 """Every defaulted parameter of ``rigidlab`` is bound by some call site, every
 dataclass field is read somewhere, every public top-level function or class
 is reached from the package or the benchmark, every module-level import
-of the package is used, every target of the benchmark's tracer exists, and
-every module imports only from the layers below its own.
+of the package is used, every target of the benchmark's tracer exists,
+every module imports only from the layers below its own, and neither the
+CLI's import nor the suite and the convex estimators load SciPy.
 
 A default that no caller in ``src/``, ``tests/`` or ``bench/`` overrides is a
 constant spelled as a parameter: it widens the API without a user.  The scan
@@ -23,6 +24,10 @@ verdict, CLI command or benchmark: only unit tests would keep it alive.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -249,3 +254,32 @@ def test_every_module_imports_only_the_lower_layers(module):
     level = next(i for i, layer in enumerate(LAYERS) if module in layer)
     allowed = set().union(*LAYERS[:level])
     assert _package_imports(module) <= allowed, sorted(_package_imports(module) - allowed)
+
+
+def _loads_no_scipy(code: str) -> None:
+    """Run ``code`` in a fresh interpreter on this checkout's sources, then
+    assert that no ``scipy`` module was loaded."""
+    code += "\nimport sys\nassert not [m for m in sys.modules if m.startswith('scipy')], 'scipy was imported'\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_cli_import_loads_no_scipy():
+    _loads_no_scipy("import rigidlab.cli")
+
+
+def test_the_suite_and_the_convex_estimators_load_no_scipy(tmp_path):
+    # SciPy serves only the generic fallbacks: the chord-disc candidate, the
+    # contact set off the ball, and the Reinhardt circumradius
+    _loads_no_scipy(textwrap.dedent(f"""
+        import numpy as np
+        from rigidlab import cgeo, cli, domain as dm, kobayashi as kb
+        assert cli.main(["--out-dir", {str(tmp_path)!r}, "suite"]) == 0   # the quick checks and the zoo replay
+        ell = dm.ellipsoid((1, 2))
+        kb.dist_bounds(ell, [0.5, 0.3j], [-0.2, 0.1])
+        kb.metric_bounds(ell, [0.5, 0.3j], [1.0, 1j])
+        cal = kb.calibrate_alpha0(ell, [1, 0], ell=4, radii=np.geomspace(1e-3, 0.1, 6))
+        kb.kob_ball_inclusion(ell, np.array([0.875, 0]), 0.125 / 4, cal)
+        cgeo.boundary_hyperplane_probe(cgeo.complex_geodesic(dm.ball(2), [0.1, 0.05], [0.5, 0.1]))
+    """))

@@ -175,19 +175,20 @@ class TestBoundaryProbe:
         # On the ball the contact set of the plane <z - a, n> = 0 is the circle
         # a - c e + rho e^{i theta} e with e a unit vector orthogonal to n,
         # c = <a, e> and rho^2 = 1 - |a - c e|^2, so the distance from p is
-        # sqrt(|q|^2 + rho^2 - 2 rho |<e, q>|) with q = a - c e - p.  The solve
-        # starts at the anchor, on that circle, so it ends no farther than 2 rho
-        # above the nearest point.
+        # sqrt(|q|^2 + rho^2 - 2 rho |<e, q>|) with q = a - c e - p: an
+        # independent form of the probe's closed form.  The anchor is on the
+        # circle, so rho = |c|; near a tangent plane 1 - |a - c e|^2 keeps
+        # only the last digits of rho^2.
         geo = cgeo.complex_geodesic(BALL2, z, w)
         probe = cgeo.boundary_hyperplane_probe(geo)
         a, n = probe.hyperplane.anchor, probe.hyperplane.normal
         e = np.array([-np.conj(n[1]), np.conj(n[0])])
         c = dm.herm(a, e)
-        rho = math.sqrt(max(0.0, 1.0 - np.linalg.norm(a - c * e) ** 2))
+        rho = abs(c)
         for r, got in zip(probe.radii, probe.residuals):
             q = a - c * e - geo(r)
             exact = math.sqrt(max(0.0, np.linalg.norm(q) ** 2 + rho**2 - 2 * rho * abs(dm.herm(e, q))))
-            assert exact - 1e-9 <= got <= exact + 2 * rho + 1e-9
+            assert abs(got - exact) <= 1e-12
 
     def test_polydisk_corner_anchor_falls_back_to_the_anchor(self):
         # the gradient does not exist at the corner (1, 1), where the solve starts

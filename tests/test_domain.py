@@ -524,44 +524,6 @@ def test_moduli_derivative_tables_match_sympy(dom):
                                    rtol=1e-12, atol=0)
 
 
-def test_radial_start_of_the_projection_makes_no_constraint_calls(monkeypatch):
-    # the radial start bisects a polynomial in the ray parameter, so every
-    # constraint call is SLSQP's or the Newton polish's
-    dom = dm.ellipsoid((1, 2))
-    calls = []
-    constraint = dom.moduli_constraint
-    monkeypatch.setattr(dom, "moduli_constraint", lambda x: calls.append(1) or constraint(x))
-    for z in dm.sample_ball(dom, np.zeros(2), 1.0, 300, np.random.default_rng(13)):
-        dom.project_to_boundary(z)
-    assert len(calls) / 300 <= 150
-
-
-def _bisected_radial_start(dom, m0):
-    """The projection's radial start as a doubling loop and 80 halvings of
-    ``p(t base) < 1`` found it."""
-    base = np.where(m0 > 1e-9, m0, 1e-3)
-    weights, degrees = dom._value.coef * dom._value.terms(base), 2 * dom.powers.sum(axis=1)
-    lo, hi = 0.0, 2.0
-    while weights @ hi**degrees < 1.0:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if weights @ mid**degrees < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) * base
-
-
-@pytest.mark.parametrize("dom", [ELL12, dm.ellipsoid((1, 2, 3)), SAMPLED_DOMAINS["modulus-polynomial"], MIXED],
-                         ids=["ellipsoid12", "ellipsoid123", "modulus-polynomial", "mixed-polynomial"])
-def test_radial_start_equals_the_bisected_start(dom):
-    # 300 seeded points inside and outside, a fifth of them on each of two axes
-    for z in _seeded_points(34, 300, d=dom.dimension, radius=1.5):
-        m0 = np.abs(z)
-        assert dom._radial_start(m0).tobytes() == _bisected_radial_start(dom, m0).tobytes()
-
-
 @pytest.mark.parametrize("dom, points", [
     (MIXED, _seeded_points(31, 20, radius=0.9)),
     (POLY2, _seeded_points(32, 20, radius=0.9)),     # each point has a unique largest coordinate
@@ -599,6 +561,44 @@ def test_reinhardt_projection_solves_the_kkt_system(dom, grad):
         tangential = step - (step @ g) / (g @ g) * g
         assert np.linalg.norm(tangential) <= 1e-13
         assert abs(dom.defining(w)) <= 1e-13
+
+
+def _dense_surface(dom):
+    """The real section's surface in the positive orthant, at 20001 angles
+    (d = 2) or on a 401^2 grid of polar angles (d = 3): the reference for the
+    nearest boundary point."""
+    a = np.linspace(0.0, 0.5 * math.pi, 20001 if dom.dimension == 2 else 401)
+    if dom.dimension == 2:
+        u = np.stack([np.cos(a), np.sin(a)], axis=1)
+    else:
+        a1, a2 = np.meshgrid(a, a, indexing="ij")
+        u = np.stack([np.cos(a1), np.sin(a1) * np.cos(a2), np.sin(a1) * np.sin(a2)], axis=-1).reshape(-1, 3)
+    return dom.exit_radii(u)[:, None] * u
+
+
+@pytest.mark.parametrize("dom, farther", [
+    (ELL12, [0.2455846213650807, 0.21055397701093992]),
+    (dm.ellipsoid((1, 2, 3)), [0.21869245155497988, 0.17971394381975278, 0.1610715135198474]),
+    (SAMPLED_DOMAINS["modulus-polynomial"], [0.18549339215776586, 0.15426512509332632]),
+    (MIXED, [0.05682829049319537, 0.0599235839271526]),
+], ids=["ellipsoid12", "ellipsoid123", "modulus-polynomial", "mixed-polynomial"])
+def test_reinhardt_boundary_distance_is_the_nearest_on_a_dense_sample(dom, farther):
+    # `farther` is a point where an SLSQP solve from the radial point ended on a
+    # farther critical point, up to 2.3% above the nearest; the seeded points
+    # sit at ray depths scaled from 0.05 to 0.999 of the exit, and 1 - 2^-k for
+    # k = 3 .. 13, with random phases
+    d, rng = dom.dimension, np.random.default_rng(36)
+    surface = _dense_surface(dom)
+    scales = np.concatenate([rng.uniform(0.05, 0.999, 40), 1.0 - 2.0 ** -np.arange(3.0, 14.0)])
+    u = np.abs(rng.standard_normal((len(scales), d)))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    moduli = np.concatenate([[farther], (scales * dom.exit_radii(u))[:, None] * u])
+    phases = np.exp(2j * math.pi * rng.uniform(size=moduli.shape))
+    for z in moduli * phases:
+        w = dom.project_to_boundary(z)
+        assert abs(dom.defining(w)) <= 1e-12
+        nearest = np.min(np.linalg.norm(surface - np.abs(z), axis=1))
+        assert dm.boundary_distance(dom, z) <= nearest * (1.0 + 1e-12)
 
 
 def test_polydisk_corner_has_no_boundary_data():

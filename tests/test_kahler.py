@@ -188,6 +188,21 @@ class TestModelVolume:
         with pytest.raises(PositiveCurvatureUnsupported):
             kh.model_volume(2, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_closed_form_matches_a_30_digit_quadrature(self, n):
+        import mpmath as mp
+        for lam in (-0.25, -1.0, -4.0):
+            for r in (1e-6, 1e-3, 0.1, 1.0, 3.0):
+                with mp.workdps(30):
+                    s = mp.sqrt(-lam)
+                    ref = 2 * mp.pi ** (n / 2) / mp.gamma(n / 2) * mp.quad(lambda t: (mp.sinh(s * t) / s) ** (n - 1), [0, r])
+                assert kh.model_volume(n, lam, r) == pytest.approx(float(ref), rel=1e-14)
+
+    def test_odd_dimension_with_curvature_rejected(self):
+        with pytest.raises(ConfigInvalid, match="even dimensions"):
+            kh.model_volume(3, -1.0, 1.0)
+        assert kh.model_volume(3, 0.0, 1.0) == pytest.approx(4.0 / 3.0 * math.pi, rel=1e-15)
+
 
 class TestCGTBound:
     def test_large_volume_limit(self):
