@@ -281,11 +281,12 @@ def _distance_to_contact_set(dom: Domain, plane: Hyperplane, p: np.ndarray) -> f
     """Distance from ``p`` to ``boundary(Omega) intersect plane``.
 
     On the ball, with ``alpha = <a, n>`` for the anchor ``a`` and unit normal
-    ``n``, the plane ``<z, n> = alpha`` meets the sphere in the sphere of
-    center ``alpha n`` and radius ``rho = sqrt(1 - |alpha|^2)`` inside it, so
-    the distance is ``hypot(|<p, n> - alpha|, |p - <p, n> n| - rho)``.  The
-    anchor lies on that sphere, and ``rho`` is read as ``|a - alpha n|``: near
-    a tangent plane ``1 - |alpha|^2`` keeps only the last digits of ``rho^2``.
+    ``n``, the plane ``<z, n> = alpha`` meets the unit sphere in the sphere
+    of the plane with center ``alpha n`` and radius ``rho = sqrt(1 -
+    |alpha|^2)``, so the distance is ``hypot(|<p, n> - alpha|, |p - <p, n> n|
+    - rho)``.  The anchor lies on that sphere, and ``rho`` is read as ``|a -
+    alpha n|``: near a tangent plane ``1 - |alpha|^2`` keeps only the last
+    digits of ``rho^2``.
 
     Elsewhere it is an SLSQP solve in the real coordinates from the plane's
     anchor, with exact Jacobians: ``2 (x - p)`` for the objective,
