@@ -18,7 +18,7 @@ honest figure of merit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,6 +30,7 @@ from .kobayashi import disk_distance, dist_bounds
 
 DEFECT_SAMPLE_PAIRS = 40
 DEFECT_SAMPLE_RADIUS = 0.9
+DEFECT_SEED = 5
 MODEL_DEFECT_TOL = 1e-10
 
 
@@ -68,15 +69,15 @@ class ComplexGeodesic:
     dom: Domain
     func: Callable[[complex], np.ndarray]
     tag: str  # BallAffineSlice | PolydiskMax (the disk among them) | ConvexNumeric
-    params: dict = field(default_factory=dict)
     defect: float = math.nan
 
     def __call__(self, zeta: complex) -> np.ndarray:
         return self.func(zeta)
 
-    def measure_defect(self, pairs: int = DEFECT_SAMPLE_PAIRS, seed: int = 5) -> float:
-        """Worst containment gap of K_D(a, b) in the image distance interval."""
-        rng = np.random.default_rng(seed)
+    def measure_defect(self, pairs: int = DEFECT_SAMPLE_PAIRS) -> float:
+        """Worst containment gap of K_D(a, b) in the image distance interval,
+        over ``pairs`` seeded pairs of parameters."""
+        rng = np.random.default_rng(DEFECT_SEED)
         worst = 0.0
         for _ in range(pairs):
             a, b = [
@@ -121,12 +122,7 @@ def _ball_geodesic(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
     def phi(zeta):
         return a + rho * zeta * u
 
-    return ComplexGeodesic(
-        dom=dom,
-        func=phi,
-        tag="BallAffineSlice",
-        params={"radius": rho},
-    )
+    return ComplexGeodesic(dom=dom, func=phi, tag="BallAffineSlice")
 
 
 def _polydisk_geodesic(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
@@ -142,12 +138,7 @@ def _polydisk_geodesic(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
     def phi(zeta):
         return np.array([mob(scale * zeta) for mob, scale in mobs])
 
-    return ComplexGeodesic(
-        dom=dom,
-        func=phi,
-        tag="PolydiskMax",
-        params={"t_w": tstar},
-    )
+    return ComplexGeodesic(dom=dom, func=phi, tag="PolydiskMax")
 
 
 def _chord_disc_candidate(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
@@ -187,12 +178,7 @@ def _chord_disc_candidate(dom, z: np.ndarray, w: np.ndarray) -> ComplexGeodesic:
     def phi(zeta):
         return c + rho * zeta * u
 
-    return ComplexGeodesic(
-        dom=dom,
-        func=phi,
-        tag="ConvexNumeric",
-        params={"radius": rho},
-    )
+    return ComplexGeodesic(dom=dom, func=phi, tag="ConvexNumeric")
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +274,14 @@ def _distance_to_contact_set(dom: Domain, plane: Hyperplane, p: np.ndarray) -> f
     alpha n|``: near a tangent plane ``1 - |alpha|^2`` keeps only the last
     digits of ``rho^2``.
 
-    Elsewhere it is an SLSQP solve in the real coordinates from the plane's
-    anchor, with exact Jacobians: ``2 (x - p)`` for the objective,
+    On the polydisk (the disk among them), a normal with one nonzero
+    coordinate ``j`` gives the plane ``z_j = a_j`` of a face, with ``|a_j| =
+    1``.  It meets the closed polydisk in ``{a_j} x`` (closed disc)^(d-1), all
+    of it on the boundary, so the distance is ``hypot(|p_j - a_j|, |(max(|p_k|
+    - 1, 0))_{k != j}|)``.
+
+    Any other plane is an SLSQP solve in the real coordinates from the
+    plane's anchor, with exact Jacobians: ``2 (x - p)`` for the objective,
     ``c2r(grad_c r)`` for the defining function, and the constant rows
     ``c2r(n)`` and ``c2r(i n)`` for the real and imaginary parts of the offset
     ``<z - anchor, n>``.  A failed solve, or a point where the gradient is
@@ -301,6 +293,11 @@ def _distance_to_contact_set(dom: Domain, plane: Hyperplane, p: np.ndarray) -> f
         alpha, along = herm(plane.anchor, plane.normal), herm(p, plane.normal)
         rho = float(np.linalg.norm(plane.anchor - alpha * plane.normal))
         return math.hypot(abs(along - alpha), float(np.linalg.norm(p - along * plane.normal)) - rho)
+    face = np.flatnonzero(plane.normal)
+    if isinstance(dom, PolydiskDomain) and len(face) == 1:
+        j = face[0]
+        outside = np.maximum(np.delete(np.abs(p), j) - 1.0, 0.0)
+        return math.hypot(abs(p[j] - plane.anchor[j]), float(np.linalg.norm(outside)))
 
     from scipy.optimize import minimize
 

@@ -430,7 +430,7 @@ def _run_cgeo(cfg: RunConfig) -> int:
     geo = cgeo.complex_geodesic(dom, z, w)
     probe = cgeo.boundary_hyperplane_probe(geo, zeta=_complex(opts.get("zeta", 1.0), "zeta"),
                                            radii=cgeo.default_radii_schedule(opts.get("k_max", 16)))
-    rows = [{"input": f"r={r!r}", "lower": res, "upper": ang, "exact": geo.defect}
+    rows = [{"input": f"r={float(r)!r}", "lower": res, "upper": ang, "exact": geo.defect}
             for r, res, ang in zip(probe.radii, probe.residuals, probe.normal_angles)]
     write_csv(_out(cfg) / "cgeo_probe.csv", ["input", "lower", "upper", "exact"], rows, anchors=False)
     print(f"geodesic tag={geo.tag} defect={geo.defect:.3e}; residual tail {probe.residuals[-1]:.3e}")

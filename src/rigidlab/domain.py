@@ -5,15 +5,16 @@ uses the interleaved coordinates ``(x_1, y_1, ..., x_d, y_d)``.  Every domain
 carries a defining function ``r`` with ``z in Omega  iff  r(z) < 0``, written
 once on a stack of points (``defining_many``; ``defining`` reads it for one
 point).  Every kind is balanced about 0 and gives the gradient of ``r``, the
-nearest boundary point and where a ray from 0 leaves it (the reciprocal of
-the Minkowski gauge): the disk, ball and polydisk in closed form, the convex
-Reinhardt domains (the modulus polynomials, the ellipsoid among them) from
-polynomial tables in the moduli ``|z_j|``: Newton's method on a polynomial
-in the ray parameter for the exit, and for the nearest point Newton's method
-on the KKT system from the local minima of the distance over a surface
-sample built once per domain.  The polydisk gradient exists only where one
-coordinate has the largest modulus.  No derivative is estimated numerically,
-and nothing here needs SciPy.
+nearest boundary point, the circumradius (the largest distance to the
+boundary) and where a ray from 0 leaves it (the reciprocal of the Minkowski
+gauge): the disk, ball and polydisk in closed form, the convex Reinhardt
+domains (the modulus polynomials, the ellipsoid among them) from polynomial
+tables in the moduli ``|z_j|``: Newton's method on a polynomial in the ray
+parameter for the exit, and for the nearest and the farthest point Newton's
+method on the KKT system from the local extrema of the distance over a
+surface sample built once per domain.  The polydisk gradient exists only
+where one coordinate has the largest modulus.  No derivative is estimated
+numerically, and nothing here needs SciPy.
 
 The Hermitian pairing ``<u, v> = sum_j u_j * conj(v_j)`` is used throughout;
 with this convention the complex gradient ``grad_c r = 2 * dr/dzbar`` is the
@@ -214,7 +215,6 @@ class Cone:
 class ConeCertificate:
     ok: bool
     margin: float
-    delta_bound_ok: bool
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,10 @@ class Domain:
         """Closed-form boundary distance, or None when unavailable."""
         return None
 
+    def circumradius(self, z) -> float:
+        """Largest distance from ``z`` to the boundary, attained at an extreme point."""
+        raise NotImplementedError
+
     def exit_radii(self, us: np.ndarray) -> np.ndarray:
         """Where each ray ``t u`` from 0 meets the boundary, shape (k, d) ->
         (k,): ``1 / h(u)`` for the Minkowski gauge ``h`` of the balanced
@@ -314,6 +318,9 @@ class BallDomain(Domain):
 
     def boundary_distance_exact(self, z):
         return 1.0 - float(np.linalg.norm(as_point(z, self.dimension)))
+
+    def circumradius(self, z):
+        return 1.0 + float(np.linalg.norm(as_point(z, self.dimension)))
 
 
 class PolydiskDomain(Domain):
@@ -360,6 +367,11 @@ class PolydiskDomain(Domain):
         z = as_point(z, self.dimension)
         return float(np.min(1.0 - np.abs(z)))
 
+    def circumradius(self, z):
+        """``|(1 + |z_j|)_j|``: each coordinate of the farthest point is the unit
+        complex number opposite ``z_j``; on the disk this is ``1 + |z|``."""
+        return float(np.sqrt(np.sum((1.0 + np.abs(as_point(z, self.dimension))) ** 2)))
+
 
 class DiskDomain(PolydiskDomain):
     """Unit disk in C: the polydisk, and the ball, of dimension 1.  It keeps
@@ -392,7 +404,7 @@ class ModulusPolynomialDomain(Domain):
     Every oracle is a polynomial table built once from the exponents: the
     defining function ``p(|z|) - 1``; ``F = dp/ds`` in ``s = |z|^2``, which
     gives ``grad_c = 2 z F``; and the gradient and Hessian of ``p`` on the
-    moduli, which the nearest-point solver and the circumradius read.  The
+    moduli, which the nearest- and farthest-point polish reads.  The
     surface sample is ``p = 1`` on the grid of ``_orthant_directions``.
     """
 
@@ -462,18 +474,27 @@ class ModulusPolynomialDomain(Domain):
 
     def project_to_boundary(self, z):
         z = as_point(z, self.dimension)
-        return self._project_moduli(np.abs(z)) * _unit_phases(z)
+        return self._extreme_moduli(np.abs(z), 1) * _unit_phases(z)
 
-    def _project_moduli(self, m0: np.ndarray) -> np.ndarray:
-        """Nearest point ``x >= 0`` on ``p(x) = 1`` to the modulus vector
-        ``m0``.  The distance to the surface can have several local minima
-        (on the flat sides of ``ellipsoid((1, 2, 3))`` they differ by 0.1%),
-        so every local minimum of the distance over the surface sample's grid
-        starts a Newton polish, and the nearest result on the surface wins."""
-        grid = np.sum((self._surface - m0) ** 2, axis=-1)
+    def circumradius(self, z):
+        """The farthest boundary point takes the phases opposite those of
+        ``z``, so this is ``|x + |z||`` for the farthest point ``x`` of ``p(x)
+        = 1`` from ``-|z|``.  It is a polished sample point, not certified: a
+        basin that the surface sample misses can hide a farther one."""
+        m = np.abs(as_point(z, self.dimension))
+        return float(np.linalg.norm(self._extreme_moduli(-m, -1) + m))
+
+    def _extreme_moduli(self, m0: np.ndarray, sign: int) -> np.ndarray:
+        """Nearest (``sign = 1``) or farthest (``sign = -1``) point ``x >= 0``
+        on ``p(x) = 1`` to the vector ``m0``.  The distance to the surface can
+        have several local extrema (two minima on the flat sides of
+        ``ellipsoid((1, 2, 3))`` differ by 0.1%), so every local minimum of
+        ``sign |x - m0|^2`` over the surface sample's grid starts a Newton
+        polish, and the best result on the surface wins."""
+        grid = sign * np.sum((self._surface - m0) ** 2, axis=-1)
         starts = np.unique(self._surface[_grid_minima(grid)], axis=0)
         return min((self._polish(m0, x) for x in starts),
-                   key=lambda x: (abs(self.moduli_constraint(x)) > BOUNDARY_TOL, np.sum((x - m0) ** 2)))
+                   key=lambda x: (abs(self.moduli_constraint(x)) > BOUNDARY_TOL, sign * np.sum((x - m0) ** 2)))
 
     def _polish(self, m0: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Newton steps on the KKT system  ``x - m0 = lam grad p(x),  p(x) = 1``
@@ -804,11 +825,6 @@ def cone_certificate(dom: Domain, cone: Cone) -> ConeCertificate:
     cap's largest ``|p|^2`` is ``|a|^2 + L^2 + 2 L |a| cos(max(phi - theta, 0))``,
     with ``phi`` the angle from ``v`` to the apex ``a``; ``margin`` is one minus
     it, and ``ok`` means ``margin > 0``.
-
-    The consequence ``delta(apex + t v) >= sin(theta) t`` of convexity is
-    checked along the axis as well: ``delta = 1 - |p|`` is concave, so the left
-    side minus the right is concave in ``t`` and 0 at the apex, and
-    ``t = length`` suffices.
     """
     if dom.kind not in ("disk", "ball"):
         raise ConfigInvalid(f"the cone certificate is closed-form on the disk and the ball, not the {dom.kind}")
@@ -824,6 +840,4 @@ def cone_certificate(dom: Domain, cone: Cone) -> ConeCertificate:
     phi = math.acos(min(1.0, max(-1.0, float(a @ v) / a_norm)))
     far = a_norm**2 + L**2 + 2.0 * L * a_norm * math.cos(max(phi - cone.aperture, 0.0))
     margin = 1.0 - far
-    ok = margin > 0
-    delta_ok = ok and 1.0 - float(np.linalg.norm(a + L * v)) >= math.sin(cone.aperture) * L - 1e-9
-    return ConeCertificate(ok=ok, margin=margin, delta_bound_ok=delta_ok)
+    return ConeCertificate(ok=margin > 0, margin=margin)

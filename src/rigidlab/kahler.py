@@ -114,48 +114,14 @@ def property_bg_estimate(k: KahlerField, dom: Domain) -> BGReport:
 # squeezing lower bound
 # ---------------------------------------------------------------------------
 
-def circumradius(dom: Domain, z) -> float:
-    """Max distance from ``z`` to the boundary (attained at an extreme point).
-
-    Closed form on the disk, ball and polydisk.  On the convex Reinhardt
-    domains (the ellipsoid and the modulus polynomials) the phases of the
-    farthest point align against ``z``, which leaves a maximum over the
-    moduli on ``p(x) = 1``: the best SLSQP solve from ``d`` axis starts.  That
-    maximum is not certified, since a local one can underestimate.
-    """
-    z = dom.require_inside(z)
-    if dom.kind in ("disk", "ball"):
-        return 1.0 + float(np.linalg.norm(z))
-    if dom.kind == "polydisk":
-        return float(np.sqrt(np.sum((1.0 + np.abs(z)) ** 2)))
-    from scipy.optimize import minimize
-
-    zm, d = np.abs(z), dom.dimension
-
-    def negobj(x):
-        return -float(np.sum((np.maximum(x, 0.0) + zm) ** 2))
-
-    best = 0.0
-    for axis in range(d):
-        x0 = np.full(d, 0.1)
-        x0[axis] = 0.9
-        res = minimize(negobj, x0, method="SLSQP", bounds=[(0.0, None)] * d,
-                       constraints=[{"type": "eq", "fun": dom.moduli_constraint}],
-                       options={"maxiter": 300, "ftol": 1e-14})
-        if res.success:
-            best = max(best, math.sqrt(-res.fun))
-    return best
-
-
 def squeezing_lower_bound(dom: Domain, z) -> float:
     """Inradius over circumradius: a lower bound for the squeezing function
     via the affine map scaling ``Omega - z`` into the unit ball.  On the
-    ellipsoid and the modulus polynomials the circumradius is an uncertified
-    SLSQP max, so the value there is an estimate that can exceed the bound."""
+    ellipsoid and the modulus polynomials the circumradius is the polished
+    farthest point of a surface sample (``Domain.circumradius``), still not
+    certified, so the value there is an estimate that can exceed the bound."""
     z = dom.require_inside(z)
-    rho_in = boundary_distance(dom, z)
-    rho_out = circumradius(dom, z)
-    return rho_in / rho_out
+    return boundary_distance(dom, z) / dom.circumradius(z)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,7 @@ SPEED_DRIFT_TOL = 1e-4
 MIN_EIGENVALUE = 1e-10
 SHOOTING_TOL = 1e-9
 SHOOTING_MAX_NEWTON = 60
+BACKWARD_GRID = 8
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +823,6 @@ def tangent_angle(m: MetricField, x, u, w) -> float:
 @dataclass(frozen=True)
 class TangentDistanceResult:
     interval: DistInterval
-    base_distance: float
 
 
 def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: str = "T1M",
@@ -858,8 +858,7 @@ def tangent_distances(m: MetricField, X: TangentPoint, Y: TangentPoint, mode: st
         fiber = m.norm(Y.x, transported - Y.vec)
     upper = base + fiber
     lower = max(base, abs(nx - ny))
-    return TangentDistanceResult(interval=DistInterval(min(lower, upper), upper),
-                                 base_distance=base)
+    return TangentDistanceResult(interval=DistInterval(min(lower, upper), upper))
 
 
 # ---------------------------------------------------------------------------
@@ -912,10 +911,10 @@ def convexity_radius_floor(m: MetricField, kappa: float) -> float:
 
 
 def backward_estimate(m: MetricField, gamma_init: TangentPoint, sigma_init: TangentPoint,
-                      eps: float, kappa: float | None = None, grid: int = 8) -> float:
+                      eps: float, kappa: float | None = None) -> float:
     """Empirical ratio ``d_T1(gamma'(0), sigma'(0)) * eps / max_t d(gamma(t), sigma(t))``.
 
-    The max runs over ``grid + 1`` equally spaced times in ``[0, eps]``.  Each
+    The max runs over ``BACKWARD_GRID + 1`` equally spaced times in ``[0, eps]``.  Each
     curve is ``closed_ray`` sampled at ``|v|_g t``, and ``d`` is
     ``closed_dist``.  The max over samples of this ratio estimates the
     constant in the backward initial-condition inequality.  Coincident
@@ -929,7 +928,7 @@ def backward_estimate(m: MetricField, gamma_init: TangentPoint, sigma_init: Tang
     # the T1M distance checks both base points and that both vectors are unit
     # before any sampling
     d0 = tangent_distances(m, gamma_init, sigma_init, mode="T1M").interval.upper
-    _, (xs1, xs2) = _sampled_geodesics(m, (gamma_init, sigma_init), eps, grid)
+    _, (xs1, xs2) = _sampled_geodesics(m, (gamma_init, sigma_init), eps, BACKWARD_GRID)
     dmax = 0.0
     for x1, x2 in zip(xs1, xs2):
         dmax = max(dmax, float(m.closed_dist(x1, x2)))

@@ -31,6 +31,7 @@ CERT_MARGIN = 1e-9
 IDENTIFICATION_THRESHOLD = 1e-6
 DISPLACEMENT_GRID = 1000
 CS_SLACK = 1e-12
+MODULUS_SAMPLES = 160
 CONVEX_LEMMA_C1 = 2.0   # K(w, f(w)) <= (2/r) E(5r/4) once E(5r/4) <= r/4
 
 
@@ -251,7 +252,6 @@ def disk_zoo() -> list[HoloMap]:
 class CSCheck:
     lhs: float
     rhs: float
-    constant: float
     passed: bool
 
 
@@ -266,7 +266,7 @@ def cs_bound_check(f: HoloMap, a: complex, b: complex, z: complex) -> CSCheck:
     fa, fb, fz = f.many([[a], [b], [z]])[:, 0]
     lhs = disk_distance(fz, z)
     rhs = constant * (disk_distance(fa, a) + disk_distance(fb, b))
-    return CSCheck(lhs=lhs, rhs=rhs, constant=constant, passed=bool(lhs <= rhs + CS_SLACK))
+    return CSCheck(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs + CS_SLACK))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,6 @@ def cs_bound_check(f: HoloMap, a: complex, b: complex, z: complex) -> CSCheck:
 class ErrorModulus:
     radii: np.ndarray          # increasing
     values: np.ndarray         # nondecreasing envelope of the sampled sups
-    slope: float               # fitted log-log slope
 
     def at(self, r: float) -> float:
         """Envelope value at ``r`` (next sampled radius >= r)."""
@@ -286,11 +285,10 @@ class ErrorModulus:
         return float(self.values[idx])
 
 
-def error_modulus(f: HoloMap, xi0, radii, dom: Domain | None = None,
-                  samples_per_radius: int = 160) -> ErrorModulus:
+def error_modulus(f: HoloMap, xi0, radii, dom: Domain | None = None) -> ErrorModulus:
     """Envelope of sampled ``sup { |f(z) - z| : z in Omega, |z - xi0| <= r }``:
     per radius, the interior ones of three radial points, filled up to
-    ``samples_per_radius`` with seeded uniform points of ``B(xi0, r)``."""
+    ``MODULUS_SAMPLES`` with seeded uniform points of ``B(xi0, r)``."""
     dom = disk() if dom is None else dom
     d = dom.dimension
     xi0 = as_point(xi0, d)
@@ -302,16 +300,9 @@ def error_modulus(f: HoloMap, xi0, radii, dom: Domain | None = None,
     for r in radii:
         radial = xi0 + np.outer(r * np.array([1.0, 0.5, 0.25]), inward)
         radial = radial[dom.defining_many(radial) < 0]
-        pts = np.concatenate([radial, sample_ball(dom, xi0, r, samples_per_radius - len(radial), rng)])
+        pts = np.concatenate([radial, sample_ball(dom, xi0, r, MODULUS_SAMPLES - len(radial), rng)])
         values.append(float(np.max(np.linalg.norm(f.many(pts) - pts, axis=1))))
-
-    env = np.maximum.accumulate(values)
-    pos = env > 0
-    if np.count_nonzero(pos) >= 3:
-        slope = float(np.polyfit(np.log(radii[pos]), np.log(env[pos]), 1)[0])
-    else:
-        slope = math.nan
-    return ErrorModulus(radii=radii, values=env, slope=slope)
+    return ErrorModulus(radii=radii, values=np.maximum.accumulate(values))
 
 
 # ---------------------------------------------------------------------------

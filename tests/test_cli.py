@@ -368,6 +368,14 @@ class TestMain:
         assert rc == 0
         assert len(json.loads((tmp_path / "kahler_squeeze.json").read_text())["z"]) == 2
 
+    def test_cgeo_writes_plain_radii(self, tmp_path):
+        # the input column holds each radius as a float's repr, not a numpy scalar's
+        rc = cli.main(["--out-dir", str(tmp_path), "cgeo", "--domain", '{"kind":"polydisk","dimension":2}',
+                       "--points", "[[0.1,0.05],[0.5,0.1]]"])
+        assert rc == 0
+        rows = (tmp_path / "cgeo_probe.csv").read_text().splitlines()
+        assert rows[1].split(",")[0] == "r=0.5"
+
     def test_kahler_threshold(self, tmp_path):
         rc = cli.main(["--out-dir", str(tmp_path), "kahler", "--check", "threshold",
                        "--params", json.dumps({"d": 1, "kappa": 1, "A": 1,

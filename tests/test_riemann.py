@@ -273,7 +273,7 @@ def test_tangent_distance_sides_are_ordered(m, mode, data):
         v, w = m.unit(x, v), m.unit(y, w)
     res = rm.tangent_distances(m, rm.TangentPoint.of(x, v), rm.TangentPoint.of(y, w), mode)
     # the lower side before it is clipped to the upper one: base distance and norm gap
-    lower = max(res.base_distance, abs(m.norm(x, v) - m.norm(y, w)))
+    lower = max(m.closed_dist(x, y), abs(m.norm(x, v) - m.norm(y, w)))
     assert res.interval.lower <= res.interval.upper
     assert lower <= res.interval.upper * (1 + 1e-6) + 1e-9
 
@@ -323,8 +323,8 @@ class TestTangentDistances:
         # bases are 5.33e-6 apart in the metric: only equal bases give 0
         x, y = np.array([0.5, 0.0]), np.array([0.5 + 2e-6, 0.0])
         res = rm.tangent_distances(PO, unit_at(PO, x, [1, 0]), unit_at(PO, y, [1, 0]), "T1M")
-        assert res.base_distance == PO.closed_dist(x, y) > 5e-6
-        assert res.base_distance <= res.interval.lower <= res.interval.upper
+        assert PO.closed_dist(x, y) > 5e-6
+        assert PO.closed_dist(x, y) <= res.interval.lower <= res.interval.upper
 
     @pytest.mark.parametrize("outside_first", [True, False])
     def test_base_point_outside_the_chart_raises(self, outside_first):
@@ -422,11 +422,12 @@ class TestBackward:
     @pytest.mark.parametrize("m", [PO], ids=["closed-ray"])
     @pytest.mark.parametrize("grid", [0, -1])
     def test_grid_must_sample_a_time_after_zero(self, m, grid):
-        # grid 0 samples only t = 0, where the two geodesics coincide
+        # grid 0 samples only t = 0, where the two geodesics coincide; the
+        # spread check shares the sampling of backward_estimate
         X = unit_at(PO, [0.1, 0], [1, 0])
         Y = unit_at(PO, [0.1, 0], [1, 1e-3])
         with pytest.raises(ConfigInvalid, match="grid"):
-            rm.backward_estimate(m, X, Y, 0.1, grid=grid)
+            rm.spread_check(m, X, Y, kappa=1.0, horizon=0.1, grid=grid)
 
     @pytest.mark.parametrize("m", ALL_MODELS + (rm.scale_metric(BE, 2.5),), ids=lambda m: m.name)
     def test_closed_rays_match_the_integrated_fallback(self, m):
