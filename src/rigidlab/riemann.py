@@ -10,10 +10,12 @@ and the Bergman ball's closed forms read the ball transvections of
 On top of it the module builds Christoffel symbols, the curvature tensor,
 geodesic / parallel-transport / Jacobi flows, a shooting exponential-log map,
 and the three estimates the rigidity pipelines consume.  The geodesic and the
-transport run on the one fixed-step RK4 integrator :func:`_rk4`.  Each geodesic
-stage, in ``geodesic_flow`` and in the shooting endpoint alike, reads the
-metric's closed-form ``spray`` ``Gamma(x)(v, v)``; only the transport builds
-the Christoffel tensor.  The Jacobi
+transport run on the one fixed-step RK4 integrator :func:`_rk4` on a flat list
+of Python floats.  Each geodesic stage, in ``geodesic_flow`` and the shooting
+endpoint alike, is one call of the closed-form ``spray`` (the field ``x + v ->
+v + (-Gamma(x)(v, v))`` on TM) with no numpy call; the endpoint's stage guard
+checks the chart, then positivity, on one array of the position.  Only the
+transport builds the Christoffel tensor.  The Jacobi
 fields are closed-form, from one eigendecomposition of the Jacobi operator
 carried by ``closed_transport``.  ``exp_log`` is Newton shooting: the RK4
 endpoint alone decides convergence, and the closed-form Jacobi fields with
@@ -55,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -97,8 +100,8 @@ class MetricField:
     dg: Callable[[np.ndarray], np.ndarray]      # dg[k, i, j] = d_k g_ij, one point
     d2g: Callable[[np.ndarray], np.ndarray]     # d2g[k, l, i, j] = d_k d_l g_ij, one point
     min_eig: Callable[[np.ndarray], float]      # smallest eigenvalue of g, one point
-    spray: Callable                             # (x, v) -> Gamma(x)(v, v) at one point, in
-                                                # closed form: a geodesic has x'' = -spray(x, x')
+    spray: Callable                             # the geodesic spray, a field on TM in closed form:
+                                                # flat float list x + v -> v + (-Gamma(x)(v, v))
     chart_contains: Callable[[np.ndarray], bool]
     inj_model: float                            # injectivity radius
     closed_dist: Callable
@@ -162,6 +165,14 @@ class TangentPoint:
         return cls(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
 
+def _dot(p, q) -> float:
+    return sum(map(mul, p, q))
+
+
+def _times_i(u) -> list:   # J u on a list, as in invariant_metric
+    return [c for re, im in zip(u[::2], u[1::2]) for c in (-im, re)]
+
+
 def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
     """The U(d)-invariant metric ``g(x) = a(s) I + b(s) (x x^T + Jx (Jx)^T)``.
 
@@ -178,12 +189,15 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
         d_k d_l g = 2 delta_kl (a' I + b' P) + 4 x_k x_l (a'' I + b'' P)
                     + 2 b' (x_k d_l P + x_l d_k P) + b d_k d_l P
 
-    The spray ``Gamma(v, v) = g^{-1} w`` with ``w = (d_v g) v - grad g(v, v) / 2``
-    needs no Christoffel tensor.  With ``xv = x.v``, ``jv = Jx.v`` and ``vv = v.v``::
+    The spray, the field ``(x, v) -> (v, -Gamma(x)(v, v))`` on TM, maps one flat
+    list of Python floats ``x + v`` to another with no numpy call.  ``Gamma(v, v)
+    = g^{-1} w``, ``w = (d_v g) v - grad g(v, v) / 2``, needs no Christoffel
+    tensor.  With ``xv = x.v``, ``jv = Jx.v`` and ``vv = v.v``::
 
-        w = 2 a' xv v + (b' (xv^2 - jv^2) + (b - a') vv) x + 2 b' xv jv Jx + 2 b jv Jv
+        w      = 2 a' xv v + (b' (xv^2 - jv^2) + (b - a') vv) x + 2 b' xv jv Jx + 2 b jv Jv
+        g^-1 w = (w - b / (a + b s) (x.w x + Jx.w Jx)) / a
 
-    which is ``a' (2 xv v - vv x)`` in the conformal case.
+    which is ``a' (2 xv v - vv x) / a`` in the conformal case.
     """
     eye = np.eye(dim)
     if b is not None:
@@ -247,17 +261,21 @@ def invariant_metric(name: str, dim: int, a, b=None, **fields) -> MetricField:
         cross = x[:, None, None, None] * (2.0 * db * (dp @ x))
         return out + cross + cross.transpose(1, 0, 2, 3) + b0 * d2p
 
-    def spray(x, v):
-        s, xv, vv = float(x @ x), float(x @ v), float(v @ v)
+    def spray(y):
+        x, v = y[:dim], y[dim:]
+        s, xv, vv = _dot(x, x), _dot(x, v), _dot(v, v)
         a0, da, _ = a(s)
         if b is None:
-            return da / a0 * (2.0 * xv * v - vv * x)
+            c, t = da / a0, 2.0 * xv
+            return v + [c * (vv * p - t * q) for p, q in zip(x, v)]
         b0, db, _ = b(s)
-        jx = rot @ x
-        jv = float(jx @ v)
-        w = ((2.0 * da * xv) * v + (db * (xv * xv - jv * jv) + (b0 - da) * vv) * x
-             + (2.0 * db * xv * jv) * jx + (2.0 * b0 * jv) * (rot @ v))
-        return (w - b0 / (a0 + b0 * s) * (float(x @ w) * x + float(jx @ w) * jx)) / a0
+        jx, jvec = _times_i(x), _times_i(v)
+        jv = _dot(jx, v)
+        cv, cx = 2.0 * da * xv, db * (xv * xv - jv * jv) + (b0 - da) * vv
+        cj, cjv = 2.0 * db * xv * jv, 2.0 * b0 * jv
+        w = [cv * q + cx * p + cj * r + cjv * t for p, q, r, t in zip(x, v, jx, jvec)]
+        e, xw, jw = b0 / (a0 + b0 * s), _dot(x, w), _dot(jx, w)
+        return v + [(e * (xw * p + jw * r) - wi) / a0 for p, r, wi in zip(x, jx, w)]
 
     return MetricField(name=name, dim=dim, g=g, ginv=ginv, dg=dg, d2g=d2g, min_eig=min_eig,
                        spray=spray, **fields)
@@ -287,7 +305,7 @@ def euclidean(n: int = 2) -> MetricField:
     return MetricField(
         name="euclid", dim=n,
         g=constant(eye), ginv=constant(eye), dg=constant(zeros3), d2g=lambda x: zeros4,
-        min_eig=lambda x: 1.0, spray=lambda x, v: np.zeros(n),
+        min_eig=lambda x: 1.0, spray=lambda y: y[n:] + [0.0] * n,
         chart_contains=lambda x: bool(abs(x).max() < 1e6),   # a NaN also fails it
         kappa_model=0.0, inj_model=math.inf,
         closed_dist=lambda x, y: float(np.linalg.norm(np.asarray(y) - np.asarray(x))),
@@ -562,45 +580,35 @@ def _positive(name: str, value) -> float:
     return value
 
 
-def _rk4(rhs, state, h: float, n_steps: int, check=None) -> list[np.ndarray]:
-    """Classical fixed-step RK4 for ``s' = rhs(*s)``, ``s`` a tuple of arrays.
+def _rk4(field, y0, h: float, n_steps: int, check=None) -> np.ndarray:
+    """Classical fixed-step RK4 for ``y' = field(y)``.
 
-    The components travel as one flat vector, so each stage is one array
-    update; ``rhs`` takes them in their own shapes and returns them in any
-    shape of the same size.  After step ``i`` (counted from 0),
-    ``check(i, s)`` sees the new state and may raise.  Returns one
-    trajectory ``(n_steps + 1,) + shape`` per component.
+    The state ``y`` is one flat list of Python floats, and ``field`` maps it to
+    a list of the same length, so a stage is list arithmetic with no numpy call.
+    After step ``i`` (counted from 0), ``check(i, y)`` sees the new state and
+    may raise.  Returns the trajectory ``(n_steps + 1, len(y0))``.
     """
-    state = [np.asarray(c, dtype=float) for c in state]
-    if not all(np.isfinite(c).all() for c in state):
+    y = [float(c) for c in y0]
+    if not all(map(math.isfinite, y)):
         raise ConfigInvalid("non-finite initial state for the flow")
-    ends = np.cumsum([c.size for c in state])
-    parts = [(slice(e - c.size, e), c.shape if c.ndim > 1 else None) for c, e in zip(state, ends)]
-
-    def split(y):
-        return [y[sl] if shape is None else y[sl].reshape(shape) for sl, shape in parts]
-
     half, sixth = 0.5 * h, h / 6
-    traj = np.empty((n_steps + 1, ends[-1]))
-    y = traj[0] = np.concatenate(state, axis=None)
-    s = split(y)
+    traj = [y]
     for i in range(n_steps):
-        k1 = np.concatenate(rhs(*s), axis=None)
-        k2 = np.concatenate(rhs(*split(y + half * k1)), axis=None)
-        k3 = np.concatenate(rhs(*split(y + half * k2)), axis=None)
-        k4 = np.concatenate(rhs(*split(y + h * k3)), axis=None)
-        y = traj[i + 1] = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        s = split(y)
+        k1 = field(y)
+        k2 = field([a + half * b for a, b in zip(y, k1)])
+        k3 = field([a + half * b for a, b in zip(y, k2)])
+        k4 = field([a + h * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+        traj.append(y)
         if check is not None:
-            check(i, s)
-    return [np.ascontiguousarray(traj[:, sl]).reshape((n_steps + 1,) + c.shape)
-            for (sl, _), c in zip(parts, state)]
+            check(i, y)
+    return np.array(traj)
 
 
 def _chart_guard(m: MetricField, flow: str, h: float):
-    """The ``_rk4`` check that raises ``LeftChart`` once the position leaves."""
-    def check(i, s):
-        if not m.chart_contains(s[0]):
+    """The ``_rk4`` check that raises ``LeftChart`` once the position ``y[:n]`` leaves."""
+    def check(i, y):
+        if not m.chart_contains(np.array(y[:m.dim])):
             raise LeftChart(f"{m.name}: {flow} left the chart at t={h * (i + 1):.4f}")
     return check
 
@@ -613,10 +621,6 @@ class GeodesicPath:
     vs: np.ndarray  # (N+1, n)
     step: float
     speed_drift: float
-
-
-def _geodesic_rhs(m: MetricField, x, v):
-    return v, -m.spray(x, v)
 
 
 def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
@@ -633,8 +637,8 @@ def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
     n_steps = max(1, int(round(horizon / step)))
     h = horizon / n_steps
 
-    xs, vs = _rk4(lambda x, v: _geodesic_rhs(m, x, v), (x, v), h, n_steps,
-                  _chart_guard(m, "geodesic", h))
+    traj = _rk4(m.spray, np.concatenate((x, v)), h, n_steps, _chart_guard(m, "geodesic", h))
+    xs, vs = traj[:, :m.dim], traj[:, m.dim:]
     pick = slice(0, n_steps + 1, max(1, n_steps // 32))   # always holds the start
     sq = np.einsum("ti,tij,tj->t", vs[pick], m.g(xs[pick]), vs[pick])
     if not np.isfinite(sq).all():
@@ -649,14 +653,14 @@ def geodesic_flow(m: MetricField, init: TangentPoint, horizon: float,
 
 def parallel_transport(m: MetricField, path: GeodesicPath, X0) -> np.ndarray:
     """Transport ``X0`` along the path; returns the field samples (N+1, n)."""
-    def rhs(x, v, w):
+    def rhs(y):
+        x, v, w = np.reshape(y, (3, m.dim))
         gamma = christoffel(m, x)
-        dx, dv = v, -np.einsum("kij,i,j->k", gamma, v, v)
-        dw = -np.einsum("kij,i,j->k", gamma, v, w)
-        return dx, dv, dw
+        return np.concatenate((v, -np.einsum("kij,i,j->k", gamma, v, v),
+                               -np.einsum("kij,i,j->k", gamma, v, w))).tolist()
 
-    state = (path.xs[0], path.vs[0], X0)
-    return _rk4(rhs, state, path.step, len(path.ts) - 1)[2]
+    y0 = np.concatenate((path.xs[0], path.vs[0], X0))
+    return _rk4(rhs, y0, path.step, len(path.ts) - 1)[:, 2 * m.dim:]
 
 
 @dataclass
@@ -741,12 +745,17 @@ def _shooting_steps(arc: float) -> int:
 
 
 def _endpoint(m: MetricField, x, X, n_steps: int):
-    """Endpoint of exp_x(X): RK4 on :func:`_geodesic_rhs`, the right-hand side
-    of :func:`geodesic_flow`, with the positivity check on every stage and the
-    chart check on every step."""
-    h = 1.0 / n_steps
-    return _rk4(lambda pos, vel: _geodesic_rhs(m, m.require_positive(pos), vel), (x, X), h,
-                n_steps, _chart_guard(m, "shooting", h))[0][-1]
+    """Endpoint of exp_x(X): RK4 on the ``spray`` of :func:`geodesic_flow`.  Each
+    stage guard makes one array of the position and checks the chart, then
+    positivity; the chart is checked again after every step."""
+    h, n = 1.0 / n_steps, m.dim
+
+    def guarded(y):
+        pos = m.require_chart(np.array(y[:n]))
+        m.require_positive(pos)
+        return m.spray(y)
+
+    return _rk4(guarded, np.concatenate((x, X)), h, n_steps, _chart_guard(m, "shooting", h))[-1, :n]
 
 
 def exp_log(m: MetricField, x, y) -> TangentPoint:
@@ -756,8 +765,9 @@ def exp_log(m: MetricField, x, y) -> TangentPoint:
     Where it has not converged, Newton steers with ``d exp_x`` at ``X``: every
     metric is a symmetric space, so its column ``k`` is the closed-form Jacobi
     field with ``J(0) = 0``, ``J'(0) = e_k`` at time 1 (:func:`jacobi_flow`).
-    A line-search trial that leaves the chart backtracks; leaving it anywhere
-    else raises ``ShootingDiverged``.  So does a converged ``X`` longer than
+    The endpoint checks the chart on every RK4 stage: a line-search trial
+    that leaves it backtracks; leaving it anywhere else raises
+    ``ShootingDiverged``.  So does a converged ``X`` longer than
     ``inj_model``, which is a geodesic that does not minimize (the long arc of
     a great circle on the sphere).
     """

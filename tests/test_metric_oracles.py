@@ -112,18 +112,35 @@ SPRAY_CASES = [(rm.euclidean(2), "euclid", 1.0), (rm.poincare_disk(), "poincare"
 @pytest.mark.parametrize("metric, base, lam", SPRAY_CASES,
                          ids=[base if lam == 1.0 else f"{base}*{lam:g}" for _, base, lam in SPRAY_CASES])
 def test_spray_matches_the_symbolic_christoffel_contraction(metric, base, lam):
-    # Gamma(v, v) = g^-1 ((d_v g) v - grad g(v, v) / 2) from the symbolic lam * g and its dg
+    # Gamma(v, v) = g^-1 ((d_v g) v - grad g(v, v) / 2) from the symbolic lam * g and its dg;
+    # the spray maps the flat list x + v to v + (-Gamma(v, v)), all Python floats
     g_ref, dg_ref, _ = _reference(base)
+    n = metric.dim
     rng = np.random.default_rng(13)
-    for i, x in enumerate(_chart_points(metric.dim, seed=13)):
-        v = rng.standard_normal(metric.dim)
+    for i, x in enumerate(_chart_points(n, seed=13)):
+        v = rng.standard_normal(n)
         dg = lam * np.asarray(dg_ref(*x), dtype=float)
         w = np.einsum("kij,k,j->i", dg, v, v) - 0.5 * np.einsum("kij,i,j->k", dg, v, v)
         want = np.linalg.solve(lam * np.asarray(g_ref(*x), dtype=float), w)
-        got = metric.spray(x, v)
-        assert got.shape == want.shape
-        err = np.max(np.abs(got - want))
+        y = np.concatenate((x, v)).tolist()
+        out = metric.spray(y)
+        assert type(out) is list and len(out) == 2 * n
+        assert all(type(c) is float for c in out), f"{metric.name}: a non-float in the spray"
+        assert out[:n] == y[n:]
+        err = np.max(np.abs(-np.array(out[n:]) - want))
         assert err <= REL_TOL * np.max(np.abs(want)), f"{metric.name} point {i}: error {err:.2e}"
+
+
+def test_bergman_ball_3_spray_matches_the_christoffel_tensor():
+    # the rank-2 spray's J runs over dim // 2 coordinate pairs; three of them here
+    m = rm.bergman_ball(3)
+    rng = np.random.default_rng(29)
+    for i, x in enumerate(_chart_points(m.dim, seed=29, count=12)):
+        v = rng.standard_normal(m.dim)
+        want = -np.einsum("kij,i,j->k", rm.christoffel(m, x), v, v)
+        out = m.spray(np.concatenate((x, v)).tolist())
+        err = np.max(np.abs(np.array(out[m.dim:]) - want))
+        assert err <= REL_TOL * np.max(np.abs(want)), f"point {i}: error {err:.2e}"
 
 
 def test_bergman_ball_3_derivatives_match_central_differences():

@@ -700,11 +700,16 @@ def _reference_geodesic(m, x, v, horizon, step):
     xs = np.empty((n_steps + 1, m.dim))
     vs = np.empty((n_steps + 1, m.dim))
     xs[0], vs[0] = x, v
+
+    def rhs(x, v):
+        k = np.array(m.spray(np.concatenate((x, v)).tolist()))
+        return k[:m.dim], k[m.dim:]
+
     for i in range(n_steps):
-        k1x, k1v = rm._geodesic_rhs(m, x, v)
-        k2x, k2v = rm._geodesic_rhs(m, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = rm._geodesic_rhs(m, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = rm._geodesic_rhs(m, x + h * k3x, v + h * k3v)
+        k1x, k1v = rhs(x, v)
+        k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+        k3x, k3v = rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+        k4x, k4v = rhs(x + h * k3x, v + h * k3v)
         x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         xs[i + 1], vs[i + 1] = x, v
@@ -913,6 +918,61 @@ def test_singular_metric_on_the_trial_path_is_reported():
         rm._endpoint(m, x, np.array([math.atanh(0.6), 0.0]), 48)
     with pytest.raises(SingularMetric):
         rm.exp_log(m, x, y)
+
+
+def test_the_float_stage_keeps_every_guard():
+    # _endpoint of n steps: chart, then positivity, at each of its 4n stages, and
+    # the chart after each step; geodesic_flow: the chart at the start and after
+    # each step; a non-finite initial state raises before any stage
+    checks = {"chart": 0, "positive": 0}
+
+    def chart(x):
+        checks["chart"] += 1
+        return PO.chart_contains(x)
+
+    def min_eig(x):
+        checks["positive"] += 1
+        return PO.min_eig(x)
+
+    m = dataclasses.replace(PO, chart_contains=chart, min_eig=min_eig)
+    rm._endpoint(m, np.array([0.1, 0.0]), np.array([0.3, 0.2]), 48)
+    assert checks == {"chart": 4 * 48 + 48, "positive": 4 * 48}
+    checks.update(chart=0, positive=0)
+    rm.geodesic_flow(m, rm.TangentPoint.of([0.1, 0.0], [0.3, 0.2]), 1.0, step=1.0 / 40)
+    assert checks == {"chart": 1 + 40, "positive": 0}
+    with pytest.raises(ConfigInvalid, match="non-finite initial state"):
+        rm.geodesic_flow(m, rm.TangentPoint.of([0.1, 0.0], [math.nan, 0.2]), 1.0)
+    with pytest.raises(ConfigInvalid, match="non-finite initial state"):
+        rm._endpoint(m, np.array([0.1, 0.0]), np.array([math.inf, 0.2]), 48)
+
+
+# pairs x = u r (u a normalised Gaussian, r uniform in [0.5, 0.999]) on which a
+# shooting RK4 stage left the chart and failed the positivity check before the
+# chart check at the end of its step
+_STAGE_EXIT_PAIRS = [
+    (BE, [0.033500391420546685, 0.44021154223474446, 0.6464303061963712, -0.3978576966714743],
+     [0.5399206294599093, -0.3912862097553601, -0.19603205179323563, 0.27708541687510313]),
+    (BE, [-0.2887743549329779, -0.2669629945640378, -0.6985702986688568, 0.31741707780436196],
+     [0.27321684215115266, -0.16145366086446636, 0.05535919273330365, -0.43810376946464075]),
+    (BE, [-0.031070107065903983, -0.8101081540897583, -0.26054786695390686, 0.27237378821343255],
+     [-0.1544192806744271, 0.42015116154332405, 0.3095740190939116, -0.04704725160947457]),
+    (PO, [0.6244860811389762, -0.6561481214202708], [0.942899815940246, 0.1544453511868272]),
+    (PO, [0.7339566085094726, 0.5330646530866123], [-0.24367646339651328, -0.4381668176909147]),
+    (PO, [0.8375631604864909, 0.0871542180763875], [-0.5177043067024902, -0.6418045442556745]),
+    (SP, [-0.8482560986205823, -0.025000367309000508], [0.8151011529772799, 0.4112212624848526]),
+]
+
+
+@pytest.mark.parametrize("m, x, y", _STAGE_EXIT_PAIRS, ids=[m.name for m, *_ in _STAGE_EXIT_PAIRS])
+def test_a_stage_outside_the_chart_is_not_a_singular_metric(m, x, y):
+    # the stage guard checks the chart before positivity, so such a stage
+    # backtracks a line-search trial or ends in ShootingDiverged
+    x, y = np.asarray(x), np.asarray(y)
+    try:
+        tp = rm.exp_log(m, x, y)
+    except ShootingDiverged:
+        return
+    assert m.norm(x, tp.vec) == pytest.approx(m.closed_dist(x, y), abs=1e-5)
 
 
 def test_exp_log_refuses_the_long_arc():
