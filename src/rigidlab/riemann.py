@@ -584,7 +584,7 @@ def _rk4(field, y0, h: float, n_steps: int, check=None) -> np.ndarray:
     """Classical fixed-step RK4 for ``y' = field(y)``.
 
     The state ``y`` is one flat list of Python floats, and ``field`` maps it to
-    a list of the same length, so a stage is list arithmetic with no numpy call.
+    a list of the same length, so the stage arithmetic makes no numpy call.
     After step ``i`` (counted from 0), ``check(i, y)`` sees the new state and
     may raise.  Returns the trajectory ``(n_steps + 1, len(y0))``.
     """
